@@ -38,7 +38,6 @@ from .models import (
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
     commutativity_check,
-    dephasing_matrix,
     exact_tensor,
     markovian_tensor,
     markovianity_deficit,

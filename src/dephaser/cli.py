@@ -74,8 +74,8 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
         cfg.preparation,
         cfg.measurement,
         cfg.grid.times,
-        int(a["max_order"]),
-        float(a["tolerance"]),
+        a["max_order"],
+        a["tolerance"],
         t0=cfg.grid.t0,
     )
     rows = [
@@ -93,7 +93,7 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
 def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     a = cfg.analysis
     deficit, detail = markovianity_deficit_detail(
-        cfg.exact_model, cfg.grid.times, int(a["max_order"]), seed=int(a["seed"])
+        cfg.exact_model, cfg.grid.times, a["max_order"], seed=a["seed"]
     )
     times = sorted(cfg.grid.times)
     semigroup = 0.0
@@ -141,7 +141,7 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
     times = sorted(cfg.grid.times)
     if len(times) < 2:
         raise ValidationError("theta-sweep needs at least 2 grid times")
-    n_points = int(a.get("theta_points", 181))
+    n_points = a.get("theta_points", 181)
     thetas = np.linspace(0.0, np.pi / 2, n_points)
     thetas, deficits, argmax_theta = cl.theta_sweep(
         cfg.provider, p, thetas, times[1], times[0], t0=cfg.grid.t0
@@ -203,7 +203,7 @@ def cmd_run(args) -> int:
         return _error_json(EXIT_VALIDATION, exc)
     except DephaserError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
-    payload["seed"] = int(cfg.analysis["seed"])
+    payload["seed"] = cfg.analysis["seed"]
     _write_json(os.path.join(outdir, "report.json"), payload)
     print(f"wrote {os.path.join(outdir, 'report.json')}")
     return EXIT_OK

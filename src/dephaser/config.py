@@ -8,6 +8,7 @@ the first failing field/invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,27 @@ class ConfigError(ValidationError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _number(node, kind, name: str):
+    """``node`` as a finite float (``kind`` float) or an integral int (``kind`` int)."""
+    try:
+        value = kind(node)
+        ok = not isinstance(node, bool) and math.isfinite(value) and value == float(node)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    _require(ok, f"{name}: expected {'a finite number' if kind is float else 'an integer'}, got {node!r}")
+    return value
+
+
+def _section(name: str, build, *args):
+    """Run one section builder; invariant and coercion failures become ConfigError."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (ValidationError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _complex_matrix(node, name: str) -> np.ndarray:
@@ -141,44 +163,40 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(doc, dict), "config: top level must be an object")
     _require(doc.get("version") == CONFIG_VERSION, f"config.version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
 
-    provider, exact_model = _build_model(doc.get("model"))
+    provider, exact_model = _section("model", _build_model, doc.get("model"))
     d = provider.d
 
     grid_node = doc.get("grid")
     _require(isinstance(grid_node, dict), "grid: expected an object with t0 and times")
-    try:
-        grid = TimeGrid(float(grid_node.get("t0", 0.0)), tuple(float(t) for t in grid_node.get("times", [])))
-    except ValidationError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    t0 = _number(grid_node.get("t0", 0.0), float, "grid.t0")
+    times = grid_node.get("times", [])
+    _require(isinstance(times, (list, tuple)), f"grid.times: expected a list, got {times!r}")
+    times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
+    grid = _section("grid", TimeGrid, t0, times)
 
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")
     kind = analysis.get("kind")
     _require(kind in ANALYSIS_KINDS, f"analysis.kind: expected one of {ANALYSIS_KINDS}, got {kind!r}")
     analysis = dict(analysis)
-    analysis.setdefault("tolerance", 1e-9)
-    analysis.setdefault("max_order", 3)
-    analysis.setdefault("seed", 0)
+    analysis["tolerance"] = _number(analysis.get("tolerance", 1e-9), float, "analysis.tolerance")
+    analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
+    analysis["seed"] = _number(analysis.get("seed", 0), int, "analysis.seed")
+    if "theta_points" in analysis:
+        analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points")
 
     if kind in ("markovianity", "oracle-check"):
         _require(exact_model is not None, f"analysis.kind '{kind}' requires an exact model")
 
     measurement = None
     if "measurement" in doc and doc["measurement"] is not None:
-        try:
-            measurement = _build_measurement(doc["measurement"], d)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+        measurement = _section("measurement", _build_measurement, doc["measurement"], d)
     _require(
         measurement is not None or kind in ("markovianity", "theta-sweep"),
         f"analysis.kind '{kind}' requires a measurement section",
     )
 
-    prep_node = doc.get("preparation", {"kind": "maximally-mixed"})
-    try:
-        preparation = _build_preparation(prep_node, d)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    preparation = _section("preparation", _build_preparation, doc.get("preparation", {"kind": "maximally-mixed"}), d)
 
     output = doc.get("output", {})
     fmt = output.get("format", "json") if isinstance(output, dict) else "json"

@@ -2,15 +2,16 @@
 
 A pure-dephasing interaction assigns one environment block Hamiltonian H_j to
 each vector of the system's dephasing basis (fixed here as the computational
-basis).  All multitime statistics of such a system factor through the
-*dephasing tensor*: the trace of the environment state propagated through a
-chain of two-sided unitary conjugations
+basis).  The system+environment state is then a d×d grid of D×D environment
+blocks, and each time interval acts on it block by block,
 
-    X -> U_j(dt) X U_l(dt)†
+    S[j, l] -> U_j(dt) S[j, l] U_l(dt)†
 
-one per time interval, with (j, l) an index pair per interval.  Two providers
-are implemented: the exact finite-environment one, and the analytic one whose
-tensor factorizes into per-interval exponentials by construction (the
+which a provider implements as ``step``.  Joint distributions and the
+*dephasing tensor* (one index pair (j, l) picked per interval, environment
+traced at the end) are both propagated with it.  Two providers are
+implemented: the exact finite-environment one, and the analytic one (D = 1)
+whose tensor factorizes into per-interval exponentials by construction (the
 regression/Markovian case).
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -29,6 +30,13 @@ from .linalg import check_density, check_hermitian, hermitian_expm
 
 #: |tensor| may exceed 1 only by numerical noise
 TENSOR_MOD_TOL = 1e-10
+
+#: budget, in complex entries, for the largest state block propagation holds:
+#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n)·D² in ``tensor_array``.
+#: 10^7 complex128 entries are 160 MB, and a step holds the state, its
+#: half-projected copy and its result at once, so a run at the cap peaks near
+#: 0.5 GB: the most a desk-scale machine can give one analysis.
+TERM_CAP = 10_000_000
 
 #: exhaustive enumeration limit for the factorization deficit
 MARKOV_ENUM_CAP = 1_000_000
@@ -63,7 +71,11 @@ class IndexPairChain:
 
 
 class DephasingTensorProvider(ABC):
-    """Yields dephasing-tensor values for index-pair chains.
+    """Interval map of a pure-dephasing system, and the dephasing tensor it yields.
+
+    States are arrays S[..., j, l, a, b]: any leading batch axes, then a d×d
+    grid of D×D environment blocks.  ``env`` is the initial D×D environment
+    state.
 
     Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
     to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
@@ -71,38 +83,44 @@ class DephasingTensorProvider(ABC):
     """
 
     d: int
+    env: np.ndarray
     is_markovian_by_construction: bool = False
 
     @abstractmethod
+    def step(self, state: np.ndarray, dt: float) -> np.ndarray:
+        """The state after one interval of length ``dt`` (a new array)."""
+
+    @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
-        """Tensor value for index pairs over the given interval durations."""
+        """Tensor value for index pairs, computed without ``step`` (the pointwise reference)."""
 
     def tensor(self, chain: IndexPairChain) -> complex:
         self._check_pairs(chain.pairs)
         return self.tensor_pairs(chain.pairs, chain.durations)
 
+    # Each concrete provider defines ``tensor_array`` and ``tensor_pairs`` in
+    # its own class body, where per-class instrumentation (perfbench/tracing.py)
+    # finds and wraps them.
     def tensor_array(self, durations: Sequence[float]) -> np.ndarray:
         """All tensor values on a duration grid.
 
-        Shape is (d, d) * n with axes ordered (j_1, l_1, ..., j_n, l_n).
+        Shape is (d, d) * n with axes ordered (j_1, l_1, ..., j_n, l_n): each
+        interval expands one (j, l) pair axis and steps the environment state.
         """
         d, n = self.d, len(durations)
-        out = np.empty((d, d) * n, dtype=complex)
-        for idx in np.ndindex(*out.shape):
-            pairs = [(idx[2 * k], idx[2 * k + 1]) for k in range(n)]
-            out[idx] = self.tensor_pairs(pairs, durations)
-        return out
+        entries = d ** (2 * n) * self.env.size
+        if entries > TERM_CAP:
+            raise SizeCapError(f"tensor_array: {entries} propagated entries exceed cap {TERM_CAP}")
+        x = self.env
+        for dt in durations:
+            x = self.step(np.broadcast_to(x[..., None, None, :, :], x.shape[:-2] + (d, d) + x.shape[-2:]), dt)
+        return np.trace(x, axis1=-2, axis2=-1)
 
     def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
         """The d×d matrix of single-interval tensor values over [s, t]."""
         if t < s:
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        d = self.d
-        out = np.empty((d, d), dtype=complex)
-        for j in range(d):
-            for l in range(d):
-                out[j, l] = self.tensor_pairs([(j, l)], [t - s])
-        return out
+        return self.tensor_array([t - s])
 
     def _check_pairs(self, pairs) -> None:
         for j, l in pairs:
@@ -145,13 +163,12 @@ class DephasingModel:
 
 
 class ExactDephasingProvider(DephasingTensorProvider):
-    """Dephasing tensor computed by direct propagation of the environment."""
-
-    is_markovian_by_construction = False
+    """Dephasing dynamics by direct propagation of the environment blocks."""
 
     def __init__(self, model: DephasingModel):
         self.model = model
         self.d = model.d
+        self.env = model.env_state
         self._prop_cache: dict = {}
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
@@ -162,39 +179,19 @@ class ExactDephasingProvider(DephasingTensorProvider):
             self._prop_cache[key] = u
         return u
 
+    def step(self, state, dt):
+        """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once."""
+        u = np.stack([self.propagator(j, dt) for j in range(self.d)])
+        return u[:, None] @ state @ u.conj().transpose(0, 2, 1)[None, :]
+
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
         for (j, l), dt in zip(pairs, durations):
-            if j == l:
-                # unitary conjugation by the same block: only the trace
-                # matters downstream when it is the final pair, but interior
-                # diagonal pairs do rotate the state, so apply it fully
-                u = self.propagator(j, dt)
-                x = u @ x @ u.conj().T
-            else:
-                uj = self.propagator(j, dt)
-                ul = self.propagator(l, dt)
-                x = uj @ x @ ul.conj().T
+            x = self.propagator(j, dt) @ x @ self.propagator(l, dt).conj().T
         return complex(np.trace(x))
 
     def tensor_array(self, durations) -> np.ndarray:
-        d, n = self.d, len(durations)
-        out = np.empty((d, d) * n, dtype=complex)
-        env = self.model.env_state
-
-        def fill(k: int, x: np.ndarray, idx: tuple) -> None:
-            if k == n:
-                out[idx] = np.trace(x)
-                return
-            dt = durations[k]
-            us = [self.propagator(j, dt) for j in range(d)]
-            for j in range(d):
-                lhs = us[j] @ x
-                for l in range(d):
-                    fill(k + 1, lhs @ us[l].conj().T, idx + (j, l))
-
-        fill(0, env, ())
-        return out
+        return super().tensor_array(durations)
 
 
 def exact_tensor(model: DephasingModel, chain: IndexPairChain) -> complex:
@@ -240,13 +237,17 @@ class MarkovianAnalyticModel:
 
 
 class MarkovianAnalyticProvider(DephasingTensorProvider):
-    """Tensor provider whose values factorize per interval by construction."""
+    """Provider whose tensor factorizes per interval by construction (D = 1)."""
 
     is_markovian_by_construction = True
 
     def __init__(self, model: MarkovianAnalyticModel):
         self.model = model
         self.d = model.d
+        self.env = np.ones((1, 1), dtype=complex)
+
+    def step(self, state, dt):
+        return state * self.model.phi_matrix(dt)[:, :, None, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
         out = 1.0 + 0.0j
@@ -256,18 +257,11 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return complex(out)
 
     def tensor_array(self, durations) -> np.ndarray:
-        mats = [self.model.phi_matrix(dt) for dt in durations]
-        if not mats:
-            return np.array(1.0 + 0j)
-        return reduce(np.multiply.outer, mats)
+        return super().tensor_array(durations)
 
 
 def markovian_tensor(model: MarkovianAnalyticModel, chain: IndexPairChain) -> complex:
     return MarkovianAnalyticProvider(model).tensor(chain)
-
-
-def dephasing_matrix(provider: DephasingTensorProvider, t: float, s: float) -> np.ndarray:
-    return provider.dephasing_matrix(t, s)
 
 
 def semigroup_deficit(provider: DephasingTensorProvider, t0: float, t1: float, t2: float) -> float:

@@ -2,11 +2,12 @@
 
 Two independent routes are implemented:
 
-* :func:`joint_distribution` contracts system overlap factors against the
-  dephasing tensor (the fast path; works for any tensor provider);
+* :func:`joint_distribution` propagates the system+environment state as a d×d
+  grid of D×D environment blocks, with every outcome prefix batched on leading
+  axes (the primary route; works for any provider);
 * :func:`oracle_distribution` simulates the global system-environment unitary
-  directly and applies projections on the joint space (the brute-force
-  cross-check; exact models only).
+  directly and applies projections on the joint space, one outcome branch at
+  a time (the brute-force cross-check; exact models only).
 
 Outcome tuples (x_1, ..., x_n) are stored row-major with x_1 slowest, so CSV
 output order is stable across runs and platforms.
@@ -14,18 +15,19 @@ output order is stable across runs and platforms.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, ValidationError
-from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron, partial_trace_env
+from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron
 from .measurements import ProjectiveMeasurement, dephasing_channel
-from .models import DephasingModel, DephasingTensorProvider, ExactDephasingProvider
+from .models import TERM_CAP, DephasingModel, DephasingTensorProvider
 
-#: cap on the number of index-pair chains d^(2n) in the tensor decomposition
-TERM_CAP = 10_000_000
+#: cap on the oracle's outcome branches m + m^2 + ... + m^n.  Each branch is a
+#: kron and two joint-space products issued from Python, about 70 µs at
+#: d·D <= 16 on a 2-core x86 box, so one cross-check stays under a second.
+ORACLE_BRANCH_CAP = 10_000
 
 NEG_FLOOR = -1e-10
 NORM_TOL = 1e-10
@@ -161,44 +163,33 @@ def joint_distribution(
     grid: TimeGrid,
     term_cap: int = TERM_CAP,
 ) -> JointDistribution:
-    """n-time statistics via the dephasing-tensor decomposition.
+    """n-time statistics by block propagation of the system+environment state.
 
-    Each chain of index pairs contributes a product of scalar projector
-    entries (the system factor) times the corresponding dephasing-tensor
-    value; the contraction over all chains and outcome tuples is a single
-    einsum.
+    The state S[x_1, ..., x_k, j, l, a, b] holds every outcome prefix on its
+    leading axes and a d×d grid of D×D environment blocks; it starts as
+    rho[j, l]·env.  Each interval applies ``provider.step``, each interior
+    measurement maps S -> P_x S P_x onto a new outcome axis, and the last
+    interval ends in table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l].
+    ``term_cap`` bounds the entries of the largest state, m^(n-1)·d²·D².
     """
     d, n = provider.d, grid.n
     if prep.d != d or measurement.d != d:
         raise ShapeError(
             f"joint_distribution: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})"
         )
-    n_chains = d ** (2 * n)
-    if n_chains > term_cap:
-        raise SizeCapError(f"joint_distribution: {n_chains} index-pair chains exceed cap {term_cap}")
-
-    tensor = provider.tensor_array(grid.durations)
     m = measurement.n_outcomes
+    entries = m ** (n - 1) * d * d * provider.env.size
+    if entries > term_cap:
+        raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
+
     pstack = np.stack([measurement.projector(x) for x in range(m)])  # [x, row, col]
-
-    # index letters: x_1..x_n then j_1..j_n, l_1..l_n
-    letters = string.ascii_letters
-    x = letters[:n]
-    j = letters[n : 2 * n]
-    l = letters[2 * n : 3 * n]
-
-    operands = [prep.density]
-    subs = [j[0] + l[0]]
-    for k in range(n - 1):
-        # P_{x_k}[j_{k+1}, j_k] and P_{x_k}[l_k, l_{k+1}]
-        operands += [pstack, pstack]
-        subs += [x[k] + j[k + 1] + j[k], x[k] + l[k] + l[k + 1]]
-    operands.append(pstack)  # trace factor P_{x_n}[l_n, j_n]
-    subs.append(x[n - 1] + l[n - 1] + j[n - 1])
-    operands.append(tensor)
-    subs.append("".join(j[k] + l[k] for k in range(n)))
-
-    table = np.einsum(",".join(subs) + "->" + x, *operands, optimize=True)
+    state = prep.density[:, :, None, None] * provider.env
+    for dt in grid.durations[:-1]:
+        state = provider.step(state, dt)
+        half = np.einsum("xij,...jlab->...xilab", pstack, state)
+        state = np.einsum("...xilab,xlk->...xikab", half, pstack)
+    state = provider.step(state, grid.durations[-1])
+    table = np.einsum("...jl,xlj->...x", np.trace(state, axis1=-2, axis2=-1), pstack)
     return JointDistribution(m, grid, np.real(table).reshape(-1))
 
 
@@ -210,7 +201,7 @@ def oracle_distribution(
 ) -> JointDistribution:
     """Brute-force statistics from the global unitary on the joint space.
 
-    Independent of the tensor decomposition; used to cross-check
+    Independent of the block propagation; used to cross-check
     :func:`joint_distribution` for exact models.
     """
     d, big_d = model.d, model.env_dim
@@ -218,12 +209,15 @@ def oracle_distribution(
         raise SizeCapError(f"oracle_distribution: joint dimension {d * big_d} exceeds cap {DIM_CAP}")
     if prep.d != d or measurement.d != d:
         raise ShapeError("oracle_distribution: dimension mismatch")
+    m = measurement.n_outcomes
+    n = grid.n
+    branches = sum(m**k for k in range(1, n + 1))
+    if branches > ORACLE_BRANCH_CAP:
+        raise SizeCapError(f"oracle_distribution: {branches} outcome branches exceed cap {ORACLE_BRANCH_CAP}")
 
     h_global = _build_global_hamiltonian(model)
     props = [hermitian_expm(h_global, dt) for dt in grid.durations]
     eye_b = np.eye(big_d)
-    m = measurement.n_outcomes
-    n = grid.n
     table = np.zeros((m,) * n)
 
     def branch(k: int, state: np.ndarray, idx: tuple) -> None:
@@ -248,8 +242,6 @@ def reduced_map(provider: DephasingTensorProvider, t: float, s: float) -> Supero
     column-stacking superoperator is diagonal with entry φ[j, l] at vec index
     l·d + j.
     """
-    if t < s:
-        raise TimeOrderError(f"reduced_map: t = {t} < s = {s}")
     phi = provider.dephasing_matrix(t, s)
     return Superoperator(provider.d, np.diag(phi.T.reshape(-1)))
 
@@ -307,8 +299,3 @@ def conditional_probability(dist: JointDistribution, prefix) -> np.ndarray:
     if denom <= NULL_EVENT_FLOOR:
         raise NullEventError(f"conditional_probability: event {prefix} has probability {denom:.3e}")
     return np.clip(sub / denom, 0.0, None)
-
-
-def exact_provider(model: DephasingModel) -> ExactDephasingProvider:
-    """Convenience constructor used throughout the analyses."""
-    return ExactDephasingProvider(model)

@@ -91,6 +91,49 @@ class TestConfigParsing:
             load_config(str(p))
 
 
+# one malformed value per document; each used to escape as a traceback
+MALFORMED = {
+    "times": {"grid": {"t0": 0.0, "times": ["a"]}},
+    "max_order": {"analysis": {"kind": "classicality", "max_order": "three"}},
+    "theta": {"measurement": {"kind": "qubit", "theta": "a"}},
+    "preset": {"model": {"kind": "exact", "preset": "no-such-preset"}},
+    "block": {
+        "model": {
+            "kind": "exact",
+            "blocks": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]] * 2,
+            "env_state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        }
+    },
+}
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_exits_2_with_one_json_object(self, tmp_path, capsys, field, command):
+        path = write_config(tmp_path, classicality_config(**MALFORMED[field]))
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, path] + extra) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_numeric_fields_coerced(self):
+        doc = classicality_config(
+            grid={"t0": "0", "times": [0.8, "1.6"]},
+            analysis={"kind": "classicality", "max_order": 3.0, "tolerance": "1e-9", "seed": "4"},
+        )
+        cfg = parse_config(doc)
+        assert cfg.grid.times == (0.8, 1.6)
+        assert (cfg.analysis["max_order"], cfg.analysis["tolerance"], cfg.analysis["seed"]) == (3, 1e-9, 4)
+        assert type(cfg.analysis["max_order"]) is int
+
+    @pytest.mark.parametrize("analysis", [{"max_order": 2.5}, {"seed": True}, {"tolerance": "nan"}])
+    def test_non_integral_or_non_finite_rejected(self, analysis):
+        with pytest.raises(ConfigError):
+            parse_config(classicality_config(analysis={"kind": "classicality", **analysis}))
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, classicality_config())

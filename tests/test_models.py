@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
-from dephaser.errors import TimeOrderError, ValidationError
+from dephaser.errors import SizeCapError, TimeOrderError, ValidationError
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -104,6 +104,38 @@ class TestExactTensor:
         for idx in np.ndindex(*arr.shape):
             pairs = [(idx[0], idx[1]), (idx[2], idx[3])]
             assert abs(arr[idx] - zx_provider.tensor_pairs(pairs, durations)) < 1e-13
+
+
+class TestBlockPropagation:
+    """tensor_array (propagated with ``step``) against the pointwise tensor_pairs."""
+
+    @pytest.mark.parametrize(
+        "provider",
+        [
+            ExactDephasingProvider(random_exact_model(3, 3, seed=21)),
+            MarkovianAnalyticProvider(
+                MarkovianAnalyticModel(
+                    np.array([[0.0, 0.8, -0.3], [-0.8, 0.0, 1.1], [0.3, -1.1, 0.0]]),
+                    np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.9], [0.2, 0.9, 0.0]]),
+                )
+            ),
+        ],
+        ids=["exact-d3-D3", "analytic-d3"],
+    )
+    def test_tensor_array_matches_pointwise(self, provider):
+        durations = (0.4, 0.9, 0.3)
+        arr = provider.tensor_array(durations)
+        assert arr.shape == (3, 3) * 3
+        for idx in np.ndindex(*arr.shape):
+            pairs = list(zip(idx[0::2], idx[1::2]))
+            assert abs(arr[idx] - provider.tensor_pairs(pairs, durations)) < 1e-13
+        assert abs(provider.tensor_array(()) - 1.0) < 1e-15
+
+    def test_cap_checked_before_any_propagator(self, zx_provider):
+        # 2^24 pair chains times D^2 = 4 environment entries exceed the budget
+        with pytest.raises(SizeCapError):
+            zx_provider.tensor_array([0.1] * 12)
+        assert zx_provider._prop_cache == {}
 
 
 class TestMarkovianModel:

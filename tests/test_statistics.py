@@ -9,7 +9,8 @@ from dephaser.errors import (
     TimeOrderError,
     ValidationError,
 )
-from dephaser.measurements import dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
+from dephaser.linalg import random_density, random_unitary
+from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from dephaser.models import (
     ExactDephasingProvider,
     MarkovianAnalyticModel,
@@ -106,7 +107,7 @@ class TestJointDistribution:
 
 
 class TestJointVsOracle:
-    """The tensor-decomposition fast path against the global-unitary oracle."""
+    """Block propagation (joint_distribution) against the global-unitary oracle."""
 
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -148,6 +149,39 @@ class TestJointVsOracle:
         grid = TimeGrid(0.0, (0.3, 0.9, 1.2, 2.0))
         fast = joint_distribution(zx_provider, prep, meas, grid)
         slow = oracle_distribution(zx_model, prep, meas, grid)
+        assert np.max(np.abs(fast.table - slow.table)) < 1e-12
+
+    def test_four_level_six_times(self):
+        # 4^12 index-pair chains: beyond what a materialised tensor could hold
+        model = random_exact_model(4, 4, 31)
+        prep = SystemPreparation(random_density(4, 32))
+        meas = ProjectiveMeasurement(vectors=random_unitary(4, 33))
+        grid = TimeGrid(0.0, (0.2, 0.7, 0.9, 1.6, 2.3, 2.4))
+        fast = joint_distribution(ExactDephasingProvider(model), prep, meas, grid)
+        slow = oracle_distribution(model, prep, meas, grid)
+        assert np.max(np.abs(fast.table - slow.table)) < 1e-12
+
+    @given(
+        seed=seeds,
+        d=st.integers(2, 3),
+        big_d=st.integers(1, 3),
+        n=st.integers(1, 5),
+        rank_one=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_pvms(self, seed, d, big_d, n, rank_one):
+        model = random_exact_model(d, big_d, seed)
+        u = random_unitary(d, seed + 1)
+        if rank_one:
+            meas = ProjectiveMeasurement(vectors=u)
+        else:
+            # two outcomes of ranks cut and d - cut, through the general-PVM path
+            cut = 1 + seed % (d - 1)
+            meas = ProjectiveMeasurement(projectors=[u[:, :cut] @ u[:, :cut].conj().T, u[:, cut:] @ u[:, cut:].conj().T])
+        prep = SystemPreparation(random_density(d, seed + 2))
+        grid = TimeGrid(0.0, tuple(np.sort(np.random.default_rng(seed).uniform(0.1, 3.0, n))))
+        fast = joint_distribution(ExactDephasingProvider(model), prep, meas, grid)
+        slow = oracle_distribution(model, prep, meas, grid)
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
 
@@ -195,6 +229,20 @@ class TestCaps:
         grid = TimeGrid(0.0, tuple(float(k) for k in range(1, 6)))
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid, term_cap=100)
+
+    def test_cap_checked_before_any_propagator(self, zx_provider):
+        # the state before the last interval holds 2^20 prefixes x d^2 D^2 = 16 entries
+        prep = SystemPreparation.maximally_mixed(2)
+        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 22)))
+        with pytest.raises(SizeCapError):
+            joint_distribution(zx_provider, prep, fourier_mub(2), grid)
+        assert zx_provider._prop_cache == {}
+
+    def test_oracle_branch_cap(self, zx_model):
+        # 2 + 4 + ... + 2^13 outcome branches
+        grid = TimeGrid(0.0, tuple(float(k) for k in range(1, 14)))
+        with pytest.raises(SizeCapError):
+            oracle_distribution(zx_model, SystemPreparation.maximally_mixed(2), fourier_mub(2), grid)
 
     def test_dimension_mismatch(self, zx_provider):
         prep = SystemPreparation.maximally_mixed(3)
