@@ -5,19 +5,34 @@ distribution (n <= N) reproduces the (n-1)-time distribution on the reduced
 grid.  Marginalizing the *last* outcome always works (trace preservation), so
 only interior positions 1..n-1 are tested.  Verdicts are always relative to a
 declared finite grid pool.
+
+:func:`classicality_report` walks the non-decreasing time tuples of the pool
+as a prefix trie on the block-propagation kernel of
+:func:`~dephaser.statistics.joint_distribution` (the same step, measurement
+map and readout), so each distinct grid is propagated once and every prefix
+is shared by all tuples that extend it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, SizeCapError, ValidationError
 from .measurements import ProjectiveMeasurement
-from .models import DephasingTensorProvider
-from .statistics import JointDistribution, SystemPreparation, TimeGrid, joint_distribution
+from .models import TERM_CAP, DephasingTensorProvider
+from .statistics import (
+    JointDistribution,
+    SystemPreparation,
+    TimeGrid,
+    _initial_state,
+    _measure,
+    _readout,
+    joint_distribution,
+)
 
 #: default verdict tolerance: above pipeline noise, far below genuine violations
 DEFAULT_TOL = 1e-9
@@ -105,28 +120,79 @@ def classicality_report(
 ) -> ClassicalityReport:
     """Test Kolmogorov consistency for all orders 2..max_order on a grid pool.
 
-    Time tuples are all non-decreasing selections from ``pool``; for each
-    tuple and each interior position the marginalization deficit is recorded.
+    Time tuples are all non-decreasing selections from the sorted, deduplicated
+    ``pool``; for each tuple and each interior position the marginalization
+    deficit is recorded.  Deleting an interior time of an n-tuple leaves an
+    (n-1)-tuple of the same pool, so every distribution the records need is
+    the table of one tuple of order <= max_order.  Those tuples form a prefix
+    trie, walked depth-first: the node (s_1, ..., s_k) holds the block state
+    just after the measurement at s_k, and each child costs one
+    ``provider.step`` over s_{k+1} - s_k plus one readout (and, below
+    ``max_order``, one measurement map).  Each distinct grid is thus
+    propagated once.  The largest state, m^(max_order-1)·d²·D² entries, and
+    the stored tables, Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are
+    both checked against ``TERM_CAP`` before any propagator is computed.
     """
     if max_order < 2:
         raise ValidationError(f"classicality_report: max_order must be >= 2, got {max_order}")
-    pool = tuple(sorted(float(t) for t in pool))
+    pool = tuple(sorted({float(t) for t in pool}))
     if not pool:
         raise ValidationError("classicality_report: empty grid pool")
     if pool[0] < t0:
         raise ValidationError(f"classicality_report: pool starts before t0 = {t0}")
 
+    root, pstack = _initial_state(provider, prep, measurement, "classicality_report")
+    m, p = len(pstack), len(pool)
+    entries = m ** (max_order - 1) * root.size
+    stored = sum(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
+    if max(entries, stored) > TERM_CAP:
+        raise SizeCapError(
+            f"classicality_report: largest state of {entries} entries or {stored} stored table "
+            f"entries exceeds cap {TERM_CAP}"
+        )
+
+    # Depth-first walk with an explicit stack of (times, pool index, parent
+    # state, parent time); a self-recursive closure would form a reference
+    # cycle that keeps every table alive until the cyclic collector runs.
+    tables = {}
+    stack = [((pool[i],), i, root, t0) for i in reversed(range(p))]
+    while stack:
+        times, i, parent, t_parent = stack.pop()
+        state = provider.step(parent, pool[i] - t_parent)
+        tables[times] = JointDistribution(m, TimeGrid(t0, times), _readout(state, pstack).reshape(-1))
+        if len(times) < max_order:
+            state = _measure(state, pstack)
+            stack.extend((times + (pool[k],), k, state, pool[i]) for k in reversed(range(i, p)))
+
     records = []
     for n in range(2, max_order + 1):
         for sel in itertools.combinations_with_replacement(pool, n):
-            fine = joint_distribution(provider, prep, measurement, TimeGrid(t0, sel))
             for position in range(1, n):
-                coarse_grid = TimeGrid(t0, sel[: position - 1] + sel[position:])
-                coarse = joint_distribution(provider, prep, measurement, coarse_grid)
-                records.append(
-                    DeficitRecord(n, position, sel, kolmogorov_deficit(fine, coarse, position))
-                )
+                coarse = tables[sel[: position - 1] + sel[position:]]
+                records.append(DeficitRecord(n, position, sel, kolmogorov_deficit(tables[sel], coarse, position)))
     return ClassicalityReport(max_order, tol, t0, pool, tuple(records))
+
+
+def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: float, t1: float, t0: float) -> complex:
+    """The angle-independent factor of the closed-form 2-time qubit deficit."""
+    if provider.d != 2:
+        raise ValidationError(f"qubit_two_time_deficit_closed: provider d = {provider.d}, need 2")
+
+    def t2step(j2, l2, j1, l1):
+        return provider.tensor_pairs([(j1, l1), (j2, l2)], [t1 - t0, t2 - t1])
+
+    return (
+        p * t2step(0, 1, 0, 0)
+        + p * t2step(1, 0, 0, 0)
+        + (p - 1) * t2step(0, 1, 1, 1)
+        + (p - 1) * t2step(1, 0, 1, 1)
+        - 2 * (2 * p - 1)
+    )
+
+
+def _qubit_two_time_deficit(bracket: complex, theta: float, x2: int) -> float:
+    """The closed-form 2-time qubit deficit at angle ``theta`` from its bracket."""
+    return float(((-1) ** x2 * 0.125 * np.sin(2 * theta) * np.sin(4 * theta) * bracket).real)
 
 
 def qubit_two_time_deficit_closed(
@@ -144,20 +210,7 @@ def qubit_two_time_deficit_closed(
     diag(p, 1-p) and the measurement basis parametrized by theta (the deficit
     does not depend on the azimuthal phase).
     """
-    if provider.d != 2:
-        raise ValidationError(f"qubit_two_time_deficit_closed: provider d = {provider.d}, need 2")
-
-    def t2step(j2, l2, j1, l1):
-        return provider.tensor_pairs([(j1, l1), (j2, l2)], [t1 - t0, t2 - t1])
-
-    bracket = (
-        p * t2step(0, 1, 0, 0)
-        + p * t2step(1, 0, 0, 0)
-        + (p - 1) * t2step(0, 1, 1, 1)
-        + (p - 1) * t2step(1, 0, 1, 1)
-        - 2 * (2 * p - 1)
-    )
-    return float(((-1) ** x2 * 0.125 * np.sin(2 * theta) * np.sin(4 * theta) * bracket).real)
+    return _qubit_two_time_deficit(_qubit_two_time_bracket(provider, p, t2, t1, t0), theta, x2)
 
 
 def qubit_two_time_deficit_simplified(p: float, theta: float, x2: int, re_phi: float) -> float:
@@ -217,13 +270,13 @@ def theta_sweep(
     """2-time deficit as a function of the measurement angle.
 
     Returns (thetas, deficits, argmax_theta); the argmax is taken on the
-    absolute deficit.  Maxima sit near (1/2) arctan sqrt(2) and its mirror
+    absolute deficit.  The angle-independent bracket of the closed form is
+    evaluated once per sweep.  Maxima sit near (1/2) arctan sqrt(2) and its mirror
     whenever the time-dependent factor is nonzero.
     """
     thetas = np.asarray(list(thetas), dtype=float)
-    deficits = np.array(
-        [qubit_two_time_deficit_closed(provider, p, th, x2, t2, t1, t0) for th in thetas]
-    )
+    bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
+    deficits = np.array([_qubit_two_time_deficit(bracket, th, x2) for th in thetas])
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
     return thetas, deficits, argmax_theta
 

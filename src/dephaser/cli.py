@@ -231,7 +231,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory (default: cwd)")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads (analyses are currently single-threaded)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config's analysis seed")
     p_run.set_defaults(func=cmd_run)
 

@@ -78,6 +78,22 @@ def check_unitary(m, name: str = "unitary", tol: float = UNITARY_TOL) -> np.ndar
     return a
 
 
+def hermitian_eigh(h: np.ndarray):
+    """Spectral decomposition (w, V) of a Hermitian matrix, H = V diag(w) V†."""
+    h = check_hermitian(h, "hermitian_eigh input")
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
+        raise ValidationError(f"hermitian_eigh: eigendecomposition failed ({exc})") from exc
+
+
+def spectral_expm(w: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i·tau·H) from the spectral decomposition H = V diag(w) V†."""
+    if not np.isfinite(tau):
+        raise ValidationError(f"spectral_expm: tau = {tau!r} is not finite")
+    return (v * np.exp(-1j * tau * w)) @ v.conj().T
+
+
 def hermitian_expm(h: np.ndarray, tau: float) -> np.ndarray:
     """Unitary propagator exp(-i·tau·H) of a Hermitian generator.
 
@@ -85,14 +101,7 @@ def hermitian_expm(h: np.ndarray, tau: float) -> np.ndarray:
     exact up to eigensolver accuracy for Hermitian input (no Padé scaling
     needed).
     """
-    h = check_hermitian(h, "hermitian_expm input")
-    if not np.isfinite(tau):
-        raise ValidationError(f"hermitian_expm: tau = {tau!r} is not finite")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise ValidationError(f"hermitian_expm: eigendecomposition failed ({exc})") from exc
-    return (v * np.exp(-1j * tau * w)) @ v.conj().T
+    return spectral_expm(*hermitian_eigh(h), tau)
 
 
 def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:

@@ -26,7 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
-from .linalg import check_density, check_hermitian, hermitian_expm
+# hermitian_expm is not called here; the name stays bound because
+# perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
+from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
 #: |tensor| may exceed 1 only by numerical noise
 TENSOR_MOD_TOL = 1e-10
@@ -169,19 +171,28 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self.model = model
         self.d = model.d
         self.env = model.env_state
+        self._eig = None
         self._prop_cache: dict = {}
 
-    def propagator(self, j: int, dt: float) -> np.ndarray:
-        key = (j, dt)
-        u = self._prop_cache.get(key)
+    def _unitaries(self, dt: float) -> np.ndarray:
+        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a leading axis.
+
+        Each block is diagonalised once per provider; every duration reuses it.
+        """
+        u = self._prop_cache.get(dt)
         if u is None:
-            u = hermitian_expm(self.model.blocks[j], dt)
-            self._prop_cache[key] = u
+            if self._eig is None:
+                self._eig = [hermitian_eigh(b) for b in self.model.blocks]
+            u = self._prop_cache[dt] = np.stack([spectral_expm(w, v, dt) for w, v in self._eig])
         return u
+
+    def propagator(self, j: int, dt: float) -> np.ndarray:
+        """U_j(dt) = exp(-i·dt·H_j)."""
+        return self._unitaries(dt)[j]
 
     def step(self, state, dt):
         """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once."""
-        u = np.stack([self.propagator(j, dt) for j in range(self.d)])
+        u = self._unitaries(dt)
         return u[:, None] @ state @ u.conj().transpose(0, 2, 1)[None, :]
 
     def tensor_pairs(self, pairs, durations) -> complex:

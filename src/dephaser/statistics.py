@@ -156,6 +156,30 @@ def _build_global_hamiltonian(model: DephasingModel) -> np.ndarray:
     return h
 
 
+def _initial_state(
+    provider: DephasingTensorProvider, prep: SystemPreparation, measurement: ProjectiveMeasurement, caller: str
+):
+    """The state rho[j, l]·env before the first interval, and the projector stack P[x, row, col]."""
+    d = provider.d
+    if prep.d != d or measurement.d != d:
+        raise ShapeError(
+            f"{caller}: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})"
+        )
+    pstack = np.stack([measurement.projector(x) for x in range(measurement.n_outcomes)])
+    return prep.density[:, :, None, None] * provider.env, pstack
+
+
+def _measure(state: np.ndarray, pstack: np.ndarray) -> np.ndarray:
+    """S -> P_x S P_x, with the outcome x on a new axis just before (j, l, a, b)."""
+    half = np.einsum("xij,...jlab->...xilab", pstack, state)
+    return np.einsum("...xilab,xlk->...xikab", half, pstack)
+
+
+def _readout(state: np.ndarray, pstack: np.ndarray) -> np.ndarray:
+    """table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l] (real part)."""
+    return np.real(np.einsum("...jl,xlj->...x", np.trace(state, axis1=-2, axis2=-1), pstack))
+
+
 def joint_distribution(
     provider: DephasingTensorProvider,
     prep: SystemPreparation,
@@ -172,25 +196,16 @@ def joint_distribution(
     interval ends in table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l].
     ``term_cap`` bounds the entries of the largest state, m^(n-1)·d²·D².
     """
-    d, n = provider.d, grid.n
-    if prep.d != d or measurement.d != d:
-        raise ShapeError(
-            f"joint_distribution: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})"
-        )
-    m = measurement.n_outcomes
-    entries = m ** (n - 1) * d * d * provider.env.size
+    state, pstack = _initial_state(provider, prep, measurement, "joint_distribution")
+    m = len(pstack)
+    entries = m ** (grid.n - 1) * state.size
     if entries > term_cap:
         raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
 
-    pstack = np.stack([measurement.projector(x) for x in range(m)])  # [x, row, col]
-    state = prep.density[:, :, None, None] * provider.env
     for dt in grid.durations[:-1]:
-        state = provider.step(state, dt)
-        half = np.einsum("xij,...jlab->...xilab", pstack, state)
-        state = np.einsum("...xilab,xlk->...xikab", half, pstack)
-    state = provider.step(state, grid.durations[-1])
-    table = np.einsum("...jl,xlj->...x", np.trace(state, axis1=-2, axis2=-1), pstack)
-    return JointDistribution(m, grid, np.real(table).reshape(-1))
+        state = _measure(provider.step(state, dt), pstack)
+    table = _readout(provider.step(state, grid.durations[-1]), pstack)
+    return JointDistribution(m, grid, table.reshape(-1))
 
 
 def oracle_distribution(

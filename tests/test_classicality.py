@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_exact_model
 from dephaser.classicality import (
     classicality_report,
     delta_count,
@@ -12,8 +15,8 @@ from dephaser.classicality import (
     search_nonclassicality_witness,
     theta_sweep,
 )
-from dephaser.errors import ShapeError, ValidationError
-from dephaser.measurements import dephasing_basis, fourier_mub, qubit_basis
+from dephaser.errors import ShapeError, SizeCapError, ValidationError
+from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from dephaser.models import (
     ExactDephasingProvider,
     MarkovianAnalyticModel,
@@ -125,6 +128,94 @@ class TestClassicalityReport:
         )
         with pytest.raises(ValidationError):
             report.verdict(5)
+
+
+def per_tuple_records(provider, prep, meas, pool, max_order, t0=0.0):
+    """Reference report: fine and coarse distributions computed afresh for every tuple."""
+    pool = sorted({float(t) for t in pool})
+    records = []
+    for n in range(2, max_order + 1):
+        for sel in itertools.combinations_with_replacement(pool, n):
+            fine = joint_distribution(provider, prep, meas, TimeGrid(t0, sel))
+            for position in range(1, n):
+                coarse = joint_distribution(provider, prep, meas, TimeGrid(t0, sel[: position - 1] + sel[position:]))
+                records.append((n, position, sel, kolmogorov_deficit(fine, coarse, position)))
+    return records
+
+
+def assert_matches_reference(report, reference):
+    assert len(report.records) == len(reference)
+    for rec, (n, position, sel, deficit) in zip(report.records, reference):
+        assert (rec.order, rec.position, rec.times) == (n, position, sel)
+        assert abs(rec.deficit - deficit) <= 1e-12
+
+
+def general_qutrit_measurement():
+    """Two-outcome PVM on a qutrit: a rank-one projector and its rank-two complement."""
+    v = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3.0)
+    p0 = np.outer(v, v.conj())
+    return ProjectiveMeasurement(projectors=(p0, np.eye(3) - p0))
+
+
+class TestReportMatchesPerTupleReference:
+    """The prefix-trie report against a per-tuple recomputation of every distribution."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["qubit-zx", "exact-d3-D2", "exact-d3-D2-general-pvm", "analytic-d3"],
+    )
+    def test_records(self, case):
+        if case == "qubit-zx":
+            provider = ExactDephasingProvider(get_preset("qubit-zx"))
+            prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        elif case.startswith("exact-d3-D2"):
+            provider = ExactDephasingProvider(random_exact_model(3, 2, 41))
+            prep = SystemPreparation.pure([1.0, 0.5 - 0.5j, -0.3])
+            meas = general_qutrit_measurement() if case.endswith("pvm") else fourier_mub(3)
+        else:
+            # level shifts w_j plus white noise of strengths g_j: a CP dephasing semigroup
+            w, g = np.array([0.0, 0.8, -0.3]), np.array([0.0, 1.0, 0.4])
+            eps, gamma = w[:, None] - w[None, :], (g[:, None] - g[None, :]) ** 2
+            provider = MarkovianAnalyticProvider(MarkovianAnalyticModel(eps, gamma))
+            prep, meas = SystemPreparation.maximally_mixed(3), fourier_mub(3)
+        pool, t0 = (0.4, 1.1, 1.7, 2.9), 0.1
+        report = classicality_report(provider, prep, meas, pool, 4, t0=t0)
+        assert_matches_reference(report, per_tuple_records(provider, prep, meas, pool, 4, t0=t0))
+
+    @given(
+        pool=st.lists(st.floats(0.05, 3.0, allow_nan=False), min_size=1, max_size=5),
+        max_order=st.integers(2, 4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property(self, pool, max_order, seed):
+        provider = ExactDephasingProvider(random_exact_model(2, 2, seed))
+        prep, meas = SystemPreparation.diagonal([0.7, 0.3]), fourier_mub(2)
+        report = classicality_report(provider, prep, meas, pool, max_order)
+        assert_matches_reference(report, per_tuple_records(provider, prep, meas, pool, max_order))
+
+    def test_repeated_pool_times_recorded_once(self, zx_provider):
+        prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        report = classicality_report(zx_provider, prep, meas, (2.0, 1.0, 1.0), 2)
+        assert [r.times for r in report.records] == [(1.0, 1.0), (1.0, 2.0), (2.0, 2.0)]
+        assert report.to_dict()["grid_pool"] == [1.0, 2.0]
+        assert report == classicality_report(zx_provider, prep, meas, (1.0, 2.0), 2)
+
+    @pytest.mark.parametrize(
+        "pool, max_order",
+        [((1.0,), 21), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        ids=["largest-state", "stored-tables"],
+    )
+    def test_cap_checked_before_any_propagator(self, zx_provider, pool, max_order):
+        # a pool of 1 time at order 21: one state of 2^20·d²·D² = 2^24 entries;
+        # 30 times at order 6: C(35, 6)·2^6 ~ 10^8 stored table entries
+        with pytest.raises(SizeCapError):
+            classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
+        assert zx_provider._prop_cache == {}
+
+    def test_dimension_mismatch_rejected(self, zx_provider):
+        with pytest.raises(ShapeError):
+            classicality_report(zx_provider, SystemPreparation.maximally_mixed(3), fourier_mub(2), (1.0,), 2)
 
 
 class TestTwoTimeClosedForm:
@@ -261,6 +352,25 @@ class TestThetaSweep:
         star = 0.5 * np.arctan(np.sqrt(2.0))
         assert min(abs(argmax - star), abs(argmax - (np.pi / 2 - star))) < 0.01
         assert np.max(np.abs(deficits)) > 1e-3
+
+    def test_matches_per_angle_closed_form(self, zx_provider):
+        thetas = np.linspace(0.0, np.pi / 2, 37)
+        for x2 in range(2):
+            _, deficits, _ = theta_sweep(zx_provider, 0.3, thetas, 1.6, 0.8, t0=0.1, x2=x2)
+            for th, deficit in zip(thetas, deficits):
+                closed = qubit_two_time_deficit_closed(zx_provider, 0.3, th, x2, 1.6, 0.8, 0.1)
+                assert abs(deficit - closed) <= 1e-15
+
+    def test_bracket_evaluated_once_per_sweep(self, zx_model):
+        calls = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def tensor_pairs(self, pairs, durations):
+                calls.append(pairs)
+                return super().tensor_pairs(pairs, durations)
+
+        theta_sweep(CountingProvider(zx_model), 0.0, np.linspace(0.0, np.pi / 2, 181), 1.6, 0.8)
+        assert len(calls) == 4
 
     def test_endpoints_vanish(self, zx_provider):
         thetas = [0.0, np.pi / 4, np.pi / 2]

@@ -243,6 +243,12 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write_config(tmp_path, classicality_config()), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, classicality_config())
         out = tmp_path / "out"

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
+from dephaser import models
 from dephaser.errors import SizeCapError, TimeOrderError, ValidationError
+from dephaser.linalg import hermitian_expm
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -136,6 +138,34 @@ class TestBlockPropagation:
         with pytest.raises(SizeCapError):
             zx_provider.tensor_array([0.1] * 12)
         assert zx_provider._prop_cache == {}
+
+
+class TestPropagator:
+    def test_equals_hermitian_expm(self):
+        model = random_exact_model(3, 4, 17)
+        provider = ExactDephasingProvider(model)
+        for dt in (0.0, 0.37, 1.9, -0.6):
+            for j in range(model.d):
+                assert np.array_equal(provider.propagator(j, dt), hermitian_expm(model.blocks[j], dt))
+
+    def test_one_eigendecomposition_per_block(self, zx_model, monkeypatch):
+        calls = []
+        real = models.hermitian_eigh
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(models, "hermitian_eigh", counting)
+        provider = ExactDephasingProvider(zx_model)
+        for dt in (0.1, 0.2, 0.3):
+            provider.step(np.ones((2, 2, 2, 2), dtype=complex), dt)
+        assert len(calls) == zx_model.d
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_duration_rejected(self, zx_provider, dt):
+        with pytest.raises(ValidationError):
+            zx_provider.propagator(0, dt)
 
 
 class TestMarkovianModel:
