@@ -10,7 +10,11 @@ declared finite grid pool.
 as a prefix trie on the block-propagation kernel of
 :func:`~dephaser.statistics.joint_distribution` (the same step, measurement
 map and readout), so each distinct grid is propagated once and every prefix
-is shared by all tuples that extend it.
+is shared by all tuples that extend it.  The trie is walked one level at a
+time: all tuples of one order are a batch on a leading axis, advanced by one
+``step`` over an array of durations, and the deficits of one (order,
+position) are one array reduction.  A level too large for the memory budget
+runs in chunks, depth-first.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .errors import ShapeError, SizeCapError, ValidationError
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider
 from .statistics import (
+    NEG_FLOOR,
+    NORM_TOL,
     JointDistribution,
     SystemPreparation,
     TimeGrid,
@@ -109,6 +115,20 @@ class ClassicalityReport:
         }
 
 
+def _check_tables(rows: np.ndarray, tuples: np.ndarray, pool: tuple, what: str) -> None:
+    """The checks of :class:`JointDistribution`, one probability table per row."""
+    total = rows.sum(axis=1)
+    # a NaN or infinite entry makes its row's sum non-finite
+    bad = ~np.isfinite(total) | (rows.min(axis=1) < NEG_FLOOR) | (np.abs(total - 1.0) > NORM_TOL)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValidationError(
+            f"classicality_report: {what} at times {tuple(pool[i] for i in tuples[r])} is not a probability "
+            f"table (min entry {rows[r].min():.3e}, sum {float(total[r])}; need finite entries >= {NEG_FLOOR:g} "
+            f"summing to 1 within {NORM_TOL:g})"
+        )
+
+
 def classicality_report(
     provider: DephasingTensorProvider,
     prep: SystemPreparation,
@@ -125,13 +145,23 @@ def classicality_report(
     deficit is recorded.  Deleting an interior time of an n-tuple leaves an
     (n-1)-tuple of the same pool, so every distribution the records need is
     the table of one tuple of order <= max_order.  Those tuples form a prefix
-    trie, walked depth-first: the node (s_1, ..., s_k) holds the block state
-    just after the measurement at s_k, and each child costs one
-    ``provider.step`` over s_{k+1} - s_k plus one readout (and, below
-    ``max_order``, one measurement map).  Each distinct grid is thus
-    propagated once.  The largest state, m^(max_order-1)·d²·D² entries, and
-    the stored tables, Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are
+    trie, walked one level at a time: the order-n tuples, in
+    ``combinations_with_replacement`` order, are one batch on a leading axis,
+    and level n+1 comes from level n by one measurement map, one gather of
+    each child's parent state, one ``provider.step`` over the array of
+    durations s_{n+1} - s_n, and one readout.  Each distinct grid is thus
+    propagated once.  The deficits of one (order, position) are one
+    reduction: the order-n tables summed over that outcome axis, minus the
+    coarse tables gathered by rank, max |·| per tuple.  Every table and every
+    marginal gets the checks of :class:`JointDistribution` (finite entries
+    >= ``NEG_FLOOR``, sum within ``NORM_TOL`` of 1).
+
+    The largest single-node state, m^(max_order-1)·d²·D² entries, and the
+    stored tables, Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are
     both checked against ``TERM_CAP`` before any propagator is computed.
+    Each level in flight holds at most ``TERM_CAP // max_order`` state
+    entries: a level that would hold more runs in chunks of children,
+    depth-first, with a chunk of one node where a single node is larger.
     """
     if max_order < 2:
         raise ValidationError(f"classicality_report: max_order must be >= 2, got {max_order}")
@@ -151,25 +181,74 @@ def classicality_report(
             f"entries exceeds cap {TERM_CAP}"
         )
 
-    # Depth-first walk with an explicit stack of (times, pool index, parent
-    # state, parent time); a self-recursive closure would form a reference
-    # cycle that keeps every table alive until the cyclic collector runs.
-    tables = {}
-    stack = [((pool[i],), i, root, t0) for i in reversed(range(p))]
-    while stack:
-        times, i, parent, t_parent = stack.pop()
-        state = provider.step(parent, pool[i] - t_parent)
-        tables[times] = JointDistribution(m, TimeGrid(t0, times), _readout(state, pstack).reshape(-1))
-        if len(times) < max_order:
-            state = _measure(state, pstack)
-            stack.extend((times + (pool[k],), k, state, pool[i]) for k in reversed(range(i, p)))
+    # Level n: tuples[n] holds the pool indices of the order-n tuples, one
+    # row each; the children of row r are rows first[n][r]:first[n][r + 1]
+    # of level n+1 (one per pool index >= the row's last), and parent[n + 1]
+    # maps them back.  Level 0 is the empty tuple, the root.
+    tuples, parent, first = {0: np.zeros((1, 0), dtype=np.intp)}, {}, {}
+    for n in range(max_order):
+        last = tuples[n][:, -1] if n else np.zeros(1, dtype=np.intp)
+        counts = p - last
+        first[n] = np.concatenate(([0], np.cumsum(counts)))
+        parent[n + 1] = np.repeat(np.arange(len(counts)), counts)
+        child = last[parent[n + 1]] + np.arange(first[n][-1]) - first[n][:-1][parent[n + 1]]
+        tuples[n + 1] = np.column_stack((tuples[n][parent[n + 1]], child))
+    times = np.array(pool)
+    tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
 
-    records = []
+    # Depth-first over chunks with an explicit stack of (level, first row,
+    # end row, measured states of the parent block, its first row).  A
+    # level's chunk holds at most `budget` entries of its largest state (the
+    # measured one, or at the last level the stepped one).
+    budget = TERM_CAP // max_order
+    chunk = {n: max(1, budget // (m ** min(n, max_order - 1) * root.size)) for n in range(1, max_order + 1)}
+    stack = [(1, lo, min(lo + chunk[1], p), root[None], 0) for lo in reversed(range(0, p, chunk[1]))]
+    while stack:
+        n, lo, hi, block, block_row = stack.pop()
+        rows = tuples[n][lo:hi]
+        start = times[rows[:, -2]] if n > 1 else t0
+        dt = (times[rows[:, -1]] - start).reshape((-1,) + (1,) * (n - 1))
+        state = provider.step(block[parent[n][lo:hi] - block_row], dt)
+        if n > 1:
+            tables[n][lo:hi] = _readout(state, pstack).reshape(hi - lo, -1)
+        else:
+            # einsum sums a contraction without batch axes in another order than
+            # a batched one; node by node, order-1 tables are bitwise those of
+            # joint_distribution (deeper levels already have outcome axes)
+            tables[1][lo:hi] = [_readout(s, pstack) for s in state]
+        if n < max_order:
+            state = _measure(state, pstack)
+            c0, c1 = first[n][lo], first[n][hi]
+            stack.extend(
+                (n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1]))
+            )
+        del state  # free before the next chunk's step allocates
+
+    for n in range(1, max_order + 1):
+        _check_tables(tables[n], tuples[n], pool, "table")
+
+    # rank of a non-decreasing index tuple (a_1..a_k) among the order-k rows:
+    # b_i = a_i + i - 1 is a k-combination of range(p + k - 1), ranked
+    # lexicographically as C(p+k-1, k) - 1 - Σ_i C(p+k-2-b_i, k+1-i)
+    binom = np.array([[math.comb(a, b) for b in range(max_order + 1)] for a in range(p + max_order)])
+    deficits = {}
     for n in range(2, max_order + 1):
-        for sel in itertools.combinations_with_replacement(pool, n):
-            for position in range(1, n):
-                coarse = tables[sel[: position - 1] + sel[position:]]
-                records.append(DeficitRecord(n, position, sel, kolmogorov_deficit(tables[sel], coarse, position)))
+        fine = tables[n].reshape((-1,) + (m,) * n)
+        columns = []
+        for position in range(1, n):
+            coarse = np.delete(tuples[n], position - 1, axis=1) + np.arange(n - 1)
+            rank = math.comb(p + n - 2, n - 1) - 1 - binom[p + n - 3 - coarse, np.arange(n - 1, 0, -1)].sum(axis=1)
+            reduced = fine.sum(axis=position).reshape(len(fine), -1)
+            _check_tables(reduced, tuples[n], pool, f"marginal at position {position} of the table")
+            columns.append(np.abs(reduced - tables[n - 1][rank]).max(axis=1))
+        deficits[n] = np.column_stack(columns).tolist()
+
+    records = [
+        DeficitRecord(n, position, sel, deficit)
+        for n in range(2, max_order + 1)
+        for sel, row in zip(itertools.combinations_with_replacement(pool, n), deficits[n])
+        for position, deficit in enumerate(row, 1)
+    ]
     return ClassicalityReport(max_order, tol, t0, pool, tuple(records))
 
 

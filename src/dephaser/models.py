@@ -34,7 +34,9 @@ from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_ex
 TENSOR_MOD_TOL = 1e-10
 
 #: budget, in complex entries, for the largest state block propagation holds:
-#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n)·D² in ``tensor_array``.
+#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n)·D² in ``tensor_array``;
+#: ``classicality_report`` checks its largest single-node state and its stored
+#: tables against it and gives each trie level in flight TERM_CAP // max_order.
 #: 10^7 complex128 entries are 160 MB, and a step holds the state, its
 #: half-projected copy and its result at once, so a run at the cap peaks near
 #: 0.5 GB: the most a desk-scale machine can give one analysis.
@@ -89,8 +91,15 @@ class DephasingTensorProvider(ABC):
     is_markovian_by_construction: bool = False
 
     @abstractmethod
-    def step(self, state: np.ndarray, dt: float) -> np.ndarray:
-        """The state after one interval of length ``dt`` (a new array)."""
+    def step(self, state: np.ndarray, dt) -> np.ndarray:
+        """The state after one interval of length ``dt`` (a new array).
+
+        ``dt`` is a scalar, or a numpy array of durations that broadcasts
+        against the leading axes ``state.shape[:-4]`` (numpy rules, so a
+        duration per row of a batch has shape (N, 1, ..., 1)); each entry
+        then steps its part of the batch.  Non-finite durations raise
+        ``ValidationError``.
+        """
 
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
@@ -174,17 +183,38 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self._eig = None
         self._prop_cache: dict = {}
 
-    def _unitaries(self, dt: float) -> np.ndarray:
-        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a leading axis.
+    def _eigh(self) -> list:
+        """The spectral decomposition (w_j, V_j) of every block, computed once per provider."""
+        if self._eig is None:
+            self._eig = [hermitian_eigh(b) for b in self.model.blocks]
+        return self._eig
 
-        Each block is diagonalised once per provider; every duration reuses it.
-        """
+    def _unitaries(self, dt: float) -> np.ndarray:
+        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a leading axis."""
         u = self._prop_cache.get(dt)
         if u is None:
-            if self._eig is None:
-                self._eig = [hermitian_eigh(b) for b in self.model.blocks]
-            u = self._prop_cache[dt] = np.stack([spectral_expm(w, v, dt) for w, v in self._eig])
+            u = self._prop_cache[dt] = np.stack([spectral_expm(w, v, dt) for w, v in self._eigh()])
         return u
+
+    def _unitaries_batch(self, dt: np.ndarray) -> np.ndarray:
+        """U_j for an array of durations, shape dt.shape + (d, D, D).
+
+        Every distinct duration is exponentiated in one vectorised product,
+        with the same arithmetic per entry as :meth:`_unitaries`.
+        """
+        dt = np.asarray(dt, dtype=float)
+        if not np.isfinite(dt).all():
+            raise ValidationError(f"ExactDephasingProvider.step: non-finite duration {dt[~np.isfinite(dt)][0]}")
+        durations, inverse = np.unique(dt.ravel(), return_inverse=True)
+        w, v = (np.stack(a) for a in zip(*self._eigh()))
+        # an overflowing phase dt·w gives NaN propagators: report it instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (v * np.exp(-1j * durations[:, None, None] * w)[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
+        if not np.isfinite(u).all():
+            raise ValidationError(
+                f"ExactDephasingProvider.step: propagators are not finite for durations up to {durations[-1]}"
+            )
+        return u[inverse.reshape(dt.shape)]
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
@@ -192,8 +222,8 @@ class ExactDephasingProvider(DephasingTensorProvider):
 
     def step(self, state, dt):
         """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once."""
-        u = self._unitaries(dt)
-        return u[:, None] @ state @ u.conj().transpose(0, 2, 1)[None, :]
+        u = self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)
+        return u[..., :, None, :, :] @ state @ u.conj().swapaxes(-1, -2)[..., None, :, :, :]
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -242,8 +272,11 @@ class MarkovianAnalyticModel:
     def d(self) -> int:
         return self.eps.shape[0]
 
-    def phi_matrix(self, dt: float) -> np.ndarray:
-        """Single-interval dephasing matrix, all-ones on the diagonal."""
+    def phi_matrix(self, dt) -> np.ndarray:
+        """Single-interval dephasing matrix, all-ones on the diagonal.
+
+        An array ``dt`` with two trailing unit axes gives one matrix per entry.
+        """
         return np.exp(-(1j * self.eps + 0.5 * self.gamma) * dt)
 
 
@@ -258,7 +291,11 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         self.env = np.ones((1, 1), dtype=complex)
 
     def step(self, state, dt):
-        return state * self.model.phi_matrix(dt)[:, :, None, None]
+        if not np.isfinite(dt).all():
+            raise ValidationError("MarkovianAnalyticProvider.step: non-finite duration")
+        if isinstance(dt, np.ndarray):
+            dt = dt[..., None, None]
+        return state * self.model.phi_matrix(dt)[..., None, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
         out = 1.0 + 0.0j
@@ -332,10 +369,13 @@ def markovianity_deficit_detail(
     exhaustive = total <= enum_cap
     deficit = 0.0
     if exhaustive:
+        # one dephasing matrix per distinct consecutive pair, shared by every selection
+        pairs = dict.fromkeys(pair for sel in selections for pair in zip(sel, sel[1:]))
+        phi = {(t1, t2): provider.dephasing_matrix(t2, t1) for t1, t2 in pairs}
         for sel in selections:
             durations = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
             exact = provider.tensor_array(durations)
-            factored = reduce(np.multiply.outer, [provider.dephasing_matrix(t2, t1) for t1, t2 in zip(sel, sel[1:])])
+            factored = reduce(np.multiply.outer, [phi[pair] for pair in zip(sel, sel[1:])])
             deficit = max(deficit, float(np.max(np.abs(exact - factored))))
     else:
         rng = np.random.default_rng(seed)

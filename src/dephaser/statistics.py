@@ -15,6 +15,7 @@ output order is stable across runs and platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,12 @@ class JointDistribution:
             raise ShapeError(
                 f"JointDistribution: table size {t.size} != {self.n_outcomes}^{self.grid.n}"
             )
+        total = t.sum()
+        # a NaN or infinite entry makes the sum non-finite (and fails no comparison)
+        if not math.isfinite(total):
+            raise ValidationError(f"JointDistribution: table sums to {float(total)}; entries must be finite")
         if t.min() < NEG_FLOOR:
             raise ValidationError(f"JointDistribution: entry {t.min():.3e} below floor {NEG_FLOOR:g}")
-        total = t.sum()
         if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"JointDistribution: table sums to {total!r}, expected 1 within {NORM_TOL:g}")
         object.__setattr__(self, "table", t.reshape(-1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
+from dephaser import classicality
 from dephaser.classicality import (
     classicality_report,
     delta_count,
@@ -216,6 +217,51 @@ class TestReportMatchesPerTupleReference:
     def test_dimension_mismatch_rejected(self, zx_provider):
         with pytest.raises(ShapeError):
             classicality_report(zx_provider, SystemPreparation.maximally_mixed(3), fourier_mub(2), (1.0,), 2)
+
+
+class TestReportChecks:
+    """The report's whole-array checks and its chunked levels."""
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, float("nan")], ids=["unnormalised", "nan"])
+    def test_bad_tables_rejected(self, zx_model, factor):
+        class ScalingProvider(ExactDephasingProvider):
+            def step(self, state, dt):
+                return factor * super().step(state, dt)
+
+        with pytest.raises(ValidationError):
+            classicality_report(
+                ScalingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 3
+            )
+
+    @pytest.mark.parametrize(
+        "pool, max_order",
+        [((1.0,), 21), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        ids=["largest-state", "stored-tables"],
+    )
+    def test_cap_checked_before_any_eigendecomposition(self, zx_provider, pool, max_order):
+        # the level walk builds its propagators without the per-duration cache
+        with pytest.raises(SizeCapError):
+            classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
+        assert zx_provider._eig is None
+
+    def test_chunked_levels_match_unchunked(self, zx_model, monkeypatch):
+        steps = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def step(self, state, dt):
+                steps.append(np.shape(dt))
+                return super().step(state, dt)
+
+        prep, meas, pool = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2), (0.3, 0.9, 1.4, 2.2)
+        whole = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
+        assert len(steps) == 4
+        # largest state 2^3·16 = 128 entries, stored tables 768: both fit, but
+        # each level in flight may hold only 800 // 4 = 200 state entries
+        monkeypatch.setattr(classicality, "TERM_CAP", 800)
+        steps.clear()
+        chunked = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
+        assert len(steps) > 4
+        assert chunked == whole
 
 
 class TestTwoTimeClosedForm:

@@ -243,6 +243,20 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
+    def test_overflowing_times_exit_2(self, tmp_path, capsys):
+        # the phase 1e308·w of commuting-diag overflows: no NaN deficit may be reported
+        doc = classicality_config(
+            model={"kind": "exact", "preset": "commuting-diag"},
+            grid={"t0": 0.0, "times": [1.0, 1e308]},
+            analysis={"kind": "classicality", "max_order": 2},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "ValidationError"
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", write_config(tmp_path, classicality_config()), "--threads", "2"])

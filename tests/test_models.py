@@ -20,6 +20,7 @@ from dephaser.models import (
     tensor_collapse_check,
     triviality_check,
 )
+from dephaser.presets import get_preset
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -168,6 +169,66 @@ class TestPropagator:
             zx_provider.propagator(0, dt)
 
 
+ARRAY_STEP_PROVIDERS = [
+    ExactDephasingProvider(random_exact_model(3, 2, seed=41)),
+    ExactDephasingProvider(random_exact_model(2, 1, seed=5)),
+    MarkovianAnalyticProvider(
+        MarkovianAnalyticModel(
+            np.array([[0.0, 0.8, -0.3], [-0.8, 0.0, 1.1], [0.3, -1.1, 0.0]]),
+            np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.9], [0.2, 0.9, 0.0]]),
+        )
+    ),
+]
+
+
+class TestArrayDurations:
+    """step(state, dt_array) against one scalar step per row of the batch."""
+
+    @pytest.mark.parametrize("provider", ARRAY_STEP_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    def test_equals_stacked_scalar_steps(self, provider):
+        rng = np.random.default_rng(3)
+        d, big_d = provider.d, provider.env.shape[0]
+        # a batch of 6 rows, each with two outcome axes of 2; durations repeat
+        shape = (6, 2, 2, d, d, big_d, big_d)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9, 1.3])
+        batched = provider.step(state, dt.reshape(-1, 1, 1))
+        assert np.array_equal(batched, np.stack([provider.step(s, float(t)) for s, t in zip(state, dt)]))
+        # one duration per outcome of the second axis instead
+        batched = provider.step(state, dt[:2].reshape(1, 2))
+        assert np.array_equal(batched, np.stack([provider.step(state[:, :, x], float(dt[x])) for x in range(2)], axis=2))
+
+    @pytest.mark.parametrize("provider", ARRAY_STEP_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, provider, bad):
+        d, big_d = provider.d, provider.env.shape[0]
+        state = np.ones((3, d, d, big_d, big_d), dtype=complex)
+        with pytest.raises(ValidationError):
+            provider.step(state, np.array([0.5, bad, 1.0]))
+
+    def test_overflowing_phase_rejected(self):
+        # 1e308 is finite, but the phase 1e308·w overflows for |w| = 10
+        provider = ExactDephasingProvider(DephasingModel((10 * SIGMA_Z, SIGMA_X), np.eye(2) / 2))
+        with pytest.raises(ValidationError):
+            provider.step(np.ones((2, 2, 2, 2, 2), dtype=complex), np.array([1.0, 1e308]))
+
+    def test_one_eigendecomposition_per_block(self, zx_model, monkeypatch):
+        calls = []
+        real = models.hermitian_eigh
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(models, "hermitian_eigh", counting)
+        provider = ExactDephasingProvider(zx_model)
+        state = np.ones((3, 2, 2, 2, 2), dtype=complex)
+        provider.step(state, np.array([0.1, 0.2, 0.1]))
+        provider.step(state, np.array([0.4, 0.5, 0.6]))
+        provider.step(state[0], 0.3)
+        assert len(calls) == zx_model.d
+
+
 class TestMarkovianModel:
     def test_symmetry_validation(self):
         with pytest.raises(ValidationError):
@@ -254,6 +315,23 @@ class TestMarkovianityDeficit:
         )
         assert commutativity_check(model)
         assert markovianity_deficit(model, [0.0, 0.7, 1.4, 2.1], 2) > 1e-3
+
+    def test_one_dephasing_matrix_per_distinct_pair(self, monkeypatch):
+        # the shipped markovianity config: 5 times, orders 2..4
+        calls = []
+        real = ExactDephasingProvider.tensor_array
+
+        def counting(self, durations):
+            calls.append(tuple(durations))
+            return real(self, durations)
+
+        monkeypatch.setattr(ExactDephasingProvider, "tensor_array", counting)
+        markovianity_deficit(get_preset("scalar-phases"), [0.3, 0.8, 1.4, 2.1, 2.9], 4)
+        # 16 selections of 3..5 times, plus 9 distinct consecutive pairs (all
+        # pairs but the first and last time, which no selection puts adjacent)
+        assert len(calls) == 16 + 9
+        single = [c for c in calls if len(c) == 1]
+        assert len(single) == len(set(single)) == 9
 
     def test_subsampled_path_runs(self, zx_model):
         # force the subsample branch with a tiny cap

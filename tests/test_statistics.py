@@ -90,6 +90,9 @@ class TestJointDistribution:
             JointDistribution(2, g, np.array([1.1, -0.1]))
         with pytest.raises(ShapeError):
             JointDistribution(2, g, np.array([0.5, 0.25, 0.25]))
+        for bad in ([np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                JointDistribution(2, g, np.array(bad))
 
     def test_marginalize_drops_time(self):
         g = TimeGrid(0.0, (1.0, 2.0))
