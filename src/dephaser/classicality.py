@@ -12,9 +12,13 @@ as a prefix trie on the block-propagation kernel of
 map and readout), so each distinct grid is propagated once and every prefix
 is shared by all tuples that extend it.  The trie is walked one level at a
 time: all tuples of one order are a batch on a leading axis, advanced by one
-``step`` over an array of durations, and the deficits of one (order,
-position) are one array reduction.  A level too large for the memory budget
-runs in chunks, depth-first.
+``step`` over an array of durations and one readout, and the deficits of
+one (order, position) are one array reduction.  A level too large for the
+memory budget runs in chunks, depth-first.  The kernel's products have a
+fixed shape per batch row, so a tuple's table does not depend on the batch
+or chunk it is computed in; records agree with the per-tuple computation
+(:func:`joint_distribution` and :func:`kolmogorov_deficit` tuple by tuple)
+to roundoff.
 """
 
 from __future__ import annotations
@@ -209,13 +213,7 @@ def classicality_report(
         start = times[rows[:, -2]] if n > 1 else t0
         dt = (times[rows[:, -1]] - start).reshape((-1,) + (1,) * (n - 1))
         state = provider.step(block[parent[n][lo:hi] - block_row], dt)
-        if n > 1:
-            tables[n][lo:hi] = _readout(state, pstack).reshape(hi - lo, -1)
-        else:
-            # einsum sums a contraction without batch axes in another order than
-            # a batched one; node by node, order-1 tables are bitwise those of
-            # joint_distribution (deeper levels already have outcome axes)
-            tables[1][lo:hi] = [_readout(s, pstack) for s in state]
+        tables[n][lo:hi] = _readout(state, pstack).reshape(hi - lo, -1)
         if n < max_order:
             state = _measure(state, pstack)
             c0, c1 = first[n][lo], first[n][hi]

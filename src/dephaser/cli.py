@@ -8,6 +8,7 @@ Given a fixed config and seed, output files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ from . import classicality as cl
 from . import statistics as st
 from .config import ConfigError, ExperimentConfig, load_config
 from .errors import DephaserError, SizeCapError, ValidationError
-from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
+from .models import DephasingTable, markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
 
 EXIT_OK = 0
@@ -96,16 +97,16 @@ def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
         cfg.exact_model, cfg.grid.times, a["max_order"], seed=a["seed"]
     )
     times = sorted(cfg.grid.times)
+    # every dephasing matrix of the semigroup and triviality checks, from one array-duration step
+    table = DephasingTable(cfg.provider, times)
     semigroup = 0.0
     if len(times) >= 3:
-        semigroup = max(
-            semigroup_deficit(cfg.provider, *triple) for triple in itertools.combinations(times, 3)
-        )
+        semigroup = max(semigroup_deficit(table, *triple) for triple in itertools.combinations(times, 3))
     return {
         "analysis": "markovianity",
         "factorization_deficit": deficit,
         "semigroup_deficit": semigroup,
-        "trivial_dephasing": triviality_check(cfg.provider, times),
+        "trivial_dephasing": triviality_check(table, times),
         **detail,
     }
 
@@ -224,7 +225,9 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="dephaser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,17 +235,19 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory (default: cwd)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config's analysis seed")
-    p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
 
-    p_pre = sub.add_parser("presets", help="list named model presets")
-    p_pre.set_defaults(func=cmd_presets)
+    sub.add_parser("presets", help="list named model presets")
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # the command functions are looked up per call, not bound into the cached
+    # parser, so a wrapper set on the module attribute sees every call
+    return {"run": cmd_run, "validate": cmd_validate, "presets": cmd_presets}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -87,11 +87,24 @@ def hermitian_eigh(h: np.ndarray):
         raise ValidationError(f"hermitian_eigh: eigendecomposition failed ({exc})") from exc
 
 
-def spectral_expm(w: np.ndarray, v: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i·tau·H) from the spectral decomposition H = V diag(w) V†."""
-    if not np.isfinite(tau):
-        raise ValidationError(f"spectral_expm: tau = {tau!r} is not finite")
-    return (v * np.exp(-1j * tau * w)) @ v.conj().T
+def spectral_expm(w: np.ndarray, v: np.ndarray, tau) -> np.ndarray:
+    """exp(-i·tau·H) from the spectral decomposition H = V diag(w) V†.
+
+    Vectorised over leading axes: ``w`` is (..., n), ``v`` is (..., n, n) and
+    ``tau`` broadcasts against ``w.shape[:-1]``.  A non-finite tau, or a phase
+    tau·w beyond the double range, raises ``ValidationError`` (numpy warns of
+    nothing).
+    """
+    tau = np.asarray(tau, dtype=float)
+    # a non-finite tau, or a finite one whose phase overflows, gives NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (v * np.exp(-1j * tau[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if not np.isfinite(u).all():
+        raise ValidationError(
+            f"spectral_expm: exp(-i·tau·w) is not finite (a non-finite tau, or tau·w beyond the double "
+            f"range); max |tau| = {float(np.abs(tau).max())!r}"
+        )
+    return u
 
 
 def hermitian_expm(h: np.ndarray, tau: float) -> np.ndarray:

@@ -97,8 +97,9 @@ class DephasingTensorProvider(ABC):
         ``dt`` is a scalar, or a numpy array of durations that broadcasts
         against the leading axes ``state.shape[:-4]`` (numpy rules, so a
         duration per row of a batch has shape (N, 1, ..., 1)); each entry
-        then steps its part of the batch.  Non-finite durations raise
-        ``ValidationError``.
+        then steps its part of the batch, bitwise as a scalar step of that
+        part would.  Non-finite durations, and phases beyond the double
+        range, raise ``ValidationError``.
         """
 
     @abstractmethod
@@ -183,47 +184,55 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self._eig = None
         self._prop_cache: dict = {}
 
-    def _eigh(self) -> list:
-        """The spectral decomposition (w_j, V_j) of every block, computed once per provider."""
+    def _eigh(self) -> tuple:
+        """The spectral decompositions H_j = V_j diag(w_j) V_j† of all blocks,
+        stacked on a leading block axis; computed once per provider."""
         if self._eig is None:
-            self._eig = [hermitian_eigh(b) for b in self.model.blocks]
+            self._eig = tuple(np.stack(a) for a in zip(*(hermitian_eigh(b) for b in self.model.blocks)))
         return self._eig
 
-    def _unitaries(self, dt: float) -> np.ndarray:
-        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a leading axis."""
-        u = self._prop_cache.get(dt)
-        if u is None:
-            u = self._prop_cache[dt] = np.stack([spectral_expm(w, v, dt) for w, v in self._eigh()])
-        return u
+    def _unitaries(self, dt: float) -> tuple:
+        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a
+        leading axis in one vectorised product, and their adjoints; cached
+        per duration."""
+        pair = self._prop_cache.get(dt)
+        if pair is None:
+            u = spectral_expm(*self._eigh(), dt)
+            pair = self._prop_cache[dt] = u, u.conj().swapaxes(-1, -2)
+        return pair
 
-    def _unitaries_batch(self, dt: np.ndarray) -> np.ndarray:
-        """U_j for an array of durations, shape dt.shape + (d, D, D).
+    def _unitaries_batch(self, dt: np.ndarray) -> tuple:
+        """The stacked U_j and U_j† for an array of durations, each of shape
+        dt.shape + (d, D, D).
 
-        Every distinct duration is exponentiated in one vectorised product,
-        with the same arithmetic per entry as :meth:`_unitaries`.
+        Every distinct duration is exponentiated once, all in one vectorised
+        product, with the same arithmetic per entry as :meth:`_unitaries`.
         """
         dt = np.asarray(dt, dtype=float)
-        if not np.isfinite(dt).all():
-            raise ValidationError(f"ExactDephasingProvider.step: non-finite duration {dt[~np.isfinite(dt)][0]}")
         durations, inverse = np.unique(dt.ravel(), return_inverse=True)
-        w, v = (np.stack(a) for a in zip(*self._eigh()))
-        # an overflowing phase dt·w gives NaN propagators: report it instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = (v * np.exp(-1j * durations[:, None, None] * w)[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
-        if not np.isfinite(u).all():
-            raise ValidationError(
-                f"ExactDephasingProvider.step: propagators are not finite for durations up to {durations[-1]}"
-            )
-        return u[inverse.reshape(dt.shape)]
+        u = spectral_expm(*self._eigh(), durations[:, None])[inverse.reshape(dt.shape)]
+        return u, u.conj().swapaxes(-1, -2)
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
-        return self._unitaries(dt)[j]
+        return self._unitaries(dt)[0][j]
 
     def step(self, state, dt):
-        """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once."""
-        u = self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)
-        return u[..., :, None, :, :] @ state @ u.conj().swapaxes(-1, -2)[..., None, :, :, :]
+        """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once.
+
+        One product per (batch row, block): U_j times the row S[..., j, :] as
+        a D×(d·D) matrix, then the column S[..., :, l] of that result, as a
+        (d·D)×D matrix, times U_l†.  Every product has the same shape whatever
+        the batch, so each row's arithmetic does not depend on it.
+        """
+        u, uh = self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)
+        lead, (d, _, big_d, _) = state.shape[:-4], state.shape[-4:]
+        # rows[..., j, a, (l, b)] = Σ_c U_j[a, c] S[..., j, l, c, b]
+        rows = u @ state.swapaxes(-3, -2).reshape(lead + (d, big_d, d * big_d))
+        # out[..., l, (j, a), b] = Σ_c rows[..., j, a, l, c] U_l†[c, b]
+        cols = rows.reshape(lead + (d * big_d, d, big_d)).swapaxes(-3, -2)
+        out = cols @ uh
+        return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -267,6 +276,8 @@ class MarkovianAnalyticModel:
             raise ValidationError("MarkovianAnalyticModel: gamma must be entrywise nonnegative")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "gamma", gamma)
+        # the exponent per unit time; not a field, so equality compares eps and gamma
+        object.__setattr__(self, "_rate", -(1j * eps + 0.5 * gamma))
 
     @property
     def d(self) -> int:
@@ -276,8 +287,17 @@ class MarkovianAnalyticModel:
         """Single-interval dephasing matrix, all-ones on the diagonal.
 
         An array ``dt`` with two trailing unit axes gives one matrix per entry.
+        A non-finite dt (0·dt on the diagonal is NaN), or a phase dt·eps
+        beyond the double range, raises ``ValidationError`` (numpy warns of
+        nothing).
         """
-        return np.exp(-(1j * self.eps + 0.5 * self.gamma) * dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = np.exp(self._rate * dt)
+        if not np.isfinite(phi).all():
+            raise ValidationError(
+                f"MarkovianAnalyticModel.phi_matrix: factors not finite for max |dt| = {float(np.max(np.abs(dt)))!r}"
+            )
+        return phi
 
 
 class MarkovianAnalyticProvider(DephasingTensorProvider):
@@ -291,17 +311,18 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         self.env = np.ones((1, 1), dtype=complex)
 
     def step(self, state, dt):
-        if not np.isfinite(dt).all():
-            raise ValidationError("MarkovianAnalyticProvider.step: non-finite duration")
         if isinstance(dt, np.ndarray):
             dt = dt[..., None, None]
         return state * self.model.phi_matrix(dt)[..., None, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
         out = 1.0 + 0.0j
-        for (j, l), dt in zip(pairs, durations):
-            if j != l:
-                out *= np.exp(-(1j * self.model.eps[j, l] + 0.5 * self.model.gamma[j, l]) * dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (j, l), dt in zip(pairs, durations):
+                if j != l:
+                    out *= np.exp(-(1j * self.model.eps[j, l] + 0.5 * self.model.gamma[j, l]) * dt)
+        if not np.isfinite(out):
+            raise ValidationError(f"MarkovianAnalyticProvider.tensor_pairs: value {out} is not finite")
         return complex(out)
 
     def tensor_array(self, durations) -> np.ndarray:
@@ -312,11 +333,42 @@ def markovian_tensor(model: MarkovianAnalyticModel, chain: IndexPairChain) -> co
     return MarkovianAnalyticProvider(model).tensor(chain)
 
 
+class DephasingTable:
+    """The dephasing matrices φ(t, s) of every pair of grid times s <= t.
+
+    All of them come from one ``provider.step`` over the array of durations
+    t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``), and are
+    read with the same ``dephasing_matrix(t, s)``, so a table stands in for
+    the provider in :func:`semigroup_deficit` and :func:`triviality_check`.
+    A pair s == t is held only where the grid repeats the time.  A grid whose
+    pairs' states exceed ``TERM_CAP`` entries is stepped in chunks of pairs.
+    """
+
+    def __init__(self, provider: DephasingTensorProvider, times: Sequence[float]):
+        pairs = list(dict.fromkeys(itertools.combinations(sorted(float(t) for t in times), 2)))
+        dt = np.array([t - s for s, t in pairs])
+        d, env = provider.d, provider.env
+        chunk = max(1, TERM_CAP // (d * d * env.size))
+        phi = []
+        for lo in range(0, len(dt), chunk):
+            part = dt[lo : lo + chunk]
+            state = np.broadcast_to(env, (len(part), d, d) + env.shape)
+            phi.extend(np.trace(provider.step(state, part), axis1=-2, axis2=-1))
+        self._phi = dict(zip(pairs, phi))
+
+    def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
+        """φ(t, s) of two grid times, s <= t."""
+        if t < s:
+            raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
+        return self._phi[float(s), float(t)]
+
+
 def semigroup_deficit(provider: DephasingTensorProvider, t0: float, t1: float, t2: float) -> float:
     """Max entrywise violation of φ(t2,t0) = φ(t2,t1)·φ(t1,t0).
 
     A necessary condition for the tensor factorization; identically zero for
-    the analytic provider.
+    the analytic provider.  ``provider`` may be a :class:`DephasingTable` of
+    the three times.
     """
     if not (t0 <= t1 <= t2):
         raise TimeOrderError(f"semigroup_deficit: need t0 <= t1 <= t2, got {(t0, t1, t2)}")
@@ -401,7 +453,10 @@ def commutativity_check(model: DephasingModel, tol: float = 1e-12) -> bool:
 
 
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], tol: float = 1e-10) -> bool:
-    """True iff every dephasing-matrix entry has unit modulus on the grid."""
+    """True iff every dephasing-matrix entry has unit modulus on the grid.
+
+    ``provider`` may be a :class:`DephasingTable` of the grid.
+    """
     grid = sorted(float(t) for t in grid)
     for s, t in itertools.combinations(grid, 2):
         phi = provider.dephasing_matrix(t, s)

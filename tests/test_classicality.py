@@ -183,6 +183,15 @@ class TestReportMatchesPerTupleReference:
         report = classicality_report(provider, prep, meas, pool, 4, t0=t0)
         assert_matches_reference(report, per_tuple_records(provider, prep, meas, pool, 4, t0=t0))
 
+    def test_records_d3_D4(self):
+        # four-dimensional environment blocks: step products of 4×12 and 12×4
+        provider = ExactDephasingProvider(random_exact_model(3, 4, 29))
+        prep = SystemPreparation.pure([0.6, -0.2 + 0.4j, 0.5])
+        pool, t0 = (0.35, 0.9, 1.6), 0.05
+        report = classicality_report(provider, prep, fourier_mub(3), pool, 3, t0=t0)
+        assert_matches_reference(report, per_tuple_records(provider, prep, fourier_mub(3), pool, 3, t0=t0))
+        assert report.max_deficit > 1e-3
+
     @given(
         pool=st.lists(st.floats(0.05, 3.0, allow_nan=False), min_size=1, max_size=5),
         max_order=st.integers(2, 4),

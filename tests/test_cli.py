@@ -1,11 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dephaser import cli
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
+from dephaser.models import ExactDephasingProvider
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -257,6 +263,72 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_overflowing_oracle_check_one_stderr_line(self, tmp_path):
+        # in a fresh interpreter with default warning filters, so a numpy
+        # RuntimeWarning would reach stderr ahead of the JSON object
+        doc = classicality_config(
+            model={"kind": "exact", "preset": "commuting-diag"},
+            grid={"t0": 0.0, "times": [1.0, 2.0, 1e308]},
+            analysis={"kind": "oracle-check"},
+        )
+        path = write_config(tmp_path, doc)
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), "PYTHONWARNINGS": "default"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dephaser.cli", "run", path, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_overflowing_markovianity_exits_2(self, tmp_path, capsys):
+        # NaN dephasing matrices used to give "semigroup_deficit": NaN and exit 0
+        doc = classicality_config(
+            model={"kind": "exact", "preset": "commuting-diag"},
+            measurement=None,
+            grid={"t0": 0.0, "times": [1.0, 2.0, 1e308]},
+            analysis={"kind": "markovianity", "max_order": 2},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValidationError"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("analysis", [{"kind": "classicality", "max_order": 2}, {"kind": "theta-sweep"}])
+    def test_overflowing_analytic_phases_exit_2(self, tmp_path, capsys, analysis):
+        # the phase 1e308·eps overflows; numpy warnings fail the test suite
+        doc = classicality_config(
+            model={"kind": "markovian", "eps": [[0.0, 2.0], [-2.0, 0.0]], "gamma": [[0.0, 0.0], [0.0, 0.0]]},
+            preparation={"kind": "diagonal", "weights": [0.3, 0.7]},
+            grid={"t0": 0.0, "times": [1.0, 1e308]},
+            analysis=analysis,
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_markovianity_reads_one_dephasing_table(self, tmp_path, monkeypatch):
+        calls = []
+        real = ExactDephasingProvider.tensor_array
+
+        def counting(self, durations):
+            calls.append(tuple(durations))
+            return real(self, durations)
+
+        monkeypatch.setattr(ExactDephasingProvider, "tensor_array", counting)
+        config = os.path.join(ROOT, "configs", "markovianity_scalar_phases.json")
+        assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
+        # the factorization check: one tensor per selection of 3..5 of the 5
+        # times, one dephasing matrix per distinct consecutive pair; the
+        # semigroup and triviality checks read theirs from one table
+        assert len(calls) == 16 + 9
+        assert sum(len(c) == 1 for c in calls) == 9
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", write_config(tmp_path, classicality_config()), "--threads", "2"])
@@ -268,6 +340,23 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out), "--seed", "41"]) == 0
         assert json.loads((out / "report.json").read_text())["seed"] == 41
+
+    def test_parser_reused_without_carrying_arguments(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        path = write_config(tmp_path, classicality_config())
+        parser = cli._parser()
+        assert main(["run", path, "--out", str(tmp_path / "a"), "--seed", "41"]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
+        assert cli._parser() is parser
+        assert json.loads((tmp_path / "b" / "report.json").read_text())["seed"] == 0
+
+    def test_commands_looked_up_per_call(self, monkeypatch):
+        # a function set on the module after the parser was built still runs
+        cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_presets", lambda args: seen.append(args.command) or 0)
+        assert main(["presets"]) == 0
+        assert seen == ["presets"]
 
 
 class TestDeterminism:

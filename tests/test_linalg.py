@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from dephaser.linalg import (
     check_unitary,
     choi_matrix,
     conjugation_superoperator,
+    hermitian_eigh,
     hermitian_expm,
     is_completely_positive,
     kron,
@@ -19,6 +22,7 @@ from dephaser.linalg import (
     random_hermitian,
     random_unitary,
     sandwich_superoperator,
+    spectral_expm,
     unvec,
     vec,
 )
@@ -74,6 +78,26 @@ class TestHermitianExpm:
     def test_rejects_nonfinite_tau(self):
         with pytest.raises(ValidationError):
             hermitian_expm(SIGMA_Z, float("nan"))
+
+
+class TestSpectralExpm:
+    def test_vectorised_equals_one_at_a_time(self):
+        blocks = [random_hermitian(3, s) for s in range(4)]
+        w, v = (np.stack(a) for a in zip(*(hermitian_eigh(h) for h in blocks)))
+        taus = np.array([0.0, -0.6, 1.9])
+        u = spectral_expm(w, v, taus[:, None])
+        assert u.shape == (3, 4, 3, 3)
+        for k, tau in enumerate(taus):
+            for j, h in enumerate(blocks):
+                assert np.array_equal(u[k, j], hermitian_expm(h, tau))
+
+    @pytest.mark.parametrize("tau", [1e308, -1e308, float("inf"), float("nan")])
+    def test_overflowing_phase_rejected_without_warnings(self, tau):
+        # |w| = 10 makes 1e308·w overflow; numpy must not warn on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                hermitian_expm(10 * SIGMA_Z, tau)
 
 
 class TestKron:

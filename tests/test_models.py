@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +229,103 @@ class TestArrayDurations:
         provider.step(state, np.array([0.4, 0.5, 0.6]))
         provider.step(state[0], 0.3)
         assert len(calls) == zx_model.d
+
+
+class TestArrayDurationsWiderEnvironments:
+    """The array step is bitwise stacked scalar steps on larger environment blocks too.
+
+    ``step`` issues one fixed-shape product per (batch row, block), so a row's
+    arithmetic must not depend on the batch around it.
+    """
+
+    @pytest.mark.parametrize(
+        "d, big_d", [(3, 3), (3, 4), (2, 4), (5, 2)], ids=["exact-d3-D3", "exact-d3-D4", "exact-d2-D4", "exact-d5-D2"]
+    )
+    def test_equals_stacked_scalar_steps(self, d, big_d):
+        provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=11 * d + big_d))
+        rng = np.random.default_rng(d * big_d)
+        shape = (5, 3, d, d, big_d, big_d)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dt = np.array([0.4, 1.7, 0.4, 0.0, 2.3])
+        batched = provider.step(state, dt.reshape(-1, 1))
+        assert np.array_equal(batched, np.stack([provider.step(s, float(t)) for s, t in zip(state, dt)]))
+        # and a single row, stepped alone, is the same row of a larger batch
+        assert np.array_equal(provider.step(state[2:3], dt[2:3].reshape(-1, 1))[0], batched[2])
+
+    def test_matches_per_block_products(self):
+        # S[j, l] -> U_j S[j, l] U_l†, block by block, against the propagators
+        provider = ExactDephasingProvider(random_exact_model(3, 4, seed=5))
+        rng = np.random.default_rng(8)
+        state = rng.standard_normal((2, 3, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 3, 4, 4))
+        out = provider.step(state, 0.83)
+        for r, j, l in np.ndindex(2, 3, 3):
+            expected = provider.propagator(j, 0.83) @ state[r, j, l] @ provider.propagator(l, 0.83).conj().T
+            assert np.max(np.abs(out[r, j, l] - expected)) < 1e-13
+
+
+class TestDephasingTable:
+    @pytest.mark.parametrize(
+        "provider",
+        [ExactDephasingProvider(random_exact_model(3, 2, seed=41)), ARRAY_STEP_PROVIDERS[2]],
+        ids=["exact-d3-D2", "analytic-d3"],
+    )
+    def test_bitwise_equal_to_dephasing_matrix(self, provider):
+        times = [0.3, 1.4, 0.8, 1.4, 2.9]
+        table = models.DephasingTable(provider, times)
+        # the repeated time 1.4 gives the pair (1.4, 1.4)
+        for s, t in itertools.combinations(sorted(times), 2):
+            assert np.array_equal(table.dephasing_matrix(t, s), provider.dephasing_matrix(t, s))
+        with pytest.raises(KeyError):
+            table.dephasing_matrix(0.3, 0.3)
+
+    def test_one_step_for_all_pairs(self, zx_model):
+        durations = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def step(self, state, dt):
+                durations.append(np.shape(dt))
+                return super().step(state, dt)
+
+        models.DephasingTable(CountingProvider(zx_model), [0.5, 1.0, 2.0, 3.5])
+        assert durations == [(6,)]
+
+    def test_chunks_match_one_step(self, zx_model, monkeypatch):
+        times = [0.2, 0.5, 1.0, 2.0, 3.5]
+        whole = models.DephasingTable(ExactDephasingProvider(zx_model), times)
+        durations = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def step(self, state, dt):
+                durations.append(len(dt))
+                return super().step(state, dt)
+
+        # 4 pairs of d²·D² = 16 entries per step
+        monkeypatch.setattr(models, "TERM_CAP", 64)
+        chunked = models.DephasingTable(CountingProvider(zx_model), times)
+        assert durations == [4, 4, 2]
+        for s, t in itertools.combinations(times, 2):
+            assert np.array_equal(chunked.dephasing_matrix(t, s), whole.dephasing_matrix(t, s))
+
+    def test_time_order_and_empty_grid(self, zx_provider):
+        table = models.DephasingTable(zx_provider, [0.5, 1.0])
+        with pytest.raises(TimeOrderError):
+            table.dephasing_matrix(0.5, 1.0)
+        with pytest.raises(KeyError):
+            table.dephasing_matrix(2.0, 1.0)
+        with pytest.raises(KeyError):
+            models.DephasingTable(zx_provider, []).dephasing_matrix(1.0, 0.5)
+
+    def test_reads_match_provider(self, zx_model):
+        times = [0.0, 0.4, 0.9, 1.7]
+        provider = ExactDephasingProvider(zx_model)
+        table = models.DephasingTable(provider, times)
+        assert semigroup_deficit(table, 0.0, 0.4, 1.7) == semigroup_deficit(provider, 0.0, 0.4, 1.7)
+        assert triviality_check(table, times) == triviality_check(provider, times)
+
+    def test_overflowing_phase_rejected(self):
+        provider = ExactDephasingProvider(DephasingModel((10 * SIGMA_Z, SIGMA_X), np.eye(2) / 2))
+        with pytest.raises(ValidationError):
+            models.DephasingTable(provider, [1.0, 2.0, 1e308])
 
 
 class TestMarkovianModel:

@@ -21,6 +21,9 @@ from dephaser.statistics import (
     JointDistribution,
     SystemPreparation,
     TimeGrid,
+    _initial_state,
+    _measure,
+    _readout,
     conditional_probability,
     joint_distribution,
     ncgd_deficit,
@@ -186,6 +189,66 @@ class TestJointVsOracle:
         fast = joint_distribution(ExactDephasingProvider(model), prep, meas, grid)
         slow = oracle_distribution(model, prep, meas, grid)
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
+
+
+def reference_measure(state, pstack):
+    """S -> P_x S P_x onto a new outcome axis, as two einsum half products."""
+    half = np.einsum("xij,...jlab->...xilab", pstack, state)
+    return np.einsum("...xilab,xlk->...xikab", half, pstack)
+
+
+def reference_readout(state, pstack):
+    """table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l], with np.trace."""
+    return np.real(np.einsum("...jl,xlj->...x", np.trace(state, axis1=-2, axis2=-1), pstack))
+
+
+KERNEL_CASES = pytest.mark.parametrize(
+    "d, big_d, meas",
+    [
+        (2, 2, qubit_basis(0.3, 1.1)),
+        (3, 4, fourier_mub(3)),
+        (3, 3, fourier_mub(3)),
+        (3, 1, ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))),
+        (4, 3, ProjectiveMeasurement(vectors=random_unitary(4, 9))),
+        (2, 12, fourier_mub(2)),
+    ],
+    ids=["qubit-D2", "mub-d3-D4", "mub-d3-D3", "rank-two-d3-D1", "random-d4-D3", "qubit-D12"],
+)
+
+
+class TestEngineKernels:
+    """_measure and _readout against einsum references, and per batch row."""
+
+    @KERNEL_CASES
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-batch", "batch-3", "batch-2x3"])
+    def test_against_einsum(self, d, big_d, meas, lead):
+        provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=d + big_d))
+        _, pstack = _initial_state(provider, SystemPreparation.maximally_mixed(d), meas, "test")
+        rng = np.random.default_rng(len(lead))
+        shape = lead + (d, d, big_d, big_d)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # a contiguous state, and the strided view a step returns
+        for s in (state, provider.step(state, 0.7)):
+            measured = _measure(s, pstack)
+            assert measured.shape == lead + (meas.n_outcomes, d, d, big_d, big_d)
+            assert np.max(np.abs(measured - reference_measure(s, pstack))) < 1e-13
+            table = _readout(s, pstack)
+            assert table.shape == lead + (meas.n_outcomes,)
+            assert np.max(np.abs(table - reference_readout(s, pstack))) < 1e-13
+
+    @KERNEL_CASES
+    def test_rows_do_not_depend_on_the_batch(self, d, big_d, meas):
+        # every product has a fixed shape per row: a row alone gives the same bits
+        provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=d + big_d))
+        _, pstack = _initial_state(provider, SystemPreparation.maximally_mixed(d), meas, "test")
+        rng = np.random.default_rng(17)
+        shape = (7, d, d, big_d, big_d)
+        state = provider.step(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.7)
+        measured, table = _measure(state, pstack), _readout(state, pstack)
+        for r in range(len(state)):
+            assert np.array_equal(measured[r], _measure(state[r], pstack))
+            assert np.array_equal(table[r], _readout(state[r], pstack))
+            assert np.array_equal(measured[r : r + 3], _measure(state[r : r + 3], pstack))
 
 
 class TestKnownValues:
