@@ -177,12 +177,18 @@ def classicality_report(
 
     root, pstack = _initial_state(provider, prep, measurement, "classicality_report")
     m, p = len(pstack), len(pool)
-    entries = m ** (max_order - 1) * root.size
-    stored = sum(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
+    # m^k with k >= TERM_CAP.bit_length() exceeds the cap for every m >= 2
+    # (and is 1 for m = 1), so the exponent is clipped there
+    entries = m ** min(max_order - 1, TERM_CAP.bit_length()) * root.size
+    stored = 0
+    for n in range(1, max_order + 1):
+        stored += math.comb(p + n - 1, n) * m**n
+        if stored > TERM_CAP:
+            break
     if max(entries, stored) > TERM_CAP:
         raise SizeCapError(
-            f"classicality_report: largest state of {entries} entries or {stored} stored table "
-            f"entries exceeds cap {TERM_CAP}"
+            f"classicality_report: largest state of {m}^{max_order - 1}·{root.size} entries or at least "
+            f"{stored} stored table entries exceed cap {TERM_CAP}"
         )
 
     # Level n: tuples[n] holds the pool indices of the order-n tuples, one

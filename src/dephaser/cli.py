@@ -93,9 +93,7 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
 
 def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     a = cfg.analysis
-    deficit, detail = markovianity_deficit_detail(
-        cfg.exact_model, cfg.grid.times, a["max_order"], seed=a["seed"]
-    )
+    deficit, detail = markovianity_deficit_detail(cfg.exact_model, cfg.grid.times, a["max_order"])
     times = sorted(cfg.grid.times)
     # every dephasing matrix of the semigroup and triviality checks, from one array-duration step
     table = DephasingTable(cfg.provider, times)
@@ -116,11 +114,13 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     if len(times) < 3:
         raise ValidationError("ncgd analysis needs at least 3 grid times")
     triples = list(itertools.combinations(times, 3))
+    # every reduced map reads its dephasing matrix from one array-duration step
+    table = DephasingTable(cfg.provider, times)
     deficits = []
     sandwich = []
     for t1, t2, t3 in triples:
-        deficits.append(st.ncgd_deficit(cfg.provider, cfg.measurement, t1, t2, t3))
-        sandwich.append(st.sandwich_identity_deficit(cfg.provider, cfg.measurement, t3, t1))
+        deficits.append(st.ncgd_deficit(table, cfg.measurement, t1, t2, t3))
+        sandwich.append(st.sandwich_identity_deficit(table, cfg.measurement, t3, t1))
     rows = [[*map(float, tr), d, s] for tr, d, s in zip(triples, deficits, sandwich)]
     _write_csv(os.path.join(outdir, "deficits.csv"), ["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], rows)
     return {

@@ -180,6 +180,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(kind in ANALYSIS_KINDS, f"analysis.kind: expected one of {ANALYSIS_KINDS}, got {kind!r}")
     analysis = dict(analysis)
     analysis["tolerance"] = _number(analysis.get("tolerance", 1e-9), float, "analysis.tolerance")
+    _require(analysis["tolerance"] >= 0, f"analysis.tolerance: expected a number >= 0, got {analysis['tolerance']!r}")
     analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
     analysis["seed"] = _number(analysis.get("seed", 0), int, "analysis.seed")
     if "theta_points" in analysis:

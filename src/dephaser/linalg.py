@@ -79,8 +79,12 @@ def check_unitary(m, name: str = "unitary", tol: float = UNITARY_TOL) -> np.ndar
 
 
 def hermitian_eigh(h: np.ndarray):
-    """Spectral decomposition (w, V) of a Hermitian matrix, H = V diag(w) V†."""
-    h = check_hermitian(h, "hermitian_eigh input")
+    """Spectral decomposition (w, V) of a Hermitian matrix, H = V diag(w) V†.
+
+    ``h`` is not re-validated: callers pass a checked matrix (a block of a
+    ``DephasingModel``, stored read-only, or the input of
+    :func:`hermitian_expm`, checked there).
+    """
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -114,7 +118,7 @@ def hermitian_expm(h: np.ndarray, tau: float) -> np.ndarray:
     exact up to eigensolver accuracy for Hermitian input (no Padé scaling
     needed).
     """
-    return spectral_expm(*hermitian_eigh(h), tau)
+    return spectral_expm(*hermitian_eigh(check_hermitian(h, "hermitian_expm input")), tau)
 
 
 def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:

@@ -7,6 +7,7 @@ orthogonal projectors summing to the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,6 +83,18 @@ class ProjectiveMeasurement:
             return np.outer(v, v.conj())
         return self.projectors[x]
 
+    @functools.cached_property
+    def channel(self) -> Superoperator:
+        """Completely dephasing channel rho -> sum_x P_x rho P_x, built on first
+        use; its matrix is read-only, since every caller shares it."""
+        d = self.d
+        mat = np.zeros((d * d, d * d), dtype=complex)
+        for x in range(self.n_outcomes):
+            p = self.projector(x)
+            mat += np.kron(p.T, p)
+        mat.flags.writeable = False
+        return Superoperator(d, mat)
+
 
 def dephasing_basis(d: int) -> ProjectiveMeasurement:
     """Measurement fully compatible with the dephasing (computational) basis."""
@@ -129,9 +142,4 @@ def mub_check(a: ProjectiveMeasurement, b: ProjectiveMeasurement, tol: float = 1
 
 def dephasing_channel(m: ProjectiveMeasurement) -> Superoperator:
     """Completely dephasing channel of the PVM: rho -> sum_x P_x rho P_x."""
-    d = m.d
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for x in range(m.n_outcomes):
-        p = m.projector(x)
-        mat += np.kron(p.T, p)
-    return Superoperator(d, mat)
+    return m.channel

@@ -7,17 +7,22 @@ blocks, and each time interval acts on it block by block,
 
     S[j, l] -> U_j(dt) S[j, l] U_l(dt)†
 
-which a provider implements as ``step``.  Joint distributions and the
-*dephasing tensor* (one index pair (j, l) picked per interval, environment
-traced at the end) are both propagated with it.  Two providers are
-implemented: the exact finite-environment one, and the analytic one (D = 1)
-whose tensor factorizes into per-interval exponentials by construction (the
-regression/Markovian case).
+which a provider implements as ``step``; joint distributions are propagated
+with it.  The *dephasing tensor* picks one index pair per interval and traces
+the environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
+L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
+B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
+T = A·diag(s)·A† where row J of A is vec(L_J B).  The signs are kept, not
+clipped, because ``check_density`` admits eigenvalues down to -1e-10.
+Two providers are implemented: the exact finite-environment one, and the
+analytic one (D = 1) whose tensor factorizes into per-interval exponentials
+by construction (the regression/Markovian case).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import reduce
@@ -30,11 +35,9 @@ from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
-#: |tensor| may exceed 1 only by numerical noise
-TENSOR_MOD_TOL = 1e-10
-
 #: budget, in complex entries, for the largest state block propagation holds:
-#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n)·D² in ``tensor_array``;
+#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n) + d^n·D·r in ``tensor_array``,
+#: d·D² per distinct pair duration in ``markovianity_deficit_detail``;
 #: ``classicality_report`` checks its largest single-node state and its stored
 #: tables against it and gives each trie level in flight TERM_CAP // max_order.
 #: 10^7 complex128 entries are 160 MB, and a step holds the state, its
@@ -42,9 +45,15 @@ TENSOR_MOD_TOL = 1e-10
 #: 0.5 GB: the most a desk-scale machine can give one analysis.
 TERM_CAP = 10_000_000
 
-#: exhaustive enumeration limit for the factorization deficit
-MARKOV_ENUM_CAP = 1_000_000
-MARKOV_SUBSAMPLE = 100_000
+#: budget of the Markovianity check in compared tensor entries, Σ_{n=2..N}
+#: C(K, n+1)·d^(2n) for K times.  On one core of a 2-vCPU x86 VM the walk
+#: compares 2-5·10^7 entries per second at d >= 3 or D <= 2 and 6·10^6 at
+#: d = 2, D = 4, so seconds to tens of seconds at the cap for D <= 4.  An
+#: entry costs about D·r multiply-adds (r the rank of ρ_E) in its Gram product
+#: and its strings D²·r more, so the rate falls with D (d = 2, full rank:
+#: 3·10^6/s at D = 8, 10^6 at D = 16, 2.5·10^5 at D = 32): at D >= 16 a run
+#: under the cap can take minutes.
+MARKOV_WORK_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -110,29 +119,15 @@ class DephasingTensorProvider(ABC):
         self._check_pairs(chain.pairs)
         return self.tensor_pairs(chain.pairs, chain.durations)
 
-    # Each concrete provider defines ``tensor_array`` and ``tensor_pairs`` in
-    # its own class body, where per-class instrumentation (perfbench/tracing.py)
-    # finds and wraps them.
-    def tensor_array(self, durations: Sequence[float]) -> np.ndarray:
-        """All tensor values on a duration grid.
-
-        Shape is (d, d) * n with axes ordered (j_1, l_1, ..., j_n, l_n): each
-        interval expands one (j, l) pair axis and steps the environment state.
-        """
-        d, n = self.d, len(durations)
-        entries = d ** (2 * n) * self.env.size
-        if entries > TERM_CAP:
-            raise SizeCapError(f"tensor_array: {entries} propagated entries exceed cap {TERM_CAP}")
-        x = self.env
-        for dt in durations:
-            x = self.step(np.broadcast_to(x[..., None, None, :, :], x.shape[:-2] + (d, d) + x.shape[-2:]), dt)
-        return np.trace(x, axis1=-2, axis2=-1)
-
+    # Each concrete provider defines ``tensor_array`` (the values on a duration
+    # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
+    # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
     def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
-        """The d×d matrix of single-interval tensor values over [s, t]."""
+        """The d×d matrix of single-interval tensor values over [s, t] (one ``step``)."""
         if t < s:
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        return self.tensor_array([t - s])
+        state = np.broadcast_to(self.env, (self.d, self.d) + self.env.shape)
+        return np.trace(self.step(state, t - s), axis1=-2, axis2=-1)
 
     def _check_pairs(self, pairs) -> None:
         for j, l in pairs:
@@ -145,23 +140,26 @@ class DephasingModel:
     """Exact finite-environment dephasing model.
 
     One Hermitian block Hamiltonian per dephasing-basis vector (d of them,
-    each D×D), plus the initial environment state.
+    each D×D), plus the initial environment state, stored as validated
+    read-only copies: code downstream skips re-checking them.
     """
 
     blocks: tuple
     env_state: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(check_hermitian(b, f"block H_{j}") for j, b in enumerate(self.blocks))
+        blocks = tuple(np.array(check_hermitian(b, f"block H_{j}")) for j, b in enumerate(self.blocks))
         if not blocks:
             raise ValidationError("DephasingModel: need at least one block")
         big_d = blocks[0].shape[0]
         for j, b in enumerate(blocks):
             if b.shape != (big_d, big_d):
                 raise ShapeError(f"DephasingModel: block H_{j} has shape {b.shape}, expected ({big_d}, {big_d})")
-        env = check_density(self.env_state, "env_state")
+        env = np.array(check_density(self.env_state, "env_state"))
         if env.shape != (big_d, big_d):
             raise ShapeError(f"DephasingModel: env_state dim {env.shape[0]} != block dim {big_d}")
+        for a in blocks + (env,):
+            a.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "env_state", env)
 
@@ -225,14 +223,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
         (d·D)×D matrix, times U_l†.  Every product has the same shape whatever
         the batch, so each row's arithmetic does not depend on it.
         """
-        u, uh = self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)
-        lead, (d, _, big_d, _) = state.shape[:-4], state.shape[-4:]
-        # rows[..., j, a, (l, b)] = Σ_c U_j[a, c] S[..., j, l, c, b]
-        rows = u @ state.swapaxes(-3, -2).reshape(lead + (d, big_d, d * big_d))
-        # out[..., l, (j, a), b] = Σ_c rows[..., j, a, l, c] U_l†[c, b]
-        cols = rows.reshape(lead + (d * big_d, d, big_d)).swapaxes(-3, -2)
-        out = cols @ uh
-        return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
+        return _conjugate(state, *(self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)))
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -241,7 +232,47 @@ class ExactDephasingProvider(DephasingTensorProvider):
         return complex(np.trace(x))
 
     def tensor_array(self, durations) -> np.ndarray:
-        return super().tensor_array(durations)
+        """The Gram product over the strings L_J·B, one U_j per interval."""
+        d, n = self.d, len(durations)
+        b, sign = _env_factor(self.env)
+        if d ** (2 * n) + d**n * b.size > TERM_CAP:
+            raise SizeCapError(f"tensor_array: {d ** (2 * n)} + {d**n * b.size} entries exceed cap {TERM_CAP}")
+        strings = b[None]
+        for dt in durations:
+            strings = _extend(strings, self._unitaries(dt)[0])
+        # rows (j_1, ..., j_n) and columns (l_1, ..., l_n), interleaved
+        return _gram(strings, sign).reshape((d,) * 2 * n).transpose([a for k in range(n) for a in (k, n + k)])
+
+
+def _conjugate(state: np.ndarray, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """The kernel of ``step``: S[..., j, l] -> U_j S[..., j, l] U_l† with the
+    stacked U_j and U_j† (d, D, D), or one stack per leading batch row."""
+    lead, (d, _, big_d, _) = state.shape[:-4], state.shape[-4:]
+    # rows[..., j, a, (l, b)] = Σ_c U_j[a, c] S[..., j, l, c, b]
+    rows = u @ state.swapaxes(-3, -2).reshape(lead + (d, big_d, d * big_d))
+    # out[..., l, (j, a), b] = Σ_c rows[..., j, a, l, c] U_l†[c, b]
+    cols = rows.reshape(lead + (d * big_d, d, big_d)).swapaxes(-3, -2)
+    out = cols @ uh
+    return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
+
+
+def _env_factor(env: np.ndarray) -> tuple:
+    """(B, s) with ρ_E = B·diag(s)·B† over the nonzero eigenvalues of ρ_E."""
+    w, v = np.linalg.eigh(env)
+    return v[:, w != 0] * np.sqrt(np.abs(w[w != 0])), np.sign(w[w != 0])
+
+
+def _extend(strings: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Strings L_J·B (..., m, D, r) times the stacked U_j (..., d, D, D): the
+    strings (..., m·d, D, r), new index fastest; one product per (row, J, j)."""
+    lead, (m, big_d, r) = strings.shape[:-3], strings.shape[-3:]
+    return (u[..., None, :, :, :] @ strings[..., :, None, :, :]).reshape(lead + (m * u.shape[-3], big_d, r))
+
+
+def _gram(strings: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """T[..., J, L] = Σ_{a,c} A[..., J, a, c]·s[c]·conj(A[..., L, a, c]), one product per row."""
+    rows = strings.reshape(strings.shape[:-2] + (-1,))
+    return (strings * sign).reshape(rows.shape) @ rows.conj().swapaxes(-1, -2)
 
 
 def exact_tensor(model: DephasingModel, chain: IndexPairChain) -> complex:
@@ -326,7 +357,11 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return complex(out)
 
     def tensor_array(self, durations) -> np.ndarray:
-        return super().tensor_array(durations)
+        """The outer product of the per-interval dephasing matrices."""
+        if self.d ** (2 * len(durations)) > TERM_CAP:
+            raise SizeCapError(f"tensor_array: {self.d ** (2 * len(durations))} entries exceed cap {TERM_CAP}")
+        phis = (self.model.phi_matrix(dt) for dt in durations)
+        return reduce(np.multiply.outer, phis, np.ones((), dtype=complex))
 
 
 def markovian_tensor(model: MarkovianAnalyticModel, chain: IndexPairChain) -> complex:
@@ -339,7 +374,8 @@ class DephasingTable:
     All of them come from one ``provider.step`` over the array of durations
     t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``), and are
     read with the same ``dephasing_matrix(t, s)``, so a table stands in for
-    the provider in :func:`semigroup_deficit` and :func:`triviality_check`.
+    the provider in :func:`semigroup_deficit`, :func:`triviality_check` and
+    the reduced maps and NCGD deficits of :mod:`dephaser.statistics`.
     A pair s == t is held only where the grid repeats the time.  A grid whose
     pairs' states exceed ``TERM_CAP`` entries is stepped in chunks of pairs.
     """
@@ -348,6 +384,7 @@ class DephasingTable:
         pairs = list(dict.fromkeys(itertools.combinations(sorted(float(t) for t in times), 2)))
         dt = np.array([t - s for s, t in pairs])
         d, env = provider.d, provider.env
+        self.d = d
         chunk = max(1, TERM_CAP // (d * d * env.size))
         phi = []
         for lo in range(0, len(dt), chunk):
@@ -377,71 +414,86 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0: float, t1: float, t
     return float(np.max(np.abs(full - split)))
 
 
-def markovianity_deficit(
-    model: DephasingModel,
-    times: Sequence[float],
-    max_order: int,
-    seed: int = 0,
-    enum_cap: int = MARKOV_ENUM_CAP,
-    subsample: int = MARKOV_SUBSAMPLE,
-) -> float:
+def markovianity_deficit(model: DephasingModel, times: Sequence[float], max_order: int) -> float:
     """Max violation of the tensor factorization up to ``max_order`` intervals.
 
     Compares the exact tensor against the product of dephasing-matrix entries
-    over all index-pair chains on every increasing time selection from
-    ``times``.  Falls back to a seeded random subsample beyond ``enum_cap``
-    tuples.
+    over all index-pair chains on every increasing selection of 3 to
+    ``max_order`` + 1 of the ``times``, exhaustively.
     """
-    deficit, _ = markovianity_deficit_detail(model, times, max_order, seed, enum_cap, subsample)
-    return deficit
+    return markovianity_deficit_detail(model, times, max_order)[0]
 
 
-def markovianity_deficit_detail(
-    model: DephasingModel,
-    times: Sequence[float],
-    max_order: int,
-    seed: int = 0,
-    enum_cap: int = MARKOV_ENUM_CAP,
-    subsample: int = MARKOV_SUBSAMPLE,
-):
-    """As :func:`markovianity_deficit`, also returning bookkeeping details."""
+def markovianity_deficit_detail(model: DephasingModel, times: Sequence[float], max_order: int):
+    """As :func:`markovianity_deficit`, also returning bookkeeping details.
+
+    Walks the selections (rows of indices into the sorted times) as a prefix
+    trie, one level of n intervals at a time, depth-first in chunks of rows
+    holding at most ``TERM_CAP`` / (levels walked) entries (or of one row).  A
+    row holds its strings L_J·B and the product F of its dephasing matrices; a
+    child extends them by one U_j and one outer product with φ, and from n = 2
+    on, each row's Gram product T gives max |T - F|.  The distinct pair
+    durations are exponentiated once, in one batched call, and their φ comes
+    from the ``step`` kernel on those U_j (as in :class:`DephasingTable`).
+    The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
+    and the d·D² entries of U per distinct duration against ``TERM_CAP``,
+    before any propagator is built.
+    """
     if max_order < 2:
         raise ValidationError(f"markovianity_deficit: max_order must be >= 2, got {max_order}")
-    times = sorted(float(t) for t in times)
-    provider = ExactDephasingProvider(model)
-    d = model.d
+    times = np.sort(np.array([float(t) for t in times]))
+    k, d = len(times), model.d
+    tuples = 0
+    for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed
+        tuples += math.comb(k, n + 1) * d ** (2 * n)
+        if tuples > MARKOV_WORK_CAP:
+            raise SizeCapError(f"markovianity_deficit: over {MARKOV_WORK_CAP} compared entries for {k} times, d = {d}")
+    detail = {"exhaustive": True, "tuples": tuples, "orders": list(range(2, max_order + 1))}
+    if k < 3:
+        return 0.0, detail
 
-    selections = []
-    total = 0
-    for n in range(2, max_order + 1):
-        for sel in itertools.combinations(times, n + 1):
-            selections.append(sel)
-            total += d ** (2 * n)
+    env = model.env_state
+    first, second = np.triu_indices(k, 1)
+    durations, inverse = np.unique(times[second] - times[first], return_inverse=True)
+    if len(durations) * d * env.size > TERM_CAP:
+        raise SizeCapError(f"markovianity_deficit: U_j of {len(durations)} durations exceed cap {TERM_CAP} entries")
+    pair = np.zeros((k, k), dtype=np.intp)  # the distinct duration of each pair i < j
+    pair[first, second] = inverse
+    # U_j of each distinct duration, exponentiated once, and φ from the step kernel on them
+    u = spectral_expm(*ExactDephasingProvider(model)._eigh(), durations[:, None])
+    chunk, phi = max(1, TERM_CAP // (d * d * env.size)), []
+    for lo in range(0, len(u), chunk):
+        part = u[lo : lo + chunk]
+        state = np.broadcast_to(env, (len(part), d, d) + env.shape)
+        phi.append(np.trace(_conjugate(state, part, part.conj().swapaxes(-1, -2)), axis1=-2, axis2=-1))
+    phi = np.concatenate(phi)
+    b, sign = _env_factor(env)
+    top = min(max_order, k - 1)
+    size = [max(1, TERM_CAP // top // (d**n * b.size + 2 * d ** (2 * n) + d * env.size)) for n in range(top + 1)]
 
-    exhaustive = total <= enum_cap
+    def children(n, rows, strings, factored) -> list:
+        """The chunks (level, rows, parent rows, parent strings and F) of the
+        children of a block of level-n rows: each row extended by every later index."""
+        counts = k - 1 - rows[:, -1]
+        parents = np.repeat(np.arange(len(rows)), counts)
+        later = rows[parents, -1] + 1 + np.arange(len(parents)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows, c = np.column_stack((rows[parents], later)), size[n + 1]
+        return [(n + 1, rows[lo : lo + c], parents[lo : lo + c], strings, factored) for lo in range(0, len(rows), c)]
+
+    # depth-first from the root: one row per first index, holding the empty string and F = 1
+    stack = children(0, np.arange(k)[:, None], np.broadcast_to(b, (k, 1) + b.shape), np.ones((k, 1, 1), complex))
     deficit = 0.0
-    if exhaustive:
-        # one dephasing matrix per distinct consecutive pair, shared by every selection
-        pairs = dict.fromkeys(pair for sel in selections for pair in zip(sel, sel[1:]))
-        phi = {(t1, t2): provider.dephasing_matrix(t2, t1) for t1, t2 in pairs}
-        for sel in selections:
-            durations = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
-            exact = provider.tensor_array(durations)
-            factored = reduce(np.multiply.outer, [phi[pair] for pair in zip(sel, sel[1:])])
-            deficit = max(deficit, float(np.max(np.abs(exact - factored))))
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(subsample):
-            sel = selections[rng.integers(len(selections))]
-            n = len(sel) - 1
-            pairs = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(n)]
-            durations = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
-            exact = provider.tensor_pairs(pairs, durations)
-            factored = 1.0 + 0j
-            for (j, l), dt in zip(pairs, durations):
-                factored *= provider.tensor_pairs([(j, l)], [dt])
-            deficit = max(deficit, abs(exact - factored))
-    return deficit, {"exhaustive": exhaustive, "tuples": total, "orders": list(range(2, max_order + 1))}
+    while stack:
+        n, rows, parent, strings, factored = stack.pop()
+        last = pair[rows[:, -2], rows[:, -1]]
+        strings = _extend(strings[parent], u[last])
+        m = strings.shape[-3]
+        factored = (factored[parent][:, :, None, :, None] * phi[last][:, None, :, None, :]).reshape(len(rows), m, m)
+        if n >= 2:
+            deficit = max(deficit, float(np.abs(_gram(strings, sign) - factored).max()))
+        if n < top:
+            stack.extend(children(n, rows, strings, factored))
+    return deficit, detail
 
 
 def commutativity_check(model: DephasingModel, tol: float = 1e-12) -> bool:

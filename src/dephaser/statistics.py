@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, ValidationError
 from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron
 from .measurements import ProjectiveMeasurement, dephasing_channel
-from .models import TERM_CAP, DephasingModel, DephasingTensorProvider
+from .models import TERM_CAP, DephasingModel, DephasingTable, DephasingTensorProvider
 
 #: cap on the oracle's outcome branches m + m^2 + ... + m^n.  Each branch is a
 #: kron and two joint-space products issued from Python, about 70 µs at
@@ -281,30 +281,49 @@ def oracle_distribution(
     return JointDistribution(m, grid, table.reshape(-1))
 
 
-def reduced_map(provider: DephasingTensorProvider, t: float, s: float) -> Superoperator:
+def reduced_map(provider: DephasingTensorProvider | DephasingTable, t: float, s: float) -> Superoperator:
     """Reduced dynamical map: coherence (j, l) multiplied by φ_{jl}(t, s).
 
     With rank-one dephasing projectors on the computational basis, the
     column-stacking superoperator is diagonal with entry φ[j, l] at vec index
-    l·d + j.
+    l·d + j.  ``provider`` may be a :class:`~dephaser.models.DephasingTable`
+    holding the pair (s, t).
     """
-    phi = provider.dephasing_matrix(t, s)
-    return Superoperator(provider.d, np.diag(phi.T.reshape(-1)))
+    return Superoperator(provider.d, _reduced_matrix(provider, t, s))
+
+
+def _reduced_matrix(provider, t: float, s: float) -> np.ndarray:
+    """The matrix of :func:`reduced_map`."""
+    return np.diag(provider.dephasing_matrix(t, s).T.reshape(-1))
+
+
+def _channel_matrix(provider, measurement: ProjectiveMeasurement, caller: str) -> np.ndarray:
+    """The matrix of the measurement's dephasing channel, checked against the provider's d.
+
+    The deficits compose plain matrices, in the order of
+    :meth:`Superoperator.compose` (so with its bits), without validating each
+    intermediate product: every factor is finite where it is built (φ by
+    ``step``, the channel from the validated PVM).
+    """
+    if measurement.d != provider.d:
+        raise ShapeError(f"{caller}: dimension mismatch (provider d={provider.d}, measurement {measurement.d})")
+    return dephasing_channel(measurement).matrix
 
 
 def sandwich_identity_deficit(
-    provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, t: float, s: float
+    provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t: float, s: float
 ) -> float:
-    """Max-norm of Δ∘Λ_{t,s}∘Δ − Λ_{t,s}∘Δ for the measurement's dephasing channel."""
-    delta = dephasing_channel(measurement)
-    lam = reduced_map(provider, t, s)
-    lhs = delta.compose(lam).compose(delta)
-    rhs = lam.compose(delta)
-    return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+    """Max-norm of Δ∘Λ_{t,s}∘Δ − Λ_{t,s}∘Δ for the measurement's dephasing channel.
+
+    ``provider`` may be a :class:`~dephaser.models.DephasingTable` holding the pair (s, t).
+    """
+    delta = _channel_matrix(provider, measurement, "sandwich_identity_deficit")
+    lam = _reduced_matrix(provider, t, s)
+    return float(np.max(np.abs(delta @ lam @ delta - lam @ delta)))
 
 
 def ncgd_deficit(
-    provider: DephasingTensorProvider,
+    provider: DephasingTensorProvider | DephasingTable,
     measurement: ProjectiveMeasurement,
     t1: float,
     t2: float,
@@ -314,16 +333,16 @@ def ncgd_deficit(
 
     Zero (within tolerance) certifies the non-coherence-generating-and-
     detecting property of the reduced maps with respect to the measurement.
+    ``provider`` may be a :class:`~dephaser.models.DephasingTable` of the
+    three times.
     """
     if not (t1 <= t2 <= t3):
         raise TimeOrderError(f"ncgd_deficit: need t1 <= t2 <= t3, got {(t1, t2, t3)}")
-    delta = dephasing_channel(measurement)
-    lam32 = reduced_map(provider, t3, t2)
-    lam21 = reduced_map(provider, t2, t1)
-    lam31 = reduced_map(provider, t3, t1)
-    lhs = delta.compose(lam32).compose(delta).compose(lam21).compose(delta)
-    rhs = delta.compose(lam31).compose(delta)
-    return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+    delta = _channel_matrix(provider, measurement, "ncgd_deficit")
+    lam32 = _reduced_matrix(provider, t3, t2)
+    lam21 = _reduced_matrix(provider, t2, t1)
+    lam31 = _reduced_matrix(provider, t3, t1)
+    return float(np.max(np.abs(delta @ lam32 @ delta @ lam21 @ delta - delta @ lam31 @ delta)))
 
 
 def conditional_probability(dist: JointDistribution, prefix) -> np.ndarray:

@@ -1,15 +1,18 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from dephaser import cli
+from dephaser import cli, models
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
 from dephaser.models import ExactDephasingProvider
+from dephaser.presets import get_preset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -312,22 +315,65 @@ class TestRunCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
         assert not (tmp_path / "o" / "report.json").exists()
 
-    def test_markovianity_reads_one_dephasing_table(self, tmp_path, monkeypatch):
+    def test_markovianity_exponentiates_each_duration_once(self, tmp_path, monkeypatch):
         calls = []
-        real = ExactDephasingProvider.tensor_array
+        real = models.spectral_expm
 
-        def counting(self, durations):
-            calls.append(tuple(durations))
-            return real(self, durations)
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).ravel().copy())
+            return real(w, v, tau)
 
-        monkeypatch.setattr(ExactDephasingProvider, "tensor_array", counting)
+        monkeypatch.setattr(models, "spectral_expm", counting)
         config = os.path.join(ROOT, "configs", "markovianity_scalar_phases.json")
         assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
-        # the factorization check: one tensor per selection of 3..5 of the 5
-        # times, one dephasing matrix per distinct consecutive pair; the
-        # semigroup and triviality checks read theirs from one table
-        assert len(calls) == 16 + 9
-        assert sum(len(c) == 1 for c in calls) == 9
+        # the factorization walk and the table of the semigroup and triviality
+        # checks: one batched exponentiation each, over the distinct durations
+        times = [0.3, 0.8, 1.4, 2.1, 2.9]
+        durations = sorted({t2 - t1 for t1, t2 in itertools.combinations(times, 2)})
+        assert len(calls) == 2
+        assert all(sorted(c) == durations for c in calls)
+        # against the per-selection reference (scalar phases factorize)
+        provider = ExactDephasingProvider(get_preset("scalar-phases"))
+        reference = 0.0
+        for n in range(2, 5):
+            for sel in itertools.combinations(times, n + 1):
+                steps = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
+                for pairs in itertools.product(itertools.product(range(provider.d), repeat=2), repeat=n):
+                    factored = np.prod([provider.tensor_pairs([p], [dt]) for p, dt in zip(pairs, steps)])
+                    reference = max(reference, abs(provider.tensor_pairs(pairs, steps) - factored))
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert abs(report["factorization_deficit"] - reference) < 1e-12
+        assert (report["exhaustive"], report["tuples"]) == (True, 10 * 16 + 5 * 64 + 1 * 256)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"analysis": {"kind": "classicality", "max_order": 1_000_000}},
+            {
+                "model": {"kind": "exact", "preset": "qubit-zx"},
+                "grid": {"t0": 0.0, "times": [0.05 * (k + 1) for k in range(60)]},
+                "analysis": {"kind": "markovianity", "max_order": 30},
+            },
+        ],
+        ids=["classicality-order-1e6", "markovianity-60-times-order-30"],
+    )
+    def test_cap_refused_promptly(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, classicality_config(**overrides))
+        start = time.perf_counter()
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+
+    def test_negative_tolerance_exits_2(self, tmp_path, capsys):
+        analysis = {"kind": "classicality", "max_order": 3, "tolerance": -1}
+        path = write_config(tmp_path, classicality_config(analysis=analysis))
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "analysis.tolerance" in err["message"]
+        assert not (tmp_path / "o" / "report.json").exists()
+        # zero stays a valid tolerance
+        path = write_config(tmp_path, classicality_config(analysis={**analysis, "tolerance": 0}))
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
-from dephaser import models
+from dephaser import linalg, models
 from dephaser.errors import SizeCapError, TimeOrderError, ValidationError
-from dephaser.linalg import hermitian_expm
+from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -141,6 +142,74 @@ class TestBlockPropagation:
         with pytest.raises(SizeCapError):
             zx_provider.tensor_array([0.1] * 12)
         assert zx_provider._prop_cache == {}
+
+
+def _env_with_eigenvalues(w, seed):
+    u = random_unitary(len(w), seed)
+    return (u * np.asarray(w)) @ u.conj().T
+
+
+class TestGramTensor:
+    """The Gram-product tensor_array against the pointwise tensor_pairs."""
+
+    @pytest.mark.parametrize(
+        "weights, rank, negative",
+        [([1.0, 0.0, 0.0], 1, False), ([0.5, 0.3, 0.2], 3, False), ([0.7, 0.3 + 1e-11, -1e-11], 3, True)],
+        ids=["pure", "full-rank", "negative-eigenvalue"],
+    )
+    def test_matches_pointwise(self, weights, rank, negative):
+        blocks = tuple(random_hermitian(3, 30 + j) for j in range(3))
+        env = _env_with_eigenvalues(weights, 9) if rank > 1 else np.diag(weights).astype(complex)
+        provider = ExactDephasingProvider(DephasingModel(blocks, env))
+        b, sign = models._env_factor(provider.env)
+        assert b.shape == (3, rank)
+        assert bool((sign < 0).any()) == negative
+        durations = (0.4, 0.0, 1.3)
+        arr = provider.tensor_array(durations)
+        assert arr.shape == (3, 3) * 3
+        for idx in np.ndindex(*arr.shape):
+            pairs = list(zip(idx[0::2], idx[1::2]))
+            assert abs(arr[idx] - provider.tensor_pairs(pairs, durations)) < 1e-12
+
+    def test_analytic_outer_product(self, markov_qubit_provider):
+        durations = (0.3, 0.0, 1.1, 0.7)
+        arr = markov_qubit_provider.tensor_array(durations)
+        assert arr.shape == (2, 2) * 4
+        for idx in np.ndindex(*arr.shape):
+            pairs = list(zip(idx[0::2], idx[1::2]))
+            assert abs(arr[idx] - markov_qubit_provider.tensor_pairs(pairs, durations)) < 1e-14
+
+    def test_analytic_cap(self, markov_qubit_provider):
+        with pytest.raises(SizeCapError):
+            markov_qubit_provider.tensor_array([0.1] * 12)
+
+
+class TestValidatedBlocks:
+    def test_first_step_makes_no_hermiticity_check(self, monkeypatch):
+        model = random_exact_model(3, 4, seed=2)
+        calls = []
+        real = linalg.check_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "check_hermitian", counting)
+        monkeypatch.setattr(models, "check_hermitian", counting)
+        provider = ExactDephasingProvider(model)
+        provider.step(np.ones((3, 3, 4, 4), dtype=complex), 0.7)
+        assert calls == []
+
+    def test_blocks_and_environment_are_read_only_copies(self):
+        h, env = SIGMA_X.copy(), np.diag([1.0, 0.0]).astype(complex)
+        model = DephasingModel((SIGMA_Z, h), env)
+        h[0, 1] = 5.0
+        env[0, 0] = 0.0
+        assert model.blocks[1][0, 1] == 1.0 and model.env_state[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            model.blocks[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            model.env_state[0, 0] = 0.5
 
 
 class TestPropagator:
@@ -415,27 +484,112 @@ class TestMarkovianityDeficit:
         assert commutativity_check(model)
         assert markovianity_deficit(model, [0.0, 0.7, 1.4, 2.1], 2) > 1e-3
 
-    def test_one_dephasing_matrix_per_distinct_pair(self, monkeypatch):
-        # the shipped markovianity config: 5 times, orders 2..4
+    @given(
+        d=st.integers(2, 3),
+        big_d=st.integers(1, 3),
+        raw=st.lists(st.integers(0, 12), min_size=3, max_size=6),
+        max_order=st.integers(2, 4),
+        seed=seeds,
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_walk_matches_per_selection_reference(self, d, big_d, raw, max_order, seed):
+        # times on a coarse lattice, so repeats (zero durations) occur
+        model = random_exact_model(d, big_d, seed)
+        times = [0.25 * t for t in raw]
+        deficit, detail = models.markovianity_deficit_detail(model, times, max_order)
+        provider = ExactDephasingProvider(model)
+        index_pairs = list(itertools.product(range(d), repeat=2))
+        reference, tuples = 0.0, 0
+        for n in range(2, max_order + 1):
+            for sel in itertools.combinations(sorted(times), n + 1):
+                durations = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
+                phi = [{p: provider.tensor_pairs([p], [dt]) for p in index_pairs} for dt in durations]
+                for pairs in itertools.product(index_pairs, repeat=n):
+                    factored = np.prod([phi[k][p] for k, p in enumerate(pairs)])
+                    reference = max(reference, abs(provider.tensor_pairs(pairs, durations) - factored))
+                    tuples += 1
+        assert abs(deficit - reference) < 1e-12
+        assert detail == {"exhaustive": True, "tuples": tuples, "orders": list(range(2, max_order + 1))}
+
+    @pytest.mark.parametrize(
+        "model, times, max_order",
+        [
+            # the shipped markovianity config: 5 times, orders 2..4
+            (get_preset("scalar-phases"), [0.3, 0.8, 1.4, 2.1, 2.9], 4),
+            # an evenly spaced grid: 10 pairs but 4 distinct durations
+            (random_exact_model(3, 2, seed=4), [0.0, 0.5, 1.0, 1.5, 2.0], 3),
+        ],
+        ids=["shipped-config", "repeated-durations"],
+    )
+    def test_one_exponentiation_per_distinct_duration(self, monkeypatch, model, times, max_order):
         calls = []
-        real = ExactDephasingProvider.tensor_array
+        real = models.spectral_expm
 
-        def counting(self, durations):
-            calls.append(tuple(durations))
-            return real(self, durations)
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).ravel().copy())
+            return real(w, v, tau)
 
-        monkeypatch.setattr(ExactDephasingProvider, "tensor_array", counting)
-        markovianity_deficit(get_preset("scalar-phases"), [0.3, 0.8, 1.4, 2.1, 2.9], 4)
-        # 16 selections of 3..5 times, plus 9 distinct consecutive pairs (all
-        # pairs but the first and last time, which no selection puts adjacent)
-        assert len(calls) == 16 + 9
-        single = [c for c in calls if len(c) == 1]
-        assert len(single) == len(set(single)) == 9
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        models.markovianity_deficit(model, times, max_order)
+        durations = {t2 - t1 for t1, t2 in itertools.combinations(sorted(times), 2)}
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(durations)
 
-    def test_subsampled_path_runs(self, zx_model):
-        # force the subsample branch with a tiny cap
-        deficit = markovianity_deficit(zx_model, [0.0, 0.5, 1.0, 1.5], 2, enum_cap=1, subsample=200)
-        assert deficit > 1e-3
+    def test_chunked_levels_match_unchunked(self, monkeypatch):
+        model = random_exact_model(3, 2, seed=6)
+        times = [0.2, 0.9, 1.3, 2.0, 2.6, 3.1]
+        whole = markovianity_deficit(model, times, 4)
+        # a budget of a few hundred entries per level: chunks of one or two rows
+        monkeypatch.setattr(models, "TERM_CAP", 4 * 800)
+        assert markovianity_deficit(model, times, 4) == whole
+
+    def test_work_cap_checked_before_any_propagator(self, zx_model, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "hermitian_eigh", forbidden)
+            patch.setattr(models, "spectral_expm", forbidden)
+            # 60 times up to order 30: the first terms of the closed form pass the cap
+            with pytest.raises(SizeCapError):
+                markovianity_deficit(zx_model, [0.05 * k for k in range(60)], 30)
+            # 4 times up to order 3 compare C(4, 3)·2^4 + C(4, 4)·2^6 = 128 entries
+            patch.setattr(models, "MARKOV_WORK_CAP", 127)
+            with pytest.raises(SizeCapError):
+                markovianity_deficit(zx_model, [0.0, 0.5, 1.0, 1.5], 3)
+        monkeypatch.setattr(models, "MARKOV_WORK_CAP", 128)
+        assert models.markovianity_deficit_detail(zx_model, [0.0, 0.5, 1.0, 1.5], 3)[1]["tuples"] == 128
+
+    def test_unitaries_of_many_durations_capped_before_any_propagator(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        # d = 2, D = 64, 220 distinct times at order 2: C(220, 3)·2^4 = 2.8e7 compared
+        # entries pass the work cap, but the U_j of the 24090 distinct durations hold
+        # 24090·2·64² = 2.0e8 entries, over TERM_CAP
+        blocks = tuple(np.diag(np.linspace(-1.0, 1.0, 64) * (j + 1)).astype(complex) for j in range(2))
+        model = DephasingModel(blocks, np.eye(64, dtype=complex) / 64)
+        times = np.random.default_rng(0).uniform(0.0, 10.0, 220)
+        with pytest.raises(SizeCapError):
+            markovianity_deficit(model, times, 2)
+
+    def test_walk_memory_within_cap(self, monkeypatch):
+        # a full-rank D = 8 environment over 40 times: 39 distinct durations, 780
+        # pairs and 9880 selections; with a budget of 2·10^4 entries (320 kB) per
+        # walk, the unchunked walk would hold ~45 MB and per-pair U_j 1.6 MB
+        model = random_exact_model(2, 8, seed=3)
+        times = [float(t) for t in range(40)]
+        whole = markovianity_deficit(model, times, 2)
+        monkeypatch.setattr(models, "TERM_CAP", 20_000)
+        tracemalloc.start()
+        try:
+            assert markovianity_deficit(model, times, 2) == whole
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 20_000 * 16
 
 
 class TestSemigroupDeficit:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from dephaser.errors import (
 from dephaser.linalg import random_density, random_unitary
 from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from dephaser.models import (
+    DephasingTable,
     ExactDephasingProvider,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
@@ -369,6 +372,27 @@ class TestNcgd:
     def test_time_order(self, markov_qubit_provider):
         with pytest.raises(TimeOrderError):
             ncgd_deficit(markov_qubit_provider, fourier_mub(2), 2.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "provider",
+        [ExactDephasingProvider(random_exact_model(3, 2, seed=8)), real_dephasing_provider(3, 0.7)],
+        ids=["exact-d3-D2", "analytic-d3"],
+    )
+    def test_table_equals_provider(self, provider):
+        times = [0.3, 1.1, 1.1, 2.4, 3.0]
+        table = DephasingTable(provider, times)
+        meas = fourier_mub(3)
+        for t1, t2, t3 in itertools.combinations(sorted(times), 3):
+            assert abs(ncgd_deficit(table, meas, t1, t2, t3) - ncgd_deficit(provider, meas, t1, t2, t3)) < 1e-15
+            assert abs(sandwich_identity_deficit(table, meas, t3, t1)
+                       - sandwich_identity_deficit(provider, meas, t3, t1)) < 1e-15
+        assert np.array_equal(reduced_map(table, 2.4, 0.3).matrix, reduced_map(provider, 2.4, 0.3).matrix)
+
+    def test_dimension_mismatch(self, zx_provider):
+        with pytest.raises(ShapeError):
+            ncgd_deficit(zx_provider, fourier_mub(3), 0.3, 1.1, 2.4)
+        with pytest.raises(ShapeError):
+            sandwich_identity_deficit(zx_provider, fourier_mub(3), 1.1, 0.3)
 
     def test_ncgd_bounded_by_composition_of_sandwiches(self, markov_qubit_provider):
         # consistency between the two diagnostics on a factorizing provider
