@@ -7,14 +7,17 @@ only interior positions 1..n-1 are tested.  Verdicts are always relative to a
 declared finite grid pool.
 
 :func:`classicality_report` walks the non-decreasing time tuples of the pool
-as a prefix trie on the block-propagation kernel of
-:func:`~dephaser.statistics.joint_distribution` (the same step, measurement
-map and readout), so each distinct grid is propagated once and every prefix
-is shared by all tuples that extend it.  The trie is walked one level at a
-time: all tuples of one order are a batch on a leading axis, advanced by one
-``step`` over an array of durations and one readout, and the deficits of
-one (order, position) are one array reduction.  A level too large for the
-memory budget runs in chunks, depth-first.  The kernel's products have a
+as a prefix trie on the propagation kernel of
+:func:`~dephaser.statistics.joint_distribution`: a tuple's state is its
+measured-basis branch states, one r×r grid of D×D environment blocks per
+outcome prefix, and a child tuple comes from its parent by one
+``provider.transfer`` (one interval and one measurement).  So each distinct
+grid is propagated once and every prefix is shared by all tuples that extend
+it.  The trie is walked one level at a time: all tuples of one order are a
+batch on a leading axis, advanced by one ``transfer`` over an array of
+durations, and the deficits of one (order, position) are one array
+reduction.  A level too large for the memory budget runs in chunks,
+depth-first.  The kernel's products have a
 fixed shape per batch row, so a tuple's table does not depend on the batch
 or chunk it is computed in; records agree with the per-tuple computation
 (:func:`joint_distribution` and :func:`kolmogorov_deficit` tuple by tuple)
@@ -38,9 +41,9 @@ from .statistics import (
     JointDistribution,
     SystemPreparation,
     TimeGrid,
-    _initial_state,
-    _measure,
-    _readout,
+    _probabilities,
+    _root,
+    _state_entries,
     joint_distribution,
 )
 
@@ -151,18 +154,19 @@ def classicality_report(
     the table of one tuple of order <= max_order.  Those tuples form a prefix
     trie, walked one level at a time: the order-n tuples, in
     ``combinations_with_replacement`` order, are one batch on a leading axis,
-    and level n+1 comes from level n by one measurement map, one gather of
-    each child's parent state, one ``provider.step`` over the array of
-    durations s_{n+1} - s_n, and one readout.  Each distinct grid is thus
-    propagated once.  The deficits of one (order, position) are one
-    reduction: the order-n tables summed over that outcome axis, minus the
-    coarse tables gathered by rank, max |·| per tuple.  Every table and every
-    marginal gets the checks of :class:`JointDistribution` (finite entries
-    >= ``NEG_FLOOR``, sum within ``NORM_TOL`` of 1).
+    and level n+1 comes from level n by one gather of each child's parent
+    branch states and one ``provider.transfer`` over the array of durations
+    s_{n+1} - s_n; a tuple's table is the trace of its branch states.  Each
+    distinct grid is thus propagated once.  The deficits of one (order,
+    position) are one reduction: the order-n tables summed over that outcome
+    axis, minus the coarse tables gathered by rank, max |·| per tuple.  Every
+    table and every marginal gets the checks of :class:`JointDistribution`
+    (finite entries >= ``NEG_FLOOR``, sum within ``NORM_TOL`` of 1).
 
-    The largest single-node state, m^(max_order-1)·d²·D² entries, and the
-    stored tables, Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are
-    both checked against ``TERM_CAP`` before any propagator is computed.
+    The largest single-node state, max(d², m^max_order·r²)·D² entries (r the
+    largest rank of the PVM), and the stored tables, Σ_n C(p+n-1, n)·m^n
+    entries for a pool of p times, are both checked against ``TERM_CAP``
+    before any propagator is computed.
     Each level in flight holds at most ``TERM_CAP // max_order`` state
     entries: a level that would hold more runs in chunks of children,
     depth-first, with a chunk of one node where a single node is larger.
@@ -175,11 +179,10 @@ def classicality_report(
     if pool[0] < t0:
         raise ValidationError(f"classicality_report: pool starts before t0 = {t0}")
 
-    root, pstack = _initial_state(provider, prep, measurement, "classicality_report")
-    m, p = len(pstack), len(pool)
-    # m^k with k >= TERM_CAP.bit_length() exceeds the cap for every m >= 2
-    # (and is 1 for m = 1), so the exponent is clipped there
-    entries = m ** min(max_order - 1, TERM_CAP.bit_length()) * root.size
+    root, identity = _root(provider, prep, measurement, "classicality_report")
+    bases = measurement.bases
+    m, p = len(bases), len(pool)
+    entries = _state_entries(provider, measurement, max_order)
     stored = 0
     for n in range(1, max_order + 1):
         stored += math.comb(p + n - 1, n) * m**n
@@ -187,7 +190,7 @@ def classicality_report(
             break
     if max(entries, stored) > TERM_CAP:
         raise SizeCapError(
-            f"classicality_report: largest state of {m}^{max_order - 1}·{root.size} entries or at least "
+            f"classicality_report: largest state of {entries} entries or at least "
             f"{stored} stored table entries exceed cap {TERM_CAP}"
         )
 
@@ -207,26 +210,27 @@ def classicality_report(
     tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
 
     # Depth-first over chunks with an explicit stack of (level, first row,
-    # end row, measured states of the parent block, its first row).  A
-    # level's chunk holds at most `budget` entries of its largest state (the
-    # measured one, or at the last level the stepped one).
+    # end row, branch states of the parent block, its first row).  A level-n
+    # row holds its states as (m^(n-1) prefixes, m last outcomes, ...), the
+    # root as the one branch of the identity basis.  A level's chunk holds at
+    # most `budget` entries of its largest state.
     budget = TERM_CAP // max_order
-    chunk = {n: max(1, budget // (m ** min(n, max_order - 1) * root.size)) for n in range(1, max_order + 1)}
-    stack = [(1, lo, min(lo + chunk[1], p), root[None], 0) for lo in reversed(range(0, p, chunk[1]))]
+    chunk = {n: max(1, budget // _state_entries(provider, measurement, n)) for n in range(1, max_order + 1)}
+    stack = [(1, lo, min(lo + chunk[1], p), root[None, None], 0) for lo in reversed(range(0, p, chunk[1]))]
     while stack:
         n, lo, hi, block, block_row = stack.pop()
         rows = tuples[n][lo:hi]
         start = times[rows[:, -2]] if n > 1 else t0
-        dt = (times[rows[:, -1]] - start).reshape((-1,) + (1,) * (n - 1))
-        state = provider.step(block[parent[n][lo:hi] - block_row], dt)
-        tables[n][lo:hi] = _readout(state, pstack).reshape(hi - lo, -1)
+        dt = (times[rows[:, -1]] - start)[:, None]
+        state = provider.transfer(block[parent[n][lo:hi] - block_row], dt, bases if n > 1 else identity, bases)
+        state = state.reshape((hi - lo, -1, m) + state.shape[-2:])
+        tables[n][lo:hi] = _probabilities(state).reshape(hi - lo, -1)
         if n < max_order:
-            state = _measure(state, pstack)
             c0, c1 = first[n][lo], first[n][hi]
             stack.extend(
                 (n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1]))
             )
-        del state  # free before the next chunk's step allocates
+        del state  # free before the next chunk's transfer allocates
 
     for n in range(1, max_order + 1):
         _check_tables(tables[n], tuples[n], pool, "table")

@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,6 +29,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_ANALYSIS = 4
+
+#: cap on the time triples of an NCGD run, C(K, 3) for K times, checked before
+#: any dephasing matrix is computed.  Each triple is four diagonal reduced maps
+#: and nine d²×d² products issued from Python: on one core of a 2-vCPU x86 VM a
+#: run does 11-15 thousand triples per second at d <= 3, 7000 at d = 5 and 1700
+#: at d = 8 (the products grow as d^6), so a run at the cap takes about 4 s at
+#: d <= 3 and 30 s at d = 8.
+NCGD_TRIPLE_CAP = 50_000
 
 
 def _fmt(x: float) -> str:
@@ -93,9 +102,10 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
 
 def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     a = cfg.analysis
-    deficit, detail = markovianity_deficit_detail(cfg.exact_model, cfg.grid.times, a["max_order"])
+    deficit, detail = markovianity_deficit_detail(cfg.provider, cfg.grid.times, a["max_order"])
     times = sorted(cfg.grid.times)
-    # every dephasing matrix of the semigroup and triviality checks, from one array-duration step
+    # every dephasing matrix of the semigroup and triviality checks, from one
+    # array-duration step that reuses the walk's eigendecompositions and unitaries
     table = DephasingTable(cfg.provider, times)
     semigroup = 0.0
     if len(times) >= 3:
@@ -113,6 +123,8 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     times = sorted(cfg.grid.times)
     if len(times) < 3:
         raise ValidationError("ncgd analysis needs at least 3 grid times")
+    if math.comb(len(times), 3) > NCGD_TRIPLE_CAP:
+        raise SizeCapError(f"ncgd: {math.comb(len(times), 3)} time triples exceed cap {NCGD_TRIPLE_CAP}")
     triples = list(itertools.combinations(times, 3))
     # every reduced map reads its dephasing matrix from one array-duration step
     table = DephasingTable(cfg.provider, times)
@@ -198,6 +210,8 @@ def cmd_run(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     try:
         payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
+    except np.linalg.LinAlgError as exc:
+        return _error_json(EXIT_ANALYSIS, exc)
     except SizeCapError as exc:
         return _error_json(EXIT_CAP, exc)
     except ValidationError as exc:

@@ -86,7 +86,6 @@ class ExperimentConfig:
     measurement: Optional[ProjectiveMeasurement]
     grid: TimeGrid
     analysis: dict
-    output_format: str
 
     @property
     def d(self) -> int:
@@ -199,11 +198,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     preparation = _section("preparation", _build_preparation, doc.get("preparation", {"kind": "maximally-mixed"}), d)
 
-    output = doc.get("output", {})
-    fmt = output.get("format", "json") if isinstance(output, dict) else "json"
-    _require(fmt in ("json", "csv"), f"output.format: expected 'json' or 'csv', got {fmt!r}")
-
-    return ExperimentConfig(provider, exact_model, preparation, measurement, grid, analysis, fmt)
+    return ExperimentConfig(provider, exact_model, preparation, measurement, grid, analysis)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -83,12 +83,10 @@ def hermitian_eigh(h: np.ndarray):
 
     ``h`` is not re-validated: callers pass a checked matrix (a block of a
     ``DephasingModel``, stored read-only, or the input of
-    :func:`hermitian_expm`, checked there).
+    :func:`hermitian_expm`, checked there).  A failed decomposition raises
+    ``np.linalg.LinAlgError`` (an analysis failure, not an invalid input).
     """
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise ValidationError(f"hermitian_eigh: eigendecomposition failed ({exc})") from exc
+    return np.linalg.eigh(h)
 
 
 def spectral_expm(w: np.ndarray, v: np.ndarray, tau) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Rank-one PVMs are stored as a matrix of orthonormal column vectors; general
 PVMs (needed only for the maximally-mixed-state analysis) as a list of
-orthogonal projectors summing to the identity.
+orthogonal projectors summing to the identity.  Either kind also gives the
+orthonormal basis of each outcome's range (:attr:`ProjectiveMeasurement.bases`),
+the form in which the propagation engine of :mod:`dephaser.statistics` reads it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class ProjectiveMeasurement:
                 if p.shape != (d, d):
                     raise ShapeError(f"ProjectiveMeasurement: projector {x} shape {p.shape} != ({d}, {d})")
             for x, p in enumerate(ps):
+                if np.max(np.abs(p - p.conj().T)) > PROJ_TOL:
+                    raise ValidationError(f"ProjectiveMeasurement: projector {x} is not Hermitian")
                 for y, q in enumerate(ps):
                     ref = p if x == y else np.zeros((d, d))
                     if np.max(np.abs(p @ q - ref)) > PROJ_TOL:
@@ -82,6 +86,26 @@ class ProjectiveMeasurement:
             v = self.vectors[:, x]
             return np.outer(v, v.conj())
         return self.projectors[x]
+
+    @functools.cached_property
+    def bases(self) -> np.ndarray:
+        """Orthonormal bases V_x of the outcomes' ranges, stacked as (m, d, r), so
+        that P_x = V_x V_x†; built on first use and read-only.
+
+        r is the largest rank, and a basis of smaller rank is padded with zero
+        columns: r = 1 for a rank-one PVM, whose V_x is its column x.
+        """
+        if self.is_rank_one:
+            bases = self.vectors.T[:, :, None].copy()
+        else:
+            # a projector's eigenvalues are 0 or 1 (within PROJ_TOL); its range
+            # is spanned by the eigenvectors of eigenvalue 1
+            ranges = [v[:, w > 0.5] for w, v in (np.linalg.eigh(p) for p in self.projectors)]
+            bases = np.zeros((len(ranges), self.d, max(v.shape[1] for v in ranges)), dtype=complex)
+            for x, v in enumerate(ranges):
+                bases[x, :, : v.shape[1]] = v
+        bases.flags.writeable = False
+        return bases
 
     @functools.cached_property
     def channel(self) -> Superoperator:

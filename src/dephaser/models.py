@@ -2,14 +2,25 @@
 
 A pure-dephasing interaction assigns one environment block Hamiltonian H_j to
 each vector of the system's dephasing basis (fixed here as the computational
-basis).  The system+environment state is then a d×d grid of D×D environment
-blocks, and each time interval acts on it block by block,
+basis).  Each time interval acts on a system+environment state S, a d×d grid
+of D×D environment blocks, block by block,
 
-    S[j, l] -> U_j(dt) S[j, l] U_l(dt)†
+    Λ_dt: S[j, l] -> U_j(dt) S[j, l] U_l(dt)†
 
-which a provider implements as ``step``; joint distributions are propagated
-with it.  The *dephasing tensor* picks one index pair per interval and traces
-the environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
+which a provider implements as ``step``; the dephasing matrices φ (the
+environment traces of Λ_dt applied to ρ_E) are read from it.  Between two
+sharp measurements the engine of :mod:`dephaser.statistics` holds a
+*measured-basis* state instead: after outcome x, with V_x an orthonormal basis
+of the range of P_x (d×r), all memory of the past sits in E_x = V_x† S V_x, an
+r×r grid of D×D blocks.  A provider's ``transfer`` maps E_x to
+E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y: for the exact
+provider one Kraus sandwich K E K† with K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt),
+for the analytic one (D = 1) E -> Σ_jl φ_jl(dt)·C_j E C_l† with
+C_j = (V_y† e_j)(e_j† V_x).  This is the process-tensor view of Milz & Modi,
+PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.
+
+The *dephasing tensor* picks one index pair per interval and traces the
+environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
 L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
 B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
 T = A·diag(s)·A† where row J of A is vec(L_J B).  The signs are kept, not
@@ -35,14 +46,17 @@ from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
-#: budget, in complex entries, for the largest state block propagation holds:
-#: m^(n-1)·d²·D² in ``joint_distribution``, d^(2n) + d^n·D·r in ``tensor_array``,
-#: d·D² per distinct pair duration in ``markovianity_deficit_detail``;
+#: budget, in complex entries, for the largest state propagation holds: in
+#: ``joint_distribution`` the m^n·r²·D² entries of the branch states after n
+#: measurements (m outcomes, r the largest rank of the PVM), or the d²·D² of
+#: ρ⊗ρ_E if larger; d^(2n) + d^n·D·r_E in ``tensor_array`` (r_E the rank of
+#: ρ_E); d·D² per distinct pair duration in ``markovianity_deficit_detail``;
 #: ``classicality_report`` checks its largest single-node state and its stored
 #: tables against it and gives each trie level in flight TERM_CAP // max_order.
-#: 10^7 complex128 entries are 160 MB, and a step holds the state, its
-#: half-projected copy and its result at once, so a run at the cap peaks near
-#: 0.5 GB: the most a desk-scale machine can give one analysis.
+#: 10^7 complex128 entries are 160 MB.  A ``transfer`` holds its input, the
+#: half product K·E and its result at once (the first interval's K·E has
+#: m·r·d·D² entries), so a run at the cap peaks near 0.5 GB: the most a
+#: desk-scale machine can give one analysis.
 TERM_CAP = 10_000_000
 
 #: budget of the Markovianity check in compared tensor entries, Σ_{n=2..N}
@@ -86,9 +100,10 @@ class IndexPairChain:
 class DephasingTensorProvider(ABC):
     """Interval map of a pure-dephasing system, and the dephasing tensor it yields.
 
-    States are arrays S[..., j, l, a, b]: any leading batch axes, then a d×d
-    grid of D×D environment blocks.  ``env`` is the initial D×D environment
-    state.
+    ``step`` acts on states S[..., j, l, a, b]: any leading batch axes, then a
+    d×d grid of D×D environment blocks.  ``transfer`` acts on measured-basis
+    branch states (see the module docstring).  ``env`` is the initial D×D
+    environment state.
 
     Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
     to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
@@ -109,6 +124,22 @@ class DephasingTensorProvider(ABC):
         then steps its part of the batch, bitwise as a scalar step of that
         part would.  Non-finite durations, and phases beyond the double
         range, raise ``ValidationError``.
+        """
+
+    @abstractmethod
+    def transfer(self, state: np.ndarray, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The branch states after one interval of length ``dt`` and one measurement.
+
+        ``source`` and ``target`` are stacks of outcome bases (m_s, d, r_s) and
+        (m_t, d, r_t), as :attr:`~dephaser.measurements.ProjectiveMeasurement.bases`.
+        ``state`` is (..., m_s, r_s·D, r_s·D): per outcome x of ``source``, the
+        r_s×r_s grid of D×D blocks E_x, stored as one matrix with rows (α, a).
+        The result is (..., m_s, m_t, r_t·D, r_t·D): E_xy = V_y† Λ_dt(V_x E_x
+        V_x†) V_y for every outcome y of ``target``.  ``dt`` is a scalar, or an
+        array that broadcasts against ``state.shape[:-3]``; every product has a
+        fixed shape per row, so a row's bits do not depend on its batch.
+        Non-finite durations, and phases beyond the double range, raise
+        ``ValidationError``.
         """
 
     @abstractmethod
@@ -181,6 +212,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self.env = model.env_state
         self._eig = None
         self._prop_cache: dict = {}
+        self._batch = None  # the last distinct durations exponentiated together, and their U_j
 
     def _eigh(self) -> tuple:
         """The spectral decompositions H_j = V_j diag(w_j) V_j† of all blocks,
@@ -200,16 +232,22 @@ class ExactDephasingProvider(DephasingTensorProvider):
         return pair
 
     def _unitaries_batch(self, dt: np.ndarray) -> tuple:
-        """The stacked U_j and U_j† for an array of durations, each of shape
-        dt.shape + (d, D, D).
+        """(U, inverse) for an array of durations: the stacked U_j of each
+        distinct duration, (k, d, D, D), and the index into them of each entry
+        of ``dt`` (shape dt.shape).
 
-        Every distinct duration is exponentiated once, all in one vectorised
-        product, with the same arithmetic per entry as :meth:`_unitaries`.
+        The distinct durations are exponentiated in one vectorised product,
+        with the same arithmetic per entry as :meth:`_unitaries`.  The last
+        such batch is kept, so a table and a walk over one grid (the
+        Markovianity run) exponentiate its durations once.
         """
         dt = np.asarray(dt, dtype=float)
         durations, inverse = np.unique(dt.ravel(), return_inverse=True)
-        u = spectral_expm(*self._eigh(), durations[:, None])[inverse.reshape(dt.shape)]
-        return u, u.conj().swapaxes(-1, -2)
+        if self._batch is None or not np.array_equal(self._batch[0], durations):
+            u = spectral_expm(*self._eigh(), durations[:, None])
+            u.flags.writeable = False  # shared by every caller of the batch
+            self._batch = durations, u
+        return self._batch[1], inverse.reshape(dt.shape)
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
@@ -223,7 +261,22 @@ class ExactDephasingProvider(DephasingTensorProvider):
         (d·D)×D matrix, times U_l†.  Every product has the same shape whatever
         the batch, so each row's arithmetic does not depend on it.
         """
-        return _conjugate(state, *(self._unitaries_batch(dt) if isinstance(dt, np.ndarray) else self._unitaries(dt)))
+        if not isinstance(dt, np.ndarray):
+            return _conjugate(state, *self._unitaries(dt))
+        u, inverse = self._unitaries_batch(dt)
+        u = u[inverse]
+        return _conjugate(state, u, u.conj().swapaxes(-1, -2))
+
+    def transfer(self, state, dt, source, target):
+        """E_x -> K_xy E_x K_xy† with K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt).
+
+        The K of an array of durations are built once per distinct duration
+        and gathered per row.
+        """
+        if not isinstance(dt, np.ndarray):
+            return _sandwich(state, _kraus(self._unitaries(dt)[0], source, target), len(target))
+        u, inverse = self._unitaries_batch(dt)
+        return _sandwich(state, _kraus(u, source, target)[inverse], len(target))
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -254,6 +307,28 @@ def _conjugate(state: np.ndarray, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
     cols = rows.reshape(lead + (d * big_d, d, big_d)).swapaxes(-3, -2)
     out = cols @ uh
     return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
+
+
+def _kraus(u: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The Kraus operators K[..., x, (y, γ, a), (α, b)] = Σ_j conj(V_y[j, γ])·V_x[j, α]·U_j[a, b]
+    from the stacked U_j (..., d, D, D), stacked over the target outcome y: one
+    (m_s·m_t·r_t·r_s)×d by d×D² product per leading row of ``u``."""
+    lead, (d, big_d, _) = u.shape[:-3], u.shape[-3:]
+    (ms, _, rs), (mt, _, rt) = source.shape, target.shape
+    coef = np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, d)
+    k = (coef @ u.reshape(lead + (d, big_d * big_d))).reshape(lead + (ms, mt, rt, rs, big_d, big_d))
+    return k.swapaxes(-3, -2).reshape(lead + (ms, mt * rt * big_d, rs * big_d))
+
+
+def _sandwich(state: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
+    """E_x -> K_xy E_x K_xy† for each of the m outcomes y stacked in ``k``.
+
+    One product per (row, x), the stacked K_x·E_x, then one per (row, x, y)
+    with K_xy†; each of a fixed shape whatever the batch.
+    """
+    half = k @ state
+    half = half.reshape(half.shape[:-2] + (m, -1, half.shape[-1]))
+    return half @ k.reshape(k.shape[:-2] + (m, -1, k.shape[-1])).conj().swapaxes(-1, -2)
 
 
 def _env_factor(env: np.ndarray) -> tuple:
@@ -346,6 +421,17 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
             dt = dt[..., None, None]
         return state * self.model.phi_matrix(dt)[..., None, None]
 
+    def transfer(self, state, dt, source, target):
+        """E_x -> V_y† (φ(dt) ∘ V_x E_x V_x†) V_y, which is Σ_jl φ_jl(dt)·C_j E_x C_l†
+        with C_j = (V_y† e_j)(e_j† V_x): the state lifted to the d×d grid, its
+        coherences scaled, and projected with the target bases stacked over y."""
+        if isinstance(dt, np.ndarray):
+            dt = dt[..., None, None, None]
+        (mt, d, rt) = target.shape
+        lifted = source @ state @ source.conj().swapaxes(-1, -2) * self.model.phi_matrix(dt)
+        half = target.conj().swapaxes(-1, -2).reshape(mt * rt, d) @ lifted
+        return half.reshape(half.shape[:-2] + (mt, rt, d)) @ target
+
     def tensor_pairs(self, pairs, durations) -> complex:
         out = 1.0 + 0.0j
         with np.errstate(over="ignore", invalid="ignore"):
@@ -421,11 +507,13 @@ def markovianity_deficit(model: DephasingModel, times: Sequence[float], max_orde
     over all index-pair chains on every increasing selection of 3 to
     ``max_order`` + 1 of the ``times``, exhaustively.
     """
-    return markovianity_deficit_detail(model, times, max_order)[0]
+    return markovianity_deficit_detail(ExactDephasingProvider(model), times, max_order)[0]
 
 
-def markovianity_deficit_detail(model: DephasingModel, times: Sequence[float], max_order: int):
-    """As :func:`markovianity_deficit`, also returning bookkeeping details.
+def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequence[float], max_order: int):
+    """As :func:`markovianity_deficit`, on a provider of the model, also
+    returning bookkeeping details: ``tuples`` compared entries and the
+    ``orders`` walked, 2..min(max_order, K - 1) for K times.
 
     Walks the selections (rows of indices into the sorted times) as a prefix
     trie, one level of n intervals at a time, depth-first in chunks of rows
@@ -433,8 +521,10 @@ def markovianity_deficit_detail(model: DephasingModel, times: Sequence[float], m
     row holds its strings L_J·B and the product F of its dephasing matrices; a
     child extends them by one U_j and one outer product with φ, and from n = 2
     on, each row's Gram product T gives max |T - F|.  The distinct pair
-    durations are exponentiated once, in one batched call, and their φ comes
-    from the ``step`` kernel on those U_j (as in :class:`DephasingTable`).
+    durations are exponentiated once, in one batched call of the provider
+    (whose eigendecompositions and last batch a :class:`DephasingTable` of
+    the same grid reuses), and their φ comes from the ``step`` kernel on
+    those U_j (bitwise as in the table).
     The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
     and the d·D² entries of U per distinct duration against ``TERM_CAP``,
     before any propagator is built.
@@ -442,17 +532,17 @@ def markovianity_deficit_detail(model: DephasingModel, times: Sequence[float], m
     if max_order < 2:
         raise ValidationError(f"markovianity_deficit: max_order must be >= 2, got {max_order}")
     times = np.sort(np.array([float(t) for t in times]))
-    k, d = len(times), model.d
+    k, d = len(times), provider.d
     tuples = 0
     for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed
         tuples += math.comb(k, n + 1) * d ** (2 * n)
         if tuples > MARKOV_WORK_CAP:
             raise SizeCapError(f"markovianity_deficit: over {MARKOV_WORK_CAP} compared entries for {k} times, d = {d}")
-    detail = {"exhaustive": True, "tuples": tuples, "orders": list(range(2, max_order + 1))}
+    detail = {"exhaustive": True, "tuples": tuples, "orders": list(range(2, min(max_order, k - 1) + 1))}
     if k < 3:
         return 0.0, detail
 
-    env = model.env_state
+    env = provider.env
     first, second = np.triu_indices(k, 1)
     durations, inverse = np.unique(times[second] - times[first], return_inverse=True)
     if len(durations) * d * env.size > TERM_CAP:
@@ -460,7 +550,7 @@ def markovianity_deficit_detail(model: DephasingModel, times: Sequence[float], m
     pair = np.zeros((k, k), dtype=np.intp)  # the distinct duration of each pair i < j
     pair[first, second] = inverse
     # U_j of each distinct duration, exponentiated once, and φ from the step kernel on them
-    u = spectral_expm(*ExactDephasingProvider(model)._eigh(), durations[:, None])
+    u = provider._unitaries_batch(durations)[0]
     chunk, phi = max(1, TERM_CAP // (d * d * env.size)), []
     for lo in range(0, len(u), chunk):
         part = u[lo : lo + chunk]

@@ -2,11 +2,14 @@
 
 Two independent routes are implemented:
 
-* :func:`joint_distribution` propagates the system+environment state as a d×d
-  grid of D×D environment blocks, with every outcome prefix batched on leading
-  axes (the primary route; works for any provider).  Each measurement is two
-  matrix products per batch row with the stacked projectors, and the readout
-  an environment trace and one product per row;
+* :func:`joint_distribution` propagates measured-basis branch states (the
+  primary route; works for any provider).  A sharp outcome x collapses the
+  system onto the range of P_x, so after it the state is E_x = V_x† S V_x, an
+  r×r grid of D×D environment blocks on an orthonormal basis V_x of that range
+  (r = 1 for a rank-one PVM).  Each interval plus the next measurement is one
+  ``provider.transfer``, E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y for every next
+  outcome y, with every outcome prefix batched on leading axes; the first
+  starts from ρ⊗ρ_E on the identity basis, and a probability is tr E;
 * :func:`oracle_distribution` simulates the global system-environment unitary
   directly and applies projections on the joint space, one outcome branch at
   a time (the brute-force cross-check; exact models only).
@@ -15,9 +18,10 @@ Outcome tuples (x_1, ..., x_n) are stored row-major with x_1 slowest, so CSV
 output order is stable across runs and platforms.
 
 Numerical contract: tables agree with :func:`oracle_distribution` to
-roundoff (the tests hold 1e-12).  Every matrix product of the kernels has a
-fixed shape per batch row, so a row's bits do not depend on the batch it is
-computed in, and reruns on one input and machine are bitwise identical.
+roundoff (the tests hold 1e-12).  Every matrix product of the ``transfer``
+kernels has a fixed shape per batch row, so a row's bits do not depend on the
+batch it is computed in, and reruns on one input and machine are bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -167,48 +171,35 @@ def _build_global_hamiltonian(model: DephasingModel) -> np.ndarray:
     return h
 
 
-def _initial_state(
-    provider: DephasingTensorProvider, prep: SystemPreparation, measurement: ProjectiveMeasurement, caller: str
-):
-    """The state rho[j, l]·env before the first interval, and the projector stack P[x, row, col]."""
+def _root(provider: DephasingTensorProvider, prep: SystemPreparation, measurement: ProjectiveMeasurement, caller: str):
+    """The state ρ⊗ρ_E before the first interval, as the one branch (1, d·D, d·D)
+    of the identity basis (1, d, d), and that basis."""
     d = provider.d
     if prep.d != d or measurement.d != d:
         raise ShapeError(
             f"{caller}: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})"
         )
-    pstack = np.stack([measurement.projector(x) for x in range(measurement.n_outcomes)])
-    return prep.density[:, :, None, None] * provider.env, pstack
+    env = provider.env
+    root = (prep.density[:, None, :, None] * env[None, :, None, :]).reshape(1, d * len(env), d * len(env))
+    return root, np.eye(d, dtype=complex)[None]
 
 
-def _measure(state: np.ndarray, pstack: np.ndarray) -> np.ndarray:
-    """S -> P_x S P_x, with the outcome x on a new axis just before (j, l, a, b).
+def _probabilities(state: np.ndarray) -> np.ndarray:
+    """tr E of every branch state (..., n, n), real part.
 
-    Two matrix products per batch row, each of a fixed shape whatever the
-    batch, so a row's bits do not depend on the rows around it: the stacked
-    P_x^T, an (m·d)×d matrix, times the row's l axis, then per outcome P_x
-    times the j axis.  m·d³·D² operations and no matrix larger than the stack.
+    The trace as an entrywise sum of the n diagonal slices: for small states
+    far cheaper than numpy's trace, a reduction that pays per output entry.
     """
-    m, d, big_d = len(pstack), state.shape[-4], state.shape[-2]
-    # right[n, (x, k), (j, a, b)] = Σ_l P_x[l, k] S[n, j, l, a, b] = (S P_x)[j, k]; a
-    # state fresh from an exact step already has l leading, so this makes no copy
-    rows = state.swapaxes(-4, -3).reshape(-1, d, d * big_d * big_d)
-    right = pstack.swapaxes(1, 2).reshape(m * d, d) @ rows
-    # out[n, x, i, (k, a, b)] = Σ_j P_x[i, j] (S P_x)[j, k]
-    right = right.reshape(-1, m, d, d, big_d * big_d).swapaxes(-3, -2).reshape(-1, m, d, d * big_d * big_d)
-    return (pstack @ right).reshape(state.shape[:-4] + (m, d, d, big_d, big_d))
+    return sum((state[..., a, a] for a in range(1, state.shape[-1])), state[..., 0, 0]).real
 
 
-def _readout(state: np.ndarray, pstack: np.ndarray) -> np.ndarray:
-    """table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l] (real part).
-
-    The environment trace as an entrywise sum of the D diagonal slices (for
-    small D far cheaper than numpy's trace, a reduction that pays per output
-    entry), then one (1×d²)@(d²×m) product per batch row.
-    """
-    m, d = len(pstack), state.shape[-4]
-    traced = sum((state[..., a, a] for a in range(1, state.shape[-1])), state[..., 0, 0])
-    table = traced.reshape(-1, 1, d * d) @ pstack.transpose(2, 1, 0).reshape(d * d, m)
-    return table.real.reshape(state.shape[:-4] + (m,))
+def _state_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> int:
+    """Entries of the largest state of an n-time propagation: ρ⊗ρ_E, or the
+    m^n·r²·D² of the branch states after the last measurement.  m^k with
+    k >= TERM_CAP.bit_length() exceeds the cap for every m >= 2 (and is 1 for
+    m = 1), so the exponent is clipped there."""
+    m, _, r = measurement.bases.shape
+    return max(provider.d**2, m ** min(n, TERM_CAP.bit_length()) * r * r) * provider.env.size
 
 
 def joint_distribution(
@@ -218,25 +209,25 @@ def joint_distribution(
     grid: TimeGrid,
     term_cap: int = TERM_CAP,
 ) -> JointDistribution:
-    """n-time statistics by block propagation of the system+environment state.
+    """n-time statistics by propagation of measured-basis branch states.
 
-    The state S[x_1, ..., x_k, j, l, a, b] holds every outcome prefix on its
-    leading axes and a d×d grid of D×D environment blocks; it starts as
-    rho[j, l]·env.  Each interval applies ``provider.step``, each interior
-    measurement maps S -> P_x S P_x onto a new outcome axis, and the last
-    interval ends in table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l].
-    ``term_cap`` bounds the entries of the largest state, m^(n-1)·d²·D².
+    The state E[x_1, ..., x_k, (α, a), (β, b)] holds every outcome prefix on
+    its leading axes and, per prefix, the r×r grid of D×D blocks on the basis
+    of its last outcome; it starts as ρ⊗ρ_E on the identity basis.  Each
+    interval and the measurement that ends it are one ``provider.transfer``
+    onto a new outcome axis, and the table is tr E of the last states.
+    ``term_cap`` bounds the entries of the largest state, max(d², m^n·r²)·D².
     """
-    state, pstack = _initial_state(provider, prep, measurement, "joint_distribution")
-    m = len(pstack)
-    entries = m ** (grid.n - 1) * state.size
+    root, identity = _root(provider, prep, measurement, "joint_distribution")
+    bases = measurement.bases
+    entries = _state_entries(provider, measurement, grid.n)
     if entries > term_cap:
         raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
 
-    for dt in grid.durations[:-1]:
-        state = _measure(provider.step(state, dt), pstack)
-    table = _readout(provider.step(state, grid.durations[-1]), pstack)
-    return JointDistribution(m, grid, table.reshape(-1))
+    state = provider.transfer(root, grid.durations[0], identity, bases)[0]
+    for dt in grid.durations[1:]:
+        state = provider.transfer(state, dt, bases, bases)
+    return JointDistribution(len(bases), grid, _probabilities(state).reshape(-1))
 
 
 def oracle_distribution(
@@ -247,7 +238,7 @@ def oracle_distribution(
 ) -> JointDistribution:
     """Brute-force statistics from the global unitary on the joint space.
 
-    Independent of the block propagation; used to cross-check
+    Independent of the branch-state propagation; used to cross-check
     :func:`joint_distribution` for exact models.
     """
     d, big_d = model.d, model.env_dim

@@ -213,11 +213,11 @@ class TestReportMatchesPerTupleReference:
 
     @pytest.mark.parametrize(
         "pool, max_order",
-        [((1.0,), 21), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        [((1.0,), 22), (tuple(0.1 * k for k in range(1, 31)), 6)],
         ids=["largest-state", "stored-tables"],
     )
     def test_cap_checked_before_any_propagator(self, zx_provider, pool, max_order):
-        # a pool of 1 time at order 21: one state of 2^20·d²·D² = 2^24 entries;
+        # a pool of 1 time at order 22: branch states of 2^22·r²·D² = 2^24 entries;
         # 30 times at order 6: C(35, 6)·2^6 ~ 10^8 stored table entries
         with pytest.raises(SizeCapError):
             classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
@@ -234,8 +234,8 @@ class TestReportChecks:
     @pytest.mark.parametrize("factor", [1.0 + 1e-6, float("nan")], ids=["unnormalised", "nan"])
     def test_bad_tables_rejected(self, zx_model, factor):
         class ScalingProvider(ExactDephasingProvider):
-            def step(self, state, dt):
-                return factor * super().step(state, dt)
+            def transfer(self, state, dt, source, target):
+                return factor * super().transfer(state, dt, source, target)
 
         with pytest.raises(ValidationError):
             classicality_report(
@@ -244,7 +244,7 @@ class TestReportChecks:
 
     @pytest.mark.parametrize(
         "pool, max_order",
-        [((1.0,), 21), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        [((1.0,), 22), (tuple(0.1 * k for k in range(1, 31)), 6)],
         ids=["largest-state", "stored-tables"],
     )
     def test_cap_checked_before_any_eigendecomposition(self, zx_provider, pool, max_order):
@@ -257,14 +257,14 @@ class TestReportChecks:
         steps = []
 
         class CountingProvider(ExactDephasingProvider):
-            def step(self, state, dt):
+            def transfer(self, state, dt, source, target):
                 steps.append(np.shape(dt))
-                return super().step(state, dt)
+                return super().transfer(state, dt, source, target)
 
         prep, meas, pool = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2), (0.3, 0.9, 1.4, 2.2)
         whole = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
         assert len(steps) == 4
-        # largest state 2^3·16 = 128 entries, stored tables 768: both fit, but
+        # largest state 2^4·r²·D² = 64 entries, stored tables 768: both fit, but
         # each level in flight may hold only 800 // 4 = 200 state entries
         monkeypatch.setattr(classicality, "TERM_CAP", 800)
         steps.clear()

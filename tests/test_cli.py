@@ -316,22 +316,29 @@ class TestRunCommand:
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_markovianity_exponentiates_each_duration_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = models.spectral_expm
+        calls, spectra = [], []
+        real, real_eigh = models.spectral_expm, models.hermitian_eigh
 
         def counting(w, v, tau):
             calls.append(np.asarray(tau).ravel().copy())
             return real(w, v, tau)
 
+        def counting_eigh(h):
+            spectra.append(h)
+            return real_eigh(h)
+
         monkeypatch.setattr(models, "spectral_expm", counting)
+        monkeypatch.setattr(models, "hermitian_eigh", counting_eigh)
         config = os.path.join(ROOT, "configs", "markovianity_scalar_phases.json")
         assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
         # the factorization walk and the table of the semigroup and triviality
-        # checks: one batched exponentiation each, over the distinct durations
+        # checks share one batched exponentiation over the distinct durations
+        # and one eigendecomposition per block
         times = [0.3, 0.8, 1.4, 2.1, 2.9]
         durations = sorted({t2 - t1 for t1, t2 in itertools.combinations(times, 2)})
-        assert len(calls) == 2
-        assert all(sorted(c) == durations for c in calls)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == durations
+        assert len(spectra) == get_preset("scalar-phases").d
         # against the per-selection reference (scalar phases factorize)
         provider = ExactDephasingProvider(get_preset("scalar-phases"))
         reference = 0.0
@@ -363,6 +370,45 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         assert time.perf_counter() - start < 2.0
         assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+
+    def test_ncgd_triple_cap_checked_before_any_propagator(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        # 100 times: C(100, 3) = 161700 triples, over NCGD_TRIPLE_CAP
+        doc = classicality_config(grid={"t0": 0.0, "times": [0.05 * (k + 1) for k in range(100)]}, analysis={"kind": "ncgd"})
+        path = write_config(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "SizeCapError"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_linalg_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = write_config(tmp_path, classicality_config())
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "LinAlgError", "message": "Eigenvalues did not converge"}
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_markovianity_reports_only_the_orders_walked(self, tmp_path):
+        # 5 times allow selections of at most 5 times, orders 2..4, whatever max_order
+        with open(os.path.join(ROOT, "configs", "markovianity_scalar_phases.json")) as fh:
+            doc = json.load(fh)
+        doc["analysis"]["max_order"] = 1_000_000
+        path = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = tmp_path / "o" / "report.json"
+        assert report.stat().st_size < 1000
+        assert json.loads(report.read_text())["orders"] == [2, 3, 4]
 
     def test_negative_tolerance_exits_2(self, tmp_path, capsys):
         analysis = {"kind": "classicality", "max_order": 3, "tolerance": -1}

@@ -76,6 +76,37 @@ class TestProjectiveMeasurement:
         assert np.max(np.abs(m.projector(0) + m.projector(1) - np.eye(2))) < 1e-12
 
 
+class TestOutcomeBases:
+    """``bases`` spans each outcome's range: P_x = V_x V_x†, zero-padded to the largest rank."""
+
+    def test_rank_one_columns(self):
+        meas = fourier_mub(3)
+        assert meas.bases.shape == (3, 3, 1)
+        for x in range(3):
+            assert np.array_equal(meas.bases[x, :, 0], meas.vectors[:, x])
+
+    def test_general_ranks_padded(self):
+        from dephaser.linalg import random_unitary
+
+        u = random_unitary(4, 5)
+        parts = np.split(u, [1, 3], axis=1)  # ranks 1, 2 and 1
+        meas = ProjectiveMeasurement(projectors=[v @ v.conj().T for v in parts] + [np.zeros((4, 4))])
+        bases = meas.bases
+        assert bases.shape == (4, 4, 2)
+        for x, v in enumerate(parts + [np.zeros((4, 0))]):
+            assert np.max(np.abs(bases[x] @ bases[x].conj().T - meas.projector(x))) < 1e-14
+            assert not bases[x, :, v.shape[1] :].any()
+            assert np.max(np.abs(bases[x].conj().T @ bases[x] - np.diag([1.0] * v.shape[1] + [0.0] * (2 - v.shape[1])))) < 1e-14
+        with pytest.raises(ValueError):
+            bases[0, 0, 0] = 1.0
+
+    def test_rejects_oblique_projectors(self):
+        # idempotent, orthogonal to each other and summing to 1, but not Hermitian
+        p = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError):
+            ProjectiveMeasurement(projectors=[p, np.eye(2) - p])
+
+
 class TestFourierMub:
     @given(d=dims)
     @settings(max_examples=20, deadline=None)

@@ -496,8 +496,8 @@ class TestMarkovianityDeficit:
         # times on a coarse lattice, so repeats (zero durations) occur
         model = random_exact_model(d, big_d, seed)
         times = [0.25 * t for t in raw]
-        deficit, detail = models.markovianity_deficit_detail(model, times, max_order)
         provider = ExactDephasingProvider(model)
+        deficit, detail = models.markovianity_deficit_detail(provider, times, max_order)
         index_pairs = list(itertools.product(range(d), repeat=2))
         reference, tuples = 0.0, 0
         for n in range(2, max_order + 1):
@@ -509,7 +509,9 @@ class TestMarkovianityDeficit:
                     reference = max(reference, abs(provider.tensor_pairs(pairs, durations) - factored))
                     tuples += 1
         assert abs(deficit - reference) < 1e-12
-        assert detail == {"exhaustive": True, "tuples": tuples, "orders": list(range(2, max_order + 1))}
+        # the orders walked: selections of n + 1 times need n + 1 <= K
+        orders = list(range(2, min(max_order, len(times) - 1) + 1))
+        assert detail == {"exhaustive": True, "tuples": tuples, "orders": orders}
 
     @pytest.mark.parametrize(
         "model, times, max_order",
@@ -558,7 +560,8 @@ class TestMarkovianityDeficit:
             with pytest.raises(SizeCapError):
                 markovianity_deficit(zx_model, [0.0, 0.5, 1.0, 1.5], 3)
         monkeypatch.setattr(models, "MARKOV_WORK_CAP", 128)
-        assert models.markovianity_deficit_detail(zx_model, [0.0, 0.5, 1.0, 1.5], 3)[1]["tuples"] == 128
+        provider = ExactDephasingProvider(zx_model)
+        assert models.markovianity_deficit_detail(provider, [0.0, 0.5, 1.0, 1.5], 3)[1]["tuples"] == 128
 
     def test_unitaries_of_many_durations_capped_before_any_propagator(self, monkeypatch):
         def forbidden(*args):

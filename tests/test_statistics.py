@@ -14,6 +14,7 @@ from dephaser.errors import (
 from dephaser.linalg import random_density, random_unitary
 from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from dephaser.models import (
+    DephasingModel,
     DephasingTable,
     ExactDephasingProvider,
     MarkovianAnalyticModel,
@@ -24,9 +25,8 @@ from dephaser.statistics import (
     JointDistribution,
     SystemPreparation,
     TimeGrid,
-    _initial_state,
-    _measure,
-    _readout,
+    _probabilities,
+    _root,
     conditional_probability,
     joint_distribution,
     ncgd_deficit,
@@ -116,7 +116,7 @@ class TestJointDistribution:
 
 
 class TestJointVsOracle:
-    """Block propagation (joint_distribution) against the global-unitary oracle."""
+    """Branch-state propagation (joint_distribution) against the global-unitary oracle."""
 
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -194,64 +194,96 @@ class TestJointVsOracle:
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
 
-def reference_measure(state, pstack):
-    """S -> P_x S P_x onto a new outcome axis, as two einsum half products."""
-    half = np.einsum("xij,...jlab->...xilab", pstack, state)
-    return np.einsum("...xilab,xlk->...xikab", half, pstack)
+def reference_transfer(provider, state, dt, source, target):
+    """E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y by einsum, with Λ_dt the provider's ``step``."""
+    (ms, d, rs), (mt, _, rt), big_d = source.shape, target.shape, provider.env.shape[0]
+    blocks = state.reshape(state.shape[:-2] + (rs, big_d, rs, big_d))
+    lifted = np.einsum("xja,...xacbe,xlb->...xjlce", source, blocks, source.conj())
+    if isinstance(dt, np.ndarray):
+        dt = dt[..., None]
+    stepped = provider.step(lifted, dt)
+    out = np.einsum("yjg,...xjlce,yld->...xygcde", target.conj(), stepped, target)
+    return out.reshape(out.shape[:-4] + (rt * big_d, rt * big_d))
 
 
-def reference_readout(state, pstack):
-    """table[..., x] = Σ_jl P_x[l, j] tr_env S[..., j, l], with np.trace."""
-    return np.real(np.einsum("...jl,xlj->...x", np.trace(state, axis1=-2, axis2=-1), pstack))
-
-
+ANALYTIC_D3 = MarkovianAnalyticProvider(
+    MarkovianAnalyticModel(
+        np.array([[0.0, 0.8, -0.3], [-0.8, 0.0, 1.1], [0.3, -1.1, 0.0]]),
+        np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.9], [0.2, 0.9, 0.0]]),
+    )
+)
 KERNEL_CASES = pytest.mark.parametrize(
-    "d, big_d, meas",
+    "provider, meas",
     [
-        (2, 2, qubit_basis(0.3, 1.1)),
-        (3, 4, fourier_mub(3)),
-        (3, 3, fourier_mub(3)),
-        (3, 1, ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))),
-        (4, 3, ProjectiveMeasurement(vectors=random_unitary(4, 9))),
-        (2, 12, fourier_mub(2)),
+        (ExactDephasingProvider(random_exact_model(2, 2, seed=4)), qubit_basis(0.3, 1.1)),
+        (ExactDephasingProvider(random_exact_model(3, 4, seed=7)), fourier_mub(3)),
+        (ExactDephasingProvider(random_exact_model(3, 3, seed=6)), fourier_mub(3)),
+        (
+            ExactDephasingProvider(random_exact_model(3, 1, seed=4)),
+            ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]))),
+        ),
+        (ExactDephasingProvider(random_exact_model(4, 3, seed=7)), ProjectiveMeasurement(vectors=random_unitary(4, 9))),
+        (ExactDephasingProvider(random_exact_model(2, 12, seed=14)), fourier_mub(2)),
+        (
+            ExactDephasingProvider(random_exact_model(4, 2, seed=3)),
+            ProjectiveMeasurement(projectors=[u @ u.conj().T for u in np.split(random_unitary(4, 5), [1, 3], axis=1)]),
+        ),
+        (ANALYTIC_D3, fourier_mub(3)),
+        (ANALYTIC_D3, ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))),
     ],
-    ids=["qubit-D2", "mub-d3-D4", "mub-d3-D3", "rank-two-d3-D1", "random-d4-D3", "qubit-D12"],
+    ids=[
+        "qubit-D2", "mub-d3-D4", "mub-d3-D3", "rank-two-d3-D1", "random-d4-D3", "qubit-D12",
+        "ranks-1-2-1-d4-D2", "analytic-mub-d3", "analytic-rank-two-d3",
+    ],
 )
 
 
+def random_branches(rng, shape):
+    """Random complex branch states: the kernels are linear, so they need not be Hermitian."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestEngineKernels:
-    """_measure and _readout against einsum references, and per batch row."""
+    """``transfer`` against an einsum reference built from ``step``, and per batch row."""
 
     @KERNEL_CASES
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-batch", "batch-3", "batch-2x3"])
-    def test_against_einsum(self, d, big_d, meas, lead):
-        provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=d + big_d))
-        _, pstack = _initial_state(provider, SystemPreparation.maximally_mixed(d), meas, "test")
+    def test_against_einsum(self, provider, meas, lead):
+        bases, big_d = meas.bases, provider.env.shape[0]
+        identity = np.eye(provider.d, dtype=complex)[None]
         rng = np.random.default_rng(len(lead))
-        shape = lead + (d, d, big_d, big_d)
-        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # a contiguous state, and the strided view a step returns
-        for s in (state, provider.step(state, 0.7)):
-            measured = _measure(s, pstack)
-            assert measured.shape == lead + (meas.n_outcomes, d, d, big_d, big_d)
-            assert np.max(np.abs(measured - reference_measure(s, pstack))) < 1e-13
-            table = _readout(s, pstack)
-            assert table.shape == lead + (meas.n_outcomes,)
-            assert np.max(np.abs(table - reference_readout(s, pstack))) < 1e-13
+        for source in (identity, bases):
+            n = source.shape[-1] * big_d
+            state = random_branches(rng, lead + (len(source), n, n))
+            out = provider.transfer(state, 0.7, source, bases)
+            assert out.shape == lead + (len(source), len(bases)) + (bases.shape[-1] * big_d,) * 2
+            assert np.max(np.abs(out - reference_transfer(provider, state, 0.7, source, bases))) < 1e-13
+            # one duration per leading row
+            dt = np.linspace(0.0, 2.0, lead[0]).reshape(lead[:1] + (1,) * (len(lead) - 1)) if lead else 0.3
+            out = provider.transfer(state, np.asarray(dt), source, bases)
+            assert np.max(np.abs(out - reference_transfer(provider, state, np.asarray(dt), source, bases))) < 1e-13
 
     @KERNEL_CASES
-    def test_rows_do_not_depend_on_the_batch(self, d, big_d, meas):
+    def test_rows_do_not_depend_on_the_batch(self, provider, meas):
         # every product has a fixed shape per row: a row alone gives the same bits
-        provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=d + big_d))
-        _, pstack = _initial_state(provider, SystemPreparation.maximally_mixed(d), meas, "test")
-        rng = np.random.default_rng(17)
-        shape = (7, d, d, big_d, big_d)
-        state = provider.step(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.7)
-        measured, table = _measure(state, pstack), _readout(state, pstack)
+        bases, big_d = meas.bases, provider.env.shape[0]
+        n = bases.shape[-1] * big_d
+        state = random_branches(np.random.default_rng(17), (7, 2, len(bases), n, n))
+        dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9, 1.3, 0.4])
+        batched = provider.transfer(state, dt[:, None], bases, bases)
         for r in range(len(state)):
-            assert np.array_equal(measured[r], _measure(state[r], pstack))
-            assert np.array_equal(table[r], _readout(state[r], pstack))
-            assert np.array_equal(measured[r : r + 3], _measure(state[r : r + 3], pstack))
+            assert np.array_equal(batched[r], provider.transfer(state[r], float(dt[r]), bases, bases))
+            assert np.array_equal(batched[r : r + 3], provider.transfer(state[r : r + 3], dt[r : r + 3, None], bases, bases))
+
+    def test_probabilities_are_traces(self):
+        state = random_branches(np.random.default_rng(5), (4, 3, 6, 6))
+        assert np.max(np.abs(_probabilities(state) - np.trace(state, axis1=-2, axis2=-1).real)) < 1e-14
+
+    def test_root_is_rho_times_env(self, zx_provider):
+        prep = SystemPreparation(random_density(2, 3))
+        root, identity = _root(zx_provider, prep, fourier_mub(2), "test")
+        assert np.array_equal(root[0], np.kron(prep.density, zx_provider.env))
+        assert np.array_equal(identity[0], np.eye(2))
 
 
 class TestKnownValues:
@@ -292,6 +324,24 @@ class TestKnownValues:
         assert np.max(np.abs(a.table - b.table)) < 1e-12
 
 
+    def test_analytic_general_pvm_matches_oracle(self):
+        # scalar blocks h_j are the analytic model eps[j, l] = h_j - h_l, gamma = 0,
+        # so the oracle of the exact model checks the analytic provider's transfer
+        h = np.array([0.0, 0.9, -0.4])
+        exact = DephasingModel(tuple(np.array([[x]], dtype=complex) for x in h), np.ones((1, 1), dtype=complex))
+        analytic = MarkovianAnalyticProvider(MarkovianAnalyticModel(h[:, None] - h[None, :], np.zeros((3, 3))))
+        u = random_unitary(3, 21)
+        for meas in (
+            ProjectiveMeasurement(vectors=u),
+            ProjectiveMeasurement(projectors=[u[:, :1] @ u[:, :1].conj().T, u[:, 1:] @ u[:, 1:].conj().T]),
+        ):
+            prep = SystemPreparation(random_density(3, 22))
+            grid = TimeGrid(0.1, (0.5, 1.3, 1.3, 2.2))
+            fast = joint_distribution(analytic, prep, meas, grid)
+            slow = oracle_distribution(exact, prep, meas, grid)
+            assert np.max(np.abs(fast.table - slow.table)) < 1e-12
+
+
 class TestCaps:
     def test_term_cap(self, zx_provider):
         prep = SystemPreparation.maximally_mixed(2)
@@ -300,9 +350,9 @@ class TestCaps:
             joint_distribution(zx_provider, prep, fourier_mub(2), grid, term_cap=100)
 
     def test_cap_checked_before_any_propagator(self, zx_provider):
-        # the state before the last interval holds 2^20 prefixes x d^2 D^2 = 16 entries
+        # the last branch states hold 2^22 outcome tuples x r^2 D^2 = 4 entries
         prep = SystemPreparation.maximally_mixed(2)
-        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 22)))
+        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 23)))
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid)
         assert zx_provider._prop_cache == {}
