@@ -105,7 +105,7 @@ def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     deficit, detail = markovianity_deficit_detail(cfg.provider, cfg.grid.times, a["max_order"])
     times = sorted(cfg.grid.times)
     # every dephasing matrix of the semigroup and triviality checks, from one
-    # array-duration step that reuses the walk's eigendecompositions and unitaries
+    # array-duration step that reuses the walk's eigendecomposition and unitaries
     table = DephasingTable(cfg.provider, times)
     semigroup = 0.0
     if len(times) >= 3:

@@ -81,8 +81,10 @@ def check_unitary(m, name: str = "unitary", tol: float = UNITARY_TOL) -> np.ndar
 def hermitian_eigh(h: np.ndarray):
     """Spectral decomposition (w, V) of a Hermitian matrix, H = V diag(w) V†.
 
-    ``h`` is not re-validated: callers pass a checked matrix (a block of a
-    ``DephasingModel``, stored read-only, or the input of
+    ``h`` may be a stack (..., n, n): then ``w`` is (..., n) and ``V``
+    (..., n, n), each matrix decomposed as it would be alone.  ``h`` is not
+    re-validated: callers pass a checked matrix (the stacked blocks of
+    a ``DephasingModel``, stored read-only, or the input of
     :func:`hermitian_expm`, checked there).  A failed decomposition raises
     ``np.linalg.LinAlgError`` (an analysis failure, not an invalid input).
     """

@@ -17,7 +17,11 @@ E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y: for the exact
 provider one Kraus sandwich K E K† with K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt),
 for the analytic one (D = 1) E -> Σ_jl φ_jl(dt)·C_j E C_l† with
 C_j = (V_y† e_j)(e_j† V_x).  This is the process-tensor view of Milz & Modi,
-PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.
+PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.  ``transfer``
+is ``apply`` of ``kernels``: ``kernels`` builds the interval operators (the
+Kraus stacks K, or φ) of a whole array of durations at once, so a grid's
+propagators cost one exponentiation; ``apply`` maps states with them.  The
+exact provider diagonalises its stacked blocks once, in one call.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -69,6 +73,13 @@ TERM_CAP = 10_000_000
 #: under the cap can take minutes.
 MARKOV_WORK_CAP = 100_000_000
 
+#: durations whose U_j an ``ExactDephasingProvider`` keeps for its scalar
+#: readers (``step``, ``propagator``, ``tensor_pairs``), oldest dropped first.
+#: Their reuse spans one chain or one sweep, a handful of durations, while a
+#: long-lived provider fed ever new durations would otherwise grow by
+#: 2·d·D² entries per duration.
+PROP_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class IndexPairChain:
@@ -102,8 +113,8 @@ class DephasingTensorProvider(ABC):
 
     ``step`` acts on states S[..., j, l, a, b]: any leading batch axes, then a
     d×d grid of D×D environment blocks.  ``transfer`` acts on measured-basis
-    branch states (see the module docstring).  ``env`` is the initial D×D
-    environment state.
+    branch states (see the module docstring), as ``apply`` of ``kernels``.
+    ``env`` is the initial D×D environment state.
 
     Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
     to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
@@ -127,6 +138,23 @@ class DephasingTensorProvider(ABC):
         """
 
     @abstractmethod
+    def kernels(self, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The interval operators of :meth:`apply`, one per entry of ``dt``.
+
+        ``dt`` is a scalar or an array of durations; the result has its shape
+        on the leading axes, and each entry is bitwise the kernel of that
+        duration alone.  ``source`` and ``target`` are the outcome bases of
+        :meth:`transfer`.  Non-finite durations, and phases beyond the double
+        range, raise ``ValidationError``.
+        """
+
+    @abstractmethod
+    def apply(self, state: np.ndarray, kernels: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The branch states of :meth:`transfer`, from ``kernels`` built by
+        :meth:`kernels` for the same ``source`` and ``target``: one kernel, or
+        one per leading row of ``state`` (broadcasting against
+        ``state.shape[:-3]``)."""
+
     def transfer(self, state: np.ndarray, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
         """The branch states after one interval of length ``dt`` and one measurement.
 
@@ -141,6 +169,7 @@ class DephasingTensorProvider(ABC):
         Non-finite durations, and phases beyond the double range, raise
         ``ValidationError``.
         """
+        return self.apply(state, self.kernels(dt, source, target), source, target)
 
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
@@ -216,18 +245,21 @@ class ExactDephasingProvider(DephasingTensorProvider):
 
     def _eigh(self) -> tuple:
         """The spectral decompositions H_j = V_j diag(w_j) V_j† of all blocks,
-        stacked on a leading block axis; computed once per provider."""
+        (d, D) and (d, D, D): one eigendecomposition of the stacked blocks,
+        computed once per provider."""
         if self._eig is None:
-            self._eig = tuple(np.stack(a) for a in zip(*(hermitian_eigh(b) for b in self.model.blocks)))
+            self._eig = hermitian_eigh(np.stack(self.model.blocks))
         return self._eig
 
     def _unitaries(self, dt: float) -> tuple:
         """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a
         leading axis in one vectorised product, and their adjoints; cached
-        per duration."""
+        per duration, keeping the last ``PROP_CACHE_SIZE`` durations."""
         pair = self._prop_cache.get(dt)
         if pair is None:
             u = spectral_expm(*self._eigh(), dt)
+            if len(self._prop_cache) >= PROP_CACHE_SIZE:
+                del self._prop_cache[next(iter(self._prop_cache))]
             pair = self._prop_cache[dt] = u, u.conj().swapaxes(-1, -2)
         return pair
 
@@ -242,12 +274,18 @@ class ExactDephasingProvider(DephasingTensorProvider):
         Markovianity run) exponentiate its durations once.
         """
         dt = np.asarray(dt, dtype=float)
-        durations, inverse = np.unique(dt.ravel(), return_inverse=True)
+        # the sorted distinct durations and each entry's index into them, as
+        # np.unique(..., return_inverse=True) gives, without its argsort (and
+        # without the hash table of np.unique's plain path, 1.5 MB of peak RSS)
+        ordered = np.sort(dt, axis=None)
+        keep = np.ones(ordered.shape, dtype=bool)
+        keep[1:] = ordered[1:] != ordered[:-1]
+        durations = ordered[keep]
         if self._batch is None or not np.array_equal(self._batch[0], durations):
             u = spectral_expm(*self._eigh(), durations[:, None])
             u.flags.writeable = False  # shared by every caller of the batch
             self._batch = durations, u
-        return self._batch[1], inverse.reshape(dt.shape)
+        return self._batch[1], np.searchsorted(durations, dt)
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
@@ -267,16 +305,23 @@ class ExactDephasingProvider(DephasingTensorProvider):
         u = u[inverse]
         return _conjugate(state, u, u.conj().swapaxes(-1, -2))
 
-    def transfer(self, state, dt, source, target):
-        """E_x -> K_xy E_x K_xy† with K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt).
+    def kernels(self, dt, source, target):
+        """The Kraus operators K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt), stacked
+        over y, (..., m_s, m_t·r_t·D, r_s·D) for ``dt`` of shape (...): one
+        exponentiation of all durations and one product per duration."""
+        return _kraus(spectral_expm(*self._eigh(), np.asarray(dt, dtype=float)[..., None]), source, target)
 
-        The K of an array of durations are built once per distinct duration
-        and gathered per row.
-        """
+    def apply(self, state, kernels, source, target):
+        """E_x -> K_xy E_x K_xy† for every outcome y of ``target``."""
+        return _sandwich(state, kernels, len(target))
+
+    def transfer(self, state, dt, source, target):
+        """As :meth:`apply` of :meth:`kernels`, but the K of an array of
+        durations are built once per distinct duration and gathered per row."""
         if not isinstance(dt, np.ndarray):
-            return _sandwich(state, _kraus(self._unitaries(dt)[0], source, target), len(target))
+            return super().transfer(state, dt, source, target)
         u, inverse = self._unitaries_batch(dt)
-        return _sandwich(state, _kraus(u, source, target)[inverse], len(target))
+        return self.apply(state, _kraus(u, source, target)[inverse], source, target)
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -285,14 +330,15 @@ class ExactDephasingProvider(DephasingTensorProvider):
         return complex(np.trace(x))
 
     def tensor_array(self, durations) -> np.ndarray:
-        """The Gram product over the strings L_J·B, one U_j per interval."""
+        """The Gram product over the strings L_J·B, one U_j per interval, all
+        exponentiated in one call."""
         d, n = self.d, len(durations)
         b, sign = _env_factor(self.env)
         if d ** (2 * n) + d**n * b.size > TERM_CAP:
             raise SizeCapError(f"tensor_array: {d ** (2 * n)} + {d**n * b.size} entries exceed cap {TERM_CAP}")
         strings = b[None]
-        for dt in durations:
-            strings = _extend(strings, self._unitaries(dt)[0])
+        for u in spectral_expm(*self._eigh(), np.asarray(durations, dtype=float)[:, None]):
+            strings = _extend(strings, u)
         # rows (j_1, ..., j_n) and columns (l_1, ..., l_n), interleaved
         return _gram(strings, sign).reshape((d,) * 2 * n).transpose([a for k in range(n) for a in (k, n + k)])
 
@@ -421,14 +467,18 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
             dt = dt[..., None, None]
         return state * self.model.phi_matrix(dt)[..., None, None]
 
-    def transfer(self, state, dt, source, target):
-        """E_x -> V_y† (φ(dt) ∘ V_x E_x V_x†) V_y, which is Σ_jl φ_jl(dt)·C_j E_x C_l†
-        with C_j = (V_y† e_j)(e_j† V_x): the state lifted to the d×d grid, its
-        coherences scaled, and projected with the target bases stacked over y."""
+    def kernels(self, dt, source, target):
+        """The dephasing matrices φ(dt), (..., d, d) for ``dt`` of shape (...)."""
         if isinstance(dt, np.ndarray):
-            dt = dt[..., None, None, None]
+            dt = dt[..., None, None]
+        return self.model.phi_matrix(dt)
+
+    def apply(self, state, kernels, source, target):
+        """E_x -> V_y† (φ ∘ V_x E_x V_x†) V_y, which is Σ_jl φ_jl·C_j E_x C_l† with
+        C_j = (V_y† e_j)(e_j† V_x): the state lifted to the d×d grid, its
+        coherences scaled, and projected with the target bases stacked over y."""
         (mt, d, rt) = target.shape
-        lifted = source @ state @ source.conj().swapaxes(-1, -2) * self.model.phi_matrix(dt)
+        lifted = source @ state @ source.conj().swapaxes(-1, -2) * kernels[..., None, :, :]
         half = target.conj().swapaxes(-1, -2).reshape(mt * rt, d) @ lifted
         return half.reshape(half.shape[:-2] + (mt, rt, d)) @ target
 
@@ -522,7 +572,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     child extends them by one U_j and one outer product with φ, and from n = 2
     on, each row's Gram product T gives max |T - F|.  The distinct pair
     durations are exponentiated once, in one batched call of the provider
-    (whose eigendecompositions and last batch a :class:`DephasingTable` of
+    (whose eigendecomposition and last batch a :class:`DephasingTable` of
     the same grid reuses), and their φ comes from the ``step`` kernel on
     those U_j (bitwise as in the table).
     The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,

@@ -6,10 +6,13 @@ Two independent routes are implemented:
   primary route; works for any provider).  A sharp outcome x collapses the
   system onto the range of P_x, so after it the state is E_x = V_x† S V_x, an
   r×r grid of D×D environment blocks on an orthonormal basis V_x of that range
-  (r = 1 for a rank-one PVM).  Each interval plus the next measurement is one
-  ``provider.transfer``, E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y for every next
-  outcome y, with every outcome prefix batched on leading axes; the first
-  starts from ρ⊗ρ_E on the identity basis, and a probability is tr E;
+  (r = 1 for a rank-one PVM).  Each interval plus the next measurement maps
+  E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y, with every
+  outcome prefix batched on leading axes; the first starts from ρ⊗ρ_E on the
+  identity basis, and a probability is tr E.  The interval operators come
+  from two ``provider.kernels`` calls, the first interval's and all later
+  ones at once (at most two exponentiations per grid), and each interval is
+  one ``provider.apply``;
 * :func:`oracle_distribution` simulates the global system-environment unitary
   directly and applies projections on the joint space, one outcome branch at
   a time (the brute-force cross-check; exact models only).
@@ -18,10 +21,10 @@ Outcome tuples (x_1, ..., x_n) are stored row-major with x_1 slowest, so CSV
 output order is stable across runs and platforms.
 
 Numerical contract: tables agree with :func:`oracle_distribution` to
-roundoff (the tests hold 1e-12).  Every matrix product of the ``transfer``
-kernels has a fixed shape per batch row, so a row's bits do not depend on the
-batch it is computed in, and reruns on one input and machine are bitwise
-identical.
+roundoff (the tests hold 1e-12).  Every matrix product of a provider's
+``kernels`` and ``apply`` has a fixed shape per batch row, so a row's bits do
+not depend on the batch it is computed in, and reruns on one input and
+machine are bitwise identical.
 """
 
 from __future__ import annotations
@@ -213,9 +216,12 @@ def joint_distribution(
 
     The state E[x_1, ..., x_k, (α, a), (β, b)] holds every outcome prefix on
     its leading axes and, per prefix, the r×r grid of D×D blocks on the basis
-    of its last outcome; it starts as ρ⊗ρ_E on the identity basis.  Each
-    interval and the measurement that ends it are one ``provider.transfer``
-    onto a new outcome axis, and the table is tr E of the last states.
+    of its last outcome; it starts as ρ⊗ρ_E on the identity basis.  The
+    kernels of the first interval (from the identity basis) and of all later
+    ones (between outcome bases) are built in two ``provider.kernels`` calls
+    before the first state moves; each interval and the measurement that
+    ends it are then one ``provider.apply`` onto a new outcome axis, and the
+    table is tr E of the last states.
     ``term_cap`` bounds the entries of the largest state, max(d², m^n·r²)·D².
     """
     root, identity = _root(provider, prep, measurement, "joint_distribution")
@@ -224,9 +230,12 @@ def joint_distribution(
     if entries > term_cap:
         raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
 
-    state = provider.transfer(root, grid.durations[0], identity, bases)[0]
-    for dt in grid.durations[1:]:
-        state = provider.transfer(state, dt, bases, bases)
+    durations = grid.durations
+    first = provider.kernels(durations[0], identity, bases)
+    later = provider.kernels(np.array(durations[1:]), bases, bases)
+    state = provider.apply(root, first, identity, bases)[0]
+    for kernel in later:
+        state = provider.apply(state, kernel, bases, bases)
     return JointDistribution(len(bases), grid, _probabilities(state).reshape(-1))
 
 

@@ -1,3 +1,4 @@
+import glob
 import itertools
 import json
 import os
@@ -333,12 +334,13 @@ class TestRunCommand:
         assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
         # the factorization walk and the table of the semigroup and triviality
         # checks share one batched exponentiation over the distinct durations
-        # and one eigendecomposition per block
+        # and one eigendecomposition of the stacked blocks
         times = [0.3, 0.8, 1.4, 2.1, 2.9]
         durations = sorted({t2 - t1 for t1, t2 in itertools.combinations(times, 2)})
         assert len(calls) == 1
         assert sorted(calls[0]) == durations
-        assert len(spectra) == get_preset("scalar-phases").d
+        model = get_preset("scalar-phases")
+        assert len(spectra) == 1 and np.array_equal(spectra[0], np.stack(model.blocks))
         # against the per-selection reference (scalar phases factorize)
         provider = ExactDephasingProvider(get_preset("scalar-phases"))
         reference = 0.0
@@ -449,6 +451,36 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "cmd_presets", lambda args: seen.append(args.command) or 0)
         assert main(["presets"]) == 0
         assert seen == ["presets"]
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[os.path.basename(c)[:-5] for c in SHIPPED_CONFIGS])
+    def test_runs(self, tmp_path, config):
+        assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        with open(config) as fh:
+            assert report["analysis"] == json.load(fh)["analysis"]["kind"]
+        if report["analysis"] == "oracle-check":
+            assert report["max_abs_difference"] <= 1e-10
+
+    def test_all_five_found(self):
+        assert len(SHIPPED_CONFIGS) == 5
+
+    def test_theta_sweep_exponentiates_once(self, tmp_path, monkeypatch):
+        # its two intervals have one duration, 0.8, cached by the provider
+        calls = []
+        real = models.spectral_expm
+
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).ravel().copy())
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        assert main(["run", os.path.join(ROOT, "configs", "theta_sweep_qubit_zx.json"), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1 and np.array_equal(calls[0], [0.8])
 
 
 class TestDeterminism:

@@ -137,11 +137,33 @@ class TestBlockPropagation:
             assert abs(arr[idx] - provider.tensor_pairs(pairs, durations)) < 1e-13
         assert abs(provider.tensor_array(()) - 1.0) < 1e-15
 
+    def test_one_exponentiation_for_all_durations(self, monkeypatch):
+        durations = (0.4, 0.9, 0.4, 0.3)
+        calls = []
+        real = models.spectral_expm
+
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).ravel().copy())
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        ExactDephasingProvider(random_exact_model(3, 3, seed=21)).tensor_array(durations)
+        assert len(calls) == 1 and np.array_equal(calls[0], durations)
+
     def test_cap_checked_before_any_propagator(self, zx_provider):
         # 2^24 pair chains times D^2 = 4 environment entries exceed the budget
         with pytest.raises(SizeCapError):
             zx_provider.tensor_array([0.1] * 12)
         assert zx_provider._prop_cache == {}
+
+    def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        with pytest.raises(SizeCapError):
+            ExactDephasingProvider(zx_model).tensor_array([0.1] * 12)
 
 
 def _env_with_eigenvalues(w, seed):
@@ -221,6 +243,7 @@ class TestPropagator:
                 assert np.array_equal(provider.propagator(j, dt), hermitian_expm(model.blocks[j], dt))
 
     def test_one_eigendecomposition_per_block(self, zx_model, monkeypatch):
+        # one call on the stacked (d, D, D) blocks, whose result is each block's own
         calls = []
         real = models.hermitian_eigh
 
@@ -232,7 +255,27 @@ class TestPropagator:
         provider = ExactDephasingProvider(zx_model)
         for dt in (0.1, 0.2, 0.3):
             provider.step(np.ones((2, 2, 2, 2), dtype=complex), dt)
-        assert len(calls) == zx_model.d
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.stack(zx_model.blocks))
+
+    @pytest.mark.parametrize("d, big_d", [(2, 2), (3, 4), (5, 1), (2, 8)])
+    def test_stacked_eigendecomposition_bitwise_per_block(self, d, big_d):
+        model = random_exact_model(d, big_d, seed=7 * d + big_d)
+        w, v = ExactDephasingProvider(model)._eigh()
+        assert (w.shape, v.shape) == ((d, big_d), (d, big_d, big_d))
+        for j, block in enumerate(model.blocks):
+            wj, vj = np.linalg.eigh(block)
+            assert np.array_equal(w[j], wj) and np.array_equal(v[j], vj)
+
+    def test_cache_bounded(self, zx_model):
+        provider = ExactDephasingProvider(zx_model)
+        durations = np.linspace(0.0, 10.0, 10_000)
+        for dt in durations:
+            provider.propagator(0, float(dt))
+        assert len(provider._prop_cache) == models.PROP_CACHE_SIZE
+        # the newest durations are kept, and a kept one is not recomputed
+        assert list(provider._prop_cache) == [float(t) for t in durations[-models.PROP_CACHE_SIZE :]]
+        assert np.array_equal(provider.propagator(1, float(durations[-1])), hermitian_expm(zx_model.blocks[1], durations[-1]))
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_duration_rejected(self, zx_provider, dt):
@@ -297,7 +340,18 @@ class TestArrayDurations:
         provider.step(state, np.array([0.1, 0.2, 0.1]))
         provider.step(state, np.array([0.4, 0.5, 0.6]))
         provider.step(state[0], 0.3)
-        assert len(calls) == zx_model.d
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.stack(zx_model.blocks))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (5, 1)])
+    def test_batch_deduplication_matches_unique(self, shape):
+        # the distinct durations and each entry's index, as np.unique's inverse gives them
+        provider = ExactDephasingProvider(random_exact_model(3, 2, seed=9))
+        dt = np.random.default_rng(len(shape)).choice([0.0, 0.4, 1.3, 2.9, -0.0], shape)
+        u, inverse = provider._unitaries_batch(dt)
+        durations, expected = np.unique(dt.ravel(), return_inverse=True)
+        assert np.array_equal(inverse, expected.reshape(shape))
+        assert np.array_equal(u, np.stack([provider._unitaries(float(t))[0] for t in durations]))
 
 
 class TestArrayDurationsWiderEnvironments:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dephaser import models
 from dephaser.errors import (
     NullEventError,
     ShapeError,
@@ -286,6 +287,62 @@ class TestEngineKernels:
         assert np.array_equal(identity[0], np.eye(2))
 
 
+class TestGridKernels:
+    """``kernels`` over an array of durations, and ``apply``, as ``joint_distribution`` uses them."""
+
+    @KERNEL_CASES
+    def test_array_kernels_equal_scalar_kernels(self, provider, meas):
+        # a kernel's bits do not depend on the durations built with it
+        bases = meas.bases
+        identity = np.eye(provider.d, dtype=complex)[None]
+        dt = np.array([[0.7, 0.0, 1.3], [0.7, 2.9, 0.4]])
+        for source in (identity, bases):
+            for shape in ((6,), (2, 3)):
+                batched = provider.kernels(dt.reshape(shape), source, bases)
+                for idx in np.ndindex(shape):
+                    assert np.array_equal(batched[idx], provider.kernels(float(dt.reshape(shape)[idx]), source, bases))
+
+    @KERNEL_CASES
+    def test_apply_of_array_kernels_is_transfer(self, provider, meas):
+        # one kernel per row against the transfer of the same durations
+        bases, big_d = meas.bases, provider.env.shape[0]
+        n = bases.shape[-1] * big_d
+        state = random_branches(np.random.default_rng(23), (5, len(bases), n, n))
+        dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9])
+        out = provider.apply(state, provider.kernels(dt, bases, bases), bases, bases)
+        assert out.shape == (5, len(bases), len(bases), n, n)
+        assert np.array_equal(out, provider.transfer(state, dt, bases, bases))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_eigendecomposition_two_exponentiations(self, monkeypatch, n):
+        eigh, expm = [], []
+        real_eigh, real_expm = models.hermitian_eigh, models.spectral_expm
+
+        def counting_eigh(h):
+            eigh.append(h.shape)
+            return real_eigh(h)
+
+        def counting_expm(w, v, tau):
+            expm.append(np.shape(tau))
+            return real_expm(w, v, tau)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no deduplication of a grid's durations")
+
+        model = random_exact_model(3, 4, seed=31)
+        prep, meas = SystemPreparation(random_density(3, 2)), fourier_mub(3)
+        grid = TimeGrid(0.0, tuple(0.4 * k for k in range(1, n + 1)))
+        monkeypatch.setattr(models, "hermitian_eigh", counting_eigh)
+        monkeypatch.setattr(models, "spectral_expm", counting_expm)
+        monkeypatch.setattr(ExactDephasingProvider, "_unitaries_batch", forbidden)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", forbidden)
+            table = joint_distribution(ExactDephasingProvider(model), prep, meas, grid).table
+        assert eigh == [(3, 4, 4)]
+        assert len(expm) <= 2
+        assert np.max(np.abs(table - oracle_distribution(model, prep, meas, grid).table)) < 1e-12
+
+
 class TestKnownValues:
     def test_one_time_mub_uniform_for_diagonal_prep(self, zx_provider):
         prep = SystemPreparation.diagonal([0.3, 0.7])
@@ -356,6 +413,16 @@ class TestCaps:
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid)
         assert zx_provider._prop_cache == {}
+
+    def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 23)))
+        with pytest.raises(SizeCapError):
+            joint_distribution(ExactDephasingProvider(zx_model), SystemPreparation.maximally_mixed(2), fourier_mub(2), grid)
 
     def test_oracle_branch_cap(self, zx_model):
         # 2 + 4 + ... + 2^13 outcome branches
