@@ -10,18 +10,19 @@ declared finite grid pool.
 as a prefix trie on the propagation kernel of
 :func:`~dephaser.statistics.joint_distribution`: a tuple's state is its
 measured-basis branch states, one r×r grid of D×D environment blocks per
-outcome prefix, and a child tuple comes from its parent by one
-``provider.transfer`` (one interval and one measurement).  So each distinct
-grid is propagated once and every prefix is shared by all tuples that extend
-it.  The trie is walked one level at a time: all tuples of one order are a
-batch on a leading axis, advanced by one ``transfer`` over an array of
-durations, and the deficits of one (order, position) are one array
-reduction.  A level too large for the memory budget runs in chunks,
-depth-first.  The kernel's products have a
-fixed shape per batch row, so a tuple's table does not depend on the batch
-or chunk it is computed in; records agree with the per-tuple computation
-(:func:`joint_distribution` and :func:`kolmogorov_deficit` tuple by tuple)
-to roundoff.
+outcome prefix, and a child tuple comes from its parent by one interval and
+one measurement.  So each distinct grid is propagated once and every prefix
+is shared by all tuples that extend it.  The trie is walked one level at a
+time: all tuples of one order are a batch on a leading axis, whose kernels
+are built once per distinct duration and gathered per tuple, and the
+deficits of one (order, position) are one array reduction.  Levels below
+the deepest ``provider.apply`` their kernels; the deepest builds no branch
+state and reads its tables out through the kernels' ``provider.effects``.
+A level too large for the memory budget runs in chunks, depth-first.  The
+kernels' products have a fixed shape per batch row, so a tuple's table does
+not depend on the batch or chunk it is computed in; records agree with the
+per-tuple computation (:func:`joint_distribution` and
+:func:`kolmogorov_deficit` tuple by tuple) to roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ShapeError, SizeCapError, ValidationError
 from .measurements import ProjectiveMeasurement
-from .models import TERM_CAP, DephasingTensorProvider
+from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
     NEG_FLOOR,
     NORM_TOL,
@@ -42,6 +43,7 @@ from .statistics import (
     SystemPreparation,
     TimeGrid,
     _probabilities,
+    _readout,
     _root,
     _state_entries,
     joint_distribution,
@@ -155,13 +157,16 @@ def classicality_report(
     trie, walked one level at a time: the order-n tuples, in
     ``combinations_with_replacement`` order, are one batch on a leading axis,
     and level n+1 comes from level n by one gather of each child's parent
-    branch states and one ``provider.transfer`` over the array of durations
-    s_{n+1} - s_n; a tuple's table is the trace of its branch states.  Each
-    distinct grid is thus propagated once.  The deficits of one (order,
-    position) are one reduction: the order-n tables summed over that outcome
-    axis, minus the coarse tables gathered by rank, max |·| per tuple.  Every
-    table and every marginal gets the checks of :class:`JointDistribution`
-    (finite entries >= ``NEG_FLOOR``, sum within ``NORM_TOL`` of 1).
+    branch states and one ``provider.apply`` of the kernels of the durations
+    s_{n+1} - s_n (built once per distinct duration, gathered per row); a
+    tuple's table is the trace of its branch states.  The deepest level
+    applies nothing: its tables are read out of the parents' states by the
+    effects of those kernels.  Each distinct grid is thus propagated once.
+    The deficits of one (order, position) are one reduction: the order-n
+    tables summed over that outcome axis, minus the coarse tables gathered by
+    rank, max |·| per tuple.  Every table and every marginal gets the checks
+    of :class:`JointDistribution` (finite entries >= ``NEG_FLOOR``, sum
+    within ``NORM_TOL`` of 1).
 
     The largest single-node state, max(d², m^max_order·r²)·D² entries (r the
     largest rank of the PVM), and the stored tables, Σ_n C(p+n-1, n)·m^n
@@ -221,16 +226,21 @@ def classicality_report(
         n, lo, hi, block, block_row = stack.pop()
         rows = tuples[n][lo:hi]
         start = times[rows[:, -2]] if n > 1 else t0
-        dt = (times[rows[:, -1]] - start)[:, None]
-        state = provider.transfer(block[parent[n][lo:hi] - block_row], dt, bases if n > 1 else identity, bases)
+        durations, inverse = _distinct((times[rows[:, -1]] - start)[:, None])
+        source = bases if n > 1 else identity
+        kernels = provider.kernels(provider.exponentials(durations), source, bases)
+        state = block[parent[n][lo:hi] - block_row]
+        if n == max_order:
+            # the deepest level reads its tables out and builds no branch state
+            effects = provider.effects(kernels, source, bases)[inverse]
+            tables[n][lo:hi] = _readout(state, effects).reshape(hi - lo, -1)
+            continue
+        state = provider.apply(state, kernels[inverse], source, bases)
         state = state.reshape((hi - lo, -1, m) + state.shape[-2:])
         tables[n][lo:hi] = _probabilities(state).reshape(hi - lo, -1)
-        if n < max_order:
-            c0, c1 = first[n][lo], first[n][hi]
-            stack.extend(
-                (n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1]))
-            )
-        del state  # free before the next chunk's transfer allocates
+        c0, c1 = first[n][lo], first[n][hi]
+        stack.extend((n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1])))
+        del state  # free before the next chunk's kernels allocate
 
     for n in range(1, max_order + 1):
         _check_tables(tables[n], tuples[n], pool, "table")

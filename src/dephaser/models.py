@@ -17,11 +17,15 @@ E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y: for the exact
 provider one Kraus sandwich K E K† with K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt),
 for the analytic one (D = 1) E -> Σ_jl φ_jl(dt)·C_j E C_l† with
 C_j = (V_y† e_j)(e_j† V_x).  This is the process-tensor view of Milz & Modi,
-PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.  ``transfer``
-is ``apply`` of ``kernels``: ``kernels`` builds the interval operators (the
-Kraus stacks K, or φ) of a whole array of durations at once, so a grid's
-propagators cost one exponentiation; ``apply`` maps states with them.  The
-exact provider diagonalises its stacked blocks once, in one call.
+PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.  The map
+comes in stages, each over a whole array of durations at once:
+``exponentials`` (the stacked U_j(dt), or φ(dt): the one exponentiation),
+``kernels`` (the Kraus stacks K, or φ itself, between two outcome bases) and
+``apply`` (the branch states); ``transfer`` is their composition.  The last
+measurement needs only probabilities, tr E_xy = tr(E_x·M_xy), so
+``effects`` gives the Heisenberg-picture effect operators M_xy = K_xy†K_xy
+(exact) or V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
+The exact provider diagonalises its stacked blocks once, in one call.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -57,7 +61,7 @@ from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_ex
 #: ρ_E); d·D² per distinct pair duration in ``markovianity_deficit_detail``;
 #: ``classicality_report`` checks its largest single-node state and its stored
 #: tables against it and gives each trie level in flight TERM_CAP // max_order.
-#: 10^7 complex128 entries are 160 MB.  A ``transfer`` holds its input, the
+#: 10^7 complex128 entries are 160 MB.  An ``apply`` holds its input, the
 #: half product K·E and its result at once (the first interval's K·E has
 #: m·r·d·D² entries), so a run at the cap peaks near 0.5 GB: the most a
 #: desk-scale machine can give one analysis.
@@ -113,8 +117,11 @@ class DephasingTensorProvider(ABC):
 
     ``step`` acts on states S[..., j, l, a, b]: any leading batch axes, then a
     d×d grid of D×D environment blocks.  ``transfer`` acts on measured-basis
-    branch states (see the module docstring), as ``apply`` of ``kernels``.
-    ``env`` is the initial D×D environment state.
+    branch states (see the module docstring) in three stages: ``exponentials``
+    of the durations, ``kernels`` from those, ``apply`` of the kernels.
+    ``effects`` of the same kernels reads the probabilities of the branch
+    states ``apply`` would build without building them.  ``env`` is the
+    initial D×D environment state.
 
     Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
     to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
@@ -138,15 +145,22 @@ class DephasingTensorProvider(ABC):
         """
 
     @abstractmethod
-    def kernels(self, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """The interval operators of :meth:`apply`, one per entry of ``dt``.
+    def exponentials(self, dt) -> np.ndarray:
+        """The one exponentiation of the interval stage, one entry per entry of
+        ``dt``: the stacked U_j(dt) (exact provider) or φ(dt) (analytic one).
 
         ``dt`` is a scalar or an array of durations; the result has its shape
-        on the leading axes, and each entry is bitwise the kernel of that
-        duration alone.  ``source`` and ``target`` are the outcome bases of
-        :meth:`transfer`.  Non-finite durations, and phases beyond the double
-        range, raise ``ValidationError``.
+        on the leading axes, and each entry is bitwise that of the duration
+        alone.  Non-finite durations, and phases beyond the double range,
+        raise ``ValidationError``.
         """
+
+    @abstractmethod
+    def kernels(self, exponentials: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The interval operators of :meth:`apply` and :meth:`effects`, from
+        :meth:`exponentials`, one per leading entry of ``exponentials`` (each
+        bitwise that of the entry alone).  ``source`` and ``target`` are the
+        outcome bases of :meth:`transfer`."""
 
     @abstractmethod
     def apply(self, state: np.ndarray, kernels: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -154,6 +168,13 @@ class DephasingTensorProvider(ABC):
         :meth:`kernels` for the same ``source`` and ``target``: one kernel, or
         one per leading row of ``state`` (broadcasting against
         ``state.shape[:-3]``)."""
+
+    @abstractmethod
+    def effects(self, kernels: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The effect operators M_xy of ``kernels`` (the Heisenberg-picture
+        readout), (..., m_s, m_t, r_s·D, r_s·D): tr E_xy = tr(E_x·M_xy) for the
+        branch states E_xy that :meth:`apply` would build from E_x, so the
+        probabilities of a last measurement need no branch state."""
 
     def transfer(self, state: np.ndarray, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
         """The branch states after one interval of length ``dt`` and one measurement.
@@ -167,9 +188,10 @@ class DephasingTensorProvider(ABC):
         array that broadcasts against ``state.shape[:-3]``; every product has a
         fixed shape per row, so a row's bits do not depend on its batch.
         Non-finite durations, and phases beyond the double range, raise
-        ``ValidationError``.
+        ``ValidationError``.  The engine calls the three stages itself; this
+        composition is their reference.
         """
-        return self.apply(state, self.kernels(dt, source, target), source, target)
+        return self.apply(state, self.kernels(self.exponentials(dt), source, target), source, target)
 
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
@@ -273,19 +295,12 @@ class ExactDephasingProvider(DephasingTensorProvider):
         such batch is kept, so a table and a walk over one grid (the
         Markovianity run) exponentiate its durations once.
         """
-        dt = np.asarray(dt, dtype=float)
-        # the sorted distinct durations and each entry's index into them, as
-        # np.unique(..., return_inverse=True) gives, without its argsort (and
-        # without the hash table of np.unique's plain path, 1.5 MB of peak RSS)
-        ordered = np.sort(dt, axis=None)
-        keep = np.ones(ordered.shape, dtype=bool)
-        keep[1:] = ordered[1:] != ordered[:-1]
-        durations = ordered[keep]
+        durations, inverse = _distinct(dt)
         if self._batch is None or not np.array_equal(self._batch[0], durations):
-            u = spectral_expm(*self._eigh(), durations[:, None])
+            u = self.exponentials(durations)
             u.flags.writeable = False  # shared by every caller of the batch
             self._batch = durations, u
-        return self._batch[1], np.searchsorted(durations, dt)
+        return self._batch[1], inverse
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
@@ -305,23 +320,34 @@ class ExactDephasingProvider(DephasingTensorProvider):
         u = u[inverse]
         return _conjugate(state, u, u.conj().swapaxes(-1, -2))
 
-    def kernels(self, dt, source, target):
-        """The Kraus operators K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt), stacked
-        over y, (..., m_s, m_t·r_t·D, r_s·D) for ``dt`` of shape (...): one
-        exponentiation of all durations and one product per duration."""
-        return _kraus(spectral_expm(*self._eigh(), np.asarray(dt, dtype=float)[..., None]), source, target)
+    def exponentials(self, dt):
+        """The stacked U_j(dt), (..., d, D, D) for ``dt`` of shape (...), in one
+        vectorised product."""
+        return spectral_expm(*self._eigh(), np.asarray(dt, dtype=float)[..., None])
+
+    def kernels(self, exponentials, source, target):
+        """The Kraus operators K[..., x, (y, γ, a), (α, b)] = Σ_j conj(V_y[j, γ])·V_x[j, α]·U_j[a, b],
+        i.e. K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j, stacked over y, (..., m_s,
+        m_t·r_t·D, r_s·D): one (m_s·m_t·r_t·r_s)×d by d×D² product per
+        duration."""
+        lead, (d, big_d, _) = exponentials.shape[:-3], exponentials.shape[-3:]
+        (ms, _, rs), (mt, _, rt) = source.shape, target.shape
+        coef = np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, d)
+        k = (coef @ exponentials.reshape(lead + (d, big_d * big_d))).reshape(lead + (ms, mt, rt, rs, big_d, big_d))
+        return k.swapaxes(-3, -2).reshape(lead + (ms, mt * rt * big_d, rs * big_d))
 
     def apply(self, state, kernels, source, target):
-        """E_x -> K_xy E_x K_xy† for every outcome y of ``target``."""
-        return _sandwich(state, kernels, len(target))
+        """E_x -> K_xy E_x K_xy† for every outcome y of ``target``: one product
+        per (row, x), the stacked K_x·E_x, then one per (row, x, y) with K_xy†;
+        each of a fixed shape whatever the batch."""
+        m, half = len(target), kernels @ state
+        half = half.reshape(half.shape[:-2] + (m, -1, half.shape[-1]))
+        return half @ kernels.reshape(kernels.shape[:-2] + (m, -1, kernels.shape[-1])).conj().swapaxes(-1, -2)
 
-    def transfer(self, state, dt, source, target):
-        """As :meth:`apply` of :meth:`kernels`, but the K of an array of
-        durations are built once per distinct duration and gathered per row."""
-        if not isinstance(dt, np.ndarray):
-            return super().transfer(state, dt, source, target)
-        u, inverse = self._unitaries_batch(dt)
-        return self.apply(state, _kraus(u, source, target)[inverse], source, target)
+    def effects(self, kernels, source, target):
+        """M_xy = K_xy†K_xy: one product per (duration, x, y)."""
+        k = kernels.reshape(kernels.shape[:-2] + (len(target), -1, kernels.shape[-1]))
+        return k.conj().swapaxes(-1, -2) @ k
 
     def tensor_pairs(self, pairs, durations) -> complex:
         x = self.model.env_state
@@ -355,26 +381,17 @@ def _conjugate(state: np.ndarray, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
 
 
-def _kraus(u: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The Kraus operators K[..., x, (y, γ, a), (α, b)] = Σ_j conj(V_y[j, γ])·V_x[j, α]·U_j[a, b]
-    from the stacked U_j (..., d, D, D), stacked over the target outcome y: one
-    (m_s·m_t·r_t·r_s)×d by d×D² product per leading row of ``u``."""
-    lead, (d, big_d, _) = u.shape[:-3], u.shape[-3:]
-    (ms, _, rs), (mt, _, rt) = source.shape, target.shape
-    coef = np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, d)
-    k = (coef @ u.reshape(lead + (d, big_d * big_d))).reshape(lead + (ms, mt, rt, rs, big_d, big_d))
-    return k.swapaxes(-3, -2).reshape(lead + (ms, mt * rt * big_d, rs * big_d))
-
-
-def _sandwich(state: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
-    """E_x -> K_xy E_x K_xy† for each of the m outcomes y stacked in ``k``.
-
-    One product per (row, x), the stacked K_x·E_x, then one per (row, x, y)
-    with K_xy†; each of a fixed shape whatever the batch.
-    """
-    half = k @ state
-    half = half.reshape(half.shape[:-2] + (m, -1, half.shape[-1]))
-    return half @ k.reshape(k.shape[:-2] + (m, -1, k.shape[-1])).conj().swapaxes(-1, -2)
+def _distinct(dt) -> tuple:
+    """The sorted distinct durations of ``dt`` and the index into them of each
+    entry (shape dt.shape), as np.unique(..., return_inverse=True) gives them,
+    without its argsort (and without the hash table of np.unique's plain path,
+    1.5 MB of peak RSS)."""
+    dt = np.asarray(dt, dtype=float)
+    ordered = np.sort(dt, axis=None)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    durations = ordered[keep]
+    return durations, np.searchsorted(durations, dt)
 
 
 def _env_factor(env: np.ndarray) -> tuple:
@@ -467,11 +484,15 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
             dt = dt[..., None, None]
         return state * self.model.phi_matrix(dt)[..., None, None]
 
-    def kernels(self, dt, source, target):
+    def exponentials(self, dt):
         """The dephasing matrices φ(dt), (..., d, d) for ``dt`` of shape (...)."""
         if isinstance(dt, np.ndarray):
             dt = dt[..., None, None]
         return self.model.phi_matrix(dt)
+
+    def kernels(self, exponentials, source, target):
+        """φ itself: the analytic interval map needs no other operator."""
+        return exponentials
 
     def apply(self, state, kernels, source, target):
         """E_x -> V_y† (φ ∘ V_x E_x V_x†) V_y, which is Σ_jl φ_jl·C_j E_x C_l† with
@@ -481,6 +502,14 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         lifted = source @ state @ source.conj().swapaxes(-1, -2) * kernels[..., None, :, :]
         half = target.conj().swapaxes(-1, -2).reshape(mt * rt, d) @ lifted
         return half.reshape(half.shape[:-2] + (mt, rt, d)) @ target
+
+    def effects(self, kernels, source, target):
+        """M_xy = V_x† (P_y ∘ φᵀ) V_x with P_y = V_y V_y†, since
+        tr(P_y (φ ∘ L)) = tr((P_y ∘ φᵀ) L) for every L on the d×d grid: two
+        products per (duration, x, y)."""
+        weighted = (target @ target.conj().swapaxes(-1, -2)) * kernels.swapaxes(-1, -2)[..., None, :, :]
+        half = source.conj().swapaxes(-1, -2)[:, None] @ weighted[..., None, :, :, :]
+        return half @ source[:, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
         out = 1.0 + 0.0j

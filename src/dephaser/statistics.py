@@ -9,10 +9,12 @@ Two independent routes are implemented:
   (r = 1 for a rank-one PVM).  Each interval plus the next measurement maps
   E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y, with every
   outcome prefix batched on leading axes; the first starts from ρ⊗ρ_E on the
-  identity basis, and a probability is tr E.  The interval operators come
-  from two ``provider.kernels`` calls, the first interval's and all later
-  ones at once (at most two exponentiations per grid), and each interval is
-  one ``provider.apply``;
+  identity basis, and a probability is tr E.  All n durations go through one
+  ``provider.exponentials`` call (one exponentiation per grid); the first
+  interval's kernel and all later ones come from it, each interval but the
+  last is one ``provider.apply``, and the last is read out: its
+  ``provider.effects`` M_xy give tr E_xy = tr(E_x·M_xy) (:func:`_readout`)
+  without building the last branch states;
 * :func:`oracle_distribution` simulates the global system-environment unitary
   directly and applies projections on the joint space, one outcome branch at
   a time (the brute-force cross-check; exact models only).
@@ -22,9 +24,9 @@ output order is stable across runs and platforms.
 
 Numerical contract: tables agree with :func:`oracle_distribution` to
 roundoff (the tests hold 1e-12).  Every matrix product of a provider's
-``kernels`` and ``apply`` has a fixed shape per batch row, so a row's bits do
-not depend on the batch it is computed in, and reruns on one input and
-machine are bitwise identical.
+stages and of :func:`_readout` has a fixed shape per batch row, so a row's
+bits do not depend on the batch it is computed in, and reruns on one input
+and machine are bitwise identical.
 """
 
 from __future__ import annotations
@@ -196,6 +198,19 @@ def _probabilities(state: np.ndarray) -> np.ndarray:
     return sum((state[..., a, a] for a in range(1, state.shape[-1])), state[..., 0, 0]).real
 
 
+def _readout(state: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """p[..., x, y] = tr(E_x·M_xy) = Σ_ab E_x[a, b]·M_xy[b, a], real part.
+
+    ``state`` is (..., m_s, n, n) and ``effects`` (..., m_s, m_t, n, n), as
+    :meth:`~dephaser.models.DephasingTensorProvider.effects` gives them, one
+    per row or broadcast.  One (m_t × n²) by n² product per (row, x), of a
+    fixed shape whatever the batch; its one temporary, the transposed E, is
+    the size of ``state``.
+    """
+    flat = state.swapaxes(-1, -2).reshape(state.shape[:-2] + (-1, 1))
+    return (effects.reshape(effects.shape[:-2] + (-1,)) @ flat)[..., 0].real
+
+
 def _state_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> int:
     """Entries of the largest state of an n-time propagation: ρ⊗ρ_E, or the
     m^n·r²·D² of the branch states after the last measurement.  m^k with
@@ -216,13 +231,16 @@ def joint_distribution(
 
     The state E[x_1, ..., x_k, (α, a), (β, b)] holds every outcome prefix on
     its leading axes and, per prefix, the r×r grid of D×D blocks on the basis
-    of its last outcome; it starts as ρ⊗ρ_E on the identity basis.  The
-    kernels of the first interval (from the identity basis) and of all later
-    ones (between outcome bases) are built in two ``provider.kernels`` calls
-    before the first state moves; each interval and the measurement that
-    ends it are then one ``provider.apply`` onto a new outcome axis, and the
-    table is tr E of the last states.
-    ``term_cap`` bounds the entries of the largest state, max(d², m^n·r²)·D².
+    of its last outcome; it starts as ρ⊗ρ_E on the identity basis.  One
+    ``provider.exponentials`` call takes all n durations; the kernels of the
+    first interval (from the identity basis) and of all later ones (between
+    outcome bases) are built from it before the first state moves.  Each
+    interval but the last, with the measurement that ends it, is one
+    ``provider.apply`` onto a new outcome axis; the table is read out of the
+    states before the last interval by the effects of its kernel (for n = 1,
+    of the root by the first kernel's).
+    ``term_cap`` bounds the entries of the largest state, max(d², m^n·r²)·D²:
+    the readout's temporaries are no larger than the branch states it spares.
     """
     root, identity = _root(provider, prep, measurement, "joint_distribution")
     bases = measurement.bases
@@ -230,13 +248,18 @@ def joint_distribution(
     if entries > term_cap:
         raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
 
-    durations = grid.durations
-    first = provider.kernels(durations[0], identity, bases)
-    later = provider.kernels(np.array(durations[1:]), bases, bases)
-    state = provider.apply(root, first, identity, bases)[0]
-    for kernel in later:
-        state = provider.apply(state, kernel, bases, bases)
-    return JointDistribution(len(bases), grid, _probabilities(state).reshape(-1))
+    # one exponentiation of all n durations; the first interval leaves the
+    # identity basis, the later ones join outcome bases
+    exponentials = provider.exponentials(np.array(grid.durations))
+    state, source, kernel = root, identity, provider.kernels(exponentials[0], identity, bases)
+    if grid.n > 1:
+        later = provider.kernels(exponentials[1:], bases, bases)
+        state = provider.apply(root, kernel, identity, bases)[0]
+        for k in later[:-1]:
+            state = provider.apply(state, k, bases, bases)
+        source, kernel = bases, later[-1]
+    table = _readout(state, provider.effects(kernel, source, bases))
+    return JointDistribution(len(bases), grid, table.reshape(-1))
 
 
 def oracle_distribution(

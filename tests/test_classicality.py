@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
-from dephaser import classicality
+from dephaser import classicality, models
 from dephaser.classicality import (
     classicality_report,
     delta_count,
@@ -216,12 +217,17 @@ class TestReportMatchesPerTupleReference:
         [((1.0,), 22), (tuple(0.1 * k for k in range(1, 31)), 6)],
         ids=["largest-state", "stored-tables"],
     )
-    def test_cap_checked_before_any_propagator(self, zx_provider, pool, max_order):
+    def test_cap_checked_before_any_propagator(self, zx_provider, pool, max_order, monkeypatch):
         # a pool of 1 time at order 22: branch states of 2^22·r²·D² = 2^24 entries;
         # 30 times at order 6: C(35, 6)·2^6 ~ 10^8 stored table entries
+        def forbidden(*args):
+            raise AssertionError("no propagator before the cap check")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
         with pytest.raises(SizeCapError):
             classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
         assert zx_provider._prop_cache == {}
+        assert zx_provider._eig is None
 
     def test_dimension_mismatch_rejected(self, zx_provider):
         with pytest.raises(ShapeError):
@@ -234,10 +240,22 @@ class TestReportChecks:
     @pytest.mark.parametrize("factor", [1.0 + 1e-6, float("nan")], ids=["unnormalised", "nan"])
     def test_bad_tables_rejected(self, zx_model, factor):
         class ScalingProvider(ExactDephasingProvider):
-            def transfer(self, state, dt, source, target):
-                return factor * super().transfer(state, dt, source, target)
+            def apply(self, state, kernels, source, target):
+                return factor * super().apply(state, kernels, source, target)
 
         with pytest.raises(ValidationError):
+            classicality_report(
+                ScalingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 3
+            )
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, float("nan")], ids=["unnormalised", "nan"])
+    def test_bad_deepest_tables_rejected(self, zx_model, factor):
+        # only the deepest level's tables, read out through the effects, are off
+        class ScalingProvider(ExactDephasingProvider):
+            def effects(self, kernels, source, target):
+                return factor * super().effects(kernels, source, target)
+
+        with pytest.raises(ValidationError, match="table at times .* is not a probability"):
             classicality_report(
                 ScalingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 3
             )
@@ -257,9 +275,13 @@ class TestReportChecks:
         steps = []
 
         class CountingProvider(ExactDephasingProvider):
-            def transfer(self, state, dt, source, target):
-                steps.append(np.shape(dt))
-                return super().transfer(state, dt, source, target)
+            def apply(self, state, kernels, source, target):
+                steps.append("apply")
+                return super().apply(state, kernels, source, target)
+
+            def effects(self, kernels, source, target):
+                steps.append("effects")
+                return super().effects(kernels, source, target)
 
         prep, meas, pool = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2), (0.3, 0.9, 1.4, 2.2)
         whole = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
@@ -271,6 +293,32 @@ class TestReportChecks:
         chunked = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
         assert len(steps) > 4
         assert chunked == whole
+
+    @pytest.mark.parametrize("max_order", [2, 3, 4])
+    def test_deepest_level_builds_no_branch_state(self, zx_model, monkeypatch, max_order):
+        # levels below max_order apply their kernels; the deepest one only reads
+        # its effects out, so no branch state of max_order outcomes is built
+        built, effects = [], []
+
+        class CountingProvider(ExactDephasingProvider):
+            def apply(self, state, kernels, source, target):
+                out = super().apply(state, kernels, source, target)
+                built.append(math.prod(out.shape[1:-2]))  # outcomes per row
+                return out
+
+            def effects(self, kernels, source, target):
+                effects.append(len(kernels))
+                return super().effects(kernels, source, target)
+
+        prep, meas, pool = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2), (0.3, 0.9, 1.4)
+        for cap in (classicality.TERM_CAP, 800):  # one chunk per level, then several
+            monkeypatch.setattr(classicality, "TERM_CAP", cap)
+            built.clear()
+            effects.clear()
+            classicality_report(CountingProvider(zx_model), prep, meas, pool, max_order)
+            assert built and max(built) == 2 ** (max_order - 1)
+            # effects of distinct durations only: at most one per pair s <= t of the pool
+            assert effects and all(0 < k <= len(pool) * (len(pool) + 1) // 2 for k in effects)
 
 
 class TestTwoTimeClosedForm:

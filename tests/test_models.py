@@ -150,11 +150,16 @@ class TestBlockPropagation:
         ExactDephasingProvider(random_exact_model(3, 3, seed=21)).tensor_array(durations)
         assert len(calls) == 1 and np.array_equal(calls[0], durations)
 
-    def test_cap_checked_before_any_propagator(self, zx_provider):
+    def test_cap_checked_before_any_propagator(self, zx_provider, monkeypatch):
         # 2^24 pair chains times D^2 = 4 environment entries exceed the budget
+        def forbidden(*args):
+            raise AssertionError("no propagator before the cap check")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
         with pytest.raises(SizeCapError):
             zx_provider.tensor_array([0.1] * 12)
         assert zx_provider._prop_cache == {}
+        assert zx_provider._eig is None
 
     def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
         def forbidden(*args):

@@ -27,6 +27,7 @@ from dephaser.statistics import (
     SystemPreparation,
     TimeGrid,
     _probabilities,
+    _readout,
     _root,
     conditional_probability,
     joint_distribution,
@@ -288,33 +289,41 @@ class TestEngineKernels:
 
 
 class TestGridKernels:
-    """``kernels`` over an array of durations, and ``apply``, as ``joint_distribution`` uses them."""
+    """``kernels`` of ``exponentials`` over an array of durations, and ``apply``, as the engine uses them."""
 
     @KERNEL_CASES
     def test_array_kernels_equal_scalar_kernels(self, provider, meas):
-        # a kernel's bits do not depend on the durations built with it
+        # a kernel's bits do not depend on the durations exponentiated with it
         bases = meas.bases
         identity = np.eye(provider.d, dtype=complex)[None]
         dt = np.array([[0.7, 0.0, 1.3], [0.7, 2.9, 0.4]])
         for source in (identity, bases):
             for shape in ((6,), (2, 3)):
-                batched = provider.kernels(dt.reshape(shape), source, bases)
+                exponentials = provider.exponentials(dt.reshape(shape))
+                batched = provider.kernels(exponentials, source, bases)
                 for idx in np.ndindex(shape):
-                    assert np.array_equal(batched[idx], provider.kernels(float(dt.reshape(shape)[idx]), source, bases))
+                    alone = provider.exponentials(float(dt.reshape(shape)[idx]))
+                    assert np.array_equal(exponentials[idx], alone)
+                    assert np.array_equal(batched[idx], provider.kernels(alone, source, bases))
 
     @KERNEL_CASES
     def test_apply_of_array_kernels_is_transfer(self, provider, meas):
-        # one kernel per row against the transfer of the same durations
+        # one kernel per row, against the transfer of the same durations and
+        # against the kernels of the distinct durations gathered per row (the level walk's)
         bases, big_d = meas.bases, provider.env.shape[0]
         n = bases.shape[-1] * big_d
         state = random_branches(np.random.default_rng(23), (5, len(bases), n, n))
         dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9])
-        out = provider.apply(state, provider.kernels(dt, bases, bases), bases, bases)
+        out = provider.apply(state, provider.kernels(provider.exponentials(dt), bases, bases), bases, bases)
         assert out.shape == (5, len(bases), len(bases), n, n)
         assert np.array_equal(out, provider.transfer(state, dt, bases, bases))
+        durations, inverse = models._distinct(dt)
+        gathered = provider.kernels(provider.exponentials(durations), bases, bases)[inverse]
+        assert np.array_equal(out, provider.apply(state, gathered, bases, bases))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_eigendecomposition_two_exponentiations(self, monkeypatch, n):
+        # one eigendecomposition and one exponentiation, of all n durations at once
         eigh, expm = [], []
         real_eigh, real_expm = models.hermitian_eigh, models.spectral_expm
 
@@ -339,8 +348,86 @@ class TestGridKernels:
             patch.setattr(np, "unique", forbidden)
             table = joint_distribution(ExactDephasingProvider(model), prep, meas, grid).table
         assert eigh == [(3, 4, 4)]
-        assert len(expm) <= 2
+        assert expm == [(n, 1)]
         assert np.max(np.abs(table - oracle_distribution(model, prep, meas, grid).table)) < 1e-12
+
+    @pytest.mark.parametrize("provider_case", ["exact", "analytic"])
+    def test_one_time_grid_reads_the_root_out(self, monkeypatch, provider_case):
+        # n = 1: the first kernel's effects read the root out; nothing is built
+        # from an empty array of durations, and no branch state is built at all
+        if provider_case == "exact":
+            model = random_exact_model(3, 4, seed=5)
+            provider, cls = ExactDephasingProvider(model), ExactDephasingProvider
+        else:
+            provider, cls = ANALYTIC_D3, MarkovianAnalyticProvider
+        calls, taus = [], []
+        real_expm = models.spectral_expm
+
+        def counting_expm(w, v, tau):
+            taus.append(np.size(tau))
+            return real_expm(w, v, tau)
+
+        def recording(name):
+            real = getattr(cls, name)
+
+            def stage(self, *args):
+                calls.append((name, np.size(args[0])))
+                return real(self, *args)
+
+            return stage
+
+        monkeypatch.setattr(models, "spectral_expm", counting_expm)
+        for name in ("exponentials", "kernels", "apply", "effects"):
+            monkeypatch.setattr(cls, name, recording(name))
+        prep, meas, grid = SystemPreparation(random_density(3, 8)), fourier_mub(3), TimeGrid(0.2, (1.1,))
+        table = joint_distribution(provider, prep, meas, grid).table
+        assert [name for name, _ in calls] == ["exponentials", "kernels", "effects"]
+        assert all(size > 0 for _, size in calls)
+        if provider_case == "exact":
+            assert taus == [1]
+            assert np.max(np.abs(table - oracle_distribution(model, prep, meas, grid).table)) < 1e-12
+        else:
+            assert taus == []
+            repeated = joint_distribution(provider, prep, meas, TimeGrid(0.2, (1.1, 1.1))).marginalize(2)
+            assert np.max(np.abs(table - repeated.table)) < 1e-12
+
+
+class TestReadout:
+    """``effects`` and ``_readout`` against the traces of the branch states ``apply`` builds."""
+
+    @KERNEL_CASES
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-batch", "batch-3", "batch-2x3"])
+    def test_against_traced_apply(self, provider, meas, lead):
+        bases, big_d = meas.bases, provider.env.shape[0]
+        identity = np.eye(provider.d, dtype=complex)[None]
+        rng = np.random.default_rng(40 + len(lead))
+        for source in (identity, bases):
+            n = source.shape[-1] * big_d
+            state = random_branches(rng, lead + (len(source), n, n))
+            # one kernel for every row, then one per leading row
+            per_row = np.linspace(0.1, 2.0, lead[0]).reshape(lead[:1] + (1,) * (len(lead) - 1)) if lead else 0.3
+            for dt in (0.7, np.asarray(per_row)):
+                kernels = provider.kernels(provider.exponentials(dt), source, bases)
+                effects = provider.effects(kernels, source, bases)
+                assert effects.shape[-4:] == (len(source), len(bases), n, n)
+                out = _readout(state, effects)
+                assert out.shape == lead + (len(source), len(bases))
+                assert np.max(np.abs(out - _probabilities(provider.apply(state, kernels, source, bases)))) < 1e-13
+
+    @KERNEL_CASES
+    def test_rows_do_not_depend_on_the_batch(self, provider, meas):
+        # one effect per row, gathered from the distinct durations as the level walk does
+        bases, big_d = meas.bases, provider.env.shape[0]
+        n = bases.shape[-1] * big_d
+        state = random_branches(np.random.default_rng(19), (7, 2, len(bases), n, n))
+        durations, inverse = models._distinct(np.array([0.7, 0.0, 1.3, 0.7, 2.9, 1.3, 0.4])[:, None])
+        kernels = provider.kernels(provider.exponentials(durations), bases, bases)
+        effects = provider.effects(kernels, bases, bases)[inverse]
+        batched = _readout(state, effects)
+        assert batched.shape == (7, 2, len(bases), len(bases))
+        for r in range(len(state)):
+            assert np.array_equal(batched[r], _readout(state[r], effects[r]))
+            assert np.array_equal(batched[r : r + 3], _readout(state[r : r + 3], effects[r : r + 3]))
 
 
 class TestKnownValues:
@@ -406,13 +493,18 @@ class TestCaps:
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid, term_cap=100)
 
-    def test_cap_checked_before_any_propagator(self, zx_provider):
+    def test_cap_checked_before_any_propagator(self, zx_provider, monkeypatch):
         # the last branch states hold 2^22 outcome tuples x r^2 D^2 = 4 entries
+        def forbidden(*args):
+            raise AssertionError("no propagator before the cap check")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
         prep = SystemPreparation.maximally_mixed(2)
         grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 23)))
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid)
         assert zx_provider._prop_cache == {}
+        assert zx_provider._eig is None
 
     def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
         def forbidden(*args):
