@@ -38,8 +38,6 @@ from .models import (
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
     commutativity_check,
-    exact_tensor,
-    markovian_tensor,
     markovianity_deficit,
     semigroup_deficit,
     tensor_collapse_check,

@@ -168,13 +168,17 @@ def classicality_report(
     of :class:`JointDistribution` (finite entries >= ``NEG_FLOOR``, sum
     within ``NORM_TOL`` of 1).
 
-    The largest single-node state, max(d², m^max_order·r²)·D² entries (r the
-    largest rank of the PVM), and the stored tables, Σ_n C(p+n-1, n)·m^n
-    entries for a pool of p times, are both checked against ``TERM_CAP``
-    before any propagator is computed.
-    Each level in flight holds at most ``TERM_CAP // max_order`` state
-    entries: a level that would hold more runs in chunks of children,
-    depth-first, with a chunk of one node where a single node is larger.
+    The largest single node, a row of the deepest level N (the branch states
+    of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
+    plus its gathered effects, m²·r²·D²), and the stored tables,
+    Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are both checked
+    against ``TERM_CAP`` before any propagator is computed.
+    Each level in flight holds at most ``TERM_CAP // max_order`` entries of
+    its rows (a level-n row below N holds the branch states after n
+    measurements, charged as the readout of an (n+1)-time table by
+    :func:`~dephaser.statistics._state_entries`): a level that would hold
+    more runs in chunks of children, depth-first, with a chunk of one node
+    where a single node is larger.
     """
     if max_order < 2:
         raise ValidationError(f"classicality_report: max_order must be >= 2, got {max_order}")
@@ -186,8 +190,8 @@ def classicality_report(
 
     root, identity = _root(provider, prep, measurement, "classicality_report")
     bases = measurement.bases
-    m, p = len(bases), len(pool)
-    entries = _state_entries(provider, measurement, max_order)
+    (m, _, r), p = bases.shape, len(pool)
+    entries = _state_entries(provider, measurement, max_order) + m * m * r * r * provider.env.size
     stored = 0
     for n in range(1, max_order + 1):
         stored += math.comb(p + n - 1, n) * m**n
@@ -195,7 +199,7 @@ def classicality_report(
             break
     if max(entries, stored) > TERM_CAP:
         raise SizeCapError(
-            f"classicality_report: largest state of {entries} entries or at least "
+            f"classicality_report: largest node of {entries} entries or at least "
             f"{stored} stored table entries exceed cap {TERM_CAP}"
         )
 
@@ -218,9 +222,10 @@ def classicality_report(
     # end row, branch states of the parent block, its first row).  A level-n
     # row holds its states as (m^(n-1) prefixes, m last outcomes, ...), the
     # root as the one branch of the identity basis.  A level's chunk holds at
-    # most `budget` entries of its largest state.
+    # most `budget` entries of its rows.
     budget = TERM_CAP // max_order
-    chunk = {n: max(1, budget // _state_entries(provider, measurement, n)) for n in range(1, max_order + 1)}
+    chunk = {n: max(1, budget // _state_entries(provider, measurement, n + 1)) for n in range(1, max_order)}
+    chunk[max_order] = max(1, budget // entries)
     stack = [(1, lo, min(lo + chunk[1], p), root[None, None], 0) for lo in reversed(range(0, p, chunk[1]))]
     while stack:
         n, lo, hi, block, block_row = stack.pop()

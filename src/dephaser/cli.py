@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical-cap error,
 4 analysis-level failure.  Errors are emitted as one JSON object on stderr.
-Given a fixed config and seed, output files are byte-identical across runs.
+Given a fixed config, output files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     deficit, detail = markovianity_deficit_detail(cfg.provider, cfg.grid.times, a["max_order"])
     times = sorted(cfg.grid.times)
     # every dephasing matrix of the semigroup and triviality checks, from one
-    # array-duration step that reuses the walk's eigendecomposition and unitaries
+    # dephasings call that reuses the walk's eigendecomposition and unitaries
     table = DephasingTable(cfg.provider, times)
     semigroup = 0.0
     if len(times) >= 3:
@@ -126,7 +126,7 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     if math.comb(len(times), 3) > NCGD_TRIPLE_CAP:
         raise SizeCapError(f"ncgd: {math.comb(len(times), 3)} time triples exceed cap {NCGD_TRIPLE_CAP}")
     triples = list(itertools.combinations(times, 3))
-    # every reduced map reads its dephasing matrix from one array-duration step
+    # every reduced map reads its dephasing matrix from one dephasings call
     table = DephasingTable(cfg.provider, times)
     deficits = []
     sandwich = []
@@ -202,8 +202,6 @@ def _error_json(code: int, exc: Exception) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.analysis["seed"] = args.seed
     except ConfigError as exc:
         return _error_json(EXIT_VALIDATION, exc)
     outdir = args.out or "."
@@ -218,7 +216,6 @@ def cmd_run(args) -> int:
         return _error_json(EXIT_VALIDATION, exc)
     except DephaserError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
-    payload["seed"] = cfg.analysis["seed"]
     _write_json(os.path.join(outdir, "report.json"), payload)
     print(f"wrote {os.path.join(outdir, 'report.json')}")
     return EXIT_OK
@@ -248,7 +245,6 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory (default: cwd)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config's analysis seed")
 
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("config")

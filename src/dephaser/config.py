@@ -181,7 +181,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     analysis["tolerance"] = _number(analysis.get("tolerance", 1e-9), float, "analysis.tolerance")
     _require(analysis["tolerance"] >= 0, f"analysis.tolerance: expected a number >= 0, got {analysis['tolerance']!r}")
     analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
-    analysis["seed"] = _number(analysis.get("seed", 0), int, "analysis.seed")
     if "theta_points" in analysis:
         analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points")
 

@@ -7,17 +7,16 @@ of D×D environment blocks, block by block,
 
     Λ_dt: S[j, l] -> U_j(dt) S[j, l] U_l(dt)†
 
-which a provider implements as ``step``; the dephasing matrices φ (the
-environment traces of Λ_dt applied to ρ_E) are read from it.  Between two
-sharp measurements the engine of :mod:`dephaser.statistics` holds a
-*measured-basis* state instead: after outcome x, with V_x an orthonormal basis
-of the range of P_x (d×r), all memory of the past sits in E_x = V_x† S V_x, an
-r×r grid of D×D blocks.  A provider's ``transfer`` maps E_x to
-E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next outcome y: for the exact
-provider one Kraus sandwich K E K† with K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt),
-for the analytic one (D = 1) E -> Σ_jl φ_jl(dt)·C_j E C_l† with
-C_j = (V_y† e_j)(e_j† V_x).  This is the process-tensor view of Milz & Modi,
-PRX Quantum 2, 030201 (2021), and it never builds the d×d grid.  The map
+and its dephasing matrix is φ_jl(dt) = tr(U_j ρ_E U_l†), which a provider's
+``dephasings`` gives for an array of durations.  The engine of
+:mod:`dephaser.statistics` never builds that d×d grid: after a sharp outcome
+x, with V_x an orthonormal basis of the range of P_x (d×r), all memory of the
+past sits in E_x = V_x† S V_x, an r×r grid of D×D blocks.  A provider's
+``transfer`` maps E_x to E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next
+outcome y: for the exact provider one Kraus sandwich K E K† with
+K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt), for the analytic one (D = 1)
+E -> Σ_jl φ_jl(dt)·C_j E C_l† with C_j = (V_y† e_j)(e_j† V_x).  This is the
+process-tensor view of Milz & Modi, PRX Quantum 2, 030201 (2021).  The map
 comes in stages, each over a whole array of durations at once:
 ``exponentials`` (the stacked U_j(dt), or φ(dt): the one exponentiation),
 ``kernels`` (the Kraus stacks K, or φ itself, between two outcome bases) and
@@ -25,14 +24,16 @@ comes in stages, each over a whole array of durations at once:
 measurement needs only probabilities, tr E_xy = tr(E_x·M_xy), so
 ``effects`` gives the Heisenberg-picture effect operators M_xy = K_xy†K_xy
 (exact) or V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
-The exact provider diagonalises its stacked blocks once, in one call.
+The exact provider diagonalises its stacked blocks once, in one call, and
+keeps the U_j of the last distinct durations it exponentiated together.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
 L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
 B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
-T = A·diag(s)·A† where row J of A is vec(L_J B).  The signs are kept, not
-clipped, because ``check_density`` admits eigenvalues down to -1e-10.
+T = A·diag(s)·A† where row J of A is vec(L_J B); φ(dt) is its one-interval
+case.  The signs are kept, not clipped, because ``check_density`` admits
+eigenvalues down to -1e-10.
 Two providers are implemented: the exact finite-environment one, and the
 analytic one (D = 1) whose tensor factorizes into per-interval exponentials
 by construction (the regression/Markovian case).
@@ -54,17 +55,20 @@ from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
-#: budget, in complex entries, for the largest state propagation holds: in
-#: ``joint_distribution`` the m^n·r²·D² entries of the branch states after n
-#: measurements (m outcomes, r the largest rank of the PVM), or the d²·D² of
-#: ρ⊗ρ_E if larger; d^(2n) + d^n·D·r_E in ``tensor_array`` (r_E the rank of
-#: ρ_E); d·D² per distinct pair duration in ``markovianity_deficit_detail``;
-#: ``classicality_report`` checks its largest single-node state and its stored
-#: tables against it and gives each trie level in flight TERM_CAP // max_order.
-#: 10^7 complex128 entries are 160 MB.  An ``apply`` holds its input, the
-#: half product K·E and its result at once (the first interval's K·E has
-#: m·r·d·D² entries), so a run at the cap peaks near 0.5 GB: the most a
-#: desk-scale machine can give one analysis.
+#: budget, in complex entries, for the largest array an analysis holds: in
+#: ``joint_distribution`` ρ⊗ρ_E (d²·D²), the first interval's K·E
+#: (m·r·d·D², m outcomes, r the largest rank of the PVM), the branch states
+#: after n − 1 measurements (m^(n-1)·r²·D²; the nth interval is read out) or
+#: the m^n table, whichever is largest; d^(2n) + d^n·D·r_E in
+#: ``tensor_array`` (r_E the rank of ρ_E); d·D² per distinct pair duration in
+#: ``markovianity_deficit_detail``; ``classicality_report`` checks its
+#: largest single node (a deepest-level row: its parent's branch states plus
+#: its gathered effects) and its stored tables against it and gives each trie
+#: level in flight TERM_CAP // max_order.  10^7 complex128 entries are
+#: 160 MB.  An ``apply`` holds its input, the half product K·E and its result
+#: at once, and a readout the states and their transposed copy, so a run at
+#: the cap peaks near 0.5 GB: the most a desk-scale machine can give one
+#: analysis.
 TERM_CAP = 10_000_000
 
 #: budget of the Markovianity check in compared tensor entries, Σ_{n=2..N}
@@ -76,13 +80,6 @@ TERM_CAP = 10_000_000
 #: 3·10^6/s at D = 8, 10^6 at D = 16, 2.5·10^5 at D = 32): at D >= 16 a run
 #: under the cap can take minutes.
 MARKOV_WORK_CAP = 100_000_000
-
-#: durations whose U_j an ``ExactDephasingProvider`` keeps for its scalar
-#: readers (``step``, ``propagator``, ``tensor_pairs``), oldest dropped first.
-#: Their reuse spans one chain or one sweep, a handful of durations, while a
-#: long-lived provider fed ever new durations would otherwise grow by
-#: 2·d·D² entries per duration.
-PROP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -115,13 +112,13 @@ class IndexPairChain:
 class DephasingTensorProvider(ABC):
     """Interval map of a pure-dephasing system, and the dephasing tensor it yields.
 
-    ``step`` acts on states S[..., j, l, a, b]: any leading batch axes, then a
-    d×d grid of D×D environment blocks.  ``transfer`` acts on measured-basis
-    branch states (see the module docstring) in three stages: ``exponentials``
-    of the durations, ``kernels`` from those, ``apply`` of the kernels.
-    ``effects`` of the same kernels reads the probabilities of the branch
-    states ``apply`` would build without building them.  ``env`` is the
-    initial D×D environment state.
+    ``transfer`` acts on measured-basis branch states (see the module
+    docstring) in three stages: ``exponentials`` of the durations, ``kernels``
+    from those, ``apply`` of the kernels.  ``effects`` of the same kernels
+    reads the probabilities of the branch states ``apply`` would build without
+    building them.  ``dephasings`` gives the dephasing matrices φ(dt) that the
+    Markovianity and NCGD analyses read.  ``env`` is the initial D×D
+    environment state.
 
     Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
     to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
@@ -130,19 +127,12 @@ class DephasingTensorProvider(ABC):
 
     d: int
     env: np.ndarray
-    is_markovian_by_construction: bool = False
 
     @abstractmethod
-    def step(self, state: np.ndarray, dt) -> np.ndarray:
-        """The state after one interval of length ``dt`` (a new array).
-
-        ``dt`` is a scalar, or a numpy array of durations that broadcasts
-        against the leading axes ``state.shape[:-4]`` (numpy rules, so a
-        duration per row of a batch has shape (N, 1, ..., 1)); each entry
-        then steps its part of the batch, bitwise as a scalar step of that
-        part would.  Non-finite durations, and phases beyond the double
-        range, raise ``ValidationError``.
-        """
+    def dephasings(self, dt) -> np.ndarray:
+        """The dephasing matrices φ_jl(dt) = tr(U_j(dt) ρ_E U_l(dt)†), (..., d, d)
+        for ``dt`` of shape (...).  Non-finite durations, and phases beyond
+        the double range, raise ``ValidationError``."""
 
     @abstractmethod
     def exponentials(self, dt) -> np.ndarray:
@@ -195,7 +185,7 @@ class DephasingTensorProvider(ABC):
 
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
-        """Tensor value for index pairs, computed without ``step`` (the pointwise reference)."""
+        """Tensor value for index pairs, one interval at a time (the pointwise reference)."""
 
     def tensor(self, chain: IndexPairChain) -> complex:
         self._check_pairs(chain.pairs)
@@ -205,11 +195,10 @@ class DephasingTensorProvider(ABC):
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
     # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
     def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
-        """The d×d matrix of single-interval tensor values over [s, t] (one ``step``)."""
+        """The d×d matrix φ(t - s) of single-interval tensor values over [s, t]."""
         if t < s:
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        state = np.broadcast_to(self.env, (self.d, self.d) + self.env.shape)
-        return np.trace(self.step(state, t - s), axis1=-2, axis2=-1)
+        return self.dephasings(t - s)
 
     def _check_pairs(self, pairs) -> None:
         for j, l in pairs:
@@ -262,7 +251,6 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self.d = model.d
         self.env = model.env_state
         self._eig = None
-        self._prop_cache: dict = {}
         self._batch = None  # the last distinct durations exponentiated together, and their U_j
 
     def _eigh(self) -> tuple:
@@ -273,27 +261,15 @@ class ExactDephasingProvider(DephasingTensorProvider):
             self._eig = hermitian_eigh(np.stack(self.model.blocks))
         return self._eig
 
-    def _unitaries(self, dt: float) -> tuple:
-        """U_j(dt) = V_j e^{-i·dt·w_j} V_j† for every block j, stacked on a
-        leading axis in one vectorised product, and their adjoints; cached
-        per duration, keeping the last ``PROP_CACHE_SIZE`` durations."""
-        pair = self._prop_cache.get(dt)
-        if pair is None:
-            u = spectral_expm(*self._eigh(), dt)
-            if len(self._prop_cache) >= PROP_CACHE_SIZE:
-                del self._prop_cache[next(iter(self._prop_cache))]
-            pair = self._prop_cache[dt] = u, u.conj().swapaxes(-1, -2)
-        return pair
+    def _unitaries_batch(self, dt) -> tuple:
+        """(U, inverse) for a scalar or an array of durations: the stacked U_j
+        of each distinct duration, (k, d, D, D), and the index into them of
+        each entry of ``dt`` (shape dt.shape).
 
-    def _unitaries_batch(self, dt: np.ndarray) -> tuple:
-        """(U, inverse) for an array of durations: the stacked U_j of each
-        distinct duration, (k, d, D, D), and the index into them of each entry
-        of ``dt`` (shape dt.shape).
-
-        The distinct durations are exponentiated in one vectorised product,
-        with the same arithmetic per entry as :meth:`_unitaries`.  The last
-        such batch is kept, so a table and a walk over one grid (the
-        Markovianity run) exponentiate its durations once.
+        The distinct durations are exponentiated in one :meth:`exponentials`
+        call.  The last such batch is the provider's one memo, so a table and
+        a walk over one grid (the Markovianity run), or the chains of one
+        sweep, exponentiate their durations once.
         """
         durations, inverse = _distinct(dt)
         if self._batch is None or not np.array_equal(self._batch[0], durations):
@@ -304,21 +280,15 @@ class ExactDephasingProvider(DephasingTensorProvider):
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
-        return self._unitaries(dt)[0][j]
-
-    def step(self, state, dt):
-        """S[..., j, l] -> U_j S[..., j, l] U_l† for every block at once.
-
-        One product per (batch row, block): U_j times the row S[..., j, :] as
-        a D×(d·D) matrix, then the column S[..., :, l] of that result, as a
-        (d·D)×D matrix, times U_l†.  Every product has the same shape whatever
-        the batch, so each row's arithmetic does not depend on it.
-        """
-        if not isinstance(dt, np.ndarray):
-            return _conjugate(state, *self._unitaries(dt))
         u, inverse = self._unitaries_batch(dt)
-        u = u[inverse]
-        return _conjugate(state, u, u.conj().swapaxes(-1, -2))
+        return u[inverse, j]
+
+    def dephasings(self, dt):
+        """The one-interval Gram product over the strings U_j·B of the
+        distinct durations, gathered back per entry of ``dt``."""
+        u, inverse = self._unitaries_batch(dt)
+        b, sign = _env_factor(self.env)
+        return _gram(u @ b, sign)[inverse]
 
     def exponentials(self, dt):
         """The stacked U_j(dt), (..., d, D, D) for ``dt`` of shape (...), in one
@@ -350,9 +320,12 @@ class ExactDephasingProvider(DephasingTensorProvider):
         return k.conj().swapaxes(-1, -2) @ k
 
     def tensor_pairs(self, pairs, durations) -> complex:
+        """ρ_E conjugated interval by interval, with the U_j of all durations
+        from one batch."""
+        u, inverse = self._unitaries_batch(durations)
         x = self.model.env_state
-        for (j, l), dt in zip(pairs, durations):
-            x = self.propagator(j, dt) @ x @ self.propagator(l, dt).conj().T
+        for (j, l), k in zip(pairs, inverse):
+            x = u[k, j] @ x @ u[k, l].conj().T
         return complex(np.trace(x))
 
     def tensor_array(self, durations) -> np.ndarray:
@@ -363,22 +336,10 @@ class ExactDephasingProvider(DephasingTensorProvider):
         if d ** (2 * n) + d**n * b.size > TERM_CAP:
             raise SizeCapError(f"tensor_array: {d ** (2 * n)} + {d**n * b.size} entries exceed cap {TERM_CAP}")
         strings = b[None]
-        for u in spectral_expm(*self._eigh(), np.asarray(durations, dtype=float)[:, None]):
+        for u in self.exponentials(durations):
             strings = _extend(strings, u)
         # rows (j_1, ..., j_n) and columns (l_1, ..., l_n), interleaved
         return _gram(strings, sign).reshape((d,) * 2 * n).transpose([a for k in range(n) for a in (k, n + k)])
-
-
-def _conjugate(state: np.ndarray, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """The kernel of ``step``: S[..., j, l] -> U_j S[..., j, l] U_l† with the
-    stacked U_j and U_j† (d, D, D), or one stack per leading batch row."""
-    lead, (d, _, big_d, _) = state.shape[:-4], state.shape[-4:]
-    # rows[..., j, a, (l, b)] = Σ_c U_j[a, c] S[..., j, l, c, b]
-    rows = u @ state.swapaxes(-3, -2).reshape(lead + (d, big_d, d * big_d))
-    # out[..., l, (j, a), b] = Σ_c rows[..., j, a, l, c] U_l†[c, b]
-    cols = rows.reshape(lead + (d * big_d, d, big_d)).swapaxes(-3, -2)
-    out = cols @ uh
-    return out.reshape(lead + (d, d, big_d, big_d)).swapaxes(-4, -3)
 
 
 def _distinct(dt) -> tuple:
@@ -411,11 +372,6 @@ def _gram(strings: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """T[..., J, L] = Σ_{a,c} A[..., J, a, c]·s[c]·conj(A[..., L, a, c]), one product per row."""
     rows = strings.reshape(strings.shape[:-2] + (-1,))
     return (strings * sign).reshape(rows.shape) @ rows.conj().swapaxes(-1, -2)
-
-
-def exact_tensor(model: DephasingModel, chain: IndexPairChain) -> complex:
-    """Dephasing-tensor entry of an exact model (convenience wrapper)."""
-    return ExactDephasingProvider(model).tensor(chain)
 
 
 @dataclass(frozen=True)
@@ -472,17 +428,14 @@ class MarkovianAnalyticModel:
 class MarkovianAnalyticProvider(DephasingTensorProvider):
     """Provider whose tensor factorizes per interval by construction (D = 1)."""
 
-    is_markovian_by_construction = True
-
     def __init__(self, model: MarkovianAnalyticModel):
         self.model = model
         self.d = model.d
         self.env = np.ones((1, 1), dtype=complex)
 
-    def step(self, state, dt):
-        if isinstance(dt, np.ndarray):
-            dt = dt[..., None, None]
-        return state * self.model.phi_matrix(dt)[..., None, None]
+    def dephasings(self, dt):
+        """:meth:`exponentials`: the analytic interval stage is φ itself."""
+        return self.exponentials(dt)
 
     def exponentials(self, dt):
         """The dephasing matrices φ(dt), (..., d, d) for ``dt`` of shape (...)."""
@@ -529,34 +482,25 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return reduce(np.multiply.outer, phis, np.ones((), dtype=complex))
 
 
-def markovian_tensor(model: MarkovianAnalyticModel, chain: IndexPairChain) -> complex:
-    return MarkovianAnalyticProvider(model).tensor(chain)
-
-
 class DephasingTable:
     """The dephasing matrices φ(t, s) of every pair of grid times s <= t.
 
-    All of them come from one ``provider.step`` over the array of durations
-    t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``), and are
-    read with the same ``dephasing_matrix(t, s)``, so a table stands in for
-    the provider in :func:`semigroup_deficit`, :func:`triviality_check` and
-    the reduced maps and NCGD deficits of :mod:`dephaser.statistics`.
-    A pair s == t is held only where the grid repeats the time.  A grid whose
-    pairs' states exceed ``TERM_CAP`` entries is stepped in chunks of pairs.
+    All of them come from one ``provider.dephasings`` call over the array of
+    durations t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``),
+    and are read with the same ``dephasing_matrix(t, s)``, so a table stands
+    in for the provider in :func:`semigroup_deficit`, :func:`triviality_check`
+    and the reduced maps and NCGD deficits of :mod:`dephaser.statistics`.
+    A pair s == t is held only where the grid repeats the time.  A grid of
+    more than ``TERM_CAP`` / (d²·D²) pairs takes one call per chunk of pairs.
     """
 
     def __init__(self, provider: DephasingTensorProvider, times: Sequence[float]):
         pairs = list(dict.fromkeys(itertools.combinations(sorted(float(t) for t in times), 2)))
         dt = np.array([t - s for s, t in pairs])
-        d, env = provider.d, provider.env
-        self.d = d
-        chunk = max(1, TERM_CAP // (d * d * env.size))
-        phi = []
-        for lo in range(0, len(dt), chunk):
-            part = dt[lo : lo + chunk]
-            state = np.broadcast_to(env, (len(part), d, d) + env.shape)
-            phi.extend(np.trace(provider.step(state, part), axis1=-2, axis2=-1))
-        self._phi = dict(zip(pairs, phi))
+        self.d = provider.d
+        chunk = max(1, TERM_CAP // (provider.d**2 * provider.env.size))
+        phi = [provider.dephasings(dt[lo : lo + chunk]) for lo in range(0, len(dt), chunk)]
+        self._phi = dict(zip(pairs, itertools.chain.from_iterable(phi)))
 
     def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
         """φ(t, s) of two grid times, s <= t."""
@@ -602,8 +546,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     on, each row's Gram product T gives max |T - F|.  The distinct pair
     durations are exponentiated once, in one batched call of the provider
     (whose eigendecomposition and last batch a :class:`DephasingTable` of
-    the same grid reuses), and their φ comes from the ``step`` kernel on
-    those U_j (bitwise as in the table).
+    the same grid reuses), and their φ is ``provider.dephasings`` of them.
     The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
     and the d·D² entries of U per distinct duration against ``TERM_CAP``,
     before any propagator is built.
@@ -623,19 +566,13 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
 
     env = provider.env
     first, second = np.triu_indices(k, 1)
-    durations, inverse = np.unique(times[second] - times[first], return_inverse=True)
+    durations, inverse = _distinct(times[second] - times[first])
     if len(durations) * d * env.size > TERM_CAP:
         raise SizeCapError(f"markovianity_deficit: U_j of {len(durations)} durations exceed cap {TERM_CAP} entries")
     pair = np.zeros((k, k), dtype=np.intp)  # the distinct duration of each pair i < j
     pair[first, second] = inverse
-    # U_j of each distinct duration, exponentiated once, and φ from the step kernel on them
-    u = provider._unitaries_batch(durations)[0]
-    chunk, phi = max(1, TERM_CAP // (d * d * env.size)), []
-    for lo in range(0, len(u), chunk):
-        part = u[lo : lo + chunk]
-        state = np.broadcast_to(env, (len(part), d, d) + env.shape)
-        phi.append(np.trace(_conjugate(state, part, part.conj().swapaxes(-1, -2)), axis1=-2, axis2=-1))
-    phi = np.concatenate(phi)
+    # U_j and φ of each distinct duration, from one exponentiation
+    u, phi = provider._unitaries_batch(durations)[0], provider.dephasings(durations)
     b, sign = _env_factor(env)
     top = min(max_order, k - 1)
     size = [max(1, TERM_CAP // top // (d**n * b.size + 2 * d ** (2 * n) + d * env.size)) for n in range(top + 1)]

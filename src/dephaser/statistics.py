@@ -212,12 +212,15 @@ def _readout(state: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 
 def _state_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> int:
-    """Entries of the largest state of an n-time propagation: ρ⊗ρ_E, or the
-    m^n·r²·D² of the branch states after the last measurement.  m^k with
+    """Entries of the largest array held to read out an n-time table, whose
+    last interval builds no branch state: ρ⊗ρ_E (d²·D²), the first interval's
+    K·E (m·r·d·D², r the largest rank of the PVM), the branch states after
+    n − 1 measurements (m^(n-1)·r²·D²) or the m^n table.  m^k with
     k >= TERM_CAP.bit_length() exceeds the cap for every m >= 2 (and is 1 for
     m = 1), so the exponent is clipped there."""
-    m, _, r = measurement.bases.shape
-    return max(provider.d**2, m ** min(n, TERM_CAP.bit_length()) * r * r) * provider.env.size
+    (m, d, r), big = measurement.bases.shape, provider.env.size
+    k = min(n, TERM_CAP.bit_length())
+    return max(d * d * big, m * r * d * big, m ** (k - 1) * r * r * big, m**k)
 
 
 def joint_distribution(
@@ -225,7 +228,6 @@ def joint_distribution(
     prep: SystemPreparation,
     measurement: ProjectiveMeasurement,
     grid: TimeGrid,
-    term_cap: int = TERM_CAP,
 ) -> JointDistribution:
     """n-time statistics by propagation of measured-basis branch states.
 
@@ -239,14 +241,14 @@ def joint_distribution(
     ``provider.apply`` onto a new outcome axis; the table is read out of the
     states before the last interval by the effects of its kernel (for n = 1,
     of the root by the first kernel's).
-    ``term_cap`` bounds the entries of the largest state, max(d², m^n·r²)·D²:
-    the readout's temporaries are no larger than the branch states it spares.
+    ``TERM_CAP`` bounds the entries of the largest array held (see
+    :func:`_state_entries`), checked before any propagator is computed.
     """
     root, identity = _root(provider, prep, measurement, "joint_distribution")
     bases = measurement.bases
     entries = _state_entries(provider, measurement, grid.n)
-    if entries > term_cap:
-        raise SizeCapError(f"joint_distribution: propagated state of {entries} entries exceeds cap {term_cap}")
+    if entries > TERM_CAP:
+        raise SizeCapError(f"joint_distribution: largest array of {entries} entries exceeds cap {TERM_CAP}")
 
     # one exponentiation of all n durations; the first interval leaves the
     # identity basis, the later ones join outcome bases
@@ -326,7 +328,7 @@ def _channel_matrix(provider, measurement: ProjectiveMeasurement, caller: str) -
     The deficits compose plain matrices, in the order of
     :meth:`Superoperator.compose` (so with its bits), without validating each
     intermediate product: every factor is finite where it is built (φ by
-    ``step``, the channel from the validated PVM).
+    ``dephasings``, the channel from the validated PVM).
     """
     if measurement.d != provider.d:
         raise ShapeError(f"{caller}: dimension mismatch (provider d={provider.d}, measurement {measurement.d})")

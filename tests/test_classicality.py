@@ -185,7 +185,7 @@ class TestReportMatchesPerTupleReference:
         assert_matches_reference(report, per_tuple_records(provider, prep, meas, pool, 4, t0=t0))
 
     def test_records_d3_D4(self):
-        # four-dimensional environment blocks: step products of 4×12 and 12×4
+        # four-dimensional environment blocks under three-outcome Kraus products
         provider = ExactDephasingProvider(random_exact_model(3, 4, 29))
         prep = SystemPreparation.pure([0.6, -0.2 + 0.4j, 0.5])
         pool, t0 = (0.35, 0.9, 1.6), 0.05
@@ -213,21 +213,35 @@ class TestReportMatchesPerTupleReference:
         assert report == classicality_report(zx_provider, prep, meas, (1.0, 2.0), 2)
 
     @pytest.mark.parametrize(
-        "pool, max_order",
-        [((1.0,), 22), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        "big_d, pool, max_order",
+        [(4, (1.0,), 21), (2, tuple(0.1 * k for k in range(1, 31)), 6)],
         ids=["largest-state", "stored-tables"],
     )
-    def test_cap_checked_before_any_propagator(self, zx_provider, pool, max_order, monkeypatch):
-        # a pool of 1 time at order 22: branch states of 2^22·r²·D² = 2^24 entries;
-        # 30 times at order 6: C(35, 6)·2^6 ~ 10^8 stored table entries
+    def test_cap_checked_before_any_propagator(self, big_d, pool, max_order, monkeypatch):
+        # a pool of 1 time at order 21, D = 4: the deepest level's parent states
+        # hold 2^20·r²·D² = 2^24 entries, the stored tables only 2^22 - 2;
+        # 30 times at order 6, D = 2: C(35, 6)·2^6 ~ 10^8 stored table entries
         def forbidden(*args):
             raise AssertionError("no propagator before the cap check")
 
+        provider = ExactDephasingProvider(random_exact_model(2, big_d, seed=3))
         monkeypatch.setattr(models, "spectral_expm", forbidden)
         with pytest.raises(SizeCapError):
-            classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
-        assert zx_provider._prop_cache == {}
-        assert zx_provider._eig is None
+            classicality_report(provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
+        assert provider._batch is None
+        assert provider._eig is None
+
+    def test_cap_counts_parent_states_and_effects(self, zx_provider, monkeypatch):
+        # one time at order 4, D = 2: a deepest-level row holds its parent's
+        # 2^3·r²·D² = 32 entries of branch states and 2²·r²·D² = 16 of gathered
+        # effects; the stored tables hold 2 + 4 + 8 + 16 = 30 entries
+        prep, meas = SystemPreparation.maximally_mixed(2), fourier_mub(2)
+        whole = classicality_report(zx_provider, prep, meas, (1.0,), 4)
+        monkeypatch.setattr(classicality, "TERM_CAP", 48)
+        assert classicality_report(zx_provider, prep, meas, (1.0,), 4).records == whole.records
+        monkeypatch.setattr(classicality, "TERM_CAP", 47)
+        with pytest.raises(SizeCapError):
+            classicality_report(zx_provider, prep, meas, (1.0,), 4)
 
     def test_dimension_mismatch_rejected(self, zx_provider):
         with pytest.raises(ShapeError):
@@ -261,15 +275,16 @@ class TestReportChecks:
             )
 
     @pytest.mark.parametrize(
-        "pool, max_order",
-        [((1.0,), 22), (tuple(0.1 * k for k in range(1, 31)), 6)],
+        "big_d, pool, max_order",
+        [(4, (1.0,), 21), (2, tuple(0.1 * k for k in range(1, 31)), 6)],
         ids=["largest-state", "stored-tables"],
     )
-    def test_cap_checked_before_any_eigendecomposition(self, zx_provider, pool, max_order):
-        # the level walk builds its propagators without the per-duration cache
+    def test_cap_checked_before_any_eigendecomposition(self, big_d, pool, max_order):
+        # the inputs of test_cap_checked_before_any_propagator
+        provider = ExactDephasingProvider(random_exact_model(2, big_d, seed=3))
         with pytest.raises(SizeCapError):
-            classicality_report(zx_provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
-        assert zx_provider._eig is None
+            classicality_report(provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
+        assert provider._eig is None
 
     def test_chunked_levels_match_unchunked(self, zx_model, monkeypatch):
         steps = []

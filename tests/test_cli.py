@@ -12,7 +12,7 @@ import pytest
 from dephaser import cli, models
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
-from dephaser.models import ExactDephasingProvider
+from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
 from dephaser.presets import get_preset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,7 +42,6 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, classicality_config()))
         assert cfg.d == 2
         assert cfg.grid.times == (0.8, 1.6, 2.4)
-        assert cfg.analysis["seed"] == 0
 
     def test_version_required(self):
         with pytest.raises(ConfigError):
@@ -62,7 +61,7 @@ class TestConfigParsing:
         )
         cfg = parse_config(doc)
         assert cfg.exact_model is None
-        assert cfg.provider.is_markovian_by_construction
+        assert isinstance(cfg.provider, MarkovianAnalyticProvider)
 
     def test_exact_inline_model(self):
         z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
@@ -129,16 +128,17 @@ class TestMalformedValues:
         assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_numeric_fields_coerced(self):
+        # a stray "seed" key is ignored, like any analysis key the code does not read
         doc = classicality_config(
             grid={"t0": "0", "times": [0.8, "1.6"]},
             analysis={"kind": "classicality", "max_order": 3.0, "tolerance": "1e-9", "seed": "4"},
         )
         cfg = parse_config(doc)
         assert cfg.grid.times == (0.8, 1.6)
-        assert (cfg.analysis["max_order"], cfg.analysis["tolerance"], cfg.analysis["seed"]) == (3, 1e-9, 4)
+        assert (cfg.analysis["max_order"], cfg.analysis["tolerance"]) == (3, 1e-9)
         assert type(cfg.analysis["max_order"]) is int
 
-    @pytest.mark.parametrize("analysis", [{"max_order": 2.5}, {"seed": True}, {"tolerance": "nan"}])
+    @pytest.mark.parametrize("analysis", [{"max_order": 2.5}, {"max_order": True}, {"tolerance": "nan"}])
     def test_non_integral_or_non_finite_rejected(self, analysis):
         with pytest.raises(ConfigError):
             parse_config(classicality_config(analysis={"kind": "classicality", **analysis}))
@@ -429,20 +429,20 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_seed_override_recorded(self, tmp_path):
-        path = write_config(tmp_path, classicality_config())
-        out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out), "--seed", "41"]) == 0
-        assert json.loads((out / "report.json").read_text())["seed"] == 41
+    def test_seed_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write_config(tmp_path, classicality_config()), "--seed", "41"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_parser_reused_without_carrying_arguments(self, tmp_path):
         # the parser is built once per process; each call parses afresh
         path = write_config(tmp_path, classicality_config())
         parser = cli._parser()
-        assert main(["run", path, "--out", str(tmp_path / "a"), "--seed", "41"]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
         assert cli._parser() is parser
-        assert json.loads((tmp_path / "b" / "report.json").read_text())["seed"] == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
 
     def test_commands_looked_up_per_call(self, monkeypatch):
         # a function set on the module after the parser was built still runs
@@ -487,8 +487,8 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, classicality_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", path, "--out", str(out1), "--seed", "3"]) == 0
-        assert main(["run", path, "--out", str(out2), "--seed", "3"]) == 0
+        assert main(["run", path, "--out", str(out1)]) == 0
+        assert main(["run", path, "--out", str(out2)]) == 0
         for name in ("report.json", "deficits.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

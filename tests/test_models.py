@@ -16,8 +16,6 @@ from dephaser.models import (
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
     commutativity_check,
-    exact_tensor,
-    markovian_tensor,
     markovianity_deficit,
     semigroup_deficit,
     tensor_collapse_check,
@@ -46,7 +44,7 @@ class TestExactTensor:
     def test_diagonal_chain_is_one(self):
         model = random_exact_model(3, 3, seed=2)
         chain = IndexPairChain(((0, 0), (2, 2), (1, 1)), (0.0, 0.3, 0.9, 1.4))
-        assert abs(exact_tensor(model, chain) - 1.0) < 1e-12
+        assert abs(ExactDephasingProvider(model).tensor(chain) - 1.0) < 1e-12
 
     def test_scalar_blocks_phase(self):
         omega0 = 1.7
@@ -55,13 +53,13 @@ class TestExactTensor:
             np.array([[1.0]], dtype=complex),
         )
         tau = 0.8
-        val = exact_tensor(model, IndexPairChain(((0, 1),), (0.0, tau)))
+        val = ExactDephasingProvider(model).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
         assert abs(val - np.exp(1j * omega0 * tau)) < 1e-12
 
     def test_zx_closed_form(self, zx_model):
         # tr[rho_B e^{i tau sx} e^{-i tau sz}] = cos(tau) e^{-i tau}
         tau = np.pi / 4
-        val = exact_tensor(zx_model, IndexPairChain(((0, 1),), (0.0, tau)))
+        val = ExactDephasingProvider(zx_model).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
         assert abs(val - (0.5 - 0.5j)) < 1e-12
 
     def test_index_out_of_range(self, zx_provider):
@@ -113,7 +111,7 @@ class TestExactTensor:
 
 
 class TestBlockPropagation:
-    """tensor_array (propagated with ``step``) against the pointwise tensor_pairs."""
+    """tensor_array against the pointwise tensor_pairs."""
 
     @pytest.mark.parametrize(
         "provider",
@@ -158,7 +156,7 @@ class TestBlockPropagation:
         monkeypatch.setattr(models, "spectral_expm", forbidden)
         with pytest.raises(SizeCapError):
             zx_provider.tensor_array([0.1] * 12)
-        assert zx_provider._prop_cache == {}
+        assert zx_provider._batch is None
         assert zx_provider._eig is None
 
     def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
@@ -224,7 +222,7 @@ class TestValidatedBlocks:
         monkeypatch.setattr(linalg, "check_hermitian", counting)
         monkeypatch.setattr(models, "check_hermitian", counting)
         provider = ExactDephasingProvider(model)
-        provider.step(np.ones((3, 3, 4, 4), dtype=complex), 0.7)
+        provider.dephasings(0.7)
         assert calls == []
 
     def test_blocks_and_environment_are_read_only_copies(self):
@@ -259,7 +257,7 @@ class TestPropagator:
         monkeypatch.setattr(models, "hermitian_eigh", counting)
         provider = ExactDephasingProvider(zx_model)
         for dt in (0.1, 0.2, 0.3):
-            provider.step(np.ones((2, 2, 2, 2), dtype=complex), dt)
+            provider.dephasings(dt)
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.stack(zx_model.blocks))
 
@@ -277,9 +275,9 @@ class TestPropagator:
         durations = np.linspace(0.0, 10.0, 10_000)
         for dt in durations:
             provider.propagator(0, float(dt))
-        assert len(provider._prop_cache) == models.PROP_CACHE_SIZE
-        # the newest durations are kept, and a kept one is not recomputed
-        assert list(provider._prop_cache) == [float(t) for t in durations[-models.PROP_CACHE_SIZE :]]
+        # the provider's one memo holds the U_j of the last duration only
+        assert np.array_equal(provider._batch[0], durations[-1:])
+        assert provider._batch[1].shape == (1, 2, 2, 2)
         assert np.array_equal(provider.propagator(1, float(durations[-1])), hermitian_expm(zx_model.blocks[1], durations[-1]))
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
@@ -288,7 +286,7 @@ class TestPropagator:
             zx_provider.propagator(0, dt)
 
 
-ARRAY_STEP_PROVIDERS = [
+ARRAY_PROVIDERS = [
     ExactDephasingProvider(random_exact_model(3, 2, seed=41)),
     ExactDephasingProvider(random_exact_model(2, 1, seed=5)),
     MarkovianAnalyticProvider(
@@ -301,35 +299,28 @@ ARRAY_STEP_PROVIDERS = [
 
 
 class TestArrayDurations:
-    """step(state, dt_array) against one scalar step per row of the batch."""
+    """dephasings(dt_array) against one scalar call per entry."""
 
-    @pytest.mark.parametrize("provider", ARRAY_STEP_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
     def test_equals_stacked_scalar_steps(self, provider):
-        rng = np.random.default_rng(3)
-        d, big_d = provider.d, provider.env.shape[0]
-        # a batch of 6 rows, each with two outcome axes of 2; durations repeat
-        shape = (6, 2, 2, d, d, big_d, big_d)
-        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        d = provider.d
+        # durations repeat, on one axis and on two
         dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9, 1.3])
-        batched = provider.step(state, dt.reshape(-1, 1, 1))
-        assert np.array_equal(batched, np.stack([provider.step(s, float(t)) for s, t in zip(state, dt)]))
-        # one duration per outcome of the second axis instead
-        batched = provider.step(state, dt[:2].reshape(1, 2))
-        assert np.array_equal(batched, np.stack([provider.step(state[:, :, x], float(dt[x])) for x in range(2)], axis=2))
+        scalar = np.stack([provider.dephasings(float(t)) for t in dt])
+        assert np.array_equal(provider.dephasings(dt), scalar)
+        assert np.array_equal(provider.dephasings(dt.reshape(2, 3)), scalar.reshape(2, 3, d, d))
 
-    @pytest.mark.parametrize("provider", ARRAY_STEP_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entry_rejected(self, provider, bad):
-        d, big_d = provider.d, provider.env.shape[0]
-        state = np.ones((3, d, d, big_d, big_d), dtype=complex)
         with pytest.raises(ValidationError):
-            provider.step(state, np.array([0.5, bad, 1.0]))
+            provider.dephasings(np.array([0.5, bad, 1.0]))
 
     def test_overflowing_phase_rejected(self):
         # 1e308 is finite, but the phase 1e308·w overflows for |w| = 10
         provider = ExactDephasingProvider(DephasingModel((10 * SIGMA_Z, SIGMA_X), np.eye(2) / 2))
         with pytest.raises(ValidationError):
-            provider.step(np.ones((2, 2, 2, 2, 2), dtype=complex), np.array([1.0, 1e308]))
+            provider.dephasings(np.array([1.0, 1e308]))
 
     def test_one_eigendecomposition_per_block(self, zx_model, monkeypatch):
         calls = []
@@ -341,10 +332,9 @@ class TestArrayDurations:
 
         monkeypatch.setattr(models, "hermitian_eigh", counting)
         provider = ExactDephasingProvider(zx_model)
-        state = np.ones((3, 2, 2, 2, 2), dtype=complex)
-        provider.step(state, np.array([0.1, 0.2, 0.1]))
-        provider.step(state, np.array([0.4, 0.5, 0.6]))
-        provider.step(state[0], 0.3)
+        provider.dephasings(np.array([0.1, 0.2, 0.1]))
+        provider.dephasings(np.array([0.4, 0.5, 0.6]))
+        provider.dephasings(0.3)
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.stack(zx_model.blocks))
 
@@ -356,14 +346,14 @@ class TestArrayDurations:
         u, inverse = provider._unitaries_batch(dt)
         durations, expected = np.unique(dt.ravel(), return_inverse=True)
         assert np.array_equal(inverse, expected.reshape(shape))
-        assert np.array_equal(u, np.stack([provider._unitaries(float(t))[0] for t in durations]))
+        assert np.array_equal(u, np.stack([provider.exponentials(float(t)) for t in durations]))
 
 
 class TestArrayDurationsWiderEnvironments:
-    """The array step is bitwise stacked scalar steps on larger environment blocks too.
+    """dephasings of an array is bitwise stacked scalar calls on larger environment blocks too.
 
-    ``step`` issues one fixed-shape product per (batch row, block), so a row's
-    arithmetic must not depend on the batch around it.
+    The Gram product is one fixed-shape product per distinct duration, so an
+    entry's arithmetic must not depend on the batch around it.
     """
 
     @pytest.mark.parametrize(
@@ -371,30 +361,46 @@ class TestArrayDurationsWiderEnvironments:
     )
     def test_equals_stacked_scalar_steps(self, d, big_d):
         provider = ExactDephasingProvider(random_exact_model(d, big_d, seed=11 * d + big_d))
-        rng = np.random.default_rng(d * big_d)
-        shape = (5, 3, d, d, big_d, big_d)
-        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dt = np.array([0.4, 1.7, 0.4, 0.0, 2.3])
-        batched = provider.step(state, dt.reshape(-1, 1))
-        assert np.array_equal(batched, np.stack([provider.step(s, float(t)) for s, t in zip(state, dt)]))
-        # and a single row, stepped alone, is the same row of a larger batch
-        assert np.array_equal(provider.step(state[2:3], dt[2:3].reshape(-1, 1))[0], batched[2])
+        batched = provider.dephasings(dt)
+        assert np.array_equal(batched, np.stack([provider.dephasings(float(t)) for t in dt]))
+        # and a single entry, computed alone, is the same entry of a larger batch
+        assert np.array_equal(provider.dephasings(dt[2:3])[0], batched[2])
 
     def test_matches_per_block_products(self):
-        # S[j, l] -> U_j S[j, l] U_l†, block by block, against the propagators
+        # φ_jl = tr(U_j ρ_E U_l†), block pair by block pair, against the propagators
         provider = ExactDephasingProvider(random_exact_model(3, 4, seed=5))
-        rng = np.random.default_rng(8)
-        state = rng.standard_normal((2, 3, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 3, 4, 4))
-        out = provider.step(state, 0.83)
-        for r, j, l in np.ndindex(2, 3, 3):
-            expected = provider.propagator(j, 0.83) @ state[r, j, l] @ provider.propagator(l, 0.83).conj().T
-            assert np.max(np.abs(out[r, j, l] - expected)) < 1e-13
+        out = provider.dephasings(0.83)
+        for j, l in np.ndindex(3, 3):
+            expected = np.trace(provider.propagator(j, 0.83) @ provider.env @ provider.propagator(l, 0.83).conj().T)
+            assert abs(out[j, l] - expected) < 1e-13
+
+
+class TestDephasings:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DephasingModel((SIGMA_Z, SIGMA_X), np.diag([1.0, 0.0]).astype(complex)),
+            DephasingModel(tuple(random_hermitian(4, 60 + j) for j in range(3)), _env_with_eigenvalues([0.4, 0.3, 0.2, 0.1], 3)),
+        ],
+        ids=["qubit-zx-rank-one", "random-d3-D4-full-rank"],
+    )
+    def test_against_hermitian_expm(self, model):
+        # the Gram product against tr(U_j ρ_E U_l†) with U_j from hermitian_expm, for a
+        # rank-deficient and a full-rank environment state
+        durations = np.array([0.0, 0.37, 1.9, 0.37])
+        phi = ExactDephasingProvider(model).dephasings(durations)
+        assert phi.shape == (4, model.d, model.d)
+        for k, dt in enumerate(durations):
+            u = [hermitian_expm(h, dt) for h in model.blocks]
+            for j, l in np.ndindex(model.d, model.d):
+                assert abs(phi[k, j, l] - np.trace(u[j] @ model.env_state @ u[l].conj().T)) < 1e-13
 
 
 class TestDephasingTable:
     @pytest.mark.parametrize(
         "provider",
-        [ExactDephasingProvider(random_exact_model(3, 2, seed=41)), ARRAY_STEP_PROVIDERS[2]],
+        [ExactDephasingProvider(random_exact_model(3, 2, seed=41)), ARRAY_PROVIDERS[2]],
         ids=["exact-d3-D2", "analytic-d3"],
     )
     def test_bitwise_equal_to_dephasing_matrix(self, provider):
@@ -410,9 +416,9 @@ class TestDephasingTable:
         durations = []
 
         class CountingProvider(ExactDephasingProvider):
-            def step(self, state, dt):
+            def dephasings(self, dt):
                 durations.append(np.shape(dt))
-                return super().step(state, dt)
+                return super().dephasings(dt)
 
         models.DephasingTable(CountingProvider(zx_model), [0.5, 1.0, 2.0, 3.5])
         assert durations == [(6,)]
@@ -423,11 +429,11 @@ class TestDephasingTable:
         durations = []
 
         class CountingProvider(ExactDephasingProvider):
-            def step(self, state, dt):
+            def dephasings(self, dt):
                 durations.append(len(dt))
-                return super().step(state, dt)
+                return super().dephasings(dt)
 
-        # 4 pairs of d²·D² = 16 entries per step
+        # 4 pairs of d²·D² = 16 entries per call
         monkeypatch.setattr(models, "TERM_CAP", 64)
         chunked = models.DephasingTable(CountingProvider(zx_model), times)
         assert durations == [4, 4, 2]
@@ -465,18 +471,18 @@ class TestMarkovianModel:
 
     def test_single_interval(self, markov_qubit):
         eps, gamma, tau = 0.8, 0.5, 1.3
-        val = markovian_tensor(markov_qubit, IndexPairChain(((0, 1),), (0.0, tau)))
+        val = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
         assert abs(val - np.exp(-(1j * eps + gamma / 2) * tau)) < 1e-14
 
     def test_semigroup_by_construction(self, markov_qubit):
         tau = 0.6
-        two_steps = markovian_tensor(markov_qubit, IndexPairChain(((0, 1), (0, 1)), (0.0, tau, 2 * tau)))
-        one_step = markovian_tensor(markov_qubit, IndexPairChain(((0, 1),), (0.0, 2 * tau)))
+        two_steps = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1), (0, 1)), (0.0, tau, 2 * tau)))
+        one_step = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1),), (0.0, 2 * tau)))
         assert abs(two_steps - one_step) < 1e-14
 
     def test_conjugate_pair_cancellation(self, markov_qubit):
         tau, gamma = 0.6, 0.5
-        val = markovian_tensor(markov_qubit, IndexPairChain(((0, 1), (1, 0)), (0.0, tau, 2 * tau)))
+        val = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1), (1, 0)), (0.0, tau, 2 * tau)))
         assert abs(val - np.exp(-gamma * tau)) < 1e-14
 
     @given(seed=seeds)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dephaser import models
+from dephaser import models, statistics
 from dephaser.errors import (
     NullEventError,
     ShapeError,
@@ -12,7 +12,7 @@ from dephaser.errors import (
     TimeOrderError,
     ValidationError,
 )
-from dephaser.linalg import random_density, random_unitary
+from dephaser.linalg import hermitian_expm, random_density, random_unitary
 from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from dephaser.models import (
     DephasingModel,
@@ -197,14 +197,24 @@ class TestJointVsOracle:
 
 
 def reference_transfer(provider, state, dt, source, target):
-    """E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y by einsum, with Λ_dt the provider's ``step``."""
-    (ms, d, rs), (mt, _, rt), big_d = source.shape, target.shape, provider.env.shape[0]
-    blocks = state.reshape(state.shape[:-2] + (rs, big_d, rs, big_d))
-    lifted = np.einsum("xja,...xacbe,xlb->...xjlce", source, blocks, source.conj())
+    """E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y by einsum, with Λ_dt: S[j, l] -> U_j S[j, l] U_l†
+    from ``hermitian_expm`` of each block (exact provider), or S[j, l] -> φ_jl·S[j, l]
+    from the model's ``phi_matrix`` (analytic one): no code of the provider's stages.
+    An array ``dt``, one duration per leading row, is taken row by row."""
+    lead = state.shape[:-3]
     if isinstance(dt, np.ndarray):
-        dt = dt[..., None]
-    stepped = provider.step(lifted, dt)
-    out = np.einsum("yjg,...xjlce,yld->...xygcde", target.conj(), stepped, target)
+        dt = np.broadcast_to(dt, lead)
+        rows = [reference_transfer(provider, state[idx], float(dt[idx]), source, target) for idx in np.ndindex(lead)]
+        return np.array(rows).reshape(lead + rows[0].shape)
+    (ms, d, rs), (mt, _, rt), big_d = source.shape, target.shape, provider.env.shape[0]
+    blocks = state.reshape(lead + (ms, rs, big_d, rs, big_d))
+    lifted = np.einsum("xja,...xacbe,xlb->...xjlce", source, blocks, source.conj())
+    if isinstance(provider, ExactDephasingProvider):
+        u = np.stack([hermitian_expm(h, dt) for h in provider.model.blocks])
+        evolved = np.einsum("jac,...xjlce,lbe->...xjlab", u, lifted, u.conj())
+    else:
+        evolved = lifted * provider.model.phi_matrix(dt)[:, :, None, None]
+    out = np.einsum("yjg,...xjlce,yld->...xygcde", target.conj(), evolved, target)
     return out.reshape(out.shape[:-4] + (rt * big_d, rt * big_d))
 
 
@@ -246,7 +256,7 @@ def random_branches(rng, shape):
 
 
 class TestEngineKernels:
-    """``transfer`` against an einsum reference built from ``step``, and per batch row."""
+    """``transfer`` against an independent einsum reference, and per batch row."""
 
     @KERNEL_CASES
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-batch", "batch-3", "batch-2x3"])
@@ -487,23 +497,30 @@ class TestKnownValues:
 
 
 class TestCaps:
-    def test_term_cap(self, zx_provider):
-        prep = SystemPreparation.maximally_mixed(2)
+    def test_term_cap(self, zx_model, monkeypatch):
+        # 5 qubit times, D = 2: the branch states after 4 measurements hold
+        # 2^4·r²·D² = 64 entries, more than ρ⊗ρ_E and the first K·E (16 each)
+        # and the 2^5 table
+        prep, meas = SystemPreparation.maximally_mixed(2), fourier_mub(2)
         grid = TimeGrid(0.0, tuple(float(k) for k in range(1, 6)))
+        monkeypatch.setattr(statistics, "TERM_CAP", 64)
+        table = joint_distribution(ExactDephasingProvider(zx_model), prep, meas, grid).table
+        assert np.max(np.abs(table - oracle_distribution(zx_model, prep, meas, grid).table)) < 1e-12
+        monkeypatch.setattr(statistics, "TERM_CAP", 63)
         with pytest.raises(SizeCapError):
-            joint_distribution(zx_provider, prep, fourier_mub(2), grid, term_cap=100)
+            joint_distribution(ExactDephasingProvider(zx_model), prep, meas, grid)
 
     def test_cap_checked_before_any_propagator(self, zx_provider, monkeypatch):
-        # the last branch states hold 2^22 outcome tuples x r^2 D^2 = 4 entries
+        # the branch states before the last interval hold 2^22 outcome tuples x r^2 D^2 = 4 entries
         def forbidden(*args):
             raise AssertionError("no propagator before the cap check")
 
         monkeypatch.setattr(models, "spectral_expm", forbidden)
         prep = SystemPreparation.maximally_mixed(2)
-        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 23)))
+        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 24)))
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid)
-        assert zx_provider._prop_cache == {}
+        assert zx_provider._batch is None
         assert zx_provider._eig is None
 
     def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
@@ -512,7 +529,7 @@ class TestCaps:
 
         monkeypatch.setattr(models, "hermitian_eigh", forbidden)
         monkeypatch.setattr(models, "spectral_expm", forbidden)
-        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 23)))
+        grid = TimeGrid(0.0, tuple(0.1 * k for k in range(1, 24)))
         with pytest.raises(SizeCapError):
             joint_distribution(ExactDephasingProvider(zx_model), SystemPreparation.maximally_mixed(2), fourier_mub(2), grid)
 
