@@ -12,24 +12,37 @@ as a prefix trie on the propagation kernel of
 measured-basis branch states, one r×r grid of D×D environment blocks per
 outcome prefix, and a child tuple comes from its parent by one interval and
 one measurement.  So each distinct grid is propagated once and every prefix
-is shared by all tuples that extend it.  The trie is walked one level at a
-time: all tuples of one order are a batch on a leading axis, whose kernels
-are built once per distinct duration and gathered per tuple, and the
-deficits of one (order, position) are one array reduction.  Levels below
-the deepest ``provider.apply`` their kernels; the deepest builds no branch
-state and reads its tables out through the kernels' ``provider.effects``.
-A level too large for the memory budget runs in chunks, depth-first.  The
-kernels' products have a fixed shape per batch row, so a tuple's table does
-not depend on the batch or chunk it is computed in; records agree with the
-per-tuple computation (:func:`joint_distribution` and
-:func:`kolmogorov_deficit` tuple by tuple) to roundoff.
+is shared by all tuples that extend it.  Every interval of the report runs
+from t0 to a pool time or between two pool times, so all of its durations
+are exponentiated in one ``provider.exponentials`` call, and the kernels out
+of the identity basis, the kernels between outcome bases and their effects
+are each built once per report; each level gathers its rows from them.
+(Stage arrays too large for ``TERM_CAP`` are built per chunk instead.)  The
+trie is walked one level at a time: all tuples of one order are a batch on
+a leading axis, and the deficits of one (order, position) are one array
+reduction.  Levels below the deepest ``provider.apply`` their kernels; the
+deepest builds no branch state and reads its tables out through the
+effects.  A level too large for the memory budget runs in chunks,
+depth-first.  The kernels' products have a fixed shape per batch row, so a
+tuple's table does not depend on the batch or chunk it is computed in;
+records agree with the per-tuple computation (:func:`joint_distribution`
+and :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
+
+A :class:`ClassicalityReport` keeps its deficits as columns, one
+(tuples × positions) array per order beside the tuples' pool indices.  Its
+verdicts, ``max_deficit``, ``to_dict`` and the CLI's CSV rows read those
+arrays; ``records`` is a read-only sequence view that builds a
+:class:`DeficitRecord` only for the item read.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,29 +98,50 @@ class DeficitRecord:
     deficit: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalityReport:
-    """Per-order, per-position consistency deficits with tolerance verdicts."""
+    """Per-order, per-position consistency deficits with tolerance verdicts.
+
+    ``columns`` holds, for each order n = 2..``max_order_tested``, the pool
+    indices of the order-n tuples, one row each (in
+    ``combinations_with_replacement`` order), and their deficits, one column
+    per interior position 1..n-1.  ``records`` reads them as
+    :class:`DeficitRecord` objects; the verdicts, :attr:`max_deficit`,
+    :meth:`record_values` and :meth:`to_dict` read the columns directly.
+    """
 
     max_order_tested: int
     tolerance: float
     t0: float
     pool: tuple
-    records: tuple = field(default_factory=tuple)
+    columns: tuple = ()
     note: str = "order 1 is normalization only and recorded as trivially satisfied"
 
-    def deficits_up_to(self, order: int):
-        return [r for r in self.records if r.order <= order]
+    @property
+    def records(self) -> "RecordView":
+        """The records, ordered by order, then tuple, then position."""
+        return RecordView(self)
+
+    def record_values(self):
+        """(order, position, times, deficit) of every record, in record order,
+        as plain Python values: ``times`` is a list of pool times, shared by
+        the positions of one tuple."""
+        pool = np.array(self.pool)
+        for rows, deficits in self.columns:
+            n = rows.shape[1]
+            for times, row in zip(pool[rows].tolist(), deficits.tolist()):
+                for position, deficit in enumerate(row, 1):
+                    yield n, position, times, deficit
 
     def verdict(self, order: int) -> bool:
         """True iff every deficit at orders <= ``order`` is within tolerance."""
         if not (1 <= order <= self.max_order_tested):
             raise ValidationError(f"verdict: order {order} outside 1..{self.max_order_tested}")
-        return all(r.deficit <= self.tolerance for r in self.deficits_up_to(order))
+        return all(bool((deficits <= self.tolerance).all()) for _, deficits in self.columns[: order - 1])
 
     @property
     def max_deficit(self) -> float:
-        return max((r.deficit for r in self.records), default=0.0)
+        return max((float(deficits.max()) for _, deficits in self.columns), default=0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -117,11 +151,66 @@ class ClassicalityReport:
             "grid_pool": list(self.pool),
             "note": self.note,
             "records": [
-                {"order": r.order, "position": r.position, "times": list(r.times), "deficit": r.deficit}
-                for r in self.records
+                {"order": n, "position": position, "times": list(times), "deficit": deficit}
+                for n, position, times, deficit in self.record_values()
             ],
             "verdicts": {str(n): self.verdict(n) for n in range(1, self.max_order_tested + 1)},
         }
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassicalityReport):
+            return NotImplemented
+        fields = ("max_order_tested", "tolerance", "t0", "pool", "note")
+        same = all(getattr(self, f) == getattr(other, f) for f in fields)
+        return same and self.records == other.records
+
+
+class RecordView(Sequence):
+    """The records of a :class:`ClassicalityReport`, read from its columns.
+
+    A read-only sequence: ``len``, integer (also negative) indexing, slicing
+    (to a tuple), iteration and ``==`` against another view or a sequence of
+    records.  A :class:`DeficitRecord` is built only for the item read.
+    """
+
+    __slots__ = ("_report", "_ends")
+
+    def __init__(self, report: ClassicalityReport):
+        self._report = report
+        self._ends = list(itertools.accumulate(deficits.size for _, deficits in report.columns))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = operator.index(k)
+        k += len(self) if k < 0 else 0
+        if not 0 <= k < len(self):
+            raise IndexError("record index out of range")
+        c = bisect.bisect_right(self._ends, k)
+        rows, deficits = self._report.columns[c]
+        row, position = divmod(k - (self._ends[c - 1] if c else 0), deficits.shape[1])
+        times = tuple(self._report.pool[i] for i in rows[row])
+        return DeficitRecord(rows.shape[1], position + 1, times, float(deficits[row, position]))
+
+    def __iter__(self):
+        for n, position, times, deficit in self._report.record_values():
+            yield DeficitRecord(n, position, tuple(times), deficit)
+
+    def __eq__(self, other):
+        if isinstance(other, RecordView):
+            a, b = self._report, other._report
+            return len(a.columns) == len(b.columns) and all(
+                np.array_equal(np.array(a.pool)[ra], np.array(b.pool)[rb]) and np.array_equal(da, db)
+                for (ra, da), (rb, db) in zip(a.columns, b.columns)
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
 
 
 def _check_tables(rows: np.ndarray, tuples: np.ndarray, pool: tuple, what: str) -> None:
@@ -158,10 +247,14 @@ def classicality_report(
     ``combinations_with_replacement`` order, are one batch on a leading axis,
     and level n+1 comes from level n by one gather of each child's parent
     branch states and one ``provider.apply`` of the kernels of the durations
-    s_{n+1} - s_n (built once per distinct duration, gathered per row); a
-    tuple's table is the trace of its branch states.  The deepest level
-    applies nothing: its tables are read out of the parents' states by the
-    effects of those kernels.  Each distinct grid is thus propagated once.
+    s_{n+1} - s_n, gathered per row; a tuple's table is the trace of its
+    branch states.  The deepest level applies nothing: its tables are read
+    out of the parents' states by the effects of those kernels.  Each
+    distinct grid is thus propagated once.  The durations of the whole
+    report, t_k - t0 and t_b - t_a for pool times t_a <= t_b, are
+    exponentiated in one ``provider.exponentials`` call, and the first
+    interval's kernels, the later kernels and their effects are built once
+    each, one per distinct duration.
     The deficits of one (order, position) are one reduction: the order-n
     tables summed over that outcome axis, minus the coarse tables gathered by
     rank, max |·| per tuple.  Every table and every marginal gets the checks
@@ -172,7 +265,10 @@ def classicality_report(
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
     plus its gathered effects, m²·r²·D²), and the stored tables,
     Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are both checked
-    against ``TERM_CAP`` before any propagator is computed.
+    against ``TERM_CAP`` before any propagator is computed.  So are the
+    report-wide stage arrays (:func:`_stage_entries`); where they exceed
+    ``TERM_CAP`` they are not refused: each chunk of a level exponentiates
+    its own distinct durations and builds their kernels (or effects) alone.
     Each level in flight holds at most ``TERM_CAP // max_order`` entries of
     its rows (a level-n row below N holds the branch states after n
     measurements, charged as the readout of an (n+1)-time table by
@@ -218,6 +314,38 @@ def classicality_report(
     times = np.array(pool)
     tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
 
+    # Every interval of the report either starts at t0 and ends at pool time
+    # k (duration start[k]) or runs between pool times a <= b; the latter's
+    # distinct durations are `spans`, and span[rank of (a, b) among the
+    # order-2 rows] is the index into them.  If the report-wide stage arrays
+    # fit, all durations are exponentiated in one call and the kernels of
+    # both sources and the effects are built once; each chunk gathers its rows.
+    start = times - t0
+    spans, span = _distinct(times[tuples[2][:, 1]] - times[tuples[2][:, 0]])
+    stages = None  # (first kernels per pool time, later kernels and their effects per span)
+    if _stage_entries(provider, measurement, p, len(spans)) <= TERM_CAP:
+        durations, index = _distinct(np.concatenate((start, spans)))
+        exponentials = provider.exponentials(durations)
+        later = provider.kernels(exponentials[index[p:]], bases, bases)
+        first_kernels = provider.kernels(exponentials[index[:p]], identity, bases)
+        stages = first_kernels, later, provider.effects(later, bases, bases)
+
+    def stage(n, rows):
+        """Per row of level n, the kernel of its last interval, or at the
+        deepest level its effects; a (rows, 1, ...) array."""
+        if n == 1:
+            ids, source = rows[:, -1:], identity
+        else:
+            a, b = rows[:, -2:-1], rows[:, -1:]
+            ids, source = span[a * p - a * (a - 1) // 2 + b - a], bases
+        kind = 0 if n == 1 else 2 if n == max_order else 1
+        if stages is not None:
+            return stages[kind][ids]
+        # the stage arrays of this chunk's distinct durations only
+        durations, inverse = _distinct((start if n == 1 else spans)[ids])
+        kernels = provider.kernels(provider.exponentials(durations), source, bases)
+        return (provider.effects(kernels, source, bases) if kind == 2 else kernels)[inverse]
+
     # Depth-first over chunks with an explicit stack of (level, first row,
     # end row, branch states of the parent block, its first row).  A level-n
     # row holds its states as (m^(n-1) prefixes, m last outcomes, ...), the
@@ -229,18 +357,12 @@ def classicality_report(
     stack = [(1, lo, min(lo + chunk[1], p), root[None, None], 0) for lo in reversed(range(0, p, chunk[1]))]
     while stack:
         n, lo, hi, block, block_row = stack.pop()
-        rows = tuples[n][lo:hi]
-        start = times[rows[:, -2]] if n > 1 else t0
-        durations, inverse = _distinct((times[rows[:, -1]] - start)[:, None])
-        source = bases if n > 1 else identity
-        kernels = provider.kernels(provider.exponentials(durations), source, bases)
         state = block[parent[n][lo:hi] - block_row]
         if n == max_order:
             # the deepest level reads its tables out and builds no branch state
-            effects = provider.effects(kernels, source, bases)[inverse]
-            tables[n][lo:hi] = _readout(state, effects).reshape(hi - lo, -1)
+            tables[n][lo:hi] = _readout(state, stage(n, tuples[n][lo:hi])).reshape(hi - lo, -1)
             continue
-        state = provider.apply(state, kernels[inverse], source, bases)
+        state = provider.apply(state, stage(n, tuples[n][lo:hi]), bases if n > 1 else identity, bases)
         state = state.reshape((hi - lo, -1, m) + state.shape[-2:])
         tables[n][lo:hi] = _probabilities(state).reshape(hi - lo, -1)
         c0, c1 = first[n][lo], first[n][hi]
@@ -254,25 +376,31 @@ def classicality_report(
     # b_i = a_i + i - 1 is a k-combination of range(p + k - 1), ranked
     # lexicographically as C(p+k-1, k) - 1 - Σ_i C(p+k-2-b_i, k+1-i)
     binom = np.array([[math.comb(a, b) for b in range(max_order + 1)] for a in range(p + max_order)])
-    deficits = {}
+    columns = []
     for n in range(2, max_order + 1):
         fine = tables[n].reshape((-1,) + (m,) * n)
-        columns = []
+        deficits = np.empty((len(fine), n - 1))
         for position in range(1, n):
             coarse = np.delete(tuples[n], position - 1, axis=1) + np.arange(n - 1)
             rank = math.comb(p + n - 2, n - 1) - 1 - binom[p + n - 3 - coarse, np.arange(n - 1, 0, -1)].sum(axis=1)
             reduced = fine.sum(axis=position).reshape(len(fine), -1)
             _check_tables(reduced, tuples[n], pool, f"marginal at position {position} of the table")
-            columns.append(np.abs(reduced - tables[n - 1][rank]).max(axis=1))
-        deficits[n] = np.column_stack(columns).tolist()
+            deficits[:, position - 1] = np.abs(reduced - tables[n - 1][rank]).max(axis=1)
+        for column in (tuples[n], deficits):
+            column.flags.writeable = False
+        columns.append((tuples[n], deficits))
+    return ClassicalityReport(max_order, tol, t0, pool, tuple(columns))
 
-    records = [
-        DeficitRecord(n, position, sel, deficit)
-        for n in range(2, max_order + 1)
-        for sel, row in zip(itertools.combinations_with_replacement(pool, n), deficits[n])
-        for position, deficit in enumerate(row, 1)
-    ]
-    return ClassicalityReport(max_order, tol, t0, pool, tuple(records))
+
+def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:
+    """Entries of a report's stage arrays for a pool of p times whose pairs
+    have ``spans`` distinct durations: the exponentials of at most p + spans
+    durations (U_j, d·D², or φ, d²: at most d²·D² each), the first
+    interval's kernels (m·r·d·D² per pool time) and, per span, the later
+    kernels and their effects (m²·r²·D² each).  m·r >= d, so the analytic
+    provider's φ kernels (d² each) are within the same counts."""
+    (m, d, r), big = measurement.bases.shape, provider.env.size
+    return (p + spans) * d * d * big + p * m * r * d * big + 2 * spans * m * m * r * r * big
 
 
 def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: float, t1: float, t0: float) -> complex:
@@ -292,9 +420,10 @@ def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: flo
     )
 
 
-def _qubit_two_time_deficit(bracket: complex, theta: float, x2: int) -> float:
-    """The closed-form 2-time qubit deficit at angle ``theta`` from its bracket."""
-    return float(((-1) ** x2 * 0.125 * np.sin(2 * theta) * np.sin(4 * theta) * bracket).real)
+def _qubit_two_time_deficit(bracket: complex, theta, x2: int):
+    """The closed-form 2-time qubit deficit at angle ``theta`` (a scalar or an
+    array of angles) from its bracket."""
+    return ((-1) ** x2 * 0.125 * np.sin(2 * theta) * np.sin(4 * theta) * bracket).real
 
 
 def qubit_two_time_deficit_closed(
@@ -312,7 +441,7 @@ def qubit_two_time_deficit_closed(
     diag(p, 1-p) and the measurement basis parametrized by theta (the deficit
     does not depend on the azimuthal phase).
     """
-    return _qubit_two_time_deficit(_qubit_two_time_bracket(provider, p, t2, t1, t0), theta, x2)
+    return float(_qubit_two_time_deficit(_qubit_two_time_bracket(provider, p, t2, t1, t0), theta, x2))
 
 
 def qubit_two_time_deficit_simplified(p: float, theta: float, x2: int, re_phi: float) -> float:
@@ -373,12 +502,16 @@ def theta_sweep(
 
     Returns (thetas, deficits, argmax_theta); the argmax is taken on the
     absolute deficit.  The angle-independent bracket of the closed form is
-    evaluated once per sweep.  Maxima sit near (1/2) arctan sqrt(2) and its mirror
-    whenever the time-dependent factor is nonzero.
+    evaluated once per sweep, and the angles are one array expression.
+    Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
+    time-dependent factor is nonzero.  An empty ``thetas`` raises
+    ``ValidationError``.
     """
     thetas = np.asarray(list(thetas), dtype=float)
+    if thetas.size == 0:
+        raise ValidationError("theta_sweep: need at least one angle")
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
-    deficits = np.array([_qubit_two_time_deficit(bracket, th, x2) for th in thetas])
+    deficits = _qubit_two_time_deficit(bracket, thetas, x2)
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
     return thetas, deficits, argmax_theta
 
@@ -402,9 +535,27 @@ def search_nonclassicality_witness(
     then seeded random tuples.  Returns the best witness record found with
     deficit >= threshold, or None (inconclusive, *not* evidence of
     classicality).
+
+    The sweep reads the strictly increasing tuples of one
+    :func:`classicality_report` on the grid of ``points_per_interval`` ·
+    (``order`` - 1) times, up to ``order``; the random tuples are computed
+    one at a time.  So the grid is bounded by the report's caps: for a qubit
+    with a rank-one PVM, at most 194 grid times (97 points per interval) at
+    order 3 and 60 (20 per interval) at order 4.  A larger grid raises
+    ``SizeCapError`` before any propagator is computed.
     """
+    if not 1 <= position <= order - 1:
+        raise ValidationError(f"search_nonclassicality_witness: position {position} not interior for order {order}")
     grid = np.linspace(t0, horizon, points_per_interval * (order - 1) + 1)[1:]
     best = None
+    if len(grid) >= order:
+        report = classicality_report(provider, prep, measurement, grid, order, t0=t0)
+        rows, deficits = report.columns[-1]
+        increasing = np.flatnonzero((np.diff(rows, axis=1) > 0).all(axis=1))
+        if len(increasing):
+            k = increasing[np.argmax(deficits[increasing, position - 1])]
+            times = tuple(report.pool[i] for i in rows[k])
+            best = DeficitRecord(order, position, times, float(deficits[k, position - 1]))
 
     def consider(times):
         nonlocal best
@@ -416,8 +567,6 @@ def search_nonclassicality_witness(
         if best is None or deficit > best.deficit:
             best = DeficitRecord(order, position, tuple(times), deficit)
 
-    for sel in itertools.combinations([float(t) for t in grid], order):
-        consider(list(sel))
     rng = np.random.default_rng(seed)
     for _ in range(random_draws):
         consider(sorted(t0 + (horizon - t0) * rng.random(order)))

@@ -182,7 +182,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(analysis["tolerance"] >= 0, f"analysis.tolerance: expected a number >= 0, got {analysis['tolerance']!r}")
     analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
     if "theta_points" in analysis:
-        analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points")
+        points = analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points")
+        _require(points >= 1, f"analysis.theta_points: expected an integer >= 1, got {points!r}")
 
     if kind in ("markovianity", "oracle-check"):
         _require(exact_model is not None, f"analysis.kind '{kind}' requires an exact model")

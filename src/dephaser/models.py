@@ -63,12 +63,14 @@ from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_ex
 #: ``tensor_array`` (r_E the rank of ρ_E); d·D² per distinct pair duration in
 #: ``markovianity_deficit_detail``; ``classicality_report`` checks its
 #: largest single node (a deepest-level row: its parent's branch states plus
-#: its gathered effects) and its stored tables against it and gives each trie
-#: level in flight TERM_CAP // max_order.  10^7 complex128 entries are
-#: 160 MB.  An ``apply`` holds its input, the half product K·E and its result
-#: at once, and a readout the states and their transposed copy, so a run at
-#: the cap peaks near 0.5 GB: the most a desk-scale machine can give one
-#: analysis.
+#: its gathered effects) and its stored tables against it, builds its
+#: report-wide exponentials, kernels and effects at once only where they fit
+#: in it, and gives each trie level in flight TERM_CAP // max_order.  10^7
+#: complex128 entries are 160 MB.  An ``apply`` holds its input, the half
+#: product K·E and its result at once, and a readout the states and their
+#: transposed copy, so a run at the cap peaks near 0.5 GB (a report whose
+#: stage arrays fill the cap holds those 160 MB more): the most a desk-scale
+#: machine can give one analysis.
 TERM_CAP = 10_000_000
 
 #: budget of the Markovianity check in compared tensor entries, Σ_{n=2..N}

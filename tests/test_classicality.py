@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
-from dephaser import classicality, models
+from dephaser import classicality, cli, models
 from dephaser.classicality import (
     classicality_report,
     delta_count,
@@ -17,6 +17,7 @@ from dephaser.classicality import (
     search_nonclassicality_witness,
     theta_sweep,
 )
+from dephaser.config import parse_config
 from dephaser.errors import ShapeError, SizeCapError, ValidationError
 from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from dephaser.models import (
@@ -334,6 +335,108 @@ class TestReportChecks:
             assert built and max(built) == 2 ** (max_order - 1)
             # effects of distinct durations only: at most one per pair s <= t of the pool
             assert effects and all(0 < k <= len(pool) * (len(pool) + 1) // 2 for k in effects)
+
+
+class TestReportColumns:
+    """One exponentiation per report, and records read from the report's columns."""
+
+    POOL = (0.3, 0.9, 1.4, 2.2)
+
+    @pytest.mark.parametrize("cap", [classicality.TERM_CAP, 800], ids=["default-cap", "cap-800"])
+    def test_one_exponentiation_per_report(self, zx_provider, monkeypatch, cap):
+        # at a cap of 800 the levels run in chunks (test_chunked_levels_match_unchunked),
+        # yet every chunk gathers its kernels from the report-wide arrays
+        calls = []
+        real = models.spectral_expm
+
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).size)
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        monkeypatch.setattr(classicality, "TERM_CAP", cap)
+        prep, meas = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2)
+        classicality_report(zx_provider, prep, meas, self.POOL, 4)
+        # the distinct durations: 4 from t0 = 0 and 7 between pool times (0 included)
+        assert calls == [11]
+
+    def test_uncapped_stage_arrays_chunked(self, zx_model, monkeypatch):
+        # 12 times at order 2: stored tables 12·2 + 78·4 = 336 entries and a
+        # largest node of 32 fit a cap of 1000, but the stage arrays of the
+        # 90 durations, (12 + 78)·16 + 12·16 + 2·78·16 = 4128 entries, do not:
+        # each chunk then exponentiates its own distinct durations
+        pool = tuple(np.random.default_rng(8).uniform(0.05, 3.0, 12))
+        prep, meas = SystemPreparation.diagonal([0.6, 0.4]), fourier_mub(2)
+        whole = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 2)
+        calls = []
+        real = models.spectral_expm
+
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).size)
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        monkeypatch.setattr(classicality, "TERM_CAP", 1000)
+        chunked = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 2)
+        assert len(calls) > 2 and max(calls) < 78
+        assert chunked == whole
+        for a, b in zip(chunked.columns, whole.columns):
+            assert np.array_equal(a[1], b[1])
+
+    def test_no_record_built(self, tmp_path, monkeypatch):
+        built = []
+        real = classicality.DeficitRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(classicality.DeficitRecord, "__init__", counting)
+        provider = ExactDephasingProvider(get_preset("qubit-zx"))
+        report = classicality_report(provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), self.POOL, 3)
+        report.to_dict()
+        assert len(report.records) == 4 * 5 // 2 + 20 * 2
+        assert not report.verdict(3) and report.max_deficit > 1e-3
+        doc = {
+            "version": 1,
+            "model": {"kind": "exact", "preset": "qubit-zx"},
+            "preparation": {"kind": "diagonal", "weights": [1.0, 0.0]},
+            "measurement": {"kind": "mub"},
+            "grid": {"t0": 0.0, "times": list(self.POOL)},
+            "analysis": {"kind": "classicality", "max_order": 3},
+        }
+        (tmp_path / "o").mkdir()
+        cli._run_classicality(parse_config(doc), str(tmp_path / "o"))
+        assert built == []
+        report.records[0]
+        assert len(built) == 1
+
+    def test_records_view(self, zx_provider):
+        prep, meas, t0 = SystemPreparation.diagonal([0.7, 0.3]), fourier_mub(2), 0.1
+        report = classicality_report(zx_provider, prep, meas, self.POOL, 4, t0=t0)
+        reference = per_tuple_records(zx_provider, prep, meas, self.POOL, 4, t0=t0)
+        records = report.records
+        assert len(records) == len(reference) == 10 + 20 * 2 + 35 * 3
+        # iteration in record order: order, then tuple, then position
+        assert_matches_reference(report, reference)
+        listed = list(records)
+        assert [records[k] for k in range(len(records))] == listed
+        assert records[-1] == listed[-1] and records[-len(records)] == listed[0]
+        assert (records[-1].order, records[-1].position, records[-1].times) == (4, 3, (2.2,) * 4)
+        assert records[np.int64(7)] == listed[7]
+        for s in (slice(None), slice(3, 17), slice(-5, None), slice(None, None, -3), slice(40, 10, -7)):
+            assert records[s] == tuple(listed[s])
+        with pytest.raises(IndexError):
+            records[len(records)]
+        with pytest.raises(IndexError):
+            records[-len(records) - 1]
+        again = classicality_report(zx_provider, prep, meas, self.POOL, 4, t0=t0).records
+        assert records == again and records == tuple(listed) and records == listed
+        assert records != listed[:-1]
+        assert records != classicality_report(zx_provider, prep, meas, self.POOL, 3, t0=t0).records
+        assert report.max_deficit == max(r.deficit for r in listed)
+        for n in range(1, 5):
+            assert report.verdict(n) == all(r.deficit <= report.tolerance for r in listed if r.order <= n)
 
 
 class TestTwoTimeClosedForm:

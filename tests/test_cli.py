@@ -214,6 +214,24 @@ class TestRunCommand:
         lines = (out / "deficits.csv").read_text().splitlines()
         assert len(lines) == 62
 
+    @pytest.mark.parametrize(
+        "points, code, error",
+        [(0, 2, "ConfigError"), (-1, 2, "ConfigError"), (cli.THETA_POINTS_CAP + 1, 3, "SizeCapError")],
+        ids=["zero", "negative", "cap-plus-one"],
+    )
+    def test_theta_points_out_of_range(self, tmp_path, capsys, monkeypatch, points, code, error):
+        # each used to exit 1 with a traceback (or, far above the cap, not return)
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        doc = classicality_config(measurement=None, analysis={"kind": "theta-sweep", "theta_points": points})
+        assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "o" / "deficits.csv").exists()
+
     def test_oracle_check_run(self, tmp_path):
         doc = classicality_config(analysis={"kind": "oracle-check"})
         path = write_config(tmp_path, doc)
