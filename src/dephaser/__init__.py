@@ -15,7 +15,6 @@ from .linalg import (
     choi_matrix,
     hermitian_expm,
     kron,
-    partial_trace_env,
     random_density,
     random_hermitian,
     random_unitary,
@@ -34,13 +33,10 @@ from .models import (
     DephasingModel,
     DephasingTensorProvider,
     ExactDephasingProvider,
-    IndexPairChain,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
-    commutativity_check,
     markovianity_deficit,
     semigroup_deficit,
-    tensor_collapse_check,
     triviality_check,
 )
 from .statistics import (

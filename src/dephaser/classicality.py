@@ -77,6 +77,8 @@ def kolmogorov_deficit(fine: JointDistribution, coarse: JointDistribution, posit
     n = fine.n
     if coarse.n != n - 1:
         raise ShapeError(f"kolmogorov_deficit: coarse order {coarse.n} != fine order {n} - 1")
+    if coarse.n_outcomes != fine.n_outcomes:
+        raise ShapeError(f"kolmogorov_deficit: fine table has {fine.n_outcomes} outcomes, coarse {coarse.n_outcomes}")
     if not (1 <= position <= n - 1):
         raise ValidationError(f"kolmogorov_deficit: position {position} not interior for order {n}")
     reduced = fine.marginalize(position)

@@ -44,6 +44,10 @@ NCGD_TRIPLE_CAP = 50_000
 #: writes 4 MB in about 0.5 s.
 THETA_POINTS_CAP = 100_000
 
+#: largest |off-diagonal entry| of a preparation that theta-sweep takes as diagonal:
+#: its closed form reads only p = ρ_00, so coherences must vanish up to roundoff.
+DIAGONAL_TOL = 1e-14
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -151,9 +155,10 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
     a = cfg.analysis
     if cfg.d != 2:
         raise ValidationError(f"theta-sweep requires d = 2, model has d = {cfg.d}")
-    if cfg.preparation.tag != "diagonal" and cfg.preparation.tag != "maximally-mixed":
-        raise ValidationError("theta-sweep requires a diagonal (or maximally mixed) preparation")
-    p = float(cfg.preparation.density[0, 0].real)
+    rho = cfg.preparation.density
+    if np.max(np.abs(rho - np.diag(np.diag(rho)))) > DIAGONAL_TOL:
+        raise ValidationError("theta-sweep requires a diagonal preparation")
+    p = float(rho[0, 0].real)
     times = sorted(cfg.grid.times)
     if len(times) < 2:
         raise ValidationError("theta-sweep needs at least 2 grid times")
@@ -181,7 +186,7 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
 
 def _run_oracle_check(cfg: ExperimentConfig, outdir: str) -> dict:
     fast = st.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
-    oracle = st.oracle_distribution(cfg.exact_model, cfg.preparation, cfg.measurement, cfg.grid)
+    oracle = st.oracle_distribution(cfg.provider.model, cfg.preparation, cfg.measurement, cfg.grid)
     _write_distribution(outdir, fast)
     return {
         "analysis": "oracle-check",

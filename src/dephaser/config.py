@@ -81,7 +81,6 @@ class ExperimentConfig:
     """A fully validated experiment: constructed objects plus analysis knobs."""
 
     provider: DephasingTensorProvider
-    exact_model: Optional[DephasingModel]
     preparation: SystemPreparation
     measurement: Optional[ProjectiveMeasurement]
     grid: TimeGrid
@@ -104,7 +103,7 @@ def _build_model(node):
             blocks = [_complex_matrix(b, f"model.blocks[{j}]") for j, b in enumerate(node["blocks"])]
             env = _complex_matrix(node["env_state"], "model.env_state")
             model = DephasingModel(tuple(blocks), env)
-        return ExactDephasingProvider(model), model
+        return ExactDephasingProvider(model)
     if kind == "markovian":
         if "preset" in node:
             model = get_preset(node["preset"])
@@ -115,7 +114,7 @@ def _build_model(node):
         else:
             _require("eps" in node and "gamma" in node, "model: markovian model needs eps and gamma (or preset)")
             model = MarkovianAnalyticModel(np.asarray(node["eps"], float), np.asarray(node["gamma"], float))
-        return MarkovianAnalyticProvider(model), None
+        return MarkovianAnalyticProvider(model)
     raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {kind!r}")
 
 
@@ -162,7 +161,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(doc, dict), "config: top level must be an object")
     _require(doc.get("version") == CONFIG_VERSION, f"config.version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
 
-    provider, exact_model = _section("model", _build_model, doc.get("model"))
+    provider = _section("model", _build_model, doc.get("model"))
     d = provider.d
 
     grid_node = doc.get("grid")
@@ -186,7 +185,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require(points >= 1, f"analysis.theta_points: expected an integer >= 1, got {points!r}")
 
     if kind in ("markovianity", "oracle-check"):
-        _require(exact_model is not None, f"analysis.kind '{kind}' requires an exact model")
+        _require(isinstance(provider, ExactDephasingProvider), f"analysis.kind '{kind}' requires an exact model")
 
     measurement = None
     if "measurement" in doc and doc["measurement"] is not None:
@@ -198,7 +197,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     preparation = _section("preparation", _build_preparation, doc.get("preparation", {"kind": "maximally-mixed"}), d)
 
-    return ExperimentConfig(provider, exact_model, preparation, measurement, grid, analysis)
+    return ExperimentConfig(provider, preparation, measurement, grid, analysis)
 
 
 def load_config(path) -> ExperimentConfig:

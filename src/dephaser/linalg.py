@@ -69,15 +69,6 @@ def check_density(m, name: str = "state", min_eig: float = -1e-10) -> np.ndarray
     return a
 
 
-def check_unitary(m, name: str = "unitary", tol: float = UNITARY_TOL) -> np.ndarray:
-    a = as_complex_matrix(m, name)
-    d = check_square(a, name)
-    dev = np.max(np.abs(a @ a.conj().T - np.eye(d)))
-    if dev > tol:
-        raise ValidationError(f"{name}: not unitary, max |UU† - 1| = {dev:.3e} > {tol:g}")
-    return a
-
-
 def hermitian_eigh(h: np.ndarray):
     """Spectral decomposition (w, V) of a Hermitian matrix, H = V diag(w) V†.
 
@@ -130,18 +121,6 @@ def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     if max(rows, cols) > cap:
         raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {cap}")
     return np.kron(a, b)
-
-
-def partial_trace_env(m: np.ndarray, d: int, big_d: int) -> np.ndarray:
-    """Trace out the second (environment) factor of a d·D dimensional operator.
-
-    Entries: out[i, j] = sum_k M[(i,k), (j,k)].
-    """
-    m = as_complex_matrix(m, "partial_trace_env input")
-    n = check_square(m, "partial_trace_env input")
-    if n != d * big_d:
-        raise ShapeError(f"partial_trace_env: dim {n} != d*D = {d * big_d}")
-    return m.reshape(d, big_d, d, big_d).trace(axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ class ProjectiveMeasurement:
         return self.d if self.is_rank_one else len(self.projectors)
 
     def projector(self, x: int) -> np.ndarray:
+        """P_x; an outcome outside 0..m-1 raises ``ValidationError``."""
+        if not 0 <= x < self.n_outcomes:
+            raise ValidationError(f"projector: outcome {x} outside 0..{self.n_outcomes - 1}")
         if self.is_rank_one:
             v = self.vectors[:, x]
             return np.outer(v, v.conj())

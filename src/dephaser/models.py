@@ -11,16 +11,16 @@ and its dephasing matrix is φ_jl(dt) = tr(U_j ρ_E U_l†), which a provider's
 ``dephasings`` gives for an array of durations.  The engine of
 :mod:`dephaser.statistics` never builds that d×d grid: after a sharp outcome
 x, with V_x an orthonormal basis of the range of P_x (d×r), all memory of the
-past sits in E_x = V_x† S V_x, an r×r grid of D×D blocks.  A provider's
-``transfer`` maps E_x to E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for every next
-outcome y: for the exact provider one Kraus sandwich K E K† with
+past sits in E_x = V_x† S V_x, an r×r grid of D×D blocks.  One interval
+and the next measurement map E_x to E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y for
+every next outcome y: for the exact provider one Kraus sandwich K E K† with
 K = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j(dt), for the analytic one (D = 1)
 E -> Σ_jl φ_jl(dt)·C_j E C_l† with C_j = (V_y† e_j)(e_j† V_x).  This is the
 process-tensor view of Milz & Modi, PRX Quantum 2, 030201 (2021).  The map
 comes in stages, each over a whole array of durations at once:
 ``exponentials`` (the stacked U_j(dt), or φ(dt): the one exponentiation),
 ``kernels`` (the Kraus stacks K, or φ itself, between two outcome bases) and
-``apply`` (the branch states); ``transfer`` is their composition.  The last
+``apply`` (the branch states).  The last
 measurement needs only probabilities, tr E_xy = tr(E_x·M_xy), so
 ``effects`` gives the Heisenberg-picture effect operators M_xy = K_xy†K_xy
 (exact) or V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
@@ -84,37 +84,10 @@ TERM_CAP = 10_000_000
 MARKOV_WORK_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
-class IndexPairChain:
-    """An ordered list of index pairs with the time grid they act on.
-
-    ``pairs[k]`` acts on the interval ``[times[k], times[k+1]]``.
-    """
-
-    pairs: tuple
-    times: tuple
-
-    def __post_init__(self):
-        pairs = tuple((int(j), int(l)) for j, l in self.pairs)
-        times = tuple(float(t) for t in self.times)
-        if len(times) != len(pairs) + 1:
-            raise ShapeError(
-                f"IndexPairChain: need len(times) = len(pairs) + 1, got {len(times)} vs {len(pairs)}"
-            )
-        if any(t1 > t2 for t1, t2 in zip(times, times[1:])):
-            raise TimeOrderError(f"IndexPairChain: times not non-decreasing: {times}")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "times", times)
-
-    @property
-    def durations(self) -> tuple:
-        return tuple(t2 - t1 for t1, t2 in zip(self.times, self.times[1:]))
-
-
 class DephasingTensorProvider(ABC):
     """Interval map of a pure-dephasing system, and the dephasing tensor it yields.
 
-    ``transfer`` acts on measured-basis branch states (see the module
+    The interval map acts on measured-basis branch states (see the module
     docstring) in three stages: ``exponentials`` of the durations, ``kernels``
     from those, ``apply`` of the kernels.  ``effects`` of the same kernels
     reads the probabilities of the branch states ``apply`` would build without
@@ -122,9 +95,9 @@ class DephasingTensorProvider(ABC):
     Markovianity and NCGD analyses read.  ``env`` is the initial D×D
     environment state.
 
-    Contract: the empty chain evaluates to 1; any all-diagonal chain evaluates
-    to 1; |tensor| <= 1 up to roundoff; swapping (j, l) -> (l, j) in every
-    pair conjugates the value.
+    Contract of ``tensor_pairs``: no pairs evaluate to 1; any all-diagonal
+    pairs evaluate to 1; |value| <= 1 up to roundoff; swapping (j, l) ->
+    (l, j) in every pair conjugates the value.
     """
 
     d: int
@@ -152,14 +125,17 @@ class DephasingTensorProvider(ABC):
         """The interval operators of :meth:`apply` and :meth:`effects`, from
         :meth:`exponentials`, one per leading entry of ``exponentials`` (each
         bitwise that of the entry alone).  ``source`` and ``target`` are the
-        outcome bases of :meth:`transfer`."""
+        outcome bases of :meth:`apply`."""
 
     @abstractmethod
     def apply(self, state: np.ndarray, kernels: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """The branch states of :meth:`transfer`, from ``kernels`` built by
-        :meth:`kernels` for the same ``source`` and ``target``: one kernel, or
-        one per leading row of ``state`` (broadcasting against
-        ``state.shape[:-3]``)."""
+        """The branch states E_xy = V_y† Λ_dt(V_x E_x V_x†) V_y, (..., m_s, m_t,
+        r_t·D, r_t·D), of ``state`` (..., m_s, r_s·D, r_s·D), per outcome x of
+        ``source`` the r_s×r_s grid of D×D blocks E_x with rows (α, a), for every
+        outcome y of ``target``.  ``source`` and ``target`` are outcome bases
+        (m, d, r) as :attr:`~dephaser.measurements.ProjectiveMeasurement.bases`,
+        and ``kernels`` come from :meth:`kernels` for them: one kernel, or one
+        per leading row of ``state`` (broadcasting against ``state.shape[:-3]``)."""
 
     @abstractmethod
     def effects(self, kernels: np.ndarray, source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -168,30 +144,11 @@ class DephasingTensorProvider(ABC):
         branch states E_xy that :meth:`apply` would build from E_x, so the
         probabilities of a last measurement need no branch state."""
 
-    def transfer(self, state: np.ndarray, dt, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """The branch states after one interval of length ``dt`` and one measurement.
-
-        ``source`` and ``target`` are stacks of outcome bases (m_s, d, r_s) and
-        (m_t, d, r_t), as :attr:`~dephaser.measurements.ProjectiveMeasurement.bases`.
-        ``state`` is (..., m_s, r_s·D, r_s·D): per outcome x of ``source``, the
-        r_s×r_s grid of D×D blocks E_x, stored as one matrix with rows (α, a).
-        The result is (..., m_s, m_t, r_t·D, r_t·D): E_xy = V_y† Λ_dt(V_x E_x
-        V_x†) V_y for every outcome y of ``target``.  ``dt`` is a scalar, or an
-        array that broadcasts against ``state.shape[:-3]``; every product has a
-        fixed shape per row, so a row's bits do not depend on its batch.
-        Non-finite durations, and phases beyond the double range, raise
-        ``ValidationError``.  The engine calls the three stages itself; this
-        composition is their reference.
-        """
-        return self.apply(state, self.kernels(self.exponentials(dt), source, target), source, target)
-
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
-        """Tensor value for index pairs, one interval at a time (the pointwise reference)."""
-
-    def tensor(self, chain: IndexPairChain) -> complex:
-        self._check_pairs(chain.pairs)
-        return self.tensor_pairs(chain.pairs, chain.durations)
+        """Tensor value for index pairs, ``pairs[k]`` over ``durations[k]``, one interval at a time (the
+        pointwise reference); an index outside 0..d-1 raises ``ValidationError``, and as many pairs as
+        durations are required (``ShapeError``)."""
 
     # Each concrete provider defines ``tensor_array`` (the values on a duration
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
@@ -202,7 +159,9 @@ class DephasingTensorProvider(ABC):
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
         return self.dephasings(t - s)
 
-    def _check_pairs(self, pairs) -> None:
+    def _check_pairs(self, pairs, durations) -> None:
+        if len(pairs) != len(durations):
+            raise ShapeError(f"tensor_pairs: {len(pairs)} index pairs for {len(durations)} durations")
         for j, l in pairs:
             if not (0 <= j < self.d and 0 <= l < self.d):
                 raise ValidationError(f"index pair ({j}, {l}) out of range for d = {self.d}")
@@ -324,6 +283,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
     def tensor_pairs(self, pairs, durations) -> complex:
         """ρ_E conjugated interval by interval, with the U_j of all durations
         from one batch."""
+        self._check_pairs(pairs, durations)
         u, inverse = self._unitaries_batch(durations)
         x = self.model.env_state
         for (j, l), k in zip(pairs, inverse):
@@ -467,6 +427,7 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return half @ source[:, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
+        self._check_pairs(pairs, durations)
         out = 1.0 + 0.0j
         with np.errstate(over="ignore", invalid="ignore"):
             for (j, l), dt in zip(pairs, durations):
@@ -562,7 +523,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
         tuples += math.comb(k, n + 1) * d ** (2 * n)
         if tuples > MARKOV_WORK_CAP:
             raise SizeCapError(f"markovianity_deficit: over {MARKOV_WORK_CAP} compared entries for {k} times, d = {d}")
-    detail = {"exhaustive": True, "tuples": tuples, "orders": list(range(2, min(max_order, k - 1) + 1))}
+    detail = {"tuples": tuples, "orders": list(range(2, min(max_order, k - 1) + 1))}
     if k < 3:
         return 0.0, detail
 
@@ -604,14 +565,6 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     return deficit, detail
 
 
-def commutativity_check(model: DephasingModel, tol: float = 1e-12) -> bool:
-    """True iff all block commutators vanish within ``tol`` (max-norm)."""
-    for a, b in itertools.combinations(model.blocks, 2):
-        if np.max(np.abs(a @ b - b @ a)) > tol:
-            return False
-    return True
-
-
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], tol: float = 1e-10) -> bool:
     """True iff every dephasing-matrix entry has unit modulus on the grid.
 
@@ -624,25 +577,3 @@ def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], t
             return False
     return True
 
-
-def tensor_collapse_check(provider: DephasingTensorProvider, chain: IndexPairChain, k: int) -> float:
-    """|tensor(chain) - tensor(chain with diagonal pair k dropped)|.
-
-    The dropped-pair value replaces the k-th two-sided conjugation with the
-    identity map, keeping every other interval duration.  Always ~0 when k is
-    the last pair; ~0 for any k when the provider factorizes or the blocks
-    commute.
-    """
-    pairs = chain.pairs
-    if not (0 <= k < len(pairs)):
-        raise ValidationError(f"tensor_collapse_check: position {k} out of range")
-    j, l = pairs[k]
-    if j != l:
-        raise ValidationError(f"tensor_collapse_check: pair {k} is ({j}, {l}), not diagonal")
-    durations = chain.durations
-    full = provider.tensor_pairs(pairs, durations)
-    dropped = provider.tensor_pairs(
-        [p for i, p in enumerate(pairs) if i != k],
-        [dt for i, dt in enumerate(durations) if i != k],
-    )
-    return abs(full - dropped)

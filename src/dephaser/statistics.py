@@ -85,27 +85,21 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SystemPreparation:
-    """Initial system state with a tag recording how it was built."""
+    """Initial system state, a validated density matrix."""
 
     density: np.ndarray
-    tag: str = "explicit"
 
     def __post_init__(self):
-        rho = check_density(self.density, "preparation")
-        if self.tag == "diagonal":
-            off = rho - np.diag(np.diag(rho))
-            if np.max(np.abs(off)) > 1e-14:
-                raise ValidationError("SystemPreparation: tag 'diagonal' but off-diagonal entries present")
-        object.__setattr__(self, "density", rho)
+        object.__setattr__(self, "density", check_density(self.density, "preparation"))
 
     @classmethod
     def diagonal(cls, weights) -> "SystemPreparation":
         w = np.asarray(weights, dtype=float)
-        return cls(np.diag(w).astype(complex), "diagonal")
+        return cls(np.diag(w).astype(complex))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "SystemPreparation":
-        return cls(np.eye(d, dtype=complex) / d, "maximally-mixed")
+        return cls(np.eye(d, dtype=complex) / d)
 
     @classmethod
     def pure(cls, vector) -> "SystemPreparation":
@@ -114,7 +108,7 @@ class SystemPreparation:
         if nrm == 0:
             raise ValidationError("SystemPreparation.pure: zero vector")
         v = v / nrm
-        return cls(np.outer(v, v.conj()), "pure")
+        return cls(np.outer(v, v.conj()))
 
     @property
     def d(self) -> int:
@@ -152,9 +146,6 @@ class JointDistribution:
     def as_array(self) -> np.ndarray:
         """Table reshaped to one axis per measurement, x_1 first."""
         return self.table.reshape((self.n_outcomes,) * self.n)
-
-    def prob(self, outcomes) -> float:
-        return float(self.as_array()[tuple(outcomes)])
 
     def clipped(self) -> np.ndarray:
         """Presentation copy with roundoff negatives clipped to zero."""
@@ -374,12 +365,15 @@ def conditional_probability(dist: JointDistribution, prefix) -> np.ndarray:
     """Distribution of the next outcome given the first ``len(prefix)`` outcomes.
 
     Raises :class:`NullEventError` when the conditioning event has probability
-    below the floor (rather than returning NaN).
+    below the floor (rather than returning NaN), and ``ValidationError`` for an
+    outcome outside 0..m-1.
     """
     prefix = tuple(int(x) for x in prefix)
     k = len(prefix)
     if k >= dist.n:
         raise ValidationError(f"conditional_probability: prefix length {k} must be < n = {dist.n}")
+    if any(not 0 <= x < dist.n_outcomes for x in prefix):
+        raise ValidationError(f"conditional_probability: prefix {prefix} not within 0..{dist.n_outcomes - 1}")
     arr = dist.as_array()
     # marginalize outcomes after position k+1
     for _ in range(dist.n - k - 1):

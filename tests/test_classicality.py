@@ -26,7 +26,7 @@ from dephaser.models import (
     MarkovianAnalyticProvider,
 )
 from dephaser.presets import get_preset
-from dephaser.statistics import SystemPreparation, TimeGrid, joint_distribution
+from dephaser.statistics import JointDistribution, SystemPreparation, TimeGrid, joint_distribution
 
 angles = st.floats(min_value=0.0, max_value=np.pi / 2, allow_nan=False)
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -61,6 +61,13 @@ class TestKolmogorovDeficit:
         coarse = joint_distribution(zx_provider, prep, meas, TimeGrid(0.0, (2.0,)))
         with pytest.raises(ShapeError):
             kolmogorov_deficit(fine, coarse, 1)
+
+    def test_outcome_count_mismatch_rejected(self):
+        # tables of 2 and 3 outcomes cannot be compared entry by entry
+        fine = JointDistribution(2, TimeGrid(0.0, (0.5, 1.0, 2.0)), np.full(8, 1 / 8))
+        coarse = JointDistribution(3, TimeGrid(0.0, (0.5, 2.0)), np.full(9, 1 / 9))
+        with pytest.raises(ShapeError, match="fine table has 2 outcomes, coarse 3"):
+            kolmogorov_deficit(fine, coarse, 2)
 
 
 class TestClassicalityReport:

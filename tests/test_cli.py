@@ -60,7 +60,6 @@ class TestConfigParsing:
             }
         )
         cfg = parse_config(doc)
-        assert cfg.exact_model is None
         assert isinstance(cfg.provider, MarkovianAnalyticProvider)
 
     def test_exact_inline_model(self):
@@ -69,7 +68,7 @@ class TestConfigParsing:
         env = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         doc = classicality_config(model={"kind": "exact", "blocks": [z, x], "env_state": env})
         cfg = parse_config(doc)
-        assert cfg.exact_model is not None
+        assert isinstance(cfg.provider, ExactDephasingProvider)
         assert cfg.d == 2
 
     def test_markovianity_needs_exact_model(self):
@@ -370,7 +369,7 @@ class TestRunCommand:
                     reference = max(reference, abs(provider.tensor_pairs(pairs, steps) - factored))
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert abs(report["factorization_deficit"] - reference) < 1e-12
-        assert (report["exhaustive"], report["tuples"]) == (True, 10 * 16 + 5 * 64 + 1 * 256)
+        assert report["tuples"] == 10 * 16 + 5 * 64 + 1 * 256
 
     @pytest.mark.parametrize(
         "overrides",
@@ -472,6 +471,47 @@ class TestRunCommand:
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+
+
+class TestThetaSweep:
+    """The qubit theta sweep end to end: the closed-form 2-time deficit per angle."""
+
+    def run(self, tmp_path, **overrides):
+        doc = classicality_config(
+            measurement=None, grid={"t0": 0.0, "times": [0.8, 1.6]}, analysis={"kind": "theta-sweep"}
+        )
+        doc.update(overrides)
+        out = tmp_path / "o"
+        return main(["run", write_config(tmp_path, doc), "--out", str(out)]), out
+
+    def test_vanishes_at_compatible_and_unbiased_angles(self, tmp_path):
+        code, out = self.run(tmp_path, analysis={"kind": "theta-sweep", "theta_points": 7})
+        assert code == 0
+        table = np.loadtxt(out / "deficits.csv", delimiter=",", skiprows=1)
+        assert table.shape == (7, 2)
+        # zero in the dephasing basis (0, pi/2) and the unbiased one (pi/4), odd about pi/4
+        assert np.max(np.abs(table[[0, 3, 6], 1])) < 1e-12
+        assert table[:, 1] == pytest.approx(-table[::-1, 1], abs=1e-12)
+
+    def test_shipped_argmax_near_reference(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", os.path.join(ROOT, "configs", "theta_sweep_qubit_zx.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert abs(report["argmax_theta"] - 0.5 * np.arctan(np.sqrt(2.0))) <= np.pi / 360
+
+    def test_coherent_preparation_exits_2(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, preparation={"kind": "pure", "vector": [[0.6, 0.0], [0.8, 0.0]]})
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "message": "theta-sweep requires a diagonal preparation"}
+        assert not (out / "deficits.csv").exists()
+
+    def test_diagonal_pure_preparation_runs(self, tmp_path):
+        # a basis vector is a diagonal preparation, whatever kind builds it
+        code, out = self.run(tmp_path, preparation={"kind": "pure", "vector": [[0.0, 0.0], [1.0, 0.0]]})
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["p"] == 0.0
 
 
 class TestShippedConfigs:

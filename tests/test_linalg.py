@@ -5,19 +5,17 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dephaser.errors import ShapeError, SizeCapError, ValidationError
+from dephaser.errors import SizeCapError, ValidationError
 from dephaser.linalg import (
     Superoperator,
     check_density,
     check_hermitian,
-    check_unitary,
     choi_matrix,
     conjugation_superoperator,
     hermitian_eigh,
     hermitian_expm,
     is_completely_positive,
     kron,
-    partial_trace_env,
     random_density,
     random_hermitian,
     random_unitary,
@@ -69,7 +67,8 @@ class TestHermitianExpm:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_output_is_unitary(self):
-        check_unitary(hermitian_expm(random_hermitian(4, 3), 2.2))
+        u = hermitian_expm(random_hermitian(4, 3), 2.2)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
@@ -117,45 +116,6 @@ class TestKron:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             kron(np.eye(100), np.eye(100))
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rho = random_density(2, 5)
-        sigma = random_density(3, 6)
-        out = partial_trace_env(kron(rho, sigma), 2, 3)
-        assert np.max(np.abs(out - rho)) < 1e-12
-
-    def test_identity(self):
-        assert np.allclose(partial_trace_env(np.eye(6), 2, 3), 3 * np.eye(2))
-
-    def test_maximally_entangled(self):
-        psi = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])) / np.sqrt(2)
-        rho = np.outer(psi, psi.conj())
-        # index-sum oracle
-        expected = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                expected[i, j] = sum(rho[2 * i + k, 2 * j + k] for k in range(2))
-        out = partial_trace_env(rho, 2, 2)
-        assert np.max(np.abs(out - expected)) < 1e-14
-        assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-12
-
-    def test_trace_preserved(self):
-        m = random_hermitian(6, 9)
-        assert abs(np.trace(partial_trace_env(m, 2, 3)) - np.trace(m)) < 1e-12
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            partial_trace_env(np.eye(5), 2, 3)
-
-    @given(seed=seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_kron_then_trace_is_identity(self, seed):
-        x = random_hermitian(3, seed)
-        sigma = random_density(2, seed + 1)
-        out = partial_trace_env(kron(x, sigma), 3, 2)
-        assert np.max(np.abs(out - x)) < 1e-12
 
 
 def assemble_choi(s: Superoperator) -> np.ndarray:

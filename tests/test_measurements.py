@@ -75,6 +75,12 @@ class TestProjectiveMeasurement:
             assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.max(np.abs(m.projector(0) + m.projector(1) - np.eye(2))) < 1e-12
 
+    @pytest.mark.parametrize("outcome", [-1, 2], ids=["minus-one", "m"])
+    def test_outcome_out_of_range(self, outcome):
+        # -1 must not wrap to the last outcome
+        with pytest.raises(ValidationError):
+            fourier_mub(2).projector(outcome)
+
 
 class TestOutcomeBases:
     """``bases`` spans each outcome's range: P_x = V_x V_x†, zero-padded to the largest rank."""

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
+from reference import commutativity_check, tensor_collapse_check
 from dephaser import linalg, models
-from dephaser.errors import SizeCapError, TimeOrderError, ValidationError
+from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
-    IndexPairChain,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
-    commutativity_check,
     markovianity_deficit,
     semigroup_deficit,
-    tensor_collapse_check,
     triviality_check,
 )
 from dephaser.presets import get_preset
@@ -26,25 +24,11 @@ from dephaser.presets import get_preset
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
-class TestIndexPairChain:
-    def test_length_mismatch(self):
-        with pytest.raises(Exception):
-            IndexPairChain(((0, 1),), (0.0, 1.0, 2.0))
-
-    def test_time_order(self):
-        with pytest.raises(TimeOrderError):
-            IndexPairChain(((0, 1),), (1.0, 0.0))
-
-    def test_durations(self):
-        c = IndexPairChain(((0, 1), (1, 0)), (0.0, 0.5, 2.0))
-        assert c.durations == (0.5, 1.5)
-
-
 class TestExactTensor:
     def test_diagonal_chain_is_one(self):
         model = random_exact_model(3, 3, seed=2)
-        chain = IndexPairChain(((0, 0), (2, 2), (1, 1)), (0.0, 0.3, 0.9, 1.4))
-        assert abs(ExactDephasingProvider(model).tensor(chain) - 1.0) < 1e-12
+        value = ExactDephasingProvider(model).tensor_pairs(((0, 0), (2, 2), (1, 1)), (0.3, 0.6, 0.5))
+        assert abs(value - 1.0) < 1e-12
 
     def test_scalar_blocks_phase(self):
         omega0 = 1.7
@@ -53,18 +37,30 @@ class TestExactTensor:
             np.array([[1.0]], dtype=complex),
         )
         tau = 0.8
-        val = ExactDephasingProvider(model).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
+        val = ExactDephasingProvider(model).tensor_pairs(((0, 1),), (tau,))
         assert abs(val - np.exp(1j * omega0 * tau)) < 1e-12
 
     def test_zx_closed_form(self, zx_model):
         # tr[rho_B e^{i tau sx} e^{-i tau sz}] = cos(tau) e^{-i tau}
         tau = np.pi / 4
-        val = ExactDephasingProvider(zx_model).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
+        val = ExactDephasingProvider(zx_model).tensor_pairs(((0, 1),), (tau,))
         assert abs(val - (0.5 - 0.5j)) < 1e-12
 
-    def test_index_out_of_range(self, zx_provider):
+    @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
+    @pytest.mark.parametrize("pair", [lambda d: (0, d), lambda d: (-1, 0)], ids=["0-d", "minus-one-0"])
+    def test_index_out_of_range(self, request, provider, pair):
+        # (-1, 0) must not wrap to the (d - 1, 0) value
+        provider = request.getfixturevalue(provider)
         with pytest.raises(ValidationError):
-            zx_provider.tensor(IndexPairChain(((0, 2),), (0.0, 1.0)))
+            provider.tensor_pairs([pair(provider.d)], [0.7])
+
+    @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
+    def test_pairs_and_durations_mismatch(self, request, provider):
+        # an unmatched pair or duration must not be dropped
+        provider = request.getfixturevalue(provider)
+        for pairs, durations in ((((0, 1), (0, 1)), (0.5,)), (((0, 1),), (0.5, 0.5))):
+            with pytest.raises(ShapeError):
+                provider.tensor_pairs(pairs, durations)
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
@@ -471,18 +467,18 @@ class TestMarkovianModel:
 
     def test_single_interval(self, markov_qubit):
         eps, gamma, tau = 0.8, 0.5, 1.3
-        val = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1),), (0.0, tau)))
+        val = MarkovianAnalyticProvider(markov_qubit).tensor_pairs(((0, 1),), (tau,))
         assert abs(val - np.exp(-(1j * eps + gamma / 2) * tau)) < 1e-14
 
     def test_semigroup_by_construction(self, markov_qubit):
         tau = 0.6
-        two_steps = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1), (0, 1)), (0.0, tau, 2 * tau)))
-        one_step = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1),), (0.0, 2 * tau)))
+        two_steps = MarkovianAnalyticProvider(markov_qubit).tensor_pairs(((0, 1), (0, 1)), (tau, tau))
+        one_step = MarkovianAnalyticProvider(markov_qubit).tensor_pairs(((0, 1),), (2 * tau,))
         assert abs(two_steps - one_step) < 1e-14
 
     def test_conjugate_pair_cancellation(self, markov_qubit):
         tau, gamma = 0.6, 0.5
-        val = MarkovianAnalyticProvider(markov_qubit).tensor(IndexPairChain(((0, 1), (1, 0)), (0.0, tau, 2 * tau)))
+        val = MarkovianAnalyticProvider(markov_qubit).tensor_pairs(((0, 1), (1, 0)), (tau, tau))
         assert abs(val - np.exp(-gamma * tau)) < 1e-14
 
     @given(seed=seeds)
@@ -576,7 +572,7 @@ class TestMarkovianityDeficit:
         assert abs(deficit - reference) < 1e-12
         # the orders walked: selections of n + 1 times need n + 1 <= K
         orders = list(range(2, min(max_order, len(times) - 1) + 1))
-        assert detail == {"exhaustive": True, "tuples": tuples, "orders": orders}
+        assert detail == {"tuples": tuples, "orders": orders}
 
     @pytest.mark.parametrize(
         "model, times, max_order",
@@ -725,20 +721,16 @@ class TestTensorCollapse:
     def test_final_diagonal_pair_always_collapses(self):
         model = random_exact_model(2, 3, seed=13)
         provider = ExactDephasingProvider(model)
-        chain = IndexPairChain(((0, 1), (1, 1)), (0.0, 0.6, 1.5))
-        assert tensor_collapse_check(provider, chain, 1) < 1e-12
+        assert tensor_collapse_check(provider, ((0, 1), (1, 1)), (0.6, 0.9), 1) < 1e-12
 
     def test_interior_pair_markovian(self, markov_qubit_provider):
-        chain = IndexPairChain(((0, 0), (0, 1)), (0.0, 0.6, 1.5))
-        assert tensor_collapse_check(markov_qubit_provider, chain, 0) < 1e-14
+        assert tensor_collapse_check(markov_qubit_provider, ((0, 0), (0, 1)), (0.6, 0.9), 0) < 1e-14
 
     def test_interior_pair_noncommuting_fails(self, zx_provider):
         # env |0><0| is sigma_z-invariant, so the diagonal pair must use
         # the sigma_x block to rotate the environment state
-        chain = IndexPairChain(((1, 1), (0, 1)), (0.0, 0.6, 1.5))
-        assert tensor_collapse_check(zx_provider, chain, 0) > 1e-6
+        assert tensor_collapse_check(zx_provider, ((1, 1), (0, 1)), (0.6, 0.9), 0) > 1e-6
 
     def test_requires_diagonal_pair(self, zx_provider):
-        chain = IndexPairChain(((0, 1), (0, 1)), (0.0, 0.6, 1.5))
         with pytest.raises(ValidationError):
-            tensor_collapse_check(zx_provider, chain, 0)
+            tensor_collapse_check(zx_provider, ((0, 1), (0, 1)), (0.6, 0.9), 0)

@@ -8,9 +8,6 @@ import importlib.util
 import os
 import sys
 
-import numpy as np
-import pytest
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -39,13 +36,3 @@ def test_find_witness(monkeypatch, capsys):
     assert lines[0] == "order 3, marginalized position 2"
     assert float(lines[-1].split()[-1]) >= 1e-3
 
-
-def test_sweep_measurement_angle(monkeypatch, capsys, tmp_path):
-    out = tmp_path / "sweep.csv"
-    lines = run_script("sweep_measurement_angle", ["--points", "7", "--out", str(out)], monkeypatch, capsys)
-    assert lines[0] == f"wrote {out} (7 points)"
-    table = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert table.shape == (7, 2)
-    # zero in the dephasing basis and the unbiased one, odd about pi/4
-    assert np.max(np.abs(table[[0, 3, 6], 1])) < 1e-12
-    assert table[:, 1] == pytest.approx(-table[::-1, 1], abs=1e-12)

@@ -36,6 +36,7 @@ from dephaser.statistics import (
     reduced_map,
     sandwich_identity_deficit,
 )
+from reference import transfer
 from tests.conftest import random_exact_model
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -67,13 +68,7 @@ class TestTimeGrid:
 class TestSystemPreparation:
     def test_diagonal(self):
         prep = SystemPreparation.diagonal([0.2, 0.8])
-        assert prep.tag == "diagonal"
         assert abs(prep.density[1, 1] - 0.8) < 1e-15
-
-    def test_diagonal_tag_enforced(self):
-        rho = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValidationError):
-            SystemPreparation(rho, "diagonal")
 
     def test_maximally_mixed(self):
         prep = SystemPreparation.maximally_mixed(3)
@@ -109,7 +104,7 @@ class TestJointDistribution:
         m = d.marginalize(1)
         assert m.grid.times == (2.0,)
         assert np.allclose(m.table, [0.4, 0.6])
-        assert abs(d.prob((1, 0)) - 0.3) < 1e-15
+        assert abs(d.as_array()[1, 0] - 0.3) < 1e-15
 
     def test_clipped(self):
         g = TimeGrid(0.0, (1.0,))
@@ -256,7 +251,7 @@ def random_branches(rng, shape):
 
 
 class TestEngineKernels:
-    """``transfer`` against an independent einsum reference, and per batch row."""
+    """The stages' composition ``transfer`` against an independent einsum reference, and per batch row."""
 
     @KERNEL_CASES
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-batch", "batch-3", "batch-2x3"])
@@ -267,12 +262,12 @@ class TestEngineKernels:
         for source in (identity, bases):
             n = source.shape[-1] * big_d
             state = random_branches(rng, lead + (len(source), n, n))
-            out = provider.transfer(state, 0.7, source, bases)
+            out = transfer(provider, state, 0.7, source, bases)
             assert out.shape == lead + (len(source), len(bases)) + (bases.shape[-1] * big_d,) * 2
             assert np.max(np.abs(out - reference_transfer(provider, state, 0.7, source, bases))) < 1e-13
             # one duration per leading row
             dt = np.linspace(0.0, 2.0, lead[0]).reshape(lead[:1] + (1,) * (len(lead) - 1)) if lead else 0.3
-            out = provider.transfer(state, np.asarray(dt), source, bases)
+            out = transfer(provider, state, np.asarray(dt), source, bases)
             assert np.max(np.abs(out - reference_transfer(provider, state, np.asarray(dt), source, bases))) < 1e-13
 
     @KERNEL_CASES
@@ -282,10 +277,10 @@ class TestEngineKernels:
         n = bases.shape[-1] * big_d
         state = random_branches(np.random.default_rng(17), (7, 2, len(bases), n, n))
         dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9, 1.3, 0.4])
-        batched = provider.transfer(state, dt[:, None], bases, bases)
+        batched = transfer(provider, state, dt[:, None], bases, bases)
         for r in range(len(state)):
-            assert np.array_equal(batched[r], provider.transfer(state[r], float(dt[r]), bases, bases))
-            assert np.array_equal(batched[r : r + 3], provider.transfer(state[r : r + 3], dt[r : r + 3, None], bases, bases))
+            assert np.array_equal(batched[r], transfer(provider, state[r], float(dt[r]), bases, bases))
+            assert np.array_equal(batched[r : r + 3], transfer(provider, state[r : r + 3], dt[r : r + 3, None], bases, bases))
 
     def test_probabilities_are_traces(self):
         state = random_branches(np.random.default_rng(5), (4, 3, 6, 6))
@@ -326,7 +321,7 @@ class TestGridKernels:
         dt = np.array([0.7, 0.0, 1.3, 0.7, 2.9])
         out = provider.apply(state, provider.kernels(provider.exponentials(dt), bases, bases), bases, bases)
         assert out.shape == (5, len(bases), len(bases), n, n)
-        assert np.array_equal(out, provider.transfer(state, dt, bases, bases))
+        assert np.array_equal(out, transfer(provider, state, dt, bases, bases))
         durations, inverse = models._distinct(dt)
         gathered = provider.kernels(provider.exponentials(durations), bases, bases)[inverse]
         assert np.array_equal(out, provider.apply(state, gathered, bases, bases))
@@ -452,7 +447,7 @@ class TestKnownValues:
         t = 0.8
         prep = SystemPreparation.pure([1.0, 1.0])
         dist = joint_distribution(zx_provider, prep, fourier_mub(2), TimeGrid(0.0, (t,)))
-        assert abs(dist.prob((0,)) - 0.5 * (1 + np.cos(t) ** 2)) < 1e-12
+        assert abs(dist.as_array()[0] - 0.5 * (1 + np.cos(t) ** 2)) < 1e-12
 
     def test_dephasing_basis_is_static(self, zx_provider):
         # measuring in the dephasing basis freezes the outcome
@@ -655,3 +650,11 @@ class TestConditional:
         dist = joint_distribution(zx_provider, prep, fourier_mub(2), TimeGrid(0.0, (0.5,)))
         with pytest.raises(ValidationError):
             conditional_probability(dist, (0,))
+
+    @pytest.mark.parametrize("outcome", [-1, 2], ids=["minus-one", "m"])
+    def test_outcome_out_of_range(self, zx_provider, outcome):
+        # -1 must not wrap to outcome m - 1, nor m escape as a bare IndexError
+        prep = SystemPreparation.maximally_mixed(2)
+        dist = joint_distribution(zx_provider, prep, fourier_mub(2), TimeGrid(0.0, (0.5, 1.5)))
+        with pytest.raises(ValidationError):
+            conditional_probability(dist, (outcome,))
