@@ -10,6 +10,7 @@ the form in which the propagation engine of :mod:`dephaser.statistics` reads it.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,9 +83,9 @@ class ProjectiveMeasurement:
         return self.d if self.is_rank_one else len(self.projectors)
 
     def projector(self, x: int) -> np.ndarray:
-        """P_x; an outcome outside 0..m-1 raises ``ValidationError``."""
-        if not 0 <= x < self.n_outcomes:
-            raise ValidationError(f"projector: outcome {x} outside 0..{self.n_outcomes - 1}")
+        """P_x; anything but an integer outcome in 0..m-1 (a float too) raises ``ValidationError``."""
+        if not isinstance(x, numbers.Integral) or not 0 <= x < self.n_outcomes:
+            raise ValidationError(f"projector: outcome {x!r} is not an integer in 0..{self.n_outcomes - 1}")
         if self.is_rank_one:
             v = self.vectors[:, x]
             return np.outer(v, v.conj())
@@ -111,16 +112,13 @@ class ProjectiveMeasurement:
         return bases
 
     @functools.cached_property
-    def channel(self) -> Superoperator:
-        """Completely dephasing channel rho -> sum_x P_x rho P_x, built on first
-        use; its matrix is read-only, since every caller shares it."""
-        d = self.d
-        mat = np.zeros((d * d, d * d), dtype=complex)
-        for x in range(self.n_outcomes):
-            p = self.projector(x)
-            mat += np.kron(p.T, p)
-        mat.flags.writeable = False
-        return Superoperator(d, mat)
+    def channel_basis(self) -> np.ndarray:
+        """Q, (d², Σ_x r_x²): orthonormal columns vec(V_x e_a e_b† V_x†) over outcomes x and
+        a, b < r_x, with Q·Q† the channel's matrix; built on first use and read-only."""
+        v, used = self.bases, np.abs(self.bases).max(axis=1) > 0  # padding columns are zero
+        q = np.einsum("xlb,xja->ljxab", v.conj(), v)[:, :, used[:, :, None] & used[:, None, :]].reshape(self.d**2, -1)
+        q.flags.writeable = False
+        return q
 
 
 def dephasing_basis(d: int) -> ProjectiveMeasurement:
@@ -168,5 +166,6 @@ def mub_check(a: ProjectiveMeasurement, b: ProjectiveMeasurement, tol: float = 1
 
 
 def dephasing_channel(m: ProjectiveMeasurement) -> Superoperator:
-    """Completely dephasing channel of the PVM: rho -> sum_x P_x rho P_x."""
-    return m.channel
+    """Completely dephasing channel of the PVM: rho -> sum_x P_x rho P_x, with
+    matrix Q·Q† for its :attr:`~ProjectiveMeasurement.channel_basis` Q."""
+    return Superoperator(m.d, m.channel_basis @ m.channel_basis.conj().T)

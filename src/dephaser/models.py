@@ -20,12 +20,14 @@ process-tensor view of Milz & Modi, PRX Quantum 2, 030201 (2021).  The map
 comes in stages, each over a whole array of durations at once:
 ``exponentials`` (the stacked U_j(dt), or φ(dt): the one exponentiation),
 ``kernels`` (the Kraus stacks K, or φ itself, between two outcome bases) and
-``apply`` (the branch states).  The last
-measurement needs only probabilities, tr E_xy = tr(E_x·M_xy), so
-``effects`` gives the Heisenberg-picture effect operators M_xy = K_xy†K_xy
-(exact) or V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
-The exact provider diagonalises its stacked blocks once, in one call, and
-keeps the U_j of the last distinct durations it exponentiated together.
+``apply`` (the branch states).  The last measurement needs only
+probabilities, tr E_xy = tr(E_x·M_xy), so ``effects`` gives the
+Heisenberg-picture effect operators M_xy = K_xy†K_xy (exact) or
+V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.  The exact
+provider diagonalises its stacked blocks once, in one call, and keeps the
+U_j of the last distinct durations it exponentiated together.
+``dephasing_matrix(t, s)`` of a provider or of a :class:`DephasingTable`, and
+the checks built on it, read φ(t - s) for whole arrays of times.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -33,15 +35,13 @@ L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
 B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
 T = A·diag(s)·A† where row J of A is vec(L_J B); φ(dt) is its one-interval
 case.  The signs are kept, not clipped, because ``check_density`` admits
-eigenvalues down to -1e-10.
-Two providers are implemented: the exact finite-environment one, and the
+eigenvalues down to -1e-10.  Two providers are implemented: the exact finite-environment one, and the
 analytic one (D = 1) whose tensor factorizes into per-interval exponentials
 by construction (the regression/Markovian case).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -153,15 +153,17 @@ class DephasingTensorProvider(ABC):
     # Each concrete provider defines ``tensor_array`` (the values on a duration
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
     # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
-    def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
-        """The d×d matrix φ(t - s) of single-interval tensor values over [s, t]."""
-        if t < s:
+    def dephasing_matrix(self, t, s) -> np.ndarray:
+        """The matrices φ(t - s) of single-interval tensor values over [s, t], (..., d, d) for t, s of shape (...)."""
+        if np.less(t, s).any():
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        return self.dephasings(t - s)
+        return self.dephasings(np.subtract(t, s))
 
     def _check_pairs(self, pairs, durations) -> None:
         if len(pairs) != len(durations):
             raise ShapeError(f"tensor_pairs: {len(pairs)} index pairs for {len(durations)} durations")
+        if any(dt < 0 for dt in durations):
+            raise TimeOrderError(f"tensor_pairs: negative duration in {list(durations)}")
         for j, l in pairs:
             if not (0 <= j < self.d and 0 <= l < self.d):
                 raise ValidationError(f"index pair ({j}, {l}) out of range for d = {self.d}")
@@ -448,42 +450,60 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
 class DephasingTable:
     """The dephasing matrices φ(t, s) of every pair of grid times s <= t.
 
-    All of them come from one ``provider.dephasings`` call over the array of
-    durations t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``),
-    and are read with the same ``dephasing_matrix(t, s)``, so a table stands
-    in for the provider in :func:`semigroup_deficit`, :func:`triviality_check`
-    and the reduced maps and NCGD deficits of :mod:`dephaser.statistics`.
-    A pair s == t is held only where the grid repeats the time.  A grid of
-    more than ``TERM_CAP`` / (d²·D²) pairs takes one call per chunk of pairs.
-    """
+    All of them come from one ``provider.dephasings`` call over the durations
+    t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``), stacked
+    by grid index and read with the same ``dephasing_matrix(t, s)``, so a table
+    stands in for the provider in the semigroup, triviality and NCGD checks.
+    A pair s == t is held only where the grid repeats the time.  A grid of more
+    than ``TERM_CAP`` / (d²·D²) pairs takes one call per chunk."""
 
     def __init__(self, provider: DephasingTensorProvider, times: Sequence[float]):
-        pairs = list(dict.fromkeys(itertools.combinations(sorted(float(t) for t in times), 2)))
-        dt = np.array([t - s for s, t in pairs])
-        self.d = provider.d
+        times, counts = np.unique(np.asarray(times, dtype=float), return_counts=True)
+        first, second = np.nonzero(np.less.outer(times, times) | np.diag(counts > 1))
+        self.d, self._times = provider.d, np.append(times, np.nan)  # NaN equals no time
+        # φ of the grid index pair (s, t); NaN where the pair is not held
+        self._phi = np.full((len(self._times),) * 2 + (self.d, self.d), np.nan, dtype=complex)
         chunk = max(1, TERM_CAP // (provider.d**2 * provider.env.size))
-        phi = [provider.dephasings(dt[lo : lo + chunk]) for lo in range(0, len(dt), chunk)]
-        self._phi = dict(zip(pairs, itertools.chain.from_iterable(phi)))
+        for lo in range(0, len(first), chunk):
+            i, j = first[lo : lo + chunk], second[lo : lo + chunk]
+            self._phi[i, j] = provider.dephasings(times[j] - times[i])
 
-    def dephasing_matrix(self, t: float, s: float) -> np.ndarray:
-        """φ(t, s) of two grid times, s <= t."""
-        if t < s:
-            raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        return self._phi[float(s), float(t)]
+    def dephasing_matrix(self, t, s) -> np.ndarray:
+        """φ(t, s) of grid times s <= t, (..., d, d) for ``t`` and ``s``
+        broadcast to (...); a pair the table does not hold raises ``KeyError``."""
+        i, j = self._times.searchsorted(s), self._times.searchsorted(t)
+        phi = self._phi[i, j]
+        if (np.isnan(phi[..., 0, 0]) | (self._times[i] != s) | (self._times[j] != t)).any():
+            if np.less(t, s).any():
+                raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
+            raise KeyError(f"dephasing_matrix: pair (s, t) = {(s, t)} not held by the table")
+        return phi
 
 
-def semigroup_deficit(provider: DephasingTensorProvider, t0: float, t1: float, t2: float) -> float:
-    """Max entrywise violation of φ(t2,t0) = φ(t2,t1)·φ(t1,t0).
+def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
+    """Max entrywise violation of φ(t2,t0) = φ(t2,t1)·φ(t1,t0), a necessary
+    condition for the tensor factorization (identically zero for the analytic
+    provider): a float for scalar times, an array for arrays that broadcast
+    together.  ``provider`` may be a :class:`DephasingTable`."""
 
-    A necessary condition for the tensor factorization; identically zero for
-    the analytic provider.  ``provider`` may be a :class:`DephasingTable` of
-    the three times.
-    """
-    if not (t0 <= t1 <= t2):
-        raise TimeOrderError(f"semigroup_deficit: need t0 <= t1 <= t2, got {(t0, t1, t2)}")
-    full = provider.dephasing_matrix(t2, t0)
-    split = provider.dephasing_matrix(t2, t1) * provider.dephasing_matrix(t1, t0)
-    return float(np.max(np.abs(full - split)))
+    def violation(t0, t1, t2):
+        return provider.dephasing_matrix(t2, t0) - provider.dephasing_matrix(t2, t1) * provider.dephasing_matrix(t1, t0)
+
+    return _max_per_entry(violation, (t0, t1, t2), provider.d**2, "semigroup_deficit")
+
+
+def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
+    """max|M| of M = matrices(*times) per entry of the broadcast, non-decreasing
+    (else ``TimeOrderError``) ``times``: a float for scalars, else an array of their
+    shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    times = np.broadcast_arrays(*times)
+    if not all((a <= b).all() for a, b in zip(times, times[1:])):
+        raise TimeOrderError(f"{caller}: times {tuple(times)} are not non-decreasing")
+    flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
+    out = np.zeros(flat[0].size)
+    for lo in range(0, out.size, chunk):
+        out[lo : lo + chunk] = np.abs(matrices(*(t[lo : lo + chunk] for t in flat))).max(axis=(-2, -1))
+    return out.reshape(times[0].shape) if times[0].ndim else float(out[0])
 
 
 def markovianity_deficit(model: DephasingModel, times: Sequence[float], max_order: int) -> float:
@@ -566,14 +586,9 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
 
 
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], tol: float = 1e-10) -> bool:
-    """True iff every dephasing-matrix entry has unit modulus on the grid.
-
-    ``provider`` may be a :class:`DephasingTable` of the grid.
-    """
-    grid = sorted(float(t) for t in grid)
-    for s, t in itertools.combinations(grid, 2):
-        phi = provider.dephasing_matrix(t, s)
-        if np.max(np.abs(np.abs(phi) - 1.0)) > tol:
-            return False
-    return True
-
+    """True iff every dephasing-matrix entry has unit modulus on the grid, all
+    pairs read at once.  ``provider`` may be a :class:`DephasingTable` of the grid."""
+    grid = np.sort(np.asarray(grid, dtype=float))
+    first, second = np.nonzero(np.less.outer(grid, grid))  # a pair of equal times has φ = 1
+    phi = provider.dephasing_matrix(grid[second], grid[first])
+    return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= tol)

@@ -20,7 +20,9 @@ Two independent routes are implemented:
   a time (the brute-force cross-check; exact models only).
 
 Outcome tuples (x_1, ..., x_n) are stored row-major with x_1 slowest, so CSV
-output order is stable across runs and platforms.
+output order is stable across runs and platforms.  The NCGD deficits read
+the reduced maps Λ = diag(vec φ) in the measurement's channel basis Q as R×R
+matrices G = Q†·Λ·Q (for a rank-one PVM, transition matrices), for arrays of times.
 
 Numerical contract: tables agree with :func:`oracle_distribution` to
 roundoff (the tests hold 1e-12).  Every matrix product of a provider's
@@ -32,14 +34,16 @@ and machine are bitwise identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, ValidationError
 from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron
-from .measurements import ProjectiveMeasurement, dephasing_channel
-from .models import TERM_CAP, DephasingModel, DephasingTable, DephasingTensorProvider
+# dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
+from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
+from .models import TERM_CAP, DephasingModel, DephasingTable, DephasingTensorProvider, _max_per_entry
 
 #: cap on the oracle's outcome branches m + m^2 + ... + m^n.  Each branch is a
 #: kron and two joint-space products issued from Python, about 70 µs at
@@ -60,8 +64,8 @@ class TimeGrid:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        if not times:
-            raise ValidationError("TimeGrid: need at least one measurement time")
+        if not times or not all(math.isfinite(t) for t in (float(self.t0),) + times):
+            raise ValidationError(f"TimeGrid: need a finite t0 and one or more finite times, got {self.t0}, {times}")
         if times[0] < self.t0 or any(a > b for a, b in zip(times, times[1:])):
             raise TimeOrderError(f"TimeGrid: times {times} not non-decreasing from t0 = {self.t0}")
         object.__setattr__(self, "times", times)
@@ -305,75 +309,62 @@ def reduced_map(provider: DephasingTensorProvider | DephasingTable, t: float, s:
     l·d + j.  ``provider`` may be a :class:`~dephaser.models.DephasingTable`
     holding the pair (s, t).
     """
-    return Superoperator(provider.d, _reduced_matrix(provider, t, s))
+    return Superoperator(provider.d, np.diag(provider.dephasing_matrix(t, s).T.reshape(-1)))
 
 
-def _reduced_matrix(provider, t: float, s: float) -> np.ndarray:
-    """The matrix of :func:`reduced_map`."""
-    return np.diag(provider.dephasing_matrix(t, s).T.reshape(-1))
-
-
-def _channel_matrix(provider, measurement: ProjectiveMeasurement, caller: str) -> np.ndarray:
-    """The matrix of the measurement's dephasing channel, checked against the provider's d.
-
-    The deficits compose plain matrices, in the order of
-    :meth:`Superoperator.compose` (so with its bits), without validating each
-    intermediate product: every factor is finite where it is built (φ by
-    ``dephasings``, the channel from the validated PVM).
-    """
+def _transitions(provider, measurement: ProjectiveMeasurement, t, s, caller: str) -> tuple:
+    """(a, G, Q): the reduced maps Λ = diag(a), a = vec φ(t, s) of shape (..., d²), as
+    G = Q†·Λ·Q (..., R, R) in the measurement's channel basis Q; for a rank-one
+    PVM, G_xy = tr(P_x Λ(P_y)) is the transition matrix between outcomes."""
     if measurement.d != provider.d:
         raise ShapeError(f"{caller}: dimension mismatch (provider d={provider.d}, measurement {measurement.d})")
-    return dephasing_channel(measurement).matrix
+    q, phi = measurement.channel_basis, provider.dephasing_matrix(t, s)
+    a = phi.swapaxes(-1, -2).reshape(phi.shape[:-2] + (-1,))
+    return a, (q.conj().T * a[..., None, :]) @ q, q
 
 
-def sandwich_identity_deficit(
-    provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t: float, s: float
-) -> float:
-    """Max-norm of Δ∘Λ_{t,s}∘Δ − Λ_{t,s}∘Δ for the measurement's dephasing channel.
+def sandwich_identity_deficit(provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t, s):
+    """Max-norm of Δ∘Λ_{t,s}∘Δ − Λ_{t,s}∘Δ for the measurement's dephasing channel
+    Δ = Q·Q†, as max|(Q·G − Λ·Q)·Q†|: a float for scalar times, an array for arrays
+    that broadcast together.  ``provider`` may be a :class:`~dephaser.models.DephasingTable`."""
 
-    ``provider`` may be a :class:`~dephaser.models.DephasingTable` holding the pair (s, t).
-    """
-    delta = _channel_matrix(provider, measurement, "sandwich_identity_deficit")
-    lam = _reduced_matrix(provider, t, s)
-    return float(np.max(np.abs(delta @ lam @ delta - lam @ delta)))
+    def lifted(s, t):
+        a, g, q = _transitions(provider, measurement, t, s, "sandwich_identity_deficit")
+        return (q @ g - a[..., None] * q) @ q.conj().T
+
+    return _max_per_entry(lifted, (s, t), provider.d**4, "sandwich_identity_deficit")
 
 
-def ncgd_deficit(
-    provider: DephasingTensorProvider | DephasingTable,
-    measurement: ProjectiveMeasurement,
-    t1: float,
-    t2: float,
-    t3: float,
-) -> float:
-    """Max-norm of Δ∘Λ_{32}∘Δ∘Λ_{21}∘Δ − Δ∘Λ_{31}∘Δ on a time triple.
+def ncgd_deficit(provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t1, t2, t3):
+    """Max-norm of Δ∘Λ_{32}∘Δ∘Λ_{21}∘Δ − Δ∘Λ_{31}∘Δ on time triples, as
+    max|Q·(G₃₂·G₂₁ − G₃₁)·Q†|: for a rank-one PVM, a Chapman–Kolmogorov test on
+    the m×m transition matrices.  Zero (within tolerance) certifies the
+    non-coherence-generating-and-detecting property of the reduced maps with
+    respect to the measurement.  A float for scalar times, an array for arrays
+    that broadcast together; ``provider`` may be a
+    :class:`~dephaser.models.DephasingTable`."""
 
-    Zero (within tolerance) certifies the non-coherence-generating-and-
-    detecting property of the reduced maps with respect to the measurement.
-    ``provider`` may be a :class:`~dephaser.models.DephasingTable` of the
-    three times.
-    """
-    if not (t1 <= t2 <= t3):
-        raise TimeOrderError(f"ncgd_deficit: need t1 <= t2 <= t3, got {(t1, t2, t3)}")
-    delta = _channel_matrix(provider, measurement, "ncgd_deficit")
-    lam32 = _reduced_matrix(provider, t3, t2)
-    lam21 = _reduced_matrix(provider, t2, t1)
-    lam31 = _reduced_matrix(provider, t3, t1)
-    return float(np.max(np.abs(delta @ lam32 @ delta @ lam21 @ delta - delta @ lam31 @ delta)))
+    def lifted(t1, t2, t3):
+        later, earlier = np.stack((t3, t2, t3)), np.stack((t2, t1, t1))  # a triple's three pairs in one read
+        _, (g32, g21, g31), q = _transitions(provider, measurement, later, earlier, "ncgd_deficit")
+        return q @ (g32 @ g21 - g31) @ q.conj().T
+
+    return _max_per_entry(lifted, (t1, t2, t3), provider.d**4, "ncgd_deficit")
 
 
 def conditional_probability(dist: JointDistribution, prefix) -> np.ndarray:
     """Distribution of the next outcome given the first ``len(prefix)`` outcomes.
 
     Raises :class:`NullEventError` when the conditioning event has probability
-    below the floor (rather than returning NaN), and ``ValidationError`` for an
-    outcome outside 0..m-1.
+    below the floor (rather than returning NaN), and ``ValidationError`` for
+    anything but an integer outcome in 0..m-1 (a float too).
     """
-    prefix = tuple(int(x) for x in prefix)
-    k = len(prefix)
+    prefix = tuple(prefix)
+    if any(not isinstance(x, numbers.Integral) or not 0 <= x < dist.n_outcomes for x in prefix):
+        raise ValidationError(f"conditional_probability: prefix {prefix} not integers in 0..{dist.n_outcomes - 1}")
+    prefix, k = tuple(map(int, prefix)), len(prefix)
     if k >= dist.n:
         raise ValidationError(f"conditional_probability: prefix length {k} must be < n = {dist.n}")
-    if any(not 0 <= x < dist.n_outcomes for x in prefix):
-        raise ValidationError(f"conditional_probability: prefix {prefix} not within 0..{dist.n_outcomes - 1}")
     arr = dist.as_array()
     # marginalize outcomes after position k+1
     for _ in range(dist.n - k - 1):

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from dephaser.errors import ValidationError
+from dephaser.errors import TimeOrderError, ValidationError
 
 
 def transfer(provider, state, dt, source, target):
@@ -49,3 +49,32 @@ def commutativity_check(model, tol=1e-12):
         if np.max(np.abs(a @ b - b @ a)) > tol:
             return False
     return True
+
+
+def channel_matrix(measurement):
+    """The d²×d² matrix Σ_x P_x^T ⊗ P_x of ρ -> Σ_x P_x ρ P_x (column-stacking vec)."""
+    return sum(np.kron(p.T, p) for p in map(measurement.projector, range(measurement.n_outcomes)))
+
+
+def _reduced_matrix(provider, t, s):
+    """The d²×d² diagonal matrix of the reduced map Λ_{t,s}, entry φ[j, l] at vec index l·d + j."""
+    return np.diag(provider.dephasing_matrix(t, s).T.reshape(-1))
+
+
+def sandwich_identity_deficit(provider, measurement, t, s):
+    """max|Δ·Λ·Δ − Λ·Δ| for scalar times, composed as d²×d² matrices: Δ the
+    channel matrix of the measurement, Λ = diag(vec φ(t, s))."""
+    delta = channel_matrix(measurement)
+    lam = _reduced_matrix(provider, t, s)
+    return float(np.max(np.abs(delta @ lam @ delta - lam @ delta)))
+
+
+def ncgd_deficit(provider, measurement, t1, t2, t3):
+    """max|Δ·Λ₃₂·Δ·Λ₂₁·Δ − Δ·Λ₃₁·Δ| for scalar times, composed as d²×d² matrices."""
+    if not (t1 <= t2 <= t3):
+        raise TimeOrderError(f"ncgd_deficit: need t1 <= t2 <= t3, got {(t1, t2, t3)}")
+    delta = channel_matrix(measurement)
+    lam32 = _reduced_matrix(provider, t3, t2)
+    lam21 = _reduced_matrix(provider, t2, t1)
+    lam31 = _reduced_matrix(provider, t3, t1)
+    return float(np.max(np.abs(delta @ lam32 @ delta @ lam21 @ delta - delta @ lam31 @ delta)))

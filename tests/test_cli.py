@@ -12,8 +12,10 @@ import pytest
 from dephaser import cli, models
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
+from dephaser.measurements import fourier_mub
 from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
 from dephaser.presets import get_preset
+import reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -199,6 +201,31 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["max_ncgd_deficit"] > 1e-3
         assert (out / "deficits.csv").exists()
+
+    def test_ncgd_repeated_time_matches_reference(self, tmp_path):
+        times = [0.4, 1.1, 1.1, 2.3, 3.0]
+        doc = classicality_config(grid={"t0": 0.0, "times": times}, analysis={"kind": "ncgd"})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "deficits.csv", delimiter=",", skiprows=1)
+        provider, meas = ExactDephasingProvider(get_preset("qubit-zx")), fourier_mub(2)
+        expected = [
+            [*triple, reference.ncgd_deficit(provider, meas, *triple), reference.sandwich_identity_deficit(provider, meas, triple[2], triple[0])]
+            for triple in itertools.combinations(times, 3)
+        ]
+        assert rows.shape == (10, 5)
+        assert np.max(np.abs(rows - np.array(expected))) < 1e-12
+
+    def test_markovianity_semigroup_over_every_triple(self, tmp_path):
+        times = [0.3, 0.9, 0.9, 1.6, 2.2, 3.1]
+        doc = classicality_config(grid={"t0": 0.0, "times": times}, analysis={"kind": "markovianity", "max_order": 2})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        provider = ExactDephasingProvider(get_preset("qubit-zx"))
+        expected = max(models.semigroup_deficit(provider, *triple) for triple in itertools.combinations(times, 3))
+        report = json.loads((out / "report.json").read_text())
+        assert expected > 1e-3 and abs(report["semigroup_deficit"] - expected) < 1e-15
+        assert report["trivial_dephasing"] is False
 
     def test_theta_sweep_run(self, tmp_path):
         doc = classicality_config(
@@ -524,8 +551,25 @@ class TestShippedConfigs:
         if report["analysis"] == "oracle-check":
             assert report["max_abs_difference"] <= 1e-10
 
-    def test_all_five_found(self):
-        assert len(SHIPPED_CONFIGS) == 5
+    def test_all_six_found(self):
+        assert len(SHIPPED_CONFIGS) == 6
+
+    def test_ncgd_exact_matches_reference_composition(self, tmp_path):
+        # many triples on an exact model, against the d²×d² composition on sampled rows
+        config = os.path.join(ROOT, "configs", "ncgd_exact_qubit_zx.json")
+        assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
+        rows = np.loadtxt(tmp_path / "o" / "deficits.csv", delimiter=",", skiprows=1)
+        with open(config) as fh:
+            times = sorted(json.load(fh)["grid"]["times"])
+        assert 20 <= len(times) <= 30
+        assert np.array_equal(rows[:, :3], list(itertools.combinations(times, 3)))
+        provider, meas = ExactDephasingProvider(get_preset("qubit-zx")), fourier_mub(2)
+        for t1, t2, t3, ncgd, sandwich in rows[np.random.default_rng(0).choice(len(rows), 40, replace=False)]:
+            assert abs(ncgd - reference.ncgd_deficit(provider, meas, t1, t2, t3)) < 1e-12
+            assert abs(sandwich - reference.sandwich_identity_deficit(provider, meas, t3, t1)) < 1e-12
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["triples"] == len(rows)
+        assert report["max_ncgd_deficit"] == rows[:, 3].max() and report["max_sandwich_deficit"] == rows[:, 4].max()
 
     def test_theta_sweep_exponentiates_once(self, tmp_path, monkeypatch):
         # its two intervals have one duration, 0.8, cached by the provider

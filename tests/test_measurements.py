@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from dephaser.errors import ShapeError, ValidationError
 from dephaser.measurements import (
     PhaseVector,
@@ -80,6 +81,14 @@ class TestProjectiveMeasurement:
         # -1 must not wrap to the last outcome
         with pytest.raises(ValidationError):
             fourier_mub(2).projector(outcome)
+
+
+    @pytest.mark.parametrize("outcome", [1.5, float("nan"), "1"], ids=["1.5", "nan", "string"])
+    def test_non_integral_outcome(self, outcome):
+        # 1.5 must not escape as numpy's bare IndexError
+        with pytest.raises(ValidationError):
+            fourier_mub(2).projector(outcome)
+        assert np.array_equal(fourier_mub(2).projector(np.int64(1)), fourier_mub(2).projector(1))
 
 
 class TestOutcomeBases:
@@ -201,3 +210,37 @@ class TestDephasingChannel:
         # coherences inside the rank-2 block survive, cross-block ones die
         assert abs(out[0, 1] - 1.0 / 3) < 1e-12
         assert abs(out[0, 2]) < 1e-12
+
+
+def _random_pvms():
+    from dephaser.linalg import random_unitary
+
+    u = random_unitary(4, 9)
+    return {
+        "fourier-mub": fourier_mub(3),
+        "dephasing-basis": dephasing_basis(4),
+        "random-rank-one": ProjectiveMeasurement(vectors=u),
+        "rank-two": ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]),
+        "mixed-rank-with-zero": ProjectiveMeasurement(
+            projectors=[u[:, :2] @ u[:, :2].conj().T, u[:, 2:3] @ u[:, 2:3].conj().T, u[:, 3:] @ u[:, 3:].conj().T, np.zeros((4, 4))]
+        ),
+    }
+
+
+class TestChannelBasis:
+    """Q: orthonormal columns vec(V_x e_a e_b† V_x†), R = Σ r_x² of them, with Q·Q† = Σ_x P_x^T ⊗ P_x."""
+
+    @pytest.mark.parametrize("name", list(_random_pvms()))
+    def test_spans_the_channel(self, name):
+        meas = _random_pvms()[name]
+        q = meas.channel_basis
+        ranks = [round(np.trace(meas.projector(x)).real) for x in range(meas.n_outcomes)]
+        assert q.shape == (meas.d**2, sum(r * r for r in ranks))
+        assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) < 1e-14
+        assert np.max(np.abs(q @ q.conj().T - reference.channel_matrix(meas))) < 1e-14
+
+    def test_cached_and_read_only(self):
+        meas = fourier_mub(2)
+        assert meas.channel_basis is meas.channel_basis
+        with pytest.raises(ValueError):
+            meas.channel_basis[0, 0] = 1.0

@@ -55,6 +55,16 @@ class TestExactTensor:
             provider.tensor_pairs([pair(provider.d)], [0.7])
 
     @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
+    def test_negative_duration(self, request, provider):
+        # a backward interval has no value (0.770+0.421j on qubit-zx is not one)
+        provider = request.getfixturevalue(provider)
+        with pytest.raises(TimeOrderError):
+            provider.tensor_pairs([(0, 1)], [-0.5])
+        with pytest.raises(TimeOrderError):
+            provider.tensor_pairs([(0, 1), (1, 0)], [0.5, -1e-300])
+        assert abs(provider.tensor_pairs([(0, 1)], [0.0]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
     def test_pairs_and_durations_mismatch(self, request, provider):
         # an unmatched pair or duration must not be dropped
         provider = request.getfixturevalue(provider)
@@ -457,6 +467,27 @@ class TestDephasingTable:
         with pytest.raises(ValidationError):
             models.DephasingTable(provider, [1.0, 2.0, 1e308])
 
+    @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    def test_array_reads_stack_scalar_reads(self, provider):
+        times = [0.3, 1.4, 0.8, 1.4, 2.9]
+        table = models.DephasingTable(provider, times)
+        s, t = np.array([[0.3, 0.8], [1.4, 1.4]]), np.array([[2.9, 1.4], [1.4, 2.9]])
+        stacked = table.dephasing_matrix(t, s)
+        assert stacked.shape == (2, 2, provider.d, provider.d)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(stacked[idx], table.dephasing_matrix(t[idx], s[idx]))
+        # the provider reads arrays too, each entry bitwise its scalar read
+        assert np.array_equal(provider.dephasing_matrix(t, s), stacked)
+
+    def test_array_read_of_a_missing_pair(self, zx_provider):
+        table = models.DephasingTable(zx_provider, [0.5, 1.0, 2.0])
+        with pytest.raises(KeyError):
+            table.dephasing_matrix(np.array([1.0, 2.5]), np.array([0.5, 0.5]))
+        with pytest.raises(KeyError):
+            table.dephasing_matrix(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(TimeOrderError):
+            table.dephasing_matrix(np.array([1.0, 0.5]), np.array([0.5, 1.0]))
+
 
 class TestMarkovianModel:
     def test_symmetry_validation(self):
@@ -677,6 +708,38 @@ class TestSemigroupDeficit:
         assert abs(semigroup_deficit(zx_provider, t0, t1, t2) - expected) < 1e-14
 
 
+    @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    def test_arrays_equal_scalar_calls(self, provider):
+        times = [0.0, 0.4, 0.4, 0.9, 1.7]
+        t0, t1, t2 = np.array(list(itertools.combinations(times, 3))).T
+        for source in (provider, models.DephasingTable(provider, times)):
+            deficits = semigroup_deficit(source, t0, t1, t2)
+            assert deficits.shape == t0.shape
+            scalar = [semigroup_deficit(source, *triple) for triple in zip(t0, t1, t2)]
+            assert all(isinstance(x, float) for x in scalar)
+            assert np.array_equal(deficits, scalar)
+        with pytest.raises(TimeOrderError):
+            semigroup_deficit(provider, t0, t2, t1)
+
+    def test_chunks_match_whole(self, zx_model, monkeypatch):
+        reads = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def dephasings(self, dt):
+                reads.append(np.shape(dt))
+                return super().dephasings(dt)
+
+        provider = CountingProvider(zx_model)
+        t0, t1, t2 = np.array(list(itertools.combinations([0.0, 0.4, 0.9, 1.7, 2.2], 3))).T
+        whole = semigroup_deficit(provider, t0, t1, t2)
+        assert reads == [(10,)] * 3
+        reads.clear()
+        # d² = 4 entries per dephasing matrix: three triples per chunk
+        monkeypatch.setattr(models, "TERM_CAP", 12)
+        assert np.array_equal(semigroup_deficit(provider, t0, t1, t2), whole)
+        assert reads == [(3,)] * 9 + [(1,)] * 3
+
+
 class TestCommutativity:
     def test_diagonal_blocks(self):
         model = DephasingModel(
@@ -709,6 +772,13 @@ class TestTriviality:
             np.array([[1.0]], dtype=complex),
         )
         assert triviality_check(ExactDephasingProvider(model), [0.0, 0.7, 1.9])
+
+    def test_table_and_repeated_times(self, markov_qubit_provider):
+        # equal times form no pair to read (their φ is 1), and one time has no pair
+        times = [0.0, 1.0, 1.0]
+        assert triviality_check(models.DephasingTable(markov_qubit_provider, times), times) is False
+        assert triviality_check(models.DephasingTable(markov_qubit_provider, [1.0, 1.0]), [1.0, 1.0]) is True
+        assert triviality_check(markov_qubit_provider, [0.5]) is True
 
     def test_decaying_markovian_not_trivial(self, markov_qubit_provider):
         gamma = 0.5

@@ -36,6 +36,7 @@ from dephaser.statistics import (
     reduced_map,
     sandwich_identity_deficit,
 )
+import reference
 from reference import transfer
 from tests.conftest import random_exact_model
 
@@ -57,6 +58,16 @@ class TestTimeGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             TimeGrid(0.0, ())
+
+    @pytest.mark.parametrize(
+        "t0, times",
+        [(float("nan"), (1.0,)), (0.0, (1.0, float("nan"))), (0.0, (1.0, float("inf"))), (float("-inf"), (1.0,))],
+        ids=["nan-t0", "nan-time", "inf-time", "minus-inf-t0"],
+    )
+    def test_rejects_non_finite(self, t0, times):
+        # a NaN t0 must fail here, not later inside spectral_expm
+        with pytest.raises(ValidationError):
+            TimeGrid(t0, times)
 
     def test_drop(self):
         g = TimeGrid(0.0, (1.0, 2.0, 3.0))
@@ -623,6 +634,113 @@ class TestNcgd:
         assert (s1 < 1e-12) or (n1 >= 0.0)
 
 
+def _rank_two_pvm(d, seed):
+    """Two projectors of ranks 2 and d - 2 (d >= 3) on a random basis, or for
+    d = 2 one rank-2 projector (the identity)."""
+    u = random_unitary(d, seed)
+    return ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T] + [u[:, 2:] @ u[:, 2:].conj().T] * (d > 2))
+
+
+def _mixed_rank_pvm(d, seed):
+    """Ranks (2, 1, ..., 1) on a random basis."""
+    u = random_unitary(d, seed)
+    return ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T] + [np.outer(u[:, x], u[:, x].conj()) for x in range(2, d)])
+
+
+TRANSITION_MEASUREMENTS = {
+    "fourier-mub": fourier_mub,
+    "dephasing-basis": dephasing_basis,
+    "random-rank-one": lambda d: ProjectiveMeasurement(vectors=random_unitary(d, 17 + d)),
+    "rank-two": lambda d: _rank_two_pvm(d, 23 + d),
+    "mixed-rank": lambda d: _mixed_rank_pvm(d, 29 + d),
+}
+
+TRANSITION_PROVIDERS = {
+    "exact-d2-D4": ExactDephasingProvider(random_exact_model(2, 4, seed=71)),
+    "exact-d3-D2": ExactDephasingProvider(random_exact_model(3, 2, seed=72)),
+    "exact-d4-D3": ExactDephasingProvider(random_exact_model(4, 3, seed=73)),
+    "exact-d5-D4": ExactDephasingProvider(random_exact_model(5, 4, seed=74)),
+    "analytic-d2": MarkovianAnalyticProvider(MarkovianAnalyticModel(np.array([[0.0, 0.8], [-0.8, 0.0]]), np.array([[0.0, 0.5], [0.5, 0.0]]))),
+    "analytic-d3-real": real_dephasing_provider(3, 0.7),
+}
+
+
+class TestTransitionFormula:
+    """The R×R formulas of ncgd_deficit and sandwich_identity_deficit against
+    the d²×d² composition of tests/reference.py, on grids with a repeated time."""
+
+    TIMES = [0.3, 1.1, 1.1, 2.4, 3.0, 4.2]
+
+    @pytest.fixture(params=list(TRANSITION_PROVIDERS), ids=list(TRANSITION_PROVIDERS))
+    def provider(self, request):
+        return TRANSITION_PROVIDERS[request.param]
+
+    @pytest.fixture(params=list(TRANSITION_MEASUREMENTS), ids=list(TRANSITION_MEASUREMENTS))
+    def measurement(self, request, provider):
+        return TRANSITION_MEASUREMENTS[request.param](provider.d)
+
+    def triples(self):
+        return np.array(list(itertools.combinations(sorted(self.TIMES), 3))).T
+
+    def test_matches_reference_composition(self, provider, measurement):
+        t1, t2, t3 = self.triples()
+        table = DephasingTable(provider, self.TIMES)
+        ncgd = ncgd_deficit(table, measurement, t1, t2, t3)
+        sandwich = sandwich_identity_deficit(table, measurement, t3, t1)
+        assert ncgd.shape == sandwich.shape == t1.shape
+        for k, triple in enumerate(zip(t1, t2, t3)):
+            assert abs(ncgd[k] - reference.ncgd_deficit(provider, measurement, *triple)) < 1e-12
+            assert abs(sandwich[k] - reference.sandwich_identity_deficit(provider, measurement, triple[2], triple[0])) < 1e-12
+
+    def test_array_equals_scalar_calls(self, provider, measurement):
+        t1, t2, t3 = self.triples()
+        for source in (provider, DephasingTable(provider, self.TIMES)):
+            ncgd = ncgd_deficit(source, measurement, t1, t2, t3)
+            sandwich = sandwich_identity_deficit(source, measurement, t3, t1)
+            scalar = [ncgd_deficit(source, measurement, *triple) for triple in zip(t1, t2, t3)]
+            assert all(isinstance(x, float) for x in scalar)
+            assert np.array_equal(ncgd, scalar)
+            assert np.array_equal(sandwich, [sandwich_identity_deficit(source, measurement, t, s) for t, s in zip(t3, t1)])
+
+    def test_broadcasts_and_keeps_shape(self):
+        provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], fourier_mub(3)
+        t2 = np.array([[0.5, 0.9], [1.2, 1.6]])
+        ncgd = ncgd_deficit(provider, meas, 0.2, t2, 2.0)
+        assert ncgd.shape == (2, 2)
+        assert ncgd[1, 0] == ncgd_deficit(provider, meas, 0.2, 1.2, 2.0)
+        with pytest.raises(TimeOrderError):
+            ncgd_deficit(provider, meas, 0.2, np.array([0.5, 2.5]), 2.0)
+
+    def test_chunked_lift_matches_whole(self, monkeypatch):
+        # d = 3: d⁴ = 81 entries per lifted matrix, so a cap of 200 lifts two entries per chunk
+        provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], _mixed_rank_pvm(3, 5)
+        t1, t2, t3 = self.triples()
+        reads = []
+
+        class RecordingTable(DephasingTable):
+            def dephasing_matrix(self, t, s):
+                reads.append(np.shape(t)[-1])
+                return super().dephasing_matrix(t, s)
+
+        table = RecordingTable(provider, self.TIMES)
+        whole = ncgd_deficit(table, meas, t1, t2, t3), sandwich_identity_deficit(table, meas, t3, t1)
+        assert reads == [len(t1)] * 2
+        reads.clear()
+        monkeypatch.setattr(models, "TERM_CAP", 200)
+        chunked = ncgd_deficit(table, meas, t1, t2, t3), sandwich_identity_deficit(table, meas, t3, t1)
+        # one read per chunk: the three pairs of a triple stacked, then the sandwich's pair
+        assert reads == [2] * (len(t1) // 2) * 2
+        assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+
+    def test_classical_reading_rank_one(self):
+        # for a rank-one PVM, G_xy = tr(P_x Λ(P_y)): the transition matrix between outcomes
+        provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], fourier_mub(3)
+        phi = provider.dephasing_matrix(1.7, 0.4)
+        g = statistics._transitions(provider, meas, 1.7, 0.4, "test")[1]
+        expected = [[np.trace(meas.projector(x) @ (phi * meas.projector(y))) for y in range(3)] for x in range(3)]
+        assert np.max(np.abs(g - np.array(expected))) < 1e-14
+
+
 class TestConditional:
     def test_sums_to_one(self, zx_provider):
         prep = SystemPreparation.maximally_mixed(2)
@@ -650,6 +768,15 @@ class TestConditional:
         dist = joint_distribution(zx_provider, prep, fourier_mub(2), TimeGrid(0.0, (0.5,)))
         with pytest.raises(ValidationError):
             conditional_probability(dist, (0,))
+
+    @pytest.mark.parametrize("outcome", [1.7, 0.5, float("nan"), "1"], ids=["1.7", "0.5", "nan", "string"])
+    def test_non_integral_outcome(self, zx_provider, outcome):
+        # 1.7 must not be truncated to outcome 1; a numpy integer is an outcome
+        prep = SystemPreparation.maximally_mixed(2)
+        dist = joint_distribution(zx_provider, prep, fourier_mub(2), TimeGrid(0.0, (0.5, 1.5)))
+        with pytest.raises(ValidationError):
+            conditional_probability(dist, (outcome,))
+        assert np.array_equal(conditional_probability(dist, (np.int64(1),)), conditional_probability(dist, (1,)))
 
     @pytest.mark.parametrize("outcome", [-1, 2], ids=["minus-one", "m"])
     def test_outcome_out_of_range(self, zx_provider, outcome):
