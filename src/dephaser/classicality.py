@@ -316,10 +316,18 @@ def classicality_report(
     times = np.array(pool)
     tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
 
+    def rank(indices):
+        """The row of each non-decreasing index tuple (a_1..a_k), a row of ``indices``,
+        among the order-k rows: one walk down, row <- first[n][row] + a_{n+1} - a_n, a_0 = 0."""
+        out, previous = np.zeros(len(indices), dtype=np.intp), 0
+        for n in range(indices.shape[1]):
+            out, previous = first[n][out] + indices[:, n] - previous, indices[:, n]
+        return out
+
     # Every interval of the report either starts at t0 and ends at pool time
     # k (duration start[k]) or runs between pool times a <= b; the latter's
-    # distinct durations are `spans`, and span[rank of (a, b) among the
-    # order-2 rows] is the index into them.  If the report-wide stage arrays
+    # distinct durations are `spans`, and span[rank((a, b))] is the index
+    # into them.  If the report-wide stage arrays
     # fit, all durations are exponentiated in one call and the kernels of
     # both sources and the effects are built once; each chunk gathers its rows.
     start = times - t0
@@ -338,8 +346,7 @@ def classicality_report(
         if n == 1:
             ids, source = rows[:, -1:], identity
         else:
-            a, b = rows[:, -2:-1], rows[:, -1:]
-            ids, source = span[a * p - a * (a - 1) // 2 + b - a], bases
+            ids, source = span[rank(rows[:, -2:])][:, None], bases
         kind = 0 if n == 1 else 2 if n == max_order else 1
         if stages is not None:
             return stages[kind][ids]
@@ -374,20 +381,15 @@ def classicality_report(
     for n in range(1, max_order + 1):
         _check_tables(tables[n], tuples[n], pool, "table")
 
-    # rank of a non-decreasing index tuple (a_1..a_k) among the order-k rows:
-    # b_i = a_i + i - 1 is a k-combination of range(p + k - 1), ranked
-    # lexicographically as C(p+k-1, k) - 1 - Σ_i C(p+k-2-b_i, k+1-i)
-    binom = np.array([[math.comb(a, b) for b in range(max_order + 1)] for a in range(p + max_order)])
     columns = []
     for n in range(2, max_order + 1):
         fine = tables[n].reshape((-1,) + (m,) * n)
         deficits = np.empty((len(fine), n - 1))
         for position in range(1, n):
-            coarse = np.delete(tuples[n], position - 1, axis=1) + np.arange(n - 1)
-            rank = math.comb(p + n - 2, n - 1) - 1 - binom[p + n - 3 - coarse, np.arange(n - 1, 0, -1)].sum(axis=1)
+            coarse = rank(np.delete(tuples[n], position - 1, axis=1))
             reduced = fine.sum(axis=position).reshape(len(fine), -1)
             _check_tables(reduced, tuples[n], pool, f"marginal at position {position} of the table")
-            deficits[:, position - 1] = np.abs(reduced - tables[n - 1][rank]).max(axis=1)
+            deficits[:, position - 1] = np.abs(reduced - tables[n - 1][coarse]).max(axis=1)
         for column in (tuples[n], deficits):
             column.flags.writeable = False
         columns.append((tuples[n], deficits))

@@ -21,7 +21,7 @@ from . import classicality as cl
 from . import statistics as st
 from .config import ConfigError, ExperimentConfig, load_config
 from .errors import DephaserError, SizeCapError, ValidationError
-from .models import DephasingTable, markovianity_deficit_detail, semigroup_deficit, triviality_check
+from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
 
 EXIT_OK = 0
@@ -108,14 +108,12 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
 def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
     deficit, detail = markovianity_deficit_detail(cfg.provider, cfg.grid.times, cfg.analysis["max_order"])
     times = np.sort(cfg.grid.times)
-    # every dephasing matrix of the semigroup and triviality checks, from one
-    # dephasings call that reuses the walk's eigendecomposition and unitaries
-    table = DephasingTable(cfg.provider, times)
+    # the semigroup and triviality checks read the durations the walk exponentiated
     return {
         "analysis": "markovianity",
         "factorization_deficit": deficit,
-        "semigroup_deficit": float(np.max(semigroup_deficit(table, *_triples(times)), initial=0.0)),
-        "trivial_dephasing": triviality_check(table, times),
+        "semigroup_deficit": float(np.max(semigroup_deficit(cfg.provider, *_triples(times)), initial=0.0)),
+        "trivial_dephasing": triviality_check(cfg.provider, times),
         **detail,
     }
 
@@ -133,12 +131,10 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     if math.comb(len(times), 3) > NCGD_TRIPLE_CAP:
         raise SizeCapError(f"ncgd: {math.comb(len(times), 3)} time triples exceed cap {NCGD_TRIPLE_CAP}")
     t1, t2, t3 = _triples(times)
-    # every reduced map reads its dephasing matrix from one dephasings call
-    table = DephasingTable(cfg.provider, times)
-    deficits = st.ncgd_deficit(table, cfg.measurement, t1, t2, t3)
+    deficits = st.ncgd_deficit(cfg.provider, cfg.measurement, t1, t2, t3)
     # the sandwich deficit depends on the outer pair only: one per distinct pair
     (s, t), inverse = np.unique((t1, t3), axis=1, return_inverse=True)
-    sandwich = st.sandwich_identity_deficit(table, cfg.measurement, t, s)[inverse.reshape(-1)]
+    sandwich = st.sandwich_identity_deficit(cfg.provider, cfg.measurement, t, s)[inverse.reshape(-1)]
     rows = np.column_stack((t1, t2, t3, deficits, sandwich)).tolist()
     _write_csv(os.path.join(outdir, "deficits.csv"), ["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], rows)
     return {
@@ -180,6 +176,8 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
 
 
 def _run_oracle_check(cfg: ExperimentConfig, outdir: str) -> dict:
+    # the oracle's caps before the branch-state route computes anything
+    st._check_oracle_caps(cfg.provider.model, cfg.measurement, cfg.grid)
     fast = st.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
     oracle = st.oracle_distribution(cfg.provider.model, cfg.preparation, cfg.measurement, cfg.grid)
     _write_distribution(outdir, fast)

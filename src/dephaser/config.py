@@ -149,7 +149,7 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
         return fourier_mub(d, PhaseVector(tuple(phases)))
     if kind == "qubit":
         _require(d == 2, f"measurement.kind 'qubit' requires d = 2, model has d = {d}")
-        return qubit_basis(float(node.get("theta", 0.0)), float(node.get("phi", 0.0)))
+        return qubit_basis(*(_number(node.get(k, 0.0), float, f"measurement.{k}") for k in ("theta", "phi")))
     if kind == "explicit":
         vectors = _complex_matrix(node.get("vectors", []), "measurement.vectors")
         _require(vectors.shape == (d, d), f"measurement.vectors: shape {vectors.shape} != ({d}, {d})")

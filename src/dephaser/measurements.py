@@ -45,16 +45,15 @@ class ProjectiveMeasurement:
         if (vectors is None) == (projectors is None):
             raise ValidationError("ProjectiveMeasurement: give exactly one of vectors/projectors")
         if vectors is not None:
-            v = np.asarray(vectors, dtype=complex)
-            if v.ndim != 2 or v.shape[0] != v.shape[1]:
-                raise ShapeError(f"ProjectiveMeasurement: vectors must form a square matrix, got {v.shape}")
+            v = as_complex_matrix(vectors, "ProjectiveMeasurement vectors")
+            d = check_square(v, "ProjectiveMeasurement vectors")
             gram = v.conj().T @ v
-            dev = np.max(np.abs(gram - np.eye(v.shape[0])))
+            dev = np.max(np.abs(gram - np.eye(d)))
             if dev > GRAM_TOL:
                 raise ValidationError(f"ProjectiveMeasurement: vectors not orthonormal, |Gram - 1| = {dev:.3e}")
             self.vectors = v  # column x is the outcome-x vector
             self.projectors = None
-            self.d = v.shape[0]
+            self.d = d
         else:
             ps = [as_complex_matrix(p, f"projector {x}") for x, p in enumerate(projectors)]
             d = check_square(ps[0], "projector 0")
@@ -150,6 +149,8 @@ def fourier_mub(d: int, phases: Optional[PhaseVector] = None) -> ProjectiveMeasu
 
 def qubit_basis(theta: float, phi: float) -> ProjectiveMeasurement:
     """General qubit basis (cos t, e^{i p} sin t), (sin t, -e^{i p} cos t)."""
+    if not (np.isfinite(theta) and np.isfinite(phi)):
+        raise ValidationError(f"qubit_basis: angles must be finite, got theta = {theta!r}, phi = {phi!r}")
     c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
     cols = np.array([[c, s], [e * s, -e * c]], dtype=complex)
     return ProjectiveMeasurement(vectors=cols)

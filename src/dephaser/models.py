@@ -25,9 +25,9 @@ probabilities, tr E_xy = tr(E_x·M_xy), so ``effects`` gives the
 Heisenberg-picture effect operators M_xy = K_xy†K_xy (exact) or
 V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.  The exact
 provider diagonalises its stacked blocks once, in one call, and keeps the
-U_j of the last distinct durations it exponentiated together.
-``dephasing_matrix(t, s)`` of a provider or of a :class:`DephasingTable`, and
-the checks built on it, read φ(t - s) for whole arrays of times.
+U_j of the last distinct durations it exponentiated together, the only cache
+of φ.  ``dephasing_matrix(t, s)`` of a provider, and the checks built on it,
+read φ(t - s) for whole arrays of times, one stacked read per chunk.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -224,15 +224,19 @@ class ExactDephasingProvider(DephasingTensorProvider):
             self._eig = hermitian_eigh(np.stack(self.model.blocks))
         return self._eig
 
+    @cached_property
+    def _factor(self) -> tuple:
+        """(B, s) of ρ_E (see :func:`_env_factor`), computed on first use, once per provider."""
+        return _env_factor(self.env)
+
     def _unitaries_batch(self, dt) -> tuple:
         """(U, inverse) for a scalar or an array of durations: the stacked U_j
         of each distinct duration, (k, d, D, D), and the index into them of
         each entry of ``dt`` (shape dt.shape).
 
-        The distinct durations are exponentiated in one :meth:`exponentials`
-        call.  The last such batch is the provider's one memo, so a table and
-        a walk over one grid (the Markovianity run), or the chains of one
-        sweep, exponentiate their durations once.
+        One :meth:`exponentials` call takes the distinct durations; the last
+        such batch is the provider's one memo, so the φ readers of one grid, or
+        the chains of one sweep, exponentiate their durations once.
         """
         durations, inverse = _distinct(dt)
         if self._batch is None or not np.array_equal(self._batch[0], durations):
@@ -250,7 +254,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
         """The one-interval Gram product over the strings U_j·B of the
         distinct durations, gathered back per entry of ``dt``."""
         u, inverse = self._unitaries_batch(dt)
-        b, sign = _env_factor(self.env)
+        b, sign = self._factor
         return _gram(u @ b, sign)[inverse]
 
     def exponentials(self, dt):
@@ -296,7 +300,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
         """The Gram product over the strings L_J·B, one U_j per interval, all
         exponentiated in one call."""
         d, n = self.d, len(durations)
-        b, sign = _env_factor(self.env)
+        b, sign = self._factor
         if d ** (2 * n) + d**n * b.size > TERM_CAP:
             raise SizeCapError(f"tensor_array: {d ** (2 * n)} + {d**n * b.size} entries exceed cap {TERM_CAP}")
         strings = b[None]
@@ -334,7 +338,7 @@ def _extend(strings: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _gram(strings: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """T[..., J, L] = Σ_{a,c} A[..., J, a, c]·s[c]·conj(A[..., L, a, c]), one product per row."""
-    rows = strings.reshape(strings.shape[:-2] + (-1,))
+    rows = strings.reshape(strings.shape[:-2] + (strings.shape[-2] * strings.shape[-1],))  # -1 fails on 0 rows
     return (strings * sign).reshape(rows.shape) @ rows.conj().swapaxes(-1, -2)
 
 
@@ -355,6 +359,8 @@ class MarkovianAnalyticModel:
         gamma = np.asarray(self.gamma, dtype=float)
         if eps.ndim != 2 or eps.shape[0] != eps.shape[1] or gamma.shape != eps.shape:
             raise ShapeError(f"MarkovianAnalyticModel: eps/gamma must be square and matching, got {eps.shape} vs {gamma.shape}")
+        if not (np.isfinite(eps).all() and np.isfinite(gamma).all()):
+            raise ValidationError("MarkovianAnalyticModel: eps and gamma must be finite")
         if np.any(np.abs(np.diag(eps)) > 0) or np.any(np.abs(np.diag(gamma)) > 0):
             raise ValidationError("MarkovianAnalyticModel: diagonals of eps and gamma must vanish")
         if np.max(np.abs(eps + eps.T)) > 0:
@@ -447,49 +453,17 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return reduce(np.multiply.outer, phis, np.ones((), dtype=complex))
 
 
-class DephasingTable:
-    """The dephasing matrices φ(t, s) of every pair of grid times s <= t.
-
-    All of them come from one ``provider.dephasings`` call over the durations
-    t - s (each bitwise equal to ``provider.dephasing_matrix(t, s)``), stacked
-    by grid index and read with the same ``dephasing_matrix(t, s)``, so a table
-    stands in for the provider in the semigroup, triviality and NCGD checks.
-    A pair s == t is held only where the grid repeats the time.  A grid of more
-    than ``TERM_CAP`` / (d²·D²) pairs takes one call per chunk."""
-
-    def __init__(self, provider: DephasingTensorProvider, times: Sequence[float]):
-        times, counts = np.unique(np.asarray(times, dtype=float), return_counts=True)
-        first, second = np.nonzero(np.less.outer(times, times) | np.diag(counts > 1))
-        self.d, self._times = provider.d, np.append(times, np.nan)  # NaN equals no time
-        # φ of the grid index pair (s, t); NaN where the pair is not held
-        self._phi = np.full((len(self._times),) * 2 + (self.d, self.d), np.nan, dtype=complex)
-        chunk = max(1, TERM_CAP // (provider.d**2 * provider.env.size))
-        for lo in range(0, len(first), chunk):
-            i, j = first[lo : lo + chunk], second[lo : lo + chunk]
-            self._phi[i, j] = provider.dephasings(times[j] - times[i])
-
-    def dephasing_matrix(self, t, s) -> np.ndarray:
-        """φ(t, s) of grid times s <= t, (..., d, d) for ``t`` and ``s``
-        broadcast to (...); a pair the table does not hold raises ``KeyError``."""
-        i, j = self._times.searchsorted(s), self._times.searchsorted(t)
-        phi = self._phi[i, j]
-        if (np.isnan(phi[..., 0, 0]) | (self._times[i] != s) | (self._times[j] != t)).any():
-            if np.less(t, s).any():
-                raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-            raise KeyError(f"dephasing_matrix: pair (s, t) = {(s, t)} not held by the table")
-        return phi
-
-
 def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
     """Max entrywise violation of φ(t2,t0) = φ(t2,t1)·φ(t1,t0), a necessary
     condition for the tensor factorization (identically zero for the analytic
     provider): a float for scalar times, an array for arrays that broadcast
-    together.  ``provider`` may be a :class:`DephasingTable`."""
+    together.  The three matrices of a chunk are one stacked read."""
 
     def violation(t0, t1, t2):
-        return provider.dephasing_matrix(t2, t0) - provider.dephasing_matrix(t2, t1) * provider.dephasing_matrix(t1, t0)
+        full, later, earlier = provider.dephasing_matrix(np.stack((t2, t2, t1)), np.stack((t0, t1, t0)))
+        return full - later * earlier
 
-    return _max_per_entry(violation, (t0, t1, t2), provider.d**2, "semigroup_deficit")
+    return _max_per_entry(violation, (t0, t1, t2), 3 * provider.d**2, "semigroup_deficit")
 
 
 def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
@@ -527,9 +501,9 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     row holds its strings L_J·B and the product F of its dephasing matrices; a
     child extends them by one U_j and one outer product with φ, and from n = 2
     on, each row's Gram product T gives max |T - F|.  The distinct pair
-    durations are exponentiated once, in one batched call of the provider
-    (whose eigendecomposition and last batch a :class:`DephasingTable` of
-    the same grid reuses), and their φ is ``provider.dephasings`` of them.
+    durations are exponentiated once, in one batched call of the provider (whose
+    memo the semigroup and triviality checks of the grid reuse), and their φ is
+    ``provider.dephasings`` of them.
     The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
     and the d·D² entries of U per distinct duration against ``TERM_CAP``,
     before any propagator is built.
@@ -547,18 +521,17 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     if k < 3:
         return 0.0, detail
 
-    env = provider.env
     first, second = np.triu_indices(k, 1)
     durations, inverse = _distinct(times[second] - times[first])
-    if len(durations) * d * env.size > TERM_CAP:
+    if len(durations) * d * provider.env.size > TERM_CAP:
         raise SizeCapError(f"markovianity_deficit: U_j of {len(durations)} durations exceed cap {TERM_CAP} entries")
     pair = np.zeros((k, k), dtype=np.intp)  # the distinct duration of each pair i < j
     pair[first, second] = inverse
     # U_j and φ of each distinct duration, from one exponentiation
     u, phi = provider._unitaries_batch(durations)[0], provider.dephasings(durations)
-    b, sign = _env_factor(env)
+    b, sign = provider._factor
     top = min(max_order, k - 1)
-    size = [max(1, TERM_CAP // top // (d**n * b.size + 2 * d ** (2 * n) + d * env.size)) for n in range(top + 1)]
+    size = [max(1, TERM_CAP // top // (d**n * b.size + 2 * d ** (2 * n) + d * provider.env.size)) for n in range(top + 1)]
 
     def children(n, rows, strings, factored) -> list:
         """The chunks (level, rows, parent rows, parent strings and F) of the
@@ -587,8 +560,8 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
 
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], tol: float = 1e-10) -> bool:
     """True iff every dephasing-matrix entry has unit modulus on the grid, all
-    pairs read at once.  ``provider`` may be a :class:`DephasingTable` of the grid."""
+    pairs read at once."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    first, second = np.nonzero(np.less.outer(grid, grid))  # a pair of equal times has φ = 1
+    first, second = np.triu_indices(len(grid), 1)  # the pairs of the Markovianity walk
     phi = provider.dephasing_matrix(grid[second], grid[first])
     return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= tol)

@@ -22,7 +22,7 @@ Two independent routes are implemented:
 Outcome tuples (x_1, ..., x_n) are stored row-major with x_1 slowest, so CSV
 output order is stable across runs and platforms.  The NCGD deficits read
 the reduced maps Λ = diag(vec φ) in the measurement's channel basis Q as R×R
-matrices G = Q†·Λ·Q (for a rank-one PVM, transition matrices), for arrays of times.
+matrices G = Q†·Λ·Q (rank-one PVM: transition matrices), one provider read per chunk.
 
 Numerical contract: tables agree with :func:`oracle_distribution` to
 roundoff (the tests hold 1e-12).  Every matrix product of a provider's
@@ -43,7 +43,7 @@ from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, Va
 from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
-from .models import TERM_CAP, DephasingModel, DephasingTable, DephasingTensorProvider, _max_per_entry
+from .models import TERM_CAP, DephasingModel, DephasingTensorProvider, _max_per_entry
 
 #: cap on the oracle's outcome branches m + m^2 + ... + m^n.  Each branch is a
 #: kron and two joint-space products issued from Python, about 70 µs at
@@ -259,6 +259,15 @@ def joint_distribution(
     return JointDistribution(len(bases), grid, table.reshape(-1))
 
 
+def _check_oracle_caps(model: DephasingModel, measurement: ProjectiveMeasurement, grid: TimeGrid) -> None:
+    """``DIM_CAP`` on d·D and ``ORACLE_BRANCH_CAP`` on m + m² + ... + m^n, no propagator needed."""
+    if model.d * model.env_dim > DIM_CAP:
+        raise SizeCapError(f"oracle_distribution: joint dimension {model.d * model.env_dim} exceeds cap {DIM_CAP}")
+    branches = sum(measurement.n_outcomes**k for k in range(1, grid.n + 1))
+    if branches > ORACLE_BRANCH_CAP:
+        raise SizeCapError(f"oracle_distribution: {branches} outcome branches exceed cap {ORACLE_BRANCH_CAP}")
+
+
 def oracle_distribution(
     model: DephasingModel,
     prep: SystemPreparation,
@@ -270,16 +279,10 @@ def oracle_distribution(
     Independent of the branch-state propagation; used to cross-check
     :func:`joint_distribution` for exact models.
     """
-    d, big_d = model.d, model.env_dim
-    if d * big_d > DIM_CAP:
-        raise SizeCapError(f"oracle_distribution: joint dimension {d * big_d} exceeds cap {DIM_CAP}")
+    _check_oracle_caps(model, measurement, grid)
+    d, big_d, m, n = model.d, model.env_dim, measurement.n_outcomes, grid.n
     if prep.d != d or measurement.d != d:
         raise ShapeError("oracle_distribution: dimension mismatch")
-    m = measurement.n_outcomes
-    n = grid.n
-    branches = sum(m**k for k in range(1, n + 1))
-    if branches > ORACLE_BRANCH_CAP:
-        raise SizeCapError(f"oracle_distribution: {branches} outcome branches exceed cap {ORACLE_BRANCH_CAP}")
 
     h_global = _build_global_hamiltonian(model)
     props = [hermitian_expm(h_global, dt) for dt in grid.durations]
@@ -301,13 +304,12 @@ def oracle_distribution(
     return JointDistribution(m, grid, table.reshape(-1))
 
 
-def reduced_map(provider: DephasingTensorProvider | DephasingTable, t: float, s: float) -> Superoperator:
+def reduced_map(provider: DephasingTensorProvider, t: float, s: float) -> Superoperator:
     """Reduced dynamical map: coherence (j, l) multiplied by φ_{jl}(t, s).
 
     With rank-one dephasing projectors on the computational basis, the
     column-stacking superoperator is diagonal with entry φ[j, l] at vec index
-    l·d + j.  ``provider`` may be a :class:`~dephaser.models.DephasingTable`
-    holding the pair (s, t).
+    l·d + j.
     """
     return Superoperator(provider.d, np.diag(provider.dephasing_matrix(t, s).T.reshape(-1)))
 
@@ -323,10 +325,10 @@ def _transitions(provider, measurement: ProjectiveMeasurement, t, s, caller: str
     return a, (q.conj().T * a[..., None, :]) @ q, q
 
 
-def sandwich_identity_deficit(provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t, s):
+def sandwich_identity_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, t, s):
     """Max-norm of Δ∘Λ_{t,s}∘Δ − Λ_{t,s}∘Δ for the measurement's dephasing channel
     Δ = Q·Q†, as max|(Q·G − Λ·Q)·Q†|: a float for scalar times, an array for arrays
-    that broadcast together.  ``provider`` may be a :class:`~dephaser.models.DephasingTable`."""
+    that broadcast together, one read per chunk."""
 
     def lifted(s, t):
         a, g, q = _transitions(provider, measurement, t, s, "sandwich_identity_deficit")
@@ -335,14 +337,13 @@ def sandwich_identity_deficit(provider: DephasingTensorProvider | DephasingTable
     return _max_per_entry(lifted, (s, t), provider.d**4, "sandwich_identity_deficit")
 
 
-def ncgd_deficit(provider: DephasingTensorProvider | DephasingTable, measurement: ProjectiveMeasurement, t1, t2, t3):
+def ncgd_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, t1, t2, t3):
     """Max-norm of Δ∘Λ_{32}∘Δ∘Λ_{21}∘Δ − Δ∘Λ_{31}∘Δ on time triples, as
     max|Q·(G₃₂·G₂₁ − G₃₁)·Q†|: for a rank-one PVM, a Chapman–Kolmogorov test on
     the m×m transition matrices.  Zero (within tolerance) certifies the
     non-coherence-generating-and-detecting property of the reduced maps with
     respect to the measurement.  A float for scalar times, an array for arrays
-    that broadcast together; ``provider`` may be a
-    :class:`~dephaser.models.DephasingTable`."""
+    that broadcast together; a chunk's three pairs per triple are one stacked read."""
 
     def lifted(t1, t2, t3):
         later, earlier = np.stack((t3, t2, t3)), np.stack((t2, t1, t1))  # a triple's three pairs in one read

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from dephaser import cli, models
+from dephaser import cli, linalg, models, statistics
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
 from dephaser.measurements import fourier_mub
@@ -143,6 +144,34 @@ class TestMalformedValues:
     def test_non_integral_or_non_finite_rejected(self, analysis):
         with pytest.raises(ConfigError):
             parse_config(classicality_config(analysis={"kind": "classicality", **analysis}))
+
+
+# one non-finite value per document (JSON NaN/Infinity); each passed validate
+# and its run wrote numpy RuntimeWarning lines to stderr
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    "theta": {"measurement": {"kind": "qubit", "theta": INF}},
+    "phi": {"measurement": {"kind": "qubit", "phi": NAN}},
+    "eps": {"model": {"kind": "markovian", "eps": [[0.0, NAN], [NAN, 0.0]], "gamma": [[0.0, 0.5], [0.5, 0.0]]}},
+    "gamma": {"model": {"kind": "markovian", "eps": [[0.0, 0.8], [-0.8, 0.0]], "gamma": [[0.0, INF], [INF, 0.0]]}},
+    "vectors": {"measurement": {"kind": "explicit", "vectors": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]}},
+}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_exits_2_with_one_line_and_no_warning(self, tmp_path, capsys, field, command):
+        path = write_config(tmp_path, classicality_config(**NON_FINITE[field]))
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, path] + extra) == 2
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 class TestValidateCommand:
@@ -284,6 +313,35 @@ class TestRunCommand:
         path = write_config(tmp_path, doc)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+
+    def test_oracle_caps_checked_before_any_propagator(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the oracle's caps")
+
+        for module in (models, statistics, linalg):
+            for name in ("spectral_expm", "hermitian_eigh", "hermitian_expm"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        # 14 times: 2 + 4 + ... + 2^14 = 32766 outcome branches, over ORACLE_BRANCH_CAP
+        doc = classicality_config(grid={"t0": 0.0, "times": [float(k) for k in range(1, 15)]}, analysis={"kind": "oracle-check"})
+        assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "SizeCapError"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_markovianity_factors_the_environment_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = models._env_factor
+
+        def counting(env):
+            calls.append(env)
+            return real(env)
+
+        monkeypatch.setattr(models, "_env_factor", counting)
+        config = os.path.join(ROOT, "configs", "markovianity_scalar_phases.json")
+        assert main(["run", config, "--out", str(tmp_path / "o")]) == 0
+        # the walk, the semigroup read and the triviality read share the provider's (B, s)
+        assert len(calls) == 1
 
     def test_validation_during_run_exits_2(self, tmp_path, capsys):
         # theta-sweep on a qutrit model is an analysis-input validation error

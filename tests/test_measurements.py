@@ -46,6 +46,14 @@ class TestProjectiveMeasurement:
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(vectors=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_vectors(self, entry):
+        # a NaN Gram deviation fails no > test, so NaN vectors used to be accepted
+        with pytest.raises(ValidationError):
+            ProjectiveMeasurement(vectors=np.full((2, 2), entry))
+        with pytest.raises(ValidationError):
+            ProjectiveMeasurement(vectors=np.array([[1.0, 0.0], [0.0, entry]]))
+
     def test_rejects_both_arguments(self):
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(vectors=np.eye(2), projectors=[np.eye(2)])
@@ -161,6 +169,12 @@ class TestQubitBasis:
     def test_always_orthonormal(self, theta, phi):
         v = qubit_basis(theta, phi).vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
+
+    @pytest.mark.parametrize("theta, phi", [(np.inf, 0.0), (0.0, np.nan), (-np.inf, np.inf)], ids=["theta-inf", "phi-nan", "both"])
+    def test_rejects_non_finite_angles(self, theta, phi):
+        # checked before cos/sin, which warn on an infinite angle
+        with pytest.raises(ValidationError):
+            qubit_basis(theta, phi)
 
     def test_overlap_with_computational(self):
         theta = 0.37

@@ -10,6 +10,7 @@ from reference import commutativity_check, tensor_collapse_check
 from dephaser import linalg, models
 from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
+from dephaser.measurements import fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -20,6 +21,7 @@ from dephaser.models import (
     triviality_check,
 )
 from dephaser.presets import get_preset
+from dephaser.statistics import ncgd_deficit, sandwich_identity_deficit
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -404,19 +406,25 @@ class TestDephasings:
 
 
 class TestDephasingTable:
+    """The dephasing matrices of the pairs of a grid, as the readers take them:
+    from the provider, one stacked read per reader and chunk."""
+
     @pytest.mark.parametrize(
         "provider",
         [ExactDephasingProvider(random_exact_model(3, 2, seed=41)), ARRAY_PROVIDERS[2]],
         ids=["exact-d3-D2", "analytic-d3"],
     )
     def test_bitwise_equal_to_dephasing_matrix(self, provider):
-        times = [0.3, 1.4, 0.8, 1.4, 2.9]
-        table = models.DephasingTable(provider, times)
-        # the repeated time 1.4 gives the pair (1.4, 1.4)
-        for s, t in itertools.combinations(sorted(times), 2):
-            assert np.array_equal(table.dephasing_matrix(t, s), provider.dephasing_matrix(t, s))
-        with pytest.raises(KeyError):
-            table.dephasing_matrix(0.3, 0.3)
+        # every pair of a grid with a repeated time, read at once as triviality_check reads them
+        grid = np.sort([0.3, 1.4, 0.8, 1.4, 2.9])
+        first, second = np.triu_indices(len(grid), 1)
+        stacked = provider.dephasing_matrix(grid[second], grid[first])
+        for k, (s, t) in enumerate(zip(grid[first], grid[second])):
+            assert np.array_equal(stacked[k], provider.dephasing_matrix(t, s))
+            assert np.array_equal(stacked[k], provider.dephasings(t - s))
+        # the repeated time 1.4 gives the pair (1.4, 1.4), and a pair of equal times reads φ(0) = 1
+        assert np.abs(provider.dephasing_matrix(1.4, 1.4) - 1.0).max() < 1e-15
+        assert np.abs(provider.dephasing_matrix(0.3, 0.3) - 1.0).max() < 1e-15
 
     def test_one_step_for_all_pairs(self, zx_model):
         durations = []
@@ -426,67 +434,66 @@ class TestDephasingTable:
                 durations.append(np.shape(dt))
                 return super().dephasings(dt)
 
-        models.DephasingTable(CountingProvider(zx_model), [0.5, 1.0, 2.0, 3.5])
+        provider, times = CountingProvider(zx_model), [0.5, 1.0, 2.0, 3.5]
+        assert triviality_check(provider, times) is False
         assert durations == [(6,)]
+        durations.clear()
+        t0, t1, t2 = np.array(list(itertools.combinations(times, 3))).T
+        semigroup_deficit(provider, t0, t1, t2)
+        ncgd_deficit(provider, fourier_mub(2), t0, t1, t2)
+        sandwich_identity_deficit(provider, fourier_mub(2), t2, t0)
+        # one read per reader: a triple's three pairs stacked, then the sandwich's pairs
+        assert durations == [(3, 4), (3, 4), (4,)]
 
     def test_chunks_match_one_step(self, zx_model, monkeypatch):
-        times = [0.2, 0.5, 1.0, 2.0, 3.5]
-        whole = models.DephasingTable(ExactDephasingProvider(zx_model), times)
+        t0, t1, t2 = np.array(list(itertools.combinations([0.2, 0.5, 1.0, 2.0, 3.5], 3))).T
+        meas = fourier_mub(2)
+
+        def deficits(provider):
+            return (
+                semigroup_deficit(provider, t0, t1, t2),
+                ncgd_deficit(provider, meas, t0, t1, t2),
+                sandwich_identity_deficit(provider, meas, t2, t0),
+            )
+
+        whole = deficits(ExactDephasingProvider(zx_model))
         durations = []
 
         class CountingProvider(ExactDephasingProvider):
             def dephasings(self, dt):
-                durations.append(len(dt))
+                durations.append(np.shape(dt))
                 return super().dephasings(dt)
 
-        # 4 pairs of d²·D² = 16 entries per call
+        # d = 2: 3·d² = 12 entries per semigroup triple, d⁴ = 16 per lifted NCGD triple or sandwich pair
         monkeypatch.setattr(models, "TERM_CAP", 64)
-        chunked = models.DephasingTable(CountingProvider(zx_model), times)
-        assert durations == [4, 4, 2]
-        for s, t in itertools.combinations(times, 2):
-            assert np.array_equal(chunked.dephasing_matrix(t, s), whole.dephasing_matrix(t, s))
+        chunked = deficits(CountingProvider(zx_model))
+        assert durations == [(3, 5)] * 2 + [(3, 4)] * 2 + [(3, 2)] + [(4,)] * 2 + [(2,)]
+        for a, b in zip(chunked, whole):
+            assert np.array_equal(a, b)
 
     def test_time_order_and_empty_grid(self, zx_provider):
-        table = models.DephasingTable(zx_provider, [0.5, 1.0])
         with pytest.raises(TimeOrderError):
-            table.dephasing_matrix(0.5, 1.0)
-        with pytest.raises(KeyError):
-            table.dephasing_matrix(2.0, 1.0)
-        with pytest.raises(KeyError):
-            models.DephasingTable(zx_provider, []).dephasing_matrix(1.0, 0.5)
-
-    def test_reads_match_provider(self, zx_model):
-        times = [0.0, 0.4, 0.9, 1.7]
-        provider = ExactDephasingProvider(zx_model)
-        table = models.DephasingTable(provider, times)
-        assert semigroup_deficit(table, 0.0, 0.4, 1.7) == semigroup_deficit(provider, 0.0, 0.4, 1.7)
-        assert triviality_check(table, times) == triviality_check(provider, times)
+            zx_provider.dephasing_matrix(0.5, 1.0)
+        with pytest.raises(TimeOrderError):
+            zx_provider.dephasing_matrix(np.array([1.0, 0.5]), np.array([0.5, 1.0]))
+        # an empty read gives no matrix, and a grid of fewer than two times no pair
+        assert zx_provider.dephasing_matrix(np.array([]), np.array([])).shape == (0, 2, 2)
+        assert triviality_check(zx_provider, []) is True
 
     def test_overflowing_phase_rejected(self):
         provider = ExactDephasingProvider(DephasingModel((10 * SIGMA_Z, SIGMA_X), np.eye(2) / 2))
         with pytest.raises(ValidationError):
-            models.DephasingTable(provider, [1.0, 2.0, 1e308])
+            triviality_check(provider, [1.0, 2.0, 1e308])
+        with pytest.raises(ValidationError):
+            semigroup_deficit(provider, 1.0, 2.0, 1e308)
 
     @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
     def test_array_reads_stack_scalar_reads(self, provider):
-        times = [0.3, 1.4, 0.8, 1.4, 2.9]
-        table = models.DephasingTable(provider, times)
         s, t = np.array([[0.3, 0.8], [1.4, 1.4]]), np.array([[2.9, 1.4], [1.4, 2.9]])
-        stacked = table.dephasing_matrix(t, s)
+        stacked = provider.dephasing_matrix(t, s)
         assert stacked.shape == (2, 2, provider.d, provider.d)
         for idx in np.ndindex(2, 2):
-            assert np.array_equal(stacked[idx], table.dephasing_matrix(t[idx], s[idx]))
-        # the provider reads arrays too, each entry bitwise its scalar read
-        assert np.array_equal(provider.dephasing_matrix(t, s), stacked)
-
-    def test_array_read_of_a_missing_pair(self, zx_provider):
-        table = models.DephasingTable(zx_provider, [0.5, 1.0, 2.0])
-        with pytest.raises(KeyError):
-            table.dephasing_matrix(np.array([1.0, 2.5]), np.array([0.5, 0.5]))
-        with pytest.raises(KeyError):
-            table.dephasing_matrix(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
-        with pytest.raises(TimeOrderError):
-            table.dephasing_matrix(np.array([1.0, 0.5]), np.array([0.5, 1.0]))
+            assert np.array_equal(stacked[idx], provider.dephasing_matrix(t[idx], s[idx]))
 
 
 class TestMarkovianModel:
@@ -495,6 +502,16 @@ class TestMarkovianModel:
             MarkovianAnalyticModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             MarkovianAnalyticModel(np.zeros((2, 2)), np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "eps, gamma",
+        [(np.nan, 0.5), (0.8, np.nan), (0.8, np.inf), (np.inf, 0.5)],
+        ids=["eps-nan", "gamma-nan", "gamma-inf", "eps-inf"],
+    )
+    def test_rejects_non_finite(self, eps, gamma):
+        # NaN fails no comparison, and inf - inf in the symmetry check warned
+        with pytest.raises(ValidationError):
+            MarkovianAnalyticModel(np.array([[0.0, eps], [-eps, 0.0]]), np.array([[0.0, gamma], [gamma, 0.0]]))
 
     def test_single_interval(self, markov_qubit):
         eps, gamma, tau = 0.8, 0.5, 1.3
@@ -712,12 +729,11 @@ class TestSemigroupDeficit:
     def test_arrays_equal_scalar_calls(self, provider):
         times = [0.0, 0.4, 0.4, 0.9, 1.7]
         t0, t1, t2 = np.array(list(itertools.combinations(times, 3))).T
-        for source in (provider, models.DephasingTable(provider, times)):
-            deficits = semigroup_deficit(source, t0, t1, t2)
-            assert deficits.shape == t0.shape
-            scalar = [semigroup_deficit(source, *triple) for triple in zip(t0, t1, t2)]
-            assert all(isinstance(x, float) for x in scalar)
-            assert np.array_equal(deficits, scalar)
+        deficits = semigroup_deficit(provider, t0, t1, t2)
+        assert deficits.shape == t0.shape
+        scalar = [semigroup_deficit(provider, *triple) for triple in zip(t0, t1, t2)]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.array_equal(deficits, scalar)
         with pytest.raises(TimeOrderError):
             semigroup_deficit(provider, t0, t2, t1)
 
@@ -732,12 +748,13 @@ class TestSemigroupDeficit:
         provider = CountingProvider(zx_model)
         t0, t1, t2 = np.array(list(itertools.combinations([0.0, 0.4, 0.9, 1.7, 2.2], 3))).T
         whole = semigroup_deficit(provider, t0, t1, t2)
-        assert reads == [(10,)] * 3
+        # a triple's three matrices in one stacked read
+        assert reads == [(3, 10)]
         reads.clear()
-        # d² = 4 entries per dephasing matrix: three triples per chunk
-        monkeypatch.setattr(models, "TERM_CAP", 12)
+        # 3·d² = 12 entries per triple: three triples per chunk, one read each
+        monkeypatch.setattr(models, "TERM_CAP", 36)
         assert np.array_equal(semigroup_deficit(provider, t0, t1, t2), whole)
-        assert reads == [(3,)] * 9 + [(1,)] * 3
+        assert reads == [(3, 3)] * 3 + [(3, 1)]
 
 
 class TestCommutativity:
@@ -774,10 +791,9 @@ class TestTriviality:
         assert triviality_check(ExactDephasingProvider(model), [0.0, 0.7, 1.9])
 
     def test_table_and_repeated_times(self, markov_qubit_provider):
-        # equal times form no pair to read (their φ is 1), and one time has no pair
-        times = [0.0, 1.0, 1.0]
-        assert triviality_check(models.DephasingTable(markov_qubit_provider, times), times) is False
-        assert triviality_check(models.DephasingTable(markov_qubit_provider, [1.0, 1.0]), [1.0, 1.0]) is True
+        # a pair of equal times reads φ(0) = 1, and one time has no pair
+        assert triviality_check(markov_qubit_provider, [0.0, 1.0, 1.0]) is False
+        assert triviality_check(markov_qubit_provider, [1.0, 1.0]) is True
         assert triviality_check(markov_qubit_provider, [0.5]) is True
 
     def test_decaying_markovian_not_trivial(self, markov_qubit_provider):

@@ -16,7 +16,6 @@ from dephaser.linalg import hermitian_expm, random_density, random_unitary
 from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from dephaser.models import (
     DephasingModel,
-    DephasingTable,
     ExactDephasingProvider,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
@@ -605,21 +604,6 @@ class TestNcgd:
         with pytest.raises(TimeOrderError):
             ncgd_deficit(markov_qubit_provider, fourier_mub(2), 2.0, 1.0, 3.0)
 
-    @pytest.mark.parametrize(
-        "provider",
-        [ExactDephasingProvider(random_exact_model(3, 2, seed=8)), real_dephasing_provider(3, 0.7)],
-        ids=["exact-d3-D2", "analytic-d3"],
-    )
-    def test_table_equals_provider(self, provider):
-        times = [0.3, 1.1, 1.1, 2.4, 3.0]
-        table = DephasingTable(provider, times)
-        meas = fourier_mub(3)
-        for t1, t2, t3 in itertools.combinations(sorted(times), 3):
-            assert abs(ncgd_deficit(table, meas, t1, t2, t3) - ncgd_deficit(provider, meas, t1, t2, t3)) < 1e-15
-            assert abs(sandwich_identity_deficit(table, meas, t3, t1)
-                       - sandwich_identity_deficit(provider, meas, t3, t1)) < 1e-15
-        assert np.array_equal(reduced_map(table, 2.4, 0.3).matrix, reduced_map(provider, 2.4, 0.3).matrix)
-
     def test_dimension_mismatch(self, zx_provider):
         with pytest.raises(ShapeError):
             ncgd_deficit(zx_provider, fourier_mub(3), 0.3, 1.1, 2.4)
@@ -684,9 +668,8 @@ class TestTransitionFormula:
 
     def test_matches_reference_composition(self, provider, measurement):
         t1, t2, t3 = self.triples()
-        table = DephasingTable(provider, self.TIMES)
-        ncgd = ncgd_deficit(table, measurement, t1, t2, t3)
-        sandwich = sandwich_identity_deficit(table, measurement, t3, t1)
+        ncgd = ncgd_deficit(provider, measurement, t1, t2, t3)
+        sandwich = sandwich_identity_deficit(provider, measurement, t3, t1)
         assert ncgd.shape == sandwich.shape == t1.shape
         for k, triple in enumerate(zip(t1, t2, t3)):
             assert abs(ncgd[k] - reference.ncgd_deficit(provider, measurement, *triple)) < 1e-12
@@ -694,13 +677,12 @@ class TestTransitionFormula:
 
     def test_array_equals_scalar_calls(self, provider, measurement):
         t1, t2, t3 = self.triples()
-        for source in (provider, DephasingTable(provider, self.TIMES)):
-            ncgd = ncgd_deficit(source, measurement, t1, t2, t3)
-            sandwich = sandwich_identity_deficit(source, measurement, t3, t1)
-            scalar = [ncgd_deficit(source, measurement, *triple) for triple in zip(t1, t2, t3)]
-            assert all(isinstance(x, float) for x in scalar)
-            assert np.array_equal(ncgd, scalar)
-            assert np.array_equal(sandwich, [sandwich_identity_deficit(source, measurement, t, s) for t, s in zip(t3, t1)])
+        ncgd = ncgd_deficit(provider, measurement, t1, t2, t3)
+        sandwich = sandwich_identity_deficit(provider, measurement, t3, t1)
+        scalar = [ncgd_deficit(provider, measurement, *triple) for triple in zip(t1, t2, t3)]
+        assert all(isinstance(x, float) for x in scalar)
+        assert np.array_equal(ncgd, scalar)
+        assert np.array_equal(sandwich, [sandwich_identity_deficit(provider, measurement, t, s) for t, s in zip(t3, t1)])
 
     def test_broadcasts_and_keeps_shape(self):
         provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], fourier_mub(3)
@@ -713,21 +695,21 @@ class TestTransitionFormula:
 
     def test_chunked_lift_matches_whole(self, monkeypatch):
         # d = 3: d⁴ = 81 entries per lifted matrix, so a cap of 200 lifts two entries per chunk
-        provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], _mixed_rank_pvm(3, 5)
+        meas = _mixed_rank_pvm(3, 5)
         t1, t2, t3 = self.triples()
         reads = []
 
-        class RecordingTable(DephasingTable):
+        class RecordingProvider(ExactDephasingProvider):
             def dephasing_matrix(self, t, s):
                 reads.append(np.shape(t)[-1])
                 return super().dephasing_matrix(t, s)
 
-        table = RecordingTable(provider, self.TIMES)
-        whole = ncgd_deficit(table, meas, t1, t2, t3), sandwich_identity_deficit(table, meas, t3, t1)
+        provider = RecordingProvider(TRANSITION_PROVIDERS["exact-d3-D2"].model)
+        whole = ncgd_deficit(provider, meas, t1, t2, t3), sandwich_identity_deficit(provider, meas, t3, t1)
         assert reads == [len(t1)] * 2
         reads.clear()
         monkeypatch.setattr(models, "TERM_CAP", 200)
-        chunked = ncgd_deficit(table, meas, t1, t2, t3), sandwich_identity_deficit(table, meas, t3, t1)
+        chunked = ncgd_deficit(provider, meas, t1, t2, t3), sandwich_identity_deficit(provider, meas, t3, t1)
         # one read per chunk: the three pairs of a triple stacked, then the sandwich's pair
         assert reads == [2] * (len(t1) // 2) * 2
         assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
