@@ -50,11 +50,10 @@ from .errors import ShapeError, SizeCapError, ValidationError
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
-    NEG_FLOOR,
-    NORM_TOL,
     JointDistribution,
     SystemPreparation,
     TimeGrid,
+    _check_tables,
     _probabilities,
     _readout,
     _root,
@@ -117,7 +116,6 @@ class ClassicalityReport:
     t0: float
     pool: tuple
     columns: tuple = ()
-    note: str = "order 1 is normalization only and recorded as trivially satisfied"
 
     @property
     def records(self) -> "RecordView":
@@ -151,7 +149,7 @@ class ClassicalityReport:
             "tolerance": self.tolerance,
             "t0": self.t0,
             "grid_pool": list(self.pool),
-            "note": self.note,
+            "note": "order 1 is normalization only and recorded as trivially satisfied",
             "records": [
                 {"order": n, "position": position, "times": list(times), "deficit": deficit}
                 for n, position, times, deficit in self.record_values()
@@ -162,7 +160,7 @@ class ClassicalityReport:
     def __eq__(self, other):
         if not isinstance(other, ClassicalityReport):
             return NotImplemented
-        fields = ("max_order_tested", "tolerance", "t0", "pool", "note")
+        fields = ("max_order_tested", "tolerance", "t0", "pool")
         same = all(getattr(self, f) == getattr(other, f) for f in fields)
         return same and self.records == other.records
 
@@ -215,20 +213,6 @@ class RecordView(Sequence):
     __hash__ = None
 
 
-def _check_tables(rows: np.ndarray, tuples: np.ndarray, pool: tuple, what: str) -> None:
-    """The checks of :class:`JointDistribution`, one probability table per row."""
-    total = rows.sum(axis=1)
-    # a NaN or infinite entry makes its row's sum non-finite
-    bad = ~np.isfinite(total) | (rows.min(axis=1) < NEG_FLOOR) | (np.abs(total - 1.0) > NORM_TOL)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValidationError(
-            f"classicality_report: {what} at times {tuple(pool[i] for i in tuples[r])} is not a probability "
-            f"table (min entry {rows[r].min():.3e}, sum {float(total[r])}; need finite entries >= {NEG_FLOOR:g} "
-            f"summing to 1 within {NORM_TOL:g})"
-        )
-
-
 def classicality_report(
     provider: DephasingTensorProvider,
     prep: SystemPreparation,
@@ -259,9 +243,9 @@ def classicality_report(
     each, one per distinct duration.
     The deficits of one (order, position) are one reduction: the order-n
     tables summed over that outcome axis, minus the coarse tables gathered by
-    rank, max |·| per tuple.  Every table and every marginal gets the checks
-    of :class:`JointDistribution` (finite entries >= ``NEG_FLOOR``, sum
-    within ``NORM_TOL`` of 1).
+    rank, max |·| per tuple.  Every table and every marginal passes the one
+    rule of :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
+    one vectorised call per order and per (order, position).
 
     The largest single node, a row of the deepest level N (the branch states
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
@@ -378,8 +362,11 @@ def classicality_report(
         stack.extend((n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1])))
         del state  # free before the next chunk's kernels allocate
 
+    def where(what, rows):
+        return lambda k: f"classicality_report: {what} at times {tuple(pool[i] for i in rows[k])}"
+
     for n in range(1, max_order + 1):
-        _check_tables(tables[n], tuples[n], pool, "table")
+        _check_tables(tables[n], where("table", tuples[n]))
 
     columns = []
     for n in range(2, max_order + 1):
@@ -388,7 +375,7 @@ def classicality_report(
         for position in range(1, n):
             coarse = rank(np.delete(tuples[n], position - 1, axis=1))
             reduced = fine.sum(axis=position).reshape(len(fine), -1)
-            _check_tables(reduced, tuples[n], pool, f"marginal at position {position} of the table")
+            _check_tables(reduced, where(f"marginal at position {position} of the table", tuples[n]))
             deficits[:, position - 1] = np.abs(reduced - tables[n - 1][coarse]).max(axis=1)
         for column in (tuples[n], deficits):
             column.flags.writeable = False

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .classicality import DEFAULT_TOL
 from .errors import ValidationError
 from .measurements import PhaseVector, ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from .models import (
@@ -177,7 +178,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     kind = analysis.get("kind")
     _require(kind in ANALYSIS_KINDS, f"analysis.kind: expected one of {ANALYSIS_KINDS}, got {kind!r}")
     analysis = dict(analysis)
-    analysis["tolerance"] = _number(analysis.get("tolerance", 1e-9), float, "analysis.tolerance")
+    analysis["tolerance"] = _number(analysis.get("tolerance", DEFAULT_TOL), float, "analysis.tolerance")
     _require(analysis["tolerance"] >= 0, f"analysis.tolerance: expected a number >= 0, got {analysis['tolerance']!r}")
     analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
     if "theta_points" in analysis:

@@ -1,10 +1,10 @@
 """Projective measurements on the system space.
 
-Rank-one PVMs are stored as a matrix of orthonormal column vectors; general
-PVMs (needed only for the maximally-mixed-state analysis) as a list of
-orthogonal projectors summing to the identity.  Either kind also gives the
-orthonormal basis of each outcome's range (:attr:`ProjectiveMeasurement.bases`),
-the form in which the propagation engine of :mod:`dephaser.statistics` reads it.
+A PVM is given by orthonormal column vectors (rank-one) or by orthogonal
+projectors summing to the identity (general PVMs, needed only for the
+maximally-mixed-state analysis).  Either way it is stored in one form, the one
+the propagation engine of :mod:`dephaser.statistics` reads: the orthonormal
+bases V_x of the outcomes' ranges (:attr:`ProjectiveMeasurement.bases`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class PhaseVector:
 
 
 class ProjectiveMeasurement:
-    """A PVM with outcomes labelled 0..d-1 (rank-one) or 0..m-1 (general)."""
+    """A PVM with outcomes 0..m-1, stored as ``bases``: the V_x stacked read-only as
+    (m, d, r), zero-padded to the largest rank r, so that P_x = V_x V_x†."""
 
     def __init__(self, vectors: Optional[np.ndarray] = None, projectors: Optional[Sequence[np.ndarray]] = None):
         if (vectors is None) == (projectors is None):
@@ -51,9 +52,7 @@ class ProjectiveMeasurement:
             dev = np.max(np.abs(gram - np.eye(d)))
             if dev > GRAM_TOL:
                 raise ValidationError(f"ProjectiveMeasurement: vectors not orthonormal, |Gram - 1| = {dev:.3e}")
-            self.vectors = v  # column x is the outcome-x vector
-            self.projectors = None
-            self.d = d
+            bases = v.T[:, :, None].copy()  # column x is the outcome-x vector
         else:
             ps = [as_complex_matrix(p, f"projector {x}") for x, p in enumerate(projectors)]
             d = check_square(ps[0], "projector 0")
@@ -69,46 +68,37 @@ class ProjectiveMeasurement:
                         raise ValidationError(f"ProjectiveMeasurement: projectors {x}, {y} not orthogonal idempotents")
             if np.max(np.abs(sum(ps) - np.eye(d))) > PROJ_TOL:
                 raise ValidationError("ProjectiveMeasurement: projectors do not sum to the identity")
-            self.vectors = None
-            self.projectors = tuple(ps)
-            self.d = d
-
-    @property
-    def is_rank_one(self) -> bool:
-        return self.vectors is not None
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.d if self.is_rank_one else len(self.projectors)
-
-    def projector(self, x: int) -> np.ndarray:
-        """P_x; anything but an integer outcome in 0..m-1 (a float too) raises ``ValidationError``."""
-        if not isinstance(x, numbers.Integral) or not 0 <= x < self.n_outcomes:
-            raise ValidationError(f"projector: outcome {x!r} is not an integer in 0..{self.n_outcomes - 1}")
-        if self.is_rank_one:
-            v = self.vectors[:, x]
-            return np.outer(v, v.conj())
-        return self.projectors[x]
-
-    @functools.cached_property
-    def bases(self) -> np.ndarray:
-        """Orthonormal bases V_x of the outcomes' ranges, stacked as (m, d, r), so
-        that P_x = V_x V_x†; built on first use and read-only.
-
-        r is the largest rank, and a basis of smaller rank is padded with zero
-        columns: r = 1 for a rank-one PVM, whose V_x is its column x.
-        """
-        if self.is_rank_one:
-            bases = self.vectors.T[:, :, None].copy()
-        else:
             # a projector's eigenvalues are 0 or 1 (within PROJ_TOL); its range
             # is spanned by the eigenvectors of eigenvalue 1
-            ranges = [v[:, w > 0.5] for w, v in (np.linalg.eigh(p) for p in self.projectors)]
-            bases = np.zeros((len(ranges), self.d, max(v.shape[1] for v in ranges)), dtype=complex)
+            ranges = [v[:, w > 0.5] for w, v in (np.linalg.eigh(p) for p in ps)]
+            bases = np.zeros((len(ranges), d, max(v.shape[1] for v in ranges)), dtype=complex)
             for x, v in enumerate(ranges):
                 bases[x, :, : v.shape[1]] = v
         bases.flags.writeable = False
-        return bases
+        self.d = d
+        self.bases = bases
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.bases)
+
+    @property
+    def is_rank_one(self) -> bool:
+        """True iff every outcome has rank exactly one: r = 1 and m = d (no zero projector)."""
+        return self.bases.shape == (self.d, self.d, 1)
+
+    @property
+    def vectors(self) -> Optional[np.ndarray]:
+        """The columns of a rank-one PVM, (d, m) and read-only; None if r > 1."""
+        return self.bases[:, :, 0].T if self.is_rank_one else None
+
+    def projector(self, x: int) -> np.ndarray:
+        """P_x = V_x V_x†; anything but an integer outcome in 0..m-1 (a float too) raises ``ValidationError``."""
+        if not isinstance(x, numbers.Integral) or not 0 <= x < self.n_outcomes:
+            raise ValidationError(f"projector: outcome {x!r} is not an integer in 0..{self.n_outcomes - 1}")
+        v = self.bases[x]
+        # elementwise, not v @ v†: a rank-one projector is then np.outer of its column, bit for bit
+        return (v[:, None, :] * v[None, :, :].conj()).sum(axis=-1)
 
     @functools.cached_property
     def channel_basis(self) -> np.ndarray:

@@ -235,15 +235,20 @@ class ExactDephasingProvider(DephasingTensorProvider):
         each entry of ``dt`` (shape dt.shape).
 
         One :meth:`exponentials` call takes the distinct durations; the last
-        such batch is the provider's one memo, so the φ readers of one grid, or
-        the chains of one sweep, exponentiate their durations once.
+        such batch is the provider's one memo, and serves any subset of it (the
+        batch itself, uncopied, on an equal set), so the φ readers of one grid,
+        or the chains of one sweep, exponentiate their durations once.
         """
         durations, inverse = _distinct(dt)
-        if self._batch is None or not np.array_equal(self._batch[0], durations):
-            u = self.exponentials(durations)
-            u.flags.writeable = False  # shared by every caller of the batch
-            self._batch = durations, u
-        return self._batch[1], inverse
+        if self._batch is not None:
+            held, u = self._batch
+            at = np.searchsorted(held, durations)
+            if at.size == 0 or (at[-1] < len(held) and np.array_equal(held[at], durations)):
+                return (u if len(at) == len(held) else u[at]), inverse
+        u = self.exponentials(durations)
+        u.flags.writeable = False  # shared by every caller of the batch
+        self._batch = durations, u
+        return u, inverse
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
@@ -435,15 +440,10 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return half @ source[:, None]
 
     def tensor_pairs(self, pairs, durations) -> complex:
+        """The product of the entries φ_jl(dt) of :meth:`MarkovianAnalyticModel.phi_matrix`."""
         self._check_pairs(pairs, durations)
-        out = 1.0 + 0.0j
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (j, l), dt in zip(pairs, durations):
-                if j != l:
-                    out *= np.exp(-(1j * self.model.eps[j, l] + 0.5 * self.model.gamma[j, l]) * dt)
-        if not np.isfinite(out):
-            raise ValidationError(f"MarkovianAnalyticProvider.tensor_pairs: value {out} is not finite")
-        return complex(out)
+        factors = (self.model.phi_matrix(dt)[j, l] for (j, l), dt in zip(pairs, durations))
+        return complex(math.prod(factors, start=1.0 + 0.0j))
 
     def tensor_array(self, durations) -> np.ndarray:
         """The outer product of the per-interval dephasing matrices."""

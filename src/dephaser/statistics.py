@@ -55,6 +55,22 @@ NORM_TOL = 1e-10
 NULL_EVENT_FLOOR = 1e-14
 
 
+def _check_tables(tables: np.ndarray, where) -> None:
+    """The one probability-table rule: entries >= ``NEG_FLOOR`` summing to 1 within
+    ``NORM_TOL`` (a NaN entry fails both comparisons, ±inf one).  ``tables`` is one
+    flat table or one per row; ``where(r)`` names the failing row r in the error."""
+    low, total = tables.min(axis=-1), tables.sum(axis=-1)
+    good = (low >= NEG_FLOOR) & (abs(total - 1.0) <= NORM_TOL)
+    # a flat table's comparisons are one np.bool_, read directly: .all() costs as much as a reduction
+    if good if tables.ndim == 1 else good.all():
+        return
+    r = int(np.argmin(good))
+    raise ValidationError(
+        f"{where(r)} is not a probability table (min entry {np.atleast_1d(low)[r]:.3e}, sum "
+        f"{float(np.atleast_1d(total)[r])}; need finite entries >= {NEG_FLOOR:g} summing to 1 within {NORM_TOL:g})"
+    )
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Preparation time plus the ordered measurement times."""
@@ -128,20 +144,13 @@ class JointDistribution:
     table: np.ndarray  # flat, length n_outcomes**n, x_1 slowest
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = np.asarray(self.table, dtype=float).reshape(-1)
         if t.size != self.n_outcomes ** self.grid.n:
             raise ShapeError(
                 f"JointDistribution: table size {t.size} != {self.n_outcomes}^{self.grid.n}"
             )
-        total = t.sum()
-        # a NaN or infinite entry makes the sum non-finite (and fails no comparison)
-        if not math.isfinite(total):
-            raise ValidationError(f"JointDistribution: table sums to {float(total)}; entries must be finite")
-        if t.min() < NEG_FLOOR:
-            raise ValidationError(f"JointDistribution: entry {t.min():.3e} below floor {NEG_FLOOR:g}")
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValidationError(f"JointDistribution: table sums to {total!r}, expected 1 within {NORM_TOL:g}")
-        object.__setattr__(self, "table", t.reshape(-1))
+        _check_tables(t, lambda r: "JointDistribution: table")
+        object.__setattr__(self, "table", t)
 
     @property
     def n(self) -> int:

@@ -51,8 +51,22 @@ def commutativity_check(model, tol=1e-12):
     return True
 
 
+class GivenProjectors:
+    """A general PVM as its projectors were given, for the references: it has the
+    ``d``, ``n_outcomes`` and ``projector(x)`` that they read, and ``projector(x)``
+    returns the given P_x, not one rebuilt from the ``bases`` under test."""
+
+    def __init__(self, projectors):
+        self.projectors = tuple(np.asarray(p, dtype=complex) for p in projectors)
+        self.d, self.n_outcomes = len(self.projectors[0]), len(self.projectors)
+
+    def projector(self, x):
+        return self.projectors[x]
+
+
 def channel_matrix(measurement):
-    """The d²×d² matrix Σ_x P_x^T ⊗ P_x of ρ -> Σ_x P_x ρ P_x (column-stacking vec)."""
+    """The d²×d² matrix Σ_x P_x^T ⊗ P_x of ρ -> Σ_x P_x ρ P_x (column-stacking vec);
+    ``measurement`` is a rank-one PVM or a :class:`GivenProjectors`."""
     return sum(np.kron(p.T, p) for p in map(measurement.projector, range(measurement.n_outcomes)))
 
 

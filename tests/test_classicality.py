@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -127,6 +128,14 @@ class TestClassicalityReport:
         d = report.to_dict()
         assert d["verdicts"]["3"] is True
         assert len(d["records"]) == len(report.records)
+
+    def test_note_is_not_a_field(self):
+        # the note has one value: to_dict writes it, and there is no field to set or compare
+        report = classicality_report(
+            real_dephasing_provider(), SystemPreparation.maximally_mixed(2), fourier_mub(2), (0.5,), max_order=2
+        )
+        assert report.to_dict()["note"] == "order 1 is normalization only and recorded as trivially satisfied"
+        assert "note" not in {field.name for field in dataclasses.fields(report)}
 
     def test_verdict_range(self):
         report = classicality_report(
@@ -280,6 +289,29 @@ class TestReportChecks:
         with pytest.raises(ValidationError, match="table at times .* is not a probability"):
             classicality_report(
                 ScalingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 3
+            )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [0.5, 0.4], [1.1, -0.1]],
+        ids=["nan", "inf", "minus-inf", "unnormalised", "below-floor"],
+    )
+    def test_one_rule_for_every_table(self, zx_model, monkeypatch, bad):
+        # a JointDistribution and a report's table are refused by the same rule, in the same words
+        rule = r"is not a probability table \(.*; need finite entries >= -1e-10 summing to 1 within 1e-10\)"
+        with pytest.raises(ValidationError, match="JointDistribution: table " + rule):
+            JointDistribution(2, TimeGrid(0.0, (0.5,)), np.array(bad))
+        real = classicality._probabilities
+
+        def first_table_bad(state):
+            tables = real(state).copy()
+            tables.reshape(len(tables), -1)[0] = bad
+            return tables
+
+        monkeypatch.setattr(classicality, "_probabilities", first_table_bad)
+        with pytest.raises(ValidationError, match=r"classicality_report: table at times \(0\.5,\) " + rule):
+            classicality_report(
+                ExactDephasingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 2
             )
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dephaser import classicality as cl
 from dephaser import cli, linalg, models, statistics
 from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
@@ -53,6 +54,11 @@ class TestConfigParsing:
     def test_unknown_analysis_kind(self):
         with pytest.raises(ConfigError):
             parse_config(classicality_config(analysis={"kind": "bogus"}))
+
+    def test_tolerance_defaults_to_the_verdict_default(self):
+        doc = classicality_config()
+        del doc["analysis"]["tolerance"]
+        assert parse_config(doc).analysis["tolerance"] == cl.DEFAULT_TOL
 
     def test_markovian_inline_model(self):
         doc = classicality_config(
@@ -628,6 +634,19 @@ class TestShippedConfigs:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["triples"] == len(rows)
         assert report["max_ncgd_deficit"] == rows[:, 3].max() and report["max_sandwich_deficit"] == rows[:, 4].max()
+
+    def test_ncgd_exact_exponentiates_once(self, tmp_path, monkeypatch):
+        # the sandwich read's outer pairs are a subset of the NCGD read's durations
+        calls = []
+        real = models.spectral_expm
+
+        def counting(w, v, tau):
+            calls.append(np.asarray(tau).size)
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        assert main(["run", os.path.join(ROOT, "configs", "ncgd_exact_qubit_zx.json"), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [74]
 
     def test_theta_sweep_exponentiates_once(self, tmp_path, monkeypatch):
         # its two intervals have one duration, 0.8, cached by the provider

@@ -98,6 +98,40 @@ class TestProjectiveMeasurement:
             fourier_mub(2).projector(outcome)
         assert np.array_equal(fourier_mub(2).projector(np.int64(1)), fourier_mub(2).projector(1))
 
+    def test_rank_one_projectors_are_rank_one(self):
+        # projectors of rank one give the same kind of PVM as their columns
+        u = fourier_mub(3).vectors
+        m = ProjectiveMeasurement(projectors=[np.outer(u[:, x], u[:, x].conj()) for x in range(3)])
+        assert m.is_rank_one and m.n_outcomes == 3 and m.vectors.shape == (3, 3)
+        assert mub_check(dephasing_basis(3), m)
+        assert np.max(np.abs(np.abs(m.vectors.conj().T @ u) - np.eye(3))) < 1e-12
+        # with a zero projector added, m = d + 1 outcomes: not rank-one, though r = 1
+        padded = ProjectiveMeasurement(projectors=[np.outer(u[:, x], u[:, x].conj()) for x in range(3)] + [np.zeros((3, 3))])
+        assert padded.bases.shape == (4, 3, 1) and not padded.is_rank_one and padded.vectors is None
+        with pytest.raises(ValidationError, match="only rank-one PVMs"):
+            mub_check(dephasing_basis(3), padded)
+
+    @pytest.mark.parametrize(
+        "meas",
+        [fourier_mub(d) for d in range(2, 8)] + [qubit_basis(0.1 * k, 0.37 * k - 2.0) for k in range(35)],
+        ids=[f"fourier-{d}" for d in range(2, 8)] + [f"qubit-{k}" for k in range(35)],
+    )
+    def test_rank_one_projector_is_outer_product(self, meas):
+        # bit for bit, where a BLAS v @ v† product may move the last bit
+        for x in range(meas.n_outcomes):
+            v = meas.vectors[:, x]
+            assert np.array_equal(meas.projector(x), np.outer(v, v.conj()))
+
+    def test_general_projector_matches_given(self):
+        from dephaser.linalg import random_unitary
+
+        u = random_unitary(5, 11)
+        given = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:3] @ u[:, 2:3].conj().T, u[:, 3:] @ u[:, 3:].conj().T]
+        m = ProjectiveMeasurement(projectors=given)
+        assert not m.is_rank_one and m.vectors is None
+        for x, p in enumerate(given):
+            assert np.max(np.abs(m.projector(x) - p)) < 1e-14
+
 
 class TestOutcomeBases:
     """``bases`` spans each outcome's range: P_x = V_x V_x†, zero-padded to the largest rank."""
@@ -108,6 +142,12 @@ class TestOutcomeBases:
         for x in range(3):
             assert np.array_equal(meas.bases[x, :, 0], meas.vectors[:, x])
 
+    def test_read_only(self):
+        meas = fourier_mub(3)
+        for array in (meas.bases, meas.vectors):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
     def test_general_ranks_padded(self):
         from dephaser.linalg import random_unitary
 
@@ -117,7 +157,8 @@ class TestOutcomeBases:
         bases = meas.bases
         assert bases.shape == (4, 4, 2)
         for x, v in enumerate(parts + [np.zeros((4, 0))]):
-            assert np.max(np.abs(bases[x] @ bases[x].conj().T - meas.projector(x))) < 1e-14
+            # against the given projector, not projector(x), which is read from bases
+            assert np.max(np.abs(bases[x] @ bases[x].conj().T - v @ v.conj().T)) < 1e-14
             assert not bases[x, :, v.shape[1] :].any()
             assert np.max(np.abs(bases[x].conj().T @ bases[x] - np.diag([1.0] * v.shape[1] + [0.0] * (2 - v.shape[1])))) < 1e-14
         with pytest.raises(ValueError):
@@ -227,17 +268,17 @@ class TestDephasingChannel:
 
 
 def _random_pvms():
+    """Name -> (PVM, its reference): a rank-one PVM is its own (its bases are its
+    given columns), a general one has its given projectors."""
     from dephaser.linalg import random_unitary
 
     u = random_unitary(4, 9)
-    return {
-        "fourier-mub": fourier_mub(3),
-        "dephasing-basis": dephasing_basis(4),
-        "random-rank-one": ProjectiveMeasurement(vectors=u),
-        "rank-two": ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]),
-        "mixed-rank-with-zero": ProjectiveMeasurement(
-            projectors=[u[:, :2] @ u[:, :2].conj().T, u[:, 2:3] @ u[:, 2:3].conj().T, u[:, 3:] @ u[:, 3:].conj().T, np.zeros((4, 4))]
-        ),
+    rank_two = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]
+    with_zero = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:3] @ u[:, 2:3].conj().T, u[:, 3:] @ u[:, 3:].conj().T, np.zeros((4, 4))]
+    rank_one = {"fourier-mub": fourier_mub(3), "dephasing-basis": dephasing_basis(4), "random-rank-one": ProjectiveMeasurement(vectors=u)}
+    general = {"rank-two": rank_two, "mixed-rank-with-zero": with_zero}
+    return {name: (meas, meas) for name, meas in rank_one.items()} | {
+        name: (ProjectiveMeasurement(projectors=ps), reference.GivenProjectors(ps)) for name, ps in general.items()
     }
 
 
@@ -246,12 +287,12 @@ class TestChannelBasis:
 
     @pytest.mark.parametrize("name", list(_random_pvms()))
     def test_spans_the_channel(self, name):
-        meas = _random_pvms()[name]
+        meas, ref = _random_pvms()[name]
         q = meas.channel_basis
-        ranks = [round(np.trace(meas.projector(x)).real) for x in range(meas.n_outcomes)]
+        ranks = [round(np.trace(ref.projector(x)).real) for x in range(ref.n_outcomes)]
         assert q.shape == (meas.d**2, sum(r * r for r in ranks))
         assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) < 1e-14
-        assert np.max(np.abs(q @ q.conj().T - reference.channel_matrix(meas))) < 1e-14
+        assert np.max(np.abs(q @ q.conj().T - reference.channel_matrix(ref))) < 1e-14
 
     def test_cached_and_read_only(self):
         meas = fourier_mub(2)

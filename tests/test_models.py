@@ -67,6 +67,15 @@ class TestExactTensor:
         assert abs(provider.tensor_pairs([(0, 1)], [0.0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_duration(self, request, provider, pair, dt):
+        # the analytic provider used to return 1+0j for ((0, 0), nan) and 0j for ((0, 1), inf)
+        provider = request.getfixturevalue(provider)
+        with pytest.raises(ValidationError):
+            provider.tensor_pairs([pair], [dt])
+
+    @pytest.mark.parametrize("provider", ["zx_provider", "markov_qubit_provider"], ids=["exact", "analytic"])
     def test_pairs_and_durations_mismatch(self, request, provider):
         # an unmatched pair or duration must not be dropped
         provider = request.getfixturevalue(provider)
@@ -403,6 +412,28 @@ class TestDephasings:
             u = [hermitian_expm(h, dt) for h in model.blocks]
             for j, l in np.ndindex(model.d, model.d):
                 assert abs(phi[k, j, l] - np.trace(u[j] @ model.env_state @ u[l].conj().T)) < 1e-13
+
+
+    def test_subset_of_the_batch_read_from_the_memo(self, zx_model, monkeypatch):
+        # a subset of the held durations gathers their rows; an equal set reads the batch uncopied
+        provider = ExactDephasingProvider(zx_model)
+        alone = ExactDephasingProvider(zx_model).dephasings(np.array([[2.5, 0.3], [2.5, 2.5]]))
+        whole = provider.dephasings(np.array([0.3, 1.1, 2.5, 0.7]))
+        held = provider._batch[1]
+        real, calls = models.spectral_expm, []
+
+        def counting(w, v, tau):
+            calls.append(tau.size)
+            return real(w, v, tau)
+
+        monkeypatch.setattr(models, "spectral_expm", counting)
+        subset = provider.dephasings(np.array([[2.5, 0.3], [2.5, 2.5]]))
+        assert calls == [] and provider._batch[1] is held
+        assert np.array_equal(subset, whole[[[2, 0], [2, 2]]])
+        assert provider._unitaries_batch(np.array([0.7, 2.5, 1.1, 0.3]))[0] is held
+        assert np.array_equal(subset, alone)
+        provider.dephasings(np.array([0.3, 3.0]))
+        assert calls == [2]
 
 
 class TestDephasingTable:

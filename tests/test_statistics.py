@@ -150,13 +150,13 @@ class TestJointVsOracle:
     def test_general_pvm_maximally_mixed(self, zx_model, zx_provider):
         from dephaser.measurements import ProjectiveMeasurement
 
-        meas = ProjectiveMeasurement(
-            projectors=[np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        )
+        projectors = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        meas = ProjectiveMeasurement(projectors=projectors)
         prep = SystemPreparation.maximally_mixed(2)
         grid = TimeGrid(0.0, (0.4, 1.0, 1.7))
         fast = joint_distribution(zx_provider, prep, meas, grid)
-        slow = oracle_distribution(zx_model, prep, meas, grid)
+        # the oracle reads the projectors as given, not those rebuilt from the engine's bases
+        slow = oracle_distribution(zx_model, prep, reference.GivenProjectors(projectors), grid)
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
     def test_four_times(self, zx_model, zx_provider):
@@ -189,15 +189,17 @@ class TestJointVsOracle:
         model = random_exact_model(d, big_d, seed)
         u = random_unitary(d, seed + 1)
         if rank_one:
-            meas = ProjectiveMeasurement(vectors=u)
+            meas = ref = ProjectiveMeasurement(vectors=u)
         else:
-            # two outcomes of ranks cut and d - cut, through the general-PVM path
+            # two outcomes of ranks cut and d - cut, through the general-PVM path;
+            # the oracle reads the projectors as given
             cut = 1 + seed % (d - 1)
-            meas = ProjectiveMeasurement(projectors=[u[:, :cut] @ u[:, :cut].conj().T, u[:, cut:] @ u[:, cut:].conj().T])
+            projectors = [u[:, :cut] @ u[:, :cut].conj().T, u[:, cut:] @ u[:, cut:].conj().T]
+            meas, ref = ProjectiveMeasurement(projectors=projectors), reference.GivenProjectors(projectors)
         prep = SystemPreparation(random_density(d, seed + 2))
         grid = TimeGrid(0.0, tuple(np.sort(np.random.default_rng(seed).uniform(0.1, 3.0, n))))
         fast = joint_distribution(ExactDephasingProvider(model), prep, meas, grid)
-        slow = oracle_distribution(model, prep, meas, grid)
+        slow = oracle_distribution(model, prep, ref, grid)
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
 
@@ -490,14 +492,14 @@ class TestKnownValues:
         exact = DephasingModel(tuple(np.array([[x]], dtype=complex) for x in h), np.ones((1, 1), dtype=complex))
         analytic = MarkovianAnalyticProvider(MarkovianAnalyticModel(h[:, None] - h[None, :], np.zeros((3, 3))))
         u = random_unitary(3, 21)
-        for meas in (
-            ProjectiveMeasurement(vectors=u),
-            ProjectiveMeasurement(projectors=[u[:, :1] @ u[:, :1].conj().T, u[:, 1:] @ u[:, 1:].conj().T]),
-        ):
+        projectors = [u[:, :1] @ u[:, :1].conj().T, u[:, 1:] @ u[:, 1:].conj().T]
+        rank_one = ProjectiveMeasurement(vectors=u)
+        # the oracle reads a general PVM's projectors as given
+        for meas, ref in ((rank_one, rank_one), (ProjectiveMeasurement(projectors=projectors), reference.GivenProjectors(projectors))):
             prep = SystemPreparation(random_density(3, 22))
             grid = TimeGrid(0.1, (0.5, 1.3, 1.3, 2.2))
             fast = joint_distribution(analytic, prep, meas, grid)
-            slow = oracle_distribution(exact, prep, meas, grid)
+            slow = oracle_distribution(exact, prep, ref, grid)
             assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
 
@@ -618,25 +620,35 @@ class TestNcgd:
         assert (s1 < 1e-12) or (n1 >= 0.0)
 
 
-def _rank_two_pvm(d, seed):
+def _rank_two_projectors(d, seed):
     """Two projectors of ranks 2 and d - 2 (d >= 3) on a random basis, or for
     d = 2 one rank-2 projector (the identity)."""
     u = random_unitary(d, seed)
-    return ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T] + [u[:, 2:] @ u[:, 2:].conj().T] * (d > 2))
+    return [u[:, :2] @ u[:, :2].conj().T] + [u[:, 2:] @ u[:, 2:].conj().T] * (d > 2)
 
 
-def _mixed_rank_pvm(d, seed):
+def _mixed_rank_projectors(d, seed):
     """Ranks (2, 1, ..., 1) on a random basis."""
     u = random_unitary(d, seed)
-    return ProjectiveMeasurement(projectors=[u[:, :2] @ u[:, :2].conj().T] + [np.outer(u[:, x], u[:, x].conj()) for x in range(2, d)])
+    return [u[:, :2] @ u[:, :2].conj().T] + [np.outer(u[:, x], u[:, x].conj()) for x in range(2, d)]
+
+
+def _general(projectors):
+    """A general PVM and, for the references, its projectors as given."""
+    return ProjectiveMeasurement(projectors=projectors), reference.GivenProjectors(projectors)
+
+
+def _rank_one(meas):
+    """A rank-one PVM, its own reference: its bases are its given columns."""
+    return meas, meas
 
 
 TRANSITION_MEASUREMENTS = {
-    "fourier-mub": fourier_mub,
-    "dephasing-basis": dephasing_basis,
-    "random-rank-one": lambda d: ProjectiveMeasurement(vectors=random_unitary(d, 17 + d)),
-    "rank-two": lambda d: _rank_two_pvm(d, 23 + d),
-    "mixed-rank": lambda d: _mixed_rank_pvm(d, 29 + d),
+    "fourier-mub": lambda d: _rank_one(fourier_mub(d)),
+    "dephasing-basis": lambda d: _rank_one(dephasing_basis(d)),
+    "random-rank-one": lambda d: _rank_one(ProjectiveMeasurement(vectors=random_unitary(d, 17 + d))),
+    "rank-two": lambda d: _general(_rank_two_projectors(d, 23 + d)),
+    "mixed-rank": lambda d: _general(_mixed_rank_projectors(d, 29 + d)),
 }
 
 TRANSITION_PROVIDERS = {
@@ -661,21 +673,24 @@ class TestTransitionFormula:
 
     @pytest.fixture(params=list(TRANSITION_MEASUREMENTS), ids=list(TRANSITION_MEASUREMENTS))
     def measurement(self, request, provider):
+        """(PVM, reference): the references compose the projectors as given."""
         return TRANSITION_MEASUREMENTS[request.param](provider.d)
 
     def triples(self):
         return np.array(list(itertools.combinations(sorted(self.TIMES), 3))).T
 
     def test_matches_reference_composition(self, provider, measurement):
+        measurement, ref = measurement
         t1, t2, t3 = self.triples()
         ncgd = ncgd_deficit(provider, measurement, t1, t2, t3)
         sandwich = sandwich_identity_deficit(provider, measurement, t3, t1)
         assert ncgd.shape == sandwich.shape == t1.shape
         for k, triple in enumerate(zip(t1, t2, t3)):
-            assert abs(ncgd[k] - reference.ncgd_deficit(provider, measurement, *triple)) < 1e-12
-            assert abs(sandwich[k] - reference.sandwich_identity_deficit(provider, measurement, triple[2], triple[0])) < 1e-12
+            assert abs(ncgd[k] - reference.ncgd_deficit(provider, ref, *triple)) < 1e-12
+            assert abs(sandwich[k] - reference.sandwich_identity_deficit(provider, ref, triple[2], triple[0])) < 1e-12
 
     def test_array_equals_scalar_calls(self, provider, measurement):
+        measurement = measurement[0]
         t1, t2, t3 = self.triples()
         ncgd = ncgd_deficit(provider, measurement, t1, t2, t3)
         sandwich = sandwich_identity_deficit(provider, measurement, t3, t1)
@@ -695,7 +710,7 @@ class TestTransitionFormula:
 
     def test_chunked_lift_matches_whole(self, monkeypatch):
         # d = 3: d⁴ = 81 entries per lifted matrix, so a cap of 200 lifts two entries per chunk
-        meas = _mixed_rank_pvm(3, 5)
+        meas = ProjectiveMeasurement(projectors=_mixed_rank_projectors(3, 5))
         t1, t2, t3 = self.triples()
         reads = []
 
