@@ -23,7 +23,13 @@ a leading axis, and the deficits of one (order, position) are one array
 reduction.  Levels below the deepest ``provider.apply`` their kernels; the
 deepest builds no branch state and reads its tables out through the
 effects.  A level too large for the memory budget runs in chunks,
-depth-first.  The kernels' products have a fixed shape per batch row, so a
+depth-first.  The report's index arrays (the trie levels, the row of each
+tuple's last interval and the coarse row of each interior deletion) depend
+only on the pool size p and the order N: :func:`_plan` builds them once per
+(p, N), read-only, and keeps the ``PLAN_CACHE`` most recently used plans of
+at most ``PLAN_ENTRIES`` index entries (8 MiB in all), so reports of one
+shape share them; the report body only gathers by them.  The kernels'
+products have a fixed shape per batch row, so a
 tuple's table does not depend on the batch or chunk it is computed in;
 records agree with the per-tuple computation (:func:`joint_distribution`
 and :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
@@ -38,11 +44,13 @@ arrays; ``records`` is a read-only sequence view that builds a
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,7 +251,13 @@ def classicality_report(
     each, one per distinct duration.
     The deficits of one (order, position) are one reduction: the order-n
     tables summed over that outcome axis, minus the coarse tables gathered by
-    rank, max |·| per tuple.  Every table and every marginal passes the one
+    row, max |·| per tuple.  Those rows, the trie's levels and the row of
+    each tuple's last interval come from the index plan of (p, max_order),
+    :func:`_plan`: built after the caps pass, kept (read-only, the
+    ``PLAN_CACHE`` most recent of at most ``PLAN_ENTRIES`` entries each) for
+    later reports of the same pool size and order, and shared by their
+    ``columns`` as the tuples' pool indices.  A larger plan is built per
+    report.  Every table and every marginal passes the one
     rule of :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
     one vectorised call per order and per (order, position).
 
@@ -285,35 +299,18 @@ def classicality_report(
             f"{stored} stored table entries exceed cap {TERM_CAP}"
         )
 
-    # Level n: tuples[n] holds the pool indices of the order-n tuples, one
-    # row each; the children of row r are rows first[n][r]:first[n][r + 1]
-    # of level n+1 (one per pool index >= the row's last), and parent[n + 1]
-    # maps them back.  Level 0 is the empty tuple, the root.
-    tuples, parent, first = {0: np.zeros((1, 0), dtype=np.intp)}, {}, {}
-    for n in range(max_order):
-        last = tuples[n][:, -1] if n else np.zeros(1, dtype=np.intp)
-        counts = p - last
-        first[n] = np.concatenate(([0], np.cumsum(counts)))
-        parent[n + 1] = np.repeat(np.arange(len(counts)), counts)
-        child = last[parent[n + 1]] + np.arange(first[n][-1]) - first[n][:-1][parent[n + 1]]
-        tuples[n + 1] = np.column_stack((tuples[n][parent[n + 1]], child))
+    plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order)
+    tuples, parent, first = plan.tuples, plan.parent, plan.first
     times = np.array(pool)
     tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
 
-    def rank(indices):
-        """The row of each non-decreasing index tuple (a_1..a_k), a row of ``indices``,
-        among the order-k rows: one walk down, row <- first[n][row] + a_{n+1} - a_n, a_0 = 0."""
-        out, previous = np.zeros(len(indices), dtype=np.intp), 0
-        for n in range(indices.shape[1]):
-            out, previous = first[n][out] + indices[:, n] - previous, indices[:, n]
-        return out
-
     # Every interval of the report either starts at t0 and ends at pool time
     # k (duration start[k]) or runs between pool times a <= b; the latter's
-    # distinct durations are `spans`, and span[rank((a, b))] is the index
-    # into them.  If the report-wide stage arrays
-    # fit, all durations are exponentiated in one call and the kernels of
-    # both sources and the effects are built once; each chunk gathers its rows.
+    # distinct durations are `spans`, and span[plan.pair[n]] is the index
+    # into them of each level-n row's last interval.  If the report-wide
+    # stage arrays fit, all durations are exponentiated in one call and the
+    # kernels of both sources and the effects are built once; each chunk
+    # gathers its rows.
     start = times - t0
     spans, span = _distinct(times[tuples[2][:, 1]] - times[tuples[2][:, 0]])
     stages = None  # (first kernels per pool time, later kernels and their effects per span)
@@ -324,13 +321,13 @@ def classicality_report(
         first_kernels = provider.kernels(exponentials[index[:p]], identity, bases)
         stages = first_kernels, later, provider.effects(later, bases, bases)
 
-    def stage(n, rows):
-        """Per row of level n, the kernel of its last interval, or at the
-        deepest level its effects; a (rows, 1, ...) array."""
+    def stage(n, lo, hi):
+        """Per row lo..hi-1 of level n, the kernel of its last interval, or at
+        the deepest level its effects; a (rows, 1, ...) array."""
         if n == 1:
-            ids, source = rows[:, -1:], identity
+            ids, source = tuples[1][lo:hi], identity
         else:
-            ids, source = span[rank(rows[:, -2:])][:, None], bases
+            ids, source = span[plan.pair[n][lo:hi]][:, None], bases
         kind = 0 if n == 1 else 2 if n == max_order else 1
         if stages is not None:
             return stages[kind][ids]
@@ -353,9 +350,9 @@ def classicality_report(
         state = block[parent[n][lo:hi] - block_row]
         if n == max_order:
             # the deepest level reads its tables out and builds no branch state
-            tables[n][lo:hi] = _readout(state, stage(n, tuples[n][lo:hi])).reshape(hi - lo, -1)
+            tables[n][lo:hi] = _readout(state, stage(n, lo, hi)).reshape(hi - lo, -1)
             continue
-        state = provider.apply(state, stage(n, tuples[n][lo:hi]), bases if n > 1 else identity, bases)
+        state = provider.apply(state, stage(n, lo, hi), bases if n > 1 else identity, bases)
         state = state.reshape((hi - lo, -1, m) + state.shape[-2:])
         tables[n][lo:hi] = _probabilities(state).reshape(hi - lo, -1)
         c0, c1 = first[n][lo], first[n][hi]
@@ -372,15 +369,85 @@ def classicality_report(
     for n in range(2, max_order + 1):
         fine = tables[n].reshape((-1,) + (m,) * n)
         deficits = np.empty((len(fine), n - 1))
-        for position in range(1, n):
-            coarse = rank(np.delete(tuples[n], position - 1, axis=1))
+        for position, coarse in enumerate(plan.coarse[n], 1):
             reduced = fine.sum(axis=position).reshape(len(fine), -1)
             _check_tables(reduced, where(f"marginal at position {position} of the table", tuples[n]))
             deficits[:, position - 1] = np.abs(reduced - tables[n - 1][coarse]).max(axis=1)
-        for column in (tuples[n], deficits):
-            column.flags.writeable = False
+        deficits.flags.writeable = False
         columns.append((tuples[n], deficits))
     return ClassicalityReport(max_order, tol, t0, pool, tuple(columns))
+
+
+class _Plan(NamedTuple):
+    """The index arrays of a report on a pool of p times to order N, one entry
+    per level n (None where a level has none), all read-only.
+
+    ``tuples[n]`` holds the pool indices of the order-n tuples, one row each,
+    in ``combinations_with_replacement`` order; level 0 is the empty tuple,
+    the root.  The children of row k of level n < N are rows
+    ``first[n][k]:first[n][k + 1]`` of level n+1 (one per pool index >= the
+    row's last), and ``parent[n + 1]`` maps them back.  For n >= 2,
+    ``pair[n]`` is the order-2 row of each row's last two indices (its last
+    interval), and ``coarse[n][k]`` the order-(n-1) row of each row with
+    its index at position k+1 deleted."""
+
+    tuples: tuple
+    parent: tuple
+    first: tuple
+    pair: tuple
+    coarse: tuple
+
+
+#: plans of at most this many index entries (:func:`_plan_entries`) are kept
+#: by :func:`_plan`, the PLAN_CACHE most recently used; a larger plan is built
+#: per report.  At this size the build is 3-4% of its report (qubit-zx, a
+#: Fourier PVM, one core of a 2-vCPU x86 VM: 1.4 ms of 44 ms at p = 45,
+#: N = 3, 0.9 ms of 30 ms at p = 20, N = 4), and above it less, so a kept
+#: plan would save little.  The bound counts entries, not rows, since the N
+#: one-row levels of a p = 1 plan hold ~N² entries.  The cache holds at most
+#: 8 · 2^17 entries of 8 bytes, 8 MiB.
+PLAN_ENTRIES = 1 << 17
+PLAN_CACHE = 8
+
+
+def _plan_entries(p: int, max_order: int) -> int:
+    """An upper bound on the index entries of :func:`_plan` (p, max_order):
+    a level-n row holds at most 2n + 2 of them, and each ``first`` one more."""
+    return sum((2 * n + 3) * math.comb(p + n - 1, n) for n in range(max_order + 1))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(p: int, max_order: int) -> _Plan:
+    """The :class:`_Plan` of a report on a pool of p times to order max_order;
+    it does not depend on the times, the model or the measurement."""
+    tuples, parent, first = [np.zeros((1, 0), dtype=np.intp)], [None], []
+    for n in range(max_order):
+        last = tuples[n][:, -1] if n else np.zeros(1, dtype=np.intp)
+        counts = p - last
+        first.append(np.concatenate(([0], np.cumsum(counts))))
+        parent.append(np.repeat(np.arange(len(counts)), counts))
+        child = last[parent[n + 1]] + np.arange(first[n][-1]) - first[n][:-1][parent[n + 1]]
+        tuples.append(np.column_stack((tuples[n][parent[n + 1]], child)))
+
+    def rank(rows, columns):
+        """The row among the order-k rows of each row of ``rows`` read at its k
+        ``columns``, a non-decreasing index tuple (a_1..a_k): one walk down,
+        row <- first[n][row] + a_{n+1} - a_n, a_0 = 0."""
+        out = previous = 0
+        for n, c in enumerate(columns):
+            out, previous = first[n][out] + rows[:, c] - previous, rows[:, c]
+        return out
+
+    pair, coarse = [None, None], [None, None]
+    for n in range(2, max_order + 1):
+        pair.append(rank(tuples[n], (n - 2, n - 1)))
+        coarse.append(np.empty((n - 1, len(tuples[n])), dtype=np.intp))
+        for k in range(n - 1):
+            coarse[n][k] = rank(tuples[n], [j for j in range(n) if j != k])
+    for array in itertools.chain(tuples, parent, first, pair, coarse):
+        if array is not None:
+            array.flags.writeable = False
+    return _Plan(tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse))
 
 
 def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:

@@ -296,13 +296,13 @@ def oracle_distribution(
     h_global = _build_global_hamiltonian(model)
     props = [hermitian_expm(h_global, dt) for dt in grid.durations]
     eye_b = np.eye(big_d)
+    lifted = [kron(measurement.projector(x), eye_b) for x in range(m)]
     table = np.zeros((m,) * n)
 
     def branch(k: int, state: np.ndarray, idx: tuple) -> None:
         u = props[k]
         evolved = u @ state @ u.conj().T
-        for xk in range(m):
-            p = kron(measurement.projector(xk), eye_b)
+        for xk, p in enumerate(lifted):
             projected = p @ evolved @ p
             if k == n - 1:
                 table[idx + (xk,)] = np.trace(projected).real

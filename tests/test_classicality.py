@@ -478,6 +478,96 @@ class TestReportColumns:
             assert report.verdict(n) == all(r.deficit <= report.tolerance for r in listed if r.order <= n)
 
 
+def plan_arrays(plan):
+    return [a for field in plan for a in field if a is not None]
+
+
+def assert_same_report(a, b):
+    assert a == b
+    assert len(a.columns) == len(b.columns)
+    for (rows_a, deficits_a), (rows_b, deficits_b) in zip(a.columns, b.columns):
+        assert np.array_equal(rows_a, rows_b) and np.array_equal(deficits_a, deficits_b)
+
+
+class TestReportPlan:
+    """The index plan of (pool size, max order), built once and shared by reports."""
+
+    @pytest.mark.parametrize("max_order", [2, 3, 4])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_matches_dict_lookup(self, p, max_order):
+        plan = classicality._plan(p, max_order)
+        levels = [list(itertools.combinations_with_replacement(range(p), n)) for n in range(max_order + 1)]
+        row = [{t: k for k, t in enumerate(level)} for level in levels]
+        assert plan.tuples[0].shape == (1, 0)
+        for n in range(1, max_order + 1):
+            assert plan.tuples[n].tolist() == [list(t) for t in levels[n]]
+            assert plan.parent[n].tolist() == [row[n - 1][t[:-1]] for t in levels[n]]
+            children = [[row[n][t + (a,)] for a in range(t[-1] if t else 0, p)] for t in levels[n - 1]]
+            assert [list(range(a, b)) for a, b in itertools.pairwise(plan.first[n - 1])] == children
+            if n >= 2:
+                assert plan.pair[n].tolist() == [row[2][t[-2:]] for t in levels[n]]
+                assert plan.coarse[n].tolist() == [
+                    [row[n - 1][t[:k] + t[k + 1 :]] for t in levels[n]] for k in range(n - 1)
+                ]
+        assert sum(a.size for a in plan_arrays(plan)) <= classicality._plan_entries(p, max_order)
+
+    @pytest.mark.parametrize("max_order", [2, 3, 4])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_read_only(self, zx_provider, p, max_order):
+        plan = classicality._plan(p, max_order)
+        assert all(not a.flags.writeable for a in plan_arrays(plan))
+        pool, prep = tuple(0.4 * k for k in range(1, p + 1)), SystemPreparation.diagonal([1.0, 0.0])
+        report = classicality_report(zx_provider, prep, fourier_mub(2), pool, max_order)
+        for n, (rows, deficits) in enumerate(report.columns, 2):
+            assert rows is plan.tuples[n]
+            assert not rows.flags.writeable and not deficits.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "cap, pool, max_order",
+        [
+            (None, (0.3, 0.9, 1.4, 2.2), 4),
+            # levels in chunks (test_chunked_levels_match_unchunked)
+            (800, (0.3, 0.9, 1.4, 2.2), 4),
+            # stage arrays per chunk (test_uncapped_stage_arrays_chunked)
+            (1000, tuple(np.random.default_rng(8).uniform(0.05, 3.0, 12)), 2),
+        ],
+        ids=["default-cap", "chunked-levels", "chunked-stages"],
+    )
+    def test_cache_state_never_shows(self, zx_model, monkeypatch, cap, pool, max_order):
+        if cap is not None:
+            monkeypatch.setattr(classicality, "TERM_CAP", cap)
+        prep, meas = SystemPreparation.diagonal([0.6, 0.4]), fourier_mub(2)
+        classicality._plan.cache_clear()
+        cold = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, max_order)
+        hits = classicality._plan.cache_info().hits
+        warm = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, max_order)
+        assert classicality._plan.cache_info().hits == hits + 1
+        assert_same_report(cold, warm)
+
+    def test_built_after_the_caps(self):
+        # the largest-state input of test_cap_checked_before_any_propagator: its plan would be kept
+        assert classicality._plan_entries(1, 21) <= classicality.PLAN_ENTRIES
+        provider = ExactDephasingProvider(random_exact_model(2, 4, seed=3))
+        before = classicality._plan.cache_info()
+        with pytest.raises(SizeCapError):
+            classicality_report(provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), (1.0,), 21)
+        assert classicality._plan.cache_info() == before
+
+    def test_large_plan_not_kept(self, zx_provider, monkeypatch):
+        pool = tuple(np.linspace(0.05, 3.0, 45))
+        assert classicality._plan_entries(len(pool), 3) > classicality.PLAN_ENTRIES
+        prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        classicality._plan.cache_clear()
+        report = classicality_report(zx_provider, prep, meas, pool, 3)
+        assert classicality._plan.cache_info().currsize == 0
+        monkeypatch.setattr(classicality, "PLAN_ENTRIES", classicality._plan_entries(len(pool), 3))
+        assert_same_report(report, classicality_report(zx_provider, prep, meas, pool, 3))
+        assert classicality._plan.cache_info().currsize == 1
+        classicality._plan.cache_clear()
+
+
 class TestTwoTimeClosedForm:
     @given(p=probs, theta=angles)
     @settings(max_examples=25, deadline=None)

@@ -202,6 +202,28 @@ class TestJointVsOracle:
         slow = oracle_distribution(model, prep, ref, grid)
         assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
+    def test_projectors_lifted_once(self, zx_model, monkeypatch):
+        # m projector reads per oracle call, not one per (branch, outcome): 14 for this grid
+        calls = []
+
+        def counting(read):
+            def projector(self, x):
+                calls.append(x)
+                return read(self, x)
+
+            return projector
+
+        monkeypatch.setattr(ProjectiveMeasurement, "projector", counting(ProjectiveMeasurement.projector))
+        monkeypatch.setattr(reference.GivenProjectors, "projector", counting(reference.GivenProjectors.projector))
+        prep = SystemPreparation.pure([0.6, 0.8])
+        grid = TimeGrid(0.0, (0.5, 1.2, 2.0))
+        meas = qubit_basis(0.47766, 0.0)
+        given = reference.GivenProjectors([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        for pvm in (meas, given):
+            calls.clear()
+            oracle_distribution(zx_model, prep, pvm, grid)
+            assert sorted(calls) == list(range(pvm.n_outcomes))
+
 
 def reference_transfer(provider, state, dt, source, target):
     """E_x -> V_y† Λ_dt(V_x E_x V_x†) V_y by einsum, with Λ_dt: S[j, l] -> U_j S[j, l] U_l†
