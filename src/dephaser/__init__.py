@@ -11,15 +11,7 @@ from .classicality import (
     search_nonclassicality_witness,
     theta_sweep,
 )
-from .linalg import (
-    choi_matrix,
-    hermitian_expm,
-    kron,
-    random_density,
-    random_hermitian,
-    random_unitary,
-    Superoperator,
-)
+from .linalg import hermitian_expm, kron, random_density, random_hermitian, random_unitary
 from .measurements import (
     PhaseVector,
     ProjectiveMeasurement,
@@ -47,7 +39,6 @@ from .statistics import (
     joint_distribution,
     ncgd_deficit,
     oracle_distribution,
-    reduced_map,
     sandwich_identity_deficit,
 )
 

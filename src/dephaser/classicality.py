@@ -279,8 +279,9 @@ def classicality_report(
     if max_order < 2:
         raise ValidationError(f"classicality_report: max_order must be >= 2, got {max_order}")
     pool = tuple(sorted({float(t) for t in pool}))
-    if not pool:
-        raise ValidationError("classicality_report: empty grid pool")
+    # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
+    if not pool or not all(map(math.isfinite, pool + (float(t0),))):
+        raise ValidationError(f"classicality_report: need a finite t0 and a non-empty pool of finite times, got {t0}, {pool}")
     if pool[0] < t0:
         raise ValidationError(f"classicality_report: pool starts before t0 = {t0}")
 

@@ -31,6 +31,13 @@ CONFIG_VERSION = 1
 
 ANALYSIS_KINDS = ("classicality", "markovianity", "ncgd", "theta-sweep", "oracle-check")
 
+#: A markovian generator L = −(iε + γ/2) is accepted iff min eig V†·L·V >= −CP_TOL·max|L|, V an
+#: orthonormal basis of {x : Σx = 0}: φ(t) = exp∘(t·L) is then PSD for every t >= 0, so the
+#: dephasing map is completely positive (Horn & Johnson, Topics in Matrix Analysis, ch. 6).  An
+#: energy-difference ε_jl = ω_j − ω_l with γ = 0 has exact minimum 0 and reads it within a few
+#: ulps of max|L| (−1e-17·max|L| at ω ~ 1e6); a non-CP generator reads −O(max|L|).
+CP_TOL = 1e-12
+
 
 class ConfigError(ValidationError):
     """Config file fails schema or invariant validation."""
@@ -115,6 +122,14 @@ def _build_model(node):
         else:
             _require("eps" in node and "gamma" in node, "model: markovian model needs eps and gamma (or preset)")
             model = MarkovianAnalyticModel(np.asarray(node["eps"], float), np.asarray(node["gamma"], float))
+        # P·L·P, P the projector onto {x : Σx = 0}, has the eigenvalues of V†·L·V and a 0
+        rate, proj = -(1j * model.eps + 0.5 * model.gamma), np.eye(model.d) - 1.0 / model.d
+        low = np.linalg.eigvalsh(proj @ rate @ proj).min()
+        _require(
+            low >= -CP_TOL * np.abs(rate).max(),
+            f"model: -(i·eps + gamma/2) has eigenvalue {low:.3e} < 0 on sum-zero vectors, so phi(t) is not PSD "
+            "and the dephasing map not completely positive",
+        )
         return MarkovianAnalyticProvider(model)
     raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {kind!r}")
 

@@ -2,19 +2,13 @@
 
 All operators are plain ``numpy`` complex arrays; the functions below supply
 the validated constructors, spectral exponentials, tensor-product plumbing and
-channel representations used by the rest of the package.
-
-Conventions (used consistently everywhere):
-
-* vectorization is column-stacking, ``vec(A)[c*d + r] = A[r, c]``, so that
-  ``vec(A X B) = (B.T ⊗ A) vec(X)``;
-* a superoperator on a d-dimensional system is a d²×d² matrix acting on
-  vectorized operators.
+seeded random instances used by the rest of the package.  The one
+vectorized (channel) form of the package, its column-stacking convention
+included, is the channel basis of
+:attr:`~dephaser.measurements.ProjectiveMeasurement.channel_basis`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +18,6 @@ from .errors import ShapeError, SizeCapError, ValidationError
 # accumulation at the supported dimensions (total dim <= DIM_CAP).
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
-UNITARY_TOL = 1e-10
-PSD_TOL = 1e-10
 
 #: hard cap on the total Hilbert-space dimension of any constructed operator
 DIM_CAP = 4096
@@ -42,8 +34,8 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def check_square(m: np.ndarray, name: str = "matrix") -> int:
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name}: expected square matrix, got shape {m.shape}")
+    if m.shape[0] != m.shape[1] or not m.size:
+        raise ShapeError(f"{name}: expected a non-empty square matrix, got shape {m.shape}")
     return m.shape[0]
 
 
@@ -121,85 +113,6 @@ def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     if max(rows, cols) > cap:
         raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {cap}")
     return np.kron(a, b)
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """A linear map on operators of a d-dimensional system.
-
-    ``matrix`` is d²×d² acting on column-stacked vectorizations.
-    """
-
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "Superoperator.matrix")
-        n = check_square(m, "Superoperator.matrix")
-        if n != self.d * self.d:
-            raise ShapeError(f"Superoperator: matrix dim {n} != d² = {self.d ** 2}")
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = as_complex_matrix(rho, "Superoperator.apply input")
-        if rho.shape != (self.d, self.d):
-            raise ShapeError(f"Superoperator.apply: state shape {rho.shape} != ({self.d}, {self.d})")
-        return unvec(self.matrix @ vec(rho), self.d)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self ∘ other (apply ``other`` first)."""
-        if self.d != other.d:
-            raise ShapeError("Superoperator.compose: dimension mismatch")
-        return Superoperator(self.d, self.matrix @ other.matrix)
-
-    def is_trace_preserving(self, tol: float = UNITARY_TOL) -> bool:
-        # tr(S(X)) = tr(X) for all X  <=>  vec(1)† S = vec(1)†
-        ident = vec(np.eye(self.d)).conj()
-        return bool(np.max(np.abs(ident @ self.matrix - ident)) <= tol)
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).T.reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape(d, d).T
-
-
-def conjugation_superoperator(u: np.ndarray) -> Superoperator:
-    """The map X -> U X U† as a superoperator (column-stacking)."""
-    u = as_complex_matrix(u, "conjugation operand")
-    d = check_square(u, "conjugation operand")
-    return Superoperator(d, np.kron(u.conj(), u))
-
-
-def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> Superoperator:
-    """The map X -> A X B as a superoperator (column-stacking)."""
-    a = as_complex_matrix(a, "sandwich lhs")
-    b = as_complex_matrix(b, "sandwich rhs")
-    d = check_square(a, "sandwich lhs")
-    if b.shape != (d, d):
-        raise ShapeError("sandwich_superoperator: operand shapes differ")
-    return Superoperator(d, np.kron(b.T, a))
-
-
-def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix C = sum_{ij} |i><j| ⊗ S(|i><j|) of a superoperator.
-
-    The channel is completely positive iff C is PSD; trace preserving iff the
-    partial trace of C over the output (second) factor is the identity.
-    """
-    d = s.d
-    # C[i*d + r, j*d + c] = <r| S(|i><j|) |c> = Smat[c*d + r, j*d + i]
-    m = s.matrix.reshape(d, d, d, d)  # indices [c, r, j, i]
-    return m.transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def is_completely_positive(s: Superoperator, tol: float = PSD_TOL) -> bool:
-    c = choi_matrix(s)
-    c = 0.5 * (c + c.conj().T)
-    return bool(np.linalg.eigvalsh(c).min() >= -tol)
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

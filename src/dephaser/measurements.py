@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import Superoperator, as_complex_matrix, check_square
+from .linalg import as_complex_matrix, check_square
 
 GRAM_TOL = 1e-12
 PROJ_TOL = 1e-10
@@ -55,6 +55,8 @@ class ProjectiveMeasurement:
             bases = v.T[:, :, None].copy()  # column x is the outcome-x vector
         else:
             ps = [as_complex_matrix(p, f"projector {x}") for x, p in enumerate(projectors)]
+            if not ps:
+                raise ValidationError("ProjectiveMeasurement: no projectors given")
             d = check_square(ps[0], "projector 0")
             for x, p in enumerate(ps):
                 if p.shape != (d, d):
@@ -103,7 +105,8 @@ class ProjectiveMeasurement:
     @functools.cached_property
     def channel_basis(self) -> np.ndarray:
         """Q, (d², Σ_x r_x²): orthonormal columns vec(V_x e_a e_b† V_x†) over outcomes x and
-        a, b < r_x, with Q·Q† the channel's matrix; built on first use and read-only."""
+        a, b < r_x, with Q·Q† the channel's matrix; built on first use and read-only.
+        vec stacks columns, vec(A)[c·d + r] = A[r, c], so vec(A·X·B) = (Bᵀ ⊗ A)·vec(X)."""
         v, used = self.bases, np.abs(self.bases).max(axis=1) > 0  # padding columns are zero
         q = np.einsum("xlb,xja->ljxab", v.conj(), v)[:, :, used[:, :, None] & used[:, None, :]].reshape(self.d**2, -1)
         q.flags.writeable = False
@@ -156,7 +159,7 @@ def mub_check(a: ProjectiveMeasurement, b: ProjectiveMeasurement, tol: float = 1
     return bool(np.max(np.abs(overlaps - 1.0 / a.d)) <= tol)
 
 
-def dephasing_channel(m: ProjectiveMeasurement) -> Superoperator:
-    """Completely dephasing channel of the PVM: rho -> sum_x P_x rho P_x, with
-    matrix Q·Q† for its :attr:`~ProjectiveMeasurement.channel_basis` Q."""
-    return Superoperator(m.d, m.channel_basis @ m.channel_basis.conj().T)
+def dephasing_channel(m: ProjectiveMeasurement) -> np.ndarray:
+    """The d²×d² matrix Q·Q† of the completely dephasing channel rho -> sum_x P_x rho P_x,
+    for the PVM's :attr:`~ProjectiveMeasurement.channel_basis` Q."""
+    return m.channel_basis @ m.channel_basis.conj().T

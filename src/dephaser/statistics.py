@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, ValidationError
-from .linalg import DIM_CAP, Superoperator, check_density, hermitian_expm, kron
+from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
 from .models import TERM_CAP, DephasingModel, DephasingTensorProvider, _max_per_entry
@@ -311,16 +311,6 @@ def oracle_distribution(
 
     branch(0, kron(prep.density, model.env_state), ())
     return JointDistribution(m, grid, table.reshape(-1))
-
-
-def reduced_map(provider: DephasingTensorProvider, t: float, s: float) -> Superoperator:
-    """Reduced dynamical map: coherence (j, l) multiplied by φ_{jl}(t, s).
-
-    With rank-one dephasing projectors on the computational basis, the
-    column-stacking superoperator is diagonal with entry φ[j, l] at vec index
-    l·d + j.
-    """
-    return Superoperator(provider.d, np.diag(provider.dephasing_matrix(t, s).T.reshape(-1)))
 
 
 def _transitions(provider, measurement: ProjectiveMeasurement, t, s, caller: str) -> tuple:

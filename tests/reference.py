@@ -43,6 +43,24 @@ def tensor_collapse_check(provider, pairs, durations, k):
     return abs(full - dropped)
 
 
+def factorization_deficit(provider, durations):
+    """(max |T − Π_k φ_{j_k l_k}(dt_k)|, entries) over every index-pair chain
+    ((j_1, l_1), ..., (j_n, l_n)) of one selection of times with these durations.
+
+    T is ρ_E under the two-sided conjugation X <- U_j X U_l† of each interval, all
+    chains of one length at a time, then traced; φ_jl(dt) = tr(U_j ρ_E U_l†).  Every
+    U_j comes from one ``provider.exponentials`` call: a batched form of the
+    per-chain ``tensor_pairs`` reference, independent of the Gram-product walk.
+    """
+    env = provider.model.env_state
+    chains, factored = env[None], np.ones(1)
+    for u in provider.exponentials(np.asarray(durations, dtype=float)):
+        chains = np.einsum("jab,cbe,lfe->cjlaf", u, chains, u.conj(), optimize=True).reshape((-1,) + env.shape)
+        factored = np.multiply.outer(factored, np.einsum("jab,bc,lac->jl", u, env, u.conj())).reshape(-1)
+    tensor = np.trace(chains, axis1=-2, axis2=-1)
+    return float(np.abs(tensor - factored).max()), tensor.size
+
+
 def commutativity_check(model, tol=1e-12):
     """True iff all block commutators of ``model`` vanish within ``tol`` (max-norm)."""
     for a, b in itertools.combinations(model.blocks, 2):
@@ -64,6 +82,16 @@ class GivenProjectors:
         return self.projectors[x]
 
 
+def vec(a):
+    """Column-stacking vectorization, vec(A)[c·d + r] = A[r, c]."""
+    return np.asarray(a).T.reshape(-1)
+
+
+def unvec(v, d):
+    """The d×d matrix whose :func:`vec` is ``v``."""
+    return np.asarray(v).reshape(d, d).T
+
+
 def channel_matrix(measurement):
     """The d²×d² matrix Σ_x P_x^T ⊗ P_x of ρ -> Σ_x P_x ρ P_x (column-stacking vec);
     ``measurement`` is a rank-one PVM or a :class:`GivenProjectors`."""
@@ -72,7 +100,7 @@ def channel_matrix(measurement):
 
 def _reduced_matrix(provider, t, s):
     """The d²×d² diagonal matrix of the reduced map Λ_{t,s}, entry φ[j, l] at vec index l·d + j."""
-    return np.diag(provider.dephasing_matrix(t, s).T.reshape(-1))
+    return np.diag(vec(provider.dephasing_matrix(t, s)))
 
 
 def sandwich_identity_deficit(provider, measurement, t, s):

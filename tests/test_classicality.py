@@ -268,6 +268,16 @@ class TestReportMatchesPerTupleReference:
 class TestReportChecks:
     """The report's whole-array checks and its chunked levels."""
 
+    @pytest.mark.parametrize(
+        "pool, t0",
+        [((0.5, float("inf")), 0.0), ((0.5, float("nan")), 0.0), ((0.5, 1.2), float("nan")), ((0.5, 1.2), float("-inf"))],
+        ids=["inf-time", "nan-time", "nan-t0", "inf-t0"],
+    )
+    def test_non_finite_times_rejected_first(self, zx_provider, pool, t0):
+        # a pool holding inf formed inf - inf among its spans, a RuntimeWarning, before any check
+        with pytest.raises(ValidationError, match="finite t0 and a non-empty pool of finite times"):
+            classicality_report(zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), pool, 3, t0=t0)
+
     @pytest.mark.parametrize("factor", [1.0 + 1e-6, float("nan")], ids=["unnormalised", "nan"])
     def test_bad_tables_rejected(self, zx_model, factor):
         class ScalingProvider(ExactDephasingProvider):

@@ -16,7 +16,7 @@ from dephaser.cli import main
 from dephaser.config import ConfigError, load_config, parse_config
 from dephaser.measurements import fourier_mub
 from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
-from dephaser.presets import get_preset
+from dephaser.presets import PRESETS, get_preset
 import reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -178,6 +178,66 @@ class TestNonFiniteValues:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
         assert not (tmp_path / "o" / "report.json").exists()
+
+
+# analytic generators whose phi(t) is not PSD for d = 3, each with its least eigenvalue on
+# sum-zero vectors; the first passed validate, and its classicality run exited 2 only after
+# computing, its ncgd run 0
+_EPS = [[0.0, 0.7, 0.7], [-0.7, 0.0, 0.7], [-0.7, -0.7, 0.0]]
+NON_CP = {
+    "eps-0.7-gamma-0.5": ({"eps": _EPS, "gamma": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]}, "-1.541e-01"),
+    "gamma01-2": ({"eps": [[0.0] * 3] * 3, "gamma": [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}, "-3.333e-01"),
+}
+
+
+_OMEGA = np.array([0.3e6, 1.7e6, -2.2e6])
+
+
+def _analytic_config(model, analysis):
+    return classicality_config(
+        model={"kind": "markovian", **model},
+        preparation={"kind": "maximally-mixed"},
+        grid={"t0": 0.0, "times": [0.4, 0.9, 1.3, 2.0]},
+        analysis={"kind": analysis, "max_order": 3},
+    )
+
+
+class TestCompletePositivity:
+    @pytest.mark.parametrize("analysis", ["classicality", "ncgd"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("name", sorted(NON_CP))
+    def test_non_cp_generator_exits_2(self, tmp_path, capsys, name, command, analysis):
+        model, low = NON_CP[name]
+        path = write_config(tmp_path, _analytic_config(model, analysis))
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, path] + extra) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError" and f"eigenvalue {low} < 0" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_accepted(self, preset):
+        kind = "markovian" if isinstance(get_preset(preset), models.MarkovianAnalyticModel) else "exact"
+        doc = classicality_config(model={"kind": kind, "preset": preset}, preparation={"kind": "maximally-mixed"})
+        assert parse_config(doc).d == get_preset(preset).d
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # every d = 2 generator with gamma >= 0 is CP: its one sum-zero eigenvalue is gamma_01 / 2
+            {"eps": [[0.0, 40.0], [-40.0, 0.0]], "gamma": [[0.0, 0.0], [0.0, 0.0]]},
+            {"eps": [[0.0, -0.3], [0.3, 0.0]], "gamma": [[0.0, 2.5], [2.5, 0.0]]},
+            # energy differences eps_jl = w_j - w_l sit on the boundary, 0, read within roundoff
+            {"eps": np.subtract.outer(_OMEGA, _OMEGA).tolist(), "gamma": [[0.0] * 3] * 3},
+        ],
+        ids=["d2-unitary", "d2-decaying", "d3-energy-differences"],
+    )
+    def test_cp_generators_accepted(self, tmp_path, capsys, model):
+        path = write_config(tmp_path, _analytic_config(model, "classicality"))
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
 
 class TestValidateCommand:

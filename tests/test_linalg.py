@@ -7,22 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from dephaser.errors import SizeCapError, ValidationError
 from dephaser.linalg import (
-    Superoperator,
     check_density,
     check_hermitian,
-    choi_matrix,
-    conjugation_superoperator,
     hermitian_eigh,
     hermitian_expm,
-    is_completely_positive,
     kron,
     random_density,
     random_hermitian,
-    random_unitary,
-    sandwich_superoperator,
     spectral_expm,
-    unvec,
-    vec,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -116,75 +108,6 @@ class TestKron:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             kron(np.eye(100), np.eye(100))
-
-
-def assemble_choi(s: Superoperator) -> np.ndarray:
-    """Oracle: apply the channel to each matrix unit and assemble."""
-    d = s.d
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out += np.kron(unit, s.apply(unit))
-    return out
-
-
-class TestChoi:
-    def test_identity_channel(self):
-        s = conjugation_superoperator(np.eye(2))
-        c = choi_matrix(s)
-        assert abs(np.trace(c) - 2) < 1e-12
-        evals = np.linalg.eigvalsh(c)
-        assert np.sum(evals > 1e-10) == 1  # rank one
-
-    def test_dephasing_channel_qubit(self):
-        e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        mat = np.kron(e0, e0) + np.kron(e1, e1)
-        s = Superoperator(2, mat)
-        c = choi_matrix(s)
-        assert np.max(np.abs(c - assemble_choi(s))) < 1e-14
-        assert np.allclose(c, np.diag([1.0, 0.0, 0.0, 1.0]))
-
-    def test_transpose_map_not_cp(self):
-        # transpose: vec index swap; column stacking makes it the SWAP matrix
-        swap = np.zeros((4, 4))
-        for r in range(2):
-            for c in range(2):
-                swap[c * 2 + r, r * 2 + c] = 1.0
-        s = Superoperator(2, swap)
-        c = choi_matrix(s)
-        assert np.max(np.abs(c - assemble_choi(s))) < 1e-14
-        assert abs(np.linalg.eigvalsh(c).min() - (-1.0)) < 1e-12
-        assert not is_completely_positive(s)
-
-    @given(dim=st.integers(2, 4), seed=seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_unitary_conjugation_is_cp_trace_d(self, dim, seed):
-        u = random_unitary(dim, seed)
-        s = conjugation_superoperator(u)
-        c = choi_matrix(s)
-        assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-10
-        assert abs(np.trace(c) - dim) < 1e-10
-        assert s.is_trace_preserving()
-
-    @given(dim=st.integers(2, 3), seed=seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_choi_matches_assembly(self, seed, dim):
-        a = random_hermitian(dim, seed)
-        b = random_hermitian(dim, seed + 1)
-        s = sandwich_superoperator(a, b)
-        assert np.max(np.abs(choi_matrix(s) - assemble_choi(s))) < 1e-12
-
-
-class TestVec:
-    def test_roundtrip(self):
-        m = random_hermitian(3, 0)
-        assert np.allclose(unvec(vec(m), 3), m)
-
-    def test_column_stacking_order(self):
-        m = np.array([[1, 2], [3, 4]])
-        assert list(vec(m)) == [1, 3, 2, 4]
 
 
 class TestRandomInstances:

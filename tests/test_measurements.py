@@ -54,6 +54,16 @@ class TestProjectiveMeasurement:
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(vectors=np.array([[1.0, 0.0], [0.0, entry]]))
 
+    @pytest.mark.parametrize(
+        "given",
+        [{"projectors": []}, {"vectors": np.zeros((0, 0))}, {"projectors": [np.zeros((0, 0))]}],
+        ids=["no-projectors", "no-vectors", "empty-projector"],
+    )
+    def test_rejects_empty(self, given):
+        # an IndexError and a numpy "zero-size array to reduction" ValueError before
+        with pytest.raises(ValidationError):
+            ProjectiveMeasurement(**given)
+
     def test_rejects_both_arguments(self):
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(vectors=np.eye(2), projectors=[np.eye(2)])
@@ -241,27 +251,30 @@ class TestMubCheck:
 
 
 class TestDephasingChannel:
+    """The channel as its d²×d² array Δ = Q·Q†, applied to vec ρ."""
+
     def test_kills_off_diagonals_in_own_basis(self):
-        m = dephasing_basis(2)
-        delta = dephasing_channel(m)
+        delta = dephasing_channel(dephasing_basis(2))
+        assert isinstance(delta, np.ndarray) and delta.shape == (4, 4)
         rho = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
-        out = delta.apply(rho)
+        out = reference.unvec(delta @ reference.vec(rho), 2)
         assert np.allclose(out, np.diag([0.6, 0.4]))
 
     def test_idempotent(self):
         delta = dephasing_channel(fourier_mub(3))
-        comp = delta.compose(delta)
-        assert np.max(np.abs(comp.matrix - delta.matrix)) < 1e-12
+        assert np.max(np.abs(delta @ delta - delta)) < 1e-12
 
     def test_trace_preserving(self):
-        assert dephasing_channel(qubit_basis(0.4, 0.2)).is_trace_preserving()
+        # tr Δ(X) = tr X for all X  <=>  vec(1)†·Δ = vec(1)†
+        ident = reference.vec(np.eye(2)).conj()
+        assert np.max(np.abs(ident @ dephasing_channel(qubit_basis(0.4, 0.2)) - ident)) <= 1e-10
 
     def test_general_pvm_channel(self):
         p0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
         delta = dephasing_channel(ProjectiveMeasurement(projectors=[p0, p1]))
         rho = np.full((3, 3), 1.0 / 3, dtype=complex)
-        out = delta.apply(rho)
+        out = reference.unvec(delta @ reference.vec(rho), 3)
         # coherences inside the rank-2 block survive, cross-block ones die
         assert abs(out[0, 1] - 1.0 / 3) < 1e-12
         assert abs(out[0, 2]) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
-from reference import commutativity_check, tensor_collapse_check
+from reference import commutativity_check, factorization_deficit, tensor_collapse_check
 from dephaser import linalg, models
 from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
@@ -638,16 +638,11 @@ class TestMarkovianityDeficit:
         times = [0.25 * t for t in raw]
         provider = ExactDephasingProvider(model)
         deficit, detail = models.markovianity_deficit_detail(provider, times, max_order)
-        index_pairs = list(itertools.product(range(d), repeat=2))
         reference, tuples = 0.0, 0
         for n in range(2, max_order + 1):
             for sel in itertools.combinations(sorted(times), n + 1):
-                durations = [t2 - t1 for t1, t2 in zip(sel, sel[1:])]
-                phi = [{p: provider.tensor_pairs([p], [dt]) for p in index_pairs} for dt in durations]
-                for pairs in itertools.product(index_pairs, repeat=n):
-                    factored = np.prod([phi[k][p] for k, p in enumerate(pairs)])
-                    reference = max(reference, abs(provider.tensor_pairs(pairs, durations) - factored))
-                    tuples += 1
+                value, entries = factorization_deficit(provider, [t2 - t1 for t1, t2 in zip(sel, sel[1:])])
+                reference, tuples = max(reference, value), tuples + entries
         assert abs(deficit - reference) < 1e-12
         # the orders walked: selections of n + 1 times need n + 1 <= K
         orders = list(range(2, min(max_order, len(times) - 1) + 1))

@@ -13,7 +13,7 @@ from dephaser.errors import (
     ValidationError,
 )
 from dephaser.linalg import hermitian_expm, random_density, random_unitary
-from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
+from dephaser.measurements import ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -32,7 +32,6 @@ from dephaser.statistics import (
     joint_distribution,
     ncgd_deficit,
     oracle_distribution,
-    reduced_map,
     sandwich_identity_deficit,
 )
 import reference
@@ -575,18 +574,15 @@ class TestCaps:
 
 
 class TestReducedMap:
-    def test_matches_entrywise_phi(self, zx_provider):
-        phi = zx_provider.dephasing_matrix(1.7, 0.4)
-        lam = reduced_map(zx_provider, 1.7, 0.4)
-        rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-        assert np.max(np.abs(lam.apply(rho) - phi * rho)) < 1e-13
+    """The reduced map Λ_{t,s} = diag(vec φ(t, s)), read as the dephasing matrix."""
 
     def test_trace_preserving(self, zx_provider):
-        assert reduced_map(zx_provider, 2.0, 0.0).is_trace_preserving()
+        # tr Λ(X) = tr X for all X  <=>  vec(1)†·Λ = vec(1)†  <=>  φ has a unit diagonal
+        assert np.max(np.abs(np.diag(zx_provider.dephasing_matrix(2.0, 0.0)) - 1.0)) <= 1e-10
 
     def test_time_order(self, zx_provider):
         with pytest.raises(TimeOrderError):
-            reduced_map(zx_provider, 0.0, 1.0)
+            zx_provider.dephasing_matrix(0.0, 1.0)
 
 
 def real_dephasing_provider(d=2, gamma=0.5):
