@@ -563,12 +563,12 @@ def theta_sweep(
     absolute deficit.  The angle-independent bracket of the closed form is
     evaluated once per sweep, and the angles are one array expression.
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
-    time-dependent factor is nonzero.  An empty ``thetas`` raises
-    ``ValidationError``.
+    time-dependent factor is nonzero.  An empty ``thetas``, or a non-finite
+    angle, raises ``ValidationError``.
     """
     thetas = np.asarray(list(thetas), dtype=float)
-    if thetas.size == 0:
-        raise ValidationError("theta_sweep: need at least one angle")
+    if thetas.size == 0 or not np.isfinite(thetas).all():
+        raise ValidationError(f"theta_sweep: need one or more finite angles, got {thetas}")
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
     deficits = _qubit_two_time_deficit(bracket, thetas, x2)
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
@@ -605,6 +605,8 @@ def search_nonclassicality_witness(
     """
     if not 1 <= position <= order - 1:
         raise ValidationError(f"search_nonclassicality_witness: position {position} not interior for order {order}")
+    if points_per_interval < 1:
+        raise ValidationError(f"search_nonclassicality_witness: points_per_interval {points_per_interval} < 1")
     grid = np.linspace(t0, horizon, points_per_interval * (order - 1) + 1)[1:]
     best = None
     if len(grid) >= order:

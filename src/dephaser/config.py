@@ -29,7 +29,30 @@ from .statistics import SystemPreparation, TimeGrid
 
 CONFIG_VERSION = 1
 
-ANALYSIS_KINDS = ("classicality", "markovianity", "ncgd", "theta-sweep", "oracle-check")
+
+@dataclass(frozen=True)
+class AnalysisRules:
+    """What one analysis kind reads; :func:`parse_config` rejects a config that lacks it."""
+
+    exact: bool = False  # an exact (finite-environment) model
+    measurement: bool = True  # a measurement section
+    min_times: int = 1  # least number of grid times
+    min_order: Optional[int] = None  # least analysis.max_order, for a kind that reads one
+    qubit_diagonal: bool = False  # d = 2 and a diagonal preparation
+
+
+#: the rules of each analysis kind, one runner per key in ``cli``
+ANALYSES = {
+    "classicality": AnalysisRules(min_order=2),
+    "markovianity": AnalysisRules(exact=True, measurement=False, min_order=2),
+    "ncgd": AnalysisRules(min_times=3),
+    "theta-sweep": AnalysisRules(measurement=False, min_times=2, qubit_diagonal=True),
+    "oracle-check": AnalysisRules(exact=True),
+}
+
+#: largest |off-diagonal entry| of a preparation that theta-sweep takes as diagonal:
+#: its closed form reads only p = ρ_00, so coherences must vanish up to roundoff.
+DIAGONAL_TOL = 1e-14
 
 #: A markovian generator L = −(iε + γ/2) is accepted iff min eig V†·L·V >= −CP_TOL·max|L|, V an
 #: orthonormal basis of {x : Σx = 0}: φ(t) = exp∘(t·L) is then PSD for every t >= 0, so the
@@ -48,14 +71,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _number(node, kind, name: str):
-    """``node`` as a finite float (``kind`` float) or an integral int (``kind`` int)."""
+def _number(node, kind, name: str, least=None):
+    """``node`` as a finite float (``kind`` float) or an integral int (``kind`` int), and >= ``least`` if given."""
     try:
         value = kind(node)
         ok = not isinstance(node, bool) and math.isfinite(value) and value == float(node)
     except (TypeError, ValueError, OverflowError):
         ok = False
-    _require(ok, f"{name}: expected {'a finite number' if kind is float else 'an integer'}, got {node!r}")
+    expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
+    _require(ok and (least is None or value >= least), f"{name}: expected {expected}, got {node!r}")
     return value
 
 
@@ -86,7 +110,11 @@ def _complex_vector(node, name: str) -> np.ndarray:
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment: constructed objects plus analysis knobs."""
+    """A fully validated experiment: constructed objects plus analysis knobs.
+
+    ``analysis`` has ``tolerance`` >= 0, ``max_order`` and ``theta_points`` >= 1 (by default
+    ``DEFAULT_TOL``, 3 and 181), and the config meets ``ANALYSES[analysis["kind"]]``; size caps
+    are checked only by the run."""
 
     provider: DephasingTensorProvider
     preparation: SystemPreparation
@@ -191,27 +219,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")
     kind = analysis.get("kind")
-    _require(kind in ANALYSIS_KINDS, f"analysis.kind: expected one of {ANALYSIS_KINDS}, got {kind!r}")
-    analysis = dict(analysis)
-    analysis["tolerance"] = _number(analysis.get("tolerance", DEFAULT_TOL), float, "analysis.tolerance")
-    _require(analysis["tolerance"] >= 0, f"analysis.tolerance: expected a number >= 0, got {analysis['tolerance']!r}")
-    analysis["max_order"] = _number(analysis.get("max_order", 3), int, "analysis.max_order")
-    if "theta_points" in analysis:
-        points = analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points")
-        _require(points >= 1, f"analysis.theta_points: expected an integer >= 1, got {points!r}")
+    _require(isinstance(kind, str) and kind in ANALYSES, f"analysis.kind: expected one of {tuple(ANALYSES)}, got {kind!r}")
+    rules = ANALYSES[kind]
+    analysis = {"tolerance": DEFAULT_TOL, "max_order": 3, "theta_points": 181, **analysis}
+    analysis["tolerance"] = _number(analysis["tolerance"], float, "analysis.tolerance", 0)
+    analysis["max_order"] = _number(analysis["max_order"], int, "analysis.max_order", rules.min_order)
+    analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points", 1)
+    _require(isinstance(provider, ExactDephasingProvider) or not rules.exact, f"analysis.kind '{kind}' requires an exact model")
+    _require(grid.n >= rules.min_times, f"grid.times: analysis.kind '{kind}' needs at least {rules.min_times} times")
 
-    if kind in ("markovianity", "oracle-check"):
-        _require(isinstance(provider, ExactDephasingProvider), f"analysis.kind '{kind}' requires an exact model")
-
-    measurement = None
-    if "measurement" in doc and doc["measurement"] is not None:
-        measurement = _section("measurement", _build_measurement, doc["measurement"], d)
-    _require(
-        measurement is not None or kind in ("markovianity", "theta-sweep"),
-        f"analysis.kind '{kind}' requires a measurement section",
-    )
+    node = doc.get("measurement")
+    measurement = None if node is None else _section("measurement", _build_measurement, node, d)
+    _require(measurement is not None or not rules.measurement, f"analysis.kind '{kind}' requires a measurement section")
 
     preparation = _section("preparation", _build_preparation, doc.get("preparation", {"kind": "maximally-mixed"}), d)
+    if rules.qubit_diagonal:
+        rho = preparation.density
+        _require(d == 2, f"{kind} requires d = 2, model has d = {d}")
+        _require(np.max(np.abs(rho - np.diag(np.diag(rho)))) <= DIAGONAL_TOL, f"{kind} requires a diagonal preparation")
 
     return ExperimentConfig(provider, preparation, measurement, grid, analysis)
 

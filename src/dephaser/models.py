@@ -35,9 +35,10 @@ L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
 B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
 T = A·diag(s)·A† where row J of A is vec(L_J B); φ(dt) is its one-interval
 case.  The signs are kept, not clipped, because ``check_density`` admits
-eigenvalues down to -1e-10.  Two providers are implemented: the exact finite-environment one, and the
-analytic one (D = 1) whose tensor factorizes into per-interval exponentials
-by construction (the regression/Markovian case).
+eigenvalues down to -1e-10.  Two providers are implemented: the exact
+finite-environment one, and the analytic one (D = 1) whose tensor factorizes
+into per-interval exponentials by construction (the regression/Markovian
+case).
 """
 
 from __future__ import annotations
@@ -154,7 +155,10 @@ class DephasingTensorProvider(ABC):
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
     # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
     def dephasing_matrix(self, t, s) -> np.ndarray:
-        """The matrices φ(t - s) of single-interval tensor values over [s, t], (..., d, d) for t, s of shape (...)."""
+        """The matrices φ(t - s) of single-interval tensor values over [s, t], (..., d, d) for t, s of shape (...);
+        a non-finite t or s raises ``ValidationError`` before t - s is formed."""
+        if not (np.isfinite(t).all() and np.isfinite(s).all()):
+            raise ValidationError(f"dephasing_matrix: need finite times, got t = {t}, s = {s}")
         if np.less(t, s).any():
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
         return self.dephasings(np.subtract(t, s))
@@ -511,6 +515,8 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     if max_order < 2:
         raise ValidationError(f"markovianity_deficit: max_order must be >= 2, got {max_order}")
     times = np.sort(np.array([float(t) for t in times]))
+    if not np.isfinite(times).all():
+        raise ValidationError(f"markovianity_deficit: need finite times, got {times}")
     k, d = len(times), provider.d
     tuples = 0
     for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed

@@ -166,8 +166,8 @@ class JointDistribution:
 
     def marginalize(self, position: int) -> "JointDistribution":
         """Sum out the outcome at 1-based ``position``; drops its time too."""
-        arr = self.as_array().sum(axis=position - 1)
-        return JointDistribution(self.n_outcomes, self.grid.drop(position), arr.reshape(-1))
+        grid = self.grid.drop(position)  # validates position before the sum reads it as an axis
+        return JointDistribution(self.n_outcomes, grid, self.as_array().sum(axis=position - 1).reshape(-1))
 
 
 def _build_global_hamiltonian(model: DephasingModel) -> np.ndarray:

@@ -739,7 +739,32 @@ class TestThetaSweep:
         assert abs(deficits[2]) < 1e-14
 
 
+INF, NAN = float("inf"), float("nan")
+# each formed inf - inf or sin(inf), a RuntimeWarning, or returned NaN deficits, before any check
+NON_FINITE_CALLS = {
+    "markovianity-inf-times": lambda p: models.markovianity_deficit_detail(p, [INF] * 3, 2),
+    "triviality-inf-times": lambda p: models.triviality_check(p, [INF, INF]),
+    "semigroup-inf-times": lambda p: models.semigroup_deficit(p, 0.0, INF, INF),
+    "theta-sweep-nan-angle": lambda p: theta_sweep(p, 0.5, [0.1, NAN], 1.6, 0.8),
+    "theta-sweep-inf-angle": lambda p: theta_sweep(p, 0.5, [0.1, INF], 1.6, 0.8),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_times_and_angles_rejected_first(zx_provider, call):
+    with pytest.raises(ValidationError, match="finite"):
+        call(zx_provider)
+
+
 class TestWitnessSearch:
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_points_per_interval_below_one_rejected(self, zx_provider, points):
+        # -1 raised numpy's ValueError from linspace; 0 skipped the grid sweep silently
+        with pytest.raises(ValidationError, match="points_per_interval"):
+            search_nonclassicality_witness(
+                zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), 0.0, 3.0, points_per_interval=points
+            )
+
     def test_finds_violation_on_noncommuting_model(self):
         prov = ExactDephasingProvider(get_preset("qubit-zx"))
         rec = search_nonclassicality_witness(

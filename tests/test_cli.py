@@ -13,7 +13,7 @@ import pytest
 from dephaser import classicality as cl
 from dephaser import cli, linalg, models, statistics
 from dephaser.cli import main
-from dephaser.config import ConfigError, load_config, parse_config
+from dephaser.config import ANALYSES, ConfigError, load_config, parse_config
 from dephaser.measurements import fourier_mub
 from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
 from dephaser.presets import PRESETS, get_preset
@@ -114,6 +114,7 @@ MALFORMED = {
     "max_order": {"analysis": {"kind": "classicality", "max_order": "three"}},
     "theta": {"measurement": {"kind": "qubit", "theta": "a"}},
     "preset": {"model": {"kind": "exact", "preset": "no-such-preset"}},
+    "kind": {"analysis": {"kind": ["classicality"]}},
     "block": {
         "model": {
             "kind": "exact",
@@ -419,7 +420,7 @@ class TestRunCommand:
         )
         path = write_config(tmp_path, doc)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_overflowing_times_exit_2(self, tmp_path, capsys):
         # the phase 1e308·w of commuting-diag overflows: no NaN deficit may be reported
@@ -655,7 +656,7 @@ class TestThetaSweep:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "ValidationError", "message": "theta-sweep requires a diagonal preparation"}
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": "theta-sweep requires a diagonal preparation"}
         assert not (out / "deficits.csv").exists()
 
     def test_diagonal_pure_preparation_runs(self, tmp_path):
@@ -720,6 +721,66 @@ class TestShippedConfigs:
         monkeypatch.setattr(models, "spectral_expm", counting)
         assert main(["run", os.path.join(ROOT, "configs", "theta_sweep_qubit_zx.json"), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1 and np.array_equal(calls[0], [0.8])
+
+
+# each validated with exit 0, and its run exited 2 before computing anything
+PROBES = {
+    "theta-sweep-on-a-qutrit": classicality_config(
+        model={"kind": "markovian", "preset": "markov-real-qudit"},
+        preparation={"kind": "maximally-mixed"},
+        measurement=None,
+        analysis={"kind": "theta-sweep"},
+    ),
+    "ncgd-on-2-times": classicality_config(grid={"t0": 0.0, "times": [0.8, 1.6]}, analysis={"kind": "ncgd"}),
+    "classicality-order-1": classicality_config(analysis={"kind": "classicality", "max_order": 1}),
+    "markovianity-order-0": classicality_config(measurement=None, analysis={"kind": "markovianity", "max_order": 0}),
+}
+
+
+def _agreement_cases():
+    """The probes, and every shipped config with each analysis kind swapped in."""
+    cases = dict(PROBES)
+    for config in SHIPPED_CONFIGS:
+        with open(config) as fh:
+            doc = json.load(fh)
+        for kind in ANALYSES:
+            cases[f"{os.path.basename(config)[:-5]}-as-{kind}"] = {**doc, "analysis": {**doc["analysis"], "kind": kind}}
+    return cases
+
+
+AGREEMENT_CASES = _agreement_cases()
+
+
+class Computed(Exception):
+    """Raised where a run builds its first eigendecomposition or propagator."""
+
+
+class TestValidateAgreesWithRun:
+    def test_one_runner_per_analysis_kind(self):
+        assert list(cli._RUNNERS) == list(ANALYSES)
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+    def test_validate_rejects_what_run_rejects_before_computing(self, tmp_path, capsys, monkeypatch, name):
+        def computed(*args):
+            raise Computed
+
+        monkeypatch.setattr(models, "spectral_expm", computed)
+        monkeypatch.setattr(models, "hermitian_eigh", computed)
+        path = write_config(tmp_path, AGREEMENT_CASES[name])
+        try:
+            run = main(["run", path, "--out", str(tmp_path / "o")])
+        except Computed:
+            run = None
+        run_err = capsys.readouterr().err
+        validate = main(["validate", path])
+        validate_err = capsys.readouterr().err
+        if run == 2:
+            assert len(run_err.splitlines()) == 1
+            assert validate == 2 and validate_err == run_err
+        else:
+            # reached a propagator, ran to the end on an analytic model, or hit a size cap
+            assert run in (None, 0, 3) and validate == 0
+        assert run == 2 or name not in PROBES
 
 
 class TestDeterminism:

@@ -115,6 +115,13 @@ class TestJointDistribution:
         assert np.allclose(m.table, [0.4, 0.6])
         assert abs(d.as_array()[1, 0] - 0.3) < 1e-15
 
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_marginalize_position_out_of_range(self, position):
+        # position n + 1 raised numpy's AxisError from the sum before the grid checked it
+        d = JointDistribution(2, TimeGrid(0.0, (1.0, 2.0)), np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(ValidationError, match="out of range"):
+            d.marginalize(position)
+
     def test_clipped(self):
         g = TimeGrid(0.0, (1.0,))
         d = JointDistribution(2, g, np.array([1.0 + 5e-11, -5e-11]))
