@@ -47,6 +47,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -462,6 +463,20 @@ def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMea
     return (p + spans) * d * d * big + p * m * r * d * big + 2 * spans * m * m * r * r * big
 
 
+def _check_closed_form(caller: str, values: dict, outcomes: dict) -> None:
+    """Reject the inputs of a closed form before any arithmetic: a non-finite
+    value, a population ``p`` outside [0, 1] and an outcome that is not the
+    integer 0 or 1 raise ``ValidationError``."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{caller}: {name} must be finite, got {value!r}")
+    if "p" in values and not 0 <= values["p"] <= 1:
+        raise ValidationError(f"{caller}: p must lie in [0, 1], got {values['p']!r}")
+    for name, x in outcomes.items():
+        if not (isinstance(x, numbers.Integral) and x in (0, 1)):
+            raise ValidationError(f"{caller}: outcome {name} must be 0 or 1, got {x!r}")
+
+
 def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: float, t1: float, t0: float) -> complex:
     """The angle-independent factor of the closed-form 2-time qubit deficit."""
     if provider.d != 2:
@@ -498,8 +513,11 @@ def qubit_two_time_deficit_closed(
 
     Equals sum_x1 P2(x2, t2; x1, t1) - P1(x2, t2) for the preparation
     diag(p, 1-p) and the measurement basis parametrized by theta (the deficit
-    does not depend on the azimuthal phase).
+    does not depend on the azimuthal phase).  A non-finite input, p outside
+    [0, 1] or x2 outside {0, 1} raises ``ValidationError``.
     """
+    values = {"p": p, "theta": theta, "t2": t2, "t1": t1, "t0": t0}
+    _check_closed_form("qubit_two_time_deficit_closed", values, {"x2": x2})
     return float(_qubit_two_time_deficit(_qubit_two_time_bracket(provider, p, t2, t1, t0), theta, x2))
 
 
@@ -507,8 +525,12 @@ def qubit_two_time_deficit_simplified(p: float, theta: float, x2: int, re_phi: f
     """The Markovian-or-commuting specialization of the 2-time deficit.
 
     With a single dephasing function φ, the bracket collapses and the deficit
-    becomes (-1)^x2 · (1/2)(1/2 - p) · sin 2θ sin 4θ · (1 - Re φ).
+    becomes (-1)^x2 · (1/2)(1/2 - p) · sin 2θ sin 4θ · (1 - Re φ).  A
+    non-finite input, p outside [0, 1] or x2 outside {0, 1} raises
+    ``ValidationError``.
     """
+    values = {"p": p, "theta": theta, "re_phi": re_phi}
+    _check_closed_form("qubit_two_time_deficit_simplified", values, {"x2": x2})
     return float((-1) ** x2 * 0.5 * (0.5 - p) * np.sin(2 * theta) * np.sin(4 * theta) * (1.0 - re_phi))
 
 
@@ -520,7 +542,10 @@ def markov_qubit_violation_closed(
     Diagonal preparation, unbiased measurement basis.  The value is
     -(1/4)(-1)^(x3-x1) e^{-γ(t3-t1)/2} sin[ε(t3-t2)] sin[ε(t2-t1)]: it
     vanishes for all times iff ε = 0, i.e. iff the dephasing function is real.
+    A non-finite input, or x3 or x1 outside {0, 1}, raises ``ValidationError``.
     """
+    values = {"epsilon": epsilon, "gamma": gamma, "t3": t3, "t2": t2, "t1": t1}
+    _check_closed_form("markov_qubit_violation_closed", values, {"x3": x3, "x1": x1})
     return float(
         -0.25
         * (-1) ** (x3 - x1)
@@ -563,12 +588,14 @@ def theta_sweep(
     absolute deficit.  The angle-independent bracket of the closed form is
     evaluated once per sweep, and the angles are one array expression.
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
-    time-dependent factor is nonzero.  An empty ``thetas``, or a non-finite
-    angle, raises ``ValidationError``.
+    time-dependent factor is nonzero.  An empty ``thetas``, a non-finite
+    angle or other input, p outside [0, 1] or x2 outside {0, 1} raises
+    ``ValidationError``.
     """
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or not np.isfinite(thetas).all():
         raise ValidationError(f"theta_sweep: need one or more finite angles, got {thetas}")
+    _check_closed_form("theta_sweep", {"p": p, "t2": t2, "t1": t1, "t0": t0}, {"x2": x2})
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
     deficits = _qubit_two_time_deficit(bracket, thetas, x2)
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
@@ -601,8 +628,14 @@ def search_nonclassicality_witness(
     one at a time.  So the grid is bounded by the report's caps: for a qubit
     with a rank-one PVM, at most 194 grid times (97 points per interval) at
     order 3 and 60 (20 per interval) at order 4.  A larger grid raises
-    ``SizeCapError`` before any propagator is computed.
+    ``SizeCapError`` before any propagator is computed.  ``t0`` and
+    ``horizon`` must be finite with ``horizon`` > ``t0`` (``ValidationError``,
+    before the grid is formed).
     """
+    if not (math.isfinite(t0) and math.isfinite(horizon)):
+        raise ValidationError(f"search_nonclassicality_witness: need a finite t0 and horizon, got {t0!r}, {horizon!r}")
+    if not horizon > t0:
+        raise ValidationError(f"search_nonclassicality_witness: horizon {horizon!r} must exceed t0 = {t0!r}")
     if not 1 <= position <= order - 1:
         raise ValidationError(f"search_nonclassicality_witness: position {position} not interior for order {order}")
     if points_per_interval < 1:

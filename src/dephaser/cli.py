@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classicality as cl
 from . import statistics as st
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .errors import DephaserError, SizeCapError, ValidationError
 from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
@@ -201,7 +201,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     try:
         load_config(args.config)
-    except ConfigError as exc:
+    except ValidationError as exc:
         return _error_json(EXIT_VALIDATION, exc)
     print("ok")
     return EXIT_OK

@@ -61,6 +61,13 @@ DIAGONAL_TOL = 1e-14
 #: ulps of max|L| (−1e-17·max|L| at ω ~ 1e6); a non-CP generator reads −O(max|L|).
 CP_TOL = 1e-12
 
+#: largest phase t·‖H‖ a config may reach, t the largest |time| of its grid (t0 included) and
+#: ‖H‖ a bound on the model's frequencies (:func:`_frequency_bound`).  A phase t·w is formed in
+#: doubles from t and w, each known to a relative 2^-52, so it carries an error near
+#: t·‖H‖·2^-52 rad: 2·10^-7 rad at this bound, where tables still hold about seven digits,
+#: against 0.2 rad at t·‖H‖ = 10^15, where exp(-i·t·w) is noise.  The library stays permissive.
+PHASE_BOUND = 1e9
+
 
 class ConfigError(ValidationError):
     """Config file fails schema or invariant validation."""
@@ -162,6 +169,17 @@ def _build_model(node):
     raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {kind!r}")
 
 
+def _frequency_bound(provider: DephasingTensorProvider) -> float:
+    """‖H‖, a bound on every frequency of the model: the largest absolute row sum of a block
+    (it bounds the block's eigenvalues), or max|ε| + max γ/2 for a markovian model.  A bound too
+    large for a double is inf."""
+    model = provider.model
+    if isinstance(provider, ExactDephasingProvider):
+        with np.errstate(over="ignore"):
+            return float(np.abs(model.blocks).sum(axis=-1).max())
+    return float(np.abs(model.eps).max()) + 0.5 * float(model.gamma.max())
+
+
 def _build_preparation(node, d: int) -> SystemPreparation:
     _require(isinstance(node, dict), "preparation: expected an object")
     kind = node.get("kind")
@@ -215,6 +233,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(times, (list, tuple)), f"grid.times: expected a list, got {times!r}")
     times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
     grid = _section("grid", TimeGrid, t0, times)
+    phase = max(map(abs, (grid.t0,) + grid.times)) * _frequency_bound(provider)
+    if not phase <= PHASE_BOUND:
+        # a ValidationError, as a run reports a phase that overflows, so both read alike
+        raise ValidationError(
+            f"grid.times: phase t·|H| = {phase:.3e} exceeds {PHASE_BOUND:g} (t the largest |time|, |H| a bound "
+            "on the model's frequencies), beyond which exp(-i·t·w) loses its digits"
+        )
 
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")

@@ -23,11 +23,18 @@ comes in stages, each over a whole array of durations at once:
 ``apply`` (the branch states).  The last measurement needs only
 probabilities, tr E_xy = tr(E_x·M_xy), so ``effects`` gives the
 Heisenberg-picture effect operators M_xy = K_xy†K_xy (exact) or
-V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.  The exact
-provider diagonalises its stacked blocks once, in one call, and keeps the
-U_j of the last distinct durations it exponentiated together, the only cache
-of φ.  ``dephasing_matrix(t, s)`` of a provider, and the checks built on it,
-read φ(t - s) for whole arrays of times, one stacked read per chunk.
+V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
+
+What depends only on the model or on the measurement is built once per
+object: a :class:`DephasingModel` stacks its blocks once, into one read-only
+(d, D, D) array, and the Kraus coefficients of a pair of outcome bases come
+from one bounded memo keyed by the bases' contents (:func:`_coefficients`).
+What the dynamics give is built once per provider and never shared between
+providers: the exact provider diagonalises the stored stack once, in one
+call, factors ρ_E once, and keeps the U_j of the last distinct durations it
+exponentiated together, the only cache of φ.  ``dephasing_matrix(t, s)`` of
+a provider, and the checks built on it, read φ(t - s) for whole arrays of
+times, one stacked read per chunk.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -46,7 +53,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -179,14 +186,17 @@ class DephasingModel:
 
     One Hermitian block Hamiltonian per dephasing-basis vector (d of them,
     each D×D), plus the initial environment state, stored as validated
-    read-only copies: code downstream skips re-checking them.
+    read-only copies: code downstream skips re-checking them.  The blocks are
+    given as a sequence of D×D matrices and stored in one form, a (d, D, D)
+    array stacked once per model (indexing, ``len`` and iteration give the
+    blocks), which every provider of the model diagonalises as it is.
     """
 
-    blocks: tuple
+    blocks: np.ndarray
     env_state: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(np.array(check_hermitian(b, f"block H_{j}")) for j, b in enumerate(self.blocks))
+        blocks = [check_hermitian(b, f"block H_{j}") for j, b in enumerate(self.blocks)]
         if not blocks:
             raise ValidationError("DephasingModel: need at least one block")
         big_d = blocks[0].shape[0]
@@ -196,18 +206,19 @@ class DephasingModel:
         env = np.array(check_density(self.env_state, "env_state"))
         if env.shape != (big_d, big_d):
             raise ShapeError(f"DephasingModel: env_state dim {env.shape[0]} != block dim {big_d}")
-        for a in blocks + (env,):
+        blocks = np.stack(blocks)
+        for a in (blocks, env):
             a.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "env_state", env)
 
     @property
     def d(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def env_dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
 
 class ExactDephasingProvider(DephasingTensorProvider):
@@ -222,10 +233,10 @@ class ExactDephasingProvider(DephasingTensorProvider):
 
     def _eigh(self) -> tuple:
         """The spectral decompositions H_j = V_j diag(w_j) V_j† of all blocks,
-        (d, D) and (d, D, D): one eigendecomposition of the stacked blocks,
-        computed once per provider."""
+        (d, D) and (d, D, D): one eigendecomposition of the model's stored
+        (d, D, D) stack, computed once per provider."""
         if self._eig is None:
-            self._eig = hermitian_eigh(np.stack(self.model.blocks))
+            self._eig = hermitian_eigh(self.model.blocks)
         return self._eig
 
     @cached_property
@@ -275,10 +286,10 @@ class ExactDephasingProvider(DephasingTensorProvider):
         """The Kraus operators K[..., x, (y, γ, a), (α, b)] = Σ_j conj(V_y[j, γ])·V_x[j, α]·U_j[a, b],
         i.e. K_xy = Σ_j (V_y† e_j)(e_j† V_x) ⊗ U_j, stacked over y, (..., m_s,
         m_t·r_t·D, r_s·D): one (m_s·m_t·r_t·r_s)×d by d×D² product per
-        duration."""
+        duration, on the coefficients of the two bases kept by :func:`_coefficients`."""
         lead, (d, big_d, _) = exponentials.shape[:-3], exponentials.shape[-3:]
         (ms, _, rs), (mt, _, rt) = source.shape, target.shape
-        coef = np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, d)
+        coef = _coefficients(source, target)
         k = (coef @ exponentials.reshape(lead + (d, big_d * big_d))).reshape(lead + (ms, mt, rt, rs, big_d, big_d))
         return k.swapaxes(-3, -2).reshape(lead + (ms, mt * rt * big_d, rs * big_d))
 
@@ -317,6 +328,43 @@ class ExactDephasingProvider(DephasingTensorProvider):
             strings = _extend(strings, u)
         # rows (j_1, ..., j_n) and columns (l_1, ..., l_n), interleaved
         return _gram(strings, sign).reshape((d,) * 2 * n).transpose([a for k in range(n) for a in (k, n + k)])
+
+
+#: basis-pair coefficients of at most this many entries are kept by
+#: :func:`_coefficients`, the COEFFICIENT_CACHE most recently used; a larger
+#: array is built per call.  A kept array holds at most 2^15 · 16 B = 512 KiB
+#: and its key (the two bases' bytes, each no larger) at most 1 MiB, so the
+#: memo holds at most 12 MiB.  An engine call reads two basis pairs (out of
+#: the identity basis, and between outcome bases); with a rank-one PVM each
+#: holds d³ entries, so every d <= 32 is kept (d = 5: 125 entries).
+COEFFICIENT_ENTRIES = 1 << 15
+COEFFICIENT_CACHE = 8
+
+
+def _coefficients(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """C[(x, y, γ, α), j] = conj(V_y[j, γ])·V_x[j, α] of two outcome bases, the
+    coefficients of the Kraus operators of
+    :meth:`ExactDephasingProvider.kernels`, (m_s·m_t·r_t·r_s, d), read-only.
+
+    They depend on the two bases only, so they are kept by contents (dtype,
+    shape and bytes), not by identity: an equal basis built again reads the
+    same array."""
+    (ms, d, rs), (mt, _, rt) = source.shape, target.shape
+    if ms * mt * rt * rs * d > COEFFICIENT_ENTRIES:
+        return _basis_pair(source, target)
+    return _kept_coefficients(*((a.dtype.str, a.shape, a.tobytes()) for a in (source, target)))
+
+
+@lru_cache(maxsize=COEFFICIENT_CACHE)
+def _kept_coefficients(source: tuple, target: tuple) -> np.ndarray:
+    """:func:`_basis_pair` of two bases given as (dtype, shape, bytes)."""
+    return _basis_pair(*(np.frombuffer(data, dtype).reshape(shape) for dtype, shape, data in (source, target)))
+
+
+def _basis_pair(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    coef = np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, source.shape[1])
+    coef.flags.writeable = False
+    return coef
 
 
 def _distinct(dt) -> tuple:

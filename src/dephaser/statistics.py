@@ -14,7 +14,12 @@ Two independent routes are implemented:
   interval's kernel and all later ones come from it, each interval but the
   last is one ``provider.apply``, and the last is read out: its
   ``provider.effects`` M_xy give tr E_xy = tr(E_x·M_xy) (:func:`_readout`)
-  without building the last branch states;
+  without building the last branch states.  Its fixed set-up is built once
+  per object, not per call: the grid's durations once per :class:`TimeGrid`,
+  the identity basis once per d (:func:`_identity`), the block stack once per
+  model and the basis-pair coefficients once per measurement (see
+  :mod:`dephaser.models`); the eigendecomposition, the U_j or φ and the root
+  ρ⊗ρ_E are built per provider and call;
 * :func:`oracle_distribution` simulates the global system-environment unitary
   directly and applies projections on the joint space, one outcome branch at
   a time (the brute-force cross-check; exact models only).
@@ -33,6 +38,7 @@ and machine are bitwise identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,6 +55,10 @@ from .models import TERM_CAP, DephasingModel, DephasingTensorProvider, _max_per_
 #: kron and two joint-space products issued from Python, about 70 µs at
 #: d·D <= 16 on a 2-core x86 box, so one cross-check stays under a second.
 ORACLE_BRANCH_CAP = 10_000
+
+#: identity bases kept by :func:`_identity`, one per d, the most recently used;
+#: each holds d² entries, no more than the ρ⊗ρ_E that its caller builds beside it.
+IDENTITY_CACHE = 8
 
 NEG_FLOOR = -1e-10
 NORM_TOL = 1e-10
@@ -73,7 +83,12 @@ def _check_tables(tables: np.ndarray, where) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Preparation time plus the ordered measurement times."""
+    """Preparation time plus the ordered measurement times.
+
+    The n durations between them are computed once per grid and kept as a
+    read-only float array beside the fields, which :func:`joint_distribution`
+    hands to the provider; ``durations`` reads them as a tuple.
+    """
 
     t0: float
     times: tuple
@@ -86,6 +101,10 @@ class TimeGrid:
             raise TimeOrderError(f"TimeGrid: times {times} not non-decreasing from t0 = {self.t0}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "t0", float(self.t0))
+        # not a field, so equality, hashing and repr read t0 and times only
+        durations = np.diff((self.t0,) + times)
+        durations.flags.writeable = False
+        object.__setattr__(self, "_durations", durations)
 
     @property
     def n(self) -> int:
@@ -93,8 +112,7 @@ class TimeGrid:
 
     @property
     def durations(self) -> tuple:
-        full = (self.t0,) + self.times
-        return tuple(b - a for a, b in zip(full, full[1:]))
+        return tuple(self._durations.tolist())
 
     def drop(self, position: int) -> "TimeGrid":
         """Grid with the measurement at 1-based ``position`` removed."""
@@ -182,7 +200,7 @@ def _build_global_hamiltonian(model: DephasingModel) -> np.ndarray:
 
 def _root(provider: DephasingTensorProvider, prep: SystemPreparation, measurement: ProjectiveMeasurement, caller: str):
     """The state ρ⊗ρ_E before the first interval, as the one branch (1, d·D, d·D)
-    of the identity basis (1, d, d), and that basis."""
+    of the identity basis (1, d, d), and that basis (:func:`_identity`, shared)."""
     d = provider.d
     if prep.d != d or measurement.d != d:
         raise ShapeError(
@@ -190,7 +208,15 @@ def _root(provider: DephasingTensorProvider, prep: SystemPreparation, measuremen
         )
     env = provider.env
     root = (prep.density[:, None, :, None] * env[None, :, None, :]).reshape(1, d * len(env), d * len(env))
-    return root, np.eye(d, dtype=complex)[None]
+    return root, _identity(d)
+
+
+@functools.lru_cache(maxsize=IDENTITY_CACHE)
+def _identity(d: int) -> np.ndarray:
+    """The identity basis (1, d, d), read-only: one array per d, shared by every call."""
+    identity = np.eye(d, dtype=complex)[None]
+    identity.flags.writeable = False
+    return identity
 
 
 def _probabilities(state: np.ndarray) -> np.ndarray:
@@ -256,7 +282,7 @@ def joint_distribution(
 
     # one exponentiation of all n durations; the first interval leaves the
     # identity basis, the later ones join outcome bases
-    exponentials = provider.exponentials(np.array(grid.durations))
+    exponentials = provider.exponentials(grid._durations)
     state, source, kernel = root, identity, provider.kernels(exponentials[0], identity, bases)
     if grid.n > 1:
         later = provider.kernels(exponentials[1:], bases, bases)

@@ -22,6 +22,12 @@ def transfer(provider, state, dt, source, target):
     return provider.apply(state, provider.kernels(provider.exponentials(dt), source, target), source, target)
 
 
+def basis_pair_coefficients(source, target):
+    """C[(x, y, γ, α), j] = conj(V_y[j, γ])·V_x[j, α] of two outcome bases (m, d, r), the
+    coefficients of the exact provider's Kraus operators, by one einsum per call."""
+    return np.einsum("yjg,xja->xygaj", target.conj(), source).reshape(-1, source.shape[1])
+
+
 def tensor_collapse_check(provider, pairs, durations, k):
     """|tensor_pairs(pairs) - tensor_pairs(pairs with diagonal pair k dropped)|.
 

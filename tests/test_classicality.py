@@ -578,6 +578,32 @@ class TestReportPlan:
         classicality._plan.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "cap, pool, max_order",
+    [
+        (None, (0.3, 0.9, 1.4, 2.2), 3),
+        # stage arrays per chunk, each chunk building its own kernels
+        (1000, tuple(np.random.default_rng(8).uniform(0.05, 3.0, 12)), 2),
+    ],
+    ids=["default-cap", "chunked-stages"],
+)
+def test_coefficient_memo_state_never_shows(zx_model, monkeypatch, cap, pool, max_order):
+    if cap is not None:
+        monkeypatch.setattr(classicality, "TERM_CAP", cap)
+    prep = SystemPreparation.diagonal([0.6, 0.4])
+    models._kept_coefficients.cache_clear()
+    cold = classicality_report(ExactDephasingProvider(zx_model), prep, fourier_mub(2), pool, max_order)
+    misses = models._kept_coefficients.cache_info().misses
+    warm = classicality_report(ExactDephasingProvider(zx_model), prep, fourier_mub(2), pool, max_order)
+    assert models._kept_coefficients.cache_info().misses == misses
+    monkeypatch.setattr(models, "COEFFICIENT_ENTRIES", 0)  # built per call
+    uncached = classicality_report(ExactDephasingProvider(zx_model), prep, fourier_mub(2), pool, max_order)
+    for report in (warm, uncached):
+        assert_same_report(cold, report)
+        for (_, a), (_, b) in zip(cold.columns, report.columns):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestTwoTimeClosedForm:
     @given(p=probs, theta=angles)
     @settings(max_examples=25, deadline=None)
@@ -756,7 +782,64 @@ def test_non_finite_times_and_angles_rejected_first(zx_provider, call):
         call(zx_provider)
 
 
+# each returned a NaN or a value for an input outside the closed form's domain, or warned in sin/exp
+BAD_CLOSED_FORM_CALLS = {
+    "closed-nan-angle": lambda p: qubit_two_time_deficit_closed(p, 0.2, NAN, 0, 1.6, 0.8),
+    "closed-inf-angle": lambda p: qubit_two_time_deficit_closed(p, 0.2, INF, 0, 1.6, 0.8),
+    "closed-p-2": lambda p: qubit_two_time_deficit_closed(p, 2.0, 0.6, 0, 1.6, 0.8),
+    "closed-x2-5": lambda p: qubit_two_time_deficit_closed(p, 0.2, 0.6, 5, 1.6, 0.8),
+    "simplified-nan-angle": lambda p: qubit_two_time_deficit_simplified(0.2, NAN, 0, 0.5),
+    "simplified-inf-angle": lambda p: qubit_two_time_deficit_simplified(0.2, INF, 0, 0.5),
+    "simplified-nan-re-phi": lambda p: qubit_two_time_deficit_simplified(0.2, 0.6, 0, NAN),
+    "simplified-p-negative": lambda p: qubit_two_time_deficit_simplified(-0.1, 0.6, 0, 0.5),
+    "simplified-x2-float": lambda p: qubit_two_time_deficit_simplified(0.2, 0.6, 1.0, 0.5),
+    "theta-sweep-nan-p": lambda p: theta_sweep(p, NAN, [0.1, 0.6], 1.6, 0.8),
+    "theta-sweep-p-2": lambda p: theta_sweep(p, 2.0, [0.1, 0.6], 1.6, 0.8),
+    "theta-sweep-x2-5": lambda p: theta_sweep(p, 0.2, [0.1, 0.6], 1.6, 0.8, x2=5),
+    "markov-inf-time": lambda p: markov_qubit_violation_closed(0.8, 0.5, 0, 0, INF, 1.0, 0.5),
+    "markov-nan-epsilon": lambda p: markov_qubit_violation_closed(NAN, 0.5, 0, 0, 2.0, 1.0, 0.5),
+    "markov-x3-5": lambda p: markov_qubit_violation_closed(0.8, 0.5, 5, 0, 2.0, 1.0, 0.5),
+    "markov-x1-negative": lambda p: markov_qubit_violation_closed(0.8, 0.5, 0, -1, 2.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CLOSED_FORM_CALLS.values(), ids=BAD_CLOSED_FORM_CALLS.keys())
+def test_closed_forms_reject_inputs_outside_their_domain(zx_provider, call):
+    with pytest.raises(ValidationError):
+        call(zx_provider)
+
+
+def test_closed_form_checks_precede_arithmetic(zx_model):
+    calls = []
+
+    class CountingProvider(ExactDephasingProvider):
+        def tensor_pairs(self, pairs, durations):
+            calls.append(pairs)
+            return super().tensor_pairs(pairs, durations)
+
+    provider = CountingProvider(zx_model)
+    for call in BAD_CLOSED_FORM_CALLS.values():
+        with pytest.raises(ValidationError):
+            call(provider)
+    assert calls == []
+
+
 class TestWitnessSearch:
+    @pytest.mark.parametrize(
+        "t0, horizon, match",
+        [
+            (0.0, INF, "finite"),  # warned in np.linspace
+            (NAN, 3.0, "finite"),
+            (0.0, NAN, "finite"),
+            (3.0, 1.0, "horizon"),  # raised "pool starts before t0"
+            (1.0, 1.0, "horizon"),  # searched a grid of one time
+        ],
+    )
+    def test_t0_and_horizon_checked_first(self, zx_provider, monkeypatch, t0, horizon, match):
+        monkeypatch.setattr(np, "linspace", None)  # the check precedes the grid
+        with pytest.raises(ValidationError, match=match):
+            search_nonclassicality_witness(zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), t0, horizon)
+
     @pytest.mark.parametrize("points", [0, -1])
     def test_points_per_interval_below_one_rejected(self, zx_provider, points):
         # -1 raised numpy's ValueError from linspace; 0 skipped the grid sweep silently

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dephaser import classicality as cl
-from dephaser import cli, linalg, models, statistics
+from dephaser import cli, config, linalg, models, statistics
 from dephaser.cli import main
 from dephaser.config import ANALYSES, ConfigError, load_config, parse_config
 from dephaser.measurements import fourier_mub
@@ -239,6 +239,59 @@ class TestCompletePositivity:
         path = write_config(tmp_path, _analytic_config(model, "classicality"))
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+
+# phases t·|H| beyond config.PHASE_BOUND, where exp(-i·t·w) is noise; the first validated and
+# ran with exit 0
+HUGE_PHASES = {
+    "oracle-check-qubit-zx": classicality_config(grid={"t0": 0.0, "times": [1e15, 2e15]}, analysis={"kind": "oracle-check"}),
+    "t0-counts": classicality_config(grid={"t0": -2e9, "times": [0.8, 1.6]}),
+    "analytic-eps": _analytic_config({"eps": [[0.0, 1e12], [-1e12, 0.0]], "gamma": [[0.0, 0.0], [0.0, 0.0]]}, "ncgd"),
+    "analytic-gamma": _analytic_config({"eps": [[0.0, 0.0], [0.0, 0.0]], "gamma": [[0.0, 2e9], [2e9, 0.0]]}, "ncgd"),
+    "exact-blocks": classicality_config(
+        model={"kind": "exact", "blocks": [[[[1e9, 0.0]]], [[[-1e9, 0.0]]]], "env_state": [[[1.0, 0.0]]]}
+    ),
+    "just-above-bound": classicality_config(grid={"t0": 0.0, "times": [0.5, 1e9 * (1 + 2**-40)]}),
+}
+
+
+class TestHugePhases:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("name", sorted(HUGE_PHASES))
+    def test_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, name, command):
+        def computed(*args):
+            raise Computed
+
+        monkeypatch.setattr(models, "spectral_expm", computed)
+        monkeypatch.setattr(models, "hermitian_eigh", computed)
+        path = write_config(tmp_path, HUGE_PHASES[name])
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, path] + extra) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ValidationError" and "phase" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_bound_admitted(self, tmp_path, capsys):
+        # qubit-zx has |H| = 1: a largest time of PHASE_BOUND sits on the bound
+        doc = classicality_config(grid={"t0": 0.0, "times": [0.5, config.PHASE_BOUND]}, analysis={"kind": "oracle-check"})
+        assert main(["validate", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    @pytest.mark.parametrize(
+        "preset, bound", [("qubit-zx", 1.0), ("scalar-phases", 1.0), ("commuting-diag", 2.0), ("markov-real-qudit", 0.5)]
+    )
+    def test_frequency_bound(self, preset, bound):
+        kind = "markovian" if isinstance(get_preset(preset), models.MarkovianAnalyticModel) else "exact"
+        doc = classicality_config(model={"kind": kind, "preset": preset}, preparation={"kind": "maximally-mixed"})
+        provider = parse_config(doc).provider
+        assert config._frequency_bound(provider) == bound
+
+    def test_library_stays_permissive(self, zx_provider):
+        grid = statistics.TimeGrid(0.0, (1e15, 2e15))
+        prep = statistics.SystemPreparation.diagonal([1.0, 0.0])
+        assert statistics.joint_distribution(zx_provider, prep, fourier_mub(2), grid).table.shape == (4,)
 
 
 class TestValidateCommand:

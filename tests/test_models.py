@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
+import reference
 from reference import commutativity_check, factorization_deficit, tensor_collapse_check
 from dephaser import linalg, models
 from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
-from dephaser.measurements import fourier_mub
+from dephaser.measurements import PhaseVector, ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -252,6 +253,72 @@ class TestValidatedBlocks:
             model.blocks[0][0, 0] = 2.0
         with pytest.raises(ValueError):
             model.env_state[0, 0] = 0.5
+
+
+    def test_blocks_stacked_once_read_only(self, monkeypatch):
+        blocks = [random_hermitian(2, seed) for seed in (1, 2, 3)]
+        model = DephasingModel(tuple(blocks), np.diag([0.6, 0.4]).astype(complex))
+        assert isinstance(model.blocks, np.ndarray) and not model.blocks.flags.writeable
+        assert model.blocks.tobytes() == np.stack(blocks).tobytes() and model.blocks.shape == (3, 2, 2)
+        assert (model.d, model.env_dim, len(model.blocks)) == (3, 2, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(model.blocks, blocks))
+        # a mismatched block is named before any stacking
+        with pytest.raises(ShapeError, match="block H_1"):
+            DephasingModel((SIGMA_Z, np.eye(3)), np.diag([1.0, 0.0]).astype(complex))
+        # every provider of the model decomposes the stored stack itself, once
+        calls = []
+        monkeypatch.setattr(models, "hermitian_eigh", lambda h: calls.append(h) or linalg.hermitian_eigh(h))
+        for _ in range(2):
+            ExactDephasingProvider(model).dephasings(np.array([0.3, 0.8]))
+        assert len(calls) == 2 and all(h is model.blocks for h in calls)
+
+
+class TestBasisPairCoefficients:
+    """The Kraus coefficients of two outcome bases, kept by contents in one bounded memo."""
+
+    @staticmethod
+    def pairs():
+        identity = np.eye(3, dtype=complex)[None]
+        mub, general = fourier_mub(3).bases, ProjectiveMeasurement(projectors=_rank_two_pvm()).bases
+        return [(identity, mub), (mub, mub), (identity, general), (general, general), (general, mub)]
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "above-bound"])
+    def test_read_only_and_bitwise_reference(self, monkeypatch, kept):
+        if not kept:
+            monkeypatch.setattr(models, "COEFFICIENT_ENTRIES", 0)
+        models._kept_coefficients.cache_clear()
+        for source, target in self.pairs():
+            coef, expected = models._coefficients(source, target), reference.basis_pair_coefficients(source, target)
+            assert not coef.flags.writeable
+            assert (coef.shape, coef.dtype) == (expected.shape, expected.dtype) and coef.tobytes() == expected.tobytes()
+        assert models._kept_coefficients.cache_info().currsize == (5 if kept else 0)
+
+    def test_kept_by_contents(self):
+        models._kept_coefficients.cache_clear()
+        a = models._coefficients(fourier_mub(3).bases, fourier_mub(3).bases)
+        b = models._coefficients(fourier_mub(3).bases.copy(), np.array(fourier_mub(3).bases))
+        assert a is b and models._kept_coefficients.cache_info().misses == 1
+        c = models._coefficients(fourier_mub(3, PhaseVector((0.0, 0.2, 0.0))).bases, fourier_mub(3).bases)
+        assert c is not a and models._kept_coefficients.cache_info().misses == 2
+
+    def test_bounded(self):
+        models._kept_coefficients.cache_clear()
+        for k in range(models.COEFFICIENT_CACHE + 4):
+            basis = fourier_mub(2, PhaseVector((0.0, 0.1 * k))).bases
+            models._coefficients(basis, basis)
+        assert models._kept_coefficients.cache_info().currsize == models.COEFFICIENT_CACHE
+        # a rank-one PVM on d = 33 has 33³ > COEFFICIENT_ENTRIES coefficients: built, not kept
+        big = fourier_mub(33).bases
+        assert big.shape[0] ** 3 > models.COEFFICIENT_ENTRIES >= 32**3
+        before = models._kept_coefficients.cache_info()
+        coef = models._coefficients(big, big)
+        assert models._kept_coefficients.cache_info() == before
+        assert not coef.flags.writeable and coef.tobytes() == reference.basis_pair_coefficients(big, big).tobytes()
+
+
+def _rank_two_pvm():
+    u = random_unitary(3, 11)
+    return [u[:, :2] @ u[:, :2].conj().T, np.outer(u[:, 2], u[:, 2].conj())]
 
 
 class TestPropagator:

@@ -531,6 +531,83 @@ class TestKnownValues:
             assert np.max(np.abs(fast.table - slow.table)) < 1e-12
 
 
+SET_UP_CASES = pytest.mark.parametrize(
+    "make, meas",
+    [
+        (lambda: ExactDephasingProvider(random_exact_model(3, 2, seed=5)), lambda: fourier_mub(3)),
+        (lambda: ExactDephasingProvider(get_preset("qubit-zx")), lambda: qubit_basis(0.4, 0.3)),
+        (lambda: MarkovianAnalyticProvider(get_preset("markov-real-qudit")), lambda: fourier_mub(3)),
+    ],
+    ids=["exact-d3", "qubit-zx", "analytic"],
+)
+
+
+class TestSetUpOncePerObject:
+    """What depends only on the model, the measurement or the grid is built once per
+    object (the block stack, the basis-pair coefficients, the identity basis, the
+    durations), never across providers, and never shows in the bits."""
+
+    def test_second_call_builds_no_coefficients(self, monkeypatch):
+        builds, real = [], models._basis_pair
+
+        def counting(source, target):
+            builds.append((source.shape, target.shape))
+            return real(source, target)
+
+        monkeypatch.setattr(models, "_basis_pair", counting)
+        model, prep = random_exact_model(3, 2, seed=5), SystemPreparation.maximally_mixed(3)
+        grid = TimeGrid(0.0, (0.4, 0.9, 1.7))
+        models._kept_coefficients.cache_clear()
+        joint_distribution(ExactDephasingProvider(model), prep, fourier_mub(3), grid)
+        # out of the identity basis, and between outcome bases
+        assert builds == [((1, 3, 3), (3, 3, 1)), ((3, 3, 1), (3, 3, 1))]
+        # a fresh provider, and an equal measurement built again
+        joint_distribution(ExactDephasingProvider(model), prep, fourier_mub(3), grid)
+        assert len(builds) == 2
+
+    @SET_UP_CASES
+    @pytest.mark.parametrize("times", [(0.7,), (0.4, 0.9, 1.7)], ids=["n1", "n3"])
+    def test_cache_state_never_shows(self, monkeypatch, make, meas, times):
+        prep, grid = SystemPreparation.maximally_mixed(make().d), TimeGrid(0.1, times)
+        models._kept_coefficients.cache_clear()
+        statistics._identity.cache_clear()
+        cold = joint_distribution(make(), prep, meas(), grid).table
+        warm = joint_distribution(make(), prep, meas(), TimeGrid(0.1, times)).table
+        monkeypatch.setattr(models, "COEFFICIENT_ENTRIES", 0)  # built per call
+        uncached = joint_distribution(make(), prep, meas(), grid).table
+        assert cold.tobytes() == warm.tobytes() == uncached.tobytes()
+
+    def test_identity_basis_shared_read_only(self, zx_provider):
+        prep = SystemPreparation.maximally_mixed(2)
+        _, a = _root(zx_provider, prep, fourier_mub(2), "test")
+        _, b = _root(ExactDephasingProvider(get_preset("qubit-zx")), prep, qubit_basis(0.3, 0.0), "test")
+        assert a is b and a.shape == (1, 2, 2) and not a.flags.writeable
+
+    def test_grid_durations_stored_read_only(self):
+        grid = TimeGrid(0.5, (1.0, 1.0, 2.5))
+        assert not grid._durations.flags.writeable and grid._durations.dtype == float
+        assert grid._durations.tolist() == list(grid.durations) == [0.5, 0.0, 1.5]
+        # not a field: equality and hashing read t0 and the times
+        assert grid == TimeGrid(0.5, [1, 1, 2.5]) and hash(grid) == hash(TimeGrid(0.5, (1.0, 1.0, 2.5)))
+
+    @SET_UP_CASES
+    def test_provider_reads_the_stored_durations(self, make, meas):
+        provider, seen = make(), []
+        real = provider.exponentials
+        provider.exponentials = lambda dt: seen.append(dt) or real(dt)
+        grid = TimeGrid(0.0, (0.4, 0.9, 1.7))
+        joint_distribution(provider, SystemPreparation.maximally_mixed(provider.d), meas(), grid)
+        assert len(seen) == 1 and seen[0] is grid._durations
+
+    def test_each_provider_decomposes_its_model(self, monkeypatch):
+        calls, real = [], models.hermitian_eigh
+        monkeypatch.setattr(models, "hermitian_eigh", lambda h: calls.append(h) or real(h))
+        model, prep, grid = random_exact_model(3, 2, seed=5), SystemPreparation.maximally_mixed(3), TimeGrid(0.0, (0.4, 0.9))
+        for _ in range(3):
+            joint_distribution(ExactDephasingProvider(model), prep, fourier_mub(3), grid)
+        assert len(calls) == 3
+
+
 class TestCaps:
     def test_term_cap(self, zx_model, monkeypatch):
         # 5 qubit times, D = 2: the branch states after 4 measurements hold
