@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical-cap error,
 4 analysis-level failure.  Errors are emitted as one JSON object on stderr.
-Given a fixed config, output files are byte-identical across runs.
+Given a fixed config, output files are byte-identical across runs:
+``report.json`` is strict JSON in the layout of ``json.dumps(..., indent=2,
+sort_keys=True)``, and CSV floats are written with ``.17g``.
 """
 
 from __future__ import annotations
@@ -30,29 +32,26 @@ EXIT_CAP = 3
 EXIT_ANALYSIS = 4
 
 #: cap on the time triples of an NCGD run, C(K, 3) for K times, checked before
-#: any dephasing matrix is computed.  A triple costs a d²×d² lift (d⁴ entries),
-#: and its CSV row is formatted from Python: a run at the cap (K = 67, D = 4)
-#: takes about 0.6 s at d <= 3, 1.4 s at d = 5 and 4 s at d = 8 on one core of
-#: a 2-vCPU x86 VM.
+#: any dephasing matrix is computed.  A triple costs a d²×d² lift (d⁴ entries)
+#: and one CSV row: a run at the cap (K = 67, D = 4) takes about 0.2 s at d = 2,
+#: 0.3 s at d = 3, 0.9 s at d = 5 and 3.5 s at d = 8 on one core of a 2-vCPU
+#: x86 VM, of which writing the CSV is about 0.03 s.
 NCGD_TRIPLE_CAP = 50_000
 
 #: cap on the angles of a theta-sweep run, checked before any propagator.  The
-#: sweep is one array expression, but each angle is one CSV row of about 41
-#: bytes formatted from Python: on one core of a 2-vCPU x86 VM a run at the cap
-#: writes 4 MB in about 0.5 s.
+#: sweep is one array expression, and each angle is one CSV row of about 41
+#: bytes holding two distinct floats, each formatted in about 1 µs: on one core
+#: of a 2-vCPU x86 VM a run at the cap writes 4 MB in about 0.2 s.
 THETA_POINTS_CAP = 100_000
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        # in binary mode: the outputs are ASCII, and a text-mode wrapper costs more than a small write
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,24 +59,87 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_STR = json.encoder.encode_basestring_ascii
+
+
+class _FloatText(dict):
+    """``float.__repr__`` of finite floats, as ``json`` writes them: each distinct
+    nonzero value is formatted once, on its first lookup.  ±0 are never stored,
+    as 0.0 == -0.0 would give one of them the other's text."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        if not math.isfinite(x):
+            raise DephaserError(f"report.json: non-finite value {x!r} has no strict JSON form")
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _json(obj, indent: str, memo: _FloatText) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` placed
+    after the line break ``indent`` (a newline and its indentation), but strict: a
+    non-finite float raises ``DephaserError``.  Takes dicts with str keys, lists,
+    tuples, str, int, float, bool and None; anything else raises ``TypeError``, as
+    ``json`` does.  A plain float or int item is written without a call."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _STR(k) + ": " + (memo[v] if type(v) is float else int.__repr__(v) if type(v) is int else _json(v, inner, memo))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [memo[v] if type(v) is float else int.__repr__(v) if type(v) is int else _json(v, inner, memo) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, str):
+        return _STR(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return memo[obj]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json(payload, "\n", _FloatText()) + "\n")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _cells(column: np.ndarray) -> list:
+    """The CSV cells of one column: ``str`` of an int, ``.17g`` of a float.  Each
+    distinct float is formatted once, keyed by its bits so that ±0 stay apart."""
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+    text = np.array([format(x, ".17g") for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(-1)].tolist()
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """One CSV line per row of the equal-length 1-d ``columns`` (numpy arrays)."""
+    lines = map(",".join, zip(*map(_cells, columns)))
+    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_distribution(outdir: str, dist: st.JointDistribution) -> str:
     n = dist.n
     path = os.path.join(outdir, f"distribution_{n}.csv")
     header = [f"x_{k + 1}" for k in range(n)] + ["probability"]
-    clipped = dist.clipped().reshape((dist.n_outcomes,) * n)
-    rows = [list(xs) + [float(clipped[xs])] for xs in np.ndindex(*clipped.shape)]
-    _write_csv(path, header, rows)
+    # the outcome tuples in np.ndindex order, one column per time
+    outcomes = np.indices((dist.n_outcomes,) * n).reshape(n, -1)
+    _write_csv(path, header, [*outcomes, dist.clipped().reshape(-1)])
     return path
 
 
@@ -88,10 +150,15 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
     )
     width = report.max_order_tested
     header = ["order", "position"] + [f"t_{k + 1}" for k in range(width)] + ["deficit"]
-    # pad shorter time tuples so the CSV stays rectangular
-    pad = {n: [float("nan")] * (width - n) for n in range(2, width + 1)}
-    rows = [[n, position, *times, *pad[n], deficit] for n, position, times, deficit in report.record_values()]
-    _write_csv(os.path.join(outdir, "deficits.csv"), header, rows)
+    pool = np.array(report.pool)
+    parts = []  # per order: the columns of its records, one row per (tuple, position)
+    for rows, deficits in report.columns:
+        count, n = deficits.size, rows.shape[1]
+        times = np.full((count, width), np.nan)  # NaN pads shorter tuples so the CSV stays rectangular
+        times[:, :n] = np.repeat(pool[rows], n - 1, axis=0)
+        order, position = np.full(count, n), np.tile(np.arange(1, n), len(rows))
+        parts.append([order, position, *times.T, deficits.reshape(-1)])
+    _write_csv(os.path.join(outdir, "deficits.csv"), header, [np.concatenate(column) for column in zip(*parts)])
     return {"analysis": "classicality", **report.to_dict()}
 
 
@@ -123,8 +190,8 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     # the sandwich deficit depends on the outer pair only: one per distinct pair
     (s, t), inverse = np.unique((t1, t3), axis=1, return_inverse=True)
     sandwich = st.sandwich_identity_deficit(cfg.provider, cfg.measurement, t, s)[inverse.reshape(-1)]
-    rows = np.column_stack((t1, t2, t3, deficits, sandwich)).tolist()
-    _write_csv(os.path.join(outdir, "deficits.csv"), ["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], rows)
+    columns = (t1, t2, t3, deficits, sandwich)
+    _write_csv(os.path.join(outdir, "deficits.csv"), ["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], columns)
     return {
         "analysis": "ncgd",
         "norm": "entrywise max on superoperator matrices",
@@ -141,7 +208,7 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
     p, times = float(cfg.preparation.density[0, 0].real), sorted(cfg.grid.times)
     thetas = np.linspace(0.0, np.pi / 2, n_points)
     thetas, deficits, argmax_theta = cl.theta_sweep(cfg.provider, p, thetas, times[1], times[0], t0=cfg.grid.t0)
-    _write_csv(os.path.join(outdir, "deficits.csv"), ["theta", "deficit"], np.column_stack((thetas, deficits)).tolist())
+    _write_csv(os.path.join(outdir, "deficits.csv"), ["theta", "deficit"], (thetas, deficits))
     return {
         "analysis": "theta-sweep",
         "p": p,
@@ -185,6 +252,7 @@ def cmd_run(args) -> int:
         cfg = load_config(args.config)
         os.makedirs(outdir, exist_ok=True)
         payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
+        _write_json(os.path.join(outdir, "report.json"), payload)
     except np.linalg.LinAlgError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
     except SizeCapError as exc:
@@ -193,7 +261,6 @@ def cmd_run(args) -> int:
         return _error_json(EXIT_VALIDATION, exc)
     except DephaserError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
-    _write_json(os.path.join(outdir, "report.json"), payload)
     print(f"wrote {os.path.join(outdir, 'report.json')}")
     return EXIT_OK
 

@@ -82,7 +82,9 @@ def _number(node, kind, name: str, least=None):
     """``node`` as a finite float (``kind`` float) or an integral int (``kind`` int), and >= ``least`` if given."""
     try:
         value = kind(node)
-        ok = not isinstance(node, bool) and math.isfinite(value) and value == float(node)
+        # an int node or integer string is read exactly, however large (10**30 != float(10**30))
+        exact = kind is int and isinstance(node, (int, str))
+        ok = not isinstance(node, bool) and (exact or (math.isfinite(value) and value == float(node)))
     except (TypeError, ValueError, OverflowError):
         ok = False
     expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
@@ -96,23 +98,20 @@ def _section(name: str, build, *args):
         return build(*args)
     except ConfigError:
         raise
-    except (ValidationError, TypeError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _complex_matrix(node, name: str) -> np.ndarray:
+def _complex_array(node, name: str, ndim: int) -> np.ndarray:
+    """``node``, nested finite [re, im] pairs, as a complex array of ``ndim`` dimensions."""
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: not a numeric array ({exc})") from exc
-    _require(arr.ndim == 3 and arr.shape[-1] == 2, f"{name}: expected nested [re, im] pairs")
+    _require(arr.ndim == ndim + 1 and arr.shape[-1] == 2, f"{name}: expected nested [re, im] pairs")
+    # checked before 1j * inf, which computes 0 * inf
+    _require(np.isfinite(arr).all(), f"{name}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _complex_vector(node, name: str) -> np.ndarray:
-    arr = np.asarray(node, dtype=float)
-    _require(arr.ndim == 2 and arr.shape[-1] == 2, f"{name}: expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 @dataclass
@@ -143,8 +142,8 @@ def _build_model(node):
             _require(isinstance(model, DephasingModel), f"model.preset: '{node['preset']}' is not an exact model")
         else:
             _require("blocks" in node and "env_state" in node, "model: exact model needs blocks and env_state (or preset)")
-            blocks = [_complex_matrix(b, f"model.blocks[{j}]") for j, b in enumerate(node["blocks"])]
-            env = _complex_matrix(node["env_state"], "model.env_state")
+            blocks = [_complex_array(b, f"model.blocks[{j}]", 2) for j, b in enumerate(node["blocks"])]
+            env = _complex_array(node["env_state"], "model.env_state", 2)
             model = DephasingModel(tuple(blocks), env)
         return ExactDephasingProvider(model)
     if kind == "markovian":
@@ -190,11 +189,11 @@ def _build_preparation(node, d: int) -> SystemPreparation:
     if kind == "maximally-mixed":
         return SystemPreparation.maximally_mixed(d)
     if kind == "pure":
-        v = _complex_vector(node.get("vector", []), "preparation.vector")
+        v = _complex_array(node.get("vector", []), "preparation.vector", 1)
         _require(v.size == d, f"preparation.vector: length {v.size} != system dimension d = {d}")
         return SystemPreparation.pure(v)
     if kind == "explicit":
-        m = _complex_matrix(node.get("matrix", []), "preparation.matrix")
+        m = _complex_array(node.get("matrix", []), "preparation.matrix", 2)
         _require(m.shape == (d, d), f"preparation.matrix: shape {m.shape} != ({d}, {d})")
         return SystemPreparation(m)
     raise ConfigError(f"preparation.kind: unknown kind {kind!r}")
@@ -213,7 +212,7 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
         _require(d == 2, f"measurement.kind 'qubit' requires d = 2, model has d = {d}")
         return qubit_basis(*(_number(node.get(k, 0.0), float, f"measurement.{k}") for k in ("theta", "phi")))
     if kind == "explicit":
-        vectors = _complex_matrix(node.get("vectors", []), "measurement.vectors")
+        vectors = _complex_array(node.get("vectors", []), "measurement.vectors", 2)
         _require(vectors.shape == (d, d), f"measurement.vectors: shape {vectors.shape} != ({d}, {d})")
         return ProjectiveMeasurement(vectors=vectors)
     raise ConfigError(f"measurement.kind: unknown kind {kind!r}")
@@ -221,7 +220,10 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(doc, dict), "config: top level must be an object")
-    _require(doc.get("version") == CONFIG_VERSION, f"config.version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
+    version = doc.get("version")
+    # true == 1 in Python, so a JSON boolean is refused by type
+    ok = version == CONFIG_VERSION and not isinstance(version, bool)
+    _require(ok, f"config.version: expected {CONFIG_VERSION}, got {version!r}")
 
     provider = _section("model", _build_model, doc.get("model"))
     d = provider.d
@@ -268,10 +270,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, bytes that are not UTF-8, an int literal past Python's digit
+        # limit or arrays nested past the recursion limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)

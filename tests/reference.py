@@ -4,6 +4,7 @@ Nothing in the package reads these; the tests hold the package against them.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -126,3 +127,36 @@ def ncgd_deficit(provider, measurement, t1, t2, t3):
     lam21 = _reduced_matrix(provider, t2, t1)
     lam31 = _reduced_matrix(provider, t3, t1)
     return float(np.max(np.abs(delta @ lam32 @ delta @ lam21 @ delta - delta @ lam31 @ delta)))
+
+
+def write_json(path, payload):
+    """``report.json`` as ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
+    the writer's layout through the standard library's (pure-Python, with ``indent``) encoder."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows):
+    """A CSV of Python rows, one cell at a time: ``format(c, ".17g")`` of a float, ``str`` of
+    anything else."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def classicality_rows(report):
+    """The rows of a classicality ``deficits.csv``, one per record: order, position, the
+    record's times padded with NaN to the report's widest order, and the deficit."""
+    width = report.max_order_tested
+    return [
+        [r.order, r.position, *r.times, *[float("nan")] * (width - r.order), r.deficit] for r in report.records
+    ]
+
+
+def distribution_rows(dist):
+    """The rows of ``distribution_<n>.csv``: each outcome tuple in ``np.ndindex`` order and its
+    clipped probability."""
+    clipped = dist.clipped().reshape((dist.n_outcomes,) * dist.n)
+    return [list(xs) + [float(clipped[xs])] for xs in np.ndindex(*clipped.shape)]

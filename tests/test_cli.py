@@ -51,6 +51,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(classicality_config(version=2))
 
+    def test_boolean_version_refused(self):
+        # JSON true used to pass as version 1, since True == 1
+        with pytest.raises(ConfigError, match="config.version"):
+            parse_config(classicality_config(version=True))
+
     def test_unknown_analysis_kind(self):
         with pytest.raises(ConfigError):
             parse_config(classicality_config(analysis={"kind": "bogus"}))
@@ -162,6 +167,16 @@ NON_FINITE = {
     "eps": {"model": {"kind": "markovian", "eps": [[0.0, NAN], [NAN, 0.0]], "gamma": [[0.0, 0.5], [0.5, 0.0]]}},
     "gamma": {"model": {"kind": "markovian", "eps": [[0.0, 0.8], [-0.8, 0.0]], "gamma": [[0.0, INF], [INF, 0.0]]}},
     "vectors": {"measurement": {"kind": "explicit", "vectors": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]}},
+    # an infinite imaginary part warned in 1j * inf, an int too large for a double escaped as OverflowError
+    "block-inf": {
+        "model": {
+            "kind": "exact",
+            "blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, INF]]]] * 2,
+            "env_state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        }
+    },
+    "vector-huge-int": {"preparation": {"kind": "pure", "vector": [[10**400, 0.0], [0.0, 0.0]]}},
+    "weights-huge-int": {"preparation": {"kind": "diagonal", "weights": [10**400, 0.0]}},
 }
 
 
@@ -620,6 +635,48 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "LinAlgError", "message": "Eigenvalues did not converge"}
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_non_finite_report_value_exits_4(self, tmp_path, capsys, monkeypatch):
+        # report.json is strict JSON: NaN has no form there, so the run fails instead
+        monkeypatch.setitem(cli._RUNNERS, "classicality", lambda cfg, outdir: {"analysis": "x", "value": float("nan")})
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "DephaserError"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**30, 10**400], ids=["2^53+1", "1e30", "1e400"])
+    @pytest.mark.parametrize("kind, field", [("classicality", "max_order"), ("theta-sweep", "theta_points")])
+    def test_huge_integer_passes_validate_and_hits_the_cap(self, tmp_path, capsys, monkeypatch, kind, field, value):
+        # each used to exit 2 with "expected an integer": the int differs from its float
+        def forbidden(*args):
+            raise AssertionError("no eigendecomposition or propagator before the cap check")
+
+        monkeypatch.setattr(models, "hermitian_eigh", forbidden)
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        doc = classicality_config(analysis={"kind": kind, field: value})
+        if kind == "theta-sweep":
+            doc.update(measurement=None, grid={"t0": 0.0, "times": [0.8, 1.6]})
+        assert parse_config(doc).analysis[field] == value
+        path = write_config(tmp_path, doc)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "SizeCapError"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [('{"version": ' + "9" * 5000 + "}", "digits"), ('{"version": 1}'.encode() + b"\xff", "utf-8"), ("[" * 10**5, "recursion")],
+        ids=["int-past-the-digit-limit", "not-utf-8", "nested-past-the-recursion-limit"],
+    )
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, text, error):
+        # each escaped json.load's JSONDecodeError handler as a traceback
+        path = tmp_path / "config.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["validate", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+        assert error in json.loads(lines[0])["message"]
 
     def test_markovianity_reports_only_the_orders_walked(self, tmp_path):
         # 5 times allow selections of at most 5 times, orders 2..4, whatever max_order
