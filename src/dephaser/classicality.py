@@ -555,24 +555,6 @@ def markov_qubit_violation_closed(
     )
 
 
-def delta_count(d: int, h: int) -> int:
-    """Brute-force count of off-diagonal pairs with j - l = h modulo {0, ±d}.
-
-    Must equal d for every admissible h (1 <= |h| <= d-1).
-    """
-    if h == 0 or abs(h) >= d:
-        raise ValidationError(f"delta_count: h = {h} out of range ±1..±{d - 1}")
-    count = 0
-    for j in range(d):
-        for l in range(d):
-            if j == l:
-                continue
-            for k in (-1, 0, 1):
-                if j - l == h + k * d:
-                    count += 1
-    return count
-
-
 def theta_sweep(
     provider: DephasingTensorProvider,
     p: float,

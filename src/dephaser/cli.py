@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classicality as cl
 from . import statistics as st
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, shown
 from .errors import DephaserError, SizeCapError, ValidationError
 from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
@@ -204,7 +204,7 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
 def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
     n_points = cfg.analysis["theta_points"]
     if n_points > THETA_POINTS_CAP:
-        raise SizeCapError(f"theta-sweep: {n_points} angles exceed cap {THETA_POINTS_CAP}")
+        raise SizeCapError(f"theta-sweep: {shown(n_points)} angles exceed cap {THETA_POINTS_CAP}")
     p, times = float(cfg.preparation.density[0, 0].real), sorted(cfg.grid.times)
     thetas = np.linspace(0.0, np.pi / 2, n_points)
     thetas, deficits, argmax_theta = cl.theta_sweep(cfg.provider, p, thetas, times[1], times[0], t0=cfg.grid.t0)

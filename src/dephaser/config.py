@@ -68,6 +68,8 @@ CP_TOL = 1e-12
 #: against 0.2 rad at t·‖H‖ = 10^15, where exp(-i·t·w) is noise.  The library stays permissive.
 PHASE_BOUND = 1e9
 
+SHOWN_CHARS = 40  #: longest repr of a config value that an error message quotes
+
 
 class ConfigError(ValidationError):
     """Config file fails schema or invariant validation."""
@@ -76,6 +78,12 @@ class ConfigError(ValidationError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def shown(value) -> str:
+    """``repr(value)``, with its middle cut out when it is longer than ``SHOWN_CHARS``."""
+    text, half = repr(value), (SHOWN_CHARS - 3) // 2
+    return text if len(text) <= SHOWN_CHARS else f"{text[:half]}...{text[-half:]}"
 
 
 def _number(node, kind, name: str, least=None):
@@ -88,7 +96,7 @@ def _number(node, kind, name: str, least=None):
     except (TypeError, ValueError, OverflowError):
         ok = False
     expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
-    _require(ok and (least is None or value >= least), f"{name}: expected {expected}, got {node!r}")
+    _require(ok and (least is None or value >= least), f"{name}: expected {expected}, got {shown(node)}")
     return value
 
 
@@ -165,7 +173,7 @@ def _build_model(node):
             "and the dephasing map not completely positive",
         )
         return MarkovianAnalyticProvider(model)
-    raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {kind!r}")
+    raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {shown(kind)}")
 
 
 def _frequency_bound(provider: DephasingTensorProvider) -> float:
@@ -196,7 +204,7 @@ def _build_preparation(node, d: int) -> SystemPreparation:
         m = _complex_array(node.get("matrix", []), "preparation.matrix", 2)
         _require(m.shape == (d, d), f"preparation.matrix: shape {m.shape} != ({d}, {d})")
         return SystemPreparation(m)
-    raise ConfigError(f"preparation.kind: unknown kind {kind!r}")
+    raise ConfigError(f"preparation.kind: unknown kind {shown(kind)}")
 
 
 def _build_measurement(node, d: int) -> ProjectiveMeasurement:
@@ -215,7 +223,7 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
         vectors = _complex_array(node.get("vectors", []), "measurement.vectors", 2)
         _require(vectors.shape == (d, d), f"measurement.vectors: shape {vectors.shape} != ({d}, {d})")
         return ProjectiveMeasurement(vectors=vectors)
-    raise ConfigError(f"measurement.kind: unknown kind {kind!r}")
+    raise ConfigError(f"measurement.kind: unknown kind {shown(kind)}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -223,7 +231,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     version = doc.get("version")
     # true == 1 in Python, so a JSON boolean is refused by type
     ok = version == CONFIG_VERSION and not isinstance(version, bool)
-    _require(ok, f"config.version: expected {CONFIG_VERSION}, got {version!r}")
+    _require(ok, f"config.version: expected {CONFIG_VERSION}, got {shown(version)}")
 
     provider = _section("model", _build_model, doc.get("model"))
     d = provider.d
@@ -232,7 +240,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(grid_node, dict), "grid: expected an object with t0 and times")
     t0 = _number(grid_node.get("t0", 0.0), float, "grid.t0")
     times = grid_node.get("times", [])
-    _require(isinstance(times, (list, tuple)), f"grid.times: expected a list, got {times!r}")
+    _require(isinstance(times, (list, tuple)), f"grid.times: expected a list, got {shown(times)}")
     times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
     grid = _section("grid", TimeGrid, t0, times)
     phase = max(map(abs, (grid.t0,) + grid.times)) * _frequency_bound(provider)
@@ -246,7 +254,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")
     kind = analysis.get("kind")
-    _require(isinstance(kind, str) and kind in ANALYSES, f"analysis.kind: expected one of {tuple(ANALYSES)}, got {kind!r}")
+    _require(isinstance(kind, str) and kind in ANALYSES, f"analysis.kind: expected one of {tuple(ANALYSES)}, got {shown(kind)}")
     rules = ANALYSES[kind]
     analysis = {"tolerance": DEFAULT_TOL, "max_order": 3, "theta_points": 181, **analysis}
     analysis["tolerance"] = _number(analysis["tolerance"], float, "analysis.tolerance", 0)
@@ -264,6 +272,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         rho = preparation.density
         _require(d == 2, f"{kind} requires d = 2, model has d = {d}")
         _require(np.max(np.abs(rho - np.diag(np.diag(rho)))) <= DIAGONAL_TOL, f"{kind} requires a diagonal preparation")
+        # check_density lets an eigenvalue dip below 0 by roundoff, but p = ρ_00 is a probability
+        _require(0 <= rho[0, 0].real <= 1, f"{kind} requires rho_00 in [0, 1], got {float(rho[0, 0].real)!r}")
 
     return ExperimentConfig(provider, preparation, measurement, grid, analysis)
 

@@ -19,7 +19,3 @@ class SizeCapError(DephaserError):
 
 class TimeOrderError(ValidationError):
     """A time argument violates the required non-decreasing ordering."""
-
-
-class NullEventError(DephaserError):
-    """Conditioning on an event of (numerically) zero probability."""

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel for finite-dimensional Hilbert spaces.
 
 All operators are plain ``numpy`` complex arrays; the functions below supply
-the validated constructors, spectral exponentials, tensor-product plumbing and
-seeded random instances used by the rest of the package.  The one
-vectorized (channel) form of the package, its column-stacking convention
-included, is the channel basis of
+the validated constructors, spectral exponentials and tensor-product plumbing
+used by the rest of the package (the tests draw their seeded random instances
+from ``tests/reference.py``).  The one vectorized (channel) form of the
+package, its column-stacking convention included, is the channel basis of
 :attr:`~dephaser.measurements.ProjectiveMeasurement.channel_basis`.
 """
 
@@ -113,30 +113,3 @@ def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     if max(rows, cols) > cap:
         raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {cap}")
     return np.kron(a, b)
-
-
-def random_hermitian(dim: int, seed: int) -> np.ndarray:
-    """Seeded GUE-style Hermitian matrix, (G + G†)/2 with standard-normal G."""
-    if dim < 1:
-        raise ValidationError(f"random_hermitian: dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
-def random_density(dim: int, seed: int) -> np.ndarray:
-    """Seeded full-rank random density matrix, GG†/tr(GG†)."""
-    if dim < 1:
-        raise ValidationError(f"random_density: dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-like random unitary via QR of a complex Gaussian."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

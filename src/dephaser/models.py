@@ -532,20 +532,12 @@ def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
     return out.reshape(times[0].shape) if times[0].ndim else float(out[0])
 
 
-def markovianity_deficit(model: DephasingModel, times: Sequence[float], max_order: int) -> float:
-    """Max violation of the tensor factorization up to ``max_order`` intervals.
-
-    Compares the exact tensor against the product of dephasing-matrix entries
-    over all index-pair chains on every increasing selection of 3 to
-    ``max_order`` + 1 of the ``times``, exhaustively.
-    """
-    return markovianity_deficit_detail(ExactDephasingProvider(model), times, max_order)[0]
-
-
 def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequence[float], max_order: int):
-    """As :func:`markovianity_deficit`, on a provider of the model, also
-    returning bookkeeping details: ``tuples`` compared entries and the
-    ``orders`` walked, 2..min(max_order, K - 1) for K times.
+    """Max violation of the tensor factorization up to ``max_order`` intervals, and the details
+    ``tuples`` compared entries and ``orders`` walked, 2..min(max_order, K - 1) for K times.
+
+    Compares the exact tensor against the product of dephasing-matrix entries over all
+    index-pair chains on every increasing selection of 3 to ``max_order`` + 1 of the ``times``.
 
     Walks the selections (rows of indices into the sorted times) as a prefix
     trie, one level of n intervals at a time, depth-first in chunks of rows

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NullEventError, ShapeError, SizeCapError, TimeOrderError, ValidationError
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -62,7 +61,6 @@ IDENTITY_CACHE = 8
 
 NEG_FLOOR = -1e-10
 NORM_TOL = 1e-10
-NULL_EVENT_FLOOR = 1e-14
 
 
 def _check_tables(tables: np.ndarray, where) -> None:
@@ -142,9 +140,10 @@ class SystemPreparation:
     @classmethod
     def pure(cls, vector) -> "SystemPreparation":
         v = np.asarray(vector, dtype=complex)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValidationError("SystemPreparation.pure: zero vector")
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not 0 < nrm < np.inf:
+            raise ValidationError(f"SystemPreparation.pure: vector norm {nrm} is zero or past the double range")
         v = v / nrm
         return cls(np.outer(v, v.conj()))
 
@@ -376,27 +375,3 @@ def ncgd_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasu
         return q @ (g32 @ g21 - g31) @ q.conj().T
 
     return _max_per_entry(lifted, (t1, t2, t3), provider.d**4, "ncgd_deficit")
-
-
-def conditional_probability(dist: JointDistribution, prefix) -> np.ndarray:
-    """Distribution of the next outcome given the first ``len(prefix)`` outcomes.
-
-    Raises :class:`NullEventError` when the conditioning event has probability
-    below the floor (rather than returning NaN), and ``ValidationError`` for
-    anything but an integer outcome in 0..m-1 (a float too).
-    """
-    prefix = tuple(prefix)
-    if any(not isinstance(x, numbers.Integral) or not 0 <= x < dist.n_outcomes for x in prefix):
-        raise ValidationError(f"conditional_probability: prefix {prefix} not integers in 0..{dist.n_outcomes - 1}")
-    prefix, k = tuple(map(int, prefix)), len(prefix)
-    if k >= dist.n:
-        raise ValidationError(f"conditional_probability: prefix length {k} must be < n = {dist.n}")
-    arr = dist.as_array()
-    # marginalize outcomes after position k+1
-    for _ in range(dist.n - k - 1):
-        arr = arr.sum(axis=-1)
-    sub = arr[prefix]  # vector over x_{k+1}
-    denom = sub.sum()
-    if denom <= NULL_EVENT_FLOOR:
-        raise NullEventError(f"conditional_probability: event {prefix} has probability {denom:.3e}")
-    return np.clip(sub / denom, 0.0, None)

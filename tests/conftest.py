@@ -33,7 +33,7 @@ def markov_qubit_provider(markov_qubit):
 
 
 def random_exact_model(d, big_d, seed):
-    from dephaser.linalg import random_density, random_hermitian
+    from reference import random_density, random_hermitian
 
     blocks = tuple(random_hermitian(big_d, seed + 101 * j) for j in range(d))
     return DephasingModel(blocks, random_density(big_d, seed + 7))

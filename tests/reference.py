@@ -8,7 +8,8 @@ import json
 
 import numpy as np
 
-from dephaser.errors import TimeOrderError, ValidationError
+from dephaser.errors import ShapeError, TimeOrderError, ValidationError
+from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail
 
 
 def transfer(provider, state, dt, source, target):
@@ -160,3 +161,61 @@ def distribution_rows(dist):
     clipped probability."""
     clipped = dist.clipped().reshape((dist.n_outcomes,) * dist.n)
     return [list(xs) + [float(clipped[xs])] for xs in np.ndindex(*clipped.shape)]
+
+
+def random_hermitian(dim: int, seed: int) -> np.ndarray:
+    """Seeded GUE-style Hermitian matrix, (G + G†)/2 with standard-normal G."""
+    if dim < 1:
+        raise ValidationError(f"random_hermitian: dim must be >= 1, got {dim}")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+def random_density(dim: int, seed: int) -> np.ndarray:
+    """Seeded full-rank random density matrix, GG†/tr(GG†)."""
+    if dim < 1:
+        raise ValidationError(f"random_density: dim must be >= 1, got {dim}")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """Seeded Haar-like random unitary via QR of a complex Gaussian."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def mub_check(a, b, tol: float = 1e-10) -> bool:
+    """True iff all squared cross-overlaps of two rank-one PVMs equal 1/d within ``tol``."""
+    if not (a.is_rank_one and b.is_rank_one):
+        raise ValidationError("mub_check: only rank-one PVMs supported")
+    if a.d != b.d:
+        raise ShapeError(f"mub_check: dimension mismatch {a.d} vs {b.d}")
+    overlaps = np.abs(a.vectors.conj().T @ b.vectors) ** 2
+    return bool(np.max(np.abs(overlaps - 1.0 / a.d)) <= tol)
+
+
+def markovianity_deficit(model, times, max_order: int) -> float:
+    """The deficit of ``markovianity_deficit_detail`` on the model's exact provider."""
+    return markovianity_deficit_detail(ExactDephasingProvider(model), times, max_order)[0]
+
+
+def delta_count(d: int, h: int) -> int:
+    """Brute-force count of off-diagonal pairs with j - l = h modulo {0, ±d}.
+
+    Must equal d for every admissible h (1 <= |h| <= d-1).
+    """
+    count = 0
+    for j in range(d):
+        for l in range(d):
+            if j == l:
+                continue
+            for k in (-1, 0, 1):
+                if j - l == h + k * d:
+                    count += 1
+    return count

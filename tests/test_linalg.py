@@ -12,10 +12,9 @@ from dephaser.linalg import (
     hermitian_eigh,
     hermitian_expm,
     kron,
-    random_density,
-    random_hermitian,
     spectral_expm,
 )
+from reference import random_density, random_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import mub_check
 from dephaser.errors import ShapeError, ValidationError
 from dephaser.measurements import (
     PhaseVector,
@@ -10,7 +11,6 @@ from dephaser.measurements import (
     dephasing_basis,
     dephasing_channel,
     fourier_mub,
-    mub_check,
     qubit_basis,
 )
 
@@ -53,6 +53,14 @@ class TestProjectiveMeasurement:
             ProjectiveMeasurement(vectors=np.full((2, 2), entry))
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(vectors=np.array([[1.0, 0.0], [0.0, entry]]))
+
+    @pytest.mark.parametrize(
+        "vectors", [[[1e300, 0.0], [0.0, 1.0]], [[1e300, 1e300], [-1e300, 1e300]]], ids=["one-entry", "opposite-signs"]
+    )
+    def test_rejects_huge_vectors(self, vectors):
+        # the Gram product overflowed with a RuntimeWarning
+        with pytest.raises(ValidationError):
+            ProjectiveMeasurement(vectors=np.array(vectors))
 
     @pytest.mark.parametrize(
         "given",
@@ -133,7 +141,7 @@ class TestProjectiveMeasurement:
             assert np.array_equal(meas.projector(x), np.outer(v, v.conj()))
 
     def test_general_projector_matches_given(self):
-        from dephaser.linalg import random_unitary
+        from reference import random_unitary
 
         u = random_unitary(5, 11)
         given = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:3] @ u[:, 2:3].conj().T, u[:, 3:] @ u[:, 3:].conj().T]
@@ -159,7 +167,7 @@ class TestOutcomeBases:
                 array[0, 0] = 1.0
 
     def test_general_ranks_padded(self):
-        from dephaser.linalg import random_unitary
+        from reference import random_unitary
 
         u = random_unitary(4, 5)
         parts = np.split(u, [1, 3], axis=1)  # ranks 1, 2 and 1
@@ -283,7 +291,7 @@ class TestDephasingChannel:
 def _random_pvms():
     """Name -> (PVM, its reference): a rank-one PVM is its own (its bases are its
     given columns), a general one has its given projectors."""
-    from dephaser.linalg import random_unitary
+    from reference import random_unitary
 
     u = random_unitary(4, 9)
     rank_two = [u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T]

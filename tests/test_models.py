@@ -7,17 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z, random_exact_model
 import reference
-from reference import commutativity_check, factorization_deficit, tensor_collapse_check
+from reference import (
+    commutativity_check,
+    factorization_deficit,
+    markovianity_deficit,
+    random_hermitian,
+    random_unitary,
+    tensor_collapse_check,
+)
 from dephaser import linalg, models
 from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
-from dephaser.linalg import hermitian_expm, random_hermitian, random_unitary
+from dephaser.linalg import hermitian_expm
 from dephaser.measurements import PhaseVector, ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
-    markovianity_deficit,
     semigroup_deficit,
     triviality_check,
 )
@@ -734,7 +740,7 @@ class TestMarkovianityDeficit:
             return real(w, v, tau)
 
         monkeypatch.setattr(models, "spectral_expm", counting)
-        models.markovianity_deficit(model, times, max_order)
+        markovianity_deficit(model, times, max_order)
         durations = {t2 - t1 for t1, t2 in itertools.combinations(sorted(times), 2)}
         assert len(calls) == 1
         assert sorted(calls[0]) == sorted(durations)
@@ -862,7 +868,7 @@ class TestCommutativity:
         assert not commutativity_check(zx_model)
 
     def test_polynomial_family(self):
-        from dephaser.linalg import random_density, random_hermitian
+        from reference import random_density, random_hermitian
 
         h = random_hermitian(3, 5)
         blocks = (h, h @ h - 0.5 * h, 2.0 * h @ h @ h + h)
