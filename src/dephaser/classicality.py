@@ -36,9 +36,9 @@ and :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
 
 A :class:`ClassicalityReport` keeps its deficits as columns, one
 (tuples × positions) array per order beside the tuples' pool indices.  Its
-verdicts, ``max_deficit``, ``to_dict`` and the CLI's CSV rows read those
-arrays; ``records`` is a read-only sequence view that builds a
-:class:`DeficitRecord` only for the item read.
+verdicts, ``max_deficit``, ``to_dict`` (``report.json``'s ``orders``) and
+the CLI's CSV rows read those arrays; ``records`` is a read-only sequence
+view that builds a :class:`DeficitRecord` only for the item read.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class ClassicalityReport:
     indices of the order-n tuples, one row each (in
     ``combinations_with_replacement`` order), and their deficits, one column
     per interior position 1..n-1.  ``records`` reads them as
-    :class:`DeficitRecord` objects; the verdicts, :attr:`max_deficit`,
-    :meth:`record_values` and :meth:`to_dict` read the columns directly.
+    :class:`DeficitRecord` objects; the verdicts, :attr:`max_deficit` and
+    :meth:`to_dict` read the columns directly.
     """
 
     max_order_tested: int
@@ -131,17 +131,6 @@ class ClassicalityReport:
         """The records, ordered by order, then tuple, then position."""
         return RecordView(self)
 
-    def record_values(self):
-        """(order, position, times, deficit) of every record, in record order,
-        as plain Python values: ``times`` is a list of pool times, shared by
-        the positions of one tuple."""
-        pool = np.array(self.pool)
-        for rows, deficits in self.columns:
-            n = rows.shape[1]
-            for times, row in zip(pool[rows].tolist(), deficits.tolist()):
-                for position, deficit in enumerate(row, 1):
-                    yield n, position, times, deficit
-
     def verdict(self, order: int) -> bool:
         """True iff every deficit at orders <= ``order`` is within tolerance."""
         if not (1 <= order <= self.max_order_tested):
@@ -153,15 +142,16 @@ class ClassicalityReport:
         return max((float(deficits.max()) for _, deficits in self.columns), default=0.0)
 
     def to_dict(self) -> dict:
+        """``report.json``'s fields: per order n, tuples as rows of n ``grid_pool`` indices, deficits as rows of n-1."""
         return {
             "max_order_tested": self.max_order_tested,
             "tolerance": self.tolerance,
             "t0": self.t0,
             "grid_pool": list(self.pool),
             "note": "order 1 is normalization only and recorded as trivially satisfied",
-            "records": [
-                {"order": n, "position": position, "times": list(times), "deficit": deficit}
-                for n, position, times, deficit in self.record_values()
+            "orders": [
+                {"order": rows.shape[1], "tuples": rows.tolist(), "deficits": deficits.tolist()}
+                for rows, deficits in self.columns
             ],
             "verdicts": {str(n): self.verdict(n) for n in range(1, self.max_order_tested + 1)},
         }
@@ -205,8 +195,10 @@ class RecordView(Sequence):
         return DeficitRecord(rows.shape[1], position + 1, times, float(deficits[row, position]))
 
     def __iter__(self):
-        for n, position, times, deficit in self._report.record_values():
-            yield DeficitRecord(n, position, tuple(times), deficit)
+        for rows, deficits in self._report.columns:
+            for times, row in zip(map(tuple, np.take(self._report.pool, rows).tolist()), deficits.tolist()):
+                for position, deficit in enumerate(row, 1):
+                    yield DeficitRecord(len(times), position, times, deficit)
 
     def __eq__(self, other):
         if isinstance(other, RecordView):

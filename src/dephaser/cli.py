@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical-cap error,
 4 analysis-level failure.  Errors are emitted as one JSON object on stderr.
 Given a fixed config, output files are byte-identical across runs:
 ``report.json`` is strict JSON in the layout of ``json.dumps(..., indent=2,
-sort_keys=True)``, and CSV floats are written with ``.17g``.
+sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_ANALYSIS = 4
+REPORT_SCHEMA = 2  #: the form of ``report.json``, written as its ``schema`` key (README, output contract)
 
 #: cap on the time triples of an NCGD run, C(K, 3) for K times, checked before
 #: any dephasing matrix is computed.  A triple costs a d²×d² lift (d⁴ entries)
@@ -117,9 +118,11 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, _json(payload, "\n", _FloatText()) + "\n")
 
 
-def _cells(column: np.ndarray) -> list:
-    """The CSV cells of one column: ``str`` of an int, ``.17g`` of a float.  Each
-    distinct float is formatted once, keyed by its bits so that ±0 stay apart."""
+def _cells(column) -> list:
+    """The CSV cells of one column: a list as it is, ``str`` of an int, ``.17g`` of a
+    float.  Each distinct float is formatted once, keyed by its bits so that ±0 stay apart."""
+    if isinstance(column, list):
+        return column
     if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
     bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
@@ -128,7 +131,7 @@ def _cells(column: np.ndarray) -> list:
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """One CSV line per row of the equal-length 1-d ``columns`` (numpy arrays)."""
+    """One CSV line per row of the equal-length ``columns``: 1-d numpy arrays, or lists of cell text."""
     lines = map(",".join, zip(*map(_cells, columns)))
     _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
 
@@ -150,15 +153,16 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
     )
     width = report.max_order_tested
     header = ["order", "position"] + [f"t_{k + 1}" for k in range(width)] + ["deficit"]
-    pool = np.array(report.pool)
-    parts = []  # per order: the columns of its records, one row per (tuple, position)
+    parts = []  # per order, one row per (tuple, position): order, position, the pool index of each time, deficit
     for rows, deficits in report.columns:
-        count, n = deficits.size, rows.shape[1]
-        times = np.full((count, width), np.nan)  # NaN pads shorter tuples so the CSV stays rectangular
-        times[:, :n] = np.repeat(pool[rows], n - 1, axis=0)
-        order, position = np.full(count, n), np.tile(np.arange(1, n), len(rows))
-        parts.append([order, position, *times.T, deficits.reshape(-1)])
-    _write_csv(os.path.join(outdir, "deficits.csv"), header, [np.concatenate(column) for column in zip(*parts)])
+        n = rows.shape[1]
+        index = np.full((deficits.size, width), -1)  # -1, the last text below, is the nan that pads shorter tuples
+        index[:, :n] = np.repeat(rows, n - 1, axis=0)
+        parts.append([np.full(deficits.size, n), np.arange(deficits.size) % (n - 1) + 1, index, deficits.reshape(-1)])
+    order, position, index, deficits = map(np.concatenate, zip(*parts))
+    # each pool time is formatted once per run, and the time columns gather their cells from that text
+    text = np.array([format(t, ".17g") for t in report.pool] + ["nan"], dtype=object)
+    _write_csv(os.path.join(outdir, "deficits.csv"), header, [order, position, *text[index.T].tolist(), deficits])
     return {"analysis": "classicality", **report.to_dict()}
 
 
@@ -252,7 +256,7 @@ def cmd_run(args) -> int:
         cfg = load_config(args.config)
         os.makedirs(outdir, exist_ok=True)
         payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
-        _write_json(os.path.join(outdir, "report.json"), payload)
+        _write_json(os.path.join(outdir, "report.json"), {"schema": REPORT_SCHEMA, **payload})
     except np.linalg.LinAlgError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
     except SizeCapError as exc:

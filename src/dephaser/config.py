@@ -95,8 +95,9 @@ def _number(node, kind, name: str, least=None):
         ok = not isinstance(node, bool) and (exact or (math.isfinite(value) and value == float(node)))
     except (TypeError, ValueError, OverflowError):
         ok = False
-    expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
-    _require(ok and (least is None or value >= least), f"{name}: expected {expected}, got {shown(node)}")
+    if not (ok and (least is None or value >= least)):
+        expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
+        raise ConfigError(f"{name}: expected {expected}, got {shown(node)}")
     return value
 
 
@@ -230,8 +231,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(doc, dict), "config: top level must be an object")
     version = doc.get("version")
     # true == 1 in Python, so a JSON boolean is refused by type
-    ok = version == CONFIG_VERSION and not isinstance(version, bool)
-    _require(ok, f"config.version: expected {CONFIG_VERSION}, got {shown(version)}")
+    if not (version == CONFIG_VERSION and not isinstance(version, bool)):
+        raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {shown(version)}")
 
     provider = _section("model", _build_model, doc.get("model"))
     d = provider.d
@@ -240,7 +241,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(grid_node, dict), "grid: expected an object with t0 and times")
     t0 = _number(grid_node.get("t0", 0.0), float, "grid.t0")
     times = grid_node.get("times", [])
-    _require(isinstance(times, (list, tuple)), f"grid.times: expected a list, got {shown(times)}")
+    if not isinstance(times, (list, tuple)):
+        raise ConfigError(f"grid.times: expected a list, got {shown(times)}")
     times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
     grid = _section("grid", TimeGrid, t0, times)
     phase = max(map(abs, (grid.t0,) + grid.times)) * _frequency_bound(provider)
@@ -254,7 +256,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")
     kind = analysis.get("kind")
-    _require(isinstance(kind, str) and kind in ANALYSES, f"analysis.kind: expected one of {tuple(ANALYSES)}, got {shown(kind)}")
+    if not (isinstance(kind, str) and kind in ANALYSES):
+        raise ConfigError(f"analysis.kind: expected one of {tuple(ANALYSES)}, got {shown(kind)}")
     rules = ANALYSES[kind]
     analysis = {"tolerance": DEFAULT_TOL, "max_order": 3, "theta_points": 181, **analysis}
     analysis["tolerance"] = _number(analysis["tolerance"], float, "analysis.tolerance", 0)
@@ -273,7 +276,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require(d == 2, f"{kind} requires d = 2, model has d = {d}")
         _require(np.max(np.abs(rho - np.diag(np.diag(rho)))) <= DIAGONAL_TOL, f"{kind} requires a diagonal preparation")
         # check_density lets an eigenvalue dip below 0 by roundoff, but p = ρ_00 is a probability
-        _require(0 <= rho[0, 0].real <= 1, f"{kind} requires rho_00 in [0, 1], got {float(rho[0, 0].real)!r}")
+        if not 0 <= rho[0, 0].real <= 1:
+            raise ConfigError(f"{kind} requires rho_00 in [0, 1], got {float(rho[0, 0].real)!r}")
 
     return ExperimentConfig(provider, preparation, measurement, grid, analysis)
 

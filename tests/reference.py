@@ -163,6 +163,17 @@ def distribution_rows(dist):
     return [list(xs) + [float(clipped[xs])] for xs in np.ndindex(*clipped.shape)]
 
 
+#: the config of test_12 (``tests/test_acceptance.py``), whose outputs are also a golden set
+TEST_12 = {
+    "version": 1,
+    "model": {"kind": "exact", "preset": "qubit-zx"},
+    "preparation": {"kind": "diagonal", "weights": [1.0, 0.0]},
+    "measurement": {"kind": "mub"},
+    "grid": {"t0": 0.0, "times": [0.8, 1.6, 2.4]},
+    "analysis": {"kind": "classicality", "max_order": 3},
+}
+
+
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
     """Seeded GUE-style Hermitian matrix, (G + G†)/2 with standard-normal G."""
     if dim < 1:

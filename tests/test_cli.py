@@ -342,7 +342,7 @@ class TestRunCommand:
         assert report["verdicts"]["3"] is False
         lines = (out / "deficits.csv").read_text().splitlines()
         assert lines[0].startswith("order,position,")
-        assert len(lines) == 1 + len(report["records"])
+        assert len(lines) == 1 + sum(len(o["tuples"]) * (o["order"] - 1) for o in report["orders"])
 
     def test_markovianity_run(self, tmp_path):
         doc = classicality_config(
@@ -816,6 +816,15 @@ class TestShippedConfigs:
 
     def test_all_six_found(self):
         assert len(SHIPPED_CONFIGS) == 6
+
+    def test_valid_configs_build_no_error_text(self, monkeypatch):
+        # a message that quotes a config value is built only when its check fails
+        def raising(value):
+            raise AssertionError(f"error text built for the valid value {value!r}")
+
+        monkeypatch.setattr(config, "shown", raising)
+        for path in SHIPPED_CONFIGS:
+            load_config(path)
 
     def test_ncgd_exact_matches_reference_composition(self, tmp_path):
         # many triples on an exact model, against the d²×d² composition on sampled rows

@@ -6,6 +6,7 @@ and ``cli._write_csv`` those of the row-wise ``.17g`` writer in ``reference``.
 
 import glob
 import json
+import math
 import os
 
 import numpy as np
@@ -139,6 +140,17 @@ class TestCsv:
         reference.write_csv(str(tmp_path / "rows.csv"), header, reference.classicality_rows(report))
         assert (tmp_path / "deficits.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_pool_text_keeps_the_sign_of_zero(self, tmp_path):
+        # a pool time of -0.0 writes "-0", and at order 3 the order-2 tuples are padded with nan
+        doc = {**reference.TEST_12, "grid": {"t0": -1.0, "times": [-0.0, 0.5, 1.25]}}
+        cfg = _run(tmp_path, doc)
+        report = _report(cfg)
+        assert math.copysign(1.0, report.pool[0]) == -1.0
+        header = ["order", "position", "t_1", "t_2", "t_3", "deficit"]
+        reference.write_csv(str(tmp_path / "rows.csv"), header, reference.classicality_rows(report))
+        assert (tmp_path / "out" / "deficits.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert "\n2,1,-0,-0,nan," in (tmp_path / "out" / "deficits.csv").read_text()
+
     def test_distribution_columns_match_ndindex(self, tmp_path):
         cfg = load_config(os.path.join(ROOT, "configs", "oracle_check_qubit_zx.json"))
         dist = statistics.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
@@ -146,6 +158,74 @@ class TestCsv:
         header = [f"x_{k + 1}" for k in range(dist.n)] + ["probability"]
         reference.write_csv(str(tmp_path / "rows.csv"), header, reference.distribution_rows(dist))
         assert open(written, "rb").read() == (tmp_path / "rows.csv").read_bytes()
+
+
+# an analytic qubit to order 4 on a pool of four times
+ANALYTIC_ORDER_4 = {
+    "version": 1,
+    "model": {"kind": "markovian", "eps": [[0.0, 0.8], [-0.8, 0.0]], "gamma": [[0.0, 0.5], [0.5, 0.0]]},
+    "preparation": {"kind": "diagonal", "weights": [0.7, 0.3]},
+    "measurement": {"kind": "mub"},
+    "grid": {"t0": 0.0, "times": [0.3, 0.9, 1.4, 2.2]},
+    "analysis": {"kind": "classicality", "max_order": 4},
+}
+
+#: keys that later analyses add to report.json; until one is computed it is absent, never null
+RESERVED_KEYS = {"every_order", "first_violating_order", "span_dimensions", "certificate", "manifest", "health"}
+
+
+def _run(tmp_path, doc):
+    """``dephaser run`` of the config ``doc`` into ``tmp_path/out``; returns the parsed config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    return load_config(str(path))
+
+
+def _report(cfg):
+    a = cfg.analysis
+    return cl.classicality_report(
+        cfg.provider, cfg.preparation, cfg.measurement, cfg.grid.times, a["max_order"], a["tolerance"], t0=cfg.grid.t0
+    )
+
+
+def _keys(node):
+    """Every key of every object in a parsed JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("doc", [reference.TEST_12, ANALYTIC_ORDER_4], ids=["test_12", "analytic-order-4"])
+    def test_orders_decode_to_the_records(self, tmp_path, doc):
+        cfg = _run(tmp_path, doc)
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        pool = written["grid_pool"]
+        decoded = [
+            cl.DeficitRecord(o["order"], position, tuple(pool[i] for i in indices), deficit)
+            for o in written["orders"]
+            for indices, row in zip(o["tuples"], o["deficits"], strict=True)
+            for position, deficit in enumerate(row, 1)
+        ]
+        records = list(_report(cfg).records)
+        assert [o["order"] for o in written["orders"]] == list(range(2, doc["analysis"]["max_order"] + 1))
+        assert all(len(t) == o["order"] for o in written["orders"] for t in o["tuples"])
+        assert all(len(d) == o["order"] - 1 for o in written["orders"] for d in o["deficits"])
+        assert decoded == records
+        # equal as doubles, bit for bit: a float's repr reads back to the same double
+        for got, want in zip(decoded, records):
+            assert [x.hex() for x in (*got.times, got.deficit)] == [x.hex() for x in (*want.times, want.deficit)]
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[os.path.basename(c)[:-5] for c in SHIPPED_CONFIGS])
+    def test_schema_2_and_no_reserved_key(self, tmp_path, config):
+        assert cli.main(["run", config, "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["schema"] == cli.REPORT_SCHEMA == 2
+        assert not _keys(written) & RESERVED_KEYS
+        assert "records" not in written
 
 
 def _reference_csv(path, header, columns):
