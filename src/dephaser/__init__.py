@@ -5,8 +5,6 @@ from .classicality import (
     classicality_report,
     kolmogorov_deficit,
     markov_qubit_violation_closed,
-    qubit_two_time_deficit_closed,
-    qubit_two_time_deficit_simplified,
     search_nonclassicality_witness,
     theta_sweep,
 )

@@ -472,7 +472,7 @@ def _check_closed_form(caller: str, values: dict, outcomes: dict) -> None:
 def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: float, t1: float, t0: float) -> complex:
     """The angle-independent factor of the closed-form 2-time qubit deficit."""
     if provider.d != 2:
-        raise ValidationError(f"qubit_two_time_deficit_closed: provider d = {provider.d}, need 2")
+        raise ValidationError(f"theta_sweep: provider d = {provider.d}, need 2")
 
     def t2step(j2, l2, j1, l1):
         return provider.tensor_pairs([(j1, l1), (j2, l2)], [t1 - t0, t2 - t1])
@@ -484,46 +484,6 @@ def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: flo
         + (p - 1) * t2step(1, 0, 1, 1)
         - 2 * (2 * p - 1)
     )
-
-
-def _qubit_two_time_deficit(bracket: complex, theta, x2: int):
-    """The closed-form 2-time qubit deficit at angle ``theta`` (a scalar or an
-    array of angles) from its bracket."""
-    return ((-1) ** x2 * 0.125 * np.sin(2 * theta) * np.sin(4 * theta) * bracket).real
-
-
-def qubit_two_time_deficit_closed(
-    provider: DephasingTensorProvider,
-    p: float,
-    theta: float,
-    x2: int,
-    t2: float,
-    t1: float,
-    t0: float = 0.0,
-) -> float:
-    """Closed-form 2-time consistency deficit for a qubit, diagonal preparation.
-
-    Equals sum_x1 P2(x2, t2; x1, t1) - P1(x2, t2) for the preparation
-    diag(p, 1-p) and the measurement basis parametrized by theta (the deficit
-    does not depend on the azimuthal phase).  A non-finite input, p outside
-    [0, 1] or x2 outside {0, 1} raises ``ValidationError``.
-    """
-    values = {"p": p, "theta": theta, "t2": t2, "t1": t1, "t0": t0}
-    _check_closed_form("qubit_two_time_deficit_closed", values, {"x2": x2})
-    return float(_qubit_two_time_deficit(_qubit_two_time_bracket(provider, p, t2, t1, t0), theta, x2))
-
-
-def qubit_two_time_deficit_simplified(p: float, theta: float, x2: int, re_phi: float) -> float:
-    """The Markovian-or-commuting specialization of the 2-time deficit.
-
-    With a single dephasing function φ, the bracket collapses and the deficit
-    becomes (-1)^x2 · (1/2)(1/2 - p) · sin 2θ sin 4θ · (1 - Re φ).  A
-    non-finite input, p outside [0, 1] or x2 outside {0, 1} raises
-    ``ValidationError``.
-    """
-    values = {"p": p, "theta": theta, "re_phi": re_phi}
-    _check_closed_form("qubit_two_time_deficit_simplified", values, {"x2": x2})
-    return float((-1) ** x2 * 0.5 * (0.5 - p) * np.sin(2 * theta) * np.sin(4 * theta) * (1.0 - re_phi))
 
 
 def markov_qubit_violation_closed(
@@ -556,11 +516,16 @@ def theta_sweep(
     t0: float = 0.0,
     x2: int = 0,
 ):
-    """2-time deficit as a function of the measurement angle.
+    """The closed-form 2-time qubit deficit as a function of the measurement angle.
 
-    Returns (thetas, deficits, argmax_theta); the argmax is taken on the
-    absolute deficit.  The angle-independent bracket of the closed form is
-    evaluated once per sweep, and the angles are one array expression.
+    Each deficit is sum_x1 P2(x2, t2; x1, t1) - P1(x2, t2) for the
+    preparation diag(p, 1-p) and the qubit basis of angle theta (it does not
+    depend on the azimuthal phase), (-1)^x2 · (1/8) sin 2θ sin 4θ · Re of an
+    angle-independent bracket of four tensor entries; so it vanishes at the
+    compatible angle 0 and at the unbiased angle π/4.  The one-angle form is
+    a sweep over [theta].  Returns (thetas, deficits, argmax_theta); the
+    argmax is taken on the absolute deficit.  The bracket is evaluated once
+    per sweep, and the angles are one array expression.
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
     time-dependent factor is nonzero.  An empty ``thetas``, a non-finite
     angle or other input, p outside [0, 1] or x2 outside {0, 1} raises
@@ -571,7 +536,7 @@ def theta_sweep(
         raise ValidationError(f"theta_sweep: need one or more finite angles, got {thetas}")
     _check_closed_form("theta_sweep", {"p": p, "t2": t2, "t1": t1, "t0": t0}, {"x2": x2})
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
-    deficits = _qubit_two_time_deficit(bracket, thetas, x2)
+    deficits = ((-1) ** x2 * 0.125 * np.sin(2 * thetas) * np.sin(4 * thetas) * bracket).real
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
     return thetas, deficits, argmax_theta
 
@@ -637,7 +602,7 @@ def search_nonclassicality_witness(
 
     rng = np.random.default_rng(seed)
     for _ in range(random_draws):
-        consider(sorted(t0 + (horizon - t0) * rng.random(order)))
+        consider(sorted((t0 + (horizon - t0) * rng.random(order)).tolist()))
 
     if best is not None and best.deficit >= threshold:
         return best

@@ -137,10 +137,6 @@ class ExperimentConfig:
     grid: TimeGrid
     analysis: dict
 
-    @property
-    def d(self) -> int:
-        return self.provider.d
-
 
 def _build_model(node):
     _require(isinstance(node, dict), "model: expected an object")

@@ -5,7 +5,8 @@ the validated constructors, spectral exponentials and tensor-product plumbing
 used by the rest of the package (the tests draw their seeded random instances
 from ``tests/reference.py``).  The one vectorized (channel) form of the
 package, its column-stacking convention included, is the channel basis of
-:attr:`~dephaser.measurements.ProjectiveMeasurement.channel_basis`.
+:attr:`~dephaser.measurements.ProjectiveMeasurement.channel_basis`.  Each
+check reads its tolerance or cap from the named constants below.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from .errors import ShapeError, SizeCapError, ValidationError
 # accumulation at the supported dimensions (total dim <= DIM_CAP).
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
+
+#: least eigenvalue of a density operator: a state given to ten digits (decimal text
+#: in a config) or built from products of unitaries has roundoff-negative eigenvalues,
+#: which this admits, while a state that is not PSD is refused.
+EIG_FLOOR = -1e-10
 
 #: hard cap on the total Hilbert-space dimension of any constructed operator
 DIM_CAP = 4096
@@ -39,25 +45,29 @@ def check_square(m: np.ndarray, name: str = "matrix") -> int:
     return m.shape[0]
 
 
-def check_hermitian(m, name: str = "operator", tol: float = HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max-norm) and return the array."""
+def check_hermitian(m, name: str = "operator") -> np.ndarray:
+    """Validate Hermiticity within ``HERM_TOL`` (max-norm) and return the array; a
+    deviation past the double range (from huge finite entries) is refused, unwarned."""
     a = as_complex_matrix(m, name)
     check_square(a, name)
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
-        raise ValidationError(f"{name}: not Hermitian, max |M - M†| = {dev:.3e} > {tol:g}")
+    with np.errstate(over="ignore"):
+        dev = np.max(np.abs(a - a.conj().T))
+    if not dev <= HERM_TOL:
+        raise ValidationError(f"{name}: not Hermitian, max |M - M†| = {dev:.3e} > {HERM_TOL:g}")
     return a
 
 
-def check_density(m, name: str = "state", min_eig: float = -1e-10) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, PSD within tolerance."""
+def check_density(m, name: str = "state") -> np.ndarray:
+    """Validate a density operator: Hermitian, unit trace within ``TRACE_TOL`` (a trace
+    past the double range is refused, unwarned) and eigenvalues >= ``EIG_FLOOR``."""
     a = check_hermitian(m, name)
-    tr = np.trace(a).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    # summed as Python floats, a trace past the double range is inf or nan, not a numpy warning
+    tr = sum(a.diagonal().real.tolist())
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValidationError(f"{name}: trace = {tr!r}, expected 1 within {TRACE_TOL:g}")
     lo = np.linalg.eigvalsh(a).min()
-    if lo < min_eig:
-        raise ValidationError(f"{name}: minimum eigenvalue {lo:.3e} < {min_eig:g}")
+    if not lo >= EIG_FLOOR:
+        raise ValidationError(f"{name}: minimum eigenvalue {lo:.3e} < {EIG_FLOOR:g}")
     return a
 
 
@@ -104,12 +114,12 @@ def hermitian_expm(h: np.ndarray, tau: float) -> np.ndarray:
     return spectral_expm(*hermitian_eigh(check_hermitian(h, "hermitian_expm input")), tau)
 
 
-def kron(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with a guard (``DIM_CAP``) on the resulting dimension."""
     a = as_complex_matrix(a, "kron lhs")
     b = as_complex_matrix(b, "kron rhs")
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > cap:
-        raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {cap}")
+    if max(rows, cols) > DIM_CAP:
+        raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {DIM_CAP}")
     return np.kron(a, b)

@@ -5,6 +5,8 @@ projectors summing to the identity (general PVMs, needed only for the
 maximally-mixed-state analysis).  Either way it is stored in one form, the one
 the propagation engine of :mod:`dephaser.statistics` reads: the orthonormal
 bases V_x of the outcomes' ranges (:attr:`ProjectiveMeasurement.bases`).
+There is no second view: a rank-one PVM's vector for outcome x is
+``bases[x, :, 0]``, and a PVM is rank-one iff ``bases.shape == (d, d, 1)``.
 """
 
 from __future__ import annotations
@@ -62,15 +64,17 @@ class ProjectiveMeasurement:
             for x, p in enumerate(ps):
                 if p.shape != (d, d):
                     raise ShapeError(f"ProjectiveMeasurement: projector {x} shape {p.shape} != ({d}, {d})")
-            for x, p in enumerate(ps):
-                if np.max(np.abs(p - p.conj().T)) > PROJ_TOL:
-                    raise ValidationError(f"ProjectiveMeasurement: projector {x} is not Hermitian")
-                for y, q in enumerate(ps):
-                    ref = p if x == y else np.zeros((d, d))
-                    if np.max(np.abs(p @ q - ref)) > PROJ_TOL:
-                        raise ValidationError(f"ProjectiveMeasurement: projectors {x}, {y} not orthogonal idempotents")
-            if np.max(np.abs(sum(ps) - np.eye(d))) > PROJ_TOL:
-                raise ValidationError("ProjectiveMeasurement: projectors do not sum to the identity")
+            # a huge entry: an inf or NaN deviation, which fails the <= test
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x, p in enumerate(ps):
+                    if not np.max(np.abs(p - p.conj().T)) <= PROJ_TOL:
+                        raise ValidationError(f"ProjectiveMeasurement: projector {x} is not Hermitian")
+                    for y, q in enumerate(ps):
+                        ref = p if x == y else np.zeros((d, d))
+                        if not np.max(np.abs(p @ q - ref)) <= PROJ_TOL:
+                            raise ValidationError(f"ProjectiveMeasurement: projectors {x}, {y} not orthogonal idempotents")
+                if not np.max(np.abs(sum(ps) - np.eye(d))) <= PROJ_TOL:
+                    raise ValidationError("ProjectiveMeasurement: projectors do not sum to the identity")
             # a projector's eigenvalues are 0 or 1 (within PROJ_TOL); its range
             # is spanned by the eigenvectors of eigenvalue 1
             ranges = [v[:, w > 0.5] for w, v in (np.linalg.eigh(p) for p in ps)]
@@ -84,16 +88,6 @@ class ProjectiveMeasurement:
     @property
     def n_outcomes(self) -> int:
         return len(self.bases)
-
-    @property
-    def is_rank_one(self) -> bool:
-        """True iff every outcome has rank exactly one: r = 1 and m = d (no zero projector)."""
-        return self.bases.shape == (self.d, self.d, 1)
-
-    @property
-    def vectors(self) -> Optional[np.ndarray]:
-        """The columns of a rank-one PVM, (d, m) and read-only; None if r > 1."""
-        return self.bases[:, :, 0].T if self.is_rank_one else None
 
     def projector(self, x: int) -> np.ndarray:
         """P_x = V_x V_x†; anything but an integer outcome in 0..m-1 (a float too) raises ``ValidationError``."""

@@ -42,10 +42,10 @@ L_J = U_{j_n}(dt_n)···U_{j_1}(dt_1).  Factoring ρ_E = V diag(w) V† as
 B·diag(s)·B†, with B = V·sqrt|w| and s = sign(w), makes it a Gram product,
 T = A·diag(s)·A† where row J of A is vec(L_J B); φ(dt) is its one-interval
 case.  The signs are kept, not clipped, because ``check_density`` admits
-eigenvalues down to -1e-10.  Two providers are implemented: the exact
-finite-environment one, and the analytic one (D = 1) whose tensor factorizes
-into per-interval exponentials by construction (the regression/Markovian
-case).
+eigenvalues down to ``linalg.EIG_FLOOR``.  Two providers are implemented: the
+exact finite-environment one, and the analytic one (D = 1) whose tensor
+factorizes into per-interval exponentials by construction (the
+regression/Markovian case).
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ TERM_CAP = 10_000_000
 #: 3·10^6/s at D = 8, 10^6 at D = 16, 2.5·10^5 at D = 32): at D >= 16 a run
 #: under the cap can take minutes.
 MARKOV_WORK_CAP = 100_000_000
+
+#: |φ_jl| reads as 1 within this in :func:`triviality_check`: far above the roundoff of
+#: a computed φ (a trace of products of unitaries, off by a few ulps times D), while a
+#: coherence that decays by one part in 10^10 already counts as dephasing.
+TRIVIALITY_TOL = 1e-10
 
 
 class DephasingTensorProvider(ABC):
@@ -381,7 +386,8 @@ def _distinct(dt) -> tuple:
 
 
 def _env_factor(env: np.ndarray) -> tuple:
-    """(B, s) with ρ_E = B·diag(s)·B† over the nonzero eigenvalues of ρ_E."""
+    """(B, s) with ρ_E = B·diag(s)·B† over the nonzero eigenvalues of ρ_E; s keeps the
+    sign of an eigenvalue that ``check_density`` admits below 0, down to ``linalg.EIG_FLOOR``."""
     w, v = np.linalg.eigh(env)
     return v[:, w != 0] * np.sqrt(np.abs(w[w != 0])), np.sign(w[w != 0])
 
@@ -550,8 +556,11 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     ``provider.dephasings`` of them.
     The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
     and the d·D² entries of U per distinct duration against ``TERM_CAP``,
-    before any propagator is built.
+    before any propagator is built.  Only an ``ExactDephasingProvider`` is
+    accepted; any other provider raises ``ValidationError`` first.
     """
+    if not isinstance(provider, ExactDephasingProvider):
+        raise ValidationError(f"markovianity_deficit: requires an exact model, got {type(provider).__name__}")
     if max_order < 2:
         raise ValidationError(f"markovianity_deficit: max_order must be >= 2, got {max_order}")
     times = np.sort(np.array([float(t) for t in times]))
@@ -604,10 +613,10 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     return deficit, detail
 
 
-def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float], tol: float = 1e-10) -> bool:
-    """True iff every dephasing-matrix entry has unit modulus on the grid, all
-    pairs read at once."""
+def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float]) -> bool:
+    """True iff every dephasing-matrix entry has unit modulus (within
+    ``TRIVIALITY_TOL``) on the grid, all pairs read at once."""
     grid = np.sort(np.asarray(grid, dtype=float))
     first, second = np.triu_indices(len(grid), 1)  # the pairs of the Markovianity walk
     phi = provider.dephasing_matrix(grid[second], grid[first])
-    return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= tol)
+    return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= TRIVIALITY_TOL)

@@ -126,7 +126,7 @@ class SystemPreparation:
     density: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "density", check_density(self.density, "preparation"))
+        object.__setattr__(self, "density", check_density(self.density, "SystemPreparation"))
 
     @classmethod
     def diagonal(cls, weights) -> "SystemPreparation":

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 
+from dephaser.classicality import theta_sweep
 from dephaser.errors import ShapeError, TimeOrderError, ValidationError
 from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail
 
@@ -173,6 +174,11 @@ TEST_12 = {
     "analysis": {"kind": "classicality", "max_order": 3},
 }
 
+#: 2x2 config matrices of finite entries ([re, im] pairs) whose check overflows a
+#: double: M - M† of the anti-Hermitian one, the trace of the diagonal one
+HUGE_ANTI_HERMITIAN = [[[0.5, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]
+HUGE_DIAGONAL = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
     """Seeded GUE-style Hermitian matrix, (G + G†)/2 with standard-normal G."""
@@ -201,14 +207,39 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def is_rank_one(measurement) -> bool:
+    """True iff every outcome of the PVM has rank exactly one: its ``bases`` are
+    (d, d, 1), so r = 1 and m = d (no zero projector)."""
+    return measurement.bases.shape == (measurement.d, measurement.d, 1)
+
+
+def vectors(measurement):
+    """The columns of a rank-one PVM, (d, m) and read-only, as its ``bases`` hold them; None if r > 1."""
+    return measurement.bases[:, :, 0].T if is_rank_one(measurement) else None
+
+
 def mub_check(a, b, tol: float = 1e-10) -> bool:
     """True iff all squared cross-overlaps of two rank-one PVMs equal 1/d within ``tol``."""
-    if not (a.is_rank_one and b.is_rank_one):
+    if not (is_rank_one(a) and is_rank_one(b)):
         raise ValidationError("mub_check: only rank-one PVMs supported")
     if a.d != b.d:
         raise ShapeError(f"mub_check: dimension mismatch {a.d} vs {b.d}")
-    overlaps = np.abs(a.vectors.conj().T @ b.vectors) ** 2
+    overlaps = np.abs(vectors(a).conj().T @ vectors(b)) ** 2
     return bool(np.max(np.abs(overlaps - 1.0 / a.d)) <= tol)
+
+
+def qubit_two_time_deficit_closed(provider, p, theta, x2, t2, t1, t0=0.0) -> float:
+    """The closed-form 2-time qubit deficit at one angle: ``theta_sweep`` over [theta],
+    which checks the inputs as the sweep does."""
+    return float(theta_sweep(provider, p, [theta], t2, t1, t0, x2)[1][0])
+
+
+def qubit_two_time_deficit_simplified(p, theta, x2, re_phi) -> float:
+    """The Markovian-or-commuting specialization of the 2-time qubit deficit, the
+    bare formula: with a single dephasing function φ (the one over the second
+    interval) the bracket of the closed form collapses, and the deficit becomes
+    (-1)^x2 · (1/2)(1/2 - p) · sin 2θ sin 4θ · (1 - Re φ)."""
+    return float((-1) ** x2 * 0.5 * (0.5 - p) * np.sin(2 * theta) * np.sin(4 * theta) * (1.0 - re_phi))
 
 
 def markovianity_deficit(model, times, max_order: int) -> float:

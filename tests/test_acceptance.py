@@ -14,8 +14,6 @@ from dephaser.classicality import (
     classicality_report,
     kolmogorov_deficit,
     markov_qubit_violation_closed,
-    qubit_two_time_deficit_closed,
-    qubit_two_time_deficit_simplified,
     search_nonclassicality_witness,
     theta_sweep,
 )
@@ -37,7 +35,14 @@ from dephaser.statistics import (
     oracle_distribution,
     sandwich_identity_deficit,
 )
-from reference import delta_count, markovianity_deficit, random_density, random_unitary
+from reference import (
+    delta_count,
+    markovianity_deficit,
+    qubit_two_time_deficit_closed,
+    qubit_two_time_deficit_simplified,
+    random_density,
+    random_unitary,
+)
 from tests.conftest import random_exact_model
 
 

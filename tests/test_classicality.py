@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
-from reference import delta_count
+from reference import delta_count, qubit_two_time_deficit_closed, qubit_two_time_deficit_simplified
 from dephaser import classicality, cli, models
 from dephaser.classicality import (
     classicality_report,
     kolmogorov_deficit,
     markov_qubit_violation_closed,
-    qubit_two_time_deficit_closed,
-    qubit_two_time_deficit_simplified,
     search_nonclassicality_witness,
     theta_sweep,
 )
@@ -776,17 +774,13 @@ def test_non_finite_times_and_angles_rejected_first(zx_provider, call):
         call(zx_provider)
 
 
-# each returned a NaN or a value for an input outside the closed form's domain, or warned in sin/exp
+# each returned a NaN or a value for an input outside the closed form's domain, or warned in sin/exp;
+# the closed-* calls reach the library through the one-angle reference over theta_sweep
 BAD_CLOSED_FORM_CALLS = {
     "closed-nan-angle": lambda p: qubit_two_time_deficit_closed(p, 0.2, NAN, 0, 1.6, 0.8),
     "closed-inf-angle": lambda p: qubit_two_time_deficit_closed(p, 0.2, INF, 0, 1.6, 0.8),
     "closed-p-2": lambda p: qubit_two_time_deficit_closed(p, 2.0, 0.6, 0, 1.6, 0.8),
     "closed-x2-5": lambda p: qubit_two_time_deficit_closed(p, 0.2, 0.6, 5, 1.6, 0.8),
-    "simplified-nan-angle": lambda p: qubit_two_time_deficit_simplified(0.2, NAN, 0, 0.5),
-    "simplified-inf-angle": lambda p: qubit_two_time_deficit_simplified(0.2, INF, 0, 0.5),
-    "simplified-nan-re-phi": lambda p: qubit_two_time_deficit_simplified(0.2, 0.6, 0, NAN),
-    "simplified-p-negative": lambda p: qubit_two_time_deficit_simplified(-0.1, 0.6, 0, 0.5),
-    "simplified-x2-float": lambda p: qubit_two_time_deficit_simplified(0.2, 0.6, 1.0, 0.5),
     "theta-sweep-nan-p": lambda p: theta_sweep(p, NAN, [0.1, 0.6], 1.6, 0.8),
     "theta-sweep-p-2": lambda p: theta_sweep(p, 2.0, [0.1, 0.6], 1.6, 0.8),
     "theta-sweep-x2-5": lambda p: theta_sweep(p, 0.2, [0.1, 0.6], 1.6, 0.8, x2=5),
@@ -854,6 +848,17 @@ class TestWitnessSearch:
         assert rec is not None
         assert rec.deficit > 1e-3
         assert rec.order == 3 and rec.position == 2
+
+    @pytest.mark.parametrize("points, on_grid", [(5, True), (2, False)], ids=["grid", "random-draw"])
+    def test_times_are_floats_on_both_paths(self, zx_provider, points, on_grid):
+        # a random draw that won gave np.float64 times, a grid record Python floats
+        prep = SystemPreparation.diagonal([1.0, 0.0])
+        rec = search_nonclassicality_witness(zx_provider, prep, fourier_mub(2), 0.0, 3.0, points_per_interval=points)
+        assert all(type(t) is float for t in rec.times)
+        grid = np.linspace(0.0, 3.0, 2 * points + 1)[1:].tolist()
+        rng = np.random.default_rng(0)
+        draws = [tuple(sorted(3.0 * rng.random(3))) for _ in range(50)]
+        assert set(rec.times) <= set(grid) if on_grid else rec.times in draws  # the drawn values, bit for bit
 
     def test_none_on_classical_model(self):
         rec = search_nonclassicality_witness(

@@ -44,7 +44,7 @@ def classicality_config(**overrides):
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path, classicality_config()))
-        assert cfg.d == 2
+        assert cfg.provider.d == 2
         assert cfg.grid.times == (0.8, 1.6, 2.4)
 
     def test_version_required(self):
@@ -83,7 +83,7 @@ class TestConfigParsing:
         doc = classicality_config(model={"kind": "exact", "blocks": [z, x], "env_state": env})
         cfg = parse_config(doc)
         assert isinstance(cfg.provider, ExactDephasingProvider)
-        assert cfg.d == 2
+        assert cfg.provider.d == 2
 
     def test_markovianity_needs_exact_model(self):
         doc = classicality_config(
@@ -237,7 +237,7 @@ class TestCompletePositivity:
     def test_presets_accepted(self, preset):
         kind = "markovian" if isinstance(get_preset(preset), models.MarkovianAnalyticModel) else "exact"
         doc = classicality_config(model={"kind": kind, "preset": preset}, preparation={"kind": "maximally-mixed"})
-        assert parse_config(doc).d == get_preset(preset).d
+        assert parse_config(doc).provider.d == get_preset(preset).d
 
     @pytest.mark.parametrize(
         "model",
@@ -871,6 +871,7 @@ class TestShippedConfigs:
 
 
 # each validated with exit 0, and its run exited 2 before computing anything
+_ENV = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 PROBES = {
     "theta-sweep-on-a-qutrit": classicality_config(
         model={"kind": "markovian", "preset": "markov-real-qudit"},
@@ -895,7 +896,35 @@ PROBES = {
         grid={"t0": 0.0, "times": [0.8, 1.6]},
         analysis={"kind": "theta-sweep"},
     ),
+    # finite entries whose Hermiticity or trace check overflowed: numpy warned before the
+    # refusal, a traceback under warnings-as-error
+    "preparation-huge-anti-hermitian": classicality_config(
+        preparation={"kind": "explicit", "matrix": reference.HUGE_ANTI_HERMITIAN}
+    ),
+    "preparation-huge-trace": classicality_config(preparation={"kind": "explicit", "matrix": reference.HUGE_DIAGONAL}),
+    "block-huge-anti-hermitian": classicality_config(
+        model={"kind": "exact", "blocks": [reference.HUGE_ANTI_HERMITIAN, _ENV], "env_state": _ENV}
+    ),
 }
+
+
+class TestHugeFiniteEntries:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (reference.HUGE_ANTI_HERMITIAN, "preparation: SystemPreparation: not Hermitian, max |M - M†| = inf > 1e-12"),
+            (reference.HUGE_DIAGONAL, "preparation: SystemPreparation: trace = inf, expected 1 within 1e-12"),
+        ],
+        ids=["anti-hermitian", "trace"],
+    )
+    def test_message_names_the_section_once(self, tmp_path, capsys, matrix, message):
+        # read "preparation: preparation: ..." with the trace as np.float64(inf)
+        path = write_config(tmp_path, classicality_config(preparation={"kind": "explicit", "matrix": matrix}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", path]) == 2
+        assert caught == []
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
 
 
 def _agreement_cases():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dephaser import cli
+from reference import HUGE_ANTI_HERMITIAN, HUGE_DIAGONAL
 
 Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
@@ -143,6 +144,10 @@ def _run(command, path, outdir):
 @example(case=("theta-sweep", ("analysis", "theta_points")), value=2**53 + 1)
 # one value swaps an antisymmetric eps for another whose generator is not CP at d = 3
 @example(case=("qutrit-markovian", ("model", "eps")), value=[[0.0, 0.7, 0.7], [-0.7, 0.0, 0.7], [-0.7, -0.7, 0.0]])
+# finite entries whose Hermiticity or trace check overflows: numpy warned before the refusal
+@example(case=("markovianity", ("preparation", "matrix")), value=HUGE_ANTI_HERMITIAN)
+@example(case=("markovianity", ("preparation", "matrix")), value=HUGE_DIAGONAL)
+@example(case=("classicality", ("model", "blocks", 0)), value=HUGE_ANTI_HERMITIAN)
 @settings(max_examples=600, deadline=None, derandomize=True)
 def test_every_run_ends_in_a_documented_exit(scratch, case, value):
     kind, path = case

@@ -90,6 +90,24 @@ class TestSpectralExpm:
                 hermitian_expm(10 * SIGMA_Z, tau)
 
 
+class TestHugeFiniteEntries:
+    # numpy warned of an overflow in M - M† or in the trace before the refusal
+    @pytest.mark.parametrize(
+        "check, matrix, match",
+        [
+            (check_hermitian, [[0.5, 1e308], [-1e308, 0.5]], r"max \|M - M†\| = inf"),
+            (check_density, [[0.5, 1e308], [-1e308, 0.5]], r"max \|M - M†\| = inf"),
+            (check_density, np.diag([1e308, 1e308]), "trace = inf,"),
+        ],
+        ids=["hermitian", "density-hermitian", "density-trace"],
+    )
+    def test_refused_without_warnings(self, check, matrix, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                check(matrix)
+
+
 class TestKron:
     def test_identities(self):
         assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))

@@ -677,6 +677,12 @@ class TestDephasingMatrix:
 
 
 class TestMarkovianityDeficit:
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 1.0, 1.5], [0.0, 0.5]], ids=["4-times", "2-times"])
+    def test_analytic_provider_rejected_first(self, markov_qubit_provider, times):
+        # 4 times raised AttributeError ('_unitaries_batch'); 2 times returned a deficit of 0
+        with pytest.raises(ValidationError, match="requires an exact model, got MarkovianAnalyticProvider"):
+            models.markovianity_deficit_detail(markov_qubit_provider, times, 3)
+
     def test_scalar_blocks_factorize(self):
         model = DephasingModel(
             (np.array([[0.0]], dtype=complex), np.array([[2.3]], dtype=complex)),
