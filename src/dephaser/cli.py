@@ -1,7 +1,15 @@
 """Batch front-end: run experiment configs, emit JSON/CSV reports.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical-cap error,
-4 analysis-level failure.  Errors are emitted as one JSON object on stderr.
+Exit codes: 0 success, 2 config/validation error (an ``--out`` that cannot be
+created or written to included, refused before any analysis runs), 3
+numerical-cap error, 4 analysis-level failure (an ``OSError`` while writing an
+output included).  Errors are emitted as one JSON object on stderr.  A run's
+outputs are written whole and together: each into a temporary ``.tmp-*`` file
+beside it, created exclusively with mode 0600 as by ``tempfile.mkstemp``, and
+only when every one is written are they renamed over the old files,
+``report.json`` last.  A failed write leaves every old output as it was and removes the
+temporary files; only a failed rename leaves a mixed set, the outputs renamed
+before it new beside the old ``report.json``.
 Given a fixed config, output files are byte-identical across runs:
 ``report.json`` is strict JSON in the layout of ``json.dumps(..., indent=2,
 sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``.
@@ -10,12 +18,13 @@ sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -46,18 +55,62 @@ NCGD_TRIPLE_CAP = 50_000
 THETA_POINTS_CAP = 100_000
 
 
+#: while ``_staged`` runs, the (temporary, path) pairs written and not yet renamed
+_pending: list | None = None
+
+
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    """Write ``text`` to ``path`` whole: into a temporary file beside it, then renamed
+    over ``path`` at once or, inside ``_staged``, when the run's last output is written.
+    The temporary file is made as ``tempfile.mkstemp`` makes one, in one ``os.open``:
+    created exclusively with its flags and mode 0600, under a random name drawn again
+    while taken, at most ``TMP_MAX`` times.  On a failure the temporary file is removed
+    and ``path`` is left as it was."""
+    head, tail = os.path.split(os.path.abspath(path))
+    flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
+    for _ in range(getattr(os, "TMP_MAX", 10000)):
+        tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{tail}")
+        try:
+            fd = os.open(tmp, flags, 0o600)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(errno.EEXIST, "no free temporary file name", head)
     try:
-        # in binary mode: the outputs are ASCII, and a text-mode wrapper costs more than a small write
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode())
-        os.replace(tmp, path)
+        # bytes, not a file object: the outputs are ASCII, and a file object costs more than a small write
+        data = memoryview(text.encode())
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
+        if _pending is None:
+            os.replace(tmp, path)
+        else:
+            _pending.append((tmp, path))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _staged():
+    """Hold back the renames of the outputs written inside the block; when it ends
+    without an error, rename them in the order written, so ``report.json``, written
+    last, is renamed last.  Temporary files not renamed, after an error or a failed
+    rename, are removed."""
+    global _pending
+    pending = _pending = []
+    try:
+        yield
+        while pending:
+            os.replace(*pending[0])
+            del pending[0]
+    finally:
+        _pending = None
+        for tmp, _ in pending:
+            os.unlink(tmp)
 
 
 _STR = json.encoder.encode_basestring_ascii
@@ -250,13 +303,29 @@ def _error_json(code: int, exc: Exception) -> int:
     return code
 
 
+def _output_directory(outdir: str) -> None:
+    """Create ``outdir`` if it is missing; one that cannot be created, or is not a
+    writable directory, is refused with ``ValidationError`` before any analysis runs."""
+    if not os.path.isdir(outdir):  # one stat for the usual existing directory, where makedirs makes three calls
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {outdir!r}: cannot create the output directory: {exc.strerror}") from exc
+    if not os.access(outdir, os.W_OK | os.X_OK):
+        raise ValidationError(f"--out {outdir!r}: the output directory is not writable")
+
+
 def cmd_run(args) -> int:
     outdir = args.out or "."
     try:
         cfg = load_config(args.config)
-        os.makedirs(outdir, exist_ok=True)
-        payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
-        _write_json(os.path.join(outdir, "report.json"), {"schema": REPORT_SCHEMA, **payload})
+        _output_directory(outdir)
+        with _staged():
+            payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
+            _write_json(os.path.join(outdir, "report.json"), {"schema": REPORT_SCHEMA, **payload})
+    except OSError as exc:
+        # an output that cannot be written: every old output is left as it was (_staged)
+        return _error_json(EXIT_ANALYSIS, exc)
     except np.linalg.LinAlgError as exc:
         return _error_json(EXIT_ANALYSIS, exc)
     except SizeCapError as exc:

@@ -2,7 +2,14 @@
 
 Config files are versioned JSON; complex matrices are nested arrays of
 [re, im] pairs, real matrices plain nested numbers.  Validation errors name
-the first failing field/invariant.
+the first failing field/invariant, checked in this order: ``version``, then
+the fields that need no model (``grid``, the ``analysis`` kind, its numbers
+and its least number of times), then the model, the phase bound and the
+exact-model rule, then the measurement, the preparation and the rules on
+them.  A document that breaks a model-independent field is refused before
+any model is built, so a config with several faults reports its ``grid`` or
+``analysis`` fault first.  Each constructed object checks its arrays in one
+pass (see :class:`~dephaser.models.DephasingModel`).
 """
 
 from __future__ import annotations
@@ -230,9 +237,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not (version == CONFIG_VERSION and not isinstance(version, bool)):
         raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {shown(version)}")
 
-    provider = _section("model", _build_model, doc.get("model"))
-    d = provider.d
-
+    # the fields that need no model come first, so a document that breaks one builds no model
     grid_node = doc.get("grid")
     _require(isinstance(grid_node, dict), "grid: expected an object with t0 and times")
     t0 = _number(grid_node.get("t0", 0.0), float, "grid.t0")
@@ -241,13 +246,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"grid.times: expected a list, got {shown(times)}")
     times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
     grid = _section("grid", TimeGrid, t0, times)
-    phase = max(map(abs, (grid.t0,) + grid.times)) * _frequency_bound(provider)
-    if not phase <= PHASE_BOUND:
-        # a ValidationError, as a run reports a phase that overflows, so both read alike
-        raise ValidationError(
-            f"grid.times: phase t·|H| = {phase:.3e} exceeds {PHASE_BOUND:g} (t the largest |time|, |H| a bound "
-            "on the model's frequencies), beyond which exp(-i·t·w) loses its digits"
-        )
 
     analysis = doc.get("analysis")
     _require(isinstance(analysis, dict), "analysis: expected an object")
@@ -259,8 +257,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     analysis["tolerance"] = _number(analysis["tolerance"], float, "analysis.tolerance", 0)
     analysis["max_order"] = _number(analysis["max_order"], int, "analysis.max_order", rules.min_order)
     analysis["theta_points"] = _number(analysis["theta_points"], int, "analysis.theta_points", 1)
-    _require(isinstance(provider, ExactDephasingProvider) or not rules.exact, f"analysis.kind '{kind}' requires an exact model")
     _require(grid.n >= rules.min_times, f"grid.times: analysis.kind '{kind}' needs at least {rules.min_times} times")
+
+    provider = _section("model", _build_model, doc.get("model"))
+    d = provider.d
+    phase = max(map(abs, (grid.t0,) + grid.times)) * _frequency_bound(provider)
+    if not phase <= PHASE_BOUND:
+        # a ValidationError, as a run reports a phase that overflows, so both read alike
+        raise ValidationError(
+            f"grid.times: phase t·|H| = {phase:.3e} exceeds {PHASE_BOUND:g} (t the largest |time|, |H| a bound "
+            "on the model's frequencies), beyond which exp(-i·t·w) loses its digits"
+        )
+    _require(isinstance(provider, ExactDephasingProvider) or not rules.exact, f"analysis.kind '{kind}' requires an exact model")
 
     node = doc.get("measurement")
     measurement = None if node is None else _section("measurement", _build_measurement, node, d)
@@ -270,7 +278,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if rules.qubit_diagonal:
         rho = preparation.density
         _require(d == 2, f"{kind} requires d = 2, model has d = {d}")
-        _require(np.max(np.abs(rho - np.diag(np.diag(rho)))) <= DIAGONAL_TOL, f"{kind} requires a diagonal preparation")
+        _require(np.abs(rho - np.diag(np.diag(rho))).max() <= DIAGONAL_TOL, f"{kind} requires a diagonal preparation")
         # check_density lets an eigenvalue dip below 0 by roundoff, but p = ρ_00 is a probability
         if not 0 <= rho[0, 0].real <= 1:
             raise ConfigError(f"{kind} requires rho_00 in [0, 1], got {float(rho[0, 0].real)!r}")

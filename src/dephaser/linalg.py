@@ -34,7 +34,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name}: contains NaN/Inf entries")
     return a
 
@@ -51,7 +51,7 @@ def check_hermitian(m, name: str = "operator") -> np.ndarray:
     a = as_complex_matrix(m, name)
     check_square(a, name)
     with np.errstate(over="ignore"):
-        dev = np.max(np.abs(a - a.conj().T))
+        dev = np.abs(a - a.conj().T).max()
     if not dev <= HERM_TOL:
         raise ValidationError(f"{name}: not Hermitian, max |M - M†| = {dev:.3e} > {HERM_TOL:g}")
     return a

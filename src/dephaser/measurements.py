@@ -7,11 +7,15 @@ the propagation engine of :mod:`dephaser.statistics` reads: the orthonormal
 bases V_x of the outcomes' ranges (:attr:`ProjectiveMeasurement.bases`).
 There is no second view: a rank-one PVM's vector for outcome x is
 ``bases[x, :, 0]``, and a PVM is rank-one iff ``bases.shape == (d, d, 1)``.
+Each check is one array reduction over its deviation (the Gram matrix, or a
+projector's Hermiticity, products and sum), and :func:`fourier_mub` builds
+its d columns in one array expression.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,7 +37,7 @@ class PhaseVector:
 
     def __post_init__(self):
         ph = tuple(float(p) for p in self.phases)
-        if not all(np.isfinite(p) for p in ph):
+        if not all(map(math.isfinite, ph)):
             raise ValidationError(f"PhaseVector: non-finite entry in {ph}")
         # global-phase gauge: shift so the first phase vanishes
         ph = tuple(p - ph[0] for p in ph)
@@ -52,7 +56,7 @@ class ProjectiveMeasurement:
             d = check_square(v, "ProjectiveMeasurement vectors")
             with np.errstate(over="ignore", invalid="ignore"):  # a huge entry: an inf or NaN Gram
                 gram = v.conj().T @ v
-            dev = np.max(np.abs(gram - np.eye(d)))
+            dev = np.abs(gram - np.eye(d)).max()
             if not dev <= GRAM_TOL:
                 raise ValidationError(f"ProjectiveMeasurement: vectors not orthonormal, |Gram - 1| = {dev:.3e}")
             bases = v.T[:, :, None].copy()  # column x is the outcome-x vector
@@ -67,13 +71,13 @@ class ProjectiveMeasurement:
             # a huge entry: an inf or NaN deviation, which fails the <= test
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, p in enumerate(ps):
-                    if not np.max(np.abs(p - p.conj().T)) <= PROJ_TOL:
+                    if not np.abs(p - p.conj().T).max() <= PROJ_TOL:
                         raise ValidationError(f"ProjectiveMeasurement: projector {x} is not Hermitian")
                     for y, q in enumerate(ps):
                         ref = p if x == y else np.zeros((d, d))
-                        if not np.max(np.abs(p @ q - ref)) <= PROJ_TOL:
+                        if not np.abs(p @ q - ref).max() <= PROJ_TOL:
                             raise ValidationError(f"ProjectiveMeasurement: projectors {x}, {y} not orthogonal idempotents")
-                if not np.max(np.abs(sum(ps) - np.eye(d))) <= PROJ_TOL:
+                if not np.abs(sum(ps) - np.eye(d)).max() <= PROJ_TOL:
                     raise ValidationError("ProjectiveMeasurement: projectors do not sum to the identity")
             # a projector's eigenvalues are 0 or 1 (within PROJ_TOL); its range
             # is spanned by the eigenvectors of eigenvalue 1
@@ -128,10 +132,8 @@ def fourier_mub(d: int, phases: Optional[PhaseVector] = None) -> ProjectiveMeasu
     if len(phases.phases) != d:
         raise ShapeError(f"fourier_mub: need {d} phases, got {len(phases.phases)}")
     j = np.arange(d)
-    omega = np.exp(2j * np.pi / d)
-    cols = np.empty((d, d), dtype=complex)
-    for x in range(d):
-        cols[:, x] = omega ** (j * x) * np.exp(1j * np.asarray(phases.phases)) / np.sqrt(d)
+    # column x is omega^(j·x)·e^(i·phases[j]) / sqrt(d), each entry as one column at a time gave it
+    cols = np.exp(2j * np.pi / d) ** np.multiply.outer(j, j) * np.exp(1j * np.asarray(phases.phases))[:, None] / np.sqrt(d)
     return ProjectiveMeasurement(vectors=cols)
 
 

@@ -27,7 +27,9 @@ V_x†(P_y ∘ φᵀ)V_x (analytic) and no last branch state is built.
 
 What depends only on the model or on the measurement is built once per
 object: a :class:`DephasingModel` stacks its blocks once, into one read-only
-(d, D, D) array, and the Kraus coefficients of a pair of outcome bases come
+(d, D, D) array checked finite and Hermitian in one pass (a
+:class:`MarkovianAnalyticModel` keeps read-only copies of eps and gamma, each
+rule one whole-array test), and the Kraus coefficients of a pair of outcome bases come
 from one bounded memo keyed by the bases' contents (:func:`_coefficients`).
 What the dynamics give is built once per provider and never shared between
 providers: the exact provider diagonalises the stored stack once, in one
@@ -61,7 +63,7 @@ import numpy as np
 from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
-from .linalg import check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
+from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
 #: budget, in complex entries, for the largest array an analysis holds: in
 #: ``joint_distribution`` ρ⊗ρ_E (d²·D²), the first interval's K·E
@@ -194,24 +196,21 @@ class DephasingModel:
     read-only copies: code downstream skips re-checking them.  The blocks are
     given as a sequence of D×D matrices and stored in one form, a (d, D, D)
     array stacked once per model (indexing, ``len`` and iteration give the
-    blocks), which every provider of the model diagonalises as it is.
+    blocks), which every provider of the model diagonalises as it is.  The
+    stack is checked finite and Hermitian within ``HERM_TOL`` at once; only
+    blocks that fail, or do not stack, are checked one by one, so that the
+    error names the first failing block H_j.
     """
 
     blocks: np.ndarray
     env_state: np.ndarray
 
     def __post_init__(self):
-        blocks = [check_hermitian(b, f"block H_{j}") for j, b in enumerate(self.blocks)]
-        if not blocks:
-            raise ValidationError("DephasingModel: need at least one block")
-        big_d = blocks[0].shape[0]
-        for j, b in enumerate(blocks):
-            if b.shape != (big_d, big_d):
-                raise ShapeError(f"DephasingModel: block H_{j} has shape {b.shape}, expected ({big_d}, {big_d})")
+        blocks = _stacked_blocks(self.blocks)
+        big_d = blocks.shape[1]
         env = np.array(check_density(self.env_state, "env_state"))
         if env.shape != (big_d, big_d):
             raise ShapeError(f"DephasingModel: env_state dim {env.shape[0]} != block dim {big_d}")
-        blocks = np.stack(blocks)
         for a in (blocks, env):
             a.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
@@ -224,6 +223,28 @@ class DephasingModel:
     @property
     def env_dim(self) -> int:
         return self.blocks.shape[1]
+
+
+def _stacked_blocks(blocks) -> np.ndarray:
+    """The blocks as one (d, D, D) complex copy, checked finite and Hermitian within
+    ``HERM_TOL`` in one pass over the stack.  Blocks that fail, or do not stack, go
+    through the per-block checks, which name the first failing block."""
+    try:
+        stack = np.array(blocks, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        stack = np.empty(0)  # ragged or not numeric: the per-block checks say which block
+    if stack.ndim == 3 and stack.size and stack.shape[1] == stack.shape[2] and np.isfinite(stack).all():
+        with np.errstate(over="ignore"):  # a huge finite entry: an inf deviation, refused below
+            if np.abs(stack - stack.conj().swapaxes(1, 2)).max() <= HERM_TOL:
+                return stack
+    checked = [check_hermitian(b, f"block H_{j}") for j, b in enumerate(blocks)]
+    if not checked:
+        raise ValidationError("DephasingModel: need at least one block")
+    big_d = checked[0].shape[0]
+    for j, b in enumerate(checked):
+        if b.shape != (big_d, big_d):
+            raise ShapeError(f"DephasingModel: block H_{j} has shape {b.shape}, expected ({big_d}, {big_d})")
+    return np.stack(checked)
 
 
 class ExactDephasingProvider(DephasingTensorProvider):
@@ -411,7 +432,9 @@ class MarkovianAnalyticModel:
 
     Off-diagonal coherences (j, l) evolve with exp(-(i·eps[j,l] +
     gamma[j,l]/2)·dt).  eps must be antisymmetric and gamma symmetric and
-    nonnegative so that the dephasing matrix is conjugate-symmetric.
+    nonnegative so that the dephasing matrix is conjugate-symmetric.  Both
+    are stored as read-only copies, so a later edit of the caller's arrays
+    changes neither the model nor its φ.
     """
 
     eps: np.ndarray
@@ -422,15 +445,20 @@ class MarkovianAnalyticModel:
         gamma = np.asarray(self.gamma, dtype=float)
         if eps.ndim != 2 or eps.shape[0] != eps.shape[1] or gamma.shape != eps.shape:
             raise ShapeError(f"MarkovianAnalyticModel: eps/gamma must be square and matching, got {eps.shape} vs {gamma.shape}")
-        if not (np.isfinite(eps).all() and np.isfinite(gamma).all()):
+        pair = np.array((eps, gamma))  # one read-only copy of both, whatever the caller does to theirs
+        pair.flags.writeable = False
+        eps, gamma = pair
+        # one whole-array predicate per rule; x + y == 0 iff x == -y for finite doubles, so
+        # the (anti)symmetry tests compare entries, and a huge entry cannot overflow a sum
+        if not np.isfinite(pair).all():
             raise ValidationError("MarkovianAnalyticModel: eps and gamma must be finite")
-        if np.any(np.abs(np.diag(eps)) > 0) or np.any(np.abs(np.diag(gamma)) > 0):
+        if pair.diagonal(axis1=1, axis2=2).any():
             raise ValidationError("MarkovianAnalyticModel: diagonals of eps and gamma must vanish")
-        if np.max(np.abs(eps + eps.T)) > 0:
+        if (eps != -eps.T).any():
             raise ValidationError("MarkovianAnalyticModel: eps must be antisymmetric")
-        if np.max(np.abs(gamma - gamma.T)) > 0:
+        if (gamma != gamma.T).any():
             raise ValidationError("MarkovianAnalyticModel: gamma must be symmetric")
-        if np.any(gamma < 0):
+        if (gamma < 0).any():
             raise ValidationError("MarkovianAnalyticModel: gamma must be entrywise nonnegative")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "gamma", gamma)

@@ -121,12 +121,14 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SystemPreparation:
-    """Initial system state, a validated density matrix."""
+    """Initial system state, a validated density matrix stored as a read-only copy."""
 
     density: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "density", check_density(self.density, "SystemPreparation"))
+        density = np.array(check_density(self.density, "SystemPreparation"))
+        density.flags.writeable = False
+        object.__setattr__(self, "density", density)
 
     @classmethod
     def diagonal(cls, weights) -> "SystemPreparation":

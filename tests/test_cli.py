@@ -1,3 +1,4 @@
+import errno
 import glob
 import itertools
 import json
@@ -763,6 +764,171 @@ class TestRunCommand:
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
+def _no_analysis(monkeypatch):
+    """Make any analysis runner fail the test if it is called."""
+    for kind in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, kind, lambda cfg, outdir: pytest.fail("an analysis ran"))
+
+
+class TestOutputDirectory:
+    """An ``--out`` that cannot be used exits 2 with one JSON object before any analysis runs."""
+
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+    def test_file_in_the_way_exits_2(self, tmp_path, capsys, monkeypatch, where):
+        (tmp_path / "taken").write_text("keep")
+        out = tmp_path / "taken" if where == "a-file" else tmp_path / "taken" / "sub"
+        path = write_config(tmp_path, classicality_config())
+        _no_analysis(monkeypatch)
+        assert main(["run", path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        reason = "File exists" if where == "a-file" else "Not a directory"
+        assert len(lines) == 1 and json.loads(lines[0]) == {
+            "error": "ValidationError",
+            "message": f"--out {str(out)!r}: cannot create the output directory: {reason}",
+        }
+        assert (tmp_path / "taken").read_text() == "keep"
+
+    def test_unwritable_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        path = write_config(tmp_path, classicality_config())
+        _no_analysis(monkeypatch)
+        # a directory the process may not write to (root may write anywhere, so access is stubbed)
+        monkeypatch.setattr(cli.os, "access", lambda p, mode: not (os.path.samefile(p, out) and mode & os.W_OK))
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": f"--out {str(out)!r}: the output directory is not writable",
+        }
+
+    def test_config_fault_reported_first(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("keep")
+        path = write_config(tmp_path, classicality_config(version=2))
+        assert main(["run", path, "--out", str(tmp_path / "taken")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def _temporaries(directory) -> list:
+    return [name for name in os.listdir(directory) if name.startswith(".tmp-")]
+
+
+class TestOutputFiles:
+    """A run's outputs are written whole (each a temporary created exclusively with mode
+    0600) and renamed over the old ones only when every one is written, report.json last;
+    an OSError while writing exits 4 with one JSON object."""
+
+    def test_mode_0600_and_no_temporary_left(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["deficits.csv", "report.json"]
+        for name in os.listdir(out):
+            assert os.stat(out / name).st_mode & 0o777 == 0o600
+
+    def test_existing_outputs_replaced_whole(self, tmp_path):
+        path = write_config(tmp_path, classicality_config())
+        fresh, out = tmp_path / "fresh", tmp_path / "o"
+        assert main(["run", path, "--out", str(fresh)]) == 0
+        out.mkdir()
+        for name in ("report.json", "deficits.csv"):
+            (out / name).write_bytes(b"x" * 10 * len((fresh / name).read_bytes()))
+        assert main(["run", path, "--out", str(out)]) == 0
+        for name in ("report.json", "deficits.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert _temporaries(out) == []
+
+    def test_clashing_temporary_name_drawn_again(self, tmp_path, monkeypatch):
+        tried, real_open = [], os.open
+
+        def clashing(name, *args):
+            tried.append(os.path.basename(name))
+            if len(tried) == 1:
+                raise FileExistsError(errno.EEXIST, "File exists", name)
+            return real_open(name, *args)
+
+        monkeypatch.setattr(os, "open", clashing)
+        cli._atomic_write(str(tmp_path / "report.json"), "{}\n")
+        monkeypatch.undo()
+        assert (tmp_path / "report.json").read_text() == "{}\n"
+        assert len(tried) == 2 and tried[0] != tried[1]
+        assert all(name.startswith(".tmp-") and name.endswith("report.json") for name in tried)
+        assert _temporaries(tmp_path) == []
+
+    def test_no_free_temporary_name_exits_4(self, tmp_path, capsys, monkeypatch):
+        tried = []
+
+        def taken(name, *args):
+            tried.append(name)
+            raise FileExistsError(errno.EEXIST, "File exists", name)
+
+        monkeypatch.setattr(os, "TMP_MAX", 3)
+        monkeypatch.setattr(os, "open", taken)
+        code = main(["run", write_config(tmp_path, classicality_config()), "--out", str(tmp_path / "o")])
+        monkeypatch.undo()
+        assert code == 4 and len(tried) == 3  # drawn TMP_MAX times, then given up
+        assert json.loads(capsys.readouterr().err)["error"] == "FileExistsError"
+        assert os.listdir(tmp_path / "o") == []
+
+    def _rerun_failing(self, tmp_path, capsys, monkeypatch, call, failing_call):
+        """Run a config into a directory that holds an earlier run's outputs, the
+        ``failing_call``-th call of ``os.<call>`` raising ENOSPC; returns the outputs
+        before and after the failed run."""
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, classicality_config(), "old.json"), "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        # a new config, so that a replaced output would differ from the old one
+        path = write_config(tmp_path, classicality_config(grid={"t0": 0.0, "times": [0.5, 1.5, 2.5]}))
+        capsys.readouterr()
+        real, calls = getattr(os, call), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args)
+
+        monkeypatch.setattr(os, call, failing)
+        code = main(["run", path, "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+        assert _temporaries(out) == []
+        return before, {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    # deficits.csv is written (and renamed) first, report.json second
+    @pytest.mark.parametrize("call, failing_call", [("write", 1), ("write", 2), ("replace", 1)])
+    def test_write_failure_exits_4_leaving_no_partial_output(self, tmp_path, capsys, monkeypatch, call, failing_call):
+        before, after = self._rerun_failing(tmp_path, capsys, monkeypatch, call, failing_call)
+        # every file is the previous run's, whole
+        assert after == before
+
+    def test_failed_last_rename_leaves_the_old_report(self, tmp_path, capsys, monkeypatch):
+        # the state README documents: the outputs renamed before the failure are new, report.json is old
+        before, after = self._rerun_failing(tmp_path, capsys, monkeypatch, "replace", 2)
+        assert sorted(after) == ["deficits.csv", "report.json"]
+        assert after["report.json"] == before["report.json"] and after["deficits.csv"] != before["deficits.csv"]
+
+    def test_failed_report_writes_no_output(self, tmp_path, capsys, monkeypatch):
+        # the CSV is written before report.json fails on a value with no strict JSON form
+        def runner(cfg, outdir):
+            cli._write_csv(os.path.join(outdir, "deficits.csv"), ["x"], [np.array([1.0])])
+            return {"analysis": "classicality", "max_deficit": float("nan")}
+
+        monkeypatch.setitem(cli._RUNNERS, "classicality", runner)
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "DephaserError"
+        assert os.listdir(out) == []
+
+    def test_output_name_taken_by_a_directory_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "deficits.csv").mkdir(parents=True)
+        assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "IsADirectoryError"
+        assert sorted(os.listdir(out)) == ["deficits.csv"] and os.listdir(out / "deficits.csv") == []
+
+
 class TestThetaSweep:
     """The qubit theta sweep end to end: the closed-form 2-time deficit per angle."""
 
@@ -872,6 +1038,71 @@ class TestShippedConfigs:
 
 # each validated with exit 0, and its run exited 2 before computing anything
 _ENV = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+_SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+
+
+def _exact_model(second_block):
+    return classicality_config(model={"kind": "exact", "blocks": [_SIGMA_Z, second_block], "env_state": _ENV})
+
+
+def _markovian_model(eps, gamma):
+    return classicality_config(model={"kind": "markovian", "eps": eps, "gamma": gamma})
+
+
+_OFF = [[0.0, 1.0], [1.0, 0.0]]
+#: a fault in block H_1 or in one rule of the analytic model, and the message that names it
+MODEL_FAULTS = {
+    "block-1-nan": (
+        _exact_model([[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        "model.blocks[1]: entries must be finite",
+    ),
+    "block-1-not-hermitian": (
+        _exact_model([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        "model: block H_1: not Hermitian, max |M - M†| = 1.000e+00 > 1e-12",
+    ),
+    "block-1-wrong-shape": (
+        _exact_model([[[1.0, 0.0] if r == c else [0.0, 0.0] for c in range(3)] for r in range(3)]),
+        "model: DephasingModel: block H_1 has shape (3, 3), expected (2, 2)",
+    ),
+    "block-1-huge-anti-hermitian": (
+        _exact_model(reference.HUGE_ANTI_HERMITIAN),
+        "model: block H_1: not Hermitian, max |M - M†| = inf > 1e-12",
+    ),
+    "markovian-mismatched": (
+        _markovian_model([[0.0, 0.0], [0.0, 0.0]], [[0.0] * 3] * 3),
+        "model: MarkovianAnalyticModel: eps/gamma must be square and matching, got (2, 2) vs (3, 3)",
+    ),
+    "markovian-nan": (
+        _markovian_model([[0.0, float("nan")], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        "model: MarkovianAnalyticModel: eps and gamma must be finite",
+    ),
+    "markovian-eps-diagonal": (
+        _markovian_model([[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        "model: MarkovianAnalyticModel: diagonals of eps and gamma must vanish",
+    ),
+    "markovian-gamma-diagonal": (
+        _markovian_model([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]),
+        "model: MarkovianAnalyticModel: diagonals of eps and gamma must vanish",
+    ),
+    "markovian-eps-symmetric": (
+        _markovian_model(_OFF, [[0.0, 0.0], [0.0, 0.0]]),
+        "model: MarkovianAnalyticModel: eps must be antisymmetric",
+    ),
+    # eps + epsᵀ past the double range
+    "markovian-eps-huge-symmetric": (
+        _markovian_model([[0.0, 1e308], [1e308, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        "model: MarkovianAnalyticModel: eps must be antisymmetric",
+    ),
+    "markovian-gamma-asymmetric": (
+        _markovian_model([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]),
+        "model: MarkovianAnalyticModel: gamma must be symmetric",
+    ),
+    "markovian-gamma-negative": (
+        _markovian_model([[0.0, 0.0], [0.0, 0.0]], [[0.0, -1.0], [-1.0, 0.0]]),
+        "model: MarkovianAnalyticModel: gamma must be entrywise nonnegative",
+    ),
+}
+
 PROBES = {
     "theta-sweep-on-a-qutrit": classicality_config(
         model={"kind": "markovian", "preset": "markov-real-qudit"},
@@ -905,7 +1136,40 @@ PROBES = {
     "block-huge-anti-hermitian": classicality_config(
         model={"kind": "exact", "blocks": [reference.HUGE_ANTI_HERMITIAN, _ENV], "env_state": _ENV}
     ),
+    **{name: doc for name, (doc, _) in MODEL_FAULTS.items()},
 }
+
+
+class TestModelFaults:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"version": 2}, "config.version: expected 1, got 2"),
+            ({"grid": {"times": ["a"]}}, "grid.times[0]: expected a finite number, got 'a'"),
+            ({"grid": {"times": [2.0, 1.0]}}, "grid: TimeGrid: times (2.0, 1.0) not non-decreasing from t0 = 0.0"),
+            ({"analysis": {"kind": "nope"}}, "analysis.kind: expected one of ('classicality', 'markovianity', 'ncgd', 'theta-sweep', 'oracle-check'), got 'nope'"),
+            ({"analysis": {"kind": "classicality", "max_order": "three"}}, "analysis.max_order: expected an integer >= 2, got 'three'"),
+            ({"analysis": {"kind": "ncgd"}}, "grid.times: analysis.kind 'ncgd' needs at least 3 times"),
+        ],
+        ids=["version", "grid-value", "grid-order", "analysis-kind", "analysis-number", "grid-too-short"],
+    )
+    def test_model_independent_fields_checked_before_any_model(self, tmp_path, capsys, monkeypatch, overrides, message):
+        # the model is both broken and never built: the other field's fault is the one reported
+        monkeypatch.setattr(config, "_build_model", lambda node: pytest.fail("a model was built"))
+        doc = {**MODEL_FAULTS["block-1-not-hermitian"][0], "grid": {"times": [0.8, 1.6]}, **overrides}
+        path = write_config(tmp_path, doc)
+        for command in (["validate", path], ["run", path, "--out", str(tmp_path / "o")]):
+            assert main(command) == 2
+            assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FAULTS))
+    def test_exact_message_unwarned(self, tmp_path, capsys, name):
+        doc, message = MODEL_FAULTS[name]
+        path = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", path]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
 
 
 class TestHugeFiniteEntries:

@@ -37,6 +37,27 @@ class TestPhaseVector:
         assert np.max(np.abs(vectors(a) - vectors(b))) < 1e-12
 
 
+    def test_rejects_nan_with_its_message(self):
+        with pytest.raises(ValidationError, match=r"^PhaseVector: non-finite entry in \(0\.0, nan\)$"):
+            PhaseVector((0.0, float("nan")))
+
+
+class TestFourierColumns:
+    @staticmethod
+    def per_column(d, phases):
+        """The Fourier basis built one column at a time."""
+        j, omega, cols = np.arange(d), np.exp(2j * np.pi / d), np.empty((d, d), dtype=complex)
+        for x in range(d):
+            cols[:, x] = omega ** (j * x) * np.exp(1j * np.asarray(phases.phases)) / np.sqrt(d)
+        return cols
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 64])
+    def test_bitwise_equal_to_the_per_column_form(self, d):
+        rng = np.random.default_rng(d)
+        for phases in (PhaseVector((0.0,) * d), PhaseVector(tuple(rng.uniform(-10.0, 10.0, d)))):
+            assert vectors(fourier_mub(d, phases)).tobytes() == self.per_column(d, phases).tobytes()
+
+
 class TestProjectiveMeasurement:
     def test_rank_one_projector(self):
         m = dephasing_basis(3)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,53 @@ class TestValidatedBlocks:
         for _ in range(2):
             ExactDephasingProvider(model).dephasings(np.array([0.3, 0.8]))
         assert len(calls) == 2 and all(h is model.blocks for h in calls)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize(
+        "block, error, message",
+        [
+            ([[np.nan, 0.0], [0.0, 0.0]], ValidationError, "block H_{j}: contains NaN/Inf entries"),
+            ([[0.0, 1.0], [0.0, 0.0]], ValidationError, "block H_{j}: not Hermitian, max |M - M†| = 1.000e+00 > 1e-12"),
+            # M - M† past the double range: refused by the stacked check's fallback, unwarned
+            (
+                [[0.5, 1e308], [-1e308, 0.5]],
+                ValidationError,
+                "block H_{j}: not Hermitian, max |M - M†| = inf > 1e-12",
+            ),
+            ([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]], ShapeError, "block H_{j}: expected a non-empty square matrix, got shape (3, 2)"),
+            ([1.0, -1.0], ShapeError, "block H_{j}: expected a 2-d array, got ndim=1"),
+        ],
+        ids=["nan", "not-hermitian", "huge-anti-hermitian", "not-square", "not-2-d"],
+    )
+    def test_failing_block_named_with_the_per_block_message(self, j, block, error, message):
+        blocks = [SIGMA_Z, SIGMA_X]
+        blocks[j] = np.asarray(block, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as caught:
+                DephasingModel(tuple(blocks), np.diag([1.0, 0.0]).astype(complex))
+        assert type(caught.value) is error and str(caught.value) == message.format(j=j)
+
+    @pytest.mark.parametrize(
+        "blocks, error, message",
+        [
+            ((SIGMA_Z, np.eye(3)), ShapeError, "DephasingModel: block H_1 has shape (3, 3), expected (2, 2)"),
+            ((np.eye(3), SIGMA_Z, SIGMA_X), ShapeError, "DephasingModel: block H_1 has shape (2, 2), expected (3, 3)"),
+            ((), ValidationError, "DephasingModel: need at least one block"),
+            # two failing blocks: the first is named
+            ((SIGMA_Z, np.diag([np.inf, 0.0]), np.triu(np.ones((2, 2)))), ValidationError, "block H_1: contains NaN/Inf entries"),
+        ],
+        ids=["wrong-shape", "wrong-shape-after-a-wider-first", "no-blocks", "first-of-two-failing"],
+    )
+    def test_stack_faults_keep_their_messages(self, blocks, error, message):
+        with pytest.raises(error) as caught:
+            DephasingModel(blocks, np.diag([1.0, 0.0]).astype(complex))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_valid_blocks_stacked_bitwise(self):
+        blocks = [random_hermitian(3, seed) for seed in (4, 5)] + [np.diag([1, 2, 3])]
+        model = DephasingModel(tuple(blocks), np.eye(3, dtype=complex) / 3)
+        assert model.blocks.dtype == complex and model.blocks.tobytes() == np.stack(blocks).astype(complex).tobytes()
 
 
 class TestBasisPairCoefficients:
@@ -616,6 +664,48 @@ class TestMarkovianModel:
         # NaN fails no comparison, and inf - inf in the symmetry check warned
         with pytest.raises(ValidationError):
             MarkovianAnalyticModel(np.array([[0.0, eps], [-eps, 0.0]]), np.array([[0.0, gamma], [gamma, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "eps, gamma, error, message",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 3)), ShapeError, "MarkovianAnalyticModel: eps/gamma must be square and matching, got (2, 3) vs (2, 3)"),
+            (np.zeros((2, 2)), np.zeros((3, 3)), ShapeError, "MarkovianAnalyticModel: eps/gamma must be square and matching, got (2, 2) vs (3, 3)"),
+            ([[0.0, np.nan], [0.0, 0.0]], np.zeros((2, 2)), ValidationError, "MarkovianAnalyticModel: eps and gamma must be finite"),
+            ([[0.5, 0.0], [0.0, 0.0]], np.zeros((2, 2)), ValidationError, "MarkovianAnalyticModel: diagonals of eps and gamma must vanish"),
+            (np.zeros((2, 2)), [[0.0, 0.0], [0.0, 1e-300]], ValidationError, "MarkovianAnalyticModel: diagonals of eps and gamma must vanish"),
+            ([[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), ValidationError, "MarkovianAnalyticModel: eps must be antisymmetric"),
+            # eps + epsᵀ past the double range: refused, unwarned
+            ([[0.0, 1e308], [1e308, 0.0]], np.zeros((2, 2)), ValidationError, "MarkovianAnalyticModel: eps must be antisymmetric"),
+            (np.zeros((2, 2)), [[0.0, 1.0], [2.0, 0.0]], ValidationError, "MarkovianAnalyticModel: gamma must be symmetric"),
+            (np.zeros((2, 2)), [[0.0, 1e308], [-1e308, 0.0]], ValidationError, "MarkovianAnalyticModel: gamma must be symmetric"),
+            (np.zeros((2, 2)), [[0.0, -1.0], [-1.0, 0.0]], ValidationError, "MarkovianAnalyticModel: gamma must be entrywise nonnegative"),
+        ],
+        ids=[
+            "not-square", "mismatched", "nan", "eps-diagonal", "gamma-diagonal", "eps-symmetric",
+            "eps-huge-symmetric", "gamma-asymmetric", "gamma-huge-antisymmetric", "gamma-negative",
+        ],
+    )
+    def test_each_rule_keeps_its_message(self, eps, gamma, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as caught:
+                MarkovianAnalyticModel(np.asarray(eps, dtype=float), np.asarray(gamma, dtype=float))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_signed_zeros_pass_every_rule(self):
+        eps, gamma = np.array([[-0.0, 0.7], [-0.7, 0.0]]), np.array([[0.0, 0.0], [-0.0, -0.0]])
+        assert MarkovianAnalyticModel(eps, gamma).d == 2
+
+    def test_stores_read_only_copies(self):
+        eps, gamma = np.array([[0.0, 0.8], [-0.8, 0.0]]), np.array([[0.0, 0.5], [0.5, 0.0]])
+        model = MarkovianAnalyticModel(eps, gamma)
+        phi = model.phi_matrix(1.3)
+        eps[0, 1], gamma[0, 1] = 5.0, 7.0
+        assert model.eps[0, 1] == 0.8 and model.gamma[0, 1] == 0.5
+        assert np.array_equal(model.phi_matrix(1.3), phi)
+        for a in (model.eps, model.gamma):
+            with pytest.raises(ValueError):
+                a[0, 1] = 1.0
 
     def test_single_interval(self, markov_qubit):
         eps, gamma, tau = 0.8, 0.5, 1.3

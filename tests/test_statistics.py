@@ -90,6 +90,14 @@ class TestSystemPreparation:
         with pytest.raises(ValidationError):
             SystemPreparation(np.diag([0.5, 0.6]).astype(complex))
 
+    def test_stores_a_read_only_copy(self):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        prep = SystemPreparation(rho)
+        rho[0, 0] = 7.0
+        assert prep.density[0, 0] == 0.5 and abs(np.trace(prep.density) - 1.0) < 1e-15
+        with pytest.raises(ValueError):
+            prep.density[0, 0] = 7.0
+
     @pytest.mark.parametrize("vector", [[0.0, 0.0], [1e300, 0.0]], ids=["zero", "norm-overflows"])
     def test_pure_rejects_zero_or_overflowing_norm(self, vector):
         # a norm past the double range warned of overflow (RuntimeWarning), then gave the zero matrix
