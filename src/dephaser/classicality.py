@@ -19,16 +19,21 @@ of the identity basis, the kernels between outcome bases and their effects
 are each built once per report; each level gathers its rows from them.
 (Stage arrays too large for ``TERM_CAP`` are built per chunk instead.)  The
 trie is walked one level at a time: all tuples of one order are a batch on
-a leading axis, and the deficits of one (order, position) are one array
-reduction.  Levels below the deepest ``provider.apply`` their kernels; the
+a leading axis.  Levels below the deepest ``provider.apply`` their kernels; the
 deepest builds no branch state and reads its tables out through the
 effects.  A level too large for the memory budget runs in chunks,
-depth-first.  The report's index arrays (the trie levels, the row of each
-tuple's last interval and the coarse row of each interior deletion) depend
-only on the pool size p and the order N: :func:`_plan` builds them once per
-(p, N), read-only, and keeps the ``PLAN_CACHE`` most recently used plans of
-at most ``PLAN_ENTRIES`` index entries (8 MiB in all), so reports of one
-shape share them; the report body only gathers by them.  The kernels'
+depth-first.  Every table lives in one buffer, so the tail checks all
+tables at once, then all their marginals, and takes every deficit of the
+report in one gather of coarse rows per order, one subtraction and one
+``np.maximum.reduceat`` (:func:`_columns`; a report whose marginals exceed
+``TERM_CAP // N`` entries does so per slab of whole (order, position)
+segments).  The report's index arrays (the trie levels, the row of each
+tuple's last interval, the coarse row of each interior deletion and the
+marginals' layout) depend only on the pool size p, the order N and the
+number m of outcomes: :func:`_plan` builds them once per (p, N, m),
+read-only, and keeps the ``PLAN_CACHE`` most recently used plans of at
+most ``PLAN_ENTRIES`` index entries (8 MiB in all), so reports of one shape
+share them; the report body only gathers by them.  The kernels'
 products have a fixed shape per batch row, so a
 tuple's table does not depend on the batch or chunk it is computed in;
 records agree with the per-tuple computation (:func:`joint_distribution`
@@ -67,12 +72,17 @@ from .statistics import (
     _readout,
     _root,
     _state_entries,
+    _within_rule,
     joint_distribution,
 )
 
 #: default verdict tolerance: above pipeline noise, far below genuine violations
 DEFAULT_TOL = 1e-9
 
+#: largest |difference| at which :func:`kolmogorov_deficit` takes two grid times
+#: as the same.  A marginal's grid and the coarse grid normally hold the same
+#: doubles; this forgives a few ulps of different arithmetic (4500 ulps at
+#: t = 1, 9 at t = 1000) and is far below any step between measurement times.
 GRID_MATCH_TOL = 1e-12
 
 
@@ -242,17 +252,24 @@ def classicality_report(
     exponentiated in one ``provider.exponentials`` call, and the first
     interval's kernels, the later kernels and their effects are built once
     each, one per distinct duration.
-    The deficits of one (order, position) are one reduction: the order-n
-    tables summed over that outcome axis, minus the coarse tables gathered by
-    row, max |·| per tuple.  Those rows, the trie's levels and the row of
-    each tuple's last interval come from the index plan of (p, max_order),
+    Every table is kept in one buffer, and the level walk writes each into
+    its view.  A marginal is the order-n tables summed over one interior
+    outcome axis, and a deficit max |marginal - coarse| per tuple, the coarse
+    table that of the tuple with that time deleted (:func:`_columns`): all
+    tables are checked at once, then all marginals, and the deficits are one
+    gather of coarse rows per order, one subtraction and one
+    ``np.maximum.reduceat``, whatever the number of (order, position) pairs.
+    Those rows, the marginals' layout, the trie's levels and the row of each
+    tuple's last interval come from the index plan of (p, max_order, m),
     :func:`_plan`: built after the caps pass, kept (read-only, the
     ``PLAN_CACHE`` most recent of at most ``PLAN_ENTRIES`` entries each) for
-    later reports of the same pool size and order, and shared by their
-    ``columns`` as the tuples' pool indices.  A larger plan is built per
-    report.  Every table and every marginal passes the one
-    rule of :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
-    one vectorised call per order and per (order, position).
+    later reports of the same pool size, order and outcome count, and shared
+    by their ``columns`` as the tuples' pool indices.  A larger plan is built
+    per report.  Every table and every marginal passes the one rule of
+    :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
+    which names the first that fails.  ``max_order`` must be an integer
+    >= 2 and ``tol`` finite and >= 0 (``ValidationError`` before any
+    propagator).
 
     The largest single node, a row of the deepest level N (the branch states
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
@@ -267,10 +284,16 @@ def classicality_report(
     measurements, charged as the readout of an (n+1)-time table by
     :func:`~dephaser.statistics._state_entries`): a level that would hold
     more runs in chunks of children, depth-first, with a chunk of one node
-    where a single node is larger.
+    where a single node is larger.  The marginals are formed in slabs of
+    whole (order, position) segments of at most max(``TERM_CAP //
+    max_order``, the largest segment) entries, each with one gathered copy
+    of its size.
     """
-    if max_order < 2:
-        raise ValidationError(f"classicality_report: max_order must be >= 2, got {max_order}")
+    # checked before any arithmetic: a float order fails inside numpy, a NaN or negative tol makes every verdict False
+    if not (isinstance(max_order, numbers.Integral) and max_order >= 2):
+        raise ValidationError(f"classicality_report: max_order must be an integer >= 2, got {max_order!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"classicality_report: tol must be finite and >= 0, got {tol!r}")
     pool = tuple(sorted({float(t) for t in pool}))
     # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
     if not pool or not all(map(math.isfinite, pool + (float(t0),))):
@@ -293,10 +316,13 @@ def classicality_report(
             f"{stored} stored table entries exceed cap {TERM_CAP}"
         )
 
-    plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order)
+    plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order, m)
     tuples, parent, first = plan.tuples, plan.parent, plan.first
     times = np.array(pool)
-    tables = {n: np.empty((len(tuples[n]), m**n)) for n in range(1, max_order + 1)}
+    # every table in one buffer, order after order; tables[n] is a view, one row per tuple
+    bounds = [0, *itertools.accumulate(len(tuples[n]) * m**n for n in range(1, max_order + 1))]
+    flat = np.empty(bounds[-1])
+    tables = {n: flat[bounds[n - 1] : bounds[n]].reshape(-1, m**n) for n in range(1, max_order + 1)}
 
     # Every interval of the report either starts at t0 and ends at pool time
     # k (duration start[k]) or runs between pool times a <= b; the latter's
@@ -353,28 +379,100 @@ def classicality_report(
         stack.extend((n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1])))
         del state  # free before the next chunk's kernels allocate
 
+    return ClassicalityReport(max_order, tol, t0, pool, _columns(flat, tables, plan, m, budget, pool))
+
+
+def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int, pool: tuple) -> tuple:
+    """Check a report's tables and their marginals, and reduce them to its
+    ``columns``: a fixed number of array calls per slab, besides max(m - 1, 1)
+    per (order, position) for its marginal and two per order for the row
+    totals and the coarse rows of its positions.
+
+    ``flat`` is the buffer of every table, order after order, and ``tables[n]``
+    its view of the order-n tables, one row per tuple of ``plan.tuples[n]``.
+    All tables are checked at once (:func:`~dephaser.statistics._within_rule`
+    over ``flat`` and the row totals), then the marginals of each slab at
+    once.  The marginals' ``plan.segments`` are cut into consecutive slabs of
+    at most max(``budget``, the largest segment) entries.  A segment's
+    marginal sums the m outcome slices of axis k in order, the sequential sum
+    that ``fine.sum(axis=k)`` takes over an axis that is not the last, so the
+    bits are the same, 1.5 to 5 times faster than that ``sum`` (measured on
+    segments of 28 to 1000 rows, m = 2).  The coarse rows of one order's
+    segments in the slab are one ``np.take`` from the order-(n-1) tables by
+    ``plan.coarse``, and the slab's deficits, max |marginal - coarse| of each
+    (order, position, tuple) row, one ``np.maximum.reduceat`` at
+    ``plan.starts``; max is exact, so each deficit is the same double as a
+    per-row ``np.abs(...).max()``.  Besides the plan, the tail holds the
+    slab's marginals and its coarse rows.  Where a check fails,
+    :func:`~dephaser.statistics._check_tables` is called table by table in
+    record order and raises, naming the first failing one.
+    """
+
     def where(what, rows):
         return lambda k: f"classicality_report: {what} at times {tuple(pool[i] for i in rows[k])}"
 
-    for n in range(1, max_order + 1):
-        _check_tables(tables[n], where("table", tuples[n]))
+    tuples, segments = plan.tuples, plan.segments
+    rows = [0, *itertools.accumulate(len(tuples[n]) for n in tables)]
+    totals = np.empty(rows[-1])
+    for n in tables:
+        np.add.reduce(tables[n], axis=-1, out=totals[rows[n - 1] : rows[n]])
+    if not _within_rule(flat, totals):
+        for n in tables:
+            _check_tables(tables[n], where("table", tuples[n]))
 
-    columns = []
-    for n in range(2, max_order + 1):
-        fine = tables[n].reshape((-1,) + (m,) * n)
-        deficits = np.empty((len(fine), n - 1))
-        for position, coarse in enumerate(plan.coarse[n], 1):
-            reduced = fine.sum(axis=position).reshape(len(fine), -1)
-            _check_tables(reduced, where(f"marginal at position {position} of the table", tuples[n]))
-            deficits[:, position - 1] = np.abs(reduced - tables[n - 1][coarse]).max(axis=1)
-        deficits.flags.writeable = False
-        columns.append((tuples[n], deficits))
-    return ClassicalityReport(max_order, tol, t0, pool, tuple(columns))
+    slabs = _slabs(segments, budget)
+    size = max(slab[-1][3] - slab[0][2] for slab in slabs)
+    marginals, gathered, deficits = np.empty(size), np.empty(size), np.empty(segments[-1][5])
+    for slab in slabs:
+        (_, _, lo, _, r0, _), (_, _, _, hi, _, r1) = slab[0], slab[-1]
+        entries, totals = marginals[: hi - lo], np.empty(r1 - r0)
+        for n, k, a, b, ra, rb in slab:
+            fine, out = tables[n].reshape(-1, m, m ** (n - k)), entries[a - lo : b - lo].reshape(-1, m ** (n - k))
+            np.add(fine[:, 0], fine[:, 1], out=out) if m > 1 else np.copyto(out, fine[:, 0])
+            for j in range(2, m):
+                np.add(out, fine[:, j], out=out)
+        # per order, its positions k0..k1 in the slab: one call for their row totals, one gather of their coarse rows
+        for n, group in itertools.groupby(slab, operator.itemgetter(0)):
+            group = list(group)
+            (_, k0, a, _, ra, _), (_, k1, _, b, _, rb) = group[0], group[-1]
+            np.add.reduce(entries[a - lo : b - lo].reshape(rb - ra, -1), axis=-1, out=totals[ra - r0 : rb - r0])
+            coarse = plan.coarse[n][k0 - 1 : k1].reshape(-1)
+            np.take(tables[n - 1], coarse, axis=0, out=gathered[a - lo : b - lo].reshape(rb - ra, -1))
+        if not _within_rule(entries, totals):
+            for n, k, a, b, ra, rb in slab:
+                rule = where(f"marginal at position {k} of the table", tuples[n])
+                _check_tables(entries[a - lo : b - lo].reshape(rb - ra, -1), rule)
+        np.subtract(entries, gathered[: hi - lo], out=entries)
+        np.abs(entries, out=entries)
+        starts = plan.starts[r0:r1]
+        np.maximum.reduceat(entries, starts - lo if lo else starts, out=deficits[r0:r1])
+
+    deficits.flags.writeable = False
+    # per order, from its position-1 segment on, its deficits as (positions, rows), read as (rows, positions)
+    return tuple(
+        (tuples[n], deficits[r0 : r0 + (n - 1) * (r1 - r0)].reshape(n - 1, -1).T)
+        for n, k, _, _, r0, r1 in segments
+        if k == 1
+    )
+
+
+def _slabs(segments: tuple, budget: int) -> list:
+    """``segments`` cut into consecutive slabs, lists of whole segments, each of at
+    most max(``budget``, the largest segment) entries: a slab takes the next
+    segment while its entries stay within that bound."""
+    budget = max(budget, max(hi - lo for _, _, lo, hi, _, _ in segments))
+    slabs = [[segments[0]]]
+    for segment in segments[1:]:
+        if segment[3] - slabs[-1][0][2] > budget:
+            slabs.append([])
+        slabs[-1].append(segment)
+    return slabs
 
 
 class _Plan(NamedTuple):
-    """The index arrays of a report on a pool of p times to order N, one entry
-    per level n (None where a level has none), all read-only.
+    """The index arrays of a report on a pool of p times to order N with an
+    m-outcome PVM, all read-only.  ``tuples``, ``parent``, ``first`` and
+    ``pair`` hold one array per level n (None where a level has none).
 
     ``tuples[n]`` holds the pool indices of the order-n tuples, one row each,
     in ``combinations_with_replacement`` order; level 0 is the empty tuple,
@@ -382,38 +480,51 @@ class _Plan(NamedTuple):
     ``first[n][k]:first[n][k + 1]`` of level n+1 (one per pool index >= the
     row's last), and ``parent[n + 1]`` maps them back.  For n >= 2,
     ``pair[n]`` is the order-2 row of each row's last two indices (its last
-    interval), and ``coarse[n][k]`` the order-(n-1) row of each row with
-    its index at position k+1 deleted."""
+    interval).
+
+    The rest lay out a report's marginals, in record order: per order
+    n = 2..N and interior position k = 1..n-1, a segment of one row of
+    m^(n-1) entries per order-n tuple, its table summed over outcome k.
+    ``segments`` holds one (n, k, lo, hi, r0, r1) per segment, a tuple of
+    ints: its entries lo..hi-1 and its rows r0..r1-1, one deficit each.
+    ``starts`` holds the first entry of each row.  ``coarse[n][k - 1]`` is
+    the order-(n-1) row that each order-n row is compared with at position
+    k: that of the tuple with its index at position k deleted."""
 
     tuples: tuple
     parent: tuple
     first: tuple
     pair: tuple
     coarse: tuple
+    segments: tuple
+    starts: np.ndarray
 
 
 #: plans of at most this many index entries (:func:`_plan_entries`) are kept
 #: by :func:`_plan`, the PLAN_CACHE most recently used; a larger plan is built
-#: per report.  At this size the build is 3-4% of its report (qubit-zx, a
-#: Fourier PVM, one core of a 2-vCPU x86 VM: 1.4 ms of 44 ms at p = 45,
-#: N = 3, 0.9 ms of 30 ms at p = 20, N = 4), and above it less, so a kept
-#: plan would save little.  The bound counts entries, not rows, since the N
-#: one-row levels of a p = 1 plan hold ~N² entries.  The cache holds at most
-#: 8 · 2^17 entries of 8 bytes, 8 MiB.
+#: per report.  At this size the build is 3-6% of its report (qubit-zx, a
+#: Fourier PVM, one core of a shared 2-vCPU x86 VM: 0.62 ms of 11.1 ms at
+#: p = 39, N = 3, the largest kept there, and 0.47 ms of 18.4 ms at p = 19,
+#: N = 4), and above it less, so a kept plan would save little.  The bound
+#: counts entries, not rows, since the N one-row levels of a p = 1 plan hold
+#: ~N² entries.  The cache holds at most 8 · 2^17 entries of 8 bytes, 8 MiB.
 PLAN_ENTRIES = 1 << 17
 PLAN_CACHE = 8
 
 
 def _plan_entries(p: int, max_order: int) -> int:
-    """An upper bound on the index entries of :func:`_plan` (p, max_order):
-    a level-n row holds at most 2n + 2 of them, and each ``first`` one more."""
-    return sum((2 * n + 3) * math.comb(p + n - 1, n) for n in range(max_order + 1))
+    """An upper bound on the index entries of :func:`_plan` (p, max_order, m),
+    whatever m: a level-n row holds at most 3n + 1 of them (n - 1 each in
+    ``coarse`` and ``starts``), and each ``first`` one more.  The
+    ``segments``, N(N-1)/2 tuples of 6 Python ints, are not counted."""
+    return sum((3 * n + 2) * math.comb(p + n - 1, n) for n in range(max_order + 1))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
-def _plan(p: int, max_order: int) -> _Plan:
-    """The :class:`_Plan` of a report on a pool of p times to order max_order;
-    it does not depend on the times, the model or the measurement."""
+def _plan(p: int, max_order: int, m: int) -> _Plan:
+    """The :class:`_Plan` of a report on a pool of p times to order max_order
+    with an m-outcome PVM; it does not depend on the times, the model or the
+    measurement's bases."""
     tuples, parent, first = [np.zeros((1, 0), dtype=np.intp)], [None], []
     for n in range(max_order):
         last = tuples[n][:, -1] if n else np.zeros(1, dtype=np.intp)
@@ -432,16 +543,20 @@ def _plan(p: int, max_order: int) -> _Plan:
             out, previous = first[n][out] + rows[:, c] - previous, rows[:, c]
         return out
 
-    pair, coarse = [None, None], [None, None]
+    pair, coarse, segments, entry, row = [None, None], [None, None], [], 0, 0
     for n in range(2, max_order + 1):
         pair.append(rank(tuples[n], (n - 2, n - 1)))
         coarse.append(np.empty((n - 1, len(tuples[n])), dtype=np.intp))
-        for k in range(n - 1):
-            coarse[n][k] = rank(tuples[n], [j for j in range(n) if j != k])
-    for array in itertools.chain(tuples, parent, first, pair, coarse):
+        rows, width = len(tuples[n]), m ** (n - 1)
+        for k in range(1, n):
+            coarse[n][k - 1] = rank(tuples[n], [j for j in range(n) if j != k - 1])
+            segments.append((n, k, entry, entry + rows * width, row, row + rows))
+            entry, row = entry + rows * width, row + rows
+    starts = np.concatenate([np.arange(lo, hi, m ** (n - 1)) for n, _, lo, hi, _, _ in segments])
+    for array in itertools.chain(tuples, parent, first, pair, coarse, (starts,)):
         if array is not None:
             array.flags.writeable = False
-    return _Plan(tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse))
+    return _Plan(tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse), tuple(segments), starts)
 
 
 def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:
@@ -568,13 +683,25 @@ def search_nonclassicality_witness(
     with a rank-one PVM, at most 194 grid times (97 points per interval) at
     order 3 and 60 (20 per interval) at order 4.  A larger grid raises
     ``SizeCapError`` before any propagator is computed.  ``t0`` and
-    ``horizon`` must be finite with ``horizon`` > ``t0`` (``ValidationError``,
-    before the grid is formed).
+    ``horizon`` must be finite with ``horizon`` > ``t0``, ``order``,
+    ``position``, ``points_per_interval``, ``random_draws`` and ``seed``
+    integers (the last two >= 0) and ``threshold`` finite
+    (``ValidationError``, before the grid is formed).
     """
     if not (math.isfinite(t0) and math.isfinite(horizon)):
         raise ValidationError(f"search_nonclassicality_witness: need a finite t0 and horizon, got {t0!r}, {horizon!r}")
     if not horizon > t0:
         raise ValidationError(f"search_nonclassicality_witness: horizon {horizon!r} must exceed t0 = {t0!r}")
+    # checked before any arithmetic: a float count failed inside numpy, a negative one ran as 0 or failed there
+    integers = dict(order=order, position=position, points_per_interval=points_per_interval, random_draws=random_draws, seed=seed)
+    for name, value in integers.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"search_nonclassicality_witness: {name} must be an integer, got {value!r}")
+    for name in ("random_draws", "seed"):
+        if integers[name] < 0:
+            raise ValidationError(f"search_nonclassicality_witness: {name} must be >= 0, got {integers[name]!r}")
+    if not math.isfinite(threshold):
+        raise ValidationError(f"search_nonclassicality_witness: threshold must be finite, got {threshold!r}")
     if not 1 <= position <= order - 1:
         raise ValidationError(f"search_nonclassicality_witness: position {position} not interior for order {order}")
     if points_per_interval < 1:

@@ -59,14 +59,32 @@ ORACLE_BRANCH_CAP = 10_000
 #: each holds d² entries, no more than the ρ⊗ρ_E that its caller builds beside it.
 IDENTITY_CACHE = 8
 
+#: least table entry accepted.  A computed probability is a trace of branch
+#: states propagated in double precision, so a true zero comes out as roundoff
+#: of either sign: over 41 classicality reports on random exact models (d = 2-4,
+#: D = 1-4, times up to 20, orders 3-4) the most negative entry was -1.1e-17.
+#: -1e-10 leaves seven orders of margin and stays far below any probability the
+#: verdicts compare (``classicality.DEFAULT_TOL`` is 1e-9).
 NEG_FLOOR = -1e-10
+#: largest accepted |sum - 1| of a table.  The same reports' worst was 5.3e-15;
+#: a table of TERM_CAP = 10^7 entries, summed pairwise, adds ~log2(10^7)·2^-53
+#: ~ 3e-15 more.  A sum off by 1e-10 means a lost or doubled branch or a
+#: non-trace-preserving model, not roundoff.
 NORM_TOL = 1e-10
 
 
 def _check_tables(tables: np.ndarray, where) -> None:
     """The one probability-table rule: entries >= ``NEG_FLOOR`` summing to 1 within
     ``NORM_TOL`` (a NaN entry fails both comparisons, ±inf one).  ``tables`` is one
-    flat table or one per row; ``where(r)`` names the failing row r in the error."""
+    flat table or one per row; ``where(r)`` names the failing row r in the error.
+
+    A row total is the pairwise sum ``np.add.reduce(..., axis=-1)``, and so is
+    every total that :func:`_within_rule` reads, so the two agree bit for bit.
+    Never take them by ``np.add.reduceat``: it sums in another order (numpy
+    2.4: over 10^6 uniform entries its total is 5.8e-11 off the pairwise one,
+    on a sum of 5·10^5; over 1000 rows of 1000, 477 totals differ in the last
+    bits), so a total at the edge of ``NORM_TOL`` could pass one check and
+    fail the other."""
     low, total = tables.min(axis=-1), tables.sum(axis=-1)
     good = (low >= NEG_FLOOR) & (abs(total - 1.0) <= NORM_TOL)
     # a flat table's comparisons are one np.bool_, read directly: .all() costs as much as a reduction
@@ -77,6 +95,17 @@ def _check_tables(tables: np.ndarray, where) -> None:
         f"{where(r)} is not a probability table (min entry {np.atleast_1d(low)[r]:.3e}, sum "
         f"{float(np.atleast_1d(total)[r])}; need finite entries >= {NEG_FLOOR:g} summing to 1 within {NORM_TOL:g})"
     )
+
+
+def _within_rule(entries: np.ndarray, totals: np.ndarray) -> bool:
+    """The rule of :func:`_check_tables` over many tables at once: True iff
+    every entry of ``entries`` is >= ``NEG_FLOOR`` and every row total in
+    ``totals`` is within ``NORM_TOL`` of 1 (a NaN anywhere gives False).
+    Rounding is monotone and symmetric, so max |t - 1| is max(max t - 1,
+    1 - min t) to the bit: three reductions whatever the number of tables.
+    The caller raises through :func:`_check_tables`, table by table, where
+    this is False."""
+    return bool(entries.min() >= NEG_FLOOR and totals.max() - 1.0 <= NORM_TOL and 1.0 - totals.min() <= NORM_TOL)
 
 
 @dataclass(frozen=True)

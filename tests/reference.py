@@ -11,6 +11,7 @@ import numpy as np
 from dephaser.classicality import theta_sweep
 from dephaser.errors import ShapeError, TimeOrderError, ValidationError
 from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail
+from dephaser.statistics import _check_tables
 
 
 def transfer(provider, state, dt, source, target):
@@ -155,6 +156,38 @@ def classicality_rows(report):
     return [
         [r.order, r.position, *r.times, *[float("nan")] * (width - r.order), r.deficit] for r in report.records
     ]
+
+
+def classicality_columns(tables, pool):
+    """A classicality report's ``columns`` from its tables, one (order, position) at a
+    time: each table checked, then per order n and interior position k the order-n
+    tables summed over outcome axis k, that marginal checked, and its max |·|
+    distance to the coarse tables, row by row.
+
+    ``tables[n]`` holds one row of m^n entries per order-n tuple of pool indices, in
+    ``combinations_with_replacement`` order; the coarse row of a tuple is found by
+    dict lookup.  A failing table raises through the package's one rule.
+    """
+    p, max_order, m = len(pool), len(tables), tables[1].shape[1]
+    levels = [list(itertools.combinations_with_replacement(range(p), n)) for n in range(max_order + 1)]
+    row = [{t: k for k, t in enumerate(level)} for level in levels]
+
+    def where(what, n):
+        return lambda k: f"classicality_report: {what} at times {tuple(pool[i] for i in levels[n][k])}"
+
+    for n in range(1, max_order + 1):
+        _check_tables(tables[n], where("table", n))
+    columns = []
+    for n in range(2, max_order + 1):
+        fine = tables[n].reshape((-1,) + (m,) * n)
+        deficits = np.empty((len(fine), n - 1))
+        for position in range(1, n):
+            coarse = [row[n - 1][t[: position - 1] + t[position:]] for t in levels[n]]
+            reduced = fine.sum(axis=position).reshape(len(fine), -1)
+            _check_tables(reduced, where(f"marginal at position {position} of the table", n))
+            deficits[:, position - 1] = np.abs(reduced - tables[n - 1][coarse]).max(axis=1)
+        columns.append((np.array(levels[n], dtype=np.intp).reshape(-1, n), deficits))
+    return columns
 
 
 def distribution_rows(dist):

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_exact_model
-from reference import delta_count, qubit_two_time_deficit_closed, qubit_two_time_deficit_simplified
-from dephaser import classicality, cli, models
+from reference import (
+    classicality_columns,
+    delta_count,
+    qubit_two_time_deficit_closed,
+    qubit_two_time_deficit_simplified,
+)
+from dephaser import classicality, cli, models, statistics
 from dephaser.classicality import (
     classicality_report,
     kolmogorov_deficit,
@@ -146,6 +151,33 @@ class TestClassicalityReport:
         with pytest.raises(ValidationError):
             report.verdict(5)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"max_order": 3.0}, "max_order must be an integer >= 2, got 3.0"),  # raised TypeError in numpy
+            ({"max_order": np.float64(2.0)}, "max_order must be an integer"),
+            ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),  # made every verdict False
+            ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),  # made every verdict True
+            ({"tol": -1e-3}, "tol must be finite and >= 0, got -0.001"),  # made every verdict False
+        ],
+        ids=["float-order", "numpy-float-order", "nan-tol", "inf-tol", "negative-tol"],
+    )
+    def test_bad_order_or_tol_rejected_before_any_propagator(self, zx_provider, monkeypatch, kwargs, match):
+        def forbidden(*args):
+            raise AssertionError("no propagator before the input checks")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        with pytest.raises(ValidationError, match=f"^classicality_report: {match}"):
+            classicality_report(zx_provider, prep, meas, (0.5, 1.2), **{"max_order": 3, **kwargs})
+        assert zx_provider._eig is None
+
+    def test_integral_order_accepted(self, zx_provider):
+        prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        assert classicality_report(zx_provider, prep, meas, (0.5, 1.2), np.int64(3)) == classicality_report(
+            zx_provider, prep, meas, (0.5, 1.2), 3
+        )
+
 
 def per_tuple_records(provider, prep, meas, pool, max_order, t0=0.0):
     """Reference report: fine and coarse distributions computed afresh for every tuple."""
@@ -263,6 +295,23 @@ class TestReportMatchesPerTupleReference:
             classicality_report(zx_provider, SystemPreparation.maximally_mixed(3), fourier_mub(2), (1.0,), 2)
 
 
+def inject_first_rows(monkeypatch, bad_rows):
+    """Make the first row of a two-outcome report's order-n tables ``bad_rows[n]``, whether
+    a level computes them from its branch states or reads them out at the deepest level."""
+    for name in ("_probabilities", "_readout"):
+        real = getattr(classicality, name)
+
+        def first_row_bad(*args, real=real):
+            tables = real(*args).copy()
+            rows = tables.reshape(len(tables), -1)
+            n = round(math.log2(rows.shape[1]))
+            if n in bad_rows:
+                rows[0] = bad_rows[n]
+            return tables
+
+        monkeypatch.setattr(classicality, name, first_row_bad)
+
+
 class TestReportChecks:
     """The report's whole-array checks and its chunked levels."""
 
@@ -320,6 +369,34 @@ class TestReportChecks:
         with pytest.raises(ValidationError, match=r"classicality_report: table at times \(0\.5,\) " + rule):
             classicality_report(
                 ExactDephasingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 2
+            )
+
+    def test_marginal_failure_named(self, zx_model, monkeypatch):
+        # entries >= -1e-10 summing to 1, so the table passes; its position-1
+        # marginal, [-1.2e-10, 1 + 1.2e-10], has an entry below the floor
+        inject_first_rows(monkeypatch, {2: [-0.6e-10, 0.5, -0.6e-10, 0.5 + 1.2e-10]})
+        rule = r" is not a probability table \(min entry -1\.200e-10"
+        with pytest.raises(ValidationError, match=r"^classicality_report: marginal at position 1 of the table at times \(0\.5, 0\.5\)" + rule):
+            classicality_report(
+                ExactDephasingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 2
+            )
+
+    def test_lowest_order_bad_table_named_first(self, zx_model, monkeypatch):
+        # bad tables at orders 1 and 3: the tables are checked order by order
+        inject_first_rows(monkeypatch, {1: [0.5, 0.4], 3: [0.5, 0.4, 0, 0, 0, 0, 0, 0]})
+        with pytest.raises(ValidationError, match=r"^classicality_report: table at times \(0\.5,\) is not"):
+            classicality_report(
+                ExactDephasingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 3
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_table_named_before_any_marginal(self, zx_model, monkeypatch, bad):
+        # an order-3 table of a 4-order report: every table is checked before any
+        # marginal is formed, so the table is named and no RuntimeWarning is raised
+        inject_first_rows(monkeypatch, {3: [bad, 1.0, 0, 0, 0, 0, 0, 0]})
+        with pytest.raises(ValidationError, match=r"^classicality_report: table at times \(0\.5, 0\.5, 0\.5\) is not"):
+            classicality_report(
+                ExactDephasingProvider(zx_model), SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (0.5, 1.2), 4
             )
 
     @pytest.mark.parametrize(
@@ -486,8 +563,119 @@ class TestReportColumns:
             assert report.verdict(n) == all(r.deficit <= report.tolerance for r in listed if r.order <= n)
 
 
+def analytic_d3_provider():
+    # level shifts w_j plus white noise of strengths g_j: a CP dephasing semigroup
+    w, g = np.array([0.0, 0.8, -0.3]), np.array([0.0, 1.0, 0.4])
+    return MarkovianAnalyticProvider(MarkovianAnalyticModel(w[:, None] - w[None, :], (g[:, None] - g[None, :]) ** 2))
+
+
+TAIL_CASES = {
+    # rank-one PVM, m = 2
+    "exact-qubit-mub": lambda: (
+        ExactDephasingProvider(get_preset("qubit-zx")),
+        SystemPreparation.diagonal([0.8, 0.2]),
+        fourier_mub(2),
+    ),
+    # a rank-one projector and its rank-two complement, m = 2
+    "exact-d3-rank-two": lambda: (
+        ExactDephasingProvider(random_exact_model(3, 2, 41)),
+        SystemPreparation.pure([1.0, 0.5 - 0.5j, -0.3]),
+        general_qutrit_measurement(),
+    ),
+    # rank-one PVM, m = 3
+    "analytic-d3-mub": lambda: (analytic_d3_provider(), SystemPreparation.maximally_mixed(3), fourier_mub(3)),
+    # one outcome, the identity: every marginal is its table
+    "exact-qubit-one-outcome": lambda: (
+        ExactDephasingProvider(get_preset("qubit-zx")),
+        SystemPreparation.diagonal([0.8, 0.2]),
+        ProjectiveMeasurement(projectors=(np.eye(2),)),
+    ),
+}
+
+
+class TestReportTail:
+    """The report's checks and deficits against the per-(order, position) reference,
+    bit for bit, on the tables the report computed."""
+
+    @pytest.mark.parametrize("slabs", ["one-slab", "slab-per-segment"])
+    @pytest.mark.parametrize("walk", ["unchunked", "chunked"])
+    @pytest.mark.parametrize(
+        "pool, max_order",
+        [((0.4, 1.1, 1.1, 2.9), 3), ((1.3,), 5), ((0.3, 0.9, 1.4), 5), ((0.5, 2.0), 2)],
+        ids=["repeated-time", "one-time", "order-5", "order-2"],
+    )
+    @pytest.mark.parametrize("case", list(TAIL_CASES))
+    def test_bitwise_equal_to_reference(self, monkeypatch, case, pool, max_order, walk, slabs):
+        provider, prep, meas = TAIL_CASES[case]()
+        p, (m, _, r) = len(set(pool)), meas.bases.shape
+        seen, calls = [], []
+        real_columns, real_probabilities = classicality._columns, classicality._probabilities
+
+        def spy(flat, tables, plan, m, budget, pool):
+            seen.append({n: t.copy() for n, t in tables.items()})
+            # a budget of 0 puts each segment but the smallest in a slab of its own
+            return real_columns(flat, tables, plan, m, budget if slabs == "one-slab" else 0, pool)
+
+        def counting(state):
+            calls.append(len(state))
+            return real_probabilities(state)
+
+        monkeypatch.setattr(classicality, "_columns", spy)
+        monkeypatch.setattr(classicality, "_probabilities", counting)
+        if walk == "chunked":
+            # the least cap the report passes: its largest node or its stored tables
+            node = statistics._state_entries(provider, meas, max_order) + m * m * r * r * provider.env.size
+            stored = sum(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
+            monkeypatch.setattr(classicality, "TERM_CAP", max(node, stored))
+        report = classicality_report(provider, prep, meas, pool, max_order, t0=0.1)
+        # one state computation per level below the deepest, more where the walk runs in chunks
+        assert len(calls) > max_order - 1 if walk == "chunked" and p > 1 else len(calls) == max_order - 1
+        reference = classicality_columns(seen[0], report.pool)
+        assert len(report.columns) == len(reference) == max_order - 1
+        for (rows, deficits), (ref_rows, ref_deficits) in zip(report.columns, reference):
+            assert np.array_equal(rows, ref_rows)
+            assert deficits.shape == ref_deficits.shape and deficits.tobytes() == ref_deficits.tobytes()
+            assert not deficits.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p, max_order", [(1, 5), (4, 2), (4, 4), (3, 5)])
+    def test_slabs_hold_whole_segments_within_budget(self, p, max_order, m):
+        segments = classicality._plan(p, max_order, m).segments
+        largest = max(hi - lo for _, _, lo, hi, _, _ in segments)
+        for budget in (0, largest, largest + 1, segments[-1][3] - 1, segments[-1][3], 10**9):
+            slabs = classicality._slabs(segments, budget)
+            # consecutive, whole and in record order
+            assert [s for slab in slabs for s in slab] == list(segments)
+            for slab in slabs:
+                assert slab[-1][3] - slab[0][2] <= max(budget, largest)
+            # each slab but the last is full: the next segment would not fit
+            for slab, after in itertools.pairwise(slabs):
+                assert after[0][3] - slab[0][2] > max(budget, largest)
+            assert len(slabs) == 1 if budget >= segments[-1][3] else len(slabs) > 1 or len(segments) == 1
+
+    EDGES = [t for edge in (1 + 1e-10, 1 - 1e-10) for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))]
+
+    @pytest.mark.parametrize("total", EDGES, ids=[f"{t:.17g}" for t in EDGES])
+    def test_fused_check_agrees_with_the_rule(self, zx_model, monkeypatch, total):
+        # a table whose total lies one ulp either side of each edge of 1 ± NORM_TOL:
+        # checking all tables at once passes exactly what the rule passes
+        row = [0.5, 0.0, 0.0, total - 0.5]  # both sums exact: the row's total is `total`
+        inject_first_rows(monkeypatch, {2: row})
+        prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
+        if abs(total - 1.0) <= 1e-10:
+            JointDistribution(2, TimeGrid(0.0, (0.5, 0.5)), np.array(row))
+            classicality_report(ExactDephasingProvider(zx_model), prep, meas, (0.5, 1.2), 2)
+            return
+        with pytest.raises(ValidationError, match="JointDistribution: table is not"):
+            JointDistribution(2, TimeGrid(0.0, (0.5, 0.5)), np.array(row))
+        with pytest.raises(ValidationError, match=r"^classicality_report: table at times \(0\.5, 0\.5\) is not"):
+            classicality_report(ExactDephasingProvider(zx_model), prep, meas, (0.5, 1.2), 2)
+
+
 def plan_arrays(plan):
-    return [a for field in plan for a in field if a is not None]
+    """Every index array of a plan: the per-level ones, then ``starts``."""
+    levels = plan.tuples + plan.parent + plan.first + plan.pair + plan.coarse
+    return [a for a in levels + (plan.starts,) if a is not None]
 
 
 def assert_same_report(a, b):
@@ -498,31 +686,43 @@ def assert_same_report(a, b):
 
 
 class TestReportPlan:
-    """The index plan of (pool size, max order), built once and shared by reports."""
+    """The index plan of (pool size, max order, outcomes), built once and shared by reports."""
 
     @pytest.mark.parametrize("max_order", [2, 3, 4])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_matches_dict_lookup(self, p, max_order):
-        plan = classicality._plan(p, max_order)
         levels = [list(itertools.combinations_with_replacement(range(p), n)) for n in range(max_order + 1)]
         row = [{t: k for k, t in enumerate(level)} for level in levels]
-        assert plan.tuples[0].shape == (1, 0)
-        for n in range(1, max_order + 1):
-            assert plan.tuples[n].tolist() == [list(t) for t in levels[n]]
-            assert plan.parent[n].tolist() == [row[n - 1][t[:-1]] for t in levels[n]]
-            children = [[row[n][t + (a,)] for a in range(t[-1] if t else 0, p)] for t in levels[n - 1]]
-            assert [list(range(a, b)) for a, b in itertools.pairwise(plan.first[n - 1])] == children
-            if n >= 2:
-                assert plan.pair[n].tolist() == [row[2][t[-2:]] for t in levels[n]]
-                assert plan.coarse[n].tolist() == [
-                    [row[n - 1][t[:k] + t[k + 1 :]] for t in levels[n]] for k in range(n - 1)
-                ]
-        assert sum(a.size for a in plan_arrays(plan)) <= classicality._plan_entries(p, max_order)
+        for m in (2, 3):
+            plan = classicality._plan(p, max_order, m)
+            assert plan.tuples[0].shape == (1, 0)
+            for n in range(1, max_order + 1):
+                assert plan.tuples[n].tolist() == [list(t) for t in levels[n]]
+                assert plan.parent[n].tolist() == [row[n - 1][t[:-1]] for t in levels[n]]
+                children = [[row[n][t + (a,)] for a in range(t[-1] if t else 0, p)] for t in levels[n - 1]]
+                assert [list(range(a, b)) for a, b in itertools.pairwise(plan.first[n - 1])] == children
+                if n >= 2:
+                    assert plan.pair[n].tolist() == [row[2][t[-2:]] for t in levels[n]]
+                    assert plan.coarse[n].tolist() == [
+                        [row[n - 1][t[:k] + t[k + 1 :]] for t in levels[n]] for k in range(n - 1)
+                    ]
+            # a report's marginals: per order n, interior position k and tuple, m^(n-1) entries
+            entries, starts, segments = 0, [], []
+            for n in range(2, max_order + 1):
+                for k in range(1, n):
+                    segments.append((n, k, entries, len(starts)))
+                    starts.extend(range(entries, entries + len(levels[n]) * m ** (n - 1), m ** (n - 1)))
+                    entries += len(levels[n]) * m ** (n - 1)
+            assert plan.starts.tolist() == starts
+            ends = [(lo, r0) for _, _, lo, r0 in segments[1:]] + [(entries, len(starts))]
+            assert plan.segments == tuple((n, k, lo, hi, r0, r1) for (n, k, lo, r0), (hi, r1) in zip(segments, ends))
+            assert sum(a.size for a in plan_arrays(plan)) <= classicality._plan_entries(p, max_order)
 
     @pytest.mark.parametrize("max_order", [2, 3, 4])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_read_only(self, zx_provider, p, max_order):
-        plan = classicality._plan(p, max_order)
+        plan = classicality._plan(p, max_order, 2)
+        assert len(plan_arrays(plan)) == 5 * max_order
         assert all(not a.flags.writeable for a in plan_arrays(plan))
         pool, prep = tuple(0.4 * k for k in range(1, p + 1)), SystemPreparation.diagonal([1.0, 0.0])
         report = classicality_report(zx_provider, prep, fourier_mub(2), pool, max_order)
@@ -553,6 +753,20 @@ class TestReportPlan:
         warm = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, max_order)
         assert classicality._plan.cache_info().hits == hits + 1
         assert_same_report(cold, warm)
+
+    def test_keyed_by_outcome_count(self, monkeypatch):
+        # one pool size and order, m = 2 twice (rank one, then rank two) and m = 3: two plans,
+        # and every report the same as with no plan kept
+        pool = (0.4, 1.1, 2.9)
+        cases = [TAIL_CASES[name]() for name in ("exact-qubit-mub", "exact-d3-rank-two", "analytic-d3-mub")]
+        classicality._plan.cache_clear()
+        kept = [classicality_report(provider, prep, meas, pool, 3) for provider, prep, meas in cases]
+        info = classicality._plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        monkeypatch.setattr(classicality, "PLAN_ENTRIES", 0)  # every plan built per report
+        for report, (provider, prep, meas) in zip(kept, cases):
+            assert_same_report(report, classicality_report(provider, prep, meas, pool, 3))
+        assert classicality._plan.cache_info() == info
 
     def test_built_after_the_caps(self):
         # the largest-state input of test_cap_checked_before_any_propagator: its plan would be kept
@@ -835,6 +1049,44 @@ class TestWitnessSearch:
             search_nonclassicality_witness(
                 zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), 0.0, 3.0, points_per_interval=points
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"order": 3.5}, "order must be an integer, got 3.5"),  # raised TypeError in numpy
+            ({"position": 1.5}, "position must be an integer, got 1.5"),  # raised IndexError
+            ({"points_per_interval": NAN}, "points_per_interval must be an integer, got nan"),  # TypeError
+            ({"points_per_interval": 2.0}, "points_per_interval must be an integer, got 2.0"),
+            ({"random_draws": 2.5}, "random_draws must be an integer, got 2.5"),  # TypeError
+            ({"random_draws": -1}, "random_draws must be >= 0, got -1"),  # ran as 0
+            ({"threshold": NAN}, "threshold must be finite, got nan"),  # returned None
+            ({"threshold": INF}, "threshold must be finite, got inf"),  # returned None
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),  # TypeError after the grid report
+            ({"seed": -1}, "seed must be >= 0, got -1"),  # ValueError after the grid report
+        ],
+        ids=[
+            "float-order",
+            "float-position",
+            "nan-points",
+            "float-points",
+            "float-draws",
+            "negative-draws",
+            "nan-threshold",
+            "inf-threshold",
+            "float-seed",
+            "negative-seed",
+        ],
+    )
+    def test_bad_counts_rejected_before_any_propagator(self, zx_provider, monkeypatch, kwargs, match):
+        def forbidden(*args):
+            raise AssertionError("no propagator before the input checks")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        with pytest.raises(ValidationError, match=f"^search_nonclassicality_witness: {match}"):
+            search_nonclassicality_witness(
+                zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), 0.0, 3.0, **kwargs
+            )
+        assert zx_provider._eig is None
 
     def test_finds_violation_on_noncommuting_model(self):
         prov = ExactDephasingProvider(get_preset("qubit-zx"))
