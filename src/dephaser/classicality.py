@@ -8,36 +8,14 @@ declared finite grid pool.
 
 :func:`classicality_report` walks the non-decreasing time tuples of the pool
 as a prefix trie on the propagation kernel of
-:func:`~dephaser.statistics.joint_distribution`: a tuple's state is its
-measured-basis branch states, one r×r grid of D×D environment blocks per
-outcome prefix, and a child tuple comes from its parent by one interval and
-one measurement.  So each distinct grid is propagated once and every prefix
-is shared by all tuples that extend it.  Every interval of the report runs
-from t0 to a pool time or between two pool times, so all of its durations
-are exponentiated in one ``provider.exponentials`` call, and the kernels out
-of the identity basis, the kernels between outcome bases and their effects
-are each built once per report; each level gathers its rows from them.
-(Stage arrays too large for ``TERM_CAP`` are built per chunk instead.)  The
-trie is walked one level at a time: all tuples of one order are a batch on
-a leading axis.  Levels below the deepest ``provider.apply`` their kernels; the
-deepest builds no branch state and reads its tables out through the
-effects.  A level too large for the memory budget runs in chunks,
-depth-first.  Every table lives in one buffer, so the tail checks all
-tables at once, then all their marginals, and takes every deficit of the
-report in one gather of coarse rows per order, one subtraction and one
-``np.maximum.reduceat`` (:func:`_columns`; a report whose marginals exceed
-``TERM_CAP // N`` entries does so per slab of whole (order, position)
-segments).  The report's index arrays (the trie levels, the row of each
-tuple's last interval, the coarse row of each interior deletion and the
-marginals' layout) depend only on the pool size p, the order N and the
-number m of outcomes: :func:`_plan` builds them once per (p, N, m),
-read-only, and keeps the ``PLAN_CACHE`` most recently used plans of at
-most ``PLAN_ENTRIES`` index entries (8 MiB in all), so reports of one shape
-share them; the report body only gathers by them.  The kernels'
-products have a fixed shape per batch row, so a
-tuple's table does not depend on the batch or chunk it is computed in;
-records agree with the per-tuple computation (:func:`joint_distribution`
-and :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
+:func:`~dephaser.statistics.joint_distribution`, one level (order) at a time,
+so each distinct grid is propagated once and every prefix is shared by all
+tuples that extend it.  Its docstring gives the stages, the one table buffer
+and the caps; :func:`_columns` reduces the tables to deficits, and
+:func:`_plan` builds the index arrays that reports of one (p, N, m) share.
+A tuple's table does not depend on the batch or chunk it is computed in, and
+records agree with the per-tuple computation (:func:`joint_distribution` and
+:func:`kolmogorov_deficit` tuple by tuple) to roundoff.
 
 A :class:`ClassicalityReport` keeps its deficits as columns, one
 (tuples × positions) array per order beside the tuples' pool indices.  Its
@@ -52,7 +30,6 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
@@ -89,16 +66,15 @@ GRID_MATCH_TOL = 1e-12
 def kolmogorov_deficit(fine: JointDistribution, coarse: JointDistribution, position: int) -> float:
     """Max-abs mismatch between ``coarse`` and ``fine`` marginalized at ``position``.
 
-    ``position`` is 1-based and must be interior (1 <= position <= n-1); the
-    last position is excluded since it is consistent automatically.
+    ``position`` is 1-based and interior, 1..n-1 (the argument rule of
+    :mod:`dephaser.errors`): the last position is consistent automatically.
     """
     n = fine.n
     if coarse.n != n - 1:
         raise ShapeError(f"kolmogorov_deficit: coarse order {coarse.n} != fine order {n} - 1")
     if coarse.n_outcomes != fine.n_outcomes:
         raise ShapeError(f"kolmogorov_deficit: fine table has {fine.n_outcomes} outcomes, coarse {coarse.n_outcomes}")
-    if not (1 <= position <= n - 1):
-        raise ValidationError(f"kolmogorov_deficit: position {position} not interior for order {n}")
+    position = _integer("kolmogorov_deficit", "position", position, 1, n - 1)
     reduced = fine.marginalize(position)
     if abs(reduced.grid.t0 - coarse.grid.t0) > GRID_MATCH_TOL or any(
         abs(a - b) > GRID_MATCH_TOL for a, b in zip(reduced.grid.times, coarse.grid.times)
@@ -143,8 +119,7 @@ class ClassicalityReport:
 
     def verdict(self, order: int) -> bool:
         """True iff every deficit at orders <= ``order`` is within tolerance."""
-        if not (1 <= order <= self.max_order_tested):
-            raise ValidationError(f"verdict: order {order} outside 1..{self.max_order_tested}")
+        order = _integer("verdict", "order", order, 1, self.max_order_tested)
         return all(bool((deficits <= self.tolerance).all()) for _, deficits in self.columns[: order - 1])
 
     @property
@@ -267,9 +242,8 @@ def classicality_report(
     by their ``columns`` as the tuples' pool indices.  A larger plan is built
     per report.  Every table and every marginal passes the one rule of
     :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
-    which names the first that fails.  ``max_order`` must be an integer
-    >= 2 and ``tol`` finite and >= 0 (``ValidationError`` before any
-    propagator).
+    which names the first that fails.  ``max_order`` >= 2 and ``tol`` >= 0
+    follow the argument rule of :mod:`dephaser.errors`.
 
     The largest single node, a row of the deepest level N (the branch states
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
@@ -290,14 +264,13 @@ def classicality_report(
     of its size.
     """
     # checked before any arithmetic: a float order fails inside numpy, a NaN or negative tol makes every verdict False
-    if not (isinstance(max_order, numbers.Integral) and max_order >= 2):
-        raise ValidationError(f"classicality_report: max_order must be an integer >= 2, got {max_order!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"classicality_report: tol must be finite and >= 0, got {tol!r}")
+    max_order = _integer("classicality_report", "max_order", max_order, 2)
+    tol = _real("classicality_report", "tol", tol, 0)
     pool = tuple(sorted({float(t) for t in pool}))
     # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
     if not pool or not all(map(math.isfinite, pool + (float(t0),))):
         raise ValidationError(f"classicality_report: need a finite t0 and a non-empty pool of finite times, got {t0}, {pool}")
+    t0 = _real("classicality_report", "t0", t0)  # finite by now: refuses a bool, returns a float
     if pool[0] < t0:
         raise ValidationError(f"classicality_report: pool starts before t0 = {t0}")
 
@@ -570,20 +543,6 @@ def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMea
     return (p + spans) * d * d * big + p * m * r * d * big + 2 * spans * m * m * r * r * big
 
 
-def _check_closed_form(caller: str, values: dict, outcomes: dict) -> None:
-    """Reject the inputs of a closed form before any arithmetic: a non-finite
-    value, a population ``p`` outside [0, 1] and an outcome that is not the
-    integer 0 or 1 raise ``ValidationError``."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{caller}: {name} must be finite, got {value!r}")
-    if "p" in values and not 0 <= values["p"] <= 1:
-        raise ValidationError(f"{caller}: p must lie in [0, 1], got {values['p']!r}")
-    for name, x in outcomes.items():
-        if not (isinstance(x, numbers.Integral) and x in (0, 1)):
-            raise ValidationError(f"{caller}: outcome {name} must be 0 or 1, got {x!r}")
-
-
 def _qubit_two_time_bracket(provider: DephasingTensorProvider, p: float, t2: float, t1: float, t0: float) -> complex:
     """The angle-independent factor of the closed-form 2-time qubit deficit."""
     if provider.d != 2:
@@ -609,10 +568,11 @@ def markov_qubit_violation_closed(
     Diagonal preparation, unbiased measurement basis.  The value is
     -(1/4)(-1)^(x3-x1) e^{-γ(t3-t1)/2} sin[ε(t3-t2)] sin[ε(t2-t1)]: it
     vanishes for all times iff ε = 0, i.e. iff the dephasing function is real.
-    A non-finite input, or x3 or x1 outside {0, 1}, raises ``ValidationError``.
+    x3, x1 in 0..1 and the reals follow the argument rule of :mod:`dephaser.errors`.
     """
-    values = {"epsilon": epsilon, "gamma": gamma, "t3": t3, "t2": t2, "t1": t1}
-    _check_closed_form("markov_qubit_violation_closed", values, {"x3": x3, "x1": x1})
+    caller, reals = "markov_qubit_violation_closed", {"epsilon": epsilon, "gamma": gamma, "t3": t3, "t2": t2, "t1": t1}
+    epsilon, gamma, t3, t2, t1 = (_real(caller, name, value) for name, value in reals.items())
+    x3, x1 = _integer(caller, "x3", x3, 0, 1), _integer(caller, "x1", x1, 0, 1)
     return float(
         -0.25
         * (-1) ** (x3 - x1)
@@ -642,14 +602,15 @@ def theta_sweep(
     argmax is taken on the absolute deficit.  The bracket is evaluated once
     per sweep, and the angles are one array expression.
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
-    time-dependent factor is nonzero.  An empty ``thetas``, a non-finite
-    angle or other input, p outside [0, 1] or x2 outside {0, 1} raises
-    ``ValidationError``.
+    time-dependent factor is nonzero.  An empty ``thetas`` or a non-finite
+    angle raises ``ValidationError``; p in [0, 1], x2 in 0..1 and the times
+    follow the argument rule of :mod:`dephaser.errors`.
     """
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or not np.isfinite(thetas).all():
         raise ValidationError(f"theta_sweep: need one or more finite angles, got {thetas}")
-    _check_closed_form("theta_sweep", {"p": p, "t2": t2, "t1": t1, "t0": t0}, {"x2": x2})
+    p, t2, t1, t0 = (_real("theta_sweep", *arg) for arg in (("p", p, 0, 1), ("t2", t2), ("t1", t1), ("t0", t0)))
+    x2 = _integer("theta_sweep", "x2", x2, 0, 1)
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
     deficits = ((-1) ** x2 * 0.125 * np.sin(2 * thetas) * np.sin(4 * thetas) * bracket).real
     argmax_theta = float(thetas[int(np.argmax(np.abs(deficits)))])
@@ -682,30 +643,20 @@ def search_nonclassicality_witness(
     one at a time.  So the grid is bounded by the report's caps: for a qubit
     with a rank-one PVM, at most 194 grid times (97 points per interval) at
     order 3 and 60 (20 per interval) at order 4.  A larger grid raises
-    ``SizeCapError`` before any propagator is computed.  ``t0`` and
-    ``horizon`` must be finite with ``horizon`` > ``t0``, ``order``,
-    ``position``, ``points_per_interval``, ``random_draws`` and ``seed``
-    integers (the last two >= 0) and ``threshold`` finite
-    (``ValidationError``, before the grid is formed).
+    ``SizeCapError`` before any propagator is computed.  ``horizon`` must
+    exceed ``t0``; every argument follows the rule of :mod:`dephaser.errors`,
+    checked before the grid is formed.
     """
-    if not (math.isfinite(t0) and math.isfinite(horizon)):
-        raise ValidationError(f"search_nonclassicality_witness: need a finite t0 and horizon, got {t0!r}, {horizon!r}")
+    caller = "search_nonclassicality_witness"
+    t0, horizon = _real(caller, "t0", t0), _real(caller, "horizon", horizon)
     if not horizon > t0:
-        raise ValidationError(f"search_nonclassicality_witness: horizon {horizon!r} must exceed t0 = {t0!r}")
+        raise ValidationError(f"{caller}: horizon {horizon!r} must exceed t0 = {t0!r}")
     # checked before any arithmetic: a float count failed inside numpy, a negative one ran as 0 or failed there
-    integers = dict(order=order, position=position, points_per_interval=points_per_interval, random_draws=random_draws, seed=seed)
-    for name, value in integers.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValidationError(f"search_nonclassicality_witness: {name} must be an integer, got {value!r}")
-    for name in ("random_draws", "seed"):
-        if integers[name] < 0:
-            raise ValidationError(f"search_nonclassicality_witness: {name} must be >= 0, got {integers[name]!r}")
-    if not math.isfinite(threshold):
-        raise ValidationError(f"search_nonclassicality_witness: threshold must be finite, got {threshold!r}")
-    if not 1 <= position <= order - 1:
-        raise ValidationError(f"search_nonclassicality_witness: position {position} not interior for order {order}")
-    if points_per_interval < 1:
-        raise ValidationError(f"search_nonclassicality_witness: points_per_interval {points_per_interval} < 1")
+    order = _integer(caller, "order", order, 2)
+    position = _integer(caller, "position", position, 1, order - 1)
+    points_per_interval = _integer(caller, "points_per_interval", points_per_interval, 1)
+    random_draws, seed = _integer(caller, "random_draws", random_draws, 0), _integer(caller, "seed", seed, 0)
+    threshold = _real(caller, "threshold", threshold)
     grid = np.linspace(t0, horizon, points_per_interval * (order - 1) + 1)[1:]
     best = None
     if len(grid) >= order:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _integer, _real
 from .linalg import as_complex_matrix, check_square
 
 GRAM_TOL = 1e-12
@@ -94,10 +93,8 @@ class ProjectiveMeasurement:
         return len(self.bases)
 
     def projector(self, x: int) -> np.ndarray:
-        """P_x = V_x V_x†; anything but an integer outcome in 0..m-1 (a float too) raises ``ValidationError``."""
-        if not isinstance(x, numbers.Integral) or not 0 <= x < self.n_outcomes:
-            raise ValidationError(f"projector: outcome {x!r} is not an integer in 0..{self.n_outcomes - 1}")
-        v = self.bases[x]
+        """P_x = V_x V_x† of outcome x in 0..m-1 (the argument rule of :mod:`dephaser.errors`)."""
+        v = self.bases[_integer("projector", "outcome", x, 0, self.n_outcomes - 1)]
         # elementwise, not v @ v†: a rank-one projector is then np.outer of its column, bit for bit
         return (v[:, None, :] * v[None, :, :].conj()).sum(axis=-1)
 
@@ -114,8 +111,7 @@ class ProjectiveMeasurement:
 
 def dephasing_basis(d: int) -> ProjectiveMeasurement:
     """Measurement fully compatible with the dephasing (computational) basis."""
-    if d < 2:
-        raise ValidationError(f"dephasing_basis: d must be >= 2, got {d}")
+    d = _integer("dephasing_basis", "d", d, 2)
     return ProjectiveMeasurement(vectors=np.eye(d, dtype=complex))
 
 
@@ -125,8 +121,7 @@ def fourier_mub(d: int, phases: Optional[PhaseVector] = None) -> ProjectiveMeasu
     Outcome-x vector: d^(-1/2) * sum_j omega^(j x) e^(i phases[j]) |j>, with
     omega = exp(2 pi i / d).
     """
-    if d < 2:
-        raise ValidationError(f"fourier_mub: d must be >= 2, got {d}")
+    d = _integer("fourier_mub", "d", d, 2)
     if phases is None:
         phases = PhaseVector((0.0,) * d)
     if len(phases.phases) != d:
@@ -139,8 +134,7 @@ def fourier_mub(d: int, phases: Optional[PhaseVector] = None) -> ProjectiveMeasu
 
 def qubit_basis(theta: float, phi: float) -> ProjectiveMeasurement:
     """General qubit basis (cos t, e^{i p} sin t), (sin t, -e^{i p} cos t)."""
-    if not (np.isfinite(theta) and np.isfinite(phi)):
-        raise ValidationError(f"qubit_basis: angles must be finite, got theta = {theta!r}, phi = {phi!r}")
+    theta, phi = _real("qubit_basis", "theta", theta), _real("qubit_basis", "phi", phi)
     c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
     cols = np.array([[c, s], [e * s, -e * c]], dtype=complex)
     return ProjectiveMeasurement(vectors=cols)

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
@@ -162,8 +162,8 @@ class DephasingTensorProvider(ABC):
     @abstractmethod
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
         """Tensor value for index pairs, ``pairs[k]`` over ``durations[k]``, one interval at a time (the
-        pointwise reference); an index outside 0..d-1 raises ``ValidationError``, and as many pairs as
-        durations are required (``ShapeError``)."""
+        pointwise reference); each index is in 0..d-1 (the argument rule of :mod:`dephaser.errors`), and as
+        many pairs as durations are required (``ShapeError``)."""
 
     # Each concrete provider defines ``tensor_array`` (the values on a duration
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
@@ -183,8 +183,8 @@ class DephasingTensorProvider(ABC):
         if any(dt < 0 for dt in durations):
             raise TimeOrderError(f"tensor_pairs: negative duration in {list(durations)}")
         for j, l in pairs:
-            if not (0 <= j < self.d and 0 <= l < self.d):
-                raise ValidationError(f"index pair ({j}, {l}) out of range for d = {self.d}")
+            for index in (j, l):
+                _integer("tensor_pairs", "index", index, 0, self.d - 1)
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
 
     def propagator(self, j: int, dt: float) -> np.ndarray:
         """U_j(dt) = exp(-i·dt·H_j)."""
+        j = _integer("propagator", "j", j, 0, self.d - 1)
         u, inverse = self._unitaries_batch(dt)
         return u[inverse, j]
 
@@ -553,10 +554,13 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
 
 
 def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
-    """max|M| of M = matrices(*times) per entry of the broadcast, non-decreasing
-    (else ``TimeOrderError``) ``times``: a float for scalars, else an array of their
-    shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    """max|M| of M = matrices(*times) per entry of the broadcast, finite (else
+    ``ValidationError``) and non-decreasing (else ``TimeOrderError``) ``times``: a float
+    for scalars, else an array of their shape.  Flat chunks of TERM_CAP // ``entries``
+    keep each array within TERM_CAP."""
     times = np.broadcast_arrays(*times)
+    if not np.isfinite(times).all():  # a NaN fails the order test too, but is no order fault
+        raise ValidationError(f"{caller}: need finite times, got {tuple(times)}")
     if not all((a <= b).all() for a, b in zip(times, times[1:])):
         raise TimeOrderError(f"{caller}: times {tuple(times)} are not non-decreasing")
     flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
@@ -589,8 +593,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     """
     if not isinstance(provider, ExactDephasingProvider):
         raise ValidationError(f"markovianity_deficit: requires an exact model, got {type(provider).__name__}")
-    if max_order < 2:
-        raise ValidationError(f"markovianity_deficit: max_order must be >= 2, got {max_order}")
+    max_order = _integer("markovianity_deficit", "max_order", max_order, 2)
     times = np.sort(np.array([float(t) for t in times]))
     if not np.isfinite(times).all():
         raise ValidationError(f"markovianity_deficit: need finite times, got {times}")

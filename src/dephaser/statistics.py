@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -143,8 +143,7 @@ class TimeGrid:
 
     def drop(self, position: int) -> "TimeGrid":
         """Grid with the measurement at 1-based ``position`` removed."""
-        if not (1 <= position <= self.n):
-            raise ValidationError(f"TimeGrid.drop: position {position} out of range 1..{self.n}")
+        position = _integer("TimeGrid.drop", "position", position, 1, self.n)
         return TimeGrid(self.t0, self.times[: position - 1] + self.times[position:])
 
 
@@ -166,6 +165,7 @@ class SystemPreparation:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "SystemPreparation":
+        d = _integer("SystemPreparation.maximally_mixed", "d", d, 1)
         return cls(np.eye(d, dtype=complex) / d)
 
     @classmethod
@@ -192,6 +192,7 @@ class JointDistribution:
     table: np.ndarray  # flat, length n_outcomes**n, x_1 slowest
 
     def __post_init__(self):
+        object.__setattr__(self, "n_outcomes", _integer("JointDistribution", "n_outcomes", self.n_outcomes, 1))
         t = np.asarray(self.table, dtype=float).reshape(-1)
         if t.size != self.n_outcomes ** self.grid.n:
             raise ShapeError(

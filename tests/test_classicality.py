@@ -154,11 +154,11 @@ class TestClassicalityReport:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"max_order": 3.0}, "max_order must be an integer >= 2, got 3.0"),  # raised TypeError in numpy
+            ({"max_order": 3.0}, "max_order must be an integer, got 3.0"),  # raised TypeError in numpy
             ({"max_order": np.float64(2.0)}, "max_order must be an integer"),
-            ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),  # made every verdict False
-            ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),  # made every verdict True
-            ({"tol": -1e-3}, "tol must be finite and >= 0, got -0.001"),  # made every verdict False
+            ({"tol": float("nan")}, "tol must be finite, got nan"),  # made every verdict False
+            ({"tol": float("inf")}, "tol must be finite, got inf"),  # made every verdict True
+            ({"tol": -1e-3}, "tol must be >= 0, got -0.001"),  # made every verdict False
         ],
         ids=["float-order", "numpy-float-order", "nan-tol", "inf-tol", "negative-tol"],
     )

@@ -26,6 +26,7 @@ RETIRED = (
     "random_unitary",
     "qubit_two_time_deficit_closed",
     "qubit_two_time_deficit_simplified",
+    "_check_closed_form",
 )
 
 # a second view of a stored quantity: the reference reads the one form instead
@@ -66,3 +67,8 @@ def test_retired_attribute_is_gone(owner, name):
 @pytest.mark.parametrize("function, name", RETIRED_PARAMETERS, ids=[f"{f.__name__}-{n}" for f, n in RETIRED_PARAMETERS])
 def test_retired_parameter_is_gone(function, name):
     assert name not in inspect.signature(function).parameters
+
+
+def test_only_errors_binds_numbers():
+    # the integer and real tests of library arguments live in one place, errors._integer and errors._real
+    assert [m.__name__ for m in [dephaser, *MODULES] if hasattr(m, "numbers")] == ["dephaser.errors"]
