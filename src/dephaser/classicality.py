@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real, _reals
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
@@ -242,8 +242,8 @@ def classicality_report(
     by their ``columns`` as the tuples' pool indices.  A larger plan is built
     per report.  Every table and every marginal passes the one rule of
     :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
-    which names the first that fails.  ``max_order`` >= 2 and ``tol`` >= 0
-    follow the argument rule of :mod:`dephaser.errors`.
+    which names the first that fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0``
+    and the non-empty ``pool`` follow the argument rule of :mod:`dephaser.errors`.
 
     The largest single node, a row of the deepest level N (the branch states
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
@@ -265,14 +265,11 @@ def classicality_report(
     """
     # checked before any arithmetic: a float order fails inside numpy, a NaN or negative tol makes every verdict False
     max_order = _integer("classicality_report", "max_order", max_order, 2)
-    tol = _real("classicality_report", "tol", tol, 0)
-    pool = tuple(sorted({float(t) for t in pool}))
+    tol, t0 = _real("classicality_report", "tol", tol, 0), _real("classicality_report", "t0", t0)
     # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
-    if not pool or not all(map(math.isfinite, pool + (float(t0),))):
-        raise ValidationError(f"classicality_report: need a finite t0 and a non-empty pool of finite times, got {t0}, {pool}")
-    t0 = _real("classicality_report", "t0", t0)  # finite by now: refuses a bool, returns a float
-    if pool[0] < t0:
-        raise ValidationError(f"classicality_report: pool starts before t0 = {t0}")
+    pool = tuple(sorted(set(_reals("classicality_report", "pool", pool).tolist())))
+    if not pool or pool[0] < t0:
+        raise ValidationError(f"classicality_report: need a non-empty pool of times from t0 = {t0} on")
 
     root, identity = _root(provider, prep, measurement, "classicality_report")
     bases = measurement.bases
@@ -602,13 +599,13 @@ def theta_sweep(
     argmax is taken on the absolute deficit.  The bracket is evaluated once
     per sweep, and the angles are one array expression.
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
-    time-dependent factor is nonzero.  An empty ``thetas`` or a non-finite
-    angle raises ``ValidationError``; p in [0, 1], x2 in 0..1 and the times
+    time-dependent factor is nonzero.  ``thetas`` not a non-empty sequence
+    raises ``ValidationError``; the angles, p in [0, 1], x2 in 0..1 and the times
     follow the argument rule of :mod:`dephaser.errors`.
     """
-    thetas = np.asarray(list(thetas), dtype=float)
-    if thetas.size == 0 or not np.isfinite(thetas).all():
-        raise ValidationError(f"theta_sweep: need one or more finite angles, got {thetas}")
+    thetas = _reals("theta_sweep", "thetas", thetas)
+    if thetas.ndim != 1 or thetas.size == 0:  # a scalar would fail only after the bracket's propagators
+        raise ValidationError(f"theta_sweep: need a sequence of one or more angles, got {thetas}")
     p, t2, t1, t0 = (_real("theta_sweep", *arg) for arg in (("p", p, 0, 1), ("t2", t2), ("t1", t1), ("t0", t0)))
     x2 = _integer("theta_sweep", "x2", x2, 0, 1)
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)

@@ -108,6 +108,13 @@ def _number(node, kind, name: str, least=None):
     return value
 
 
+def _numbers(node, name: str) -> tuple:
+    """``node``, a list, as a tuple of finite floats, each entry read by :func:`_number`."""
+    if not isinstance(node, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list, got {shown(node)}")
+    return tuple(_number(x, float, f"{name}[{k}]") for k, x in enumerate(node))
+
+
 def _section(name: str, build, *args):
     """Run one section builder; invariant and coercion failures become ConfigError."""
     try:
@@ -161,10 +168,7 @@ def _build_model(node):
     if kind == "markovian":
         if "preset" in node:
             model = get_preset(node["preset"])
-            _require(
-                isinstance(model, MarkovianAnalyticModel),
-                f"model.preset: '{node['preset']}' is not a markovian model",
-            )
+            _require(isinstance(model, MarkovianAnalyticModel), f"model.preset: '{node['preset']}' is not a markovian model")
         else:
             _require("eps" in node and "gamma" in node, "model: markovian model needs eps and gamma (or preset)")
             model = MarkovianAnalyticModel(np.asarray(node["eps"], float), np.asarray(node["gamma"], float))
@@ -195,8 +199,8 @@ def _build_preparation(node, d: int) -> SystemPreparation:
     _require(isinstance(node, dict), "preparation: expected an object")
     kind = node.get("kind")
     if kind == "diagonal":
-        weights = np.asarray(node.get("weights", []), dtype=float)
-        _require(weights.size == d, f"preparation.weights: got {weights.size} entries for system dimension d = {d}")
+        weights = _numbers(node.get("weights", []), "preparation.weights")
+        _require(len(weights) == d, f"preparation.weights: got {len(weights)} entries for system dimension d = {d}")
         return SystemPreparation.diagonal(weights)
     if kind == "maximally-mixed":
         return SystemPreparation.maximally_mixed(d)
@@ -217,9 +221,9 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
     if kind == "dephasing":
         return dephasing_basis(d)
     if kind == "mub":
-        phases = node.get("phases", [0.0] * d)
+        phases = _numbers(node.get("phases", [0.0] * d), "measurement.phases")
         _require(len(phases) == d, f"measurement.phases: got {len(phases)} phases for system dimension d = {d}")
-        return fourier_mub(d, PhaseVector(tuple(phases)))
+        return fourier_mub(d, PhaseVector(phases))
     if kind == "qubit":
         _require(d == 2, f"measurement.kind 'qubit' requires d = 2, model has d = {d}")
         return qubit_basis(*(_number(node.get(k, 0.0), float, f"measurement.{k}") for k in ("theta", "phi")))
@@ -241,10 +245,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     grid_node = doc.get("grid")
     _require(isinstance(grid_node, dict), "grid: expected an object with t0 and times")
     t0 = _number(grid_node.get("t0", 0.0), float, "grid.t0")
-    times = grid_node.get("times", [])
-    if not isinstance(times, (list, tuple)):
-        raise ConfigError(f"grid.times: expected a list, got {shown(times)}")
-    times = tuple(_number(t, float, f"grid.times[{k}]") for k, t in enumerate(times))
+    times = _numbers(grid_node.get("times", []), "grid.times")
     grid = _section("grid", TimeGrid, t0, times)
 
     analysis = doc.get("analysis")

@@ -1,15 +1,18 @@
-"""Exception hierarchy shared across the package, and the one rule for scalar arguments.
+"""Exception hierarchy shared across the package, and the one rule for its arguments.
 
-Every count, order, position, outcome or index that a library function takes
-passes :func:`_integer` (any ``numbers.Integral`` but ``bool``, returned as an
-``int``), and every real-valued scalar :func:`_real` (any finite ``numbers.Real``
-but ``bool``, returned as a ``float``), each with its bounds, before any
-arithmetic; anything else raises ``ValidationError`` naming caller and argument.
+Every count, order, position, outcome or index that a library function takes passes
+:func:`_integer` (any ``numbers.Integral`` but ``bool``, returned as an ``int``), every
+real-valued scalar :func:`_real` (any finite ``numbers.Real`` but ``bool``, returned as a
+``float``), each with its bounds, and every array of reals :func:`_reals` (times, pools,
+angles, phases, weights: each entry as :func:`_real`), before any arithmetic; anything
+else raises ``ValidationError`` naming caller and argument.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class DephaserError(Exception):
@@ -53,6 +56,22 @@ def _real(caller: str, name: str, value, low=None, high=None) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{caller}: {name} must be finite, got {value!r}")
     return _bounded(caller, name, value, low, high)
+
+
+def _reals(caller: str, name: str, values) -> np.ndarray:
+    """``values`` as a finite float ndarray: an int or float array checked whole, a real scalar as
+    a 0-d array, any other iterable entry by entry (each but a finite float through :func:`_real`)."""
+    if isinstance(values, numbers.Number):
+        return np.array(_real(caller, name, values))
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        values = values.astype(float, copy=False)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{caller}: {name} must be finite, got {values}")
+        return values
+    try:
+        return np.array([v if type(v) is float and math.isfinite(v) else _real(caller, name, v) for v in values])
+    except TypeError:  # not iterable
+        raise ValidationError(f"{caller}: {name} must be real numbers, got {values!r}") from None
 
 
 def _bounded(caller: str, name: str, value, low, high):

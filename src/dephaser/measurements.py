@@ -15,32 +15,32 @@ its d columns in one array expression.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, _integer, _real
+from .errors import ShapeError, ValidationError, _integer, _real, _reals
 from .linalg import as_complex_matrix, check_square
 
+#: largest |V†V - 1| of given basis vectors: fourier_mub's powers ω^(j·x) lose digits as d grows (3.3e-16 at
+#: d = 2, 2.2e-14 at d = 32, 1.7e-13 at d = 64, zero or random phases); the shipped configs' bases reach 2.5e-16.
 GRAM_TOL = 1e-12
+#: largest deviation of given projectors from orthogonal Hermitian idempotents summing to 1; P_x·P_y compounds
+#: the error of P = V·V† (fourier_mub(64)'s: 1.7e-13; the tests' 111 projector PVMs 6.7e-16, shipped 2.4e-16).
 PROJ_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PhaseVector:
-    """Phase angles attached to the Fourier basis, gauge-fixed to phases[0] = 0."""
+    """Phase angles attached to the Fourier basis (rule of :mod:`dephaser.errors`), gauge-fixed to phases[0] = 0."""
 
     phases: tuple
 
     def __post_init__(self):
-        ph = tuple(float(p) for p in self.phases)
-        if not all(map(math.isfinite, ph)):
-            raise ValidationError(f"PhaseVector: non-finite entry in {ph}")
+        ph = _reals("PhaseVector", "phases", self.phases).tolist()
         # global-phase gauge: shift so the first phase vanishes
-        ph = tuple(p - ph[0] for p in ph)
-        object.__setattr__(self, "phases", ph)
+        object.__setattr__(self, "phases", tuple(p - ph[0] for p in ph))
 
 
 class ProjectiveMeasurement:

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _reals
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
@@ -170,21 +170,22 @@ class DephasingTensorProvider(ABC):
     # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
     def dephasing_matrix(self, t, s) -> np.ndarray:
         """The matrices φ(t - s) of single-interval tensor values over [s, t], (..., d, d) for t, s of shape (...);
-        a non-finite t or s raises ``ValidationError`` before t - s is formed."""
-        if not (np.isfinite(t).all() and np.isfinite(s).all()):
-            raise ValidationError(f"dephasing_matrix: need finite times, got t = {t}, s = {s}")
+        t and s follow the argument rule of :mod:`dephaser.errors` before t - s is formed."""
+        t, s = _reals("dephasing_matrix", "t", t), _reals("dephasing_matrix", "s", s)
         if np.less(t, s).any():
             raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
         return self.dephasings(np.subtract(t, s))
 
-    def _check_pairs(self, pairs, durations) -> None:
+    def _check_pairs(self, pairs, durations) -> np.ndarray:
+        durations = _reals("tensor_pairs", "durations", durations)
         if len(pairs) != len(durations):
             raise ShapeError(f"tensor_pairs: {len(pairs)} index pairs for {len(durations)} durations")
-        if any(dt < 0 for dt in durations):
-            raise TimeOrderError(f"tensor_pairs: negative duration in {list(durations)}")
+        if (durations < 0).any():
+            raise TimeOrderError(f"tensor_pairs: negative duration in {durations.tolist()}")
         for j, l in pairs:
             for index in (j, l):
                 _integer("tensor_pairs", "index", index, 0, self.d - 1)
+        return durations
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
     def tensor_pairs(self, pairs, durations) -> complex:
         """ρ_E conjugated interval by interval, with the U_j of all durations
         from one batch."""
-        self._check_pairs(pairs, durations)
+        durations = self._check_pairs(pairs, durations)
         u, inverse = self._unitaries_batch(durations)
         x = self.model.env_state
         for (j, l), k in zip(pairs, inverse):
@@ -528,7 +529,7 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
 
     def tensor_pairs(self, pairs, durations) -> complex:
         """The product of the entries φ_jl(dt) of :meth:`MarkovianAnalyticModel.phi_matrix`."""
-        self._check_pairs(pairs, durations)
+        durations = self._check_pairs(pairs, durations)
         factors = (self.model.phi_matrix(dt)[j, l] for (j, l), dt in zip(pairs, durations))
         return complex(math.prod(factors, start=1.0 + 0.0j))
 
@@ -554,13 +555,11 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
 
 
 def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
-    """max|M| of M = matrices(*times) per entry of the broadcast, finite (else
-    ``ValidationError``) and non-decreasing (else ``TimeOrderError``) ``times``: a float
-    for scalars, else an array of their shape.  Flat chunks of TERM_CAP // ``entries``
-    keep each array within TERM_CAP."""
-    times = np.broadcast_arrays(*times)
-    if not np.isfinite(times).all():  # a NaN fails the order test too, but is no order fault
-        raise ValidationError(f"{caller}: need finite times, got {tuple(times)}")
+    """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow
+    the argument rule of :mod:`dephaser.errors` and must be non-decreasing (else
+    ``TimeOrderError``): a float for scalars, else an array of their shape.  Flat chunks
+    of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    times = np.broadcast_arrays(*(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
     if not all((a <= b).all() for a, b in zip(times, times[1:])):
         raise TimeOrderError(f"{caller}: times {tuple(times)} are not non-decreasing")
     flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
@@ -594,9 +593,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     if not isinstance(provider, ExactDephasingProvider):
         raise ValidationError(f"markovianity_deficit: requires an exact model, got {type(provider).__name__}")
     max_order = _integer("markovianity_deficit", "max_order", max_order, 2)
-    times = np.sort(np.array([float(t) for t in times]))
-    if not np.isfinite(times).all():
-        raise ValidationError(f"markovianity_deficit: need finite times, got {times}")
+    times = np.sort(_reals("markovianity_deficit", "times", times))
     k, d = len(times), provider.d
     tuples = 0
     for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed
@@ -647,7 +644,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float]) -> bool:
     """True iff every dephasing-matrix entry has unit modulus (within
     ``TRIVIALITY_TOL``) on the grid, all pairs read at once."""
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = np.sort(_reals("triviality_check", "grid", grid))
     first, second = np.triu_indices(len(grid), 1)  # the pairs of the Markovianity walk
     phi = provider.dephasing_matrix(grid[second], grid[first])
     return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= TRIVIALITY_TOL)

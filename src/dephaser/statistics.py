@@ -39,12 +39,11 @@ and machine are bitwise identical.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _real, _reals
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -114,22 +113,23 @@ class TimeGrid:
 
     The n durations between them are computed once per grid and kept as a
     read-only float array beside the fields, which :func:`joint_distribution`
-    hands to the provider; ``durations`` reads them as a tuple.
+    hands to the provider; ``durations`` reads them as a tuple.  t0 and the times
+    follow :mod:`dephaser.errors`; the times, one or more, must not decrease from t0.
     """
 
     t0: float
     times: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if not times or not all(math.isfinite(t) for t in (float(self.t0),) + times):
-            raise ValidationError(f"TimeGrid: need a finite t0 and one or more finite times, got {self.t0}, {times}")
-        if times[0] < self.t0 or any(a > b for a, b in zip(times, times[1:])):
-            raise TimeOrderError(f"TimeGrid: times {times} not non-decreasing from t0 = {self.t0}")
+        t0, times = _real("TimeGrid", "t0", self.t0), tuple(_reals("TimeGrid", "times", self.times).tolist())
+        if not times:
+            raise ValidationError("TimeGrid: need one or more times")
+        durations = np.diff((t0,) + times)  # of finite times: b - a < 0 iff a > b
+        if (durations < 0).any():
+            raise TimeOrderError(f"TimeGrid: times {times} not non-decreasing from t0 = {t0}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t0", t0)
         # not a field, so equality, hashing and repr read t0 and times only
-        durations = np.diff((self.t0,) + times)
         durations.flags.writeable = False
         object.__setattr__(self, "_durations", durations)
 
@@ -160,8 +160,7 @@ class SystemPreparation:
 
     @classmethod
     def diagonal(cls, weights) -> "SystemPreparation":
-        w = np.asarray(weights, dtype=float)
-        return cls(np.diag(w).astype(complex))
+        return cls(np.diag(_reals("SystemPreparation.diagonal", "weights", weights)).astype(complex))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "SystemPreparation":
@@ -195,9 +194,7 @@ class JointDistribution:
         object.__setattr__(self, "n_outcomes", _integer("JointDistribution", "n_outcomes", self.n_outcomes, 1))
         t = np.asarray(self.table, dtype=float).reshape(-1)
         if t.size != self.n_outcomes ** self.grid.n:
-            raise ShapeError(
-                f"JointDistribution: table size {t.size} != {self.n_outcomes}^{self.grid.n}"
-            )
+            raise ShapeError(f"JointDistribution: table size {t.size} != {self.n_outcomes}^{self.grid.n}")
         _check_tables(t, lambda r: "JointDistribution: table")
         object.__setattr__(self, "table", t)
 
@@ -234,9 +231,7 @@ def _root(provider: DephasingTensorProvider, prep: SystemPreparation, measuremen
     of the identity basis (1, d, d), and that basis (:func:`_identity`, shared)."""
     d = provider.d
     if prep.d != d or measurement.d != d:
-        raise ShapeError(
-            f"{caller}: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})"
-        )
+        raise ShapeError(f"{caller}: dimension mismatch (provider d={d}, prep {prep.d}, measurement {measurement.d})")
     env = provider.env
     root = (prep.density[:, None, :, None] * env[None, :, None, :]).reshape(1, d * len(env), d * len(env))
     return root, _identity(d)

@@ -1,8 +1,10 @@
 """The one argument rule of the library (``dephaser.errors``), entry point by entry point.
 
 A count, order, position, outcome or index is any ``numbers.Integral`` but ``bool``,
-and a real-valued scalar is finite, each within its bounds.  Anything else raises
-exactly ``ValidationError`` (no ``TypeError`` or ``IndexError`` from numpy, and no
+and a real-valued scalar is finite, each within its bounds; an array of reals (times,
+pools, angles, phases, weights) is an int or float array, or an iterable of finite
+reals none of which is a ``bool``.  Anything else raises exactly ``ValidationError``
+(no ``TypeError``, ``OverflowError`` or ``IndexError`` from Python or numpy, and no
 ``ShapeError`` or ``TimeOrderError`` standing in for it) before any propagator is
 built.  ``np.int64`` values are accepted and come back as Python ``int``.
 """
@@ -24,7 +26,8 @@ from dephaser.classicality import (
 )
 from dephaser.errors import ValidationError
 from dephaser.measurements import dephasing_basis, fourier_mub, qubit_basis
-from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail, semigroup_deficit
+from dephaser.measurements import PhaseVector
+from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail, semigroup_deficit, triviality_check
 from dephaser.statistics import JointDistribution, SystemPreparation, TimeGrid, ncgd_deficit, sandwich_identity_deficit
 
 NAN, INF = float("nan"), float("inf")
@@ -93,6 +96,7 @@ REALS = {
     "markov-closed-t3": (lambda c, v: markov_qubit_violation_closed(0.8, 0.5, 0, 0, v, 1.0, 0.5), 2.0, None),
     "qubit-basis-theta": (lambda c, v: qubit_basis(v, 0.0), 0.3, None),
     "qubit-basis-phi": (lambda c, v: qubit_basis(0.3, v), 0.0, None),
+    "time-grid-t0": (lambda c, v: TimeGrid(v, (0.5, 1.0)), 0.0, None),
 }
 
 BAD_INTEGERS = {
@@ -118,15 +122,68 @@ BAD_REALS = {
     "out-of-range": lambda valid, out: out,
 }
 
-# a known fault, left open: classicality_report checks t0 with its pool of times, by float(t0), before the rule
-KNOWN = {"report-t0-past-double-range": pytest.mark.xfail(raises=OverflowError, strict=True, reason="float(t0) overflows")}
+# name: (call of the array, an accepted tuple of integral floats); each call's result
+# compares with np.testing.assert_equal
+ARRAYS = {
+    "time-grid-times": (lambda c, v: TimeGrid(0.0, v), (1.0, 2.0)),
+    "report-pool": (lambda c, v: classicality_report(c.exact, c.prep, c.mub, v, 3).to_dict(), (1.0, 2.0)),
+    "markovianity-times": (lambda c, v: markovianity_deficit_detail(c.exact, v, 2), (1.0, 2.0, 3.0)),
+    "triviality-grid": (lambda c, v: triviality_check(c.exact, v), (1.0, 2.0)),
+    "dephasing-matrix-t": (lambda c, v: c.exact.dephasing_matrix(v, 0.0), (1.0, 2.0)),
+    "dephasing-matrix-s": (lambda c, v: c.exact.dephasing_matrix(3.0, v), (1.0, 2.0)),
+    "semigroup-times": (lambda c, v: semigroup_deficit(c.exact, 0.0, v, 3.0), (1.0, 2.0)),
+    "ncgd-times": (lambda c, v: ncgd_deficit(c.exact, c.mub, v, 2.0, 3.0), (1.0, 2.0)),
+    "sandwich-times": (lambda c, v: sandwich_identity_deficit(c.exact, c.mub, 3.0, v), (1.0, 2.0)),
+    "exact-tensor-pairs-durations": (lambda c, v: c.exact.tensor_pairs([(0, 1), (1, 0)], v), (1.0, 2.0)),
+    "analytic-tensor-pairs-durations": (lambda c, v: c.analytic.tensor_pairs([(0, 1), (1, 0)], v), (1.0, 2.0)),
+    "theta-sweep-thetas": (lambda c, v: theta_sweep(c.exact, 0.2, v, 1.6, 0.8), (0.0, 1.0)),
+    "phase-vector": (lambda c, v: PhaseVector(v), (0.0, 1.0)),
+    "diagonal-weights": (lambda c, v: SystemPreparation.diagonal(v).density, (1.0, 0.0)),
+}
+
+
+def last(entry):
+    """The valid tuple with its last entry replaced by ``entry``."""
+    return lambda valid: valid[:-1] + (entry,)
+
+
+BAD_ARRAYS = {
+    "text-entry": lambda valid: valid[:-1] + (str(valid[-1]),),
+    "true-entry": last(True),
+    "false-entry": last(False),
+    "complex-entry": lambda valid: valid[:-1] + (complex(valid[-1]),),
+    "none-entry": last(None),
+    "nan-entry": last(NAN),
+    "inf-entry": last(INF),
+    "minus-inf-entry": last(-INF),
+    "numpy-nan-entry": last(np.float64(NAN)),
+    "past-double-range-entry": last(10**400),
+    "nan-array": lambda valid: np.array(valid[:-1] + (NAN,)),
+    "text-sequence": lambda valid: "12",
+    "true-sequence": lambda valid: True,
+    "none-sequence": lambda valid: None,
+    "bool-array": lambda valid: np.array([True, False]),
+}
+
+# a generator, a set (as a pool) and np.float64 entries pass as they are, and an int or float array as a whole
+ACCEPTED_ARRAYS = {
+    "int-array": lambda valid: np.array(valid).astype(int),
+    "float-array": np.array,
+    "generator": lambda valid: (t for t in valid),
+    "numpy-entries": lambda valid: tuple(map(np.float64, valid)),
+    "int-entries": lambda valid: tuple(map(int, valid)),
+}
 
 CASES = [
-    pytest.param(call, bad(valid, out), id=f"{name}-{kind}", marks=KNOWN.get(f"{name}-{kind}", ()))
+    pytest.param(call, bad(valid, out), id=f"{name}-{kind}")
     for table, bads in ((INTEGERS, BAD_INTEGERS), (REALS, BAD_REALS))
     for name, (call, valid, out) in table.items()
     for kind, bad in bads.items()
     if not (kind == "out-of-range" and out is None)
+] + [
+    pytest.param(call, bad(valid), id=f"{name}-{kind}")
+    for name, (call, valid) in ARRAYS.items()
+    for kind, bad in BAD_ARRAYS.items()
 ]
 
 
@@ -154,11 +211,32 @@ def test_numpy_integer_accepted(c, call, valid):
     assert type(call(c, np.int64(valid))) is type(call(c, valid))
 
 
+@pytest.mark.parametrize(
+    "call, valid, form",
+    [
+        pytest.param(call, valid, form, id=f"{name}-{kind}")
+        for name, (call, valid) in ARRAYS.items()
+        for kind, form in ACCEPTED_ARRAYS.items()
+    ]
+    + [pytest.param(ARRAYS["report-pool"][0], (1.0, 2.0, 1.0), set, id="report-pool-set")],
+)
+def test_array_forms_give_the_result_of_a_tuple_of_floats(c, call, valid, form):
+    np.testing.assert_equal(call(c, form(valid)), call(c, valid))
+
+
 NAN_TIME_CALLS = {
     "ncgd": lambda c: ncgd_deficit(c.exact, c.mub, NAN, 1.0, 2.0),
     "sandwich": lambda c: sandwich_identity_deficit(c.exact, c.mub, 1.0, NAN),
     "semigroup": lambda c: semigroup_deficit(c.exact, 0.0, NAN, 2.0),
 }
+
+
+@pytest.mark.parametrize("thetas", [0.3, [], np.array([[0.1, 0.6]])], ids=["scalar", "empty", "2-d"])
+def test_theta_sweep_needs_a_sequence_of_angles(c, no_propagator, thetas):
+    # a scalar raised IndexError only after the bracket's propagators were built
+    with pytest.raises(ValidationError, match="^theta_sweep: need a sequence of one or more angles"):
+        theta_sweep(c.exact, 0.2, thetas, 1.6, 0.8)
+    assert c.exact._eig is None
 
 
 @pytest.mark.parametrize("call", NAN_TIME_CALLS.values(), ids=NAN_TIME_CALLS.keys())

@@ -15,7 +15,7 @@ from dephaser import classicality as cl
 from dephaser import cli, config, linalg, models, statistics
 from dephaser.cli import main
 from dephaser.config import ANALYSES, ConfigError, load_config, parse_config
-from dephaser.measurements import fourier_mub
+from dephaser.measurements import PhaseVector, fourier_mub
 from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
 from dephaser.presets import PRESETS, get_preset
 import reference
@@ -179,6 +179,42 @@ NON_FINITE = {
     "vector-huge-int": {"preparation": {"kind": "pure", "vector": [[10**400, 0.0], [0.0, 0.0]]}},
     "weights-huge-int": {"preparation": {"kind": "diagonal", "weights": [10**400, 0.0]}},
 }
+
+
+# each entry of a config's phases and weights is read as every other config number
+ARRAY_ENTRIES = {
+    "boolean-phase": (
+        {"measurement": {"kind": "mub", "phases": [0, True]}},
+        "measurement.phases[1]: expected a finite number, got True",
+    ),
+    "boolean-weight": (
+        {"preparation": {"kind": "diagonal", "weights": [True, False]}},
+        "preparation.weights[0]: expected a finite number, got True",
+    ),
+    "phases-not-a-list": ({"measurement": {"kind": "mub", "phases": 5}}, "measurement.phases: expected a list, got 5"),
+    "weights-not-a-list": ({"preparation": {"kind": "diagonal", "weights": 5}}, "preparation.weights: expected a list, got 5"),
+    "nested-weights": (
+        {"preparation": {"kind": "diagonal", "weights": [[1.0, 0.0]]}},
+        "preparation.weights[0]: expected a finite number, got [1.0, 0.0]",
+    ),
+}
+
+
+class TestConfigArrayEntries:
+    @pytest.mark.parametrize("name", sorted(ARRAY_ENTRIES))
+    def test_exact_message(self, tmp_path, capsys, name):
+        overrides, message = ARRAY_ENTRIES[name]
+        assert main(["validate", write_config(tmp_path, classicality_config(**overrides))]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+    def test_numeric_strings_read_as_numbers(self):
+        # as for every other config number
+        doc = classicality_config(
+            measurement={"kind": "mub", "phases": ["0", "0.5"]}, preparation={"kind": "diagonal", "weights": ["1", "0"]}
+        )
+        cfg = parse_config(doc)
+        assert cfg.measurement.bases.tolist() == fourier_mub(2, PhaseVector((0.0, 0.5))).bases.tolist()
+        assert cfg.preparation.density.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 class TestNonFiniteValues:
@@ -1136,6 +1172,9 @@ PROBES = {
     "block-huge-anti-hermitian": classicality_config(
         model={"kind": "exact", "blocks": [reference.HUGE_ANTI_HERMITIAN, _ENV], "env_state": _ENV}
     ),
+    # JSON booleans read as 1.0 and 0.0: both ran, with a phase of 1.0 and as diag(1, 0)
+    "mub-boolean-phases": classicality_config(measurement={"kind": "mub", "phases": [0, True]}),
+    "diagonal-boolean-weights": classicality_config(preparation={"kind": "diagonal", "weights": [True, False]}),
     **{name: doc for name, (doc, _) in MODEL_FAULTS.items()},
 }
 
