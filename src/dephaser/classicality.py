@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real, _reals
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real, _sequence
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
@@ -267,7 +267,7 @@ def classicality_report(
     max_order = _integer("classicality_report", "max_order", max_order, 2)
     tol, t0 = _real("classicality_report", "tol", tol, 0), _real("classicality_report", "t0", t0)
     # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
-    pool = tuple(sorted(set(_reals("classicality_report", "pool", pool).tolist())))
+    pool = tuple(sorted(set(_sequence("classicality_report", "pool", pool).tolist())))
     if not pool or pool[0] < t0:
         raise ValidationError(f"classicality_report: need a non-empty pool of times from t0 = {t0} on")
 
@@ -603,9 +603,9 @@ def theta_sweep(
     raises ``ValidationError``; the angles, p in [0, 1], x2 in 0..1 and the times
     follow the argument rule of :mod:`dephaser.errors`.
     """
-    thetas = _reals("theta_sweep", "thetas", thetas)
-    if thetas.ndim != 1 or thetas.size == 0:  # a scalar would fail only after the bracket's propagators
-        raise ValidationError(f"theta_sweep: need a sequence of one or more angles, got {thetas}")
+    thetas = _sequence("theta_sweep", "thetas", thetas)  # a scalar would fail only after the bracket's propagators
+    if thetas.size == 0:
+        raise ValidationError("theta_sweep: need a sequence of one or more angles")
     p, t2, t1, t0 = (_real("theta_sweep", *arg) for arg in (("p", p, 0, 1), ("t2", t2), ("t1", t1), ("t0", t0)))
     x2 = _integer("theta_sweep", "x2", x2, 0, 1)
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)

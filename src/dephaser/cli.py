@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 config/validation error (an ``--out`` that cannot be
 created or written to included, refused before any analysis runs), 3
 numerical-cap error, 4 analysis-level failure (an ``OSError`` while writing an
-output included).  Errors are emitted as one JSON object on stderr.  A run's
-outputs are written whole and together: each into a temporary ``.tmp-*`` file
-beside it, created exclusively with mode 0600 as by ``tempfile.mkstemp``, and
-only when every one is written are they renamed over the old files,
-``report.json`` last.  A failed write leaves every old output as it was and removes the
-temporary files; only a failed rename leaves a mixed set, the outputs renamed
-before it new beside the old ``report.json``.
+output included).  Errors are emitted as one JSON object on stderr.  A run
+computes and serializes every output before it opens a file, then writes them
+whole and together: each into a temporary ``.tmp-*`` file beside it, created
+exclusively with mode 0600 as by ``tempfile.mkstemp``, and only when every one
+is written are they renamed over the old files, ``report.json`` last.  A failed
+write leaves every old output as it was and removes the temporary files; only a
+failed rename leaves a mixed set, the outputs renamed before it new beside the
+old ``report.json``.
 Given a fixed config, output files are byte-identical across runs:
 ``report.json`` is strict JSON in the layout of ``json.dumps(..., indent=2,
 sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``.
@@ -18,7 +19,6 @@ sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import functools
 import json
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import classicality as cl
 from . import statistics as st
-from .config import ExperimentConfig, load_config, shown
-from .errors import DephaserError, SizeCapError, ValidationError
+from .config import ExperimentConfig, load_config
+from .errors import DephaserError, SizeCapError, ValidationError, _shown
 from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
 
@@ -55,61 +55,40 @@ NCGD_TRIPLE_CAP = 50_000
 THETA_POINTS_CAP = 100_000
 
 
-#: while ``_staged`` runs, the (temporary, path) pairs written and not yet renamed
-_pending: list | None = None
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole: into a temporary file beside it, then renamed
-    over ``path`` at once or, inside ``_staged``, when the run's last output is written.
-    The temporary file is made as ``tempfile.mkstemp`` makes one, in one ``os.open``:
-    created exclusively with its flags and mode 0600, under a random name drawn again
-    while taken, at most ``TMP_MAX`` times.  On a failure the temporary file is removed
-    and ``path`` is left as it was."""
-    head, tail = os.path.split(os.path.abspath(path))
+def _write_outputs(outdir: str, outputs: dict) -> None:
+    """Write each text of ``outputs``, ``{file name: text}``, whole into ``outdir``: every one
+    into a temporary file beside its output, then, once all are written, each renamed over its
+    output in the order given.  A temporary file is made as ``tempfile.mkstemp`` makes one, in
+    one ``os.open``: created exclusively with its flags and mode 0600, under a random name drawn
+    again while taken, at most ``TMP_MAX`` times.  On an error the temporary files not yet
+    renamed are removed, so a failed write leaves every old output as it was."""
+    head = os.path.abspath(outdir)
     flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
-    for _ in range(getattr(os, "TMP_MAX", 10000)):
-        tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{tail}")
-        try:
-            fd = os.open(tmp, flags, 0o600)
-            break
-        except FileExistsError:
-            continue
-    else:
-        raise FileExistsError(errno.EEXIST, "no free temporary file name", head)
+    staged = []  # the (temporary, output) pairs written and not yet renamed
     try:
-        # bytes, not a file object: the outputs are ASCII, and a file object costs more than a small write
-        data = memoryview(text.encode())
-        try:
-            while data:
-                data = data[os.write(fd, data) :]
-        finally:
-            os.close(fd)
-        if _pending is None:
-            os.replace(tmp, path)
-        else:
-            _pending.append((tmp, path))
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-@contextlib.contextmanager
-def _staged():
-    """Hold back the renames of the outputs written inside the block; when it ends
-    without an error, rename them in the order written, so ``report.json``, written
-    last, is renamed last.  Temporary files not renamed, after an error or a failed
-    rename, are removed."""
-    global _pending
-    pending = _pending = []
-    try:
-        yield
-        while pending:
-            os.replace(*pending[0])
-            del pending[0]
+        for name, text in outputs.items():
+            for _ in range(getattr(os, "TMP_MAX", 10000)):
+                tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{name}")
+                try:
+                    fd = os.open(tmp, flags, 0o600)
+                    break
+                except FileExistsError:
+                    continue
+            else:
+                raise FileExistsError(errno.EEXIST, "no free temporary file name", head)
+            staged.append((tmp, os.path.join(head, name)))
+            # bytes, not a file object: the outputs are ASCII, and a file object costs more than a small write
+            data = memoryview(text.encode())
+            try:
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
     finally:
-        _pending = None
-        for tmp, _ in pending:
+        for tmp, _ in staged:
             os.unlink(tmp)
 
 
@@ -167,10 +146,6 @@ def _json(obj, indent: str, memo: _FloatText) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, _json(payload, "\n", _FloatText()) + "\n")
-
-
 def _cells(column) -> list:
     """The CSV cells of one column: a list as it is, ``str`` of an int, ``.17g`` of a
     float.  Each distinct float is formatted once, keyed by its bits so that ±0 stay apart."""
@@ -183,23 +158,17 @@ def _cells(column) -> list:
     return text[inverse.reshape(-1)].tolist()
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """One CSV line per row of the equal-length ``columns``: 1-d numpy arrays, or lists of cell text."""
+def _csv(header, columns) -> str:
+    """The CSV text of one line per row of the equal-length ``columns``: 1-d numpy arrays, or lists of cell text."""
     lines = map(",".join, zip(*map(_cells, columns)))
-    _atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _write_distribution(outdir: str, dist: st.JointDistribution) -> str:
-    n = dist.n
-    path = os.path.join(outdir, f"distribution_{n}.csv")
-    header = [f"x_{k + 1}" for k in range(n)] + ["probability"]
-    # the outcome tuples in np.ndindex order, one column per time
-    outcomes = np.indices((dist.n_outcomes,) * n).reshape(n, -1)
-    _write_csv(path, header, [*outcomes, dist.clipped().reshape(-1)])
-    return path
+# Each runner computes one analysis kind from the config alone and returns its report
+# payload and its other outputs, {file name: text} in the order they are renamed.
 
 
-def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
+def _run_classicality(cfg: ExperimentConfig) -> tuple:
     a, grid = cfg.analysis, cfg.grid
     report = cl.classicality_report(
         cfg.provider, cfg.preparation, cfg.measurement, grid.times, a["max_order"], a["tolerance"], t0=grid.t0
@@ -215,21 +184,18 @@ def _run_classicality(cfg: ExperimentConfig, outdir: str) -> dict:
     order, position, index, deficits = map(np.concatenate, zip(*parts))
     # each pool time is formatted once per run, and the time columns gather their cells from that text
     text = np.array([format(t, ".17g") for t in report.pool] + ["nan"], dtype=object)
-    _write_csv(os.path.join(outdir, "deficits.csv"), header, [order, position, *text[index.T].tolist(), deficits])
-    return {"analysis": "classicality", **report.to_dict()}
+    csv = _csv(header, [order, position, *text[index.T].tolist(), deficits])
+    return {"analysis": "classicality", **report.to_dict()}, {"deficits.csv": csv}
 
 
-def _run_markovianity(cfg: ExperimentConfig, outdir: str) -> dict:
+def _run_markovianity(cfg: ExperimentConfig) -> tuple:
     deficit, detail = markovianity_deficit_detail(cfg.provider, cfg.grid.times, cfg.analysis["max_order"])
     times = np.sort(cfg.grid.times)
     # the semigroup and triviality checks read the durations the walk exponentiated
-    return {
-        "analysis": "markovianity",
-        "factorization_deficit": deficit,
-        "semigroup_deficit": float(np.max(semigroup_deficit(cfg.provider, *_triples(times)), initial=0.0)),
-        "trivial_dephasing": triviality_check(cfg.provider, times),
-        **detail,
-    }
+    semigroup = float(np.max(semigroup_deficit(cfg.provider, *_triples(times)), initial=0.0))
+    trivial = triviality_check(cfg.provider, times)
+    payload = {"factorization_deficit": deficit, "semigroup_deficit": semigroup, "trivial_dephasing": trivial}
+    return {"analysis": "markovianity", **payload, **detail}, {}
 
 
 def _triples(times: np.ndarray) -> np.ndarray:
@@ -238,7 +204,7 @@ def _triples(times: np.ndarray) -> np.ndarray:
     return times[np.array(np.nonzero(before[:, :, None] & before))]
 
 
-def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
+def _run_ncgd(cfg: ExperimentConfig) -> tuple:
     times = np.sort(cfg.grid.times)
     if math.comb(len(times), 3) > NCGD_TRIPLE_CAP:
         raise SizeCapError(f"ncgd: {math.comb(len(times), 3)} time triples exceed cap {NCGD_TRIPLE_CAP}")
@@ -247,26 +213,25 @@ def _run_ncgd(cfg: ExperimentConfig, outdir: str) -> dict:
     # the sandwich deficit depends on the outer pair only: one per distinct pair
     (s, t), inverse = np.unique((t1, t3), axis=1, return_inverse=True)
     sandwich = st.sandwich_identity_deficit(cfg.provider, cfg.measurement, t, s)[inverse.reshape(-1)]
-    columns = (t1, t2, t3, deficits, sandwich)
-    _write_csv(os.path.join(outdir, "deficits.csv"), ["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], columns)
-    return {
+    csv = _csv(["t_1", "t_2", "t_3", "ncgd_deficit", "sandwich_deficit"], (t1, t2, t3, deficits, sandwich))
+    payload = {
         "analysis": "ncgd",
         "norm": "entrywise max on superoperator matrices",
         "max_ncgd_deficit": float(deficits.max()),
         "max_sandwich_deficit": float(sandwich.max()),
         "triples": len(deficits),
     }
+    return payload, {"deficits.csv": csv}
 
 
-def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
+def _run_theta_sweep(cfg: ExperimentConfig) -> tuple:
     n_points = cfg.analysis["theta_points"]
     if n_points > THETA_POINTS_CAP:
-        raise SizeCapError(f"theta-sweep: {shown(n_points)} angles exceed cap {THETA_POINTS_CAP}")
+        raise SizeCapError(f"theta-sweep: {_shown(n_points)} angles exceed cap {THETA_POINTS_CAP}")
     p, times = float(cfg.preparation.density[0, 0].real), sorted(cfg.grid.times)
     thetas = np.linspace(0.0, np.pi / 2, n_points)
     thetas, deficits, argmax_theta = cl.theta_sweep(cfg.provider, p, thetas, times[1], times[0], t0=cfg.grid.t0)
-    _write_csv(os.path.join(outdir, "deficits.csv"), ["theta", "deficit"], (thetas, deficits))
-    return {
+    payload = {
         "analysis": "theta-sweep",
         "p": p,
         "t1": times[0],
@@ -274,19 +239,20 @@ def _run_theta_sweep(cfg: ExperimentConfig, outdir: str) -> dict:
         "argmax_theta": argmax_theta,
         "max_abs_deficit": float(np.max(np.abs(deficits))),
     }
+    return payload, {"deficits.csv": _csv(["theta", "deficit"], (thetas, deficits))}
 
 
-def _run_oracle_check(cfg: ExperimentConfig, outdir: str) -> dict:
+def _run_oracle_check(cfg: ExperimentConfig) -> tuple:
     # the oracle's caps before the branch-state route computes anything
     st._check_oracle_caps(cfg.provider.model, cfg.measurement, cfg.grid)
     fast = st.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
     oracle = st.oracle_distribution(cfg.provider.model, cfg.preparation, cfg.measurement, cfg.grid)
-    _write_distribution(outdir, fast)
-    return {
-        "analysis": "oracle-check",
-        "n": cfg.grid.n,
-        "max_abs_difference": float(np.max(np.abs(fast.table - oracle.table))),
-    }
+    n = fast.n
+    # the outcome tuples in np.ndindex order, one column per time
+    outcomes = np.indices((fast.n_outcomes,) * n).reshape(n, -1)
+    csv = _csv([f"x_{k + 1}" for k in range(n)] + ["probability"], [*outcomes, fast.clipped().reshape(-1)])
+    gap = float(np.max(np.abs(fast.table - oracle.table)))
+    return {"analysis": "oracle-check", "n": n, "max_abs_difference": gap}, {f"distribution_{n}.csv": csv}
 
 
 _RUNNERS = {
@@ -320,11 +286,12 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         _output_directory(outdir)
-        with _staged():
-            payload = _RUNNERS[cfg.analysis["kind"]](cfg, outdir)
-            _write_json(os.path.join(outdir, "report.json"), {"schema": REPORT_SCHEMA, **payload})
+        payload, outputs = _RUNNERS[cfg.analysis["kind"]](cfg)
+        # serialized whole before any file is opened: a value with no strict JSON form writes nothing
+        outputs["report.json"] = _json({"schema": REPORT_SCHEMA, **payload}, "\n", _FloatText()) + "\n"
+        _write_outputs(outdir, outputs)
     except OSError as exc:
-        # an output that cannot be written: every old output is left as it was (_staged)
+        # an output that cannot be written: every old output is left as it was (_write_outputs)
         return _error_json(EXIT_ANALYSIS, exc)
     except np.linalg.LinAlgError as exc:
         return _error_json(EXIT_ANALYSIS, exc)

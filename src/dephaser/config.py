@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .classicality import DEFAULT_TOL
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .measurements import PhaseVector, ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from .models import (
     DephasingModel,
@@ -75,8 +75,6 @@ CP_TOL = 1e-12
 #: against 0.2 rad at t·‖H‖ = 10^15, where exp(-i·t·w) is noise.  The library stays permissive.
 PHASE_BOUND = 1e9
 
-SHOWN_CHARS = 40  #: longest repr of a config value that an error message quotes
-
 
 class ConfigError(ValidationError):
     """Config file fails schema or invariant validation."""
@@ -85,12 +83,6 @@ class ConfigError(ValidationError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
-
-
-def shown(value) -> str:
-    """``repr(value)``, with its middle cut out when it is longer than ``SHOWN_CHARS``."""
-    text, half = repr(value), (SHOWN_CHARS - 3) // 2
-    return text if len(text) <= SHOWN_CHARS else f"{text[:half]}...{text[-half:]}"
 
 
 def _number(node, kind, name: str, least=None):
@@ -104,14 +96,14 @@ def _number(node, kind, name: str, least=None):
         ok = False
     if not (ok and (least is None or value >= least)):
         expected = ("a finite number" if kind is float else "an integer") + ("" if least is None else f" >= {least}")
-        raise ConfigError(f"{name}: expected {expected}, got {shown(node)}")
+        raise ConfigError(f"{name}: expected {expected}, got {_shown(node)}")
     return value
 
 
 def _numbers(node, name: str) -> tuple:
     """``node``, a list, as a tuple of finite floats, each entry read by :func:`_number`."""
     if not isinstance(node, (list, tuple)):
-        raise ConfigError(f"{name}: expected a list, got {shown(node)}")
+        raise ConfigError(f"{name}: expected a list, got {_shown(node)}")
     return tuple(_number(x, float, f"{name}[{k}]") for k, x in enumerate(node))
 
 
@@ -181,7 +173,7 @@ def _build_model(node):
             "and the dephasing map not completely positive",
         )
         return MarkovianAnalyticProvider(model)
-    raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {shown(kind)}")
+    raise ConfigError(f"model.kind: expected 'exact' or 'markovian', got {_shown(kind)}")
 
 
 def _frequency_bound(provider: DephasingTensorProvider) -> float:
@@ -212,7 +204,7 @@ def _build_preparation(node, d: int) -> SystemPreparation:
         m = _complex_array(node.get("matrix", []), "preparation.matrix", 2)
         _require(m.shape == (d, d), f"preparation.matrix: shape {m.shape} != ({d}, {d})")
         return SystemPreparation(m)
-    raise ConfigError(f"preparation.kind: unknown kind {shown(kind)}")
+    raise ConfigError(f"preparation.kind: unknown kind {_shown(kind)}")
 
 
 def _build_measurement(node, d: int) -> ProjectiveMeasurement:
@@ -231,7 +223,7 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
         vectors = _complex_array(node.get("vectors", []), "measurement.vectors", 2)
         _require(vectors.shape == (d, d), f"measurement.vectors: shape {vectors.shape} != ({d}, {d})")
         return ProjectiveMeasurement(vectors=vectors)
-    raise ConfigError(f"measurement.kind: unknown kind {shown(kind)}")
+    raise ConfigError(f"measurement.kind: unknown kind {_shown(kind)}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -239,7 +231,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     version = doc.get("version")
     # true == 1 in Python, so a JSON boolean is refused by type
     if not (version == CONFIG_VERSION and not isinstance(version, bool)):
-        raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {shown(version)}")
+        raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {_shown(version)}")
 
     # the fields that need no model come first, so a document that breaks one builds no model
     grid_node = doc.get("grid")
@@ -252,7 +244,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(isinstance(analysis, dict), "analysis: expected an object")
     kind = analysis.get("kind")
     if not (isinstance(kind, str) and kind in ANALYSES):
-        raise ConfigError(f"analysis.kind: expected one of {tuple(ANALYSES)}, got {shown(kind)}")
+        raise ConfigError(f"analysis.kind: expected one of {tuple(ANALYSES)}, got {_shown(kind)}")
     rules = ANALYSES[kind]
     analysis = {"tolerance": DEFAULT_TOL, "max_order": 3, "theta_points": 181, **analysis}
     analysis["tolerance"] = _number(analysis["tolerance"], float, "analysis.tolerance", 0)

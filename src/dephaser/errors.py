@@ -4,8 +4,9 @@ Every count, order, position, outcome or index that a library function takes pas
 :func:`_integer` (any ``numbers.Integral`` but ``bool``, returned as an ``int``), every
 real-valued scalar :func:`_real` (any finite ``numbers.Real`` but ``bool``, returned as a
 ``float``), each with its bounds, and every array of reals :func:`_reals` (times, pools,
-angles, phases, weights: each entry as :func:`_real`), before any arithmetic; anything
-else raises ``ValidationError`` naming caller and argument.
+angles, phases, weights: each entry as :func:`_real`), one-dimensional where a sequence
+is taken (:func:`_sequence`), before any arithmetic; anything else raises
+``ValidationError`` naming caller and argument, and quoting the value by :func:`_shown`.
 """
 
 import math
@@ -13,6 +14,8 @@ import numbers
 import operator
 
 import numpy as np
+
+SHOWN_CHARS = 40  #: longest repr of a value that an error message quotes
 
 
 class DephaserError(Exception):
@@ -39,7 +42,7 @@ def _integer(caller: str, name: str, value, low: int, high=None) -> int:
     """``value`` as a Python ``int`` >= ``low`` (and <= ``high`` if given)."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{caller}: {name} must be an integer, got {value!r}")
+            raise ValidationError(f"{caller}: {name} must be an integer, got {_shown(value)}")
         value = operator.index(value)
     return _bounded(caller, name, value, low, high)
 
@@ -48,13 +51,13 @@ def _real(caller: str, name: str, value, low=None, high=None) -> float:
     """``value`` as a finite ``float`` >= ``low`` (and <= ``high``) where given."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{caller}: {name} must be a real number, got {value!r}")
+            raise ValidationError(f"{caller}: {name} must be a real number, got {_shown(value)}")
         try:
             value = float(value)
         except OverflowError:  # an int past the double range
             raise ValidationError(f"{caller}: {name} must be finite, got a value past the double range") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{caller}: {name} must be finite, got {value!r}")
+        raise ValidationError(f"{caller}: {name} must be finite, got {_shown(value)}")
     return _bounded(caller, name, value, low, high)
 
 
@@ -66,12 +69,20 @@ def _reals(caller: str, name: str, values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         values = values.astype(float, copy=False)
         if not np.isfinite(values).all():
-            raise ValidationError(f"{caller}: {name} must be finite, got {values}")
+            raise ValidationError(f"{caller}: {name} must be finite, got {_shown(values)}")
         return values
     try:
         return np.array([v if type(v) is float and math.isfinite(v) else _real(caller, name, v) for v in values])
     except TypeError:  # not iterable
-        raise ValidationError(f"{caller}: {name} must be real numbers, got {values!r}") from None
+        raise ValidationError(f"{caller}: {name} must be real numbers, got {_shown(values)}") from None
+
+
+def _sequence(caller: str, name: str, values) -> np.ndarray:
+    """``values`` as :func:`_reals` gives them, and one-dimensional: a scalar or a table is refused."""
+    values = _reals(caller, name, values)
+    if values.ndim != 1:
+        raise ValidationError(f"{caller}: {name} must be a 1-d sequence of reals, got shape {values.shape}")
+    return values
 
 
 def _bounded(caller: str, name: str, value, low, high):
@@ -84,5 +95,13 @@ def _bounded(caller: str, name: str, value, low, high):
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or an int of over 1000 bits by its size: repr raises past 4300 digits."""
-    return f"an integer of {value.bit_length()} bits" if type(value) is int and value.bit_length() > 1000 else repr(value)
+    """``repr(value)`` with its middle cut out past ``SHOWN_CHARS``, or an int of over 1000 bits
+    by its size: repr raises past 4300 digits."""
+    if type(value) is int and value.bit_length() > 1000:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except ValueError:  # a container holding such an int
+        return f"a {type(value).__name__} too large to print"
+    half = (SHOWN_CHARS - 3) // 2
+    return text if len(text) <= SHOWN_CHARS else f"{text[:half]}...{text[-half:]}"

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, _integer, _real, _reals
+from .errors import ShapeError, ValidationError, _integer, _real, _sequence
 from .linalg import as_complex_matrix, check_square
 
 #: largest |V†V - 1| of given basis vectors: fourier_mub's powers ω^(j·x) lose digits as d grows (3.3e-16 at
@@ -38,7 +38,7 @@ class PhaseVector:
     phases: tuple
 
     def __post_init__(self):
-        ph = _reals("PhaseVector", "phases", self.phases).tolist()
+        ph = _sequence("PhaseVector", "phases", self.phases).tolist()
         # global-phase gauge: shift so the first phase vanishes
         object.__setattr__(self, "phases", tuple(p - ph[0] for p in ph))
 

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _reals
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _reals, _sequence
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
@@ -177,7 +177,7 @@ class DephasingTensorProvider(ABC):
         return self.dephasings(np.subtract(t, s))
 
     def _check_pairs(self, pairs, durations) -> np.ndarray:
-        durations = _reals("tensor_pairs", "durations", durations)
+        durations = _sequence("tensor_pairs", "durations", durations)
         if len(pairs) != len(durations):
             raise ShapeError(f"tensor_pairs: {len(pairs)} index pairs for {len(durations)} durations")
         if (durations < 0).any():
@@ -593,7 +593,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     if not isinstance(provider, ExactDephasingProvider):
         raise ValidationError(f"markovianity_deficit: requires an exact model, got {type(provider).__name__}")
     max_order = _integer("markovianity_deficit", "max_order", max_order, 2)
-    times = np.sort(_reals("markovianity_deficit", "times", times))
+    times = np.sort(_sequence("markovianity_deficit", "times", times))
     k, d = len(times), provider.d
     tuples = 0
     for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed
@@ -644,7 +644,7 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float]) -> bool:
     """True iff every dephasing-matrix entry has unit modulus (within
     ``TRIVIALITY_TOL``) on the grid, all pairs read at once."""
-    grid = np.sort(_reals("triviality_check", "grid", grid))
+    grid = np.sort(_sequence("triviality_check", "grid", grid))
     first, second = np.triu_indices(len(grid), 1)  # the pairs of the Markovianity walk
     phi = provider.dephasing_matrix(grid[second], grid[first])
     return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= TRIVIALITY_TOL)

@@ -33,9 +33,9 @@ def _commuting_diag() -> DephasingModel:
     )
 
 
-def _markov_real_qudit(d: int = 3, gamma: float = 1.0) -> MarkovianAnalyticModel:
-    g = gamma * (np.ones((d, d)) - np.eye(d))
-    return MarkovianAnalyticModel(np.zeros((d, d)), g)
+def _markov_real_qudit() -> MarkovianAnalyticModel:
+    # d = 3, eps = 0 and a uniform gamma = 1 between distinct levels
+    return MarkovianAnalyticModel(np.zeros((3, 3)), np.ones((3, 3)) - np.eye(3))
 
 
 PRESETS = {

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _real, _reals
+from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _real, _sequence
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -121,7 +121,7 @@ class TimeGrid:
     times: tuple
 
     def __post_init__(self):
-        t0, times = _real("TimeGrid", "t0", self.t0), tuple(_reals("TimeGrid", "times", self.times).tolist())
+        t0, times = _real("TimeGrid", "t0", self.t0), tuple(_sequence("TimeGrid", "times", self.times).tolist())
         if not times:
             raise ValidationError("TimeGrid: need one or more times")
         durations = np.diff((t0,) + times)  # of finite times: b - a < 0 iff a > b
@@ -160,7 +160,7 @@ class SystemPreparation:
 
     @classmethod
     def diagonal(cls, weights) -> "SystemPreparation":
-        return cls(np.diag(_reals("SystemPreparation.diagonal", "weights", weights)).astype(complex))
+        return cls(np.diag(_sequence("SystemPreparation.diagonal", "weights", weights)).astype(complex))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "SystemPreparation":

@@ -132,21 +132,19 @@ def ncgd_deficit(provider, measurement, t1, t2, t3):
     return float(np.max(np.abs(delta @ lam32 @ delta @ lam21 @ delta - delta @ lam31 @ delta)))
 
 
-def write_json(path, payload):
-    """``report.json`` as ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
-    the writer's layout through the standard library's (pure-Python, with ``indent``) encoder."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def json_text(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True)``, ``report.json`` less its last newline,
+    through the standard library's (pure-Python, with ``indent``) encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def write_csv(path, header, rows):
-    """A CSV of Python rows, one cell at a time: ``format(c, ".17g")`` of a float, ``str`` of
-    anything else."""
+def csv_text(header, rows):
+    """The CSV text of Python rows, one cell at a time: ``format(c, ".17g")`` of a float, ``str``
+    of anything else."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def classicality_rows(report):

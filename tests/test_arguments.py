@@ -3,10 +3,12 @@
 A count, order, position, outcome or index is any ``numbers.Integral`` but ``bool``,
 and a real-valued scalar is finite, each within its bounds; an array of reals (times,
 pools, angles, phases, weights) is an int or float array, or an iterable of finite
-reals none of which is a ``bool``.  Anything else raises exactly ``ValidationError``
-(no ``TypeError``, ``OverflowError`` or ``IndexError`` from Python or numpy, and no
-``ShapeError`` or ``TimeOrderError`` standing in for it) before any propagator is
-built.  ``np.int64`` values are accepted and come back as Python ``int``.
+reals none of which is a ``bool``, and one-dimensional where a sequence is taken.
+Anything else raises exactly ``ValidationError`` (no ``TypeError``, ``OverflowError``,
+``IndexError`` or ``AxisError`` from Python or numpy, and no ``ShapeError`` or
+``TimeOrderError`` standing in for it) before any propagator is built, its message
+quoting the value in a few dozen characters.  ``np.int64`` values are accepted and
+come back as Python ``int``.
 """
 
 import json
@@ -15,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dephaser import cli, models
+from dephaser import cli, errors, models
 from dephaser.classicality import (
     ClassicalityReport,
     classicality_report,
@@ -231,12 +233,63 @@ NAN_TIME_CALLS = {
 }
 
 
-@pytest.mark.parametrize("thetas", [0.3, [], np.array([[0.1, 0.6]])], ids=["scalar", "empty", "2-d"])
-def test_theta_sweep_needs_a_sequence_of_angles(c, no_propagator, thetas):
+@pytest.mark.parametrize(
+    "thetas, message",
+    [
+        (0.3, "thetas must be a 1-d sequence of reals, got shape ()"),
+        ([], "need a sequence of one or more angles"),
+        (np.array([[0.1, 0.6]]), "thetas must be a 1-d sequence of reals, got shape (1, 2)"),
+    ],
+    ids=["scalar", "empty", "2-d"],
+)
+def test_theta_sweep_needs_a_sequence_of_angles(c, no_propagator, thetas, message):
     # a scalar raised IndexError only after the bracket's propagators were built
-    with pytest.raises(ValidationError, match="^theta_sweep: need a sequence of one or more angles"):
+    with pytest.raises(ValidationError) as caught:
         theta_sweep(c.exact, 0.2, thetas, 1.6, 0.8)
+    assert str(caught.value) == f"theta_sweep: {message}"
     assert c.exact._eig is None
+
+
+# a scalar or a table where a sequence of reals is taken; each escaped as a TypeError,
+# ValueError or AxisError from Python or numpy, or was read as another sequence
+NOT_ONE_D = {
+    "time-grid-scalar": lambda c: TimeGrid(0.0, 1.0),
+    "time-grid-2-d": lambda c: TimeGrid(0.0, np.ones((1, 2))),
+    "phase-vector-scalar": lambda c: PhaseVector(0.5),
+    "report-pool-scalar": lambda c: classicality_report(c.exact, c.prep, c.mub, 1.0, 3),
+    "diagonal-weights-scalar": lambda c: SystemPreparation.diagonal(1.0),
+    "diagonal-weights-2-d": lambda c: SystemPreparation.diagonal(np.eye(2)),  # read as its diagonal
+    "markovianity-times-scalar": lambda c: markovianity_deficit_detail(c.exact, 1.0, 2),
+    "triviality-grid-scalar": lambda c: triviality_check(c.exact, 1.0),
+    "exact-tensor-pairs-scalar": lambda c: c.exact.tensor_pairs([(0, 1)], 0.5),
+    "analytic-tensor-pairs-scalar": lambda c: c.analytic.tensor_pairs([(0, 1)], 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_ONE_D.values(), ids=NOT_ONE_D.keys())
+def test_sequence_of_reals_is_one_dimensional(c, no_propagator, call):
+    with pytest.raises(ValidationError, match="must be a 1-d sequence of reals, got shape") as caught:
+        call(c)
+    assert type(caught.value) is ValidationError
+    assert c.exact._eig is None
+
+
+# a value whose repr runs to hundreds of thousands of characters, or raises
+LONG_VALUES = {
+    "integer-list": lambda c: errors._integer("c", "n", list(range(10**5)), 1),
+    "integer-list-past-repr-range": lambda c: errors._integer("c", "n", [10**5000], 1),  # repr raises ValueError
+    "real-text": lambda c: errors._real("c", "x", "x" * 10**5),
+    "reals-not-iterable": lambda c: errors._reals("c", "times", SimpleNamespace(pad="x" * 10**5)),
+    "time-grid-nested-list": lambda c: TimeGrid(0.0, [list(range(10**5))]),
+    "report-max-order-text": lambda c: classicality_report(c.exact, c.prep, c.mub, (0.5, 1.2), "x" * 10**5),
+}
+
+
+@pytest.mark.parametrize("call", LONG_VALUES.values(), ids=LONG_VALUES.keys())
+def test_message_quotes_a_long_value_shortly(c, no_propagator, call):
+    with pytest.raises(ValidationError) as caught:
+        call(c)
+    assert len(str(caught.value)) <= 300
 
 
 @pytest.mark.parametrize("call", NAN_TIME_CALLS.values(), ids=NAN_TIME_CALLS.keys())

@@ -512,7 +512,7 @@ class TestReportColumns:
         for a, b in zip(chunked.columns, whole.columns):
             assert np.array_equal(a[1], b[1])
 
-    def test_no_record_built(self, tmp_path, monkeypatch):
+    def test_no_record_built(self, monkeypatch):
         built = []
         real = classicality.DeficitRecord.__init__
 
@@ -534,8 +534,7 @@ class TestReportColumns:
             "grid": {"t0": 0.0, "times": list(self.POOL)},
             "analysis": {"kind": "classicality", "max_order": 3},
         }
-        (tmp_path / "o").mkdir()
-        cli._run_classicality(parse_config(doc), str(tmp_path / "o"))
+        cli._run_classicality(parse_config(doc))
         assert built == []
         report.records[0]
         assert len(built) == 1

@@ -675,7 +675,7 @@ class TestRunCommand:
 
     def test_non_finite_report_value_exits_4(self, tmp_path, capsys, monkeypatch):
         # report.json is strict JSON: NaN has no form there, so the run fails instead
-        monkeypatch.setitem(cli._RUNNERS, "classicality", lambda cfg, outdir: {"analysis": "x", "value": float("nan")})
+        monkeypatch.setitem(cli._RUNNERS, "classicality", lambda cfg: ({"analysis": "x", "value": float("nan")}, {}))
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 4
         lines = capsys.readouterr().err.splitlines()
@@ -803,7 +803,7 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 def _no_analysis(monkeypatch):
     """Make any analysis runner fail the test if it is called."""
     for kind in cli._RUNNERS:
-        monkeypatch.setitem(cli._RUNNERS, kind, lambda cfg, outdir: pytest.fail("an analysis ran"))
+        monkeypatch.setitem(cli._RUNNERS, kind, lambda cfg: pytest.fail("an analysis ran"))
 
 
 class TestOutputDirectory:
@@ -882,7 +882,7 @@ class TestOutputFiles:
             return real_open(name, *args)
 
         monkeypatch.setattr(os, "open", clashing)
-        cli._atomic_write(str(tmp_path / "report.json"), "{}\n")
+        cli._write_outputs(str(tmp_path), {"report.json": "{}\n"})
         monkeypatch.undo()
         assert (tmp_path / "report.json").read_text() == "{}\n"
         assert len(tried) == 2 and tried[0] != tried[1]
@@ -945,16 +945,31 @@ class TestOutputFiles:
         assert after["report.json"] == before["report.json"] and after["deficits.csv"] != before["deficits.csv"]
 
     def test_failed_report_writes_no_output(self, tmp_path, capsys, monkeypatch):
-        # the CSV is written before report.json fails on a value with no strict JSON form
-        def runner(cfg, outdir):
-            cli._write_csv(os.path.join(outdir, "deficits.csv"), ["x"], [np.array([1.0])])
-            return {"analysis": "classicality", "max_deficit": float("nan")}
+        # the run has a CSV to write when report.json fails on a value with no strict JSON form
+        def runner(cfg):
+            csv = cli._csv(["x"], [np.array([1.0])])
+            return {"analysis": "classicality", "max_deficit": float("nan")}, {"deficits.csv": csv}
 
         monkeypatch.setitem(cli._RUNNERS, "classicality", runner)
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, classicality_config()), "--out", str(out)]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DephaserError"
         assert os.listdir(out) == []
+
+    def test_non_finite_report_opens_no_file(self, tmp_path, capsys, monkeypatch):
+        # report.json is serialized before any output is opened, so its failure writes no temporary file
+        real_to_dict, real_open, opened = cl.ClassicalityReport.to_dict, os.open, []
+
+        def nan_report(self):
+            return {**real_to_dict(self), "max_deficit": float("nan")}
+
+        monkeypatch.setattr(cl.ClassicalityReport, "to_dict", nan_report)
+        monkeypatch.setattr(os, "open", lambda *args: opened.append(args) or real_open(*args))
+        code = main(["run", write_config(tmp_path, classicality_config()), "--out", str(tmp_path / "o")])
+        monkeypatch.undo()
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 4 and len(lines) == 1 and json.loads(lines[0])["error"] == "DephaserError"
+        assert opened == [] and os.listdir(tmp_path / "o") == []
 
     def test_output_name_taken_by_a_directory_exits_4(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1024,7 +1039,7 @@ class TestShippedConfigs:
         def raising(value):
             raise AssertionError(f"error text built for the valid value {value!r}")
 
-        monkeypatch.setattr(config, "shown", raising)
+        monkeypatch.setattr(config, "_shown", raising)
         for path in SHIPPED_CONFIGS:
             load_config(path)
 

@@ -1,7 +1,7 @@
 """The ``dephaser run`` writers against the standard-library and row-wise references.
 
 ``cli._json`` must give the bytes of ``json.dumps(..., indent=2, sort_keys=True)``,
-and ``cli._write_csv`` those of the row-wise ``.17g`` writer in ``reference``.
+and ``cli._csv`` those of the row-wise ``.17g`` writer in ``reference``.
 """
 
 import glob
@@ -108,37 +108,28 @@ def tables(draw):
     return columns
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("writers")
-
-
 class TestCsv:
     @given(columns=tables())
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_row_reference(self, scratch, columns):
+    def test_matches_the_row_reference(self, columns):
         header = [f"c{k}" for k in range(len(columns))]
-        cli._write_csv(str(scratch / "columns.csv"), header, columns)
         rows = zip(*(c.tolist() for c in columns))
-        reference.write_csv(str(scratch / "rows.csv"), header, rows)
-        assert (scratch / "columns.csv").read_bytes() == (scratch / "rows.csv").read_bytes()
+        assert cli._csv(header, columns) == reference.csv_text(header, rows)
 
-    def test_signed_zeros_and_nan_apart(self, tmp_path):
-        cli._write_csv(str(tmp_path / "z.csv"), ["x"], [np.array([0.0, -0.0, np.nan, 0.0, -np.inf])])
-        assert (tmp_path / "z.csv").read_text() == "x\n0\n-0\nnan\n0\n-inf\n"
+    def test_signed_zeros_and_nan_apart(self):
+        assert cli._csv(["x"], [np.array([0.0, -0.0, np.nan, 0.0, -np.inf])]) == "x\n0\n-0\nnan\n0\n-inf\n"
 
-    def test_classicality_columns_match_the_records(self, tmp_path):
+    def test_classicality_columns_match_the_records(self):
         # at order 4 the tuples of orders 2 and 3 are padded with NaN
         cfg = load_config(os.path.join(ROOT, "configs", "classicality_qubit_zx.json"))
         cfg.analysis["max_order"] = 4
-        cli._run_classicality(cfg, str(tmp_path))
+        _, outputs = cli._run_classicality(cfg)
         a = cfg.analysis
         report = cl.classicality_report(
             cfg.provider, cfg.preparation, cfg.measurement, cfg.grid.times, 4, a["tolerance"], t0=cfg.grid.t0
         )
         header = ["order", "position", "t_1", "t_2", "t_3", "t_4", "deficit"]
-        reference.write_csv(str(tmp_path / "rows.csv"), header, reference.classicality_rows(report))
-        assert (tmp_path / "deficits.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert outputs == {"deficits.csv": reference.csv_text(header, reference.classicality_rows(report))}
 
     def test_pool_text_keeps_the_sign_of_zero(self, tmp_path):
         # a pool time of -0.0 writes "-0", and at order 3 the order-2 tuples are padded with nan
@@ -147,17 +138,16 @@ class TestCsv:
         report = _report(cfg)
         assert math.copysign(1.0, report.pool[0]) == -1.0
         header = ["order", "position", "t_1", "t_2", "t_3", "deficit"]
-        reference.write_csv(str(tmp_path / "rows.csv"), header, reference.classicality_rows(report))
-        assert (tmp_path / "out" / "deficits.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        rows = reference.csv_text(header, reference.classicality_rows(report))
+        assert (tmp_path / "out" / "deficits.csv").read_bytes() == rows.encode()
         assert "\n2,1,-0,-0,nan," in (tmp_path / "out" / "deficits.csv").read_text()
 
-    def test_distribution_columns_match_ndindex(self, tmp_path):
+    def test_distribution_columns_match_ndindex(self):
         cfg = load_config(os.path.join(ROOT, "configs", "oracle_check_qubit_zx.json"))
         dist = statistics.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
-        written = cli._write_distribution(str(tmp_path), dist)
+        _, outputs = cli._run_oracle_check(cfg)
         header = [f"x_{k + 1}" for k in range(dist.n)] + ["probability"]
-        reference.write_csv(str(tmp_path / "rows.csv"), header, reference.distribution_rows(dist))
-        assert open(written, "rb").read() == (tmp_path / "rows.csv").read_bytes()
+        assert outputs == {f"distribution_{dist.n}.csv": reference.csv_text(header, reference.distribution_rows(dist))}
 
 
 # an analytic qubit to order 4 on a pool of four times
@@ -228,16 +218,16 @@ class TestReportLayout:
         assert "records" not in written
 
 
-def _reference_csv(path, header, columns):
-    """``cli._write_csv``'s call, written through the row reference."""
-    reference.write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
+def _reference_csv(header, columns):
+    """``cli._csv``'s call, built through the row reference."""
+    return reference.csv_text(header, zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[os.path.basename(c)[:-5] for c in SHIPPED_CONFIGS])
 def test_shipped_configs_match_the_reference_writers(tmp_path, monkeypatch, config):
     assert cli.main(["run", config, "--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr(cli, "_write_json", reference.write_json)
-    monkeypatch.setattr(cli, "_write_csv", _reference_csv)
+    monkeypatch.setattr(cli, "_json", lambda payload, indent, memo: reference.json_text(payload))
+    monkeypatch.setattr(cli, "_csv", _reference_csv)
     assert cli.main(["run", config, "--out", str(tmp_path / "ref")]) == 0
     names = sorted(os.listdir(tmp_path / "ref"))
     assert sorted(os.listdir(tmp_path / "new")) == names and "report.json" in names
