@@ -9,7 +9,7 @@ from .classicality import (
     theta_sweep,
 )
 from .linalg import hermitian_expm, kron
-from .measurements import PhaseVector, ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
+from .measurements import ProjectiveMeasurement, dephasing_basis, dephasing_channel, fourier_mub, qubit_basis
 from .models import (
     DephasingModel,
     DephasingTensorProvider,

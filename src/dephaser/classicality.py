@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _real, _sequence
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _real, _sequence
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
@@ -243,7 +243,7 @@ def classicality_report(
     per report.  Every table and every marginal passes the one rule of
     :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
     which names the first that fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0``
-    and the non-empty ``pool`` follow the argument rule of :mod:`dephaser.errors`.
+    and the non-empty ``pool``, no earlier than ``t0``, follow :mod:`dephaser.errors`.
 
     The largest single node, a row of the deepest level N (the branch states
     of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
@@ -268,8 +268,10 @@ def classicality_report(
     tol, t0 = _real("classicality_report", "tol", tol, 0), _real("classicality_report", "t0", t0)
     # checked before any arithmetic: the spans of a pool holding inf would compute inf - inf
     pool = tuple(sorted(set(_sequence("classicality_report", "pool", pool).tolist())))
-    if not pool or pool[0] < t0:
-        raise ValidationError(f"classicality_report: need a non-empty pool of times from t0 = {t0} on")
+    if not pool:
+        raise ValidationError("classicality_report: need a non-empty pool of times")
+    if pool[0] < t0:  # two floats compared once per report; the rule words the fault
+        _ordered("classicality_report", "(t0, pool)", t0, pool[0])
 
     root, identity = _root(provider, prep, measurement, "classicality_report")
     bases = measurement.bases
@@ -565,11 +567,12 @@ def markov_qubit_violation_closed(
     Diagonal preparation, unbiased measurement basis.  The value is
     -(1/4)(-1)^(x3-x1) e^{-γ(t3-t1)/2} sin[ε(t3-t2)] sin[ε(t2-t1)]: it
     vanishes for all times iff ε = 0, i.e. iff the dephasing function is real.
-    x3, x1 in 0..1 and the reals follow the argument rule of :mod:`dephaser.errors`.
+    x3, x1 in 0..1, the reals and t1 <= t2 <= t3 follow the rules of :mod:`dephaser.errors`.
     """
     caller, reals = "markov_qubit_violation_closed", {"epsilon": epsilon, "gamma": gamma, "t3": t3, "t2": t2, "t1": t1}
     epsilon, gamma, t3, t2, t1 = (_real(caller, name, value) for name, value in reals.items())
     x3, x1 = _integer(caller, "x3", x3, 0, 1), _integer(caller, "x1", x1, 0, 1)
+    _ordered(caller, "(t1, t2, t3)", t1, t2, t3)
     return float(
         -0.25
         * (-1) ** (x3 - x1)
@@ -601,12 +604,13 @@ def theta_sweep(
     Maxima sit near (1/2) arctan sqrt(2) and its mirror whenever the
     time-dependent factor is nonzero.  ``thetas`` not a non-empty sequence
     raises ``ValidationError``; the angles, p in [0, 1], x2 in 0..1 and the times
-    follow the argument rule of :mod:`dephaser.errors`.
+    follow the argument rule of :mod:`dephaser.errors`, and t0 <= t1 <= t2 its order rule.
     """
     thetas = _sequence("theta_sweep", "thetas", thetas)  # a scalar would fail only after the bracket's propagators
     if thetas.size == 0:
         raise ValidationError("theta_sweep: need a sequence of one or more angles")
     p, t2, t1, t0 = (_real("theta_sweep", *arg) for arg in (("p", p, 0, 1), ("t2", t2), ("t1", t1), ("t0", t0)))
+    _ordered("theta_sweep", "(t0, t1, t2)", t0, t1, t2)
     x2 = _integer("theta_sweep", "x2", x2, 0, 1)
     bracket = _qubit_two_time_bracket(provider, p, t2, t1, t0)
     deficits = ((-1) ** x2 * 0.125 * np.sin(2 * thetas) * np.sin(4 * thetas) * bracket).real

@@ -23,7 +23,7 @@ import numpy as np
 
 from .classicality import DEFAULT_TOL
 from .errors import ValidationError, _shown
-from .measurements import PhaseVector, ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
+from .measurements import ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from .models import (
     DephasingModel,
     DephasingTensorProvider,
@@ -215,7 +215,7 @@ def _build_measurement(node, d: int) -> ProjectiveMeasurement:
     if kind == "mub":
         phases = _numbers(node.get("phases", [0.0] * d), "measurement.phases")
         _require(len(phases) == d, f"measurement.phases: got {len(phases)} phases for system dimension d = {d}")
-        return fourier_mub(d, PhaseVector(phases))
+        return fourier_mub(d, phases)
     if kind == "qubit":
         _require(d == 2, f"measurement.kind 'qubit' requires d = 2, model has d = {d}")
         return qubit_basis(*(_number(node.get(k, 0.0), float, f"measurement.{k}") for k in ("theta", "phi")))

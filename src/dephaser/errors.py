@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one rule for its arguments.
+"""The package's exceptions, the one rule for its arguments, and the one for the order of times.
 
 Every count, order, position, outcome or index that a library function takes passes
 :func:`_integer` (any ``numbers.Integral`` but ``bool``, returned as an ``int``), every
@@ -83,6 +83,21 @@ def _sequence(caller: str, name: str, values) -> np.ndarray:
     if values.ndim != 1:
         raise ValidationError(f"{caller}: {name} must be a 1-d sequence of reals, got shape {values.shape}")
     return values
+
+
+def _ordered(caller: str, name: str, *times) -> list:
+    """``times`` as arrays broadcast together (else ``ShapeError``), each no earlier than the one
+    before it, entry by entry (else ``TimeOrderError``, quoting the first pair out of order)."""
+    try:
+        shape = np.broadcast(*times).shape
+    except ValueError:
+        raise ShapeError(f"{caller}: {name} of shapes {[np.shape(t) for t in times]} do not broadcast") from None
+    times = [t if getattr(t, "shape", None) == shape else np.broadcast_to(t, shape) for t in times]
+    for earlier, later in zip(times, times[1:]):
+        if (wrong := np.less(later, earlier)).any():
+            pair = (_shown(float(np.ravel(t)[wrong.argmax()])) for t in (earlier, later))  # the first, in C order
+            raise TimeOrderError(f"{caller}: {name} must not decrease, got {' then '.join(pair)}")
+    return times
 
 
 def _bounded(caller: str, name: str, value, low, high):

@@ -15,7 +15,6 @@ its d columns in one array expression.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,18 +28,6 @@ GRAM_TOL = 1e-12
 #: largest deviation of given projectors from orthogonal Hermitian idempotents summing to 1; P_x·P_y compounds
 #: the error of P = V·V† (fourier_mub(64)'s: 1.7e-13; the tests' 111 projector PVMs 6.7e-16, shipped 2.4e-16).
 PROJ_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Phase angles attached to the Fourier basis (rule of :mod:`dephaser.errors`), gauge-fixed to phases[0] = 0."""
-
-    phases: tuple
-
-    def __post_init__(self):
-        ph = _sequence("PhaseVector", "phases", self.phases).tolist()
-        # global-phase gauge: shift so the first phase vanishes
-        object.__setattr__(self, "phases", tuple(p - ph[0] for p in ph))
 
 
 class ProjectiveMeasurement:
@@ -115,20 +102,19 @@ def dephasing_basis(d: int) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(vectors=np.eye(d, dtype=complex))
 
 
-def fourier_mub(d: int, phases: Optional[PhaseVector] = None) -> ProjectiveMeasurement:
+def fourier_mub(d: int, phases=None) -> ProjectiveMeasurement:
     """Phased discrete-Fourier basis, unbiased with respect to the dephasing one.
 
     Outcome-x vector: d^(-1/2) * sum_j omega^(j x) e^(i phases[j]) |j>, with
-    omega = exp(2 pi i / d).
+    omega = exp(2 pi i / d), the d ``phases`` (zeros if None) shifted so that phases[0] = 0.
     """
     d = _integer("fourier_mub", "d", d, 2)
-    if phases is None:
-        phases = PhaseVector((0.0,) * d)
-    if len(phases.phases) != d:
-        raise ShapeError(f"fourier_mub: need {d} phases, got {len(phases.phases)}")
+    phases = np.zeros(d) if phases is None else _sequence("fourier_mub", "phases", phases)
+    if len(phases) != d:
+        raise ShapeError(f"fourier_mub: need {d} phases, got {len(phases)}")
     j = np.arange(d)
     # column x is omega^(j·x)·e^(i·phases[j]) / sqrt(d), each entry as one column at a time gave it
-    cols = np.exp(2j * np.pi / d) ** np.multiply.outer(j, j) * np.exp(1j * np.asarray(phases.phases))[:, None] / np.sqrt(d)
+    cols = np.exp(2j * np.pi / d) ** np.multiply.outer(j, j) * np.exp(1j * (phases - phases[0]))[:, None] / np.sqrt(d)
     return ProjectiveMeasurement(vectors=cols)
 
 

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _reals, _sequence
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _reals, _sequence
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
@@ -163,25 +163,23 @@ class DephasingTensorProvider(ABC):
     def tensor_pairs(self, pairs: Sequence, durations: Sequence[float]) -> complex:
         """Tensor value for index pairs, ``pairs[k]`` over ``durations[k]``, one interval at a time (the
         pointwise reference); each index is in 0..d-1 (the argument rule of :mod:`dephaser.errors`), and as
-        many pairs as durations are required (``ShapeError``)."""
+        many pairs as durations are required (``ShapeError``); a negative duration is an order fault."""
 
     # Each concrete provider defines ``tensor_array`` (the values on a duration
     # grid, axes (j_1, l_1, ..., j_n, l_n)) and ``tensor_pairs`` in its own class
     # body, where per-class instrumentation (perfbench/tracing.py) wraps them.
     def dephasing_matrix(self, t, s) -> np.ndarray:
         """The matrices φ(t - s) of single-interval tensor values over [s, t], (..., d, d) for t, s of shape (...);
-        t and s follow the argument rule of :mod:`dephaser.errors` before t - s is formed."""
+        t and s follow the argument and order rules of :mod:`dephaser.errors` before t - s is formed."""
         t, s = _reals("dephasing_matrix", "t", t), _reals("dephasing_matrix", "s", s)
-        if np.less(t, s).any():
-            raise TimeOrderError(f"dephasing_matrix: t = {t} < s = {s}")
-        return self.dephasings(np.subtract(t, s))
+        s, t = _ordered("dephasing_matrix", "(s, t)", s, t)
+        return self.dephasings(t - s)
 
     def _check_pairs(self, pairs, durations) -> np.ndarray:
         durations = _sequence("tensor_pairs", "durations", durations)
         if len(pairs) != len(durations):
             raise ShapeError(f"tensor_pairs: {len(pairs)} index pairs for {len(durations)} durations")
-        if (durations < 0).any():
-            raise TimeOrderError(f"tensor_pairs: negative duration in {durations.tolist()}")
+        _ordered("tensor_pairs", "(0, durations)", 0.0, durations)
         for j, l in pairs:
             for index in (j, l):
                 _integer("tensor_pairs", "index", index, 0, self.d - 1)
@@ -555,13 +553,10 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
 
 
 def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
-    """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow
-    the argument rule of :mod:`dephaser.errors` and must be non-decreasing (else
-    ``TimeOrderError``): a float for scalars, else an array of their shape.  Flat chunks
-    of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
-    times = np.broadcast_arrays(*(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
-    if not all((a <= b).all() for a, b in zip(times, times[1:])):
-        raise TimeOrderError(f"{caller}: times {tuple(times)} are not non-decreasing")
+    """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow the
+    argument and order rules of :mod:`dephaser.errors`: a float for scalars, else an array of
+    their shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    times = _ordered(caller, "times", *(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
     flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
     out = np.zeros(flat[0].size)
     for lo in range(0, out.size, chunk):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, TimeOrderError, ValidationError, _integer, _real, _sequence
+from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _real, _sequence
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -124,9 +124,9 @@ class TimeGrid:
         t0, times = _real("TimeGrid", "t0", self.t0), tuple(_sequence("TimeGrid", "times", self.times).tolist())
         if not times:
             raise ValidationError("TimeGrid: need one or more times")
-        durations = np.diff((t0,) + times)  # of finite times: b - a < 0 iff a > b
-        if (durations < 0).any():
-            raise TimeOrderError(f"TimeGrid: times {times} not non-decreasing from t0 = {t0}")
+        bounds = np.array((t0,) + times)
+        earlier, later = _ordered("TimeGrid", "(t0, times)", bounds[:-1], bounds[1:])
+        durations = later - earlier  # bitwise np.diff
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "t0", t0)
         # not a field, so equality, hashing and repr read t0 and times only

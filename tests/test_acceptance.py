@@ -18,7 +18,7 @@ from dephaser.classicality import (
     theta_sweep,
 )
 from dephaser.cli import main as cli_main
-from dephaser.measurements import PhaseVector, ProjectiveMeasurement, fourier_mub
+from dephaser.measurements import ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -92,7 +92,7 @@ def test_02_two_time_consistency_mub_diagonal():
         provider = ExactDephasingProvider(model)
         w = rng.dirichlet(np.ones(d))
         prep = SystemPreparation.diagonal(w)
-        meas = fourier_mub(d, PhaseVector(tuple(rng.uniform(0, 2 * np.pi, d))))
+        meas = fourier_mub(d, tuple(rng.uniform(0, 2 * np.pi, d)))
         t1, t2 = np.sort(rng.uniform(0.1, 3.0, 2))
         fine = joint_distribution(provider, prep, meas, TimeGrid(0.0, (t1, t2)))
         coarse = joint_distribution(provider, prep, meas, TimeGrid(0.0, (t2,)))
@@ -110,7 +110,7 @@ def test_03_three_time_violation_witness():
     witness = search_nonclassicality_witness(
         provider,
         SystemPreparation.diagonal([1.0, 0.0]),
-        fourier_mub(2, PhaseVector((0.0, 0.0))),
+        fourier_mub(2, (0.0, 0.0)),
         t0=0.0,
         horizon=np.pi,
         points_per_interval=5,

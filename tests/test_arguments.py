@@ -8,7 +8,10 @@ Anything else raises exactly ``ValidationError`` (no ``TypeError``, ``OverflowEr
 ``IndexError`` or ``AxisError`` from Python or numpy, and no ``ShapeError`` or
 ``TimeOrderError`` standing in for it) before any propagator is built, its message
 quoting the value in a few dozen characters.  ``np.int64`` values are accepted and
-come back as Python ``int``.
+come back as Python ``int``.  Times that must not decrease go through one order rule:
+times out of order raise exactly ``TimeOrderError``, and time arrays that do not
+broadcast together exactly ``ShapeError``, again before any propagator, the message
+naming the public caller first and quoting only the first pair out of order.
 """
 
 import json
@@ -26,9 +29,8 @@ from dephaser.classicality import (
     search_nonclassicality_witness,
     theta_sweep,
 )
-from dephaser.errors import ValidationError
+from dephaser.errors import ShapeError, TimeOrderError, ValidationError
 from dephaser.measurements import dephasing_basis, fourier_mub, qubit_basis
-from dephaser.measurements import PhaseVector
 from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail, semigroup_deficit, triviality_check
 from dephaser.statistics import JointDistribution, SystemPreparation, TimeGrid, ncgd_deficit, sandwich_identity_deficit
 
@@ -139,7 +141,7 @@ ARRAYS = {
     "exact-tensor-pairs-durations": (lambda c, v: c.exact.tensor_pairs([(0, 1), (1, 0)], v), (1.0, 2.0)),
     "analytic-tensor-pairs-durations": (lambda c, v: c.analytic.tensor_pairs([(0, 1), (1, 0)], v), (1.0, 2.0)),
     "theta-sweep-thetas": (lambda c, v: theta_sweep(c.exact, 0.2, v, 1.6, 0.8), (0.0, 1.0)),
-    "phase-vector": (lambda c, v: PhaseVector(v), (0.0, 1.0)),
+    "phase-vector": (lambda c, v: fourier_mub(2, v).bases, (0.0, 1.0)),
     "diagonal-weights": (lambda c, v: SystemPreparation.diagonal(v).density, (1.0, 0.0)),
 }
 
@@ -186,6 +188,7 @@ CASES = [
     pytest.param(call, bad(valid), id=f"{name}-{kind}")
     for name, (call, valid) in ARRAYS.items()
     for kind, bad in BAD_ARRAYS.items()
+    if not (name == "phase-vector" and kind == "none-sequence")  # None is fourier_mub's default, zero phases
 ]
 
 
@@ -255,7 +258,7 @@ def test_theta_sweep_needs_a_sequence_of_angles(c, no_propagator, thetas, messag
 NOT_ONE_D = {
     "time-grid-scalar": lambda c: TimeGrid(0.0, 1.0),
     "time-grid-2-d": lambda c: TimeGrid(0.0, np.ones((1, 2))),
-    "phase-vector-scalar": lambda c: PhaseVector(0.5),
+    "phase-vector-scalar": lambda c: fourier_mub(2, 0.5),
     "report-pool-scalar": lambda c: classicality_report(c.exact, c.prep, c.mub, 1.0, 3),
     "diagonal-weights-scalar": lambda c: SystemPreparation.diagonal(1.0),
     "diagonal-weights-2-d": lambda c: SystemPreparation.diagonal(np.eye(2)),  # read as its diagonal
@@ -311,3 +314,83 @@ def test_numpy_order_leaves_a_witness_of_python_ints(c):
     record = witness(c, order=np.int64(3), position=np.int64(2), points_per_interval=2)
     assert record is not None
     assert type(record.order) is int and type(record.position) is int
+
+
+DECREASING = np.arange(10**5, 0, -1.0)  # 10^5 decreasing times; quoted whole, 10^5 times ran to 600,000 characters
+
+# name: (call, the exception it raises, the public caller its message names first); one row per fault
+# that applies: one pair out of order, 10^5 decreasing entries where an array is taken, arrays of
+# shapes (3,) and (2,) where two arrays are taken
+ORDER_FAULTS = {
+    "time-grid-pair": (lambda c: TimeGrid(0.0, (2.0, 1.0)), TimeOrderError, "TimeGrid"),
+    "time-grid-decreasing": (lambda c: TimeGrid(0.0, DECREASING), TimeOrderError, "TimeGrid"),
+    "dephasing-matrix-pair": (lambda c: c.exact.dephasing_matrix(1.0, 2.0), TimeOrderError, "dephasing_matrix"),
+    "dephasing-matrix-decreasing": (lambda c: c.exact.dephasing_matrix(0.0, DECREASING), TimeOrderError, "dephasing_matrix"),
+    "dephasing-matrix-shapes": (lambda c: c.exact.dephasing_matrix(np.ones(3), np.zeros(2)), ShapeError, "dephasing_matrix"),
+    "exact-tensor-pairs-pair": (lambda c: c.exact.tensor_pairs([(0, 1), (1, 0)], [0.5, -1.0]), TimeOrderError, "tensor_pairs"),
+    "exact-tensor-pairs-decreasing": (
+        lambda c: c.exact.tensor_pairs([(0, 0)] * DECREASING.size, -DECREASING), TimeOrderError, "tensor_pairs"
+    ),
+    "analytic-tensor-pairs-pair": (
+        lambda c: c.analytic.tensor_pairs([(0, 1), (1, 0)], [0.5, -1.0]), TimeOrderError, "tensor_pairs"
+    ),
+    "analytic-tensor-pairs-decreasing": (
+        lambda c: c.analytic.tensor_pairs([(0, 0)] * DECREASING.size, -DECREASING), TimeOrderError, "tensor_pairs"
+    ),
+    "semigroup-pair": (lambda c: semigroup_deficit(c.exact, 0.0, 2.0, 1.0), TimeOrderError, "semigroup_deficit"),
+    "semigroup-decreasing": (lambda c: semigroup_deficit(c.exact, DECREASING, 0.0, 1e6), TimeOrderError, "semigroup_deficit"),
+    "semigroup-shapes": (lambda c: semigroup_deficit(c.exact, np.zeros(3), np.ones(2), 2.0), ShapeError, "semigroup_deficit"),
+    "ncgd-pair": (lambda c: ncgd_deficit(c.exact, c.mub, 0.0, 2.0, 1.0), TimeOrderError, "ncgd_deficit"),
+    "ncgd-decreasing": (lambda c: ncgd_deficit(c.exact, c.mub, DECREASING, 0.0, 1e6), TimeOrderError, "ncgd_deficit"),
+    "ncgd-shapes": (lambda c: ncgd_deficit(c.exact, c.mub, np.zeros(3), np.ones(2), 2.0), ShapeError, "ncgd_deficit"),
+    "sandwich-pair": (lambda c: sandwich_identity_deficit(c.exact, c.mub, 1.0, 2.0), TimeOrderError, "sandwich_identity_deficit"),
+    "sandwich-decreasing": (
+        lambda c: sandwich_identity_deficit(c.exact, c.mub, 0.0, DECREASING), TimeOrderError, "sandwich_identity_deficit"
+    ),
+    "sandwich-shapes": (
+        lambda c: sandwich_identity_deficit(c.exact, c.mub, np.ones(3), np.zeros(2)), ShapeError, "sandwich_identity_deficit"
+    ),
+    "report-pool-pair": (
+        lambda c: classicality_report(c.exact, c.prep, c.mub, (0.5, 1.0), 3, t0=0.7), TimeOrderError, "classicality_report"
+    ),
+    "report-pool-decreasing": (
+        lambda c: classicality_report(c.exact, c.prep, c.mub, DECREASING, 3, t0=1e6), TimeOrderError, "classicality_report"
+    ),
+    "theta-sweep-pair": (lambda c: theta_sweep(c.exact, 0.5, [0.3], t2=1.0, t1=2.0), TimeOrderError, "theta_sweep"),
+    "theta-sweep-t0-pair": (lambda c: theta_sweep(c.exact, 0.5, [0.3], 1.0, 0.5, t0=0.7), TimeOrderError, "theta_sweep"),
+    "markov-closed-pair": (
+        lambda c: markov_qubit_violation_closed(1.0, 0.5, 0, 0, t3=0.1, t2=0.5, t1=0.9),
+        TimeOrderError,
+        "markov_qubit_violation_closed",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exception, caller", ORDER_FAULTS.values(), ids=ORDER_FAULTS.keys())
+def test_order_fault_raises_first_and_shortly(c, no_propagator, call, exception, caller):
+    with pytest.raises(exception, match=f"^{caller}: ") as caught:
+        call(c)
+    assert type(caught.value) is exception
+    assert len(str(caught.value)) <= 300
+    assert c.exact._eig is None
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ((0.0, 2.0, 1.0), "c: (a, b, c) must not decrease, got 2.0 then 1.0"),
+        ((np.array([0.0, 3.0, 1.0]), np.array([1.0, 2.0, 0.5]), 4.0), "c: (a, b, c) must not decrease, got 3.0 then 2.0"),
+        ((np.zeros(3), np.ones(2), 2.0), "c: (a, b, c) of shapes [(3,), (2,), ()] do not broadcast"),
+    ],
+    ids=["scalars", "first-pair-in-c-order", "shapes"],
+)
+def test_order_rule_quotes_the_first_pair_out_of_order(times, message):
+    with pytest.raises((TimeOrderError, ShapeError)) as caught:
+        errors._ordered("c", "(a, b, c)", *times)
+    assert str(caught.value) == message
+
+
+def test_order_rule_returns_the_times_broadcast():
+    a, b, c = errors._ordered("c", "(a, b, c)", 0.0, np.array([1.0, 2.0]), np.array([[3.0], [4.0]]))
+    assert a.shape == b.shape == c.shape == (2, 2)
+    np.testing.assert_equal(b, [[1.0, 2.0], [1.0, 2.0]])

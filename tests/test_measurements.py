@@ -8,7 +8,6 @@ import reference
 from reference import is_rank_one, mub_check, vectors
 from dephaser.errors import ShapeError, ValidationError
 from dephaser.measurements import (
-    PhaseVector,
     ProjectiveMeasurement,
     dephasing_basis,
     dephasing_channel,
@@ -20,41 +19,47 @@ dims = st.integers(min_value=2, max_value=5)
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 
 
-class TestPhaseVector:
+class TestFourierPhases:
     def test_gauge_fixing(self):
-        pv = PhaseVector((0.3, 1.0, 2.0))
-        assert pv.phases[0] == 0.0
-        assert abs(pv.phases[1] - 0.7) < 1e-15
-        assert abs(pv.phases[2] - 1.7) < 1e-15
+        # the outcome-0 vector is e^(i·(phases[j] - phases[0])) / sqrt(d): its angles are the fixed phases
+        fixed = np.angle(vectors(fourier_mub(3, (0.3, 1.0, 2.0)))[:, 0])
+        assert fixed[0] == 0.0
+        assert abs(fixed[1] - 0.7) < 1e-15
+        assert abs(fixed[2] - 1.7) < 1e-15
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            PhaseVector((0.0, float("inf")))
+            fourier_mub(2, (0.0, float("inf")))
 
     def test_gauge_equivalence_gives_same_basis(self):
-        a = fourier_mub(3, PhaseVector((0.0, 0.4, 1.1)))
-        b = fourier_mub(3, PhaseVector((5.0, 5.4, 6.1)))
+        a = fourier_mub(3, (0.0, 0.4, 1.1))
+        b = fourier_mub(3, (5.0, 5.4, 6.1))
         assert np.max(np.abs(vectors(a) - vectors(b))) < 1e-12
 
 
     def test_rejects_nan_with_its_message(self):
-        with pytest.raises(ValidationError, match=r"^PhaseVector: phases must be finite, got nan$"):
-            PhaseVector((0.0, float("nan")))
+        with pytest.raises(ValidationError, match=r"^fourier_mub: phases must be finite, got nan$"):
+            fourier_mub(2, (0.0, float("nan")))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_no_phases_are_zero_phases(self, d):
+        assert fourier_mub(d).bases.tobytes() == fourier_mub(d, (0.0,) * d).bases.tobytes()
 
 
 class TestFourierColumns:
     @staticmethod
     def per_column(d, phases):
-        """The Fourier basis built one column at a time."""
+        """The Fourier basis built one column at a time, its phases shifted so that phases[0] = 0."""
         j, omega, cols = np.arange(d), np.exp(2j * np.pi / d), np.empty((d, d), dtype=complex)
+        shifted = np.array([p - phases[0] for p in phases])
         for x in range(d):
-            cols[:, x] = omega ** (j * x) * np.exp(1j * np.asarray(phases.phases)) / np.sqrt(d)
+            cols[:, x] = omega ** (j * x) * np.exp(1j * shifted) / np.sqrt(d)
         return cols
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 64])
     def test_bitwise_equal_to_the_per_column_form(self, d):
         rng = np.random.default_rng(d)
-        for phases in (PhaseVector((0.0,) * d), PhaseVector(tuple(rng.uniform(-10.0, 10.0, d)))):
+        for phases in ((0.0,) * d, tuple(rng.uniform(-10.0, 10.0, d))):
             assert vectors(fourier_mub(d, phases)).tobytes() == self.per_column(d, phases).tobytes()
 
 
@@ -238,12 +243,12 @@ class TestFourierMub:
     @given(d=dims, a=angles, b=angles)
     @settings(max_examples=30, deadline=None)
     def test_phases_preserve_unbiasedness(self, d, a, b):
-        phases = PhaseVector(tuple(np.linspace(a, b, d)))
+        phases = tuple(np.linspace(a, b, d))
         assert mub_check(dephasing_basis(d), fourier_mub(d, phases))
 
     def test_phase_count_mismatch(self):
         with pytest.raises(ShapeError):
-            fourier_mub(3, PhaseVector((0.0, 1.0)))
+            fourier_mub(3, (0.0, 1.0))
 
     def test_columns_orthonormal(self):
         v = vectors(fourier_mub(4))

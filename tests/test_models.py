@@ -19,7 +19,7 @@ from reference import (
 from dephaser import linalg, models
 from dephaser.errors import ShapeError, SizeCapError, TimeOrderError, ValidationError
 from dephaser.linalg import hermitian_expm
-from dephaser.measurements import PhaseVector, ProjectiveMeasurement, fourier_mub
+from dephaser.measurements import ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
     ExactDephasingProvider,
@@ -352,13 +352,13 @@ class TestBasisPairCoefficients:
         a = models._coefficients(fourier_mub(3).bases, fourier_mub(3).bases)
         b = models._coefficients(fourier_mub(3).bases.copy(), np.array(fourier_mub(3).bases))
         assert a is b and models._kept_coefficients.cache_info().misses == 1
-        c = models._coefficients(fourier_mub(3, PhaseVector((0.0, 0.2, 0.0))).bases, fourier_mub(3).bases)
+        c = models._coefficients(fourier_mub(3, (0.0, 0.2, 0.0)).bases, fourier_mub(3).bases)
         assert c is not a and models._kept_coefficients.cache_info().misses == 2
 
     def test_bounded(self):
         models._kept_coefficients.cache_clear()
         for k in range(models.COEFFICIENT_CACHE + 4):
-            basis = fourier_mub(2, PhaseVector((0.0, 0.1 * k))).bases
+            basis = fourier_mub(2, (0.0, 0.1 * k)).bases
             models._coefficients(basis, basis)
         assert models._kept_coefficients.cache_info().currsize == models.COEFFICIENT_CACHE
         # a rank-one PVM on d = 33 has 33³ > COEFFICIENT_ENTRIES coefficients: built, not kept

@@ -8,6 +8,7 @@ of one quantity and parameters that only shadowed a named tolerance or cap.
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -36,6 +37,8 @@ RETIRED = (
     "_write_distribution",
     # config's own quoting rule, replaced by ``errors._shown``
     "shown",
+    # the last input wrapper: ``fourier_mub`` reads its phases through ``errors._sequence``
+    "PhaseVector",
 )
 
 # a second view of a stored quantity: the reference reads the one form instead
@@ -59,10 +62,10 @@ RETIRED_PARAMETERS = (
 MODULES = [importlib.import_module(f"dephaser.{m.name}") for m in pkgutil.iter_modules(dephaser.__path__)]
 
 
-def test_exports_twenty_eight_public_names():
+def test_exports_twenty_seven_public_names():
     submodules = {m.__name__.rpartition(".")[2] for m in MODULES}
     public = [n for n in vars(dephaser) if not n.startswith("_") and n not in submodules]
-    assert len(public) == 28
+    assert len(public) == 27
 
 
 @pytest.mark.parametrize("name", RETIRED)
@@ -84,3 +87,9 @@ def test_retired_parameter_is_gone(function, name):
 def test_only_errors_binds_numbers():
     # the integer and real tests of library arguments live in one place, errors._integer and errors._real
     assert [m.__name__ for m in [dephaser, *MODULES] if hasattr(m, "numbers")] == ["dephaser.errors"]
+
+
+def test_only_errors_raises_time_order_error():
+    # every ordered-times check goes through one rule, errors._ordered
+    raising = [m.__name__ for m in [dephaser, *MODULES] if re.search(r"raise\s+[\w.]*TimeOrderError", inspect.getsource(m))]
+    assert raising == ["dephaser.errors"]
