@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _real, _sequence
+from .errors import ShapeError, ValidationError, _capped, _integer, _ordered, _real, _sequence
 from .measurements import ProjectiveMeasurement
 from .models import TERM_CAP, DephasingTensorProvider, _distinct
 from .statistics import (
@@ -245,12 +245,9 @@ def classicality_report(
     which names the first that fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0``
     and the non-empty ``pool``, no earlier than ``t0``, follow :mod:`dephaser.errors`.
 
-    The largest single node, a row of the deepest level N (the branch states
-    of its parent, m^(N-1)·r²·D² entries with r the largest rank of the PVM,
-    plus its gathered effects, m²·r²·D²), and the stored tables,
-    Σ_n C(p+n-1, n)·m^n entries for a pool of p times, are both checked
-    against ``TERM_CAP`` before any propagator is computed.  So are the
-    report-wide stage arrays (:func:`_stage_entries`); where they exceed
+    Its size estimate, :func:`_report_size`, is checked before any propagator
+    is computed, and so are the report-wide stage arrays
+    (:func:`_stage_entries`); where they exceed
     ``TERM_CAP`` they are not refused: each chunk of a level exponentiates
     its own distinct durations and builds their kernels (or effects) alone.
     Each level in flight holds at most ``TERM_CAP // max_order`` entries of
@@ -274,19 +271,8 @@ def classicality_report(
         _ordered("classicality_report", "(t0, pool)", t0, pool[0])
 
     root, identity = _root(provider, prep, measurement, "classicality_report")
-    bases = measurement.bases
-    (m, _, r), p = bases.shape, len(pool)
-    entries = _state_entries(provider, measurement, max_order) + m * m * r * r * provider.env.size
-    stored = 0
-    for n in range(1, max_order + 1):
-        stored += math.comb(p + n - 1, n) * m**n
-        if stored > TERM_CAP:
-            break
-    if max(entries, stored) > TERM_CAP:
-        raise SizeCapError(
-            f"classicality_report: largest node of {entries} entries or at least "
-            f"{stored} stored table entries exceed cap {TERM_CAP}"
-        )
+    bases, p = measurement.bases, len(pool)
+    m, entries = len(bases), _report_size(provider, measurement, p, max_order)
 
     plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order, m)
     tuples, parent, first = plan.tuples, plan.parent, plan.first
@@ -529,6 +515,20 @@ def _plan(p: int, max_order: int, m: int) -> _Plan:
         if array is not None:
             array.flags.writeable = False
     return _Plan(tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse), tuple(segments), starts)
+
+
+def _report_size(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, max_order: int) -> int:
+    """The size estimate of :func:`classicality_report` on a pool of p distinct times, no propagator
+    built: its largest single node, a row of the deepest level N (its parent's branch states,
+    m^(N-1)·r²·D² entries with r the largest rank of the PVM, plus its gathered effects, m²·r²·D²),
+    within ``TERM_CAP``, then its stored tables, Σ_n C(p+n-1, n)·m^n entries summed order by order
+    until past the cap.  Returns the node's entries."""
+    (m, _, r), big = measurement.bases.shape, provider.env.size
+    node = _state_entries(provider, measurement, max_order) + m * m * r * r * big
+    _capped("classicality_report", "entries in its largest node", node, TERM_CAP)
+    stored = itertools.accumulate(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
+    _capped("classicality_report", "stored table entries", stored, TERM_CAP)
+    return node
 
 
 def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:

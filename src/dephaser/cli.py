@@ -31,7 +31,7 @@ import numpy as np
 from . import classicality as cl
 from . import statistics as st
 from .config import ExperimentConfig, load_config
-from .errors import DephaserError, SizeCapError, ValidationError, _shown
+from .errors import DephaserError, SizeCapError, ValidationError
 from .models import markovianity_deficit_detail, semigroup_deficit, triviality_check
 from .presets import preset_listing
 
@@ -40,19 +40,6 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_ANALYSIS = 4
 REPORT_SCHEMA = 2  #: the form of ``report.json``, written as its ``schema`` key (README, output contract)
-
-#: cap on the time triples of an NCGD run, C(K, 3) for K times, checked before
-#: any dephasing matrix is computed.  A triple costs a d²×d² lift (d⁴ entries)
-#: and one CSV row: a run at the cap (K = 67, D = 4) takes about 0.2 s at d = 2,
-#: 0.3 s at d = 3, 0.9 s at d = 5 and 3.5 s at d = 8 on one core of a 2-vCPU
-#: x86 VM, of which writing the CSV is about 0.03 s.
-NCGD_TRIPLE_CAP = 50_000
-
-#: cap on the angles of a theta-sweep run, checked before any propagator.  The
-#: sweep is one array expression, and each angle is one CSV row of about 41
-#: bytes holding two distinct floats, each formatted in about 1 µs: on one core
-#: of a 2-vCPU x86 VM a run at the cap writes 4 MB in about 0.2 s.
-THETA_POINTS_CAP = 100_000
 
 
 def _write_outputs(outdir: str, outputs: dict) -> None:
@@ -164,8 +151,8 @@ def _csv(header, columns) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-# Each runner computes one analysis kind from the config alone and returns its report
-# payload and its other outputs, {file name: text} in the order they are renamed.
+# Each runner computes one analysis kind from a config that passed its size estimate, and returns
+# its report payload and its other outputs, {file name: text} in the order they are renamed.
 
 
 def _run_classicality(cfg: ExperimentConfig) -> tuple:
@@ -205,10 +192,7 @@ def _triples(times: np.ndarray) -> np.ndarray:
 
 
 def _run_ncgd(cfg: ExperimentConfig) -> tuple:
-    times = np.sort(cfg.grid.times)
-    if math.comb(len(times), 3) > NCGD_TRIPLE_CAP:
-        raise SizeCapError(f"ncgd: {math.comb(len(times), 3)} time triples exceed cap {NCGD_TRIPLE_CAP}")
-    t1, t2, t3 = _triples(times)
+    t1, t2, t3 = _triples(np.sort(cfg.grid.times))
     deficits = st.ncgd_deficit(cfg.provider, cfg.measurement, t1, t2, t3)
     # the sandwich deficit depends on the outer pair only: one per distinct pair
     (s, t), inverse = np.unique((t1, t3), axis=1, return_inverse=True)
@@ -225,11 +209,8 @@ def _run_ncgd(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_theta_sweep(cfg: ExperimentConfig) -> tuple:
-    n_points = cfg.analysis["theta_points"]
-    if n_points > THETA_POINTS_CAP:
-        raise SizeCapError(f"theta-sweep: {_shown(n_points)} angles exceed cap {THETA_POINTS_CAP}")
     p, times = float(cfg.preparation.density[0, 0].real), sorted(cfg.grid.times)
-    thetas = np.linspace(0.0, np.pi / 2, n_points)
+    thetas = np.linspace(0.0, np.pi / 2, cfg.analysis["theta_points"])
     thetas, deficits, argmax_theta = cl.theta_sweep(cfg.provider, p, thetas, times[1], times[0], t0=cfg.grid.t0)
     payload = {
         "analysis": "theta-sweep",
@@ -243,8 +224,6 @@ def _run_theta_sweep(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_oracle_check(cfg: ExperimentConfig) -> tuple:
-    # the oracle's caps before the branch-state route computes anything
-    st._check_oracle_caps(cfg.provider.model, cfg.measurement, cfg.grid)
     fast = st.joint_distribution(cfg.provider, cfg.preparation, cfg.measurement, cfg.grid)
     oracle = st.oracle_distribution(cfg.provider.model, cfg.preparation, cfg.measurement, cfg.grid)
     n = fast.n
@@ -264,11 +243,6 @@ _RUNNERS = {
 }
 
 
-def _error_json(code: int, exc: Exception) -> int:
-    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-    return code
-
-
 def _output_directory(outdir: str) -> None:
     """Create ``outdir`` if it is missing; one that cannot be created, or is not a
     writable directory, is refused with ``ValidationError`` before any analysis runs."""
@@ -281,37 +255,37 @@ def _output_directory(outdir: str) -> None:
         raise ValidationError(f"--out {outdir!r}: the output directory is not writable")
 
 
+def _reported(command, done: str) -> int:
+    """Run ``command`` and print ``done``, or write the error it raises as one JSON object on stderr:
+    the one exit-code table of both commands, a size cap 3, a validation error 2, any other 4."""
+    try:
+        command()
+    except (DephaserError, np.linalg.LinAlgError, OSError) as exc:
+        # an OSError is an output that cannot be written: every old output is left as it was (_write_outputs)
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        if isinstance(exc, SizeCapError):
+            return EXIT_CAP
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_ANALYSIS
+    print(done)
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     outdir = args.out or "."
-    try:
+
+    def run():
         cfg = load_config(args.config)
         _output_directory(outdir)
         payload, outputs = _RUNNERS[cfg.analysis["kind"]](cfg)
         # serialized whole before any file is opened: a value with no strict JSON form writes nothing
         outputs["report.json"] = _json({"schema": REPORT_SCHEMA, **payload}, "\n", _FloatText()) + "\n"
         _write_outputs(outdir, outputs)
-    except OSError as exc:
-        # an output that cannot be written: every old output is left as it was (_write_outputs)
-        return _error_json(EXIT_ANALYSIS, exc)
-    except np.linalg.LinAlgError as exc:
-        return _error_json(EXIT_ANALYSIS, exc)
-    except SizeCapError as exc:
-        return _error_json(EXIT_CAP, exc)
-    except ValidationError as exc:
-        return _error_json(EXIT_VALIDATION, exc)
-    except DephaserError as exc:
-        return _error_json(EXIT_ANALYSIS, exc)
-    print(f"wrote {os.path.join(outdir, 'report.json')}")
-    return EXIT_OK
+
+    return _reported(run, f"wrote {os.path.join(outdir, 'report.json')}")
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ValidationError as exc:
-        return _error_json(EXIT_VALIDATION, exc)
-    print("ok")
-    return EXIT_OK
+    return _reported(lambda: load_config(args.config), "ok")
 
 
 def cmd_presets(args) -> int:

@@ -6,8 +6,9 @@ the first failing field/invariant, checked in this order: ``version``, then
 the fields that need no model (``grid``, the ``analysis`` kind, its numbers
 and its least number of times), then the model, the phase bound and the
 exact-model rule, then the measurement, the preparation and the rules on
-them.  A document that breaks a model-independent field is refused before
-any model is built, so a config with several faults reports its ``grid`` or
+them, and last the size estimate of the analysis kind (``SizeCapError``).
+A document that breaks a model-independent field is refused before any
+model is built, so a config with several faults reports its ``grid`` or
 ``analysis`` fault first.  Each constructed object checks its arrays in one
 pass (see :class:`~dephaser.models.DephasingModel`).
 """
@@ -17,12 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .classicality import DEFAULT_TOL
-from .errors import ValidationError, _shown
+from .classicality import DEFAULT_TOL, _report_size
+from .errors import ValidationError, _capped, _shown
 from .measurements import ProjectiveMeasurement, dephasing_basis, fourier_mub, qubit_basis
 from .models import (
     DephasingModel,
@@ -30,17 +31,19 @@ from .models import (
     ExactDephasingProvider,
     MarkovianAnalyticModel,
     MarkovianAnalyticProvider,
+    _walk_size,
 )
 from .presets import get_preset
-from .statistics import SystemPreparation, TimeGrid
+from .statistics import SystemPreparation, TimeGrid, _joint_size, _oracle_size
 
 CONFIG_VERSION = 1
 
 
 @dataclass(frozen=True)
 class AnalysisRules:
-    """What one analysis kind reads; :func:`parse_config` rejects a config that lacks it."""
+    """What one analysis kind reads (else exit 2) and its size estimate (exit 3); :func:`parse_config` checks both."""
 
+    size: Callable  # of the built (provider, measurement, grid, analysis): env, bases, times and numbers
     exact: bool = False  # an exact (finite-environment) model
     measurement: bool = True  # a measurement section
     min_times: int = 1  # least number of grid times
@@ -48,13 +51,26 @@ class AnalysisRules:
     qubit_diagonal: bool = False  # d = 2 and a diagonal preparation
 
 
-#: the rules of each analysis kind, one runner per key in ``cli``
+#: cap on the time triples of an NCGD run, C(K, 3) for K times, each a d²×d² lift and a CSV row: at
+#: the cap (K = 67, D = 4) a run takes 0.2 s at d = 2 and 3.5 s at d = 8 on one core of a 2-vCPU x86 VM.
+NCGD_TRIPLE_CAP = 50_000
+#: cap on the angles of a theta-sweep run, one CSV row of about 41 bytes each: at the cap a run
+#: writes 4 MB in about 0.2 s on one core of a 2-vCPU x86 VM, most of it formatting floats.
+THETA_POINTS_CAP = 100_000
+
+#: the rules and the size estimate of each analysis kind, one runner per key in ``cli``
 ANALYSES = {
-    "classicality": AnalysisRules(min_order=2),
-    "markovianity": AnalysisRules(exact=True, measurement=False, min_order=2),
-    "ncgd": AnalysisRules(min_times=3),
-    "theta-sweep": AnalysisRules(measurement=False, min_times=2, qubit_diagonal=True),
-    "oracle-check": AnalysisRules(exact=True),
+    "classicality": AnalysisRules(lambda p, m, g, a: _report_size(p, m, len(set(g.times)), a["max_order"]), min_order=2),
+    "markovianity": AnalysisRules(
+        lambda p, m, g, a: _walk_size(p, np.sort(g.times), a["max_order"]), exact=True, measurement=False, min_order=2
+    ),
+    "ncgd": AnalysisRules(lambda p, m, g, a: _capped("ncgd", "time triples", math.comb(g.n, 3), NCGD_TRIPLE_CAP), min_times=3),
+    "theta-sweep": AnalysisRules(
+        lambda p, m, g, a: _capped("theta-sweep", "angles", a["theta_points"], THETA_POINTS_CAP),
+        measurement=False, min_times=2, qubit_diagonal=True,
+    ),
+    # the oracle's caps, then those of the branch-state route it is checked against
+    "oracle-check": AnalysisRules(lambda p, m, g, a: (_oracle_size(p.model, m, g.n), _joint_size(p, m, g.n)), exact=True),
 }
 
 #: largest |off-diagonal entry| of a preparation that theta-sweep takes as diagonal:
@@ -134,8 +150,8 @@ class ExperimentConfig:
     """A fully validated experiment: constructed objects plus analysis knobs.
 
     ``analysis`` has ``tolerance`` >= 0, ``max_order`` and ``theta_points`` >= 1 (by default
-    ``DEFAULT_TOL``, 3 and 181), and the config meets ``ANALYSES[analysis["kind"]]``; size caps
-    are checked only by the run."""
+    ``DEFAULT_TOL``, 3 and 181), and the config meets ``ANALYSES[analysis["kind"]]``, its size
+    estimate included."""
 
     provider: DephasingTensorProvider
     preparation: SystemPreparation
@@ -276,6 +292,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not 0 <= rho[0, 0].real <= 1:
             raise ConfigError(f"{kind} requires rho_00 in [0, 1], got {float(rho[0, 0].real)!r}")
 
+    rules.size(provider, measurement, grid, analysis)  # last, after every exit-2 rule
     return ExperimentConfig(provider, preparation, measurement, grid, analysis)
 
 

@@ -1,4 +1,4 @@
-"""The package's exceptions, the one rule for its arguments, and the one for the order of times.
+"""The package's exceptions, and its one rule each for arguments, the order of times and size caps.
 
 Every count, order, position, outcome or index that a library function takes passes
 :func:`_integer` (any ``numbers.Integral`` but ``bool``, returned as an ``int``), every
@@ -7,6 +7,7 @@ real-valued scalar :func:`_real` (any finite ``numbers.Real`` but ``bool``, retu
 angles, phases, weights: each entry as :func:`_real`), one-dimensional where a sequence
 is taken (:func:`_sequence`), before any arithmetic; anything else raises
 ``ValidationError`` naming caller and argument, and quoting the value by :func:`_shown`.
+Every size cap is checked by :func:`_capped`, the one place that raises ``SizeCapError``.
 """
 
 import math
@@ -98,6 +99,16 @@ def _ordered(caller: str, name: str, *times) -> list:
             pair = (_shown(float(np.ravel(t)[wrong.argmax()])) for t in (earlier, later))  # the first, in C order
             raise TimeOrderError(f"{caller}: {name} must not decrease, got {' then '.join(pair)}")
     return times
+
+
+def _capped(caller: str, what: str, size, cap: int):
+    """``size``, an int or an iterable of running totals read only until one passes ``cap``; a
+    size past ``cap`` raises ``SizeCapError`` in one line, a partial total quoted as "at least N"."""
+    partial, total = not isinstance(size, numbers.Integral), 0
+    for total in size if partial else [size]:
+        if total > cap:
+            raise SizeCapError(f"{caller}: {'at least ' * partial}{_shown(total)} {what} exceed cap {cap}")
+    return total
 
 
 def _bounded(caller: str, name: str, value, low, high):

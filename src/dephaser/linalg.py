@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError
+from .errors import ShapeError, ValidationError, _capped
 
 # Tolerances: structural checks one-two orders above double-precision
 # accumulation at the supported dimensions (total dim <= DIM_CAP).
@@ -118,8 +118,5 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard (``DIM_CAP``) on the resulting dimension."""
     a = as_complex_matrix(a, "kron lhs")
     b = as_complex_matrix(b, "kron rhs")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > DIM_CAP:
-        raise SizeCapError(f"kron: result dimension {rows}x{cols} exceeds cap {DIM_CAP}")
+    _capped("kron", "rows or columns in the result", max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), DIM_CAP)
     return np.kron(a, b)

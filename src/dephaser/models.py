@@ -35,8 +35,8 @@ What the dynamics give is built once per provider and never shared between
 providers: the exact provider diagonalises the stored stack once, in one
 call, factors ρ_E once, and keeps the U_j of the last distinct durations it
 exponentiated together, the only cache of φ.  ``dephasing_matrix(t, s)`` of
-a provider, and the checks built on it, read φ(t - s) for whole arrays of
-times, one stacked read per chunk.
+a provider, and the checks built on φ, read φ(t - s) for whole arrays of
+times, one stacked ``dephasings`` read per chunk.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -52,6 +52,7 @@ regression/Markovian case).
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -60,27 +61,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _reals, _sequence
+from .errors import ShapeError, ValidationError, _capped, _integer, _ordered, _reals, _sequence
 # hermitian_expm is not called here; the name stays bound because
 # perfbench/tracing.py wraps ``dephaser.models.hermitian_expm``.
 from .linalg import HERM_TOL, check_density, check_hermitian, hermitian_eigh, hermitian_expm, spectral_expm  # noqa: F401
 
-#: budget, in complex entries, for the largest array an analysis holds: in
-#: ``joint_distribution`` ρ⊗ρ_E (d²·D²), the first interval's K·E
-#: (m·r·d·D², m outcomes, r the largest rank of the PVM), the branch states
-#: after n − 1 measurements (m^(n-1)·r²·D²; the nth interval is read out) or
-#: the m^n table, whichever is largest; d^(2n) + d^n·D·r_E in
-#: ``tensor_array`` (r_E the rank of ρ_E); d·D² per distinct pair duration in
-#: ``markovianity_deficit_detail``; ``classicality_report`` checks its
-#: largest single node (a deepest-level row: its parent's branch states plus
-#: its gathered effects) and its stored tables against it, builds its
-#: report-wide exponentials, kernels and effects at once only where they fit
-#: in it, and gives each trie level in flight TERM_CAP // max_order.  10^7
-#: complex128 entries are 160 MB.  An ``apply`` holds its input, the half
-#: product K·E and its result at once, and a readout the states and their
-#: transposed copy, so a run at the cap peaks near 0.5 GB (a report whose
-#: stage arrays fill the cap holds those 160 MB more): the most a desk-scale
-#: machine can give one analysis.
+#: budget, in complex entries, for the largest array an analysis holds, as the
+#: size estimates count it: ``statistics._joint_size``, ``classicality._report_size``,
+#: :func:`_walk_size` and the d^(2n) + d^n·D·r_E of ``tensor_array`` (r_E the rank
+#: of ρ_E).  A report builds its report-wide exponentials, kernels and effects at
+#: once only where they fit in it, and gives each trie level in flight TERM_CAP //
+#: max_order.  10^7 complex128 entries are 160 MB.  An ``apply`` holds its input,
+#: the half product K·E and its result at once, and a readout the states and their
+#: transposed copy, so a run at the cap peaks near 0.5 GB (a report whose stage
+#: arrays fill the cap holds those 160 MB more): the most a desk-scale machine can
+#: give one analysis.
 TERM_CAP = 10_000_000
 
 #: budget of the Markovianity check in compared tensor entries, Σ_{n=2..N}
@@ -347,8 +342,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
         exponentiated in one call."""
         d, n = self.d, len(durations)
         b, sign = self._factor
-        if d ** (2 * n) + d**n * b.size > TERM_CAP:
-            raise SizeCapError(f"tensor_array: {d ** (2 * n)} + {d**n * b.size} entries exceed cap {TERM_CAP}")
+        _capped("tensor_array", "tensor and string entries", d ** (2 * n) + d**n * b.size, TERM_CAP)
         strings = b[None]
         for u in self.exponentials(durations):
             strings = _extend(strings, u)
@@ -533,8 +527,7 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
 
     def tensor_array(self, durations) -> np.ndarray:
         """The outer product of the per-interval dephasing matrices."""
-        if self.d ** (2 * len(durations)) > TERM_CAP:
-            raise SizeCapError(f"tensor_array: {self.d ** (2 * len(durations))} entries exceed cap {TERM_CAP}")
+        _capped("tensor_array", "tensor entries", self.d ** (2 * len(durations)), TERM_CAP)
         phis = (self.model.phi_matrix(dt) for dt in durations)
         return reduce(np.multiply.outer, phis, np.ones((), dtype=complex))
 
@@ -546,16 +539,16 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
     together.  The three matrices of a chunk are one stacked read."""
 
     def violation(t0, t1, t2):
-        full, later, earlier = provider.dephasing_matrix(np.stack((t2, t2, t1)), np.stack((t0, t1, t0)))
+        full, later, earlier = provider.dephasings(np.stack((t2, t2, t1)) - np.stack((t0, t1, t0)))
         return full - later * earlier
 
     return _max_per_entry(violation, (t0, t1, t2), 3 * provider.d**2, "semigroup_deficit")
 
 
 def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
-    """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow the
-    argument and order rules of :mod:`dephaser.errors`: a float for scalars, else an array of
-    their shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow the argument
+    and order rules of :mod:`dephaser.errors`, checked once here and not again per chunk: a float for
+    scalars, else an array of their shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
     times = _ordered(caller, "times", *(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
     flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
     out = np.zeros(flat[0].size)
@@ -579,32 +572,19 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
     on, each row's Gram product T gives max |T - F|.  The distinct pair
     durations are exponentiated once, in one batched call of the provider (whose
     memo the semigroup and triviality checks of the grid reuse), and their φ is
-    ``provider.dephasings`` of them.
-    The ``tuples`` compared entries are checked against ``MARKOV_WORK_CAP``,
-    and the d·D² entries of U per distinct duration against ``TERM_CAP``,
-    before any propagator is built.  Only an ``ExactDephasingProvider`` is
-    accepted; any other provider raises ``ValidationError`` first.
+    ``provider.dephasings`` of them.  :func:`_walk_size` is checked before any
+    propagator; a provider not an ``ExactDephasingProvider`` raises ``ValidationError`` first.
     """
     if not isinstance(provider, ExactDephasingProvider):
         raise ValidationError(f"markovianity_deficit: requires an exact model, got {type(provider).__name__}")
     max_order = _integer("markovianity_deficit", "max_order", max_order, 2)
     times = np.sort(_sequence("markovianity_deficit", "times", times))
     k, d = len(times), provider.d
-    tuples = 0
-    for n in range(2, min(max_order, k - 1) + 1):  # stops as soon as the cap is passed
-        tuples += math.comb(k, n + 1) * d ** (2 * n)
-        if tuples > MARKOV_WORK_CAP:
-            raise SizeCapError(f"markovianity_deficit: over {MARKOV_WORK_CAP} compared entries for {k} times, d = {d}")
+    tuples, durations, pair = _walk_size(provider, times, max_order)
     detail = {"tuples": tuples, "orders": list(range(2, min(max_order, k - 1) + 1))}
     if k < 3:
         return 0.0, detail
 
-    first, second = np.triu_indices(k, 1)
-    durations, inverse = _distinct(times[second] - times[first])
-    if len(durations) * d * provider.env.size > TERM_CAP:
-        raise SizeCapError(f"markovianity_deficit: U_j of {len(durations)} durations exceed cap {TERM_CAP} entries")
-    pair = np.zeros((k, k), dtype=np.intp)  # the distinct duration of each pair i < j
-    pair[first, second] = inverse
     # U_j and φ of each distinct duration, from one exponentiation
     u, phi = provider._unitaries_batch(durations)[0], provider.dephasings(durations)
     b, sign = provider._factor
@@ -634,6 +614,23 @@ def markovianity_deficit_detail(provider: ExactDephasingProvider, times: Sequenc
         if n < top:
             stack.extend(children(n, rows, strings, factored))
     return deficit, detail
+
+
+def _walk_size(provider: ExactDephasingProvider, times: np.ndarray, max_order: int) -> tuple:
+    """The walk's size estimate on K sorted ``times``, no propagator built: Σ_{n=2..N} C(K, n+1)·d^(2n)
+    compared entries, summed order by order until past ``MARKOV_WORK_CAP``, then for K >= 3 the d·D²
+    entries of U per distinct pair duration within ``TERM_CAP``.  Returns the entries, the distinct
+    durations, and a (K, K) array holding at [i, j] the index into them of each pair i < j."""
+    k, d = len(times), provider.d
+    terms = (math.comb(k, n + 1) * d ** (2 * n) for n in range(2, min(max_order, k - 1) + 1))
+    tuples = _capped("markovianity_deficit", "compared entries", itertools.accumulate(terms), MARKOV_WORK_CAP)
+    first, second = np.nonzero(np.less.outer(np.arange(k), np.arange(k)))  # the pairs i < j, row by row
+    durations, inverse = _distinct(times[second] - times[first])
+    if k >= 3:
+        _capped("markovianity_deficit", "entries of U_j", len(durations) * d * provider.env.size, TERM_CAP)
+    pair = np.zeros((k, k), dtype=np.intp)
+    pair[first, second] = inverse
+    return tuples, durations, pair
 
 
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float]) -> bool:

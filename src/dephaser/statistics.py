@@ -39,11 +39,12 @@ and machine are bitwise identical.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError, _integer, _ordered, _real, _sequence
+from .errors import ShapeError, ValidationError, _capped, _integer, _ordered, _real, _sequence
 from .linalg import DIM_CAP, check_density, hermitian_expm, kron
 # dephasing_channel is unused here but stays bound: perfbench/tracing.py wraps this name
 from .measurements import ProjectiveMeasurement, dephasing_channel  # noqa: F401
@@ -279,6 +280,11 @@ def _state_entries(provider: DephasingTensorProvider, measurement: ProjectiveMea
     return max(d * d * big, m * r * d * big, m ** (k - 1) * r * r * big, m**k)
 
 
+def _joint_size(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> None:
+    """The size estimate of :func:`joint_distribution`: :func:`_state_entries` within ``TERM_CAP``."""
+    _capped("joint_distribution", "entries in its largest array", _state_entries(provider, measurement, n), TERM_CAP)
+
+
 def joint_distribution(
     provider: DephasingTensorProvider,
     prep: SystemPreparation,
@@ -298,13 +304,11 @@ def joint_distribution(
     states before the last interval by the effects of its kernel (for n = 1,
     of the root by the first kernel's).
     ``TERM_CAP`` bounds the entries of the largest array held (see
-    :func:`_state_entries`), checked before any propagator is computed.
+    :func:`_joint_size`), checked before any propagator is computed.
     """
     root, identity = _root(provider, prep, measurement, "joint_distribution")
     bases = measurement.bases
-    entries = _state_entries(provider, measurement, grid.n)
-    if entries > TERM_CAP:
-        raise SizeCapError(f"joint_distribution: largest array of {entries} entries exceeds cap {TERM_CAP}")
+    _joint_size(provider, measurement, grid.n)
 
     # one exponentiation of all n durations; the first interval leaves the
     # identity basis, the later ones join outcome bases
@@ -320,13 +324,12 @@ def joint_distribution(
     return JointDistribution(len(bases), grid, table.reshape(-1))
 
 
-def _check_oracle_caps(model: DephasingModel, measurement: ProjectiveMeasurement, grid: TimeGrid) -> None:
-    """``DIM_CAP`` on d·D and ``ORACLE_BRANCH_CAP`` on m + m² + ... + m^n, no propagator needed."""
-    if model.d * model.env_dim > DIM_CAP:
-        raise SizeCapError(f"oracle_distribution: joint dimension {model.d * model.env_dim} exceeds cap {DIM_CAP}")
-    branches = sum(measurement.n_outcomes**k for k in range(1, grid.n + 1))
-    if branches > ORACLE_BRANCH_CAP:
-        raise SizeCapError(f"oracle_distribution: {branches} outcome branches exceed cap {ORACLE_BRANCH_CAP}")
+def _oracle_size(model: DephasingModel, measurement: ProjectiveMeasurement, n: int) -> None:
+    """The size estimate of :func:`oracle_distribution`, no propagator needed: ``DIM_CAP`` on d·D, then
+    ``ORACLE_BRANCH_CAP`` on m + m² + ... + m^n, summed term by term and stopped once past the cap."""
+    _capped("oracle_distribution", "rows of the joint space", model.d * model.env_dim, DIM_CAP)
+    branches = itertools.accumulate(measurement.n_outcomes**k for k in range(1, n + 1))
+    _capped("oracle_distribution", "outcome branches", branches, ORACLE_BRANCH_CAP)
 
 
 def oracle_distribution(
@@ -340,7 +343,7 @@ def oracle_distribution(
     Independent of the branch-state propagation; used to cross-check
     :func:`joint_distribution` for exact models.
     """
-    _check_oracle_caps(model, measurement, grid)
+    _oracle_size(model, measurement, grid.n)
     d, big_d, m, n = model.d, model.env_dim, measurement.n_outcomes, grid.n
     if prep.d != d or measurement.d != d:
         raise ShapeError("oracle_distribution: dimension mismatch")
@@ -366,12 +369,12 @@ def oracle_distribution(
 
 
 def _transitions(provider, measurement: ProjectiveMeasurement, t, s, caller: str) -> tuple:
-    """(a, G, Q): the reduced maps Λ = diag(a), a = vec φ(t, s) of shape (..., d²), as
+    """(a, G, Q): the reduced maps Λ = diag(a), a = vec φ(t - s) of shape (..., d²), as
     G = Q†·Λ·Q (..., R, R) in the measurement's channel basis Q; for a rank-one
     PVM, G_xy = tr(P_x Λ(P_y)) is the transition matrix between outcomes."""
     if measurement.d != provider.d:
         raise ShapeError(f"{caller}: dimension mismatch (provider d={provider.d}, measurement {measurement.d})")
-    q, phi = measurement.channel_basis, provider.dephasing_matrix(t, s)
+    q, phi = measurement.channel_basis, provider.dephasings(t - s)  # t and s checked by the caller
     a = phi.swapaxes(-1, -2).reshape(phi.shape[:-2] + (-1,))
     return a, (q.conj().T * a[..., None, :]) @ q, q
 

@@ -6,6 +6,7 @@ Each test covers one acceptance criterion and prints a single pass/fail line
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dephaser.classicality import (
     theta_sweep,
 )
 from dephaser.cli import main as cli_main
+from dephaser.config import load_config
 from dephaser.measurements import ProjectiveMeasurement, fourier_mub
 from dephaser.models import (
     DephasingModel,
@@ -333,3 +335,27 @@ def test_12_cli_determinism(tmp_path):
         for name in ("report.json", "deficits.csv")
     )
     _report(12, "cli determinism", ok)
+
+
+def test_13_finite_order_instance():
+    """A qubit pool consistent to order 3 and violated at order 4, as the oracle reads it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(root, "configs", "finite_order_qubit.json"))
+    pool, max_order = cfg.grid.times, cfg.analysis["max_order"]
+    report = classicality_report(cfg.provider, cfg.preparation, cfg.measurement, pool, max_order, t0=cfg.grid.t0)
+    rows, deficits = report.columns[-1]
+    row, position = np.unravel_index(np.argmax(deficits), deficits.shape)
+    times, position = tuple(pool[i] for i in rows[row]), int(position) + 1
+    # the order-4 maximum recomputed on the global-unitary route, tuple and marginal alike
+    oracle = [
+        oracle_distribution(cfg.provider.model, cfg.preparation, cfg.measurement, TimeGrid(0.0, grid))
+        for grid in (times, times[: position - 1] + times[position:])
+    ]
+    recomputed = float(np.max(np.abs(oracle[0].marginalize(position).table - oracle[1].table)))
+    ok = (
+        max_order == 4
+        and [report.verdict(n) for n in (1, 2, 3, 4)] == [True, True, True, False]
+        and abs(deficits.max() - 2.7755e-3) < 1e-7
+        and abs(recomputed - deficits.max()) <= 1e-12
+    )
+    _report(13, "finite-order instance", ok, f" (order-4 max {deficits.max():.10e}, oracle {recomputed:.10e})")

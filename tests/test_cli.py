@@ -15,6 +15,7 @@ from dephaser import classicality as cl
 from dephaser import cli, config, linalg, models, statistics
 from dephaser.cli import main
 from dephaser.config import ANALYSES, ConfigError, load_config, parse_config
+from dephaser.errors import SizeCapError
 from dephaser.measurements import fourier_mub
 from dephaser.models import ExactDephasingProvider, MarkovianAnalyticProvider
 from dephaser.presets import PRESETS, get_preset
@@ -443,7 +444,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "points, code, error",
-        [(0, 2, "ConfigError"), (-1, 2, "ConfigError"), (cli.THETA_POINTS_CAP + 1, 3, "SizeCapError")],
+        [(0, 2, "ConfigError"), (-1, 2, "ConfigError"), (config.THETA_POINTS_CAP + 1, 3, "SizeCapError")],
         ids=["zero", "negative", "cap-plus-one"],
     )
     def test_theta_points_out_of_range(self, tmp_path, capsys, monkeypatch, points, code, error):
@@ -684,8 +685,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("value", [2**53 + 1, 10**30, 10**400], ids=["2^53+1", "1e30", "1e400"])
     @pytest.mark.parametrize("kind, field", [("classicality", "max_order"), ("theta-sweep", "theta_points")])
-    def test_huge_integer_passes_validate_and_hits_the_cap(self, tmp_path, capsys, monkeypatch, kind, field, value):
-        # each used to exit 2 with "expected an integer": the int differs from its float
+    def test_huge_integer_hits_the_cap_at_validate(self, tmp_path, capsys, monkeypatch, kind, field, value):
+        # each used to exit 2 with "expected an integer": the int differs from its float; it is
+        # read exactly, and both commands refuse it at the size estimate
         def forbidden(*args):
             raise AssertionError("no eigendecomposition or propagator before the cap check")
 
@@ -694,12 +696,15 @@ class TestRunCommand:
         doc = classicality_config(analysis={"kind": kind, field: value})
         if kind == "theta-sweep":
             doc.update(measurement=None, grid={"t0": 0.0, "times": [0.8, 1.6]})
-        assert parse_config(doc).analysis[field] == value
+        with pytest.raises(SizeCapError):
+            parse_config(doc)
         path = write_config(tmp_path, doc)
-        assert main(["validate", path]) == 0
+        assert main(["validate", path]) == 3
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "SizeCapError"
+        assert len(lines) == 2 and lines[0] == lines[1] and json.loads(lines[0])["error"] == "SizeCapError"
+        if kind == "theta-sweep" and value < 2**1000:
+            assert f"theta-sweep: {value} angles" in lines[0]
 
     @pytest.mark.parametrize(
         "overrides, field, codes",
@@ -711,7 +716,7 @@ class TestRunCommand:
                     "analysis": {"kind": "theta-sweep", "theta_points": 10**400},
                 },
                 "theta-sweep",
-                (0, 3),
+                (3, 3),
             ),
             ({"analysis": {"kind": "classicality", "max_order": -(10**4000)}}, "analysis.max_order", (2, 2)),
             ({"grid": {"t0": 0.0, "times": [0.8, 10**400]}}, "grid.times[1]", (2, 2)),
@@ -1031,8 +1036,8 @@ class TestShippedConfigs:
         if report["analysis"] == "oracle-check":
             assert report["max_abs_difference"] <= 1e-10
 
-    def test_all_six_found(self):
-        assert len(SHIPPED_CONFIGS) == 6
+    def test_all_seven_found(self):
+        assert len(SHIPPED_CONFIGS) == 7
 
     def test_valid_configs_build_no_error_text(self, monkeypatch):
         # a message that quotes a config value is built only when its check fails
@@ -1282,13 +1287,80 @@ class TestValidateAgreesWithRun:
         run_err = capsys.readouterr().err
         validate = main(["validate", path])
         validate_err = capsys.readouterr().err
-        if run == 2:
+        if run in (2, 3):
+            # refused at validation, or at the size estimate: validate reads the same line
             assert len(run_err.splitlines()) == 1
-            assert validate == 2 and validate_err == run_err
+            assert validate == run and validate_err == run_err
         else:
-            # reached a propagator, ran to the end on an analytic model, or hit a size cap
-            assert run in (None, 0, 3) and validate == 0
+            # reached a propagator, or ran to the end on an analytic model
+            assert run in (None, 0) and validate == 0
         assert run == 2 or name not in PROBES
+
+
+_QUBIT_ZX = ExactDephasingProvider(get_preset("qubit-zx"))
+_MIXED = statistics.SystemPreparation.maximally_mixed(2)
+
+#: one over-cap row per analysis kind (a config, refused by validate and run alike) and per capped
+#: library call (a call, raising); every cap passes errors._capped, so each message is one short line
+OVER_CAP = {
+    # 20 pool times to order 12: at least 12849408 stored table entries
+    "classicality": classicality_config(
+        grid={"t0": 0.0, "times": [0.1 * (k + 1) for k in range(20)]}, analysis={"kind": "classicality", "max_order": 12}
+    ),
+    "markovianity": classicality_config(
+        measurement=None,
+        grid={"t0": 0.0, "times": [0.05 * (k + 1) for k in range(60)]},
+        analysis={"kind": "markovianity", "max_order": 30},
+    ),
+    "ncgd": classicality_config(grid={"t0": 0.0, "times": [0.05 * (k + 1) for k in range(100)]}, analysis={"kind": "ncgd"}),
+    "theta-sweep": classicality_config(
+        measurement=None, grid={"t0": 0.0, "times": [0.8, 1.6]}, analysis={"kind": "theta-sweep", "theta_points": 10**6}
+    ),
+    # 14 times: 2 + 4 + ... + 2^14 outcome branches
+    "oracle-check": classicality_config(grid={"t0": 0.0, "times": [float(k) for k in range(1, 15)]}, analysis={"kind": "oracle-check"}),
+    # 2^24 tensor entries
+    "tensor-array-exact": lambda: _QUBIT_ZX.tensor_array([0.1] * 12),
+    # 3^16 tensor entries
+    "tensor-array-analytic": lambda: MarkovianAnalyticProvider(get_preset("markov-real-qudit")).tensor_array([0.1] * 8),
+    "kron": lambda: linalg.kron(np.eye(65), np.eye(64)),
+    "joint-distribution": lambda: statistics.joint_distribution(
+        _QUBIT_ZX, _MIXED, fourier_mub(2), statistics.TimeGrid(0.0, [0.1 * (k + 1) for k in range(24)])
+    ),
+    "oracle-distribution": lambda: statistics.oracle_distribution(
+        _QUBIT_ZX.model, _MIXED, fourier_mub(2), statistics.TimeGrid(0.0, [float(k) for k in range(1, 15)])
+    ),
+    "classicality-report": lambda: cl.classicality_report(_QUBIT_ZX, _MIXED, fourier_mub(2), [0.1 * (k + 1) for k in range(20)], 12),
+    "markovianity-deficit": lambda: models.markovianity_deficit_detail(_QUBIT_ZX, [0.05 * (k + 1) for k in range(60)], 30),
+}
+
+
+class TestSizeRule:
+    def test_one_config_row_per_analysis_kind(self):
+        assert [name for name, row in OVER_CAP.items() if isinstance(row, dict)] == list(ANALYSES)
+
+    @pytest.mark.parametrize("name", OVER_CAP)
+    def test_over_cap_refused_before_any_propagator(self, tmp_path, capsys, monkeypatch, name):
+        def computed(*args):
+            raise Computed
+
+        monkeypatch.setattr(models, "spectral_expm", computed)
+        monkeypatch.setattr(models, "hermitian_eigh", computed)
+        row = OVER_CAP[name]
+        if isinstance(row, dict):
+            path = write_config(tmp_path, row)
+            assert main(["validate", path]) == 3
+            assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 2 and lines[0] == lines[1]
+            error = json.loads(lines[0])
+            assert error["error"] == "SizeCapError" and len(lines[0].encode()) + 1 <= 300
+            assert not (tmp_path / "o").exists()
+            message = error["message"]
+        else:
+            with pytest.raises(SizeCapError) as caught:
+                row()
+            message = str(caught.value)
+        assert " exceed cap " in message and len(message.encode()) <= 300 and "\n" not in message
 
 
 class TestDeterminism:

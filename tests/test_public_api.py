@@ -93,3 +93,16 @@ def test_only_errors_raises_time_order_error():
     # every ordered-times check goes through one rule, errors._ordered
     raising = [m.__name__ for m in [dephaser, *MODULES] if re.search(r"raise\s+[\w.]*TimeOrderError", inspect.getsource(m))]
     assert raising == ["dephaser.errors"]
+
+
+def test_only_errors_raises_size_cap_error():
+    # every size cap goes through one rule, errors._capped
+    raising = [m.__name__ for m in [dephaser, *MODULES] if re.search(r"raise\s+[\w.]*SizeCapError", inspect.getsource(m))]
+    assert raising == ["dephaser.errors"]
+
+
+def test_cli_keeps_no_cap():
+    # the caps of a run live in its analysis's size estimate (config.ANALYSES), read by validate too
+    cli = importlib.import_module("dephaser.cli")
+    assert [name for name in vars(cli) if name.endswith("_CAP") and name != "EXIT_CAP"] == []
+    assert "_capped" not in inspect.getsource(cli)

@@ -829,9 +829,9 @@ class TestTransitionFormula:
         reads = []
 
         class RecordingProvider(ExactDephasingProvider):
-            def dephasing_matrix(self, t, s):
-                reads.append(np.shape(t)[-1])
-                return super().dephasing_matrix(t, s)
+            def dephasings(self, dt):
+                reads.append(np.shape(dt)[-1])
+                return super().dephasings(dt)
 
         provider = RecordingProvider(TRANSITION_PROVIDERS["exact-d3-D2"].model)
         whole = ncgd_deficit(provider, meas, t1, t2, t3), sandwich_identity_deficit(provider, meas, t3, t1)
@@ -842,6 +842,19 @@ class TestTransitionFormula:
         # one read per chunk: the three pairs of a triple stacked, then the sandwich's pair
         assert reads == [2] * (len(t1) // 2) * 2
         assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+
+    def test_times_checked_once_per_call(self, monkeypatch):
+        # the order rule runs once, in _max_per_entry; each chunk reads φ by dephasings(t - s),
+        # not through dephasing_matrix, which would check its times again
+        checked, real = [], models._ordered
+        monkeypatch.setattr(models, "_ordered", lambda caller, *args: checked.append(caller) or real(caller, *args))
+        monkeypatch.setattr(models, "TERM_CAP", 200)  # several chunks per call
+        provider, meas = TRANSITION_PROVIDERS["exact-d3-D2"], fourier_mub(3)
+        t1, t2, t3 = self.triples()
+        ncgd_deficit(provider, meas, t1, t2, t3)
+        sandwich_identity_deficit(provider, meas, t3, t1)
+        models.semigroup_deficit(provider, t1, t2, t3)
+        assert checked == ["ncgd_deficit", "sandwich_identity_deficit", "semigroup_deficit"]
 
     def test_classical_reading_rank_one(self):
         # for a rank-one PVM, G_xy = tr(P_x Λ(P_y)): the transition matrix between outcomes
