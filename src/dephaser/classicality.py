@@ -12,7 +12,8 @@ as a prefix trie on the propagation kernel of
 so each distinct grid is propagated once and every prefix is shared by all
 tuples that extend it.  Its docstring gives the stages, the one table buffer
 and the caps; :func:`_columns` reduces the tables to deficits, and
-:func:`_plan` builds the index arrays that reports of one (p, N, m) share.
+:func:`_plan` builds the index arrays and the table and tail layout that
+reports of one (p, N, m) share.
 A tuple's table does not depend on the batch or chunk it is computed in, and
 records agree with the per-tuple computation (:func:`joint_distribution` and
 :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
@@ -234,20 +235,25 @@ def classicality_report(
     tables are checked at once, then all marginals, and the deficits are one
     gather of coarse rows per order, one subtraction and one
     ``np.maximum.reduceat``, whatever the number of (order, position) pairs.
-    Those rows, the marginals' layout, the trie's levels and the row of each
-    tuple's last interval come from the index plan of (p, max_order, m),
-    :func:`_plan`: built after the caps pass, kept (read-only, the
-    ``PLAN_CACHE`` most recent of at most ``PLAN_ENTRIES`` entries each) for
-    later reports of the same pool size, order and outcome count, and shared
-    by their ``columns`` as the tuples' pool indices.  A larger plan is built
-    per report.  Every table and every marginal passes the one rule of
+    Those rows, the trie's levels, the row of each tuple's last interval,
+    the table buffer's layout and, per budget, the marginals' slabs come from
+    the index plan of (p, max_order, m), :func:`_plan`: built after the caps
+    pass, kept (read-only, the ``PLAN_CACHE`` most recent of at most
+    ``PLAN_ENTRIES`` entries each) for later reports of the same pool size,
+    order and outcome count, and shared by their ``columns`` as the tuples'
+    pool indices.  A larger plan is built per report.  The caps and the
+    walk's chunk sizes are kept per (PVM shape, D², p, N, ``TERM_CAP``) by
+    :func:`_sizes`, so a report with both kept computes only its arithmetic
+    and its checks.  Every table and every marginal passes the one rule of
     :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
     which names the first that fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0``
     and the non-empty ``pool``, no earlier than ``t0``, follow :mod:`dephaser.errors`.
 
     Its size estimate, :func:`_report_size`, is checked before any propagator
-    is computed, and so are the report-wide stage arrays
-    (:func:`_stage_entries`); where they exceed
+    is computed: the largest node and the stored tables within ``TERM_CAP``,
+    and, for a single-outcome PVM, which they do not bound, N within
+    ``MAX_ORDER`` = 22 and the records within ``TERM_CAP``.  So are the
+    report-wide stage arrays (:func:`_stage_entries`); where they exceed
     ``TERM_CAP`` they are not refused: each chunk of a level exponentiates
     its own distinct durations and builds their kernels (or effects) alone.
     Each level in flight holds at most ``TERM_CAP // max_order`` entries of
@@ -272,25 +278,25 @@ def classicality_report(
 
     root, identity = _root(provider, prep, measurement, "classicality_report")
     bases, p = measurement.bases, len(pool)
-    m, entries = len(bases), _report_size(provider, measurement, p, max_order)
+    m, (_, chunk) = len(bases), _sizes(bases.shape, provider.env.size, p, max_order, TERM_CAP)
 
     plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order, m)
     tuples, parent, first = plan.tuples, plan.parent, plan.first
-    times = np.array(pool)
     # every table in one buffer, order after order; tables[n] is a view, one row per tuple
-    bounds = [0, *itertools.accumulate(len(tuples[n]) * m**n for n in range(1, max_order + 1))]
-    flat = np.empty(bounds[-1])
-    tables = {n: flat[bounds[n - 1] : bounds[n]].reshape(-1, m**n) for n in range(1, max_order + 1)}
+    flat = np.empty(plan.orders[-1][1].stop)
+    tables = {n: flat[entries].reshape(shape) for n, entries, shape, _, _ in plan.orders}
 
     # Every interval of the report either starts at t0 and ends at pool time
-    # k (duration start[k]) or runs between pool times a <= b; the latter's
-    # distinct durations are `spans`, and span[plan.pair[n]] is the index
-    # into them of each level-n row's last interval.  If the report-wide
-    # stage arrays fit, all durations are exponentiated in one call and the
-    # kernels of both sources and the effects are built once; each chunk
-    # gathers its rows.
+    # k (duration start[k], the last interval of level-1 row k) or runs
+    # between pool times a <= b; the latter's distinct durations are `spans`,
+    # and last[n] the index into them of each level-n row's last interval.
+    # If the report-wide stage arrays fit, all durations are exponentiated in
+    # one call and the kernels of both sources and the effects are built
+    # once; each chunk gathers its rows.
+    times = np.array(pool)
     start = times - t0
     spans, span = _distinct(times[tuples[2][:, 1]] - times[tuples[2][:, 0]])
+    last = [None, None, *(span[pair] for pair in plan.pair[2:])]
     stages = None  # (first kernels per pool time, later kernels and their effects per span)
     if _stage_entries(provider, measurement, p, len(spans)) <= TERM_CAP:
         durations, index = _distinct(np.concatenate((start, spans)))
@@ -299,45 +305,36 @@ def classicality_report(
         first_kernels = provider.kernels(exponentials[index[:p]], identity, bases)
         stages = first_kernels, later, provider.effects(later, bases, bases)
 
-    def stage(n, lo, hi):
-        """Per row lo..hi-1 of level n, the kernel of its last interval, or at
-        the deepest level its effects; a (rows, 1, ...) array."""
-        if n == 1:
-            ids, source = tuples[1][lo:hi], identity
-        else:
-            ids, source = span[plan.pair[n][lo:hi]][:, None], bases
-        kind = 0 if n == 1 else 2 if n == max_order else 1
-        if stages is not None:
-            return stages[kind][ids]
-        # the stage arrays of this chunk's distinct durations only
-        durations, inverse = _distinct((start if n == 1 else spans)[ids])
-        kernels = provider.kernels(provider.exponentials(durations), source, bases)
-        return (provider.effects(kernels, source, bases) if kind == 2 else kernels)[inverse]
-
     # Depth-first over chunks with an explicit stack of (level, first row,
     # end row, branch states of the parent block, its first row).  A level-n
-    # row holds its states as (m^(n-1) prefixes, m last outcomes, ...), the
-    # root as the one branch of the identity basis.  A level's chunk holds at
-    # most `budget` entries of its rows.
-    budget = TERM_CAP // max_order
-    chunk = {n: max(1, budget // _state_entries(provider, measurement, n + 1)) for n in range(1, max_order)}
-    chunk[max_order] = max(1, budget // entries)
+    # row holds its states as (m^(n-1) prefixes, m last outcomes, ...); level
+    # 1 reads the root, ρ⊗ρ_E as the one branch of the identity basis, by
+    # broadcasting.  Per chunk, `stage` holds each row's kernel of its last
+    # interval, or at the deepest level its effects, as (rows, 1, ...).
     stack = [(1, lo, min(lo + chunk[1], p), root[None, None], 0) for lo in reversed(range(0, p, chunk[1]))]
     while stack:
         n, lo, hi, block, block_row = stack.pop()
-        state = block[parent[n][lo:hi] - block_row]
+        source, kind = (identity, 0) if n == 1 else (bases, 2 if n == max_order else 1)
+        if stages is None:
+            # the stage arrays of this chunk's distinct durations only
+            durations, inverse = _distinct(start[lo:hi] if n == 1 else spans[last[n][lo:hi]])
+            kernels = provider.kernels(provider.exponentials(durations), source, bases)
+            stage = (provider.effects(kernels, source, bases) if kind == 2 else kernels)[inverse[:, None]]
+        else:
+            stage = stages[0][lo:hi, None] if n == 1 else stages[kind][last[n][lo:hi, None]]
+        state = block if n == 1 else block[parent[n][lo:hi] - block_row]
         if n == max_order:
             # the deepest level reads its tables out and builds no branch state
-            tables[n][lo:hi] = _readout(state, stage(n, lo, hi)).reshape(hi - lo, -1)
+            tables[n][lo:hi] = _readout(state, stage).reshape(hi - lo, -1)
             continue
-        state = provider.apply(state, stage(n, lo, hi), bases if n > 1 else identity, bases)
+        state = provider.apply(state, stage, source, bases)
         state = state.reshape((hi - lo, -1, m) + state.shape[-2:])
         tables[n][lo:hi] = _probabilities(state).reshape(hi - lo, -1)
         c0, c1 = first[n][lo], first[n][hi]
         stack.extend((n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1])))
         del state  # free before the next chunk's kernels allocate
 
-    return ClassicalityReport(max_order, tol, t0, pool, _columns(flat, tables, plan, m, budget, pool))
+    return ClassicalityReport(max_order, tol, t0, pool, _columns(flat, tables, plan, m, TERM_CAP // max_order, pool))
 
 
 def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int, pool: tuple) -> tuple:
@@ -350,68 +347,59 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int,
     its view of the order-n tables, one row per tuple of ``plan.tuples[n]``.
     All tables are checked at once (:func:`~dephaser.statistics._within_rule`
     over ``flat`` and the row totals), then the marginals of each slab at
-    once.  The marginals' ``plan.segments`` are cut into consecutive slabs of
-    at most max(``budget``, the largest segment) entries.  A segment's
-    marginal sums the m outcome slices of axis k in order, the sequential sum
-    that ``fine.sum(axis=k)`` takes over an axis that is not the last, so the
-    bits are the same, 1.5 to 5 times faster than that ``sum`` (measured on
+    once.  Every index, range and shape read here is kept with the plan: the
+    table layout in ``plan.orders``, and the marginals' slabs of ``budget``
+    in ``plan.tail(budget)``, whole (order, position) segments of at most
+    max(``budget``, the largest segment) entries.  A segment's marginal sums
+    the m outcome slices of axis k in order, the sequential sum that
+    ``fine.sum(axis=k)`` takes over an axis that is not the last, so the bits
+    are the same, 1.5 to 5 times faster than that ``sum`` (measured on
     segments of 28 to 1000 rows, m = 2).  The coarse rows of one order's
     segments in the slab are one ``np.take`` from the order-(n-1) tables by
-    ``plan.coarse``, and the slab's deficits, max |marginal - coarse| of each
-    (order, position, tuple) row, one ``np.maximum.reduceat`` at
-    ``plan.starts``; max is exact, so each deficit is the same double as a
-    per-row ``np.abs(...).max()``.  Besides the plan, the tail holds the
-    slab's marginals and its coarse rows.  Where a check fails,
-    :func:`~dephaser.statistics._check_tables` is called table by table in
-    record order and raises, naming the first failing one.
+    its flattened ``plan.coarse`` rows, and the slab's deficits, max
+    |marginal - coarse| of each (order, position, tuple) row, one
+    ``np.maximum.reduceat`` at its ``plan.starts``; max is exact, so each
+    deficit is the same double as a per-row ``np.abs(...).max()``.  Besides
+    the plan, the tail holds the slab's marginals and its coarse rows.  Where
+    a check fails, :func:`~dephaser.statistics._check_tables` is called table
+    by table in record order and raises, naming the first failing one.
     """
 
     def where(what, rows):
         return lambda k: f"classicality_report: {what} at times {tuple(pool[i] for i in rows[k])}"
 
-    tuples, segments = plan.tuples, plan.segments
-    rows = [0, *itertools.accumulate(len(tuples[n]) for n in tables)]
-    totals = np.empty(rows[-1])
-    for n in tables:
-        np.add.reduce(tables[n], axis=-1, out=totals[rows[n - 1] : rows[n]])
+    tuples = plan.tuples
+    totals = np.empty(plan.orders[-1][3].stop)
+    for n, _, _, rows, _ in plan.orders:
+        np.add.reduce(tables[n], axis=-1, out=totals[rows])
     if not _within_rule(flat, totals):
         for n in tables:
             _check_tables(tables[n], where("table", tuples[n]))
 
-    slabs = _slabs(segments, budget)
-    size = max(slab[-1][3] - slab[0][2] for slab in slabs)
-    marginals, gathered, deficits = np.empty(size), np.empty(size), np.empty(segments[-1][5])
-    for slab in slabs:
-        (_, _, lo, _, r0, _), (_, _, _, hi, _, r1) = slab[0], slab[-1]
+    size, slabs = plan.tail(budget)
+    marginals, gathered, deficits = np.empty(size), np.empty(size), np.empty(plan.segments[-1][5])
+    for lo, hi, r0, r1, starts, segments, orders in slabs:
         entries, totals = marginals[: hi - lo], np.empty(r1 - r0)
-        for n, k, a, b, ra, rb in slab:
-            fine, out = tables[n].reshape(-1, m, m ** (n - k)), entries[a - lo : b - lo].reshape(-1, m ** (n - k))
+        for n, k, rows, width, at in segments:
+            fine, out = tables[n].reshape(-1, m, width), entries[at].reshape(-1, width)
             np.add(fine[:, 0], fine[:, 1], out=out) if m > 1 else np.copyto(out, fine[:, 0])
             for j in range(2, m):
                 np.add(out, fine[:, j], out=out)
-        # per order, its positions k0..k1 in the slab: one call for their row totals, one gather of their coarse rows
-        for n, group in itertools.groupby(slab, operator.itemgetter(0)):
-            group = list(group)
-            (_, k0, a, _, ra, _), (_, k1, _, b, _, rb) = group[0], group[-1]
-            np.add.reduce(entries[a - lo : b - lo].reshape(rb - ra, -1), axis=-1, out=totals[ra - r0 : rb - r0])
-            coarse = plan.coarse[n][k0 - 1 : k1].reshape(-1)
-            np.take(tables[n - 1], coarse, axis=0, out=gathered[a - lo : b - lo].reshape(rb - ra, -1))
+        # per order, its positions in the slab: one call for their row totals, one gather of their coarse rows
+        for n, at, rows, coarse, shape in orders:
+            np.add.reduce(entries[at].reshape(shape), axis=-1, out=totals[rows])
+            np.take(tables[n - 1], coarse, axis=0, out=gathered[at].reshape(shape))
         if not _within_rule(entries, totals):
-            for n, k, a, b, ra, rb in slab:
+            for n, k, rows, _, at in segments:
                 rule = where(f"marginal at position {k} of the table", tuples[n])
-                _check_tables(entries[a - lo : b - lo].reshape(rb - ra, -1), rule)
+                _check_tables(entries[at].reshape(rows, -1), rule)
         np.subtract(entries, gathered[: hi - lo], out=entries)
         np.abs(entries, out=entries)
-        starts = plan.starts[r0:r1]
         np.maximum.reduceat(entries, starts - lo if lo else starts, out=deficits[r0:r1])
 
     deficits.flags.writeable = False
-    # per order, from its position-1 segment on, its deficits as (positions, rows), read as (rows, positions)
-    return tuple(
-        (tuples[n], deficits[r0 : r0 + (n - 1) * (r1 - r0)].reshape(n - 1, -1).T)
-        for n, k, _, _, r0, r1 in segments
-        if k == 1
-    )
+    # per order, its deficits as (positions, rows), read as (rows, positions)
+    return tuple((tuples[n], deficits[at].reshape(n - 1, -1).T) for n, _, _, _, at in plan.orders[1:])
 
 
 def _slabs(segments: tuple, budget: int) -> list:
@@ -429,8 +417,9 @@ def _slabs(segments: tuple, budget: int) -> list:
 
 class _Plan(NamedTuple):
     """The index arrays of a report on a pool of p times to order N with an
-    m-outcome PVM, all read-only.  ``tuples``, ``parent``, ``first`` and
-    ``pair`` hold one array per level n (None where a level has none).
+    m-outcome PVM, all read-only, and the layout of its tables and tail.
+    ``tuples``, ``parent``, ``first`` and ``pair`` hold one array per level n
+    (None where a level has none).
 
     ``tuples[n]`` holds the pool indices of the order-n tuples, one row each,
     in ``combinations_with_replacement`` order; level 0 is the empty tuple,
@@ -440,6 +429,11 @@ class _Plan(NamedTuple):
     ``pair[n]`` is the order-2 row of each row's last two indices (its last
     interval).
 
+    ``orders`` lays out a report's tables: per order n = 1..N, (n, the slice
+    of the table buffer holding its tables, their shape (rows, m^n), the
+    slice of the row totals holding theirs, the slice of the deficits
+    holding its (n - 1) × rows, None at n = 1).
+
     The rest lay out a report's marginals, in record order: per order
     n = 2..N and interior position k = 1..n-1, a segment of one row of
     m^(n-1) entries per order-n tuple, its table summed over outcome k.
@@ -447,7 +441,9 @@ class _Plan(NamedTuple):
     ints: its entries lo..hi-1 and its rows r0..r1-1, one deficit each.
     ``starts`` holds the first entry of each row.  ``coarse[n][k - 1]`` is
     the order-(n-1) row that each order-n row is compared with at position
-    k: that of the tuple with its index at position k deleted."""
+    k: that of the tuple with its index at position k deleted.  ``tails``,
+    the plan's one mutable part, keeps the slabs of :meth:`tail` for each
+    budget a report has asked for."""
 
     tuples: tuple
     parent: tuple
@@ -456,6 +452,38 @@ class _Plan(NamedTuple):
     coarse: tuple
     segments: tuple
     starts: np.ndarray
+    orders: tuple
+    tails: dict
+
+    def tail(self, budget: int) -> tuple:
+        """(the entries of the largest slab, the slabs) of the marginals for
+        ``budget``, cut by :func:`_slabs`.  A slab is kept as (lo, hi, r0, r1,
+        its rows' ``starts``, its segments, its orders): entries lo..hi-1 and
+        rows r0..r1-1 of the record order, ``starts`` a view of the plan's, and
+        every other range local to lo and r0.  A segment is (n, k, rows, width
+        m^(n-k), its entries); an order is (n, the entries and the rows of its
+        positions in the slab, their ``coarse`` rows flattened, a view, and
+        the shape (rows, m^(n-1)) of their entries).  Built by the first
+        report of the budget and kept in ``tails``: reports of one plan take
+        one budget, ``TERM_CAP // N``, unless the cap changes.  Two threads
+        may both build a budget's slabs; either keeps the same ones."""
+        kept = self.tails.get(budget)
+        if kept is not None:
+            return kept
+        m, slabs = self.orders[0][2][1], []  # m, the width of the order-1 tables
+        for slab in _slabs(self.segments, budget):
+            (_, _, lo, _, r0, _), (_, _, _, hi, _, r1) = slab[0], slab[-1]
+            segments = tuple((n, k, rb - ra, m ** (n - k), slice(a - lo, b - lo)) for n, k, a, b, ra, rb in slab)
+            orders = []
+            # per order, its positions k0..k1 in the slab: their row totals and coarse rows, one call each
+            for n, group in itertools.groupby(slab, operator.itemgetter(0)):
+                group = list(group)
+                (_, k0, a, _, ra, _), (_, k1, _, b, _, rb) = group[0], group[-1]
+                coarse = self.coarse[n][k0 - 1 : k1].reshape(-1)
+                orders.append((n, slice(a - lo, b - lo), slice(ra - r0, rb - r0), coarse, (rb - ra, m ** (n - 1))))
+            slabs.append((lo, hi, r0, r1, self.starts[r0:r1], segments, tuple(orders)))
+        kept = self.tails[budget] = (max(hi - lo for lo, hi, *_ in slabs), tuple(slabs))
+        return kept
 
 
 #: plans of at most this many index entries (:func:`_plan_entries`) are kept
@@ -469,12 +497,21 @@ class _Plan(NamedTuple):
 PLAN_ENTRIES = 1 << 17
 PLAN_CACHE = 8
 
+#: the highest order a report tests.  With m >= 2 outcomes the stored tables
+#: alone refuse order 23, since Σ_{n<=23} 2^n = 2^24 - 2 entries exceed
+#: ``TERM_CAP``; with one outcome (m = 1) each table is one entry, and only
+#: this bound and the records' count bound the orders.
+MAX_ORDER = 22
+
 
 def _plan_entries(p: int, max_order: int) -> int:
     """An upper bound on the index entries of :func:`_plan` (p, max_order, m),
     whatever m: a level-n row holds at most 3n + 1 of them (n - 1 each in
-    ``coarse`` and ``starts``), and each ``first`` one more.  The
-    ``segments``, N(N-1)/2 tuples of 6 Python ints, are not counted."""
+    ``coarse`` and ``starts``), and each ``first`` one more.  Not counted:
+    the ``segments``, N(N-1)/2 tuples of 6 Python ints, and per kept budget a
+    tail of as many tuples of ints, slices and views, ``orders`` and the
+    slabs' flattened ``coarse`` views; all of these are bounded once the
+    orders are (N <= ``MAX_ORDER``, at most 231 segments)."""
     return sum((3 * n + 2) * math.comb(p + n - 1, n) for n in range(max_order + 1))
 
 
@@ -514,21 +551,49 @@ def _plan(p: int, max_order: int, m: int) -> _Plan:
     for array in itertools.chain(tuples, parent, first, pair, coarse, (starts,)):
         if array is not None:
             array.flags.writeable = False
-    return _Plan(tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse), tuple(segments), starts)
+    orders, entry, row, record = [], 0, 0, 0
+    for n in range(1, max_order + 1):
+        rows = len(tuples[n])
+        deficits = slice(record, record + (n - 1) * rows) if n > 1 else None
+        orders.append((n, slice(entry, entry + rows * m**n), (rows, m**n), slice(row, row + rows), deficits))
+        entry, row, record = entry + rows * m**n, row + rows, record + (n - 1) * rows
+    return _Plan(
+        tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse), tuple(segments), starts, tuple(orders), {}
+    )
 
 
 def _report_size(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, max_order: int) -> int:
     """The size estimate of :func:`classicality_report` on a pool of p distinct times, no propagator
     built: its largest single node, a row of the deepest level N (its parent's branch states,
     m^(N-1)·r²·D² entries with r the largest rank of the PVM, plus its gathered effects, m²·r²·D²),
-    within ``TERM_CAP``, then its stored tables, Σ_n C(p+n-1, n)·m^n entries summed order by order
-    until past the cap.  Returns the node's entries."""
-    (m, _, r), big = measurement.bases.shape, provider.env.size
-    node = _state_entries(provider, measurement, max_order) + m * m * r * r * big
-    _capped("classicality_report", "entries in its largest node", node, TERM_CAP)
-    stored = itertools.accumulate(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
-    _capped("classicality_report", "stored table entries", stored, TERM_CAP)
-    return node
+    within ``TERM_CAP``; then its stored tables, Σ_n C(p+n-1, n)·m^n entries summed order by order
+    until past the cap, at most to order ``MAX_ORDER`` + 1; then N itself within ``MAX_ORDER``;
+    then its records, Σ_n C(p+n-1, n)·(n-1), within ``TERM_CAP``.  With m >= 2 the stored tables
+    refuse every N past ``MAX_ORDER`` and hold more entries than the records, so the last two
+    bound only single-outcome reports: at most 23 + 21 steps, whatever N.  Returns the node's
+    entries; :func:`_sizes` computes it once per (PVM shape, D², p, N, ``TERM_CAP``)."""
+    return _sizes(measurement.bases.shape, provider.env.size, p, max_order, TERM_CAP)[0]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _sizes(shape: tuple, big: int, p: int, max_order: int, cap: int) -> tuple:
+    """:func:`_report_size`'s checks within ``cap`` for a PVM of ``bases.shape``
+    (m, d, r) and D² = ``big``, and (the node's entries, the chunks): chunk[n],
+    n = 1..N, the rows of a level-n chunk of the walk, at most ``cap // N``
+    entries of its rows (a level-n row below N held as the readout of an
+    (n+1)-time table, :func:`~dephaser.statistics._state_entries`, one at N as
+    its node), and one row where a single row is larger.  The ``PLAN_CACHE``
+    most recent sizes that pass are kept."""
+    m, _, r = shape
+    node = _state_entries(shape, big, max_order) + m * m * r * r * big
+    _capped("classicality_report", "entries in its largest node", node, cap)
+    stored = (math.comb(p + n - 1, n) * m**n for n in range(1, min(max_order, MAX_ORDER + 1) + 1))
+    _capped("classicality_report", "stored table entries", itertools.accumulate(stored), cap)
+    _capped("classicality_report", "orders", max_order, MAX_ORDER)
+    records = (math.comb(p + n - 1, n) * (n - 1) for n in range(2, max_order + 1))
+    _capped("classicality_report", "records", itertools.accumulate(records), cap)
+    held = [_state_entries(shape, big, n + 1) for n in range(1, max_order)] + [node]
+    return node, (None, *(max(1, cap // max_order // entries) for entries in held))
 
 
 def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:

@@ -268,21 +268,23 @@ def _readout(state: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return (effects.reshape(effects.shape[:-2] + (-1,)) @ flat)[..., 0].real
 
 
-def _state_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> int:
+def _state_entries(shape: tuple, big: int, n: int) -> int:
     """Entries of the largest array held to read out an n-time table, whose
-    last interval builds no branch state: ρ⊗ρ_E (d²·D²), the first interval's
-    K·E (m·r·d·D², r the largest rank of the PVM), the branch states after
+    last interval builds no branch state, for a PVM of ``bases.shape`` (m, d, r),
+    r its largest rank, and D² = ``big`` (``provider.env.size``): ρ⊗ρ_E
+    (d²·D²), the first interval's K·E (m·r·d·D²), the branch states after
     n − 1 measurements (m^(n-1)·r²·D²) or the m^n table.  m^k with
     k >= TERM_CAP.bit_length() exceeds the cap for every m >= 2 (and is 1 for
     m = 1), so the exponent is clipped there."""
-    (m, d, r), big = measurement.bases.shape, provider.env.size
+    m, d, r = shape
     k = min(n, TERM_CAP.bit_length())
     return max(d * d * big, m * r * d * big, m ** (k - 1) * r * r * big, m**k)
 
 
 def _joint_size(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, n: int) -> None:
     """The size estimate of :func:`joint_distribution`: :func:`_state_entries` within ``TERM_CAP``."""
-    _capped("joint_distribution", "entries in its largest array", _state_entries(provider, measurement, n), TERM_CAP)
+    entries = _state_entries(measurement.bases.shape, provider.env.size, n)
+    _capped("joint_distribution", "entries in its largest array", entries, TERM_CAP)
 
 
 def joint_distribution(

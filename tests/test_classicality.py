@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +279,40 @@ class TestReportMatchesPerTupleReference:
         assert provider._batch is None
         assert provider._eig is None
 
+    @pytest.mark.parametrize(
+        "pool, max_order, message",
+        [
+            ((1.0,), 10**6, r"^classicality_report: 1000000 orders exceed cap 22$"),
+            ((1.0,), 10**12, r"^classicality_report: 1000000000000 orders exceed cap 22$"),
+            # 20 times to order 8: C(28, 8) - 1 = 3108104 one-entry tables fit, 20572696 records do not
+            (tuple(0.1 * k for k in range(1, 21)), 8, r"^classicality_report: at least 20572696 records exceed cap 10000000$"),
+        ],
+        ids=["order-1e6", "order-1e12", "records"],
+    )
+    def test_single_outcome_report_bounded(self, zx_provider, monkeypatch, pool, max_order, message):
+        # one outcome: each table is one entry, so neither the node nor the stored tables bound N
+        def forbidden(*args):
+            raise AssertionError("no propagator before the cap check")
+
+        monkeypatch.setattr(models, "spectral_expm", forbidden)
+        one_outcome = ProjectiveMeasurement(projectors=[np.eye(2)])
+        began = time.perf_counter()
+        with pytest.raises(SizeCapError, match=message):
+            classicality_report(zx_provider, SystemPreparation.diagonal([0.8, 0.2]), one_outcome, pool, max_order)
+        assert time.perf_counter() - began < 1.0
+
+    def test_order_bound_never_speaks_first_with_two_outcomes(self, zx_provider):
+        # qubit-zx at order 10^6 keeps its node message; with m >= 2 the stored tables refuse order 23
+        # (2 + 4 + ... + 2^23 = 2^24 - 2 entries) before the order bound is read, and pass order 22
+        message = r"^classicality_report: 33554448 entries in its largest node exceed cap 10000000$"
+        with pytest.raises(SizeCapError, match=message):
+            classicality_report(zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), (1.0,), 10**6)
+        assert 2 ** (classicality.MAX_ORDER + 2) - 2 > classicality.TERM_CAP
+        shape, big = (2, 2, 1), 1  # a qubit, a rank-one PVM and D = 1: the least node of m = 2
+        assert classicality._sizes(shape, big, 1, classicality.MAX_ORDER, classicality.TERM_CAP)[0] == 2**22 + 4
+        with pytest.raises(SizeCapError, match=r"^classicality_report: at least 16777214 stored table entries exceed"):
+            classicality._sizes(shape, big, 1, classicality.MAX_ORDER + 1, classicality.TERM_CAP)
+
     def test_cap_counts_parent_states_and_effects(self, zx_provider, monkeypatch):
         # one time at order 4, D = 2: a deepest-level row holds its parent's
         # 2^3·r²·D² = 32 entries of branch states and 2²·r²·D² = 16 of gathered
@@ -438,6 +473,35 @@ class TestReportChecks:
         chunked = classicality_report(CountingProvider(zx_model), prep, meas, pool, 4)
         assert len(steps) > 4
         assert chunked == whole
+
+    def test_level_one_in_chunks_of_one_row(self, zx_model, monkeypatch):
+        # level 1 applies its kernels to the root by broadcasting: one root row against
+        # a kernel per pool time.  2 times to order 3 at a cap of 48 (the stored tables,
+        # 2·2 + 3·4 + 4·8): each level in flight holds 48 // 3 = 16 entries, one level-1 row
+        applied = []
+
+        class CountingProvider(ExactDephasingProvider):
+            def apply(self, state, kernels, source, target):
+                if len(source) == 1:  # the identity basis: level 1
+                    applied.append((state.shape[:3], kernels.shape[:3]))
+                return super().apply(state, kernels, source, target)
+
+        seen, real = [], classicality._columns
+
+        def spy(flat, tables, *args):
+            seen.append({n: t.tobytes() for n, t in tables.items()})
+            return real(flat, tables, *args)
+
+        monkeypatch.setattr(classicality, "_columns", spy)
+        prep, meas, pool = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2), (0.3, 1.4)
+        whole = classicality_report(CountingProvider(zx_model), prep, meas, pool, 3)
+        assert applied == [((1, 1, 1), (2, 1, 1))]
+        monkeypatch.setattr(classicality, "TERM_CAP", 48)
+        applied.clear()
+        chunked = classicality_report(CountingProvider(zx_model), prep, meas, pool, 3)
+        assert applied == [((1, 1, 1), (1, 1, 1))] * 2
+        assert seen[0] == seen[1]
+        assert_same_report(whole, chunked)
 
     @pytest.mark.parametrize("max_order", [2, 3, 4])
     def test_deepest_level_builds_no_branch_state(self, zx_model, monkeypatch, max_order):
@@ -627,10 +691,11 @@ class TestReportTail:
         monkeypatch.setattr(classicality, "_columns", spy)
         monkeypatch.setattr(classicality, "_probabilities", counting)
         if walk == "chunked":
-            # the least cap the report passes: its largest node or its stored tables
-            node = statistics._state_entries(provider, meas, max_order) + m * m * r * r * provider.env.size
+            # the least cap the report passes: its largest node, its stored tables or its records
+            node = statistics._state_entries(meas.bases.shape, provider.env.size, max_order) + m * m * r * r * provider.env.size
             stored = sum(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
-            monkeypatch.setattr(classicality, "TERM_CAP", max(node, stored))
+            records = sum(math.comb(p + n - 1, n) * (n - 1) for n in range(2, max_order + 1))
+            monkeypatch.setattr(classicality, "TERM_CAP", max(node, stored, records))
         report = classicality_report(provider, prep, meas, pool, max_order, t0=0.1)
         # one state computation per level below the deepest, more where the walk runs in chunks
         assert len(calls) > max_order - 1 if walk == "chunked" and p > 1 else len(calls) == max_order - 1
@@ -758,9 +823,12 @@ class TestReportPlan:
         assert classicality._plan.cache_info().hits == hits + 1
         assert_same_report(cold, warm)
 
-    def test_keyed_by_outcome_count(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [None, 800, 1000], ids=["default-cap", "cap-800", "cap-1000"])
+    def test_keyed_by_outcome_count(self, monkeypatch, cap):
         # one pool size and order, m = 2 twice (rank one, then rank two) and m = 3: two plans,
-        # and every report the same as with no plan kept
+        # and every report bitwise the same as with no plan kept
+        if cap is not None:
+            monkeypatch.setattr(classicality, "TERM_CAP", cap)
         pool = (0.4, 1.1, 2.9)
         cases = [TAIL_CASES[name]() for name in ("exact-qubit-mub", "exact-d3-rank-two", "analytic-d3-mub")]
         classicality._plan.cache_clear()
@@ -769,8 +837,29 @@ class TestReportPlan:
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
         monkeypatch.setattr(classicality, "PLAN_ENTRIES", 0)  # every plan built per report
         for report, (provider, prep, meas) in zip(kept, cases):
-            assert_same_report(report, classicality_report(provider, prep, meas, pool, 3))
+            built = classicality_report(provider, prep, meas, pool, 3)
+            assert_same_report(report, built)
+            for (_, a), (_, b) in zip(report.columns, built.columns):
+                assert a.tobytes() == b.tobytes()
         assert classicality._plan.cache_info() == info
+
+    def test_tail_kept_per_budget(self, zx_model, monkeypatch):
+        # a plan kept at the default cap, then a cap of 800: the tail is cut by the new
+        # budget, 800 // 4, into 4 slabs (20 + 80 + 80, then 280 three times), not the 1 kept
+        prep, meas, pool = SystemPreparation.diagonal([0.6, 0.4]), fourier_mub(2), (0.3, 0.9, 1.4, 2.2)
+        classicality._plan.cache_clear()
+        classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
+        checks, real = [], classicality._within_rule
+        monkeypatch.setattr(classicality, "_within_rule", lambda *args: checks.append(1) or real(*args))
+        monkeypatch.setattr(classicality, "TERM_CAP", 800)
+        kept = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
+        assert classicality._plan.cache_info().hits == 1
+        assert len(checks) == 1 + len(classicality._slabs(classicality._plan(4, 4, 2).segments, 200)) == 1 + 4
+        monkeypatch.setattr(classicality, "PLAN_ENTRIES", 0)
+        built = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
+        assert len(checks) == 2 * 5
+        for (_, a), (_, b) in zip(kept.columns, built.columns):
+            assert a.tobytes() == b.tobytes()
 
     def test_built_after_the_caps(self):
         # the largest-state input of test_cap_checked_before_any_propagator: its plan would be kept

@@ -1296,6 +1296,29 @@ class TestValidateAgreesWithRun:
             assert run in (None, 0) and validate == 0
         assert run == 2 or name not in PROBES
 
+    @pytest.mark.parametrize("max_order", [1000, 10**12])
+    def test_single_outcome_order_refused_at_once(self, tmp_path, capsys, max_order):
+        # d = 1: one outcome, so each table is one entry and only the order bound refuses the
+        # config; validate said ok at 10^6, and took 4 s to refuse 10^12
+        doc = classicality_config(
+            model={"kind": "exact", "blocks": [[[[0.5, 0]]]], "env_state": [[[1, 0]]]},
+            preparation={"kind": "pure", "vector": [[1, 0]]},
+            measurement={"kind": "explicit", "vectors": [[[1, 0]]]},
+            grid={"t0": 0.0, "times": [1.0]},
+            analysis={"kind": "classicality", "max_order": max_order},
+        )
+        path, out = write_config(tmp_path, doc), tmp_path / "o"
+        errors = []
+        for command in (["validate", path], ["run", path, "--out", str(out)]):
+            began = time.perf_counter()
+            assert main(command) == 3
+            assert time.perf_counter() - began < 1.0
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and len(errors[0].splitlines()) == 1
+        message = f"classicality_report: {max_order} orders exceed cap 22"
+        assert json.loads(errors[0]) == {"error": "SizeCapError", "message": message}
+        assert not out.exists()
+
 
 _QUBIT_ZX = ExactDephasingProvider(get_preset("qubit-zx"))
 _MIXED = statistics.SystemPreparation.maximally_mixed(2)
