@@ -12,8 +12,8 @@ as a prefix trie on the propagation kernel of
 so each distinct grid is propagated once and every prefix is shared by all
 tuples that extend it.  Its docstring gives the stages, the one table buffer
 and the caps; :func:`_columns` reduces the tables to deficits, and
-:func:`_plan` builds the index arrays and the table and tail layout that
-reports of one (p, N, m) share.
+:func:`_plan` builds, in one pass, the index arrays, the table layout and
+the marginals' slabs that reports of one (p, N, m) and budget share.
 A tuple's table does not depend on the batch or chunk it is computed in, and
 records agree with the per-tuple computation (:func:`joint_distribution` and
 :func:`kolmogorov_deficit` tuple by tuple) to roundoff.
@@ -236,12 +236,13 @@ def classicality_report(
     gather of coarse rows per order, one subtraction and one
     ``np.maximum.reduceat``, whatever the number of (order, position) pairs.
     Those rows, the trie's levels, the row of each tuple's last interval,
-    the table buffer's layout and, per budget, the marginals' slabs come from
-    the index plan of (p, max_order, m), :func:`_plan`: built after the caps
-    pass, kept (read-only, the ``PLAN_CACHE`` most recent of at most
-    ``PLAN_ENTRIES`` entries each) for later reports of the same pool size,
-    order and outcome count, and shared by their ``columns`` as the tuples'
-    pool indices.  A larger plan is built per report.  The caps and the
+    the table buffer's layout and the marginals' slabs come from the index
+    plan of (p, max_order, m, ``TERM_CAP // max_order``), :func:`_plan`:
+    built whole after the caps pass and read-only, kept (the ``PLAN_CACHE``
+    most recent of at most ``PLAN_ENTRIES`` entries each) for later reports
+    of the same pool size, order, outcome count and budget, and shared by
+    their ``columns`` as the tuples' pool indices.  A larger plan is built
+    per report.  The caps and the
     walk's chunk sizes are kept per (PVM shape, D², p, N, ``TERM_CAP``) by
     :func:`_sizes`, so a report with both kept computes only its arithmetic
     and its checks.  Every table and every marginal passes the one rule of
@@ -280,7 +281,8 @@ def classicality_report(
     bases, p = measurement.bases, len(pool)
     m, (_, chunk) = len(bases), _sizes(bases.shape, provider.env.size, p, max_order, TERM_CAP)
 
-    plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order, m)
+    build = _plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__
+    plan = build(p, max_order, m, TERM_CAP // max_order)
     tuples, parent, first = plan.tuples, plan.parent, plan.first
     # every table in one buffer, order after order; tables[n] is a view, one row per tuple
     flat = np.empty(plan.orders[-1][1].stop)
@@ -334,10 +336,10 @@ def classicality_report(
         stack.extend((n + 1, a, min(a + chunk[n + 1], c1), state, lo) for a in reversed(range(c0, c1, chunk[n + 1])))
         del state  # free before the next chunk's kernels allocate
 
-    return ClassicalityReport(max_order, tol, t0, pool, _columns(flat, tables, plan, m, TERM_CAP // max_order, pool))
+    return ClassicalityReport(max_order, tol, t0, pool, _columns(flat, tables, plan, m, pool))
 
 
-def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int, pool: tuple) -> tuple:
+def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, pool: tuple) -> tuple:
     """Check a report's tables and their marginals, and reduce them to its
     ``columns``: a fixed number of array calls per slab, besides max(m - 1, 1)
     per (order, position) for its marginal and two per order for the row
@@ -348,21 +350,21 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int,
     All tables are checked at once (:func:`~dephaser.statistics._within_rule`
     over ``flat`` and the row totals), then the marginals of each slab at
     once.  Every index, range and shape read here is kept with the plan: the
-    table layout in ``plan.orders``, and the marginals' slabs of ``budget``
-    in ``plan.tail(budget)``, whole (order, position) segments of at most
-    max(``budget``, the largest segment) entries.  A segment's marginal sums
-    the m outcome slices of axis k in order, the sequential sum that
-    ``fine.sum(axis=k)`` takes over an axis that is not the last, so the bits
-    are the same, 1.5 to 5 times faster than that ``sum`` (measured on
-    segments of 28 to 1000 rows, m = 2).  The coarse rows of one order's
-    segments in the slab are one ``np.take`` from the order-(n-1) tables by
-    its flattened ``plan.coarse`` rows, and the slab's deficits, max
-    |marginal - coarse| of each (order, position, tuple) row, one
-    ``np.maximum.reduceat`` at its ``plan.starts``; max is exact, so each
+    table layout in ``plan.orders``, and the marginals' slabs, whole
+    (order, position) segments cut by :func:`_plan`, in ``plan.slabs``.  A
+    segment's marginal sums the m outcome slices of axis k in order, the
+    sequential sum that ``fine.sum(axis=k)`` takes over an axis that is not
+    the last, so the bits are the same, 1.5 to 5 times faster than that
+    ``sum`` (measured on segments of 28 to 1000 rows, m = 2).  The coarse
+    rows of one order's segments in the slab are one ``np.take`` from the
+    order-(n-1) tables by its flattened ``plan.coarse`` rows, and the slab's
+    deficits, max |marginal - coarse| of each (order, position, tuple) row,
+    one ``np.maximum.reduceat`` at its rows' starts; max is exact, so each
     deficit is the same double as a per-row ``np.abs(...).max()``.  Besides
-    the plan, the tail holds the slab's marginals and its coarse rows.  Where
-    a check fails, :func:`~dephaser.statistics._check_tables` is called table
-    by table in record order and raises, naming the first failing one.
+    the plan, the slabs share two buffers of ``plan.largest`` entries, the
+    marginals and their coarse rows.  Where a check fails,
+    :func:`~dephaser.statistics._check_tables` is called table by table in
+    record order and raises, naming the first failing one.
     """
 
     def where(what, rows):
@@ -376,10 +378,9 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int,
         for n in tables:
             _check_tables(tables[n], where("table", tuples[n]))
 
-    size, slabs = plan.tail(budget)
-    marginals, gathered, deficits = np.empty(size), np.empty(size), np.empty(plan.segments[-1][5])
-    for lo, hi, r0, r1, starts, segments, orders in slabs:
-        entries, totals = marginals[: hi - lo], np.empty(r1 - r0)
+    marginals, gathered, deficits = np.empty(plan.largest), np.empty(plan.largest), np.empty(plan.orders[-1][4].stop)
+    for size, records, starts, segments, orders in plan.slabs:
+        entries, totals = marginals[:size], np.empty(len(starts))  # one total per row
         for n, k, rows, width, at in segments:
             fine, out = tables[n].reshape(-1, m, width), entries[at].reshape(-1, width)
             np.add(fine[:, 0], fine[:, 1], out=out) if m > 1 else np.copyto(out, fine[:, 0])
@@ -393,33 +394,21 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, budget: int,
             for n, k, rows, _, at in segments:
                 rule = where(f"marginal at position {k} of the table", tuples[n])
                 _check_tables(entries[at].reshape(rows, -1), rule)
-        np.subtract(entries, gathered[: hi - lo], out=entries)
+        np.subtract(entries, gathered[:size], out=entries)
         np.abs(entries, out=entries)
-        np.maximum.reduceat(entries, starts - lo if lo else starts, out=deficits[r0:r1])
+        np.maximum.reduceat(entries, starts, out=deficits[records])
 
     deficits.flags.writeable = False
     # per order, its deficits as (positions, rows), read as (rows, positions)
     return tuple((tuples[n], deficits[at].reshape(n - 1, -1).T) for n, _, _, _, at in plan.orders[1:])
 
 
-def _slabs(segments: tuple, budget: int) -> list:
-    """``segments`` cut into consecutive slabs, lists of whole segments, each of at
-    most max(``budget``, the largest segment) entries: a slab takes the next
-    segment while its entries stay within that bound."""
-    budget = max(budget, max(hi - lo for _, _, lo, hi, _, _ in segments))
-    slabs = [[segments[0]]]
-    for segment in segments[1:]:
-        if segment[3] - slabs[-1][0][2] > budget:
-            slabs.append([])
-        slabs[-1].append(segment)
-    return slabs
-
-
 class _Plan(NamedTuple):
     """The index arrays of a report on a pool of p times to order N with an
-    m-outcome PVM, all read-only, and the layout of its tables and tail.
-    ``tuples``, ``parent``, ``first`` and ``pair`` hold one array per level n
-    (None where a level has none).
+    m-outcome PVM, and the layout of its tables and of its marginals' slabs:
+    tuples, ints, slices and read-only arrays only, so a kept plan is shared
+    as it is.  ``tuples``, ``parent``, ``first`` and ``pair`` hold one array
+    per level n (None where a level has none).
 
     ``tuples[n]`` holds the pool indices of the order-n tuples, one row each,
     in ``combinations_with_replacement`` order; level 0 is the empty tuple,
@@ -434,56 +423,29 @@ class _Plan(NamedTuple):
     slice of the row totals holding theirs, the slice of the deficits
     holding its (n - 1) × rows, None at n = 1).
 
-    The rest lay out a report's marginals, in record order: per order
+    ``slabs`` lay out a report's marginals, in record order: per order
     n = 2..N and interior position k = 1..n-1, a segment of one row of
-    m^(n-1) entries per order-n tuple, its table summed over outcome k.
-    ``segments`` holds one (n, k, lo, hi, r0, r1) per segment, a tuple of
-    ints: its entries lo..hi-1 and its rows r0..r1-1, one deficit each.
-    ``starts`` holds the first entry of each row.  ``coarse[n][k - 1]`` is
-    the order-(n-1) row that each order-n row is compared with at position
-    k: that of the tuple with its index at position k deleted.  ``tails``,
-    the plan's one mutable part, keeps the slabs of :meth:`tail` for each
-    budget a report has asked for."""
+    m^(n-1) entries per order-n tuple, its table summed over outcome k, and
+    one deficit per row.  ``coarse[n][k - 1]`` is the order-(n-1) row that
+    each order-n row is compared with at position k: that of the tuple with
+    its index at position k deleted.  The segments are cut into consecutive
+    slabs of whole segments, each of at most max(budget, the largest
+    segment) entries (:func:`_plan`).  A slab is (its entries, the slice of
+    the deficits holding its rows, the first entry of each row, its
+    segments, its orders), every other entry and row local to the slab.  A
+    segment is (n, k, rows, width m^(n-k), its entries); an order is (n, the
+    entries and the rows of its positions in the slab, their ``coarse`` rows
+    flattened, a view, and the shape (rows, m^(n-1)) of their entries).
+    ``largest`` is the entries of the largest slab."""
 
     tuples: tuple
     parent: tuple
     first: tuple
     pair: tuple
     coarse: tuple
-    segments: tuple
-    starts: np.ndarray
     orders: tuple
-    tails: dict
-
-    def tail(self, budget: int) -> tuple:
-        """(the entries of the largest slab, the slabs) of the marginals for
-        ``budget``, cut by :func:`_slabs`.  A slab is kept as (lo, hi, r0, r1,
-        its rows' ``starts``, its segments, its orders): entries lo..hi-1 and
-        rows r0..r1-1 of the record order, ``starts`` a view of the plan's, and
-        every other range local to lo and r0.  A segment is (n, k, rows, width
-        m^(n-k), its entries); an order is (n, the entries and the rows of its
-        positions in the slab, their ``coarse`` rows flattened, a view, and
-        the shape (rows, m^(n-1)) of their entries).  Built by the first
-        report of the budget and kept in ``tails``: reports of one plan take
-        one budget, ``TERM_CAP // N``, unless the cap changes.  Two threads
-        may both build a budget's slabs; either keeps the same ones."""
-        kept = self.tails.get(budget)
-        if kept is not None:
-            return kept
-        m, slabs = self.orders[0][2][1], []  # m, the width of the order-1 tables
-        for slab in _slabs(self.segments, budget):
-            (_, _, lo, _, r0, _), (_, _, _, hi, _, r1) = slab[0], slab[-1]
-            segments = tuple((n, k, rb - ra, m ** (n - k), slice(a - lo, b - lo)) for n, k, a, b, ra, rb in slab)
-            orders = []
-            # per order, its positions k0..k1 in the slab: their row totals and coarse rows, one call each
-            for n, group in itertools.groupby(slab, operator.itemgetter(0)):
-                group = list(group)
-                (_, k0, a, _, ra, _), (_, k1, _, b, _, rb) = group[0], group[-1]
-                coarse = self.coarse[n][k0 - 1 : k1].reshape(-1)
-                orders.append((n, slice(a - lo, b - lo), slice(ra - r0, rb - r0), coarse, (rb - ra, m ** (n - 1))))
-            slabs.append((lo, hi, r0, r1, self.starts[r0:r1], segments, tuple(orders)))
-        kept = self.tails[budget] = (max(hi - lo for lo, hi, *_ in slabs), tuple(slabs))
-        return kept
+    slabs: tuple
+    largest: int
 
 
 #: plans of at most this many index entries (:func:`_plan_entries`) are kept
@@ -505,21 +467,23 @@ MAX_ORDER = 22
 
 
 def _plan_entries(p: int, max_order: int) -> int:
-    """An upper bound on the index entries of :func:`_plan` (p, max_order, m),
-    whatever m: a level-n row holds at most 3n + 1 of them (n - 1 each in
-    ``coarse`` and ``starts``), and each ``first`` one more.  Not counted:
-    the ``segments``, N(N-1)/2 tuples of 6 Python ints, and per kept budget a
-    tail of as many tuples of ints, slices and views, ``orders`` and the
-    slabs' flattened ``coarse`` views; all of these are bounded once the
+    """An upper bound on the index entries of :func:`_plan` (p, max_order, m,
+    budget), whatever m and budget: a level-n row holds at most 3n + 1 of
+    them (n - 1 each in ``coarse`` and in its slab's row starts), and each
+    ``first`` one more.  Not counted: ``orders`` and the slabs, at most
+    N(N-1)/2 segments and as many orders, tuples of ints, slices and views
+    (the slabs' flattened ``coarse`` rows); all of these are bounded once the
     orders are (N <= ``MAX_ORDER``, at most 231 segments)."""
     return sum((3 * n + 2) * math.comb(p + n - 1, n) for n in range(max_order + 1))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
-def _plan(p: int, max_order: int, m: int) -> _Plan:
+def _plan(p: int, max_order: int, m: int, budget: int) -> _Plan:
     """The :class:`_Plan` of a report on a pool of p times to order max_order
-    with an m-outcome PVM; it does not depend on the times, the model or the
-    measurement's bases."""
+    with an m-outcome PVM, its marginals cut into slabs of at most
+    max(``budget``, the largest segment) entries; it does not depend on the
+    times, the model or the measurement's bases.  A report's budget is
+    ``TERM_CAP // max_order``."""
     tuples, parent, first = [np.zeros((1, 0), dtype=np.intp)], [None], []
     for n in range(max_order):
         last = tuples[n][:, -1] if n else np.zeros(1, dtype=np.intp)
@@ -538,28 +502,48 @@ def _plan(p: int, max_order: int, m: int) -> _Plan:
             out, previous = first[n][out] + rows[:, c] - previous, rows[:, c]
         return out
 
-    pair, coarse, segments, entry, row = [None, None], [None, None], [], 0, 0
+    def slab(segments):
+        """The slab of consecutive whole segments (n, k, lo, hi, r0, r1), entries
+        lo..hi-1 and rows r0..r1-1 of the record order, as :class:`_Plan` keeps it."""
+        (_, _, lo, _, r0, _), (_, _, _, hi, _, r1) = segments[0], segments[-1]
+        starts = np.concatenate([np.arange(a - lo, b - lo, m ** (n - 1)) for n, _, a, b, _, _ in segments])
+        starts.flags.writeable = False
+        orders = []
+        # per order, its positions k0..k1 in the slab: their row totals and coarse rows, one call each
+        for n, group in itertools.groupby(segments, operator.itemgetter(0)):
+            group = list(group)
+            (_, k0, a, _, ra, _), (_, k1, _, b, _, rb) = group[0], group[-1]
+            coarse_rows = coarse[n][k0 - 1 : k1].reshape(-1)
+            orders.append((n, slice(a - lo, b - lo), slice(ra - r0, rb - r0), coarse_rows, (rb - ra, m ** (n - 1))))
+        segments = tuple((n, k, rb - ra, m ** (n - k), slice(a - lo, b - lo)) for n, k, a, b, ra, rb in segments)
+        return hi - lo, slice(r0, r1), starts, segments, tuple(orders)
+
+    # one pass over the (order, position) segments in record order; a segment that
+    # would take the open slab past `bound` entries opens the next one
+    bound = max(budget, *(len(tuples[n]) * m ** (n - 1) for n in range(2, max_order + 1)))
+    pair, coarse, cut, entry, row = [None, None], [None, None], [[]], 0, 0
     for n in range(2, max_order + 1):
         pair.append(rank(tuples[n], (n - 2, n - 1)))
         coarse.append(np.empty((n - 1, len(tuples[n])), dtype=np.intp))
         rows, width = len(tuples[n]), m ** (n - 1)
         for k in range(1, n):
             coarse[n][k - 1] = rank(tuples[n], [j for j in range(n) if j != k - 1])
-            segments.append((n, k, entry, entry + rows * width, row, row + rows))
+            if cut[-1] and entry + rows * width - cut[-1][0][2] > bound:
+                cut.append([])
+            cut[-1].append((n, k, entry, entry + rows * width, row, row + rows))
             entry, row = entry + rows * width, row + rows
-    starts = np.concatenate([np.arange(lo, hi, m ** (n - 1)) for n, _, lo, hi, _, _ in segments])
-    for array in itertools.chain(tuples, parent, first, pair, coarse, (starts,)):
+    for array in itertools.chain(tuples, parent, first, pair, coarse):
         if array is not None:
             array.flags.writeable = False
+    slabs = tuple(slab(segments) for segments in cut)  # after the freeze: a slab holds views of `coarse`
     orders, entry, row, record = [], 0, 0, 0
     for n in range(1, max_order + 1):
         rows = len(tuples[n])
         deficits = slice(record, record + (n - 1) * rows) if n > 1 else None
         orders.append((n, slice(entry, entry + rows * m**n), (rows, m**n), slice(row, row + rows), deficits))
         entry, row, record = entry + rows * m**n, row + rows, record + (n - 1) * rows
-    return _Plan(
-        tuple(tuples), tuple(parent), tuple(first), tuple(pair), tuple(coarse), tuple(segments), starts, tuple(orders), {}
-    )
+    largest = max(entries for entries, *_ in slabs)
+    return _Plan(*map(tuple, (tuples, parent, first, pair, coarse, orders)), slabs, largest)
 
 
 def _report_size(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, max_order: int) -> int:

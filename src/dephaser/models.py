@@ -35,8 +35,9 @@ What the dynamics give is built once per provider and never shared between
 providers: the exact provider diagonalises the stored stack once, in one
 call, factors ρ_E once, and keeps the U_j of the last distinct durations it
 exponentiated together, the only cache of φ.  ``dephasing_matrix(t, s)`` of
-a provider, and the checks built on φ, read φ(t - s) for whole arrays of
-times, one stacked ``dephasings`` read per chunk.
+a provider reads φ(t - s) for whole arrays of times, and the checks built on
+φ read ``dephasings`` in the chunks of :func:`_max_per_entry`, one stacked
+read per chunk.
 
 The *dephasing tensor* picks one index pair per interval and traces the
 environment at the end: T[J, L] = tr(L_J ρ_E L_L†) with the left string
@@ -493,10 +494,9 @@ class MarkovianAnalyticProvider(DephasingTensorProvider):
         return self.exponentials(dt)
 
     def exponentials(self, dt):
-        """The dephasing matrices φ(dt), (..., d, d) for ``dt`` of shape (...)."""
-        if isinstance(dt, np.ndarray):
-            dt = dt[..., None, None]
-        return self.model.phi_matrix(dt)
+        """The dephasing matrices φ(dt), (..., d, d) for ``dt`` of shape (...),
+        a list or tuple of durations read as an array."""
+        return self.model.phi_matrix(np.asarray(dt, dtype=float)[..., None, None])
 
     def kernels(self, exponentials, source, target):
         """φ itself: the analytic interval map needs no other operator."""
@@ -542,15 +542,19 @@ def semigroup_deficit(provider: DephasingTensorProvider, t0, t1, t2):
         full, later, earlier = provider.dephasings(np.stack((t2, t2, t1)) - np.stack((t0, t1, t0)))
         return full - later * earlier
 
-    return _max_per_entry(violation, (t0, t1, t2), 3 * provider.d**2, "semigroup_deficit")
+    return _max_per_entry(violation, (t0, t1, t2), provider, 3, 3 * provider.d**2, "semigroup_deficit")
 
 
-def _max_per_entry(matrices, times: tuple, entries: int, caller: str):
+def _max_per_entry(matrices, times: tuple, provider: DephasingTensorProvider, reads: int, lift: int, caller: str):
     """max|M| of M = matrices(*times) per entry of the broadcast of ``times``, which follow the argument
     and order rules of :mod:`dephaser.errors`, checked once here and not again per chunk: a float for
-    scalars, else an array of their shape.  Flat chunks of TERM_CAP // ``entries`` keep each array within TERM_CAP."""
+    scalars, else an array of their shape.  Each entry (a point) reads φ of ``reads`` durations from
+    ``provider.dephasings``, which holds d·max(d, D²) entries per duration (an exact provider's U_j
+    stack, d·D², or φ itself, d²), and ``matrices`` holds ``lift`` entries of its own per point: a
+    flat chunk takes TERM_CAP // max(``lift``, ``reads``·d·max(d, D²)) points."""
     times = _ordered(caller, "times", *(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
-    flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // entries)
+    d = provider.d
+    flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // max(lift, reads * d * max(d, provider.env.size)))
     out = np.zeros(flat[0].size)
     for lo in range(0, out.size, chunk):
         out[lo : lo + chunk] = np.abs(matrices(*(t[lo : lo + chunk] for t in flat))).max(axis=(-2, -1))
@@ -635,8 +639,12 @@ def _walk_size(provider: ExactDephasingProvider, times: np.ndarray, max_order: i
 
 def triviality_check(provider: DephasingTensorProvider, grid: Sequence[float]) -> bool:
     """True iff every dephasing-matrix entry has unit modulus (within
-    ``TRIVIALITY_TOL``) on the grid, all pairs read at once."""
+    ``TRIVIALITY_TOL``) on the grid: all pairs of grid times, read in the chunks of :func:`_max_per_entry`."""
     grid = np.sort(_sequence("triviality_check", "grid", grid))
     first, second = np.triu_indices(len(grid), 1)  # the pairs of the Markovianity walk
-    phi = provider.dephasing_matrix(grid[second], grid[first])
-    return bool(np.abs(np.abs(phi) - 1.0).max(initial=0.0) <= TRIVIALITY_TOL)
+
+    def gap(s, t):
+        return np.abs(provider.dephasings(t - s)) - 1.0
+
+    gaps = _max_per_entry(gap, (grid[first], grid[second]), provider, 1, provider.d**2, "triviality_check")
+    return bool(gaps.max(initial=0.0) <= TRIVIALITY_TOL)

@@ -390,7 +390,7 @@ def sandwich_identity_deficit(provider: DephasingTensorProvider, measurement: Pr
         a, g, q = _transitions(provider, measurement, t, s, "sandwich_identity_deficit")
         return (q @ g - a[..., None] * q) @ q.conj().T
 
-    return _max_per_entry(lifted, (s, t), provider.d**4, "sandwich_identity_deficit")
+    return _max_per_entry(lifted, (s, t), provider, 1, provider.d**4, "sandwich_identity_deficit")
 
 
 def ncgd_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, t1, t2, t3):
@@ -406,4 +406,4 @@ def ncgd_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasu
         _, (g32, g21, g31), q = _transitions(provider, measurement, later, earlier, "ncgd_deficit")
         return q @ (g32 @ g21 - g31) @ q.conj().T
 
-    return _max_per_entry(lifted, (t1, t2, t3), provider.d**4, "ncgd_deficit")
+    return _max_per_entry(lifted, (t1, t2, t3), provider, 3, provider.d**4, "ncgd_deficit")

@@ -679,10 +679,12 @@ class TestReportTail:
         seen, calls = [], []
         real_columns, real_probabilities = classicality._columns, classicality._probabilities
 
-        def spy(flat, tables, plan, m, budget, pool):
+        def spy(flat, tables, plan, m, pool):
             seen.append({n: t.copy() for n, t in tables.items()})
-            # a budget of 0 puts each segment but the smallest in a slab of its own
-            return real_columns(flat, tables, plan, m, budget if slabs == "one-slab" else 0, pool)
+            if slabs == "slab-per-segment":
+                # a budget of 0 puts each segment but the smallest in a slab of its own
+                plan = classicality._plan(p, max_order, m, 0)
+            return real_columns(flat, tables, plan, m, pool)
 
         def counting(state):
             calls.append(len(state))
@@ -709,18 +711,30 @@ class TestReportTail:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("p, max_order", [(1, 5), (4, 2), (4, 4), (3, 5)])
     def test_slabs_hold_whole_segments_within_budget(self, p, max_order, m):
-        segments = classicality._plan(p, max_order, m).segments
-        largest = max(hi - lo for _, _, lo, hi, _, _ in segments)
-        for budget in (0, largest, largest + 1, segments[-1][3] - 1, segments[-1][3], 10**9):
-            slabs = classicality._slabs(segments, budget)
+        # per (order n, position k): one row of m^(n-1) entries per order-n tuple
+        segments = [(n, k, math.comb(p + n - 1, n)) for n in range(2, max_order + 1) for k in range(1, n)]
+        sizes = [rows * m ** (n - 1) for n, _, rows in segments]
+        largest, total = max(sizes), sum(sizes)
+        for budget in (0, largest, largest + 1, total - 1, total, 10**9):
+            slabs = classicality._plan(p, max_order, m, budget).slabs
             # consecutive, whole and in record order
-            assert [s for slab in slabs for s in slab] == list(segments)
-            for slab in slabs:
-                assert slab[-1][3] - slab[0][2] <= max(budget, largest)
+            assert [(n, k, rows) for slab in slabs for n, k, rows, _, _ in slab[3]] == segments
+            record = 0
+            for entries, records, starts, held, _ in slabs:
+                assert records == slice(record, record + len(starts))
+                record, entry, expected = records.stop, 0, []
+                for n, k, rows, width, at in held:
+                    assert width == m ** (n - k) and at == slice(entry, entry + rows * m ** (n - 1))
+                    expected.extend(range(entry, at.stop, m ** (n - 1)))
+                    entry = at.stop
+                assert entries == entry <= max(budget, largest)
+                assert starts.tolist() == expected
+            assert record == sum(rows for _, _, rows in segments)
             # each slab but the last is full: the next segment would not fit
             for slab, after in itertools.pairwise(slabs):
-                assert after[0][3] - slab[0][2] > max(budget, largest)
-            assert len(slabs) == 1 if budget >= segments[-1][3] else len(slabs) > 1 or len(segments) == 1
+                assert slab[0] + after[3][0][4].stop > max(budget, largest)
+            assert len(slabs) == 1 if budget >= total else len(slabs) > 1 or len(segments) == 1
+            assert classicality._plan(p, max_order, m, budget).largest == max(slab[0] for slab in slabs)
 
     EDGES = [t for edge in (1 + 1e-10, 1 - 1e-10) for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))]
 
@@ -742,9 +756,19 @@ class TestReportTail:
 
 
 def plan_arrays(plan):
-    """Every index array of a plan: the per-level ones, then ``starts``."""
+    """Every index array of a plan: the per-level ones, then each slab's row starts
+    (a slab's coarse rows are views of ``plan.coarse``)."""
     levels = plan.tuples + plan.parent + plan.first + plan.pair + plan.coarse
-    return [a for a in levels + (plan.starts,) if a is not None]
+    return [a for a in levels + tuple(slab[2] for slab in plan.slabs) if a is not None]
+
+
+def plan_leaves(value):
+    """Every item a plan holds, its tuples walked to their items."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from plan_leaves(item)
+    else:
+        yield value
 
 
 def assert_same_report(a, b):
@@ -762,8 +786,8 @@ class TestReportPlan:
     def test_matches_dict_lookup(self, p, max_order):
         levels = [list(itertools.combinations_with_replacement(range(p), n)) for n in range(max_order + 1)]
         row = [{t: k for k, t in enumerate(level)} for level in levels]
-        for m in (2, 3):
-            plan = classicality._plan(p, max_order, m)
+        for m, budget in itertools.product((2, 3), (0, 10**9)):
+            plan = classicality._plan(p, max_order, m, budget)
             assert plan.tuples[0].shape == (1, 0)
             for n in range(1, max_order + 1):
                 assert plan.tuples[n].tolist() == [list(t) for t in levels[n]]
@@ -782,16 +806,34 @@ class TestReportPlan:
                     segments.append((n, k, entries, len(starts)))
                     starts.extend(range(entries, entries + len(levels[n]) * m ** (n - 1), m ** (n - 1)))
                     entries += len(levels[n]) * m ** (n - 1)
-            assert plan.starts.tolist() == starts
             ends = [(lo, r0) for _, _, lo, r0 in segments[1:]] + [(entries, len(starts))]
-            assert plan.segments == tuple((n, k, lo, hi, r0, r1) for (n, k, lo, r0), (hi, r1) in zip(segments, ends))
+            segments = [(n, k, lo, hi, r0, r1) for (n, k, lo, r0), (hi, r1) in zip(segments, ends)]
+            # the slabs read back in record order: each row's first entry, each segment's entries and
+            # rows, and per order the coarse rows of its positions in the slab
+            lo, held = 0, []
+            for size, records, slab_starts, slab_segments, orders in plan.slabs:
+                assert slab_starts.tolist() == [s - lo for s in starts[records]]
+                r0 = records.start
+                for n, k, rows, _, at in slab_segments:
+                    held.append((n, k, lo + at.start, lo + at.stop, r0, r0 + rows))
+                    r0 += rows
+                for n, at, rows, coarse, shape in orders:
+                    ks = [k for n_, k, _, _, _ in slab_segments if n_ == n]
+                    assert coarse.tolist() == [row[n - 1][t[: k - 1] + t[k:]] for k in ks for t in levels[n]]
+                    assert shape == (len(ks) * len(levels[n]), m ** (n - 1)) and at.stop - at.start == math.prod(shape)
+                lo += size
+            assert held == segments and lo == entries
             assert sum(a.size for a in plan_arrays(plan)) <= classicality._plan_entries(p, max_order)
 
     @pytest.mark.parametrize("max_order", [2, 3, 4])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_read_only(self, zx_provider, p, max_order):
-        plan = classicality._plan(p, max_order, 2)
-        assert len(plan_arrays(plan)) == 5 * max_order
+        for budget in (0, classicality.TERM_CAP // max_order):
+            # a kept plan holds no mutable container: only tuples, ints, slices, None and read-only arrays
+            for item in plan_leaves(classicality._plan(p, max_order, 2, budget)):
+                assert type(item) in (int, slice, type(None)) or (type(item) is np.ndarray and not item.flags.writeable)
+        plan = classicality._plan(p, max_order, 2, classicality.TERM_CAP // max_order)
+        assert len(plan.slabs) == 1 and len(plan_arrays(plan)) == 5 * max_order
         assert all(not a.flags.writeable for a in plan_arrays(plan))
         pool, prep = tuple(0.4 * k for k in range(1, p + 1)), SystemPreparation.diagonal([1.0, 0.0])
         report = classicality_report(zx_provider, prep, fourier_mub(2), pool, max_order)
@@ -844,8 +886,9 @@ class TestReportPlan:
         assert classicality._plan.cache_info() == info
 
     def test_tail_kept_per_budget(self, zx_model, monkeypatch):
-        # a plan kept at the default cap, then a cap of 800: the tail is cut by the new
-        # budget, 800 // 4, into 4 slabs (20 + 80 + 80, then 280 three times), not the 1 kept
+        # a plan kept at the default cap, then a cap of 800: the new budget, 800 // 4, builds
+        # and keeps its own plan, whose marginals are cut into 4 slabs (20 + 80 + 80, then
+        # 280 three times), not the 1 of the plan kept first
         prep, meas, pool = SystemPreparation.diagonal([0.6, 0.4]), fourier_mub(2), (0.3, 0.9, 1.4, 2.2)
         classicality._plan.cache_clear()
         classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
@@ -853,8 +896,9 @@ class TestReportPlan:
         monkeypatch.setattr(classicality, "_within_rule", lambda *args: checks.append(1) or real(*args))
         monkeypatch.setattr(classicality, "TERM_CAP", 800)
         kept = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
-        assert classicality._plan.cache_info().hits == 1
-        assert len(checks) == 1 + len(classicality._slabs(classicality._plan(4, 4, 2).segments, 200)) == 1 + 4
+        info = classicality._plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        assert len(checks) == 1 + len(classicality._plan(4, 4, 2, 200).slabs) == 1 + 4
         monkeypatch.setattr(classicality, "PLAN_ENTRIES", 0)
         built = classicality_report(ExactDephasingProvider(zx_model), prep, meas, pool, 4)
         assert len(checks) == 2 * 5

@@ -439,7 +439,11 @@ ARRAY_PROVIDERS = [
 class TestArrayDurations:
     """dephasings(dt_array) against one scalar call per entry."""
 
-    @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
+    @pytest.mark.parametrize(
+        "provider",
+        ARRAY_PROVIDERS + [MarkovianAnalyticProvider(MarkovianAnalyticModel([[0.0, 0.7], [-0.7, 0.0]], [[0.0, 0.3], [0.3, 0.0]]))],
+        ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3", "analytic-d2"],
+    )
     def test_equals_stacked_scalar_steps(self, provider):
         d = provider.d
         # durations repeat, on one axis and on two
@@ -447,6 +451,14 @@ class TestArrayDurations:
         scalar = np.stack([provider.dephasings(float(t)) for t in dt])
         assert np.array_equal(provider.dephasings(dt), scalar)
         assert np.array_equal(provider.dephasings(dt.reshape(2, 3)), scalar.reshape(2, 3, d, d))
+        # a list or a tuple reads as that array at both stages, on both providers (the analytic
+        # one broadcast a list against its matrix axes), and a scalar as one duration
+        for durations in (dt.tolist(), tuple(dt[:2].tolist()), (0.7,)):
+            assert np.array_equal(provider.dephasings(durations), scalar[: len(durations)])
+            assert provider.exponentials(durations).shape[:2] == (len(durations), d)
+        assert provider.dephasings(0.7).shape == (d, d) and provider.exponentials(0.7).shape[0] == d
+        if isinstance(provider, MarkovianAnalyticProvider):
+            assert np.array_equal(provider.dephasings(0.7), provider.model.phi_matrix(0.7))  # a scalar keeps its bits
 
     @pytest.mark.parametrize("provider", ARRAY_PROVIDERS, ids=["exact-d3-D2", "exact-d2-D1", "analytic-d3"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -597,6 +609,35 @@ class TestDephasingTable:
         # one read per reader: a triple's three pairs stacked, then the sandwich's pairs
         assert durations == [(3, 4), (3, 4), (4,)]
 
+    def test_chunks_bound_the_exponentials(self, monkeypatch):
+        # D = 4: a φ read holds the U_j stack, d·D² = 32 entries per duration, which the chunks
+        # count, so under a cap of 1200 no φ reader exponentiates a larger array; the results
+        # are the bits of the unchunked run
+        model, meas, rng = random_exact_model(2, 4, seed=17), fourier_mub(2), np.random.default_rng(4)
+        t1, t2, t3 = np.sort(rng.uniform(0.0, 3.0, (3, 1000)), axis=0)
+        grid = rng.uniform(0.0, 3.0, 60)
+        analyses = {
+            "semigroup": lambda p: semigroup_deficit(p, t1, t2, t3),
+            "ncgd": lambda p: ncgd_deficit(p, meas, t1, t2, t3),
+            "sandwich": lambda p: sandwich_identity_deficit(p, meas, t3, t1),
+            "triviality": lambda p: triviality_check(p, grid),
+        }
+        whole = {name: analysis(ExactDephasingProvider(model)) for name, analysis in analyses.items()}
+        sizes, real = [], models.spectral_expm
+
+        def spy(w, v, tau):
+            out = real(w, v, tau)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(models, "spectral_expm", spy)
+        monkeypatch.setattr(models, "TERM_CAP", 1200)
+        for name, analysis in analyses.items():
+            sizes.clear()
+            chunked = analysis(ExactDephasingProvider(model))
+            assert len(sizes) > 1 and max(sizes) <= 1200, name
+            assert np.array_equal(chunked, whole[name]), name
+
     def test_chunks_match_one_step(self, zx_model, monkeypatch):
         t0, t1, t2 = np.array(list(itertools.combinations([0.2, 0.5, 1.0, 2.0, 3.5], 3))).T
         meas = fourier_mub(2)
@@ -616,10 +657,12 @@ class TestDephasingTable:
                 durations.append(np.shape(dt))
                 return super().dephasings(dt)
 
-        # d = 2: 3·d² = 12 entries per semigroup triple, d⁴ = 16 per lifted NCGD triple or sandwich pair
+        # d = D = 2: a φ read holds d·max(d, D²) = 8 entries per duration (the U_j stack), so
+        # 3·8 = 24 per semigroup or NCGD triple (beside 12 and the d⁴ = 16 of the lift), and
+        # 16, the lift, per sandwich pair (beside the 8 of its one duration)
         monkeypatch.setattr(models, "TERM_CAP", 64)
         chunked = deficits(CountingProvider(zx_model))
-        assert durations == [(3, 5)] * 2 + [(3, 4)] * 2 + [(3, 2)] + [(4,)] * 2 + [(2,)]
+        assert durations == [(3, 2)] * 10 + [(4,)] * 2 + [(2,)]
         for a, b in zip(chunked, whole):
             assert np.array_equal(a, b)
 
@@ -946,8 +989,9 @@ class TestSemigroupDeficit:
         # a triple's three matrices in one stacked read
         assert reads == [(3, 10)]
         reads.clear()
-        # 3·d² = 12 entries per triple: three triples per chunk, one read each
-        monkeypatch.setattr(models, "TERM_CAP", 36)
+        # d = D = 2: three durations of d·max(d, D²) = 8 entries per triple, 24 in all: three
+        # triples per chunk, one read each
+        monkeypatch.setattr(models, "TERM_CAP", 72)
         assert np.array_equal(semigroup_deficit(provider, t0, t1, t2), whole)
         assert reads == [(3, 3)] * 3 + [(3, 1)]
 
