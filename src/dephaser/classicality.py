@@ -223,11 +223,11 @@ def classicality_report(
     s_{n+1} - s_n, gathered per row; a tuple's table is the trace of its
     branch states.  The deepest level applies nothing: its tables are read
     out of the parents' states by the effects of those kernels.  Each
-    distinct grid is thus propagated once.  The durations of the whole
-    report, t_k - t0 and t_b - t_a for pool times t_a <= t_b, are
-    exponentiated in one ``provider.exponentials`` call, and the first
-    interval's kernels, the later kernels and their effects are built once
-    each, one per distinct duration.
+    distinct grid is thus propagated once.  The report's p durations t_k - t0
+    and the distinct spans t_b - t_a of pool times t_a <= t_b are exponentiated
+    as they are in one ``provider.exponentials`` call, and the first
+    interval's kernels (one per pool time), the later kernels and their
+    effects (one per span) are built once each.
     Every table is kept in one buffer, and the level walk writes each into
     its view.  A marginal is the order-n tables summed over one interior
     outcome axis, and a deficit max |marginal - coarse| per tuple, the coarse
@@ -242,13 +242,13 @@ def classicality_report(
     most recent of at most ``PLAN_ENTRIES`` entries each) for later reports
     of the same pool size, order, outcome count and budget, and shared by
     their ``columns`` as the tuples' pool indices.  A larger plan is built
-    per report.  The caps and the
-    walk's chunk sizes are kept per (PVM shape, D², p, N, ``TERM_CAP``) by
-    :func:`_sizes`, so a report with both kept computes only its arithmetic
-    and its checks.  Every table and every marginal passes the one rule of
-    :class:`JointDistribution`, :func:`~dephaser.statistics._check_tables`,
-    which names the first that fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0``
-    and the non-empty ``pool``, no earlier than ``t0``, follow :mod:`dephaser.errors`.
+    per report.  The caps and the walk's chunk sizes are kept per (PVM
+    shape, D², p, N, ``TERM_CAP``) by :func:`_sizes`, so a report with both
+    kept computes only its arithmetic and its checks.  Every table and every
+    marginal passes the one rule of :class:`JointDistribution`,
+    :func:`~dephaser.statistics._check_tables`, which names the first that
+    fails.  ``max_order`` >= 2, ``tol`` >= 0, ``t0`` and the non-empty ``pool``,
+    no earlier than ``t0``, follow :mod:`dephaser.errors`.
 
     Its size estimate, :func:`_report_size`, is checked before any propagator
     is computed: the largest node and the stored tables within ``TERM_CAP``,
@@ -281,31 +281,28 @@ def classicality_report(
     bases, p = measurement.bases, len(pool)
     m, (_, chunk) = len(bases), _sizes(bases.shape, provider.env.size, p, max_order, TERM_CAP)
 
-    build = _plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__
-    plan = build(p, max_order, m, TERM_CAP // max_order)
+    plan = (_plan if _plan_entries(p, max_order) <= PLAN_ENTRIES else _plan.__wrapped__)(p, max_order, m, TERM_CAP // max_order)
     tuples, parent, first = plan.tuples, plan.parent, plan.first
     # every table in one buffer, order after order; tables[n] is a view, one row per tuple
     flat = np.empty(plan.orders[-1][1].stop)
     tables = {n: flat[entries].reshape(shape) for n, entries, shape, _, _ in plan.orders}
 
-    # Every interval of the report either starts at t0 and ends at pool time
-    # k (duration start[k], the last interval of level-1 row k) or runs
-    # between pool times a <= b; the latter's distinct durations are `spans`,
-    # and last[n] the index into them of each level-n row's last interval.
-    # If the report-wide stage arrays fit, all durations are exponentiated in
-    # one call and the kernels of both sources and the effects are built
-    # once; each chunk gathers its rows.
+    # An interval either starts at t0 and ends at pool time k (duration
+    # start[k], the last interval of level-1 row k) or runs between pool times
+    # a <= b: `spans` are the latter's distinct durations, and last[n] the
+    # span of each level-n row's last interval.  Where the report-wide stage
+    # arrays fit, the starts (a start equal to a span too, to the same bits)
+    # and the spans are exponentiated in one call, and the kernels of both
+    # sources and the effects built once; each chunk gathers its rows.
     times = np.array(pool)
     start = times - t0
-    spans, span = _distinct(times[tuples[2][:, 1]] - times[tuples[2][:, 0]])
-    last = [None, None, *(span[pair] for pair in plan.pair[2:])]
+    spans, span = _distinct(times.take(tuples[2][:, 1]) - times.take(tuples[2][:, 0]))
+    last = [None, None] + [span.take(pair) for pair in plan.pair[2:]]
     stages = None  # (first kernels per pool time, later kernels and their effects per span)
     if _stage_entries(provider, measurement, p, len(spans)) <= TERM_CAP:
-        durations, index = _distinct(np.concatenate((start, spans)))
-        exponentials = provider.exponentials(durations)
-        later = provider.kernels(exponentials[index[p:]], bases, bases)
-        first_kernels = provider.kernels(exponentials[index[:p]], identity, bases)
-        stages = first_kernels, later, provider.effects(later, bases, bases)
+        exponentials = provider.exponentials(np.concatenate((start, spans)))
+        later = provider.kernels(exponentials[p:], bases, bases)
+        stages = provider.kernels(exponentials[:p], identity, bases), later, provider.effects(later, bases, bases)
 
     # Depth-first over chunks with an explicit stack of (level, first row,
     # end row, branch states of the parent block, its first row).  A level-n
@@ -319,12 +316,12 @@ def classicality_report(
         source, kind = (identity, 0) if n == 1 else (bases, 2 if n == max_order else 1)
         if stages is None:
             # the stage arrays of this chunk's distinct durations only
-            durations, inverse = _distinct(start[lo:hi] if n == 1 else spans[last[n][lo:hi]])
+            durations, inverse = _distinct(start[lo:hi] if n == 1 else spans.take(last[n][lo:hi]))
             kernels = provider.kernels(provider.exponentials(durations), source, bases)
-            stage = (provider.effects(kernels, source, bases) if kind == 2 else kernels)[inverse[:, None]]
+            stage = (provider.effects(kernels, source, bases) if kind == 2 else kernels).take(inverse, axis=0)[:, None]
         else:
-            stage = stages[0][lo:hi, None] if n == 1 else stages[kind][last[n][lo:hi, None]]
-        state = block if n == 1 else block[parent[n][lo:hi] - block_row]
+            stage = stages[0][lo:hi, None] if n == 1 else stages[kind].take(last[n][lo:hi], axis=0)[:, None]
+        state = block if n == 1 else block.take(parent[n][lo:hi] - block_row, axis=0)
         if n == max_order:
             # the deepest level reads its tables out and builds no branch state
             tables[n][lo:hi] = _readout(state, stage).reshape(hi - lo, -1)
@@ -370,13 +367,12 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, pool: tuple)
     def where(what, rows):
         return lambda k: f"classicality_report: {what} at times {tuple(pool[i] for i in rows[k])}"
 
-    tuples = plan.tuples
     totals = np.empty(plan.orders[-1][3].stop)
     for n, _, _, rows, _ in plan.orders:
         np.add.reduce(tables[n], axis=-1, out=totals[rows])
     if not _within_rule(flat, totals):
         for n in tables:
-            _check_tables(tables[n], where("table", tuples[n]))
+            _check_tables(tables[n], where("table", plan.tuples[n]))
 
     marginals, gathered, deficits = np.empty(plan.largest), np.empty(plan.largest), np.empty(plan.orders[-1][4].stop)
     for size, records, starts, segments, orders in plan.slabs:
@@ -389,10 +385,10 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, pool: tuple)
         # per order, its positions in the slab: one call for their row totals, one gather of their coarse rows
         for n, at, rows, coarse, shape in orders:
             np.add.reduce(entries[at].reshape(shape), axis=-1, out=totals[rows])
-            np.take(tables[n - 1], coarse, axis=0, out=gathered[at].reshape(shape))
+            tables[n - 1].take(coarse, axis=0, out=gathered[at].reshape(shape))
         if not _within_rule(entries, totals):
             for n, k, rows, _, at in segments:
-                rule = where(f"marginal at position {k} of the table", tuples[n])
+                rule = where(f"marginal at position {k} of the table", plan.tuples[n])
                 _check_tables(entries[at].reshape(rows, -1), rule)
         np.subtract(entries, gathered[:size], out=entries)
         np.abs(entries, out=entries)
@@ -400,7 +396,7 @@ def _columns(flat: np.ndarray, tables: dict, plan: "_Plan", m: int, pool: tuple)
 
     deficits.flags.writeable = False
     # per order, its deficits as (positions, rows), read as (rows, positions)
-    return tuple((tuples[n], deficits[at].reshape(n - 1, -1).T) for n, _, _, _, at in plan.orders[1:])
+    return tuple((plan.tuples[n], deficits[at].reshape(n - 1, -1).T) for n, _, _, _, at in plan.orders[1:])
 
 
 class _Plan(NamedTuple):
@@ -466,6 +462,7 @@ PLAN_CACHE = 8
 MAX_ORDER = 22
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE)
 def _plan_entries(p: int, max_order: int) -> int:
     """An upper bound on the index entries of :func:`_plan` (p, max_order, m,
     budget), whatever m and budget: a level-n row holds at most 3n + 1 of
@@ -582,7 +579,7 @@ def _sizes(shape: tuple, big: int, p: int, max_order: int, cap: int) -> tuple:
 
 def _stage_entries(provider: DephasingTensorProvider, measurement: ProjectiveMeasurement, p: int, spans: int) -> int:
     """Entries of a report's stage arrays for a pool of p times whose pairs
-    have ``spans`` distinct durations: the exponentials of at most p + spans
+    have ``spans`` distinct durations: the exponentials of exactly p + spans
     durations (U_j, d·D², or φ, d²: at most d²·D² each), the first
     interval's kernels (m·r·d·D² per pool time) and, per span, the later
     kernels and their effects (m²·r²·D² each).  m·r >= d, so the analytic

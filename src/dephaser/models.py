@@ -373,7 +373,8 @@ def _coefficients(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     (ms, d, rs), (mt, _, rt) = source.shape, target.shape
     if ms * mt * rt * rs * d > COEFFICIENT_ENTRIES:
         return _basis_pair(source, target)
-    return _kept_coefficients(*((a.dtype.str, a.shape, a.tobytes()) for a in (source, target)))
+    key = (source.dtype.str, source.shape, source.tobytes()), (target.dtype.str, target.shape, target.tobytes())
+    return _kept_coefficients(*key)
 
 
 @lru_cache(maxsize=COEFFICIENT_CACHE)
@@ -391,14 +392,14 @@ def _basis_pair(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _distinct(dt) -> tuple:
     """The sorted distinct durations of ``dt`` and the index into them of each
     entry (shape dt.shape), as np.unique(..., return_inverse=True) gives them,
-    without its argsort (and without the hash table of np.unique's plain path,
-    1.5 MB of peak RSS)."""
-    dt = np.asarray(dt, dtype=float)
-    ordered = np.sort(dt, axis=None)
+    from one in-place sort of a flat copy: no argsort, and no hash table of
+    np.unique's plain path (1.5 MB of peak RSS)."""
+    ordered = np.array(dt, dtype=float).reshape(-1)  # a copy, sorted in place
+    ordered.sort()
     keep = np.ones(ordered.shape, dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     durations = ordered[keep]
-    return durations, np.searchsorted(durations, dt)
+    return durations, durations.searchsorted(dt)
 
 
 def _env_factor(env: np.ndarray) -> tuple:
@@ -550,8 +551,8 @@ def _max_per_entry(matrices, times: tuple, provider: DephasingTensorProvider, re
     and order rules of :mod:`dephaser.errors`, checked once here and not again per chunk: a float for
     scalars, else an array of their shape.  Each entry (a point) reads φ of ``reads`` durations from
     ``provider.dephasings``, which holds d·max(d, D²) entries per duration (an exact provider's U_j
-    stack, d·D², or φ itself, d²), and ``matrices`` holds ``lift`` entries of its own per point: a
-    flat chunk takes TERM_CAP // max(``lift``, ``reads``·d·max(d, D²)) points."""
+    stack, d·D², or φ itself, d²), and ``matrices`` holds ``lift`` entries per point (its largest array: d⁴
+    if lifted, 3·R·d² for the NCGD's Q†·Λ): a chunk takes TERM_CAP // max(``lift``, ``reads``·d·max(d, D²)) points."""
     times = _ordered(caller, "times", *(_reals(caller, "times", t) for t in times))  # a NaN is no order fault
     d = provider.d
     flat, chunk = [t.reshape(-1) for t in times], max(1, TERM_CAP // max(lift, reads * d * max(d, provider.env.size)))

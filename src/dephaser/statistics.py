@@ -85,7 +85,7 @@ def _check_tables(tables: np.ndarray, where) -> None:
     on a sum of 5·10^5; over 1000 rows of 1000, 477 totals differ in the last
     bits), so a total at the edge of ``NORM_TOL`` could pass one check and
     fail the other."""
-    low, total = tables.min(axis=-1), tables.sum(axis=-1)
+    low, total = np.minimum.reduce(tables, axis=-1), np.add.reduce(tables, axis=-1)
     good = (low >= NEG_FLOOR) & (abs(total - 1.0) <= NORM_TOL)
     # a flat table's comparisons are one np.bool_, read directly: .all() costs as much as a reduction
     if good if tables.ndim == 1 else good.all():
@@ -105,7 +105,8 @@ def _within_rule(entries: np.ndarray, totals: np.ndarray) -> bool:
     1 - min t) to the bit: three reductions whatever the number of tables.
     The caller raises through :func:`_check_tables`, table by table, where
     this is False."""
-    return bool(entries.min() >= NEG_FLOOR and totals.max() - 1.0 <= NORM_TOL and 1.0 - totals.min() <= NORM_TOL)
+    low, high = np.minimum.reduce(totals, axis=None), np.maximum.reduce(totals, axis=None)
+    return bool(np.minimum.reduce(entries, axis=None) >= NEG_FLOOR and high - 1.0 <= NORM_TOL and 1.0 - low <= NORM_TOL)
 
 
 @dataclass(frozen=True)
@@ -406,4 +407,5 @@ def ncgd_deficit(provider: DephasingTensorProvider, measurement: ProjectiveMeasu
         _, (g32, g21, g31), q = _transitions(provider, measurement, later, earlier, "ncgd_deficit")
         return q @ (g32 @ g21 - g31) @ q.conj().T
 
-    return _max_per_entry(lifted, (t1, t2, t3), provider, 3, provider.d**4, "ncgd_deficit")
+    lift = max(provider.d**4, 3 * measurement.channel_basis.shape[1] * provider.d**2)  # see _max_per_entry
+    return _max_per_entry(lifted, (t1, t2, t3), provider, 3, lift, "ncgd_deficit")

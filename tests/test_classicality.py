@@ -535,23 +535,31 @@ class TestReportColumns:
 
     POOL = (0.3, 0.9, 1.4, 2.2)
 
+    @pytest.mark.parametrize(
+        "pool, durations",
+        # 4 durations from t0 = 0 and 7 distinct ones between pool times (0 included); on the
+        # uniform grid 4 and 4, of which 3 equal: 8 exponentials of 5 distinct durations
+        [(POOL, 11), ((0.25, 0.5, 0.75, 1.0), 8)],
+        ids=["pool", "uniform-grid"],
+    )
     @pytest.mark.parametrize("cap", [classicality.TERM_CAP, 800], ids=["default-cap", "cap-800"])
-    def test_one_exponentiation_per_report(self, zx_provider, monkeypatch, cap):
+    def test_one_exponentiation_per_report(self, zx_provider, monkeypatch, cap, pool, durations):
         # at a cap of 800 the levels run in chunks (test_chunked_levels_match_unchunked),
-        # yet every chunk gathers its kernels from the report-wide arrays
-        calls = []
-        real = models.spectral_expm
+        # yet every chunk gathers its kernels from the report-wide arrays, and the report
+        # deduplicates durations once, those between pool times
+        calls, distinct = [], []
+        real, real_distinct = models.spectral_expm, classicality._distinct
 
         def counting(w, v, tau):
             calls.append(np.asarray(tau).size)
             return real(w, v, tau)
 
         monkeypatch.setattr(models, "spectral_expm", counting)
+        monkeypatch.setattr(classicality, "_distinct", lambda dt: distinct.append(np.size(dt)) or real_distinct(dt))
         monkeypatch.setattr(classicality, "TERM_CAP", cap)
         prep, meas = SystemPreparation.diagonal([0.8, 0.2]), fourier_mub(2)
-        classicality_report(zx_provider, prep, meas, self.POOL, 4)
-        # the distinct durations: 4 from t0 = 0 and 7 between pool times (0 included)
-        assert calls == [11]
+        classicality_report(zx_provider, prep, meas, pool, 4)
+        assert calls == [durations] and distinct == [len(pool) * (len(pool) + 1) // 2]
 
     def test_uncapped_stage_arrays_chunked(self, zx_model, monkeypatch):
         # 12 times at order 2: stored tables 12·2 + 78·4 = 336 entries and a
@@ -661,6 +669,10 @@ TAIL_CASES = {
 }
 
 
+#: a pool on a uniform grid from t0 = 0.1, step 0.5
+UNIFORM_GRID = (0.6, 1.1, 1.6, 2.1)
+
+
 class TestReportTail:
     """The report's checks and deficits against the per-(order, position) reference,
     bit for bit, on the tables the report computed."""
@@ -669,8 +681,8 @@ class TestReportTail:
     @pytest.mark.parametrize("walk", ["unchunked", "chunked"])
     @pytest.mark.parametrize(
         "pool, max_order",
-        [((0.4, 1.1, 1.1, 2.9), 3), ((1.3,), 5), ((0.3, 0.9, 1.4), 5), ((0.5, 2.0), 2)],
-        ids=["repeated-time", "one-time", "order-5", "order-2"],
+        [((0.4, 1.1, 1.1, 2.9), 3), ((1.3,), 5), ((0.3, 0.9, 1.4), 5), ((0.5, 2.0), 2), (UNIFORM_GRID, 3)],
+        ids=["repeated-time", "one-time", "order-5", "order-2", "uniform-grid"],
     )
     @pytest.mark.parametrize("case", list(TAIL_CASES))
     def test_bitwise_equal_to_reference(self, monkeypatch, case, pool, max_order, walk, slabs):
@@ -698,6 +710,9 @@ class TestReportTail:
             stored = sum(math.comb(p + n - 1, n) * m**n for n in range(1, max_order + 1))
             records = sum(math.comb(p + n - 1, n) * (n - 1) for n in range(2, max_order + 1))
             monkeypatch.setattr(classicality, "TERM_CAP", max(node, stored, records))
+        if pool == UNIFORM_GRID:
+            # its durations from t0 = 0.1 to its first three times are spans between its times, bit for bit
+            assert {t - 0.1 for t in pool[:3]} <= {b - a for a, b in itertools.combinations(pool, 2)}
         report = classicality_report(provider, prep, meas, pool, max_order, t0=0.1)
         # one state computation per level below the deepest, more where the walk runs in chunks
         assert len(calls) > max_order - 1 if walk == "chunked" and p > 1 else len(calls) == max_order - 1

@@ -488,13 +488,17 @@ class TestArrayDurations:
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.stack(zx_model.blocks))
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 4), (5, 1)])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4), (5, 1)])
     def test_batch_deduplication_matches_unique(self, shape):
-        # the distinct durations and each entry's index, as np.unique's inverse gives them
+        # the distinct durations and each entry's index in dt's shape, as np.unique's inverse
+        # gives them, over ties and ±0.0; a scalar is one duration
         provider = ExactDephasingProvider(random_exact_model(3, 2, seed=9))
         dt = np.random.default_rng(len(shape)).choice([0.0, 0.4, 1.3, 2.9, -0.0], shape)
-        u, inverse = provider._unitaries_batch(dt)
         durations, expected = np.unique(dt.ravel(), return_inverse=True)
+        distinct, inverse = models._distinct(dt)
+        assert np.array_equal(distinct, durations) and np.array_equal(inverse, expected.reshape(shape))
+        assert np.shape(inverse) == shape
+        u, inverse = provider._unitaries_batch(dt)
         assert np.array_equal(inverse, expected.reshape(shape))
         assert np.array_equal(u, np.stack([provider.exponentials(float(t)) for t in durations]))
 

@@ -134,6 +134,28 @@ class TestJointDistribution:
         with pytest.raises(ValidationError, match="out of range"):
             d.marginalize(position)
 
+    EDGES = [1.0] + [t for edge in (1 + 1e-10, 1 - 1e-10) for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))]
+    ENTRIES = [np.nan, np.inf, -np.inf, statistics.NEG_FLOOR, np.nextafter(statistics.NEG_FLOOR, -1.0), 0.0]
+
+    @pytest.mark.parametrize("total", EDGES, ids=[f"{t:.17g}" for t in EDGES])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=[f"{e:.17g}" for e in ENTRIES])
+    def test_fused_rule_agrees_with_table_by_table(self, entry, total):
+        # one row holding the entry, one whose total is `total` (both of its sums exact)
+        tables = np.array([[0.25] * 4, [0.5 - entry, entry, 0.0, 0.5], [0.5, 0.0, 0.0, total - 0.5]])
+
+        def passes(table):
+            try:
+                statistics._check_tables(table, lambda r: f"row {r}")
+            except ValidationError:
+                return False
+            return True
+
+        with np.errstate(invalid="ignore"):  # -inf + inf in a row total
+            fused = statistics._within_rule(tables.reshape(-1), np.add.reduce(tables, axis=-1))
+            assert fused == all(passes(row) for row in tables) == passes(tables)
+        # an infinite entry leaves its row a total of -inf + inf
+        assert fused == (statistics.NEG_FLOOR <= entry < np.inf and abs(total - 1.0) <= statistics.NORM_TOL)
+
     def test_clipped(self):
         g = TimeGrid(0.0, (1.0,))
         d = JointDistribution(2, g, np.array([1.0 + 5e-11, -5e-11]))
@@ -823,7 +845,8 @@ class TestTransitionFormula:
             ncgd_deficit(provider, meas, 0.2, np.array([0.5, 2.5]), 2.0)
 
     def test_chunked_lift_matches_whole(self, monkeypatch):
-        # d = 3: d⁴ = 81 entries per lifted matrix, so a cap of 200 lifts two entries per chunk
+        # d = 3: d⁴ = 81 entries per lifted matrix, and a triple's three Q†·Λ of this PVM's R = 5
+        # channel basis hold 3·5·9 = 135, so a cap of 200 takes one triple, or two pairs, per chunk
         meas = ProjectiveMeasurement(projectors=_mixed_rank_projectors(3, 5))
         t1, t2, t3 = self.triples()
         reads = []
@@ -839,9 +862,31 @@ class TestTransitionFormula:
         reads.clear()
         monkeypatch.setattr(models, "TERM_CAP", 200)
         chunked = ncgd_deficit(provider, meas, t1, t2, t3), sandwich_identity_deficit(provider, meas, t3, t1)
-        # one read per chunk: the three pairs of a triple stacked, then the sandwich's pair
-        assert reads == [2] * (len(t1) // 2) * 2
+        # one read per chunk: the three pairs of a triple stacked, then the sandwich's pairs
+        assert reads == [1] * len(t1) + [2] * (len(t1) // 2)
         assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+
+    @pytest.mark.parametrize(
+        "meas", [ProjectiveMeasurement(projectors=(np.eye(2),)), fourier_mub(2)], ids=["one-outcome", "mub"]
+    )
+    def test_chunks_hold_the_transitions_within_cap(self, monkeypatch, meas):
+        # on a D = 1 qubit a triple's three Q†·Λ, 3·R·d² entries (48 for the identity PVM,
+        # R = 4; 24 for the Fourier basis, R = 2), outgrow its lifted matrix, d⁴ = 16
+        provider = TRANSITION_PROVIDERS["analytic-d2"]
+        t1, t2, t3 = np.sort(np.random.default_rng(5).uniform(0.0, 3.0, (3, 1000)), axis=0)
+        whole = ncgd_deficit(provider, meas, t1, t2, t3)
+        held, real = [], statistics._transitions
+
+        def spy(provider, measurement, t, s, caller):
+            a, g, q = real(provider, measurement, t, s, caller)
+            held.append(max(a.size * q.shape[1], g.size))  # Q†·Λ holds R entries per entry of a
+            return a, g, q
+
+        monkeypatch.setattr(statistics, "_transitions", spy)
+        monkeypatch.setattr(models, "TERM_CAP", 1200)
+        chunked = ncgd_deficit(provider, meas, t1, t2, t3)
+        assert len(held) > 1 and max(held) <= 1200
+        assert chunked.tobytes() == whole.tobytes()
 
     def test_times_checked_once_per_call(self, monkeypatch):
         # the order rule runs once, in _max_per_entry; each chunk reads φ by dephasings(t - s),
