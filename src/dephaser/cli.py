@@ -5,8 +5,8 @@ created or written to included, refused before any analysis runs), 3
 numerical-cap error, 4 analysis-level failure (an ``OSError`` while writing an
 output included).  Errors are emitted as one JSON object on stderr.  A run
 computes and serializes every output before it opens a file, then writes them
-whole and together: each into a temporary ``.tmp-*`` file beside it, created
-exclusively with mode 0600 as by ``tempfile.mkstemp``, and only when every one
+whole and together: each into a temporary ``.tmp-*`` file beside it, made by
+``tempfile.mkstemp`` (created exclusively, mode 0600), and only when every one
 is written are they renamed over the old files, ``report.json`` last.  A failed
 write leaves every old output as it was and removes the temporary files; only a
 failed rename leaves a mixed set, the outputs renamed before it new beside the
@@ -19,12 +19,12 @@ sort_keys=True)`` with ``"schema": 2``, and CSV floats are written with ``.17g``
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -44,26 +44,15 @@ REPORT_SCHEMA = 2  #: the form of ``report.json``, written as its ``schema`` key
 
 def _write_outputs(outdir: str, outputs: dict) -> None:
     """Write each text of ``outputs``, ``{file name: text}``, whole into ``outdir``: every one
-    into a temporary file beside its output, then, once all are written, each renamed over its
-    output in the order given.  A temporary file is made as ``tempfile.mkstemp`` makes one, in
-    one ``os.open``: created exclusively with its flags and mode 0600, under a random name drawn
-    again while taken, at most ``TMP_MAX`` times.  On an error the temporary files not yet
-    renamed are removed, so a failed write leaves every old output as it was."""
-    head = os.path.abspath(outdir)
-    flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
+    into a temporary file beside its output, made by ``tempfile.mkstemp`` as
+    ``.tmp-<random characters><name>``, then, once all are written, each renamed over its
+    output in the order given.  On an error the temporary files not yet renamed are removed,
+    so a failed write leaves every old output as it was."""
     staged = []  # the (temporary, output) pairs written and not yet renamed
     try:
         for name, text in outputs.items():
-            for _ in range(getattr(os, "TMP_MAX", 10000)):
-                tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{name}")
-                try:
-                    fd = os.open(tmp, flags, 0o600)
-                    break
-                except FileExistsError:
-                    continue
-            else:
-                raise FileExistsError(errno.EEXIST, "no free temporary file name", head)
-            staged.append((tmp, os.path.join(head, name)))
+            fd, tmp = tempfile.mkstemp(suffix=name, prefix=".tmp-", dir=outdir)
+            staged.append((tmp, os.path.join(outdir, name)))
             # bytes, not a file object: the outputs are ASCII, and a file object costs more than a small write
             data = memoryview(text.encode())
             try:

@@ -249,16 +249,14 @@ class ExactDephasingProvider(DephasingTensorProvider):
         self.model = model
         self.d = model.d
         self.env = model.env_state
-        self._eig = None
         self._batch = None  # the last distinct durations exponentiated together, and their U_j
 
+    @cached_property
     def _eigh(self) -> tuple:
         """The spectral decompositions H_j = V_j diag(w_j) V_j† of all blocks,
         (d, D) and (d, D, D): one eigendecomposition of the model's stored
-        (d, D, D) stack, computed once per provider."""
-        if self._eig is None:
-            self._eig = hermitian_eigh(self.model.blocks)
-        return self._eig
+        (d, D, D) stack, computed on first use, once per provider."""
+        return hermitian_eigh(self.model.blocks)
 
     @cached_property
     def _factor(self) -> tuple:
@@ -302,7 +300,7 @@ class ExactDephasingProvider(DephasingTensorProvider):
     def exponentials(self, dt):
         """The stacked U_j(dt), (..., d, D, D) for ``dt`` of shape (...), in one
         vectorised product."""
-        return spectral_expm(*self._eigh(), np.asarray(dt, dtype=float)[..., None])
+        return spectral_expm(*self._eigh, np.asarray(dt, dtype=float)[..., None])
 
     def kernels(self, exponentials, source, target):
         """The Kraus operators K[..., x, (y, γ, a), (α, b)] = Σ_j conj(V_y[j, γ])·V_x[j, α]·U_j[a, b],

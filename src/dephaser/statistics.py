@@ -219,12 +219,11 @@ class JointDistribution:
 
 
 def _build_global_hamiltonian(model: DephasingModel) -> np.ndarray:
+    """H = Σ_j |j⟩⟨j| ⊗ H_j on the joint space, block-diagonal: H_j written into diagonal block j."""
     d, big_d = model.d, model.env_dim
     h = np.zeros((d * big_d, d * big_d), dtype=complex)
     for j in range(d):
-        e = np.zeros((d, d))
-        e[j, j] = 1.0
-        h += kron(e, model.blocks[j])
+        h[j * big_d : (j + 1) * big_d, j * big_d : (j + 1) * big_d] = model.blocks[j]
     return h
 
 

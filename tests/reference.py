@@ -10,6 +10,7 @@ import numpy as np
 
 from dephaser.classicality import theta_sweep
 from dephaser.errors import ShapeError, TimeOrderError, ValidationError
+from dephaser.linalg import kron
 from dephaser.models import ExactDephasingProvider, markovianity_deficit_detail
 from dephaser.statistics import _check_tables
 
@@ -209,6 +210,17 @@ TEST_12 = {
 #: double: M - M† of the anti-Hermitian one, the trace of the diagonal one
 HUGE_ANTI_HERMITIAN = [[[0.5, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]
 HUGE_DIAGONAL = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+
+
+def global_hamiltonian(model) -> np.ndarray:
+    """H = Σ_j |j⟩⟨j| ⊗ H_j on the joint space, summed as d Kronecker products with the unit matrices |j⟩⟨j|."""
+    d, big_d = model.d, model.env_dim
+    h = np.zeros((d * big_d, d * big_d), dtype=complex)
+    for j in range(d):
+        e = np.zeros((d, d))
+        e[j, j] = 1.0
+        h += kron(e, model.blocks[j])
+    return h
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:

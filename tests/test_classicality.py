@@ -171,7 +171,7 @@ class TestClassicalityReport:
         prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
         with pytest.raises(ValidationError, match=f"^classicality_report: {match}"):
             classicality_report(zx_provider, prep, meas, (0.5, 1.2), **{"max_order": 3, **kwargs})
-        assert zx_provider._eig is None
+        assert "_eigh" not in vars(zx_provider)
 
     def test_integral_order_accepted(self, zx_provider):
         prep, meas = SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2)
@@ -277,7 +277,7 @@ class TestReportMatchesPerTupleReference:
         with pytest.raises(SizeCapError):
             classicality_report(provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
         assert provider._batch is None
-        assert provider._eig is None
+        assert "_eigh" not in vars(provider)
 
     @pytest.mark.parametrize(
         "pool, max_order, message",
@@ -449,7 +449,7 @@ class TestReportChecks:
         provider = ExactDephasingProvider(random_exact_model(2, big_d, seed=3))
         with pytest.raises(SizeCapError):
             classicality_report(provider, SystemPreparation.maximally_mixed(2), fourier_mub(2), pool, max_order)
-        assert provider._eig is None
+        assert "_eigh" not in vars(provider)
 
     def test_chunked_levels_match_unchunked(self, zx_model, monkeypatch):
         steps = []
@@ -1238,7 +1238,7 @@ class TestWitnessSearch:
             search_nonclassicality_witness(
                 zx_provider, SystemPreparation.diagonal([1.0, 0.0]), fourier_mub(2), 0.0, 3.0, **kwargs
             )
-        assert zx_provider._eig is None
+        assert "_eigh" not in vars(zx_provider)
 
     def test_finds_violation_on_noncommuting_model(self):
         prov = ExactDephasingProvider(get_preset("qubit-zx"))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
@@ -901,7 +902,7 @@ class TestOutputFiles:
             tried.append(name)
             raise FileExistsError(errno.EEXIST, "File exists", name)
 
-        monkeypatch.setattr(os, "TMP_MAX", 3)
+        monkeypatch.setattr(tempfile, "TMP_MAX", 3)
         monkeypatch.setattr(os, "open", taken)
         code = main(["run", write_config(tmp_path, classicality_config()), "--out", str(tmp_path / "o")])
         monkeypatch.undo()

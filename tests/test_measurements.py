@@ -45,6 +45,12 @@ class TestFourierPhases:
     def test_no_phases_are_zero_phases(self, d):
         assert fourier_mub(d).bases.tobytes() == fourier_mub(d, (0.0,) * d).bases.tobytes()
 
+    def test_orthonormal_at_every_d_to_256(self):
+        # ω^(j·x) with j·x up to (d-1)² loses digits; reduced mod d, every basis here stays far inside GRAM_TOL
+        for d in range(2, 257):
+            v = vectors(fourier_mub(d))
+            assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-13, d
+
 
 class TestFourierColumns:
     @staticmethod
@@ -53,7 +59,7 @@ class TestFourierColumns:
         j, omega, cols = np.arange(d), np.exp(2j * np.pi / d), np.empty((d, d), dtype=complex)
         shifted = np.array([p - phases[0] for p in phases])
         for x in range(d):
-            cols[:, x] = omega ** (j * x) * np.exp(1j * shifted) / np.sqrt(d)
+            cols[:, x] = omega ** (j * x % d) * np.exp(1j * shifted) / np.sqrt(d)
         return cols
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 64])

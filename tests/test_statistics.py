@@ -24,6 +24,7 @@ from dephaser.statistics import (
     JointDistribution,
     SystemPreparation,
     TimeGrid,
+    _build_global_hamiltonian,
     _probabilities,
     _readout,
     _root,
@@ -164,6 +165,13 @@ class TestJointDistribution:
 
 class TestJointVsOracle:
     """Branch-state propagation (joint_distribution) against the global-unitary oracle."""
+
+    def test_global_hamiltonian_bitwise_the_kronecker_sum(self):
+        rng = np.random.default_rng(0)
+        models = [get_preset(name) for name in ("qubit-zx", "scalar-phases", "commuting-diag")]
+        models += [random_exact_model(int(rng.integers(2, 6)), int(rng.integers(1, 5)), seed) for seed in range(40)]
+        for model in models:
+            assert _build_global_hamiltonian(model).tobytes() == reference.global_hamiltonian(model).tobytes()
 
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -667,7 +675,7 @@ class TestCaps:
         with pytest.raises(SizeCapError):
             joint_distribution(zx_provider, prep, fourier_mub(2), grid)
         assert zx_provider._batch is None
-        assert zx_provider._eig is None
+        assert "_eigh" not in vars(zx_provider)
 
     def test_cap_checked_before_any_eigendecomposition(self, zx_model, monkeypatch):
         def forbidden(*args):
